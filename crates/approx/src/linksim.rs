@@ -183,12 +183,12 @@ impl World for MiniWorld<'_> {
                     pending,
                     ..
                 } = self;
-                let freed = dom.deliver(now, slot, bytes, |token, _sub_bytes| {
+                let want_poll = dom.deliver(now, slot, bytes, |token, _sub_bytes| {
                     let lf = &profile.members[members[token as usize] as usize];
                     done[token as usize] = now.saturating_since(lf.arrival + *shift);
                     *pending -= 1;
                 });
-                if freed && self.dom.has_demand() && self.dom.note_poll_wanted(now) {
+                if want_poll && self.dom.has_demand() && self.dom.note_poll_wanted(now) {
                     q.schedule_ordered(now, evord::poll(0), MiniEv::Poll);
                 }
             }

@@ -360,6 +360,33 @@ pub struct DomainGrant {
     pub gseq: u64,
 }
 
+/// Outcome of [`SwitchDomain::cancel`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DomainCancel {
+    /// No unbatched offer with that token is backlogged or admitted.
+    NotFound,
+    /// The offer's ungranted remainder was withdrawn.
+    Withdrawn {
+        /// Whether the scheduler now holds demand its last round did not
+        /// see, so the caller should poll at `now`: the freed admission
+        /// slot put a backlogged notification into the scheduler, or the
+        /// withdrawal uncovered one (`edm_sched::CancelOutcome`).
+        poll_wanted: bool,
+    },
+}
+
+impl DomainCancel {
+    /// Whether an offer was withdrawn.
+    pub fn withdrawn(self) -> bool {
+        self != DomainCancel::NotFound
+    }
+
+    /// Whether the caller should poll at `now`.
+    pub fn poll_wanted(self) -> bool {
+        self == DomainCancel::Withdrawn { poll_wanted: true }
+    }
+}
+
 /// The offers a scheduled message carries. The overwhelmingly common
 /// unbatched case stays allocation-free; only §3.1.2 mega messages pay
 /// for the boundary vectors.
@@ -453,6 +480,9 @@ pub struct SwitchDomain {
     /// revival could collide [`evord::chunk`] keys with chunks granted
     /// before the outage.
     grant_seq: u64,
+    /// `(rounds, empty rounds)` of the schedulers [`SwitchDomain::purge`]
+    /// replaced, so the domain's totals cover its whole life.
+    purged_rounds: (u64, u64),
     poll_at: Option<Time>,
     /// Times of poll events currently in the caller's queue (tiny; one
     /// live plus at most a few superseded). A superseded event whose time
@@ -480,6 +510,7 @@ impl SwitchDomain {
             backlog: std::collections::VecDeque::new(),
             slab_hwm: 0,
             grant_seq: 0,
+            purged_rounds: (0, 0),
             poll_at: None,
             scheduled_polls: Vec::new(),
             poll_scratch: PollResult::default(),
@@ -490,6 +521,17 @@ impl SwitchDomain {
     /// The underlying scheduler (stats, configuration).
     pub fn scheduler(&self) -> &Scheduler {
         &self.scheduler
+    }
+
+    /// Scheduling rounds this switch has run and how many of them issued
+    /// no grant (`edm_sched::Scheduler::rounds` / `empty_rounds`), over
+    /// the domain's whole life: a [purge](Self::purge) replaces the
+    /// scheduler but not these totals.
+    pub fn rounds(&self) -> (u64, u64) {
+        (
+            self.purged_rounds.0 + self.scheduler.rounds(),
+            self.purged_rounds.1 + self.scheduler.empty_rounds(),
+        )
     }
 
     /// Whether the scheduler holds queued demand. A poll without demand
@@ -649,16 +691,17 @@ impl SwitchDomain {
     /// Admits backlogged offers after a pair slot frees: one offer, or —
     /// with batching — every backlogged offer of the same (pair, batch
     /// key) folded into a single mega message (bounded by the 16-bit size
-    /// field, §3.1.4).
-    fn admit_from_backlog(&mut self, now: Time) {
+    /// field, §3.1.4). Returns `true` when a notification went into the
+    /// scheduler — not when the backlog was empty, nor when its head's
+    /// pair is still at its X bound and the offer went back to wait.
+    fn admit_from_backlog(&mut self, now: Time) -> bool {
         let Some(first) = self.backlog.pop_front() else {
-            return;
+            return false;
         };
         let pi = self.pair_idx(first.src, first.dst);
         self.pair_meta[pi] -= 1;
         if !self.batch_small {
-            self.notify_one(now, first);
-            return;
+            return self.notify_one(now, first);
         }
         let key = (first.src, first.dst, first.batch_key);
         let mut total = first.bytes;
@@ -676,9 +719,9 @@ impl SwitchDomain {
         });
         self.pair_meta[pi] -= (batch.len() - 1) as u64;
         if batch.len() == 1 {
-            self.notify_one(now, first);
+            self.notify_one(now, first)
         } else {
-            self.notify_batch(now, batch);
+            self.notify_batch(now, batch)
         }
     }
 
@@ -760,8 +803,10 @@ impl SwitchDomain {
     /// Records a granted chunk's arrival at its next element. Sub-offers
     /// of a mega message complete in FIFO order as their cumulative bytes
     /// arrive; `on_complete(token, bytes)` fires once per completed offer.
-    /// Returns `true` when the message finished (a pair slot freed and
-    /// backlogged demand was admitted — the caller should poll at `now`).
+    /// Returns `true` when the message finished *and* the pair slot it
+    /// freed put a backlogged notification into the scheduler — the only
+    /// way a delivery changes what a scheduling round can grant, so the
+    /// only case where the caller should poll at `now`.
     ///
     /// Completion is *byte-counted*, not flagged by the final grant:
     /// background-IP jitter can land a small final chunk before its
@@ -817,8 +862,7 @@ impl SwitchDomain {
             // backlog admission below may reuse it immediately), and the
             // freed pair slot admits backlogged demand.
             self.free_slots.push(slot);
-            self.admit_from_backlog(now);
-            true
+            self.admit_from_backlog(now)
         } else {
             false
         }
@@ -834,13 +878,14 @@ impl SwitchDomain {
     /// bookkeeping still runs, but the message can no longer complete, so
     /// no completion callback ever fires for it. Freeing the admission
     /// slot admits backlogged demand, exactly like a completion — the
-    /// caller should poll at `now` when `true` is returned and demand
-    /// remains.
+    /// caller should poll at `now` when the outcome says
+    /// [`poll_wanted`](DomainCancel::poll_wanted) and demand remains.
     ///
     /// Offers folded into a §3.1.2 mega message are *not* cancellable
     /// (the notification covers the whole batch); those keep the
-    /// documented stale-demand pessimism and `false` is returned.
-    pub fn cancel(&mut self, now: Time, src: u16, dst: u16, token: u64) -> bool {
+    /// documented stale-demand pessimism and report
+    /// [`DomainCancel::NotFound`].
+    pub fn cancel(&mut self, now: Time, src: u16, dst: u16, token: u64) -> DomainCancel {
         let pi = self.pair_idx(src, dst);
         // Still in the X backlog: never notified, just drop it.
         if self.pair_meta[pi] as u32 > 0 {
@@ -850,7 +895,7 @@ impl SwitchDomain {
             let removed = (before - self.backlog.len()) as u64;
             if removed > 0 {
                 self.pair_meta[pi] -= removed;
-                return true;
+                return DomainCancel::Withdrawn { poll_wanted: false };
             }
         }
         // Admitted: walk the pair's in-flight FIFO for the unbatched
@@ -867,11 +912,11 @@ impl SwitchDomain {
                 MsgBody::Single { token: t, .. } if t == token
             );
             if hit {
-                let outcome = self.scheduler.cancel(src, dst, self.targets[slot].msg_id);
-                debug_assert!(
-                    matches!(outcome, edm_sched::CancelOutcome::Cancelled { .. }),
-                    "a pair-FIFO member is always queued or waiting"
-                );
+                let edm_sched::CancelOutcome::Cancelled { uncovered, .. } =
+                    self.scheduler.cancel(src, dst, self.targets[slot].msg_id)
+                else {
+                    unreachable!("a pair-FIFO member is always queued or waiting");
+                };
                 let new_head = if prev == 0 { next } else { head };
                 let new_tail = if cur == tail { prev } else { tail };
                 self.pair_fifo[pi] = if new_head == 0 {
@@ -891,13 +936,15 @@ impl SwitchDomain {
                     self.free_slots.push(slot as u32);
                 }
                 // The admission slot freed: admit backlogged demand.
-                self.admit_from_backlog(now);
-                return true;
+                let admitted = self.admit_from_backlog(now);
+                return DomainCancel::Withdrawn {
+                    poll_wanted: admitted || uncovered,
+                };
             }
             prev = cur;
             cur = next;
         }
-        false
+        DomainCancel::NotFound
     }
 
     /// Hard-resets the domain after its switch dies, appending to `dead`
@@ -938,6 +985,7 @@ impl SwitchDomain {
                 }
             }
         }
+        self.purged_rounds = self.rounds();
         self.scheduler = Scheduler::new(*self.scheduler.config());
         self.pair_fifo.iter_mut().for_each(|w| *w = 0);
         self.pair_meta.iter_mut().for_each(|w| *w = 0);
@@ -1441,11 +1489,16 @@ mod tests {
         assert!(dom.offer(Time::ZERO, pair_offer(1, 1000)));
         assert!(!dom.offer(Time::ZERO, pair_offer(2, 500)), "X=1 backlogs");
         // The backlogged offer drops without ever being notified.
-        assert!(dom.cancel(Time::ZERO, 0, 1, 2));
+        let quiet = DomainCancel::Withdrawn { poll_wanted: false };
+        assert_eq!(dom.cancel(Time::ZERO, 0, 1, 2), quiet);
         // The admitted offer's scheduler message is withdrawn.
-        assert!(dom.cancel(Time::ZERO, 0, 1, 1));
+        assert_eq!(dom.cancel(Time::ZERO, 0, 1, 1), quiet);
         assert!(!dom.has_demand());
-        assert!(!dom.cancel(Time::ZERO, 0, 1, 1), "nothing left to cancel");
+        assert_eq!(
+            dom.cancel(Time::ZERO, 0, 1, 1),
+            DomainCancel::NotFound,
+            "nothing left to cancel"
+        );
     }
 
     #[test]
@@ -1453,11 +1506,46 @@ mod tests {
         let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
         assert!(dom.offer(Time::ZERO, pair_offer(1, 1000)));
         assert!(!dom.offer(Time::ZERO, pair_offer(2, 500)));
-        assert!(dom.cancel(Time::ZERO, 0, 1, 1));
+        assert!(dom.cancel(Time::ZERO, 0, 1, 1).poll_wanted());
         assert!(dom.has_demand(), "the backlogged offer takes the slot");
         let (grants, _, _) = dom.poll(Time::ZERO);
         assert_eq!(grants.len(), 1);
         assert_eq!(grants[0].token, 2);
+    }
+
+    #[test]
+    fn deliver_asks_for_a_poll_only_when_the_backlog_admits() {
+        let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
+        let t = Time::from_ns;
+        // Nothing backlogged: a completion changes nothing a round could
+        // grant.
+        assert!(dom.offer(t(0), pair_offer(1, 100)));
+        let g = dom.poll(t(0)).0[0];
+        assert!(!dom.deliver(t(0), g.slot, g.chunk_bytes, |_, _| {}));
+        // Pair 0->1 (X = 1) has a two-chunk message admitted and one
+        // backlogged; pair 2->3 has a single chunk.
+        assert!(dom.offer(t(100), pair_offer(2, 300)));
+        assert!(!dom.offer(t(100), pair_offer(3, 100)), "X=1 backlogs");
+        let other = DomainOffer {
+            src: 2,
+            dst: 3,
+            ..pair_offer(4, 100)
+        };
+        assert!(dom.offer(t(100), other));
+        let first: Vec<DomainGrant> = dom.poll(t(100)).0.to_vec();
+        assert_eq!(first.len(), 2);
+        // 2->3 completes: the backlog head is popped, finds its pair
+        // still at the bound and goes back to wait. Still nothing new.
+        let g = first.iter().find(|g| g.src == 2).expect("granted");
+        assert!(!dom.deliver(t(100), g.slot, g.chunk_bytes, |_, _| {}));
+        // A chunk that does not finish its message frees nothing.
+        let g = first.iter().find(|g| g.src == 0).expect("granted");
+        assert!(!dom.deliver(t(100), g.slot, g.chunk_bytes, |_, _| {}));
+        // The pair's own completion frees the slot: the waiter is
+        // notified, and that is worth a round.
+        let g = dom.poll(t(200)).0[0];
+        assert!(dom.deliver(t(200), g.slot, g.chunk_bytes, |_, _| {}));
+        assert!(dom.has_demand());
     }
 
     #[test]
@@ -1558,7 +1646,7 @@ mod tests {
         assert!(dom.offer(Time::ZERO, pair_offer(2, 100)));
         assert_eq!(dom.msg_slab_high_water(), hwm, "no slab growth");
         // Cancel with nothing in flight retires immediately.
-        assert!(dom.cancel(Time::ZERO, 0, 1, 2));
+        assert!(dom.cancel(Time::ZERO, 0, 1, 2).withdrawn());
         assert_eq!(dom.msg_slots_live(), 0);
         assert_eq!(dom.msg_slab_high_water(), hwm);
     }
@@ -1572,7 +1660,7 @@ mod tests {
         assert_eq!(grants.len(), 1);
         let g = grants[0];
         assert!(g.chunk_bytes < 1000, "must leave a remainder in flight");
-        assert!(dom.cancel(Time::ZERO, 0, 1, 1));
+        assert!(dom.cancel(Time::ZERO, 0, 1, 1).withdrawn());
         assert_eq!(dom.msg_slots_live(), 1, "in-flight chunk pins the slot");
         // The granted chunk lands: no completion fires, the slot frees.
         let completed = dom.deliver(Time::from_ns(100), g.slot, g.chunk_bytes, |_, _| {
@@ -1601,8 +1689,9 @@ mod tests {
                 token: 9,
             }
         ));
-        assert!(dom.cancel(Time::ZERO, 2, 3, 9));
+        assert!(dom.cancel(Time::ZERO, 2, 3, 9).withdrawn());
         let hwm = dom.msg_slab_high_water();
+        assert_eq!(dom.rounds(), (1, 0));
         let mut dead = Vec::new();
         dom.purge(&mut dead);
         dead.sort_unstable();
@@ -1618,6 +1707,7 @@ mod tests {
         let (grants, _, _) = dom.poll(Time::from_ns(50));
         assert_eq!(grants[0].token, 7);
         assert!(grants[0].gseq > gseq_before, "gseq stays monotone");
+        assert_eq!(dom.rounds(), (2, 0), "round totals span the purge");
     }
 
     #[test]

@@ -72,6 +72,11 @@ pub struct SparseOutcome {
     pub iterations: usize,
     /// Hardware cycles consumed (`3 × iterations`).
     pub cycles: u64,
+    /// Whether [`PimConfig::max_iterations`] stopped the run while
+    /// destinations were still contending — the one way a run can leave
+    /// an edge between two free ports unmatched. Never set when
+    /// iterating to maximality.
+    pub capped: bool,
 }
 
 /// Runs priority PIM over demand snapshots.
@@ -192,6 +197,7 @@ impl PimRunner {
         }
         let epoch = self.epoch;
         let mut iterations = 0usize;
+        let mut capped = false;
 
         // Only destinations that are available and have demand can ever
         // propose; once a destination fails to find an eligible source it
@@ -203,6 +209,7 @@ impl PimRunner {
         loop {
             if let Some(cap) = self.config.max_iterations {
                 if iterations >= cap {
+                    capped = !self.active_dests.is_empty();
                     break;
                 }
             }
@@ -270,6 +277,7 @@ impl PimRunner {
         SparseOutcome {
             iterations,
             cycles: iterations as u64 * CYCLES_PER_ITERATION,
+            capped,
         }
     }
 }

@@ -7,7 +7,11 @@
 //!    writes (`/N/` block), implicitly for reads (the RREQ itself).
 //! 2. At each [`Scheduler::poll`], the scheduler frees ports whose chunk
 //!    timers expired, runs priority PIM over all eligible demand, and
-//!    issues one [`Grant`] of up to `chunk_bytes` per matched pair.
+//!    issues one [`Grant`] of up to `chunk_bytes` per matched pair. The
+//!    poll also says when the next one is worth running
+//!    ([`PollResult::next_wakeup`]): like the hardware, which only acts
+//!    on ports holding a queued notification (§3.1.2), a driver never
+//!    has to run a round that cannot grant.
 //! 3. A granted port pair is *busy* for exactly `chunk/B` — the paper's
 //!    step (7): releasing after the chunk's transmission time (not its
 //!    arrival) keeps the pipe full despite propagation delay.
@@ -16,8 +20,6 @@
 use crate::ordered_list::OrderedList;
 use crate::pim::{self, PimConfig, PimRunner};
 use edm_sim::{Bandwidth, Duration, Time};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Scheduling priority policy (§3.1.1, property 4).
@@ -124,6 +126,13 @@ pub enum CancelOutcome {
     Cancelled {
         /// Bytes that will now never be granted.
         remaining: u32,
+        /// Whether the withdrawal may have moved a queued message into
+        /// PIM's view: the destination's queue was deeper than the row
+        /// PIM snapshots, so an entry hidden behind the withdrawn one can
+        /// be eligible right now. The one case where *removing* demand
+        /// makes a round worth running before the last
+        /// [`PollResult::next_wakeup`].
+        uncovered: bool,
     },
     /// No queued or waiting message matched — it was already fully
     /// granted (or never notified).
@@ -182,8 +191,20 @@ pub struct PollResult {
     pub pim_iterations: usize,
     /// The matching latency this poll would take in hardware.
     pub sched_latency: Duration,
-    /// Earliest future time at which polling again can make progress
-    /// (next busy-timer expiry), if demand remains.
+    /// When to poll next, if demand remains: the earliest future instant
+    /// at which some *queued* message can become eligible. A destination
+    /// still receiving a chunk contributes its own busy expiry; a free
+    /// destination PIM could not match contributes the earliest expiry
+    /// among the sources in the row PIM just walked. Rounds between `now`
+    /// and this instant could not grant, and an empty round has no side
+    /// effect (the matcher is priority-driven: no pointers, no RNG), so a
+    /// driver that polls only at wake-ups and after each accepted
+    /// [`Scheduler::notify`] sees exactly the grants of one that polls at
+    /// every busy expiry.
+    ///
+    /// When the round may have left *eligible* demand unmatched — PIM hit
+    /// its iteration cap, or a walked row is deeper than PIM's snapshot —
+    /// this is the earliest busy expiry of any port instead.
     pub next_wakeup: Option<Time>,
 }
 
@@ -228,10 +249,11 @@ pub struct Scheduler {
     dest_active_pos: Vec<u32>,
     /// Running count of queued messages (= Σ queue lengths).
     pending: usize,
-    /// Busy-timer expiries of issued grants (src and dst share one entry);
-    /// stale entries are discarded lazily. Replaces the O(2·ports)
-    /// `next_wakeup` scan.
-    busy_expiry: BinaryHeap<Reverse<Time>>,
+    /// Scheduling rounds run (stats).
+    rounds: u64,
+    /// Rounds that issued no grant (stats): pure overhead for whoever
+    /// drives the scheduler, so worth watching.
+    empty_rounds: u64,
     /// Scratch: destinations eligible for PIM this round.
     pim_dests: Vec<usize>,
     /// Scratch: matched pairs from the last PIM run.
@@ -277,8 +299,21 @@ impl Scheduler {
     ///
     /// Panics if `config.ports` is zero or `chunk_bytes` is zero.
     pub fn new(config: SchedulerConfig) -> Self {
+        Scheduler::with_pim(config, PimConfig::for_ports(config.ports))
+    }
+
+    /// [`Scheduler::new`] with an explicit matcher configuration, e.g. a
+    /// hardware iteration budget ([`PimConfig::max_iterations`]) instead
+    /// of iterating to maximality.
+    ///
+    /// # Panics
+    ///
+    /// As [`Scheduler::new`], and if `pim.ports` differs from
+    /// `config.ports`.
+    pub fn with_pim(config: SchedulerConfig, pim: PimConfig) -> Self {
         assert!(config.ports > 0, "need at least one port");
         assert!(config.chunk_bytes > 0, "chunk size must be positive");
+        assert_eq!(pim.ports, config.ports, "matcher sized for the switch");
         Scheduler {
             queues: (0..config.ports).map(|_| OrderedList::new()).collect(),
             src_busy_until: vec![Time::ZERO; config.ports],
@@ -287,13 +322,14 @@ impl Scheduler {
             pair_wait: vec![0; config.ports * config.ports],
             wait_slab: Vec::new(),
             wait_free: 0,
-            pim: PimRunner::new(PimConfig::for_ports(config.ports)),
+            pim: PimRunner::new(pim),
             demand_scratch: (0..config.ports).map(|_| Vec::new()).collect(),
             row_dirty: vec![false; config.ports],
             active_dests: Vec::new(),
             dest_active_pos: vec![NOT_ACTIVE; config.ports],
             pending: 0,
-            busy_expiry: BinaryHeap::new(),
+            rounds: 0,
+            empty_rounds: 0,
             pim_dests: Vec::new(),
             pairs_scratch: Vec::new(),
             config,
@@ -321,6 +357,16 @@ impl Scheduler {
     /// Total bytes granted so far.
     pub fn bytes_granted(&self) -> u64 {
         self.bytes_granted
+    }
+
+    /// Scheduling rounds run so far ([`Scheduler::poll`] calls).
+    pub fn rounds(&self) -> u64 {
+        self.rounds
+    }
+
+    /// Rounds so far that issued no grant.
+    pub fn empty_rounds(&self) -> u64 {
+        self.empty_rounds
     }
 
     /// Active notifications for a (src, dest) pair.
@@ -498,6 +544,7 @@ impl Scheduler {
         let d = dest as usize;
         // Only the pair's head message can be in the notification queue.
         if self.pair_adm[idx] & HEAD_IN_QUEUE != 0 {
+            let uncovered = self.queues[d].len() > PIM_ROW_DEPTH;
             if let Some((_, msg)) =
                 self.queues[d].remove_first(|m| m.src == src && m.msg_id == msg_id)
             {
@@ -516,6 +563,7 @@ impl Scheduler {
                 self.deactivate_if_empty(d);
                 return CancelOutcome::Cancelled {
                     remaining: msg.remaining,
+                    uncovered,
                 };
             }
         }
@@ -545,6 +593,7 @@ impl Scheduler {
                 self.pair_adm[idx] -= 1;
                 return CancelOutcome::Cancelled {
                     remaining: node.msg.remaining,
+                    uncovered: false,
                 };
             }
             prev = cur;
@@ -571,10 +620,16 @@ impl Scheduler {
 
         // Destinations eligible this round: live demand and a free RX
         // port. Sorted so the matching is bit-identical to a dense scan.
+        // The others seed the wake-up: nothing queued at a destination
+        // that is mid-chunk is eligible before its port frees.
+        let mut wake = Time::MAX;
         self.pim_dests.clear();
         for &d in &self.active_dests {
-            if self.dst_busy_until[d as usize] <= now {
+            let busy = self.dst_busy_until[d as usize];
+            if busy <= now {
                 self.pim_dests.push(d as usize);
+            } else {
+                wake = wake.min(busy);
             }
         }
         self.pim_dests.sort_unstable();
@@ -641,7 +696,10 @@ impl Scheduler {
             let until = now + busy;
             self.src_busy_until[s] = until;
             self.dst_busy_until[d] = until;
-            self.busy_expiry.push(Reverse(until));
+            if self.dest_active_pos[d] != NOT_ACTIVE {
+                // More is queued here; it waits for this chunk.
+                wake = wake.min(until);
+            }
             self.grants_issued += 1;
             self.bytes_granted += l as u64;
             out.grants.push(Grant {
@@ -655,24 +713,59 @@ impl Scheduler {
         }
         self.pairs_scratch = pairs;
 
-        // Next wakeup: earliest busy expiry strictly after now, but only if
-        // demand remains. Expired entries are discarded lazily; an entry
-        // still in the future always equals its port's live busy-until,
-        // because a port is only re-granted after its previous expiry.
-        while let Some(&Reverse(t)) = self.busy_expiry.peek() {
-            if t <= now {
-                self.busy_expiry.pop();
-            } else {
-                break;
-            }
-        }
-        out.next_wakeup = if self.pending > 0 {
-            self.busy_expiry.peek().map(|&Reverse(t)| t)
-        } else {
-            None
-        };
+        self.rounds += 1;
+        self.empty_rounds += u64::from(out.grants.is_empty());
+        out.next_wakeup = self.next_wakeup(now, wake, outcome.capped);
         out.pim_iterations = outcome.iterations;
         out.sched_latency = Duration::from_ps(outcome.cycles * self.config.clock.as_ps());
+    }
+
+    /// [`PollResult::next_wakeup`] for the round that just ran at `now`.
+    /// `earliest` already covers the destinations that are mid-chunk (the
+    /// round collected their expiries in passing); what is left are the
+    /// free ones PIM could not match, whose rows it walked anyway — so a
+    /// round still costs O(active destinations).
+    fn next_wakeup(&self, now: Time, mut earliest: Time, capped: bool) -> Option<Time> {
+        if self.pending == 0 {
+            return None;
+        }
+        if capped {
+            return self.next_busy_expiry(now);
+        }
+        for &d in &self.pim_dests {
+            if self.dst_busy_until[d] > now {
+                continue; // granted this round
+            }
+            if self.queues[d].len() > PIM_ROW_DEPTH {
+                // PIM saw only the head of this queue; entries behind it
+                // may be eligible already.
+                return self.next_busy_expiry(now);
+            }
+            // The round walked this whole row (its snapshot is current)
+            // and found every source busy or granted to another
+            // destination.
+            debug_assert!(!self.row_dirty[d]);
+            for &(_, s) in &self.demand_scratch[d] {
+                earliest = earliest.min(self.src_busy_until[s]);
+            }
+        }
+        debug_assert!(earliest > now && earliest < Time::MAX);
+        Some(earliest)
+    }
+
+    /// The earliest busy-timer expiry of any port after `now`: the
+    /// wake-up of last resort, used only when a round may have left
+    /// eligible demand unmatched (see [`PollResult::next_wakeup`]). Every
+    /// instant at which anything can change is one of these, at O(ports)
+    /// a call — which is why the exact wake-up replaces it wherever it
+    /// can.
+    fn next_busy_expiry(&self, now: Time) -> Option<Time> {
+        self.src_busy_until
+            .iter()
+            .chain(&self.dst_busy_until)
+            .copied()
+            .filter(|&t| t > now)
+            .min()
     }
 
     /// The average-case matching latency for this configuration (§3.1.3).
@@ -753,6 +846,77 @@ mod tests {
         let r2 = s.poll(Time::ZERO + gap);
         assert_eq!(r2.grants.len(), 1);
         assert_eq!(r2.grants[0].issued_at, Time::ZERO + gap);
+    }
+
+    #[test]
+    fn wakeup_skips_expiries_nothing_queued_waits_for() {
+        // 0->1 is a single short chunk; 2->3 keeps a remainder queued.
+        // Ports 0 and 1 free first, but no queued message waits on
+        // either: the next useful round is when port 3 frees.
+        let mut s = sched(4, 256, Policy::Fcfs);
+        s.notify(Time::ZERO, Notification::new(0, 1, 0, 64))
+            .unwrap();
+        s.notify(Time::ZERO, Notification::new(2, 3, 0, 512))
+            .unwrap();
+        let r = s.poll(Time::ZERO);
+        assert_eq!(r.grants.len(), 2);
+        let long = s.config().link.tx_time_bytes(256);
+        assert_eq!(r.next_wakeup, Some(Time::ZERO + long));
+        assert_eq!((s.rounds(), s.empty_rounds()), (1, 0));
+    }
+
+    #[test]
+    fn free_destination_waits_for_its_earliest_source() {
+        // Source 0 sends 256 B to port 1 and has a message queued for
+        // port 2, whose own port is free: port 2 can be granted only when
+        // source 0 frees, and that is the wake-up.
+        let mut s = sched(4, 256, Policy::Fcfs);
+        s.notify(Time::ZERO, Notification::new(0, 1, 0, 256))
+            .unwrap();
+        s.notify(Time::from_ns(1), Notification::new(0, 2, 0, 64))
+            .unwrap();
+        let r = s.poll(Time::from_ns(1));
+        assert_eq!(r.grants.len(), 1);
+        assert_eq!(r.grants[0].dest, 1);
+        let frees = Time::from_ns(1) + s.config().link.tx_time_bytes(256);
+        assert_eq!(r.next_wakeup, Some(frees));
+        // A round before that instant is empty and changes nothing.
+        let early = s.poll(Time::from_ns(2));
+        assert!(early.grants.is_empty());
+        assert_eq!(early.next_wakeup, Some(frees));
+        assert_eq!((s.rounds(), s.empty_rounds()), (2, 1));
+        assert_eq!(s.poll(frees).grants[0].dest, 2);
+    }
+
+    #[test]
+    fn capped_round_falls_back_to_the_next_busy_expiry() {
+        // One PIM iteration: both destinations propose source 0, port 1
+        // wins, and port 2 never gets to fall back to source 3 — an edge
+        // between two free ports stays unmatched. The round was not
+        // maximal, so it reports the earliest busy expiry of any port
+        // (here the 64 B chunk's), where a driver polling at every expiry
+        // would try again.
+        let mut s = Scheduler::with_pim(
+            SchedulerConfig {
+                max_active_per_pair: 3,
+                ..SchedulerConfig::default_for_ports(4)
+            },
+            PimConfig {
+                ports: 4,
+                max_iterations: Some(1),
+            },
+        );
+        s.notify(Time::ZERO, Notification::new(0, 1, 0, 64))
+            .unwrap();
+        s.notify(Time::ZERO, Notification::new(0, 2, 0, 128))
+            .unwrap();
+        s.notify(Time::ZERO, Notification::new(3, 2, 0, 256))
+            .unwrap();
+        let r = s.poll(Time::ZERO);
+        assert_eq!(r.grants.len(), 1);
+        assert_eq!((r.grants[0].src, r.grants[0].dest), (0, 1));
+        let short = s.config().link.tx_time_bytes(64);
+        assert_eq!(r.next_wakeup, Some(Time::ZERO + short));
     }
 
     #[test]
@@ -924,7 +1088,10 @@ mod tests {
         assert_eq!(r.grants.len(), 1);
         assert_eq!(
             s.cancel(0, 1, 7),
-            CancelOutcome::Cancelled { remaining: 744 }
+            CancelOutcome::Cancelled {
+                remaining: 744,
+                uncovered: false
+            }
         );
         assert_eq!(s.pending_messages(), 0);
         assert_eq!(s.active_for_pair(0, 1), 0);
@@ -947,7 +1114,10 @@ mod tests {
         // granted next.
         assert_eq!(
             s.cancel(0, 1, 0),
-            CancelOutcome::Cancelled { remaining: 64 }
+            CancelOutcome::Cancelled {
+                remaining: 64,
+                uncovered: false
+            }
         );
         assert_eq!(s.pending_messages(), 1);
         let r = s.poll(Time::from_ns(2));
@@ -965,7 +1135,10 @@ mod tests {
         // msg 1 waits behind the head; cancel it specifically.
         assert_eq!(
             s.cancel(0, 1, 1),
-            CancelOutcome::Cancelled { remaining: 64 }
+            CancelOutcome::Cancelled {
+                remaining: 64,
+                uncovered: false
+            }
         );
         assert_eq!(s.active_for_pair(0, 1), 2);
         // Remaining messages grant in order 0 then 2, skipping 1.
@@ -980,6 +1153,42 @@ mod tests {
             }
         }
         assert_eq!(ids, vec![0, 2]);
+    }
+
+    #[test]
+    fn cancel_reports_uncovering_a_deep_row() {
+        // More sources queue for port 0 than PIM's row holds. Cancelling
+        // a visible entry shifts a hidden one into view; cancelling from
+        // a queue that fits the row cannot.
+        let n = PIM_ROW_DEPTH + 3;
+        let mut s = sched(n + 1, 64, Policy::Fcfs);
+        for src in 1..=n as u16 {
+            s.notify(Time::from_ns(src as u64), Notification::new(src, 0, 0, 64))
+                .unwrap();
+        }
+        assert_eq!(
+            s.cancel(1, 0, 0),
+            CancelOutcome::Cancelled {
+                remaining: 64,
+                uncovered: true
+            }
+        );
+        assert_eq!(
+            s.cancel(2, 0, 0),
+            CancelOutcome::Cancelled {
+                remaining: 64,
+                uncovered: true
+            }
+        );
+        assert_eq!(s.pending_messages(), PIM_ROW_DEPTH + 1);
+        s.cancel(3, 0, 0);
+        assert_eq!(
+            s.cancel(4, 0, 0),
+            CancelOutcome::Cancelled {
+                remaining: 64,
+                uncovered: false
+            }
+        );
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Property-based tests for the scheduler: the ordered list behaves like
 //! a reference sorted model, PIM always emits valid maximal matchings,
 //! the grant engine conserves bytes and never double-books a port, pairs
-//! stay FIFO, and the demand-sparse `poll` is equivalent to a dense
-//! reference implementation on randomized notify/poll scripts.
+//! stay FIFO, the demand-sparse `poll` is equivalent to a dense
+//! reference implementation on randomized notify/poll scripts, and a
+//! driver that polls only when `next_wakeup` says so sees the grants of
+//! one that polls at every busy expiry.
 
 use edm_sched::scheduler::{Notification, Policy, Scheduler, SchedulerConfig};
 use edm_sched::{OrderedList, PimConfig, PimRunner};
-use edm_sim::{Bandwidth, Time};
+use edm_sim::{Bandwidth, Duration, Time};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet, VecDeque};
 
 /// The pre-sparse scheduler, kept as an executable specification: dense
 /// O(ports) scans per poll, per-poll allocations, `HashMap` pair state.
@@ -206,16 +208,36 @@ mod reference {
                     issued_at: now,
                 });
             }
-            let next_wakeup = if self.pending_messages() > 0 {
-                self.src_busy_until
-                    .iter()
-                    .chain(self.dst_busy_until.iter())
-                    .filter(|&&t| t > now)
-                    .min()
-                    .copied()
-            } else {
-                None
-            };
+            // `PollResult::next_wakeup`, re-derived from its contract by a
+            // scan over every port: a busy destination waits for itself,
+            // a free one for the earliest source anywhere in its queue;
+            // a free destination whose queue PIM saw only the head of
+            // falls back to the earliest busy expiry of any port.
+            let busy_expiry = self
+                .src_busy_until
+                .iter()
+                .chain(self.dst_busy_until.iter())
+                .filter(|&&t| t > now)
+                .min()
+                .copied();
+            let mut next_wakeup: Option<Time> = None;
+            for (d, q) in self.queues.iter().enumerate() {
+                if q.is_empty() {
+                    continue;
+                }
+                let t = if self.dst_busy_until[d] > now {
+                    self.dst_busy_until[d]
+                } else if q.len() > PIM_ROW_DEPTH {
+                    next_wakeup = busy_expiry;
+                    break;
+                } else {
+                    q.iter()
+                        .map(|(_, m)| self.src_busy_until[m.src as usize])
+                        .min()
+                        .expect("non-empty queue")
+                };
+                next_wakeup = Some(next_wakeup.map_or(t, |w| w.min(t)));
+            }
             PollResult {
                 grants,
                 pim_iterations: iterations,
@@ -224,6 +246,101 @@ mod reference {
             }
         }
     }
+}
+
+/// One grant as a driver observes it: issue time, src, dest, msg_id, chunk
+/// bytes, and the matching latency of the round that issued it.
+type SeenGrant = (Time, u16, u16, u8, u32, Duration);
+
+/// Drives `sched` through `arrivals` (time-sorted) the way every engine
+/// does — the offer/poll/deliver protocol of `edm_core::SwitchDomain`:
+/// a round runs after each accepted notification; a notification the
+/// pair's X bound rejects waits in a FIFO backlog, and `DELIVERY` after a
+/// message's final grant the backlog head is offered again.
+///
+/// What differs is when else a round runs. The driver under test trusts
+/// the latest round's `next_wakeup`; the `exhaustive` reference ignores
+/// it and polls at every busy expiry of every grant while demand is
+/// pending, which is every instant at which a grant can become possible.
+/// Returns the grant stream and the number of rounds run.
+fn drive(
+    mut sched: Scheduler,
+    arrivals: &[(Time, Notification)],
+    exhaustive: bool,
+) -> (Vec<SeenGrant>, u64) {
+    const DELIVERY: Duration = Duration::from_ns(150);
+    let link = sched.config().link;
+    let mut seen = Vec::new();
+    let mut backlog: VecDeque<Notification> = VecDeque::new();
+    let mut retries: BTreeSet<Time> = BTreeSet::new();
+    let mut expiries: BTreeSet<Time> = BTreeSet::new();
+    let mut wake: Option<Time> = None;
+    let mut next_arrival = 0;
+    loop {
+        let timer = if exhaustive {
+            expiries.first().copied()
+        } else {
+            wake
+        };
+        let now = [
+            arrivals.get(next_arrival).map(|a| a.0),
+            retries.first().copied(),
+            timer,
+        ]
+        .into_iter()
+        .flatten()
+        .min();
+        let Some(now) = now else {
+            break;
+        };
+        let mut poll = false;
+        while arrivals.get(next_arrival).is_some_and(|a| a.0 == now) {
+            let n = arrivals[next_arrival].1;
+            next_arrival += 1;
+            // Host FIFO: never overtake a same-pair message that waits.
+            let waits = backlog.iter().any(|b| (b.src, b.dest) == (n.src, n.dest));
+            if waits || sched.notify(now, n).is_err() {
+                backlog.push_back(n);
+            } else {
+                poll = true;
+            }
+        }
+        if retries.remove(&now) {
+            if let Some(n) = backlog.pop_front() {
+                match sched.notify(now, n) {
+                    Ok(()) => poll = true,
+                    Err(_) => backlog.push_back(n),
+                }
+            }
+        }
+        if exhaustive {
+            poll |= expiries.remove(&now) && sched.pending_messages() > 0;
+        } else {
+            poll |= wake == Some(now);
+        }
+        if !poll {
+            continue;
+        }
+        let r = sched.poll(now);
+        for g in &r.grants {
+            seen.push((
+                g.issued_at,
+                g.src,
+                g.dest,
+                g.msg_id,
+                g.chunk_bytes,
+                r.sched_latency,
+            ));
+            expiries.insert(now + link.tx_time_bytes(g.chunk_bytes as u64));
+            if g.is_final() {
+                retries.insert(now + DELIVERY);
+            }
+        }
+        wake = r.next_wakeup;
+    }
+    assert!(backlog.is_empty(), "backlog drained");
+    assert_eq!(sched.pending_messages(), 0, "scheduler drained");
+    (seen, sched.rounds())
 }
 
 proptest! {
@@ -400,6 +517,83 @@ proptest! {
             prop_assert!(rounds < 100_000, "drain did not converge");
         }
         prop_assert_eq!(sparse.pending_messages(), 0);
+    }
+
+    /// Polling only when `next_wakeup` (or a fresh notification) says so
+    /// loses nothing: the grant stream — issue time, ports, message,
+    /// chunk, matching latency — is the one an exhaustive driver sees,
+    /// in fewer rounds. Schedules mix single- and multi-chunk messages
+    /// and overflow the per-pair X bound into a backlog; the wide shape
+    /// piles more sources onto a destination than PIM's row holds, and
+    /// `one_iteration` caps PIM so rounds leave eligible demand behind —
+    /// the two cases where the wake-up must fall back to every expiry.
+    #[test]
+    fn next_wakeup_driver_sees_the_exhaustive_grant_stream(
+        wide in any::<bool>(),
+        head_start in proptest::collection::vec(8192u32..16384, 100),
+        msgs in proptest::collection::vec(
+            (0u16..100, 0u16..100, 1u32..1500, 0u64..4, 0u64..12),
+            1..400,
+        ),
+        chunk in prop::sample::select(vec![64u32, 256]),
+        srpt in any::<bool>(),
+        x in 1usize..4,
+        one_iteration in any::<bool>(),
+    ) {
+        // Narrow: 8 ports, all-to-all. Wide: 100 sources, each busy from
+        // time zero sending to a private destination while queueing for
+        // one hot port, whose queue so outgrows the 64-entry row while
+        // the sources it shows are mid-chunk.
+        const SOURCES: u16 = 100;
+        let ports = if wide { 2 * SOURCES + 1 } else { 8 };
+        let cfg = SchedulerConfig {
+            ports: ports as usize,
+            chunk_bytes: chunk,
+            link: Bandwidth::from_gbps(100),
+            policy: if srpt { Policy::Srpt } else { Policy::Fcfs },
+            max_active_per_pair: x,
+            clock: edm_sched::ASIC_CLOCK,
+        };
+        let pim = PimConfig {
+            ports: ports as usize,
+            max_iterations: one_iteration.then_some(1),
+        };
+        let mut now = Time::ZERO;
+        let mut next_id = std::collections::HashMap::new();
+        let mut arrivals: Vec<(Time, Notification)> = Vec::new();
+        if wide {
+            for (src, &size) in (0..SOURCES).zip(&head_start) {
+                next_id.insert((src, SOURCES + src), 1u8);
+                arrivals.push((now, Notification::new(src, SOURCES + src, 0, size)));
+            }
+        }
+        arrivals.extend(msgs
+            .iter()
+            .map(|&(src, dst, size, burst, dt)| {
+                // Three in four arrivals share their predecessor's instant.
+                if burst == 0 {
+                    now += Duration::from_ns(dt);
+                }
+                let (src, dst) = if !wide {
+                    let (src, dst) = (src % ports, dst % ports);
+                    (src, if src == dst { (dst + 1) % ports } else { dst })
+                } else if dst % 2 == 0 {
+                    (src % SOURCES, 2 * SOURCES)
+                } else {
+                    (src % SOURCES, SOURCES + src % SOURCES)
+                };
+                let id = next_id.entry((src, dst)).or_insert(0u8);
+                let n = Notification::new(src, dst, *id, size);
+                *id = id.wrapping_add(1);
+                (now, n)
+            }));
+        let (got, rounds) = drive(Scheduler::with_pim(cfg, pim), &arrivals, false);
+        let (want, all_rounds) = drive(Scheduler::with_pim(cfg, pim), &arrivals, true);
+        prop_assert_eq!(got.len(), want.len());
+        for (a, b) in got.iter().zip(&want) {
+            prop_assert_eq!(a, b);
+        }
+        prop_assert!(rounds <= all_rounds, "{} rounds vs {} exhaustive", rounds, all_rounds);
     }
 
     /// Within one (src, dest) pair, messages are granted strictly in

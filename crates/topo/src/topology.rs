@@ -5,9 +5,10 @@
 //! mutable element state (links and switches can be taken down, links can
 //! be latency-degraded). Routing is recomputed whenever element state
 //! changes: a BFS hop-distance matrix over the live inter-switch graph
-//! drives a deterministic ECMP walk — at every switch, the next hop is
-//! chosen among all live minimal-distance trunks by a caller-supplied
-//! salt, so equal-cost paths (spines, parallel trunks) spread by flow id.
+//! yields, per (switch, destination switch), the list of live
+//! minimal-distance trunks, and the ECMP walk indexes that list — at
+//! every switch the next hop is `choices[salt % choices.len()]`, so
+//! equal-cost paths (spines, parallel trunks) spread by flow id.
 
 use edm_sim::{Bandwidth, Duration};
 
@@ -153,6 +154,13 @@ pub struct Topology {
     trunks: Vec<Vec<TrunkEdge>>,
     /// Switch-to-switch hop distance over live elements (row-major).
     dist: Vec<u16>,
+    /// ECMP choices in CSR form: row `s * n + d` of `next_hops`, bounded
+    /// by `next_off[row]..next_off[row + 1]`, lists the live trunks of
+    /// switch `s` whose far end is one hop closer to switch `d`, in
+    /// adjacency (link-id) order. Empty when `d` is unreachable or is `s`
+    /// itself. Rebuilt with `dist`, read once per hop by [`Topology::route`].
+    next_off: Vec<u32>,
+    next_hops: Vec<TrunkEdge>,
 }
 
 /// A leaf–spine fabric description.
@@ -218,6 +226,8 @@ impl Topology {
             links: Vec::with_capacity(nodes),
             trunks: vec![Vec::new()],
             dist: Vec::new(),
+            next_off: Vec::new(),
+            next_hops: Vec::new(),
         };
         for n in 0..nodes {
             t.node_attach.push((0, n as u16));
@@ -277,6 +287,8 @@ impl Topology {
             links: Vec::new(),
             trunks: vec![Vec::new(); spec.leaves + spec.spines],
             dist: Vec::new(),
+            next_off: Vec::new(),
+            next_hops: Vec::new(),
         };
         for n in 0..spec.nodes() {
             let leaf = (n / spec.nodes_per_leaf) as u32;
@@ -348,6 +360,8 @@ impl Topology {
             links: Vec::new(),
             trunks: vec![Vec::new(); switch_count],
             dist: Vec::new(),
+            next_off: Vec::new(),
+            next_hops: Vec::new(),
             switches: Vec::new(),
         };
         let mut next_port = vec![0u16; switch_count];
@@ -505,8 +519,10 @@ impl Topology {
         self.links[link as usize].extra_latency = Duration::ZERO;
     }
 
-    /// Recomputes the live-element BFS distance matrix. Called by the
-    /// failure setters; only needed directly after manual state edits.
+    /// Recomputes the live-element BFS distance matrix and, from it, the
+    /// ECMP choice list of every (switch, destination switch). Called by
+    /// the failure setters; only needed directly after manual state
+    /// edits.
     pub fn recompute_routes(&mut self) {
         let n = self.switches.len();
         self.dist = vec![UNREACH; n * n];
@@ -532,6 +548,36 @@ impl Topology {
                 }
             }
         }
+        self.next_off.clear();
+        self.next_hops.clear();
+        self.next_off.push(0);
+        for s in 0..n {
+            for d in 0..n {
+                let d_here = self.dist[s * n + d];
+                if d_here != UNREACH && d_here != 0 {
+                    // All live minimal-distance trunks are equal
+                    // candidates. Adjacency is link-id sorted, so the
+                    // candidate order — and thus every salted pick — is
+                    // deterministic.
+                    for &edge in &self.trunks[s] {
+                        let (nb, link, _, _) = edge;
+                        if self.links[link as usize].up
+                            && self.switches[nb as usize].up
+                            && self.dist[nb as usize * n + d] as u32 + 1 == d_here as u32
+                        {
+                            self.next_hops.push(edge);
+                        }
+                    }
+                }
+                self.next_off.push(self.next_hops.len() as u32);
+            }
+        }
+    }
+
+    /// The ECMP choices at switch `s` bound for switch `d`.
+    fn choices(&self, s: usize, d: usize) -> &[TrunkEdge] {
+        let row = s * self.switches.len() + d;
+        &self.next_hops[self.next_off[row] as usize..self.next_off[row + 1] as usize]
     }
 
     /// Live hop distance between two switches.
@@ -559,17 +605,9 @@ impl Topology {
                 }
                 let mut h: u64 = 0xcbf2_9ce4_8422_2325;
                 let mut mix = |v: u64| h = (h ^ v).wrapping_mul(0x100_0000_01b3);
-                let d_here = self.dist[s * n + d];
-                mix(d_here as u64);
-                if d_here != UNREACH && d_here != 0 {
-                    for &(nb, link, _, _) in &self.trunks[s] {
-                        if self.links[link as usize].up
-                            && self.switches[nb as usize].up
-                            && self.dist[nb as usize * n + d] as u32 + 1 == d_here as u32
-                        {
-                            mix(link as u64 + 1);
-                        }
-                    }
+                mix(self.dist[s * n + d] as u64);
+                for &(_, link, _, _) in self.choices(s, d) {
+                    mix(link as u64 + 1);
                 }
                 out[s * n + d] = h;
             }
@@ -597,7 +635,6 @@ impl Topology {
         {
             return None;
         }
-        let n = self.switches.len();
         let mut hops = Vec::with_capacity(3);
         let mut cur = s_sw;
         let mut in_port = s_port;
@@ -611,29 +648,13 @@ impl Topology {
                 });
                 return Some(Route { hops, src_link });
             }
-            let d_here = self.dist[cur as usize * n + d_sw as usize];
-            if d_here == UNREACH {
-                return None;
+            // ECMP: the salt picks among the precomputed equal-cost
+            // choices — this runs once per flow on the simulator hot path.
+            let choices = self.choices(cur as usize, d_sw as usize);
+            if choices.is_empty() {
+                return None; // partitioned from the destination switch
             }
-            // ECMP: all live minimal-distance trunks are equal candidates;
-            // the salt picks one. Adjacency is link-id sorted, so the
-            // candidate order — and thus the pick — is deterministic.
-            // Two passes (count, then select) keep the walk allocation-free
-            // — this runs once per flow on the simulator hot path.
-            let eligible = |&&(nb, link, _, _): &&TrunkEdge| {
-                self.links[link as usize].up
-                    && self.switches[nb as usize].up
-                    && self.dist[nb as usize * n + d_sw as usize] + 1 == d_here
-            };
-            let count = self.trunks[cur as usize].iter().filter(eligible).count();
-            if count == 0 {
-                return None;
-            }
-            let &(nb, link, local, far) = self.trunks[cur as usize]
-                .iter()
-                .filter(eligible)
-                .nth((salt % count as u64) as usize)
-                .expect("pick is within the candidate count");
+            let (nb, link, local, far) = choices[(salt % choices.len() as u64) as usize];
             hops.push(Hop {
                 switch: cur,
                 in_port,
@@ -642,7 +663,7 @@ impl Topology {
             });
             cur = nb;
             in_port = far;
-            debug_assert!(hops.len() <= n, "routing walked a loop");
+            debug_assert!(hops.len() <= self.switches.len(), "routing walked a loop");
         }
     }
 }

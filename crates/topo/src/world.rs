@@ -316,6 +316,11 @@ pub struct TopoResult {
     /// settle/arrive pair counts once, and replicated fault/reroute
     /// events count once, so the tally is shard-count independent).
     pub events: u64,
+    /// Scheduling rounds run, summed over every switch.
+    pub rounds: u64,
+    /// Rounds that issued no grant: what the poll protocol wastes (a
+    /// round is only worth an event when a grant is possible).
+    pub empty_rounds: u64,
 }
 
 impl TopoResult {
@@ -404,6 +409,11 @@ pub struct TopoStreamStats {
     /// Simulation events dispatched (admission events are free: the
     /// materialized path has none, and the tallies must match).
     pub events: u64,
+    /// Scheduling rounds run, summed over every switch.
+    pub rounds: u64,
+    /// Rounds that issued no grant: what the poll protocol wastes (a
+    /// round is only worth an event when a grant is possible).
+    pub empty_rounds: u64,
     /// Peak number of concurrently-resident flow entries — with eager
     /// retirement (streamed, unbatched runs; faults included, whose
     /// zombie references drain through per-flow counts) this is the
@@ -725,6 +735,12 @@ impl TopoEdm {
                 );
             }
         }
+        // Each switch is owned by exactly one shard, so round totals sum.
+        let (rounds, empty_rounds) = worlds
+            .iter()
+            .flat_map(|w| w.domains.iter().flatten())
+            .map(|d| d.rounds())
+            .fold((0, 0), |(r, e), (dr, de)| (r + dr, e + de));
         TopoTally {
             reroutes: worlds[0].reroutes,
             retried: worlds[0].retried,
@@ -732,6 +748,8 @@ impl TopoEdm {
             ip_frames: worlds.iter().map(|w| w.ip.frames()).sum(),
             ip_delayed: worlds.iter().map(|w| w.ip.delayed()).sum(),
             events: worlds.iter().map(|w| w.events).sum(),
+            rounds,
+            empty_rounds,
         }
     }
 
@@ -750,6 +768,8 @@ impl TopoEdm {
             ip_frames: t.ip_frames,
             ip_delayed: t.ip_delayed,
             events: t.events,
+            rounds: t.rounds,
+            empty_rounds: t.empty_rounds,
         }
     }
 
@@ -782,6 +802,8 @@ impl TopoEdm {
             ip_frames: t.ip_frames,
             ip_delayed: t.ip_delayed,
             events: t.events,
+            rounds: t.rounds,
+            empty_rounds: t.empty_rounds,
             active_high_water: w0.active_hwm,
             msg_slots_high_water,
         }
@@ -812,6 +834,8 @@ struct TopoTally {
     ip_frames: u64,
     ip_delayed: u64,
     events: u64,
+    rounds: u64,
+    empty_rounds: u64,
 }
 
 /// Runtime status of a flow.
@@ -1776,9 +1800,9 @@ where
             let dom = self.domains[h0.switch as usize]
                 .as_mut()
                 .expect("cancel at an owned switch");
-            let cancelled = dom.cancel(now, h0.in_port, h0.out_port, pack(flow, old_epoch));
-            let poll = cancelled && dom.has_demand() && dom.note_poll_wanted(now);
-            if cancelled {
+            let cancel = dom.cancel(now, h0.in_port, h0.out_port, pack(flow, old_epoch));
+            let poll = cancel.poll_wanted() && dom.has_demand() && dom.note_poll_wanted(now);
+            if cancel.withdrawn() {
                 // The withdrawn offer's reference releases; the flow
                 // itself stays Active (its reroute is pending), so no
                 // retirement can trigger here.

@@ -47,6 +47,11 @@ fn assert_lockstep(
     prop_assert_eq!(par.ip_frames, seq.ip_frames, "IP frame count diverged");
     prop_assert_eq!(par.ip_delayed, seq.ip_delayed, "IP delay count diverged");
     prop_assert_eq!(par.events, seq.events, "event tally diverged");
+    prop_assert_eq!(
+        (par.rounds, par.empty_rounds),
+        (seq.rounds, seq.empty_rounds),
+        "scheduling-round tally diverged"
+    );
     Ok(())
 }
 
@@ -279,6 +284,10 @@ fn lockstep_288(shards: usize) {
     assert_eq!(par.ip_frames, seq.ip_frames);
     assert_eq!(par.ip_delayed, seq.ip_delayed);
     assert_eq!(par.events, seq.events);
+    assert_eq!(
+        (par.rounds, par.empty_rounds),
+        (seq.rounds, seq.empty_rounds)
+    );
     assert!(seq.reroutes > 0, "the spine kill must land mid-run");
 }
 

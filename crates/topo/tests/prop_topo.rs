@@ -1,12 +1,15 @@
 //! Property-based tests for the topology subsystem: every (src, dst)
 //! pair routes over a valid path, hop counts match the tier structure,
-//! and the 1-switch topology is bit-identical to the legacy single-switch
-//! `EdmWorld` path.
+//! the precomputed ECMP table routes and digests exactly like a
+//! from-scratch filter walk through any fault sequence, and the 1-switch
+//! topology is bit-identical to the legacy single-switch `EdmWorld` path.
 
 use edm_core::sim::{ClusterConfig, EdmProtocol, FabricProtocol, Flow, FlowKind};
 use edm_sim::Time;
 use edm_topo::world::FlowStatus;
-use edm_topo::{cluster_topology, Endpoint, LeafSpine, Route, TopoEdm, TopoEdmConfig, Topology};
+use edm_topo::{
+    cluster_topology, Endpoint, Hop, LeafSpine, Route, TopoEdm, TopoEdmConfig, Topology,
+};
 use proptest::prelude::*;
 
 /// Structural validity of one route: every hop's ports are in range, the
@@ -39,7 +42,210 @@ fn assert_route_valid(t: &Topology, src: usize, dst: usize, r: &Route) {
     }
 }
 
+/// The router as it was before the ECMP table, kept as an executable
+/// specification and written against the public API only: at every
+/// switch it filters the trunk adjacency for live minimal-distance
+/// candidates twice (count, then select) and lets the salt pick.
+mod reference {
+    use super::*;
+
+    /// `(neighbor switch, link id, local port, far port)`.
+    type TrunkEdge = (u32, u32, u16, u16);
+
+    /// Switch `s`'s trunk adjacency in link-id order — the candidate
+    /// order ECMP picks are defined over.
+    fn trunks(t: &Topology, s: u32) -> Vec<TrunkEdge> {
+        let mut out = Vec::new();
+        for (id, l) in t.links().iter().enumerate() {
+            if let (
+                Endpoint::Port {
+                    switch: x,
+                    port: px,
+                },
+                Endpoint::Port {
+                    switch: y,
+                    port: py,
+                },
+            ) = (l.a, l.b)
+            {
+                if x == s {
+                    out.push((y, id as u32, px, py));
+                } else if y == s {
+                    out.push((x, id as u32, py, px));
+                }
+            }
+        }
+        out
+    }
+
+    fn eligible(t: &Topology, d_sw: u32, d_here: usize, &(nb, link, _, _): &TrunkEdge) -> bool {
+        t.link(link).is_up()
+            && t.switch_up(nb)
+            && t.switch_distance(nb, d_sw).is_some_and(|d| d + 1 == d_here)
+    }
+
+    pub fn route(t: &Topology, src: usize, dst: usize, salt: u64) -> Option<Route> {
+        let (s_sw, s_port) = t.attach(src);
+        let (d_sw, d_port) = t.attach(dst);
+        let (src_link, dst_link) = (t.node_link(src), t.node_link(dst));
+        if !t.switch_up(s_sw)
+            || !t.switch_up(d_sw)
+            || !t.link(src_link).is_up()
+            || !t.link(dst_link).is_up()
+        {
+            return None;
+        }
+        let mut hops = Vec::new();
+        let (mut cur, mut in_port) = (s_sw, s_port);
+        loop {
+            if cur == d_sw {
+                hops.push(Hop {
+                    switch: cur,
+                    in_port,
+                    out_port: d_port,
+                    out_link: dst_link,
+                });
+                return Some(Route { hops, src_link });
+            }
+            let d_here = t.switch_distance(cur, d_sw)?;
+            let adj = trunks(t, cur);
+            let count = adj.iter().filter(|e| eligible(t, d_sw, d_here, e)).count();
+            if count == 0 {
+                return None;
+            }
+            let &(nb, link, local, far) = adj
+                .iter()
+                .filter(|e| eligible(t, d_sw, d_here, e))
+                .nth((salt % count as u64) as usize)
+                .expect("pick is within the candidate count");
+            hops.push(Hop {
+                switch: cur,
+                in_port,
+                out_port: local,
+                out_link: link,
+            });
+            cur = nb;
+            in_port = far;
+        }
+    }
+
+    /// FNV-1a over each row's live distance (`u16::MAX` = unreachable)
+    /// and eligible link ids, as `Topology::route_digests` documents.
+    pub fn route_digests(t: &Topology) -> Vec<u64> {
+        let n = t.switch_count();
+        let mut out = vec![0u64; n * n];
+        for s in 0..n as u32 {
+            let adj = trunks(t, s);
+            for d in 0..n as u32 {
+                if s == d {
+                    continue;
+                }
+                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+                let mut mix = |v: u64| h = (h ^ v).wrapping_mul(0x100_0000_01b3);
+                let d_here = t.switch_distance(s, d);
+                mix(d_here.map_or(u16::MAX as u64, |d| d as u64));
+                if let Some(d_here) = d_here {
+                    for e in adj.iter().filter(|e| eligible(t, d, d_here, e)) {
+                        mix(e.1 as u64 + 1);
+                    }
+                }
+                out[s as usize * n + d as usize] = h;
+            }
+        }
+        out
+    }
+}
+
+/// Applies `ops` — `(is_switch, index, up)` element state changes — one
+/// at a time, checking after each (and before the first) that the
+/// table-driven router agrees with the reference walk on every ordered
+/// node pair under each salt, and that the row digests agree too.
+fn assert_table_matches_reference(
+    t: &mut Topology,
+    ops: &[(bool, usize, bool)],
+    salts: &[u64],
+) -> Result<(), TestCaseError> {
+    for step in 0..=ops.len() {
+        if step > 0 {
+            let (is_switch, idx, up) = ops[step - 1];
+            if is_switch {
+                t.set_switch_up((idx % t.switch_count()) as u32, up);
+            } else {
+                t.set_link_up((idx % t.links().len()) as u32, up);
+            }
+        }
+        prop_assert_eq!(
+            t.route_digests(),
+            reference::route_digests(t),
+            "step {}",
+            step
+        );
+        for src in 0..t.nodes() {
+            for dst in 0..t.nodes() {
+                if src == dst {
+                    continue;
+                }
+                for &salt in salts {
+                    prop_assert_eq!(
+                        t.route(src, dst, salt),
+                        reference::route(t, src, dst, salt),
+                        "step {}: {} -> {} salt {}",
+                        step,
+                        src,
+                        dst,
+                        salt
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
+    /// The ECMP table is the filter walk, precomputed: on leaf–spine
+    /// fabrics of random shape, through random link and switch down/up
+    /// sequences, every (src, dst, salt) routes identically — including
+    /// to `None` — and `route_digests` is unchanged value for value.
+    #[test]
+    fn table_routes_like_the_filter_walk_on_leaf_spine(
+        leaves in 2usize..5,
+        spines in 1usize..4,
+        npl in 1usize..4,
+        uplinks in 1usize..4,
+        ops in proptest::collection::vec((any::<bool>(), 0usize..1000, any::<bool>()), 0..10),
+        salts in proptest::collection::vec(any::<u64>(), 3),
+    ) {
+        let mut t = Topology::leaf_spine(LeafSpine::symmetric(leaves, spines, npl, uplinks));
+        assert_table_matches_reference(&mut t, &ops, &salts)?;
+    }
+
+    /// Same, on arbitrary adjacency: a random tree plus random extra
+    /// trunks (parallel ones included), hosts on a random subset of the
+    /// switches.
+    #[test]
+    fn table_routes_like_the_filter_walk_on_arbitrary_adjacency(
+        switches in 2usize..7,
+        parents in proptest::collection::vec(any::<u32>(), 6),
+        extra in proptest::collection::vec((0u32..7, 0u32..7), 0..8),
+        attach in proptest::collection::vec(0u32..7, 2..8),
+        ops in proptest::collection::vec((any::<bool>(), 0usize..1000, any::<bool>()), 0..10),
+        salts in proptest::collection::vec(any::<u64>(), 3),
+    ) {
+        let n = switches as u32;
+        let mut trunks: Vec<(u32, u32)> = (1..n).map(|s| (parents[s as usize - 1] % s, s)).collect();
+        trunks.extend(extra.iter().map(|&(a, b)| (a % n, b % n)).filter(|&(a, b)| a != b));
+        let attach: Vec<u32> = attach.iter().map(|&sw| sw % n).collect();
+        let mut t = Topology::from_adjacency(
+            switches,
+            &attach,
+            &trunks,
+            Default::default(),
+            Default::default(),
+        );
+        assert_table_matches_reference(&mut t, &ops, &salts)?;
+    }
+
     /// Leaf–spine fabrics of random shape: every ordered pair routes,
     /// same-leaf pairs in one hop, cross-leaf pairs in exactly three
     /// (leaf → spine → leaf), and every route is structurally valid.
