@@ -37,12 +37,6 @@ run_harness_bins() {
     EDM_FLOWS=500 EDM_SHARDS=2 cargo run -q --release -p edm-bench --bin topo_sweep > /dev/null
 }
 
-run_bench_json() {
-    EDM_BENCH_ITERS=2 EDM_MEM_FLOWS=20000 \
-        cargo run -q --release -p edm-bench --bin bench_json -- \
-        --out "$(mktemp -d)" > /dev/null
-}
-
 # Reduced-scale streaming-lifecycle smoke: 100k flows through the
 # 288-node leaf-spine must complete under a hard RSS ceiling (the full
 # 1M run peaks near 10 MB; 256 MB is an order-of-magnitude leak guard).
@@ -149,21 +143,15 @@ rustdoc_gate() {
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 }
 
-run_bench_smoke() {
-    cargo test -q --release --benches -p edm-bench > /dev/null
-}
-
 step "cargo fmt --check" cargo fmt --check
 step "cargo clippy --workspace --all-targets -- -D warnings" \
     cargo clippy --workspace --all-targets -- -D warnings
 step "cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)" rustdoc_gate
 step "cargo build --release" cargo build --release
 step "cargo test -q" cargo test -q
-step "cargo build --examples --benches" cargo build --examples --benches
+step "cargo build --examples" cargo build --examples
 step "examples run end-to-end" run_examples
-step "criterion benches smoke-run (no measurement)" run_bench_smoke
 step "fast harness bins run end-to-end (incl. 2-shard engine)" run_harness_bins
-step "bench_json emits machine-readable baselines" run_bench_json
 step "million_flows 100k-flow smoke under 256 MB RSS ceiling (incl. fault path)" \
     run_million_flows_smoke
 step "approx_sweep smoke: error envelope vs exact on overlap sizes" \

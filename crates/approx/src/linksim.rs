@@ -144,20 +144,19 @@ impl World for MiniWorld<'_> {
                     },
                     token: m as u64,
                 };
-                if self.dom.offer(now, offer) && self.dom.note_poll_wanted(now) {
-                    q.schedule_ordered(now, evord::poll(0), MiniEv::Poll);
-                }
+                schedule_poll(q, self.dom.offer(now, offer));
             }
             MiniEv::Poll => {
-                if !self.dom.poll_due(now) {
+                let Some(round) = self.dom.poll(now) else {
                     return;
-                }
+                };
                 let flight = self.turnaround + self.profile.latency;
                 let link = self.profile.link_bandwidth;
-                let (grants, sched_latency, next_wakeup) = self.dom.poll(now);
-                for g in grants {
-                    let arrival =
-                        now + sched_latency + flight + link.tx_time_bytes(g.chunk_bytes as u64);
+                for g in round.grants {
+                    let arrival = now
+                        + round.sched_latency
+                        + flight
+                        + link.tx_time_bytes(g.chunk_bytes as u64);
                     q.schedule_ordered(
                         arrival,
                         evord::chunk(0, g.gseq),
@@ -167,11 +166,7 @@ impl World for MiniWorld<'_> {
                         },
                     );
                 }
-                if let Some(at) = next_wakeup {
-                    if self.dom.note_poll_wanted(at) {
-                        q.schedule_ordered(at, evord::poll(0), MiniEv::Poll);
-                    }
-                }
+                schedule_poll(q, round.next_poll);
             }
             MiniEv::Chunk { slot, bytes } => {
                 let MiniWorld {
@@ -183,16 +178,21 @@ impl World for MiniWorld<'_> {
                     pending,
                     ..
                 } = self;
-                let want_poll = dom.deliver(now, slot, bytes, |token, _sub_bytes| {
+                let poll = dom.deliver(now, slot, bytes, |token, _sub_bytes| {
                     let lf = &profile.members[members[token as usize] as usize];
                     done[token as usize] = now.saturating_since(lf.arrival + *shift);
                     *pending -= 1;
                 });
-                if want_poll && self.dom.has_demand() && self.dom.note_poll_wanted(now) {
-                    q.schedule_ordered(now, evord::poll(0), MiniEv::Poll);
-                }
+                schedule_poll(q, poll);
             }
         }
+    }
+}
+
+/// Queues the `Poll` event the domain asked for, if it asked.
+fn schedule_poll(q: &mut EventQueue<MiniEv>, at: Option<Time>) {
+    if let Some(t) = at {
+        q.schedule_ordered(t, evord::poll(0), MiniEv::Poll);
     }
 }
 
@@ -261,7 +261,11 @@ fn replay(
     }
     pool.queue = Some(queue);
     assert_eq!(world.pending, 0, "mini replay drained every member");
-    debug_assert!(!world.dom.has_demand(), "drained domain retains demand");
+    debug_assert_eq!(
+        world.dom.scheduler().pending_messages(),
+        0,
+        "drained domain retains demand"
+    );
     // Quiesce horizon: ports can stay busy past the last delivery by at
     // most one chunk's serialization at the scheduler's rate.
     let margin = profile

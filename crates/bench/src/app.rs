@@ -1,6 +1,5 @@
-//! The closed-loop application benchmark behind the `app_sweep` binary
-//! and `bench_json`'s `app` group: tenant-driven YCSB over the 288-node
-//! leaf–spine fabric.
+//! The closed-loop application benchmark behind the `app_sweep` binary:
+//! tenant-driven YCSB over the 288-node leaf–spine fabric.
 //!
 //! Two artefacts, both on the identical topology so the comparison is
 //! apples-to-apples:

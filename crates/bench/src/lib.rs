@@ -1,5 +1,7 @@
 //! `edm-bench` — experiment harnesses that regenerate every table and
-//! figure of the paper's evaluation (§4), plus Criterion micro-benchmarks.
+//! figure of the paper's evaluation (§4) and assert the repository's own
+//! acceptance envelopes. Host-time performance is measured elsewhere, by
+//! the one benchmark under `/benchmark` (`BENCHMARK.json`).
 //!
 //! | Binary | Artefact |
 //! |--------|----------|
@@ -14,7 +16,6 @@
 //! | `topo_sweep` | Multi-switch leaf–spine × oversubscription × IP sweep |
 //! | `million_flows` | Streaming-lifecycle memory benchmark → `BENCH_mem.json` |
 //! | `chaos_sweep` | Seeded fault/repair campaign → `BENCH_faults.json` |
-//! | `bench_json` | Machine-readable `BENCH_*.json` perf baselines |
 //!
 //! Each binary prints a self-describing table; every multi-point sweep
 //! fans out one thread per point via [`par_sweep`].
@@ -29,53 +30,11 @@ pub mod faults;
 pub mod mem;
 
 pub mod scenarios {
-    //! Shared benchmark scenarios. The criterion benches and the
-    //! `bench_json` baseline emitter must measure the *same* workloads
-    //! under the same names, so both build them from here.
+    //! Shared scenarios: the sweep bins, the memory and fault campaigns
+    //! and `edm-approx`'s envelope test must run the *same* fabric and
+    //! workload under the same names, so all build them from here.
 
     use edm_core::sim::Flow;
-    use edm_sched::scheduler::{Notification, Scheduler, SchedulerConfig};
-    use edm_sim::{Rng, Time};
-    use edm_workloads::SyntheticWorkload;
-
-    /// The fig8 microbenchmark slice: `count` flows at load 0.8, 50:50
-    /// read/write mix, seed 42.
-    pub fn fig8_flows(count: usize) -> Vec<Flow> {
-        SyntheticWorkload::paper_default(0.8, 0.5, count).generate(42)
-    }
-
-    /// The demand-sparse regime slice: `count` flows at load 0.1 on the
-    /// full 144-node cluster (ports ≫ active flows), seed 7.
-    pub fn sparse_flows(count: usize) -> Vec<Flow> {
-        SyntheticWorkload::paper_default(0.1, 0.5, count).generate(7)
-    }
-
-    /// A 144-port scheduler pre-loaded with the dense grant-round demand:
-    /// 200 random notifications, 72 senders → 72 receivers, seed 9.
-    pub fn grant_round_scheduler() -> Scheduler {
-        let mut s = Scheduler::new(SchedulerConfig::default_for_ports(144));
-        let mut rng = Rng::seed_from(9);
-        for i in 0..200u32 {
-            let src = rng.below(72) as u16;
-            let dst = 72 + rng.below(72) as u16;
-            let _ = s.notify(
-                Time::ZERO,
-                Notification::new(src, dst, i as u8, 64 + rng.below(4096) as u32),
-            );
-        }
-        s
-    }
-
-    /// One steady-state sparse round: notify `flows` disjoint
-    /// single-chunk messages at `now`, poll once, return the grant count
-    /// (always `flows` — disjoint pairs all match in one round).
-    pub fn sparse_poll_round(s: &mut Scheduler, now: Time, flows: usize) -> usize {
-        for f in 0..flows {
-            let (src, dst) = ((2 * f) as u16, (2 * f + 1) as u16);
-            s.notify(now, Notification::new(src, dst, 0, 256)).unwrap();
-        }
-        s.poll(now).grants.len()
-    }
 
     /// The topo benchmark fabric's shape: 288 nodes as 4 leaves × 72
     /// hosts with 2 spines. `oversub` divides the uplink capacity (1 =
@@ -115,73 +74,6 @@ pub mod scenarios {
     /// Rack-aware traffic for [`leaf_spine_288`], materialized (seed 42).
     pub fn rack_flows_288(load: f64, local: f64, count: usize) -> Vec<Flow> {
         rack_workload_288(load, local, count).generate(42)
-    }
-}
-
-pub mod hold {
-    //! The event-queue *hold model*: steady-state pop-one/schedule-one
-    //! churn at a fixed queue size. The `sim/event_queue` criterion
-    //! bench and `bench_json` must time the same loop under the same
-    //! names, so both build it from here.
-
-    use edm_sim::{BinaryHeapEventQueue, Duration, EventQueue, Rng, Time};
-
-    /// Mean inter-event gap in picoseconds (gaps uniform on `0..2*MEAN`).
-    pub const MEAN_GAP_PS: u64 = 5_120;
-
-    /// The common surface of the two `edm-sim` queue implementations.
-    pub trait Queue: Default {
-        /// Schedules `ev` at `at`.
-        fn schedule(&mut self, at: Time, ev: u64);
-        /// Pops the earliest event.
-        fn pop(&mut self) -> Option<(Time, u64)>;
-    }
-
-    impl Queue for EventQueue<u64> {
-        fn schedule(&mut self, at: Time, ev: u64) {
-            EventQueue::schedule(self, at, ev);
-        }
-        fn pop(&mut self) -> Option<(Time, u64)> {
-            EventQueue::pop(self)
-        }
-    }
-
-    impl Queue for BinaryHeapEventQueue<u64> {
-        fn schedule(&mut self, at: Time, ev: u64) {
-            BinaryHeapEventQueue::schedule(self, at, ev);
-        }
-        fn pop(&mut self) -> Option<(Time, u64)> {
-            BinaryHeapEventQueue::pop(self)
-        }
-    }
-
-    /// Fills a queue with `n` events at deterministic pseudo-random
-    /// offsets, then churns one full turnover so the calendar geometry
-    /// has settled at size `n` before anything is timed.
-    pub fn prefill<Q: Queue>(n: usize) -> (Q, Rng) {
-        let mut q = Q::default();
-        let mut rng = Rng::seed_from(0xED31);
-        let mut t = Time::ZERO;
-        for i in 0..n {
-            t += Duration::from_ps(rng.below(2 * MEAN_GAP_PS));
-            q.schedule(t, i as u64);
-        }
-        for _ in 0..n {
-            let (at, ev) = q.pop().expect("steady state");
-            q.schedule(at + Duration::from_ps(rng.below(2 * MEAN_GAP_PS)), ev);
-        }
-        (q, rng)
-    }
-
-    /// One timed batch: `ops` pop+schedule pairs at constant size.
-    pub fn run<Q: Queue>(q: &mut Q, rng: &mut Rng, ops: usize) -> u64 {
-        let mut acc = 0u64;
-        for _ in 0..ops {
-            let (at, ev) = q.pop().expect("steady state");
-            acc ^= ev;
-            q.schedule(at + Duration::from_ps(rng.below(2 * MEAN_GAP_PS)), ev);
-        }
-        acc
     }
 }
 

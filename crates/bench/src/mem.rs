@@ -1,5 +1,5 @@
 //! The streaming-lifecycle memory benchmark behind the `million_flows`
-//! binary and `bench_json`'s `BENCH_mem.json` group.
+//! binary (`BENCH_mem.json`).
 //!
 //! One measurement is two runs of the same rack-aware leaf–spine workload
 //! through [`edm_topo::TopoEdm`]'s streaming path — a baseline at `N/10`

@@ -13,14 +13,6 @@
 
 use edm_sched::{Notification, NotifyError, Policy, PollResult, Scheduler, SchedulerConfig};
 use edm_sim::{Bandwidth, Duration, Engine, EventQueue, Summary, Time, World};
-use std::sync::OnceLock;
-
-/// Whether `EDM_SIM_DEBUG` is set, resolved once: the env lookup is a
-/// syscall and must stay out of the per-simulation hot path.
-fn sim_debug() -> bool {
-    static DEBUG: OnceLock<bool> = OnceLock::new();
-    *DEBUG.get_or_init(|| std::env::var_os("EDM_SIM_DEBUG").is_some())
-}
 
 /// Cluster-wide configuration shared by every protocol.
 #[derive(Debug, Clone, Copy)]
@@ -338,7 +330,7 @@ pub struct DomainOffer {
     pub token: u64,
 }
 
-/// A grant from [`SwitchDomain::poll`], resolved to its domain message.
+/// A grant of a [`DomainRound`], resolved to its domain message.
 #[derive(Debug, Clone, Copy)]
 pub struct DomainGrant {
     /// Slot of the granted message; hand back to [`SwitchDomain::deliver`]
@@ -360,6 +352,29 @@ pub struct DomainGrant {
     pub gseq: u64,
 }
 
+/// One scheduling round ([`SwitchDomain::poll`]).
+#[derive(Debug, Clone, Copy)]
+pub struct DomainRound<'a> {
+    /// The round's grants, in grant-sequence order.
+    pub grants: &'a [DomainGrant],
+    /// The round's matching latency: grants leave the switch this long
+    /// after the round started.
+    pub sched_latency: Duration,
+    /// When the caller must schedule the next `Poll` event, if at all —
+    /// the scheduler's wake-up, already noted and de-duplicated.
+    pub next_poll: Option<Time>,
+}
+
+/// Outcome of [`SwitchDomain::offer_forwarded`].
+#[derive(Debug, Clone, Copy)]
+pub enum Forwarded<'a> {
+    /// The offer was the switch's only demand and both its ports were
+    /// free, so the round that must grant exactly it ran inline.
+    Granted(DomainRound<'a>),
+    /// As [`SwitchDomain::offer`]: when to schedule a `Poll` event.
+    Queued(Option<Time>),
+}
+
 /// Outcome of [`SwitchDomain::cancel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DomainCancel {
@@ -367,24 +382,12 @@ pub enum DomainCancel {
     NotFound,
     /// The offer's ungranted remainder was withdrawn.
     Withdrawn {
-        /// Whether the scheduler now holds demand its last round did not
-        /// see, so the caller should poll at `now`: the freed admission
-        /// slot put a backlogged notification into the scheduler, or the
+        /// When the caller must schedule a `Poll` event: the scheduler
+        /// now holds demand its last round did not see — the freed
+        /// admission slot put a backlogged notification into it, or the
         /// withdrawal uncovered one (`edm_sched::CancelOutcome`).
-        poll_wanted: bool,
+        poll: Option<Time>,
     },
-}
-
-impl DomainCancel {
-    /// Whether an offer was withdrawn.
-    pub fn withdrawn(self) -> bool {
-        self != DomainCancel::NotFound
-    }
-
-    /// Whether the caller should poll at `now`.
-    pub fn poll_wanted(self) -> bool {
-        self == DomainCancel::Withdrawn { poll_wanted: true }
-    }
 }
 
 /// The offers a scheduled message carries. The overwhelmingly common
@@ -449,10 +452,15 @@ type PairFifo = u64;
 /// X-limit backlog with §3.1.2 mega-batching, msg-id allocation, and
 /// poll-event deduplication.
 ///
-/// The domain is event-queue agnostic: methods return whether the caller
-/// should (de-duplicate and) schedule a poll event, so the same state
-/// machine drives both the single-switch [`EdmProtocol`] world and
-/// `edm-topo`'s multi-switch fabrics (one domain per switch).
+/// The domain is event-queue agnostic and owns the poll protocol: every
+/// method that can make a grant possible returns *when the caller must
+/// schedule a `Poll` event* — `None` when nothing changed a round could
+/// act on, or when an event for that instant is already queued — and
+/// [`SwitchDomain::poll`] takes the firing event's time and ignores
+/// superseded wake-ups. A world schedules exactly the events it is told
+/// to and decides nothing itself, so the same state machine drives the
+/// single-switch [`EdmProtocol`] world, `edm-topo`'s multi-switch
+/// fabrics (one domain per switch) and `edm-approx`'s link replays.
 #[derive(Debug)]
 pub struct SwitchDomain {
     ports: usize,
@@ -483,6 +491,8 @@ pub struct SwitchDomain {
     /// `(rounds, empty rounds)` of the schedulers [`SwitchDomain::purge`]
     /// replaced, so the domain's totals cover its whole life.
     purged_rounds: (u64, u64),
+    /// The live wake-up: the one queued `Poll` event that will run a
+    /// round. Events queued for any other instant are superseded.
     poll_at: Option<Time>,
     /// Times of poll events currently in the caller's queue (tiny; one
     /// live plus at most a few superseded). A superseded event whose time
@@ -534,19 +544,17 @@ impl SwitchDomain {
         )
     }
 
-    /// Whether the scheduler holds queued demand. A poll without demand
-    /// is a no-op, so callers skip scheduling one (saves a heap event per
-    /// completed message — outcomes are unaffected).
-    pub fn has_demand(&self) -> bool {
+    /// Whether the scheduler holds queued demand. A round without demand
+    /// is a no-op, so no `Poll` event is asked for (saves a heap event
+    /// per completed message — outcomes are unaffected).
+    fn has_demand(&self) -> bool {
         self.scheduler.pending_messages() > 0
     }
 
     /// Whether a just-admitted (src, dst) message is trivially the next
     /// grant: it is the *only* queued demand and both its ports are free,
-    /// so a scheduling round at `now` must grant exactly it. Multi-switch
-    /// worlds use this to run the round inline instead of paying a poll
-    /// event for an uncontended store-and-forward hop.
-    pub fn sole_eligible_demand(&self, now: Time, src: u16, dst: u16) -> bool {
+    /// so a scheduling round at `now` must grant exactly it.
+    fn sole_eligible_demand(&self, now: Time, src: u16, dst: u16) -> bool {
         self.scheduler.pending_messages() == 1
             && self.scheduler.src_port_free(src, now)
             && self.scheduler.dst_port_free(dst, now)
@@ -571,10 +579,38 @@ impl SwitchDomain {
         src as usize * self.ports + dst as usize
     }
 
-    /// Offers one message's demand. Returns `true` if the demand was
-    /// admitted to the scheduler (the caller should poll at `now`);
-    /// `false` means it joined the per-pair backlog.
-    pub fn offer(&mut self, now: Time, offer: DomainOffer) -> bool {
+    /// Offers one message's demand. Returns when the caller must
+    /// schedule a `Poll` event: `now` if the demand was admitted to the
+    /// scheduler and no event for `now` is queued yet; `None` if it
+    /// joined the per-pair backlog (nothing the matcher sees changed).
+    pub fn offer(&mut self, now: Time, offer: DomainOffer) -> Option<Time> {
+        if self.admit(now, offer) {
+            self.wake(now)
+        } else {
+            None
+        }
+    }
+
+    /// [`SwitchDomain::offer`] for a chunk forwarded from another switch
+    /// (an arrival that is its own notification). An uncontended
+    /// store-and-forward hop — the chunk is the switch's only demand and
+    /// both its ports are free — forces the round's outcome, so the round
+    /// runs inline instead of costing a `Poll` event. Hop-0 demand must
+    /// use [`SwitchDomain::offer`]: an inline round precedes same-instant
+    /// arrivals a `Poll` event would have followed.
+    pub fn offer_forwarded(&mut self, now: Time, offer: DomainOffer) -> Forwarded<'_> {
+        if !self.admit(now, offer) {
+            Forwarded::Queued(None)
+        } else if self.sole_eligible_demand(now, offer.src, offer.dst) {
+            Forwarded::Granted(self.round(now))
+        } else {
+            Forwarded::Queued(self.wake(now))
+        }
+    }
+
+    /// Queues one offer: into the scheduler (`true`) or the per-pair
+    /// backlog (`false`).
+    fn admit(&mut self, now: Time, offer: DomainOffer) -> bool {
         // Host message-queue FIFO: a new message may not overtake older
         // same-pair messages already waiting in the backlog.
         let pi = self.pair_idx(offer.src, offer.dst);
@@ -725,11 +761,19 @@ impl SwitchDomain {
         }
     }
 
+    /// Asks for a round at `at` on behalf of demand that just entered
+    /// the scheduler. Returns `at` when the caller must schedule the
+    /// `Poll` event.
+    fn wake(&mut self, at: Time) -> Option<Time> {
+        debug_assert!(self.has_demand(), "a round without demand is a no-op");
+        self.note_poll_wanted(at).then_some(at)
+    }
+
     /// Records that a poll is wanted at `at`. Returns `true` when the
     /// caller must schedule the poll event; duplicate/later requests are
     /// absorbed, and a superseded event already queued for exactly `at`
     /// is recycled instead of duplicated.
-    pub fn note_poll_wanted(&mut self, at: Time) -> bool {
+    fn note_poll_wanted(&mut self, at: Time) -> bool {
         if self.poll_at.is_none_or(|t| at < t) {
             self.poll_at = Some(at);
             if self.scheduled_polls.contains(&at) {
@@ -746,7 +790,7 @@ impl SwitchDomain {
     /// Whether a poll event firing at `now` is the live wake-up (and
     /// consumes it). Superseded (stale) poll events must be dropped,
     /// otherwise each stale event would spawn its own wake-up chain.
-    pub fn poll_due(&mut self, now: Time) -> bool {
+    fn poll_due(&mut self, now: Time) -> bool {
         if let Some(pos) = self.scheduled_polls.iter().position(|&t| t == now) {
             self.scheduled_polls.swap_remove(pos);
         }
@@ -758,10 +802,39 @@ impl SwitchDomain {
         }
     }
 
-    /// Runs one scheduling round, resolving each grant to its in-flight
-    /// message slot. Returns the grants, the round's matching latency,
-    /// and the next wake-up (pass to [`SwitchDomain::note_poll_wanted`]).
-    pub fn poll(&mut self, now: Time) -> (&[DomainGrant], Duration, Option<Time>) {
+    /// A `Poll` event fired at `now`: runs one scheduling round, or
+    /// returns `None` (and schedules nothing) when the event was
+    /// superseded by an earlier wake-up.
+    pub fn poll(&mut self, now: Time) -> Option<DomainRound<'_>> {
+        if self.poll_due(now) {
+            Some(self.round(now))
+        } else {
+            None
+        }
+    }
+
+    /// One round with its wake-up noted.
+    fn round(&mut self, now: Time) -> DomainRound<'_> {
+        let DomainRound {
+            sched_latency,
+            next_poll: wakeup,
+            ..
+        } = self.poll_exhaustive(now);
+        DomainRound {
+            next_poll: wakeup.filter(|&t| self.note_poll_wanted(t)),
+            grants: &self.grants_scratch,
+            sched_latency,
+        }
+    }
+
+    /// Runs one scheduling round at `now` whatever wake-up is live,
+    /// resolving each grant to its in-flight message slot, and reports
+    /// the scheduler's raw next wake-up without noting it. Public only as
+    /// the entry point of reference drivers that poll at every instant
+    /// (`prop_core` compares one against the protocol above); worlds call
+    /// [`SwitchDomain::poll`].
+    #[doc(hidden)]
+    pub fn poll_exhaustive(&mut self, now: Time) -> DomainRound<'_> {
         let mut result = std::mem::take(&mut self.poll_scratch);
         self.scheduler.poll_into(now, &mut result);
         self.grants_scratch.clear();
@@ -794,19 +867,23 @@ impl SwitchDomain {
                 gseq,
             });
         }
-        let sched_latency = result.sched_latency;
-        let next_wakeup = result.next_wakeup;
+        let (sched_latency, next_poll) = (result.sched_latency, result.next_wakeup);
         self.poll_scratch = result;
-        (&self.grants_scratch, sched_latency, next_wakeup)
+        DomainRound {
+            grants: &self.grants_scratch,
+            sched_latency,
+            next_poll,
+        }
     }
 
     /// Records a granted chunk's arrival at its next element. Sub-offers
     /// of a mega message complete in FIFO order as their cumulative bytes
     /// arrive; `on_complete(token, bytes)` fires once per completed offer.
-    /// Returns `true` when the message finished *and* the pair slot it
-    /// freed put a backlogged notification into the scheduler — the only
-    /// way a delivery changes what a scheduling round can grant, so the
-    /// only case where the caller should poll at `now`.
+    /// Returns when the caller must schedule a `Poll` event: `now` when
+    /// the message finished *and* the pair slot it freed put a backlogged
+    /// notification into the scheduler — the only way a delivery changes
+    /// what a scheduling round can grant — unless an event for `now` is
+    /// already queued.
     ///
     /// Completion is *byte-counted*, not flagged by the final grant:
     /// background-IP jitter can land a small final chunk before its
@@ -820,7 +897,7 @@ impl SwitchDomain {
         slot: u32,
         bytes: u32,
         mut on_complete: impl FnMut(u64, u32),
-    ) -> bool {
+    ) -> Option<Time> {
         let st = &mut self.targets[slot as usize];
         st.delivered += bytes;
         if st.cancelled {
@@ -830,7 +907,7 @@ impl SwitchDomain {
             if st.delivered >= st.granted {
                 self.free_slots.push(slot);
             }
-            return false;
+            return None;
         }
         let total = match &st.body {
             MsgBody::Single {
@@ -862,10 +939,11 @@ impl SwitchDomain {
             // backlog admission below may reuse it immediately), and the
             // freed pair slot admits backlogged demand.
             self.free_slots.push(slot);
-            self.admit_from_backlog(now)
-        } else {
-            false
+            if self.admit_from_backlog(now) {
+                return self.wake(now);
+            }
         }
+        None
     }
 
     /// Withdraws the ungranted remainder of an *unbatched* offer (by its
@@ -878,8 +956,7 @@ impl SwitchDomain {
     /// bookkeeping still runs, but the message can no longer complete, so
     /// no completion callback ever fires for it. Freeing the admission
     /// slot admits backlogged demand, exactly like a completion — the
-    /// caller should poll at `now` when the outcome says
-    /// [`poll_wanted`](DomainCancel::poll_wanted) and demand remains.
+    /// outcome says when to schedule a `Poll` event.
     ///
     /// Offers folded into a §3.1.2 mega message are *not* cancellable
     /// (the notification covers the whole batch); those keep the
@@ -895,7 +972,7 @@ impl SwitchDomain {
             let removed = (before - self.backlog.len()) as u64;
             if removed > 0 {
                 self.pair_meta[pi] -= removed;
-                return DomainCancel::Withdrawn { poll_wanted: false };
+                return DomainCancel::Withdrawn { poll: None };
             }
         }
         // Admitted: walk the pair's in-flight FIFO for the unbatched
@@ -937,9 +1014,12 @@ impl SwitchDomain {
                 }
                 // The admission slot freed: admit backlogged demand.
                 let admitted = self.admit_from_backlog(now);
-                return DomainCancel::Withdrawn {
-                    poll_wanted: admitted || uncovered,
+                let poll = if (admitted || uncovered) && self.has_demand() {
+                    self.wake(now)
+                } else {
+                    None
                 };
+                return DomainCancel::Withdrawn { poll };
             }
             prev = cur;
             cur = next;
@@ -1027,6 +1107,9 @@ struct ActiveFlow {
 pub struct EdmStreamStats {
     /// Flows admitted and completed.
     pub completed: u64,
+    /// Simulation events dispatched (demand arrivals, polls — superseded
+    /// ones included — and chunk deliveries).
+    pub events: u64,
     /// Most flows simultaneously resident (admitted, not yet retired).
     pub active_high_water: usize,
     /// High-water mark of the switch's message slab
@@ -1113,25 +1196,22 @@ impl<F: FnMut(u32, FlowOutcome), I: Iterator<Item = Flow>> World for EdmWorld<F,
                     batch_key: 0,
                     token: token as u64,
                 };
-                if self.domain.offer(now, offer) && self.domain.note_poll_wanted(now) {
-                    q.schedule_ordered(now, evord::poll(0), EdmEv::Poll);
-                }
+                schedule_poll(q, self.domain.offer(now, offer));
             }
             EdmEv::Poll => {
-                if !self.domain.poll_due(now) {
+                let Some(round) = self.domain.poll(now) else {
                     return;
-                }
+                };
                 let half = self.cluster.pipeline_latency / 2
                     + self.cluster.prop_delay
                     + self.cluster.link.tx_time_bytes(8); // grant block flight
-                let (grants, sched_latency, next_wakeup) = self.domain.poll(now);
-                for g in grants {
+                for g in round.grants {
                     // Grant flies to the sender (half RTT), sender emits the
                     // chunk, chunk flies src -> switch -> dst.
                     let chunk_tx = self.cluster.link.tx_time_bytes(g.chunk_bytes as u64);
                     let data_flight =
                         self.cluster.pipeline_latency / 2 + 2 * self.cluster.prop_delay + chunk_tx;
-                    let delivered = now + sched_latency + half + data_flight;
+                    let delivered = now + round.sched_latency + half + data_flight;
                     q.schedule_ordered(
                         delivered,
                         evord::chunk(0, g.gseq),
@@ -1141,11 +1221,7 @@ impl<F: FnMut(u32, FlowOutcome), I: Iterator<Item = Flow>> World for EdmWorld<F,
                         },
                     );
                 }
-                if let Some(t) = next_wakeup {
-                    if self.domain.note_poll_wanted(t) {
-                        q.schedule_ordered(t, evord::poll(0), EdmEv::Poll);
-                    }
-                }
+                schedule_poll(q, round.next_poll);
             }
             EdmEv::ChunkDelivered { slot, bytes } => {
                 let EdmWorld {
@@ -1157,7 +1233,7 @@ impl<F: FnMut(u32, FlowOutcome), I: Iterator<Item = Flow>> World for EdmWorld<F,
                     sink,
                     ..
                 } = self;
-                let want_poll = domain.deliver(now, slot, bytes, |token, _bytes| {
+                let poll = domain.deliver(now, slot, bytes, |token, _bytes| {
                     // Retire the flow: emit its outcome, return its slot.
                     let entry = active[token as usize]
                         .take()
@@ -1173,11 +1249,16 @@ impl<F: FnMut(u32, FlowOutcome), I: Iterator<Item = Flow>> World for EdmWorld<F,
                         },
                     );
                 });
-                if want_poll && self.domain.has_demand() && self.domain.note_poll_wanted(now) {
-                    q.schedule_ordered(now, evord::poll(0), EdmEv::Poll);
-                }
+                schedule_poll(q, poll);
             }
         }
+    }
+}
+
+/// Queues the `Poll` event the domain asked for, if it asked.
+fn schedule_poll(q: &mut EventQueue<EdmEv>, at: Option<Time>) {
+    if let Some(t) = at {
+        q.schedule_ordered(t, evord::poll(0), EdmEv::Poll);
     }
 }
 
@@ -1232,25 +1313,17 @@ impl EdmProtocol {
         I: Iterator<Item = Flow>,
         F: FnMut(FlowOutcome),
     {
-        let mut source = source;
-        let first = source.next();
-        let world = self.world(cluster, |_idx, o| sink(o), Some((source, 1)));
-        let mut engine = Engine::new(world);
-        if let Some(flow) = first {
-            engine.queue_mut().schedule_ordered(
-                demand_time(cluster, &flow),
-                evord::demand(0),
-                EdmEv::DemandArrives { idx: 0, flow },
-            );
-        }
+        let mut world = self.world(cluster, |_idx, o| sink(o), Some((source, 0)));
+        let mut q = EventQueue::new();
+        world.pull_next(&mut q);
+        let mut engine = Engine::with_queue(world, q);
         engine.run();
-        if sim_debug() {
-            eprintln!("[edm-sim] events dispatched: {}", engine.steps());
-        }
+        let events = engine.steps();
         let world = engine.into_world();
         assert_eq!(world.live, 0, "flows stalled without completing");
         EdmStreamStats {
             completed: world.completed,
+            events,
             active_high_water: world.active_hwm,
             msg_slab_high_water: world.domain.msg_slab_high_water(),
         }
@@ -1284,9 +1357,6 @@ impl FabricProtocol for EdmProtocol {
                 );
             }
             engine.run();
-            if sim_debug() {
-                eprintln!("[edm-sim] events dispatched: {}", engine.steps());
-            }
         }
         let outcomes = results
             .into_iter()
@@ -1483,89 +1553,109 @@ mod tests {
         }
     }
 
+    fn domain4() -> SwitchDomain {
+        SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false)
+    }
+
     #[test]
     fn domain_cancel_withdraws_backlogged_and_admitted_demand() {
-        let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
-        assert!(dom.offer(Time::ZERO, pair_offer(1, 1000)));
-        assert!(!dom.offer(Time::ZERO, pair_offer(2, 500)), "X=1 backlogs");
+        let mut dom = domain4();
+        assert_eq!(dom.offer(Time::ZERO, pair_offer(1, 1000)), Some(Time::ZERO));
+        assert_eq!(
+            dom.offer(Time::ZERO, pair_offer(2, 500)),
+            None,
+            "X=1 backlogs"
+        );
         // The backlogged offer drops without ever being notified.
-        let quiet = DomainCancel::Withdrawn { poll_wanted: false };
+        let quiet = DomainCancel::Withdrawn { poll: None };
         assert_eq!(dom.cancel(Time::ZERO, 0, 1, 2), quiet);
         // The admitted offer's scheduler message is withdrawn.
         assert_eq!(dom.cancel(Time::ZERO, 0, 1, 1), quiet);
-        assert!(!dom.has_demand());
         assert_eq!(
             dom.cancel(Time::ZERO, 0, 1, 1),
             DomainCancel::NotFound,
             "nothing left to cancel"
         );
+        // The event the first offer asked for still fires, finds no
+        // demand, and asks for nothing more.
+        let round = dom.poll(Time::ZERO).expect("the queued event is live");
+        assert!(round.grants.is_empty());
+        assert_eq!(round.next_poll, None);
     }
 
     #[test]
     fn domain_cancel_admits_the_backlog_like_a_completion() {
-        let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
-        assert!(dom.offer(Time::ZERO, pair_offer(1, 1000)));
-        assert!(!dom.offer(Time::ZERO, pair_offer(2, 500)));
-        assert!(dom.cancel(Time::ZERO, 0, 1, 1).poll_wanted());
-        assert!(dom.has_demand(), "the backlogged offer takes the slot");
-        let (grants, _, _) = dom.poll(Time::ZERO);
-        assert_eq!(grants.len(), 1);
-        assert_eq!(grants[0].token, 2);
+        let mut dom = domain4();
+        assert_eq!(dom.offer(Time::ZERO, pair_offer(1, 1000)), Some(Time::ZERO));
+        assert_eq!(dom.offer(Time::ZERO, pair_offer(2, 500)), None);
+        // The backlogged offer takes the slot; the event already queued
+        // for this instant serves it.
+        let quiet = DomainCancel::Withdrawn { poll: None };
+        assert_eq!(dom.cancel(Time::ZERO, 0, 1, 1), quiet);
+        let round = dom.poll(Time::ZERO).expect("live");
+        assert_eq!(round.grants.len(), 1);
+        assert_eq!(round.grants[0].token, 2);
     }
 
     #[test]
     fn deliver_asks_for_a_poll_only_when_the_backlog_admits() {
-        let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
+        let mut dom = domain4();
         let t = Time::from_ns;
         // Nothing backlogged: a completion changes nothing a round could
         // grant.
-        assert!(dom.offer(t(0), pair_offer(1, 100)));
-        let g = dom.poll(t(0)).0[0];
-        assert!(!dom.deliver(t(0), g.slot, g.chunk_bytes, |_, _| {}));
+        assert_eq!(dom.offer(t(0), pair_offer(1, 100)), Some(t(0)));
+        let g = dom.poll(t(0)).expect("live").grants[0];
+        assert_eq!(dom.deliver(t(0), g.slot, g.chunk_bytes, |_, _| {}), None);
         // Pair 0->1 (X = 1) has a two-chunk message admitted and one
         // backlogged; pair 2->3 has a single chunk.
-        assert!(dom.offer(t(100), pair_offer(2, 300)));
-        assert!(!dom.offer(t(100), pair_offer(3, 100)), "X=1 backlogs");
+        assert_eq!(dom.offer(t(100), pair_offer(2, 300)), Some(t(100)));
+        assert_eq!(dom.offer(t(100), pair_offer(3, 100)), None, "X=1 backlogs");
         let other = DomainOffer {
             src: 2,
             dst: 3,
             ..pair_offer(4, 100)
         };
-        assert!(dom.offer(t(100), other));
-        let first: Vec<DomainGrant> = dom.poll(t(100)).0.to_vec();
+        // Admitted, but the event for this instant is already queued.
+        assert_eq!(dom.offer(t(100), other), None);
+        let round = dom.poll(t(100)).expect("live");
+        let first: Vec<DomainGrant> = round.grants.to_vec();
+        let second_chunk = round.next_poll.expect("message 2 has a chunk left");
         assert_eq!(first.len(), 2);
         // 2->3 completes: the backlog head is popped, finds its pair
         // still at the bound and goes back to wait. Still nothing new.
         let g = first.iter().find(|g| g.src == 2).expect("granted");
-        assert!(!dom.deliver(t(100), g.slot, g.chunk_bytes, |_, _| {}));
+        assert_eq!(dom.deliver(t(100), g.slot, g.chunk_bytes, |_, _| {}), None);
         // A chunk that does not finish its message frees nothing.
         let g = first.iter().find(|g| g.src == 0).expect("granted");
-        assert!(!dom.deliver(t(100), g.slot, g.chunk_bytes, |_, _| {}));
+        assert_eq!(dom.deliver(t(100), g.slot, g.chunk_bytes, |_, _| {}), None);
         // The pair's own completion frees the slot: the waiter is
         // notified, and that is worth a round.
-        let g = dom.poll(t(200)).0[0];
-        assert!(dom.deliver(t(200), g.slot, g.chunk_bytes, |_, _| {}));
-        assert!(dom.has_demand());
+        let g = dom.poll(second_chunk).expect("live").grants[0];
+        assert_eq!(
+            dom.deliver(t(200), g.slot, g.chunk_bytes, |_, _| {}),
+            Some(t(200))
+        );
+        assert_eq!(dom.poll(t(200)).expect("live").grants[0].token, 3);
     }
 
     #[test]
-    fn domain_grant_sequence_is_monotone() {
+    fn second_same_instant_offer_schedules_nothing() {
         let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(8), false);
-        for i in 0..3u64 {
-            assert!(dom.offer(
-                Time::ZERO,
-                DomainOffer {
-                    src: 2 * i as u16,
-                    dst: 2 * i as u16 + 1,
-                    bytes: 64,
-                    limit: 3,
-                    batch_key: i,
-                    token: i,
-                }
-            ));
-        }
-        let (grants, _, _) = dom.poll(Time::ZERO);
-        let gseqs: Vec<u64> = grants.iter().map(|g| g.gseq).collect();
+        let offer = |i: u64| DomainOffer {
+            src: 2 * i as u16,
+            dst: 2 * i as u16 + 1,
+            bytes: 64,
+            limit: 3,
+            batch_key: i,
+            token: i,
+        };
+        // One event per instant: later same-instant offers ride on it.
+        assert_eq!(dom.offer(Time::ZERO, offer(0)), Some(Time::ZERO));
+        assert_eq!(dom.offer(Time::ZERO, offer(1)), None);
+        assert_eq!(dom.offer(Time::ZERO, offer(2)), None);
+        // One round serves all three, with a monotone grant sequence.
+        let round = dom.poll(Time::ZERO).expect("live");
+        let gseqs: Vec<u64> = round.grants.iter().map(|g| g.gseq).collect();
         assert_eq!(gseqs, vec![0, 1, 2]);
     }
 
@@ -1631,65 +1721,69 @@ mod tests {
 
     #[test]
     fn domain_slots_recycle_after_completion_and_cancel() {
-        let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
-        assert!(dom.offer(Time::ZERO, pair_offer(1, 100)));
+        let mut dom = domain4();
+        assert!(dom.offer(Time::ZERO, pair_offer(1, 100)).is_some());
         assert_eq!(dom.msg_slots_live(), 1);
         // Deliver the full message in one chunk: slot retires.
-        let (grants, _, _) = dom.poll(Time::ZERO);
-        let g = grants[0];
+        let g = dom.poll(Time::ZERO).expect("live").grants[0];
         let mut done = Vec::new();
         dom.deliver(Time::ZERO, g.slot, g.chunk_bytes, |t, b| done.push((t, b)));
         assert_eq!(done, vec![(1, 100)]);
         assert_eq!(dom.msg_slots_live(), 0);
         let hwm = dom.msg_slab_high_water();
         // A second message reuses the retired slot.
-        assert!(dom.offer(Time::ZERO, pair_offer(2, 100)));
+        assert!(dom.offer(Time::ZERO, pair_offer(2, 100)).is_some());
         assert_eq!(dom.msg_slab_high_water(), hwm, "no slab growth");
         // Cancel with nothing in flight retires immediately.
-        assert!(dom.cancel(Time::ZERO, 0, 1, 2).withdrawn());
+        assert_ne!(dom.cancel(Time::ZERO, 0, 1, 2), DomainCancel::NotFound);
         assert_eq!(dom.msg_slots_live(), 0);
         assert_eq!(dom.msg_slab_high_water(), hwm);
     }
 
     #[test]
     fn cancelled_slot_retires_only_after_inflight_chunks_land() {
-        let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
+        let mut dom = domain4();
         // Multi-chunk message; grant one chunk, then cancel the rest.
-        assert!(dom.offer(Time::ZERO, pair_offer(1, 1000)));
-        let (grants, _, _) = dom.poll(Time::ZERO);
+        assert!(dom.offer(Time::ZERO, pair_offer(1, 1000)).is_some());
+        let grants = dom.poll(Time::ZERO).expect("live").grants;
         assert_eq!(grants.len(), 1);
         let g = grants[0];
         assert!(g.chunk_bytes < 1000, "must leave a remainder in flight");
-        assert!(dom.cancel(Time::ZERO, 0, 1, 1).withdrawn());
+        assert_ne!(dom.cancel(Time::ZERO, 0, 1, 1), DomainCancel::NotFound);
         assert_eq!(dom.msg_slots_live(), 1, "in-flight chunk pins the slot");
         // The granted chunk lands: no completion fires, the slot frees.
-        let completed = dom.deliver(Time::from_ns(100), g.slot, g.chunk_bytes, |_, _| {
+        let poll = dom.deliver(Time::from_ns(100), g.slot, g.chunk_bytes, |_, _| {
             panic!("cancelled message must not complete")
         });
-        assert!(!completed);
+        assert_eq!(poll, None);
         assert_eq!(dom.msg_slots_live(), 0);
     }
 
     #[test]
     fn purge_reports_resident_offers_and_cold_starts_the_domain() {
-        let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
+        let mut dom = domain4();
         // One scheduled multi-chunk message, one cancelled, one backlogged.
-        assert!(dom.offer(Time::ZERO, pair_offer(1, 1000)));
-        let (grants, _, _) = dom.poll(Time::ZERO);
-        let gseq_before = grants[0].gseq;
-        assert!(!dom.offer(Time::ZERO, pair_offer(2, 500)), "X=1 backlogs");
-        assert!(dom.offer(
-            Time::ZERO,
-            DomainOffer {
-                src: 2,
-                dst: 3,
-                bytes: 64,
-                limit: 1,
-                batch_key: 9,
-                token: 9,
-            }
-        ));
-        assert!(dom.cancel(Time::ZERO, 2, 3, 9).withdrawn());
+        assert!(dom.offer(Time::ZERO, pair_offer(1, 1000)).is_some());
+        let gseq_before = dom.poll(Time::ZERO).expect("live").grants[0].gseq;
+        assert_eq!(
+            dom.offer(Time::ZERO, pair_offer(2, 500)),
+            None,
+            "X=1 backlogs"
+        );
+        assert!(dom
+            .offer(
+                Time::ZERO,
+                DomainOffer {
+                    src: 2,
+                    dst: 3,
+                    bytes: 64,
+                    limit: 1,
+                    batch_key: 9,
+                    token: 9,
+                }
+            )
+            .is_some());
+        assert_ne!(dom.cancel(Time::ZERO, 2, 3, 9), DomainCancel::NotFound);
         let hwm = dom.msg_slab_high_water();
         assert_eq!(dom.rounds(), (1, 0));
         let mut dead = Vec::new();
@@ -1699,12 +1793,14 @@ mod tests {
         // backlogged and scheduled offers report.
         assert_eq!(dead, vec![1, 2]);
         assert_eq!(dom.msg_slots_live(), 0);
-        assert!(!dom.has_demand());
         assert_eq!(dom.msg_slab_high_water(), hwm, "peak survives the purge");
+        // The purge forgot the pending wake-ups with the demand: their
+        // events fire as no-ops.
+        assert!(dom.poll(Time::ZERO).is_none());
         // The revived domain schedules fresh demand, with gseq continuing
         // past the pre-outage grants.
-        assert!(dom.offer(Time::from_ns(50), pair_offer(7, 64)));
-        let (grants, _, _) = dom.poll(Time::from_ns(50));
+        assert!(dom.offer(Time::from_ns(50), pair_offer(7, 64)).is_some());
+        let grants = dom.poll(Time::from_ns(50)).expect("live").grants;
         assert_eq!(grants[0].token, 7);
         assert!(grants[0].gseq > gseq_before, "gseq stays monotone");
         assert_eq!(dom.rounds(), (2, 0), "round totals span the purge");

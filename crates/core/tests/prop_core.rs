@@ -1,12 +1,283 @@
 //! Property-based tests for the core fabric: message codec round-trips,
-//! end-to-end data integrity over the testbed, and simulator invariants.
+//! end-to-end data integrity over the testbed, simulator invariants, and
+//! the switch domain's poll protocol against an exhaustive reference.
 
 use edm_core::message::MemOp;
-use edm_core::sim::{ClusterConfig, EdmProtocol, FabricProtocol, Flow, FlowKind};
+use edm_core::sim::{
+    ClusterConfig, DomainCancel, DomainGrant, DomainOffer, DomainRound, EdmProtocol,
+    FabricProtocol, Flow, FlowKind, Forwarded, SwitchDomain,
+};
 use edm_core::testbed::{Fabric, TestbedConfig};
 use edm_memory::rmw::RmwOp;
-use edm_sim::Time;
+use edm_sched::{Policy, SchedulerConfig};
+use edm_sim::{Bandwidth, Duration, Time};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// One step of a random domain schedule, `dt` after its predecessor.
+#[derive(Debug, Clone, Copy)]
+enum DomainOp {
+    /// Offer `bytes` on (src, dst); `forwarded` offers may be granted
+    /// inline ([`SwitchDomain::offer_forwarded`]).
+    Offer {
+        src: u16,
+        dst: u16,
+        bytes: u32,
+        forwarded: bool,
+    },
+    /// Revoke the `nth` offer made so far (if it is still revocable).
+    Cancel { nth: usize },
+    /// The switch dies and comes back cold.
+    Purge,
+}
+
+/// Events of the single-domain driver. At one instant schedule steps run
+/// first, then chunk arrivals in grant order, then the poll — the rank
+/// order of `edm_core::sim::evord`.
+#[derive(Debug, Clone, Copy)]
+enum DomainEv {
+    Op(DomainOp),
+    Chunk {
+        slot: u32,
+        bytes: u32,
+        gen: u32,
+    },
+    /// Stamped like a chunk, but only to tell which polls a purge made
+    /// the domain forget: those still fire, as no-ops.
+    Poll {
+        gen: u32,
+    },
+}
+
+const RANK_OP: u8 = 0;
+const RANK_CHUNK: u8 = 1;
+const RANK_POLL: u8 = 2;
+
+/// `(gseq, src, dst, bytes, issue time)` of every grant, in issue order.
+type GrantStream = Vec<(u64, u16, u16, u32, Time)>;
+
+/// What one drive of a schedule observed.
+#[derive(Debug, PartialEq)]
+struct Driven {
+    grants: GrantStream,
+    /// `(token, completion time)` of every completed offer.
+    completions: Vec<(u64, Time)>,
+}
+
+/// Drives one [`SwitchDomain`] through `ops`. A grant's chunk lands a
+/// fixed flight after it is issued and is handed back to `deliver`;
+/// chunks granted before a purge are fenced off by a generation stamp.
+///
+/// The driver under test queues exactly the `Poll` events the domain's
+/// return values ask for. The `exhaustive` reference ignores them: it
+/// polls at every instant at which it called the domain at all and at
+/// every raw scheduler wake-up, through the ungated
+/// [`SwitchDomain::poll_exhaustive`]. Returns what happened, the rounds
+/// run, and whether two `Poll`s were ever queued for one instant (a
+/// purge forgets the events queued before it; one of those does not
+/// count against a later request for the same instant).
+fn drive_domain(
+    ops: &[(u64, DomainOp)],
+    x: usize,
+    batching: bool,
+    exhaustive: bool,
+) -> (Driven, u64, bool) {
+    const PORTS: u16 = 6;
+    const FLIGHT: Duration = Duration::from_ns(120);
+    let link = Bandwidth::from_gbps(100);
+    let mut dom = SwitchDomain::new(
+        SchedulerConfig {
+            ports: PORTS as usize,
+            chunk_bytes: 256,
+            link,
+            policy: Policy::Srpt,
+            max_active_per_pair: x,
+            clock: edm_sched::ASIC_CLOCK,
+        },
+        batching,
+    );
+    // (time, rank, key) → event. Chunks key by gseq, polls by a counter
+    // (so a duplicate would coexist and be seen), steps by index.
+    let mut queue: BTreeMap<(Time, u8, u64), DomainEv> = BTreeMap::new();
+    let mut now = Time::ZERO;
+    for (i, &(dt, op)) in ops.iter().enumerate() {
+        now += Duration::from_ns(dt);
+        queue.insert((now, RANK_OP, i as u64), DomainEv::Op(op));
+    }
+    let mut out = Driven {
+        grants: Vec::new(),
+        completions: Vec::new(),
+    };
+    let mut offers: Vec<(u16, u16)> = Vec::new();
+    let mut gen = 0u32;
+    let mut polls_queued = 0u64;
+    let mut duplicate_poll = false;
+    while let Some(((now, _, _), ev)) = queue.pop_first() {
+        // The `Poll` the domain asked for, and (reference only) whether
+        // the domain was called at all.
+        let mut asked: Option<Time> = None;
+        let mut called = true;
+        // Grants of a round that ran in this event, copied out of the
+        // domain's buffer.
+        let mut launched: Option<(Vec<DomainGrant>, Duration)> = None;
+        let take = |round: DomainRound<'_>, asked: &mut Option<Time>| {
+            *asked = round.next_poll;
+            (round.grants.to_vec(), round.sched_latency)
+        };
+        match ev {
+            DomainEv::Op(DomainOp::Offer {
+                src,
+                dst,
+                bytes,
+                forwarded,
+            }) => {
+                let offer = DomainOffer {
+                    src,
+                    dst,
+                    bytes,
+                    limit: x,
+                    batch_key: 0,
+                    token: offers.len() as u64,
+                };
+                offers.push((src, dst));
+                if !forwarded {
+                    asked = dom.offer(now, offer);
+                } else {
+                    match dom.offer_forwarded(now, offer) {
+                        Forwarded::Queued(poll) => asked = poll,
+                        Forwarded::Granted(round) => launched = Some(take(round, &mut asked)),
+                    }
+                }
+            }
+            DomainEv::Op(DomainOp::Cancel { nth }) => {
+                if offers.is_empty() {
+                    continue;
+                }
+                let token = nth % offers.len();
+                let (src, dst) = offers[token];
+                if let DomainCancel::Withdrawn { poll } = dom.cancel(now, src, dst, token as u64) {
+                    asked = poll;
+                }
+            }
+            DomainEv::Op(DomainOp::Purge) => {
+                dom.purge(&mut Vec::new());
+                gen += 1;
+            }
+            DomainEv::Chunk { gen: granted, .. } if granted != gen => continue,
+            DomainEv::Chunk { slot, bytes, .. } => {
+                asked = dom.deliver(now, slot, bytes, |token, _| {
+                    out.completions.push((token, now));
+                });
+            }
+            DomainEv::Poll { .. } => {
+                called = false;
+                if exhaustive {
+                    launched = Some(take(dom.poll_exhaustive(now), &mut asked));
+                } else if let Some(round) = dom.poll(now) {
+                    launched = Some(take(round, &mut asked));
+                }
+            }
+        }
+        if let Some((grants, sched_latency)) = launched {
+            for g in grants {
+                out.grants.push((g.gseq, g.src, g.dst, g.chunk_bytes, now));
+                let lands = now + sched_latency + FLIGHT + link.tx_time_bytes(g.chunk_bytes as u64);
+                let chunk = DomainEv::Chunk {
+                    slot: g.slot,
+                    bytes: g.chunk_bytes,
+                    gen,
+                };
+                queue.insert((lands, RANK_CHUNK, g.gseq), chunk);
+            }
+        }
+        if exhaustive {
+            // Set semantics: one poll per instant, at every instant.
+            for at in asked.into_iter().chain(called.then_some(now)) {
+                queue.insert((at, RANK_POLL, 0), DomainEv::Poll { gen });
+            }
+        } else if let Some(at) = asked {
+            duplicate_poll |= queue
+                .range((at, RANK_POLL, 0)..=(at, RANK_POLL, u64::MAX))
+                .any(|(_, ev)| matches!(ev, DomainEv::Poll { gen: queued } if *queued == gen));
+            queue.insert((at, RANK_POLL, polls_queued), DomainEv::Poll { gen });
+            polls_queued += 1;
+        }
+    }
+    (out, dom.rounds().0, duplicate_poll)
+}
+
+/// An offer on one pair of a 4-port, X = 1 domain.
+fn offer4(src: u16, dst: u16, bytes: u32, token: u64) -> DomainOffer {
+    DomainOffer {
+        src,
+        dst,
+        bytes,
+        limit: 1,
+        batch_key: token,
+        token,
+    }
+}
+
+fn domain4() -> SwitchDomain {
+    SwitchDomain::new(SchedulerConfig::default_for_ports(4), false)
+}
+
+/// A `Poll` event overtaken by an earlier wake-up runs no round and asks
+/// for nothing when it finally fires.
+#[test]
+fn superseded_poll_event_is_a_no_op() {
+    let t = Time::from_ns;
+    let mut dom = domain4();
+    // A three-chunk message: the first round asks for a wake-up when its
+    // ports free.
+    assert_eq!(dom.offer(t(0), offer4(0, 1, 600, 1)), Some(t(0)));
+    let wake = dom
+        .poll(t(0))
+        .expect("live")
+        .next_poll
+        .expect("chunks left");
+    assert!(wake > t(3));
+    // The message is withdrawn, and demand on another pair arrives before
+    // the wake-up: its earlier event becomes the live one.
+    let quiet = DomainCancel::Withdrawn { poll: None };
+    assert_eq!(dom.cancel(t(2), 0, 1, 1), quiet);
+    assert_eq!(dom.offer(t(3), offer4(2, 3, 64, 2)), Some(t(3)));
+    let round = dom.poll(t(3)).expect("live");
+    assert_eq!(round.grants.len(), 1);
+    assert_eq!(round.next_poll, None, "nothing left to wait for");
+    // The event still queued for `wake` runs no round and schedules
+    // nothing.
+    let rounds = dom.rounds();
+    assert!(dom.poll(wake).is_none());
+    assert_eq!(dom.rounds(), rounds);
+}
+
+/// A wake-up wanted for an instant that already has a (superseded) event
+/// queued takes that event over instead of queueing a second one.
+#[test]
+fn wake_up_for_an_instant_with_a_queued_event_recycles_it() {
+    let t = Time::from_ns;
+    let mut dom = domain4();
+    assert_eq!(dom.offer(t(0), offer4(0, 1, 1000, 1)), Some(t(0)));
+    assert_eq!(dom.offer(t(0), offer4(0, 1, 500, 2)), None, "X=1 backlogs");
+    let first = dom.poll(t(0)).expect("live");
+    assert_eq!(first.grants.len(), 1);
+    let port_free = first.next_poll.expect("three chunks still to grant");
+    assert!(port_free > t(5));
+    // Withdrawing message 1 mid-flight hands its slot to the backlogged
+    // offer: new demand, so a round at the cancel instant, superseding
+    // the event queued for `port_free`.
+    let woken = DomainCancel::Withdrawn { poll: Some(t(5)) };
+    assert_eq!(dom.cancel(t(5), 0, 1, 1), woken);
+    // That round finds the ports busy with the in-flight chunk, and its
+    // wake-up is the very instant the superseded event is queued for.
+    let blocked = dom.poll(t(5)).expect("live");
+    assert!(blocked.grants.is_empty());
+    assert_eq!(blocked.next_poll, None, "the event for that instant exists");
+    let round = dom.poll(port_free).expect("recycled into the live wake-up");
+    assert_eq!(round.grants.len(), 1);
+    assert_eq!(round.grants[0].token, 2);
+}
 
 proptest! {
     /// MemOp serialization round-trips for arbitrary field values.
@@ -99,5 +370,43 @@ proptest! {
         let c = run(fill.wrapping_add(1));
         prop_assert_eq!(a, b, "same input must reproduce exactly");
         prop_assert_eq!(a, c, "latency must not depend on payload bits");
+    }
+
+    /// The poll protocol loses nothing: a driver that queues exactly the
+    /// `Poll` events `SwitchDomain`'s return values ask for issues the
+    /// grants, at the times, of one that polls after every call and at
+    /// every scheduler wake-up — through multi-chunk messages, per-pair
+    /// X backlogs, §3.1.2 batching, inline cut-through grants,
+    /// revocations and purges — and never queues two `Poll`s for one
+    /// instant.
+    #[test]
+    fn domain_poll_protocol_sees_the_exhaustive_grant_stream(
+        steps in proptest::collection::vec(
+            (0u64..240, 0u16..6, 0u16..6, 1u32..1500, 0u8..16, any::<usize>()),
+            1..120,
+        ),
+        x in 1usize..4,
+        batching in any::<bool>(),
+    ) {
+        let ops: Vec<(u64, DomainOp)> = steps
+            .iter()
+            .map(|&(dt, src, dst, bytes, kind, nth)| {
+                // Three in four steps share their predecessor's instant.
+                let dt = if dt % 4 == 0 { dt / 4 } else { 0 };
+                let dst = if src == dst { (dst + 1) % 6 } else { dst };
+                let op = match kind {
+                    0 => DomainOp::Purge,
+                    1..=3 => DomainOp::Cancel { nth },
+                    _ => DomainOp::Offer { src, dst, bytes, forwarded: kind % 2 == 0 },
+                };
+                (dt, op)
+            })
+            .collect();
+        let (got, rounds, duplicate_poll) = drive_domain(&ops, x, batching, false);
+        let (want, all_rounds, _) = drive_domain(&ops, x, batching, true);
+        prop_assert_eq!(&got.grants, &want.grants);
+        prop_assert_eq!(&got.completions, &want.completions);
+        prop_assert!(!duplicate_poll, "two Poll events queued for one instant");
+        prop_assert!(rounds <= all_rounds, "{} rounds vs {} exhaustive", rounds, all_rounds);
     }
 }

@@ -592,9 +592,8 @@ impl<E> Default for EventQueue<E> {
 ///
 /// This is the pre-calendar-queue implementation, kept as an executable
 /// specification: `prop_sim` drives random schedule/pop scripts through
-/// both queues and requires bit-identical results, and the
-/// `sim/event_queue` criterion bench measures the calendar queue's win
-/// against it. Same API as [`EventQueue`]; O(log n) per operation.
+/// both queues and requires bit-identical results. Same API as
+/// [`EventQueue`]; O(log n) per operation.
 ///
 /// ```
 /// use edm_sim::{BinaryHeapEventQueue, Time};

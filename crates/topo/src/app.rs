@@ -58,20 +58,17 @@
 //! and the closed loop are shared, so EDM vs CXL-oE differences are
 //! transport-only.
 
-use crate::shard::ShardPlan;
 use crate::topology::{Endpoint, Topology};
 use crate::world::{
-    access_half, link_lat, tx8, TopoEdm, TopoEdmConfig, TopoEv, TopoOutcome, TopoStreamStats,
-    TopoWorld, NO_SOURCE,
+    access_half, link_lat, tx8, Finished, Input, NoSource, TopoEdm, TopoEdmConfig, TopoEv,
+    TopoOutcome, TopoStreamStats, TopoWorld,
 };
 use edm_core::sim::{evord, Flow, FlowKind};
 use edm_memory::{DramConfig, MemoryService, KV_SLOT_HEADER};
 use edm_sim::rng::Zipf;
-use edm_sim::sharded::run_sharded;
-use edm_sim::{Availability, Duration, Engine, EventQueue, LogHistogram, Rng, Throughput, Time};
+use edm_sim::{Availability, Duration, EventQueue, LogHistogram, Rng, Throughput, Time};
 use edm_workloads::{OpKind, TenantSpec};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Type of the absent sink in app runs (outcomes are consumed by the
 /// replicated app state, not a callback).
@@ -418,7 +415,13 @@ pub(crate) struct AppState {
 }
 
 impl AppState {
+    /// The run's initial state.
+    ///
+    /// # Panics
+    ///
+    /// On an invalid `cfg` ([`AppConfig::validate`]).
     pub(crate) fn new(cfg: &AppConfig, topo: &Topology) -> Self {
+        cfg.validate(topo);
         let mut tenants = Vec::with_capacity(cfg.tenants.len());
         let mut start_at = Vec::with_capacity(cfg.tenants.len());
         for (i, &spec) in cfg.tenants.iter().enumerate() {
@@ -489,30 +492,29 @@ impl AppState {
         self.ops_hwm = self.ops_hwm.max(self.ops.len());
     }
 
-    fn into_report(self, fabric: TopoStreamStats) -> AppReport {
-        assert!(
-            self.ops.is_empty(),
-            "an op stalled without a terminal state"
-        );
-        assert!(self.flow_op.is_empty(), "a leg outlived its op");
-        for t in &self.tenants {
+    /// The report of a finished app run.
+    pub(crate) fn report((fabric, state): Finished) -> AppReport {
+        let app = *state.expect("app runs keep their app state");
+        assert!(app.ops.is_empty(), "an op stalled without a terminal state");
+        assert!(app.flow_op.is_empty(), "a leg outlived its op");
+        for t in &app.tenants {
             assert_eq!(t.done, t.spec.ops, "a tenant went idle early");
         }
-        assert_eq!(self.issued, self.completed + self.failed);
+        assert_eq!(app.issued, app.completed + app.failed);
         AppReport {
-            ops_issued: self.issued,
-            ops_completed: self.completed,
-            ops_failed: self.failed,
-            lat: self.lat,
-            lat_read: self.lat_read,
-            lat_update: self.lat_update,
-            lat_rmw: self.lat_rmw,
-            lat_local: self.lat_local,
-            throughput: self.throughput,
-            availability: self.availability,
-            makespan: self.last_done.saturating_since(Time::ZERO),
-            ops_high_water: self.ops_hwm,
-            dram_rows: self.mems.iter().fold((0, 0, 0), |(h, m, c), s| {
+            ops_issued: app.issued,
+            ops_completed: app.completed,
+            ops_failed: app.failed,
+            lat: app.lat,
+            lat_read: app.lat_read,
+            lat_update: app.lat_update,
+            lat_rmw: app.lat_rmw,
+            lat_local: app.lat_local,
+            throughput: app.throughput,
+            availability: app.availability,
+            makespan: app.last_done.saturating_since(Time::ZERO),
+            ops_high_water: app.ops_hwm,
+            dram_rows: app.mems.iter().fold((0, 0, 0), |(h, m, c), s| {
                 let t = s.timing();
                 (h + t.row_hits(), m + t.row_misses(), c + t.row_conflicts())
             }),
@@ -864,22 +866,7 @@ impl TopoEdm {
     /// NIC/completion delays) and if an op stalls without completing (a
     /// model invariant violation).
     pub fn simulate_app(&self, topo: &Topology, app: &AppConfig) -> AppReport {
-        app.validate(topo);
-        let plan = Arc::new(ShardPlan::solo(topo.switch_count()));
-        let state = AppState::new(app, topo);
-        let mut q = EventQueue::new();
-        self.seed_faults(&mut q);
-        state.seed(&mut q);
-        let world = self.build_world(topo, plan, 0, NO_SINK, NO_SOURCE, Some(Box::new(state)));
-        let mut engine = Engine::with_queue(world, q);
-        engine.run();
-        let mut worlds = [engine.into_world()];
-        let fabric = TopoEdm::stream_stats(&worlds);
-        worlds[0]
-            .app
-            .take()
-            .expect("app runs keep their app state")
-            .into_report(fabric)
+        self.simulate_app_sharded(topo, app, 1)
     }
 
     /// [`TopoEdm::simulate_app`], sharded over up to `shards` cores —
@@ -899,43 +886,8 @@ impl TopoEdm {
         app: &AppConfig,
         shards: usize,
     ) -> AppReport {
-        let plan = Arc::new(ShardPlan::new(topo, &self.config, shards));
-        if plan.shards() == 1 {
-            return self.simulate_app(topo, app);
-        }
-        app.validate(topo);
-        let inputs: Vec<_> = (0..plan.shards() as u32)
-            .map(|me| {
-                let state = AppState::new(app, topo);
-                let mut q = EventQueue::new();
-                self.seed_faults(&mut q);
-                state.seed(&mut q);
-                let world = self.build_world(
-                    topo,
-                    plan.clone(),
-                    me,
-                    NO_SINK,
-                    NO_SOURCE,
-                    Some(Box::new(state)),
-                );
-                (world, q)
-            })
-            .collect();
-        let mut cfg = self.sharded_config(&plan);
-        // Lookahead floor: `Service`/`Done` events scheduled from
-        // barrier-applied credit hooks sit `nic_delay` respectively
-        // `completion_delay` in the future; the window length must not
-        // exceed either, or a receiving shard would be asked to schedule
-        // into a window it already closed. Shrinking lookahead is always
-        // safe (more barriers, same conservative protocol).
-        cfg.lookahead = cfg.lookahead.min(app.nic_delay).min(app.completion_delay);
-        let mut worlds = run_sharded(inputs, &cfg);
-        let fabric = TopoEdm::stream_stats(&worlds);
-        worlds[0]
-            .app
-            .take()
-            .expect("app runs keep their app state")
-            .into_report(fabric)
+        let input = Input::<NoSource>::App(app);
+        AppState::report(self.run_on_shards(topo, NO_SINK, input, shards))
     }
 }
 

@@ -128,7 +128,6 @@ proptest! {
         shards in 1usize..=4,
         batching in any::<bool>(),
         x in 1usize..4,
-        cancel in any::<bool>(),
         ip_on in any::<bool>(),
         retries in 0u32..3,
     ) {
@@ -137,7 +136,6 @@ proptest! {
         let proto = TopoEdm::new(TopoEdmConfig {
             batch_small_messages: batching,
             max_active_per_pair: x,
-            cancel_stale_demand: cancel,
             ip: if ip_on { IpTraffic::load(0.3) } else { IpTraffic::default() },
             faults: decode_faults(&fault_specs, &topo),
             reroute_delay: Duration::from_us(2),

@@ -349,8 +349,9 @@ proptest! {
             ..EdmProtocol::default()
         };
         let expect = legacy.simulate(&cluster, &flows);
-        let got = TopoEdm::new(TopoEdmConfig::matching(&cluster, &legacy))
-            .simulate(&cluster_topology(&cluster), &flows);
+        let topo = cluster_topology(&cluster);
+        let topo_edm = TopoEdm::new(TopoEdmConfig::matching(&cluster, &legacy));
+        let got = topo_edm.simulate(&topo, &flows);
         prop_assert_eq!(got.outcomes.len(), expect.outcomes.len());
         for (a, b) in expect.outcomes.iter().zip(&got.outcomes) {
             prop_assert_eq!(
@@ -362,6 +363,20 @@ proptest! {
         }
         prop_assert_eq!(got.reroutes, 0);
         prop_assert_eq!(got.failed(), 0);
+        // The two worlds agree event for event, not only outcome for
+        // outcome: streamed over the same time-ordered flows, both
+        // dispatch one demand per flow, the same polls (superseded ones
+        // included) and the same chunks. Admissions are the topology
+        // world's alone and it does not count them.
+        let mut sorted = flows;
+        sorted.sort_by_key(|f| f.arrival);
+        for (id, f) in sorted.iter_mut().enumerate() {
+            f.id = id;
+        }
+        let legacy_stats = legacy.simulate_streamed(&cluster, sorted.iter().copied(), |_| {});
+        let topo_stats = topo_edm.simulate_streamed(&topo, sorted.iter().copied(), |_| {});
+        prop_assert_eq!(legacy_stats.events, topo_stats.events);
+        prop_assert_eq!(legacy_stats.completed, topo_stats.delivered);
     }
 
     /// ECMP determinism: the same (topology, flow, salt) always yields
