@@ -124,21 +124,6 @@ run_prop_suites() {
     return $failed
 }
 
-# The repository benchmark at 1/20 scale (< 15 s once built): all seven
-# workloads of BENCHMARK.json with every output check on — reps repeat
-# the warm-up bit for bit, the 2-shard engine matches the sequential
-# one. It builds into benchmark/target, apart from the workspace. The
-# program exits non-zero on a failed check; the grep also catches one
-# whose exit status got lost on the way.
-run_benchmark_quick() {
-    local log
-    log=$(mktemp)
-    if ! bash benchmark/run.sh --quick > "$log" 2>&1 || grep -q "CHECK FAILED" "$log"; then
-        cat "$log"
-        return 1
-    fi
-}
-
 rustdoc_gate() {
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 }
@@ -160,7 +145,15 @@ step "chaos_sweep smoke: seeded fault/repair campaign under RSS ceiling" \
     run_chaos_smoke
 step "app_sweep smoke: closed-loop YCSB, EDM vs CXL-oE envelope (2 shards)" \
     run_app_smoke
-step "benchmark/run.sh --quick: seven workloads, output checks on" run_benchmark_quick
+# The repository benchmark at 1/20 scale through the A/B tool, this
+# checkout on both sides (< 20 s once built): all seven workloads of
+# BENCHMARK.json twice, every output check on — reps repeat the warm-up
+# bit for bit, the 2-shard engine matches the sequential one — and the
+# two runs of a workload must agree on every simulated metric. It builds
+# into benchmark/target, apart from the workspace. Timing verdicts from
+# one quick pair mean nothing and fail nothing.
+step "tools/ab.sh . . --pairs 1 --quick: seven workloads twice, checks on, no difference" \
+    tools/ab.sh . . --pairs 1 --quick
 step "property suites at ${PROPTEST_CASES:=1024} cases (concurrent per crate)" \
     run_prop_suites
 

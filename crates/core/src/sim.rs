@@ -488,9 +488,9 @@ pub struct SwitchDomain {
     /// revival could collide [`evord::chunk`] keys with chunks granted
     /// before the outage.
     grant_seq: u64,
-    /// `(rounds, empty rounds)` of the schedulers [`SwitchDomain::purge`]
+    /// [`SwitchDomain::rounds`] of the schedulers [`SwitchDomain::purge`]
     /// replaced, so the domain's totals cover its whole life.
-    purged_rounds: (u64, u64),
+    purged_rounds: (u64, u64, u64),
     /// The live wake-up: the one queued `Poll` event that will run a
     /// round. Events queued for any other instant are superseded.
     poll_at: Option<Time>,
@@ -520,7 +520,7 @@ impl SwitchDomain {
             backlog: std::collections::VecDeque::new(),
             slab_hwm: 0,
             grant_seq: 0,
-            purged_rounds: (0, 0),
+            purged_rounds: (0, 0, 0),
             poll_at: None,
             scheduled_polls: Vec::new(),
             poll_scratch: PollResult::default(),
@@ -533,14 +533,16 @@ impl SwitchDomain {
         &self.scheduler
     }
 
-    /// Scheduling rounds this switch has run and how many of them issued
-    /// no grant (`edm_sched::Scheduler::rounds` / `empty_rounds`), over
-    /// the domain's whole life: a [purge](Self::purge) replaces the
-    /// scheduler but not these totals.
-    pub fn rounds(&self) -> (u64, u64) {
+    /// Scheduling rounds this switch has run, how many of them issued no
+    /// grant, and how many destinations they handed to PIM between them
+    /// (`edm_sched::Scheduler::rounds` / `empty_rounds` /
+    /// `dests_examined`), over the domain's whole life: a
+    /// [purge](Self::purge) replaces the scheduler but not these totals.
+    pub fn rounds(&self) -> (u64, u64, u64) {
         (
             self.purged_rounds.0 + self.scheduler.rounds(),
             self.purged_rounds.1 + self.scheduler.empty_rounds(),
+            self.purged_rounds.2 + self.scheduler.dests_examined(),
         )
     }
 
@@ -1404,6 +1406,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "(X) must be at least 1")]
+    fn zero_pair_limit_is_rejected_before_the_run() {
+        // Used to end in "all flows complete when the queue drains": the
+        // one offer sat in a backlog nothing drains.
+        let mut proto = EdmProtocol {
+            max_active_per_pair: 0,
+            ..EdmProtocol::default()
+        };
+        proto.simulate(&cluster(4), &[write_flow(0, 0, 1, 64, 0)]);
+    }
+
+    #[test]
     fn single_read_completes_near_ideal() {
         let c = cluster(8);
         let flows = vec![Flow {
@@ -1785,7 +1799,7 @@ mod tests {
             .is_some());
         assert_ne!(dom.cancel(Time::ZERO, 2, 3, 9), DomainCancel::NotFound);
         let hwm = dom.msg_slab_high_water();
-        assert_eq!(dom.rounds(), (1, 0));
+        assert_eq!(dom.rounds(), (1, 0, 1));
         let mut dead = Vec::new();
         dom.purge(&mut dead);
         dead.sort_unstable();
@@ -1803,7 +1817,7 @@ mod tests {
         let grants = dom.poll(Time::from_ns(50)).expect("live").grants;
         assert_eq!(grants[0].token, 7);
         assert!(grants[0].gseq > gseq_before, "gseq stays monotone");
-        assert_eq!(dom.rounds(), (2, 0), "round totals span the purge");
+        assert_eq!(dom.rounds(), (2, 0, 2), "round totals span the purge");
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!    poll also says when the next one is worth running
 //!    ([`PollResult::next_wakeup`]): like the hardware, which only acts
 //!    on ports holding a queued notification (§3.1.2), a driver never
-//!    has to run a round that cannot grant.
+//!    has to run a round that cannot grant — and a round visits only the
+//!    destinations that can have changed since it last looked at them
+//!    (`dest_ready`).
 //! 3. A granted port pair is *busy* for exactly `chunk/B` — the paper's
 //!    step (7): releasing after the chunk's transmission time (not its
 //!    arrival) keeps the pipe full despite propagation delay.
@@ -195,7 +197,10 @@ pub struct PollResult {
     /// at which some *queued* message can become eligible. A destination
     /// still receiving a chunk contributes its own busy expiry; a free
     /// destination PIM could not match contributes the earliest expiry
-    /// among the sources in the row PIM just walked. Rounds between `now`
+    /// among the sources in its row — computed when PIM last walked that
+    /// row and remembered until the row changes, so a round folds one
+    /// cached instant per destination it does not hand to PIM instead of
+    /// walking the row again. Rounds between `now`
     /// and this instant could not grant, and an empty round has no side
     /// effect (the matcher is priority-driven: no pointers, no RNG), so a
     /// driver that polls only at wake-ups and after each accepted
@@ -209,6 +214,11 @@ pub struct PollResult {
 }
 
 /// EDM's centralized in-network scheduler.
+///
+/// Demand-sparse and allocation-free in steady state: a round costs one
+/// comparison per destination with queued demand, plus PIM and a row walk
+/// for those that can have changed since the scheduler last examined
+/// them. [`Scheduler::poll`] times must be non-decreasing.
 pub struct Scheduler {
     config: SchedulerConfig,
     /// Per-destination notification queues, priority-keyed per policy.
@@ -247,6 +257,27 @@ pub struct Scheduler {
     /// Position of each destination in `active_dests` (`NOT_ACTIVE` when
     /// its queue is empty).
     dest_active_pos: Vec<u32>,
+    /// Parallel to `active_dests` (pushed and swap-removed with it): the
+    /// earliest instant at which that destination's queue can yield a
+    /// grant *if its row does not change*. Its own `dst_busy_until` while
+    /// it is mid-chunk; the smallest `src_busy_until` over its row once a
+    /// round found it free but every queued source busy; `Time::ZERO`
+    /// ("look now") when the row changed since (`queue_insert`, `cancel`)
+    /// or is deeper than PIM's snapshot. A round skips every destination
+    /// whose instant is still ahead and folds it into the wake-up.
+    ///
+    /// Skipping is exact, not merely safe — same pairs, same
+    /// `pim_iterations`, same `next_wakeup` as examining everything:
+    /// * the stored instant is the one a fresh look would compute. A
+    ///   busy destination's timer moves only when it is granted, which
+    ///   needs it examined first; a source in the row gets a new
+    ///   `src_busy_until` only by being granted in a round at or after
+    ///   its old expiry, and every such round has `now >= ready` and
+    ///   examines the destination. (Rounds must not go back in time.)
+    /// * a destination with no eligible source never proposes, so leaving
+    ///   it out of `run_sparse` changes neither the matching nor the
+    ///   iteration count, for any iteration budget.
+    dest_ready: Vec<Time>,
     /// Running count of queued messages (= Σ queue lengths).
     pending: usize,
     /// Scheduling rounds run (stats).
@@ -254,6 +285,10 @@ pub struct Scheduler {
     /// Rounds that issued no grant (stats): pure overhead for whoever
     /// drives the scheduler, so worth watching.
     empty_rounds: u64,
+    /// Destinations handed to PIM, summed over rounds (stats).
+    dests_examined: u64,
+    /// Time of the latest round: `dest_ready` assumes time moves forward.
+    last_poll: Time,
     /// Scratch: destinations eligible for PIM this round.
     pim_dests: Vec<usize>,
     /// Scratch: matched pairs from the last PIM run.
@@ -262,6 +297,10 @@ pub struct Scheduler {
 
 /// Sentinel for "destination not in the active list".
 const NOT_ACTIVE: u32 = u32::MAX;
+
+/// X = 0 admits nothing: every notification would be refused and wait
+/// for a completion that cannot come. Rejected where it enters.
+const ZERO_PAIR_LIMIT: &str = "max active notifications per pair (X) must be at least 1";
 
 /// Bit 32 of a `pair_adm` word: the pair's head message is queued.
 const HEAD_IN_QUEUE: u64 = 1 << 32;
@@ -297,7 +336,8 @@ impl Scheduler {
     ///
     /// # Panics
     ///
-    /// Panics if `config.ports` is zero or `chunk_bytes` is zero.
+    /// Panics if `config.ports`, `chunk_bytes` or `max_active_per_pair`
+    /// is zero.
     pub fn new(config: SchedulerConfig) -> Self {
         Scheduler::with_pim(config, PimConfig::for_ports(config.ports))
     }
@@ -313,6 +353,7 @@ impl Scheduler {
     pub fn with_pim(config: SchedulerConfig, pim: PimConfig) -> Self {
         assert!(config.ports > 0, "need at least one port");
         assert!(config.chunk_bytes > 0, "chunk size must be positive");
+        assert!(config.max_active_per_pair > 0, "{ZERO_PAIR_LIMIT}");
         assert_eq!(pim.ports, config.ports, "matcher sized for the switch");
         Scheduler {
             queues: (0..config.ports).map(|_| OrderedList::new()).collect(),
@@ -327,9 +368,12 @@ impl Scheduler {
             row_dirty: vec![false; config.ports],
             active_dests: Vec::new(),
             dest_active_pos: vec![NOT_ACTIVE; config.ports],
+            dest_ready: Vec::new(),
             pending: 0,
             rounds: 0,
             empty_rounds: 0,
+            dests_examined: 0,
+            last_poll: Time::ZERO,
             pim_dests: Vec::new(),
             pairs_scratch: Vec::new(),
             config,
@@ -369,6 +413,12 @@ impl Scheduler {
         self.empty_rounds
     }
 
+    /// Destinations handed to PIM so far, summed over rounds: what the
+    /// rounds cost beyond one comparison per active destination.
+    pub fn dests_examined(&self) -> u64 {
+        self.dests_examined
+    }
+
     /// Active notifications for a (src, dest) pair.
     pub fn active_for_pair(&self, src: u16, dest: u16) -> usize {
         (self.pair_adm[self.pair_idx(src, dest)] as u32) as usize
@@ -402,10 +452,20 @@ impl Scheduler {
             debug_assert_eq!(self.dest_active_pos[dest], NOT_ACTIVE);
             self.dest_active_pos[dest] = self.active_dests.len() as u32;
             self.active_dests.push(dest as u32);
+            self.dest_ready.push(Time::ZERO);
         }
         self.queues[dest].insert(key, msg);
-        self.row_dirty[dest] = true;
+        self.row_changed(dest);
         self.pending += 1;
+    }
+
+    /// Marks a destination's row as changed outside a round: its snapshot
+    /// is stale and, if it still has demand, the next round must look.
+    fn row_changed(&mut self, dest: usize) {
+        self.row_dirty[dest] = true;
+        if let Some(ready) = self.dest_ready.get_mut(self.dest_active_pos[dest] as usize) {
+            *ready = Time::ZERO;
+        }
     }
 
     /// Appends a message to its pair's waiting FIFO.
@@ -457,6 +517,7 @@ impl Scheduler {
         let pos = self.dest_active_pos[dest] as usize;
         debug_assert_eq!(self.active_dests[pos], dest as u32);
         self.active_dests.swap_remove(pos);
+        self.dest_ready.swap_remove(pos);
         if let Some(&moved) = self.active_dests.get(pos) {
             self.dest_active_pos[moved as usize] = pos as u32;
         }
@@ -484,12 +545,17 @@ impl Scheduler {
     /// # Errors
     ///
     /// Same as [`Scheduler::notify`], with `limit` as the X bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `limit` is zero, like [`Scheduler::new`] on a zero X.
     pub fn notify_with_limit(
         &mut self,
         now: Time,
         n: Notification,
         limit: usize,
     ) -> Result<(), NotifyError> {
+        assert!(limit > 0, "{ZERO_PAIR_LIMIT}");
         if n.src as usize >= self.config.ports {
             return Err(NotifyError::BadPort { port: n.src });
         }
@@ -548,7 +614,6 @@ impl Scheduler {
             if let Some((_, msg)) =
                 self.queues[d].remove_first(|m| m.src == src && m.msg_id == msg_id)
             {
-                self.row_dirty[d] = true;
                 self.pending -= 1;
                 self.pair_adm[idx] -= 1;
                 // Promote the pair's next waiter (same as a completion).
@@ -561,6 +626,7 @@ impl Scheduler {
                     None => self.pair_adm[idx] &= !HEAD_IN_QUEUE,
                 }
                 self.deactivate_if_empty(d);
+                self.row_changed(d);
                 return CancelOutcome::Cancelled {
                     remaining: msg.remaining,
                     uncovered,
@@ -612,27 +678,37 @@ impl Scheduler {
     /// [`Scheduler::poll`] into a caller-owned result, reusing its grant
     /// buffer — the allocation-free form the simulator hot loop uses.
     ///
-    /// Work is proportional to the *active* demand (destinations with
-    /// queued notifications), not the port count, mirroring the hardware:
-    /// the switch only touches ports with queued notifications (§3.1.2).
+    /// Work is proportional to the demand that can have *changed*: one
+    /// comparison per destination with queued notifications, PIM and a
+    /// row walk only for those whose remembered instant (`dest_ready`)
+    /// has come — mirroring the hardware, which only touches ports with
+    /// queued notifications (§3.1.2). `now` must not precede an earlier
+    /// round's.
     pub fn poll_into(&mut self, now: Time, out: &mut PollResult) {
+        debug_assert!(now >= self.last_poll, "rounds must not go back in time");
+        self.last_poll = now;
         out.grants.clear();
 
-        // Destinations eligible this round: live demand and a free RX
-        // port. Sorted so the matching is bit-identical to a dense scan.
-        // The others seed the wake-up: nothing queued at a destination
-        // that is mid-chunk is eligible before its port frees.
+        // Destinations eligible this round: live demand, a remembered
+        // instant that has come, and a free RX port. Sorted so the
+        // matching is bit-identical to a dense scan. The others seed the
+        // wake-up with the instant they are waiting for.
         let mut wake = Time::MAX;
         self.pim_dests.clear();
-        for &d in &self.active_dests {
-            let busy = self.dst_busy_until[d as usize];
-            if busy <= now {
-                self.pim_dests.push(d as usize);
-            } else {
-                wake = wake.min(busy);
+        for (ready, &d) in self.dest_ready.iter_mut().zip(&self.active_dests) {
+            if *ready <= now {
+                let busy = self.dst_busy_until[d as usize];
+                if busy <= now {
+                    self.pim_dests.push(d as usize);
+                    continue;
+                }
+                // Mid-chunk: nothing queued here is eligible before then.
+                *ready = busy;
             }
+            wake = wake.min(*ready);
         }
         self.pim_dests.sort_unstable();
+        self.dests_examined += self.pim_dests.len() as u64;
 
         // Refresh demand snapshots only for eligible destinations whose
         // queue changed since the last rebuild (rows of inactive dests are
@@ -696,10 +772,6 @@ impl Scheduler {
             let until = now + busy;
             self.src_busy_until[s] = until;
             self.dst_busy_until[d] = until;
-            if self.dest_active_pos[d] != NOT_ACTIVE {
-                // More is queued here; it waits for this chunk.
-                wake = wake.min(until);
-            }
             self.grants_issued += 1;
             self.bytes_granted += l as u64;
             out.grants.push(Grant {
@@ -713,44 +785,87 @@ impl Scheduler {
         }
         self.pairs_scratch = pairs;
 
+        // Only the destinations PIM saw can have a new instant. The round
+        // may have left *eligible* demand behind when PIM hit its cap or
+        // a row is deeper than its snapshot: then nothing short of every
+        // busy expiry is a safe wake-up.
+        let mut fallback = outcome.capped;
+        for &d in &self.pim_dests {
+            let pos = self.dest_active_pos[d];
+            if pos == NOT_ACTIVE {
+                continue; // queue drained
+            }
+            let busy = self.dst_busy_until[d];
+            let ready = if busy > now {
+                busy // granted: what is still queued waits for this chunk
+            } else if self.queues[d].len() > PIM_ROW_DEPTH {
+                // PIM saw only the head of this queue; entries behind it
+                // may be eligible already.
+                fallback = true;
+                Time::ZERO
+            } else {
+                // The round walked this whole row (its snapshot is
+                // current) and, unless capped, found every source busy or
+                // granted to another destination.
+                debug_assert!(!self.row_dirty[d]);
+                self.demand_scratch[d]
+                    .iter()
+                    .map(|&(_, s)| self.src_busy_until[s])
+                    .min()
+                    .expect("an active destination has a queued message")
+            };
+            self.dest_ready[pos as usize] = ready;
+            wake = wake.min(ready);
+        }
+
         self.rounds += 1;
         self.empty_rounds += u64::from(out.grants.is_empty());
-        out.next_wakeup = self.next_wakeup(now, wake, outcome.capped);
+        out.next_wakeup = if self.pending == 0 {
+            None
+        } else if fallback {
+            self.next_busy_expiry(now)
+        } else {
+            debug_assert!(wake > now && wake < Time::MAX);
+            Some(wake)
+        };
         out.pim_iterations = outcome.iterations;
         out.sched_latency = Duration::from_ps(outcome.cycles * self.config.clock.as_ps());
     }
 
-    /// [`PollResult::next_wakeup`] for the round that just ran at `now`.
-    /// `earliest` already covers the destinations that are mid-chunk (the
-    /// round collected their expiries in passing); what is left are the
-    /// free ones PIM could not match, whose rows it walked anyway — so a
-    /// round still costs O(active destinations).
-    fn next_wakeup(&self, now: Time, mut earliest: Time, capped: bool) -> Option<Time> {
-        if self.pending == 0 {
-            return None;
-        }
-        if capped {
-            return self.next_busy_expiry(now);
-        }
-        for &d in &self.pim_dests {
-            if self.dst_busy_until[d] > now {
-                continue; // granted this round
+    /// Test hook: checks `dest_ready` against the queues and busy timers
+    /// alone, right after a round at `now`. Every stored instant must be
+    /// the one a from-scratch look computes, and no destination a round
+    /// at `now` would skip may hold an eligible entry (destination free
+    /// and some queued source free).
+    #[doc(hidden)]
+    pub fn audit_ready(&self, now: Time) -> Result<(), String> {
+        for (&stored, &d) in self.dest_ready.iter().zip(&self.active_dests) {
+            let queue = &self.queues[d as usize];
+            let dst_busy = self.dst_busy_until[d as usize];
+            let earliest_src = queue
+                .iter()
+                .map(|(_, m)| self.src_busy_until[m.src as usize])
+                .min()
+                .ok_or(format!("destination {d} is active with an empty queue"))?;
+            if stored > now && dst_busy <= now && earliest_src <= now {
+                return Err(format!(
+                    "destination {d} is skipped until {stored} but eligible at {now}"
+                ));
             }
-            if self.queues[d].len() > PIM_ROW_DEPTH {
-                // PIM saw only the head of this queue; entries behind it
-                // may be eligible already.
-                return self.next_busy_expiry(now);
-            }
-            // The round walked this whole row (its snapshot is current)
-            // and found every source busy or granted to another
-            // destination.
-            debug_assert!(!self.row_dirty[d]);
-            for &(_, s) in &self.demand_scratch[d] {
-                earliest = earliest.min(self.src_busy_until[s]);
+            let fresh = if dst_busy > now {
+                dst_busy
+            } else if queue.len() > PIM_ROW_DEPTH {
+                Time::ZERO
+            } else {
+                earliest_src
+            };
+            if stored != fresh {
+                return Err(format!(
+                    "destination {d} stores {stored}, a fresh look at {now} gives {fresh}"
+                ));
             }
         }
-        debug_assert!(earliest > now && earliest < Time::MAX);
-        Some(earliest)
+        Ok(())
     }
 
     /// The earliest busy-timer expiry of any port after `now`: the
@@ -880,12 +995,89 @@ mod tests {
         assert_eq!(r.grants[0].dest, 1);
         let frees = Time::from_ns(1) + s.config().link.tx_time_bytes(256);
         assert_eq!(r.next_wakeup, Some(frees));
-        // A round before that instant is empty and changes nothing.
-        let early = s.poll(Time::from_ns(2));
-        assert!(early.grants.is_empty());
-        assert_eq!(early.next_wakeup, Some(frees));
-        assert_eq!((s.rounds(), s.empty_rounds()), (2, 1));
+        assert_eq!(s.dests_examined(), 2);
+        // Rounds before that instant are empty and change nothing — and
+        // port 2, remembered as waiting for source 0, is handed to PIM
+        // once, not once per round.
+        for ns in 2..5 {
+            let early = s.poll(Time::from_ns(ns));
+            assert!(early.grants.is_empty());
+            assert_eq!(early.next_wakeup, Some(frees));
+            s.audit_ready(Time::from_ns(ns)).unwrap();
+        }
+        assert_eq!((s.rounds(), s.empty_rounds()), (4, 3));
+        assert_eq!(s.dests_examined(), 2, "three empty rounds, no row walk");
         assert_eq!(s.poll(frees).grants[0].dest, 2);
+        assert_eq!(s.dests_examined(), 3);
+    }
+
+    #[test]
+    fn cancel_that_promotes_a_waiter_reopens_its_destination() {
+        let mut s = sched(4, 256, Policy::Fcfs);
+        s.notify(Time::ZERO, Notification::new(0, 1, 0, 256))
+            .unwrap();
+        assert_eq!(s.poll(Time::ZERO).grants.len(), 1);
+        // Two messages 0->2: the head queues, the second waits behind it.
+        for id in 0..2 {
+            s.notify(Time::from_ns(1), Notification::new(0, 2, id, 64))
+                .unwrap();
+        }
+        assert!(s.poll(Time::from_ns(1)).grants.is_empty());
+        assert_eq!(s.dests_examined(), 2);
+        // The row changed: the next round looks at port 2 again, once.
+        assert!(matches!(s.cancel(0, 2, 0), CancelOutcome::Cancelled { .. }));
+        let frees = Time::ZERO + s.config().link.tx_time_bytes(256);
+        for (ns, examined) in [(2, 3), (3, 3)] {
+            let r = s.poll(Time::from_ns(ns));
+            assert!(r.grants.is_empty());
+            assert_eq!(r.next_wakeup, Some(frees));
+            assert_eq!(s.dests_examined(), examined);
+            s.audit_ready(Time::from_ns(ns)).unwrap();
+        }
+        assert_eq!(s.poll(frees).grants[0].msg_id, 1);
+    }
+
+    #[test]
+    fn late_round_examines_exactly_the_destinations_whose_instant_passed() {
+        // Sources 0, 1, 2 start chunks of 64, 128 and 256 B to ports 4,
+        // 5, 6 (FCFS ties go to the lower port) and leave ports 7, 8, 9
+        // waiting for them, each until a different instant.
+        let mut s = sched(10, 256, Policy::Fcfs);
+        for (src, size) in [(0u16, 64), (1, 128), (2, 256)] {
+            s.notify(Time::ZERO, Notification::new(src, 4 + src, 0, size))
+                .unwrap();
+            s.notify(Time::ZERO, Notification::new(src, 7 + src, 0, 64))
+                .unwrap();
+        }
+        let r = s.poll(Time::ZERO);
+        assert_eq!(r.grants.len(), 3);
+        let link = s.config().link;
+        assert_eq!(r.next_wakeup, Some(Time::ZERO + link.tx_time_bytes(64)));
+        assert_eq!(s.dests_examined(), 6);
+        // A round after the first two instants and before the third.
+        let late = Time::from_ns(12);
+        let r = s.poll(late);
+        let dests: Vec<u16> = r.grants.iter().map(|g| g.dest).collect();
+        assert_eq!(dests, [7, 8]);
+        assert_eq!(s.dests_examined(), 8, "port 9 was not looked at");
+        assert_eq!(r.next_wakeup, Some(Time::ZERO + link.tx_time_bytes(256)));
+        s.audit_ready(late).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "(X) must be at least 1")]
+    fn zero_pair_limit_is_rejected_at_construction() {
+        Scheduler::new(SchedulerConfig {
+            max_active_per_pair: 0,
+            ..SchedulerConfig::default_for_ports(4)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "(X) must be at least 1")]
+    fn zero_pair_limit_override_is_rejected() {
+        let mut s = sched(4, 256, Policy::Srpt);
+        let _ = s.notify_with_limit(Time::ZERO, Notification::new(0, 1, 0, 64), 0);
     }
 
     #[test]

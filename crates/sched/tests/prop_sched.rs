@@ -2,11 +2,13 @@
 //! a reference sorted model, PIM always emits valid maximal matchings,
 //! the grant engine conserves bytes and never double-books a port, pairs
 //! stay FIFO, the demand-sparse `poll` is equivalent to a dense
-//! reference implementation on randomized notify/poll scripts, and a
-//! driver that polls only when `next_wakeup` says so sees the grants of
-//! one that polls at every busy expiry.
+//! reference implementation on randomized notify/poll scripts, a driver
+//! that polls only when `next_wakeup` says so sees the grants of one that
+//! polls at every busy expiry, and after every round of either the
+//! per-destination instants the scheduler remembers are the ones a
+//! from-scratch look computes (`Scheduler::audit_ready`).
 
-use edm_sched::scheduler::{Notification, Policy, Scheduler, SchedulerConfig};
+use edm_sched::scheduler::{CancelOutcome, Notification, Policy, Scheduler, SchedulerConfig};
 use edm_sched::{OrderedList, PimConfig, PimRunner};
 use edm_sim::{Bandwidth, Duration, Time};
 use proptest::prelude::*;
@@ -252,30 +254,41 @@ mod reference {
 /// bytes, and the matching latency of the round that issued it.
 type SeenGrant = (Time, u16, u16, u8, u32, Duration);
 
-/// Drives `sched` through `arrivals` (time-sorted) the way every engine
-/// does — the offer/poll/deliver protocol of `edm_core::SwitchDomain`:
-/// a round runs after each accepted notification; a notification the
-/// pair's X bound rejects waits in a FIFO backlog, and `DELIVERY` after a
-/// message's final grant the backlog head is offered again.
+/// Drives `sched` through `arrivals` and `cancels` (both time-sorted) the
+/// way every engine does — the offer/poll/deliver protocol of
+/// `edm_core::SwitchDomain`: a round runs after each accepted
+/// notification; a notification the pair's X bound rejects waits in a
+/// FIFO backlog, and `DELIVERY` after a message's final grant the backlog
+/// head is offered again. A cancel names a message by its notification;
+/// one that withdraws demand frees an admission slot like a completion
+/// (backlog head offered again at once) and asks for a round only when it
+/// uncovered a deep row. Odd sources get a wider X, trunk-style, through
+/// `notify_with_limit`.
 ///
 /// What differs is when else a round runs. The driver under test trusts
 /// the latest round's `next_wakeup`; the `exhaustive` reference ignores
 /// it and polls at every busy expiry of every grant while demand is
 /// pending, which is every instant at which a grant can become possible.
-/// Returns the grant stream and the number of rounds run.
+/// Every round of either is followed by `audit_ready`. Returns the grant
+/// stream and the number of rounds run.
 fn drive(
     mut sched: Scheduler,
     arrivals: &[(Time, Notification)],
+    cancels: &[(Time, Notification)],
     exhaustive: bool,
 ) -> (Vec<SeenGrant>, u64) {
     const DELIVERY: Duration = Duration::from_ns(150);
     let link = sched.config().link;
+    let x = sched.config().max_active_per_pair;
+    let notify = |sched: &mut Scheduler, now, n: Notification| {
+        sched.notify_with_limit(now, n, x + 2 * (n.src as usize % 2))
+    };
     let mut seen = Vec::new();
     let mut backlog: VecDeque<Notification> = VecDeque::new();
     let mut retries: BTreeSet<Time> = BTreeSet::new();
     let mut expiries: BTreeSet<Time> = BTreeSet::new();
     let mut wake: Option<Time> = None;
-    let mut next_arrival = 0;
+    let (mut next_arrival, mut next_cancel) = (0, 0);
     loop {
         let timer = if exhaustive {
             expiries.first().copied()
@@ -284,6 +297,7 @@ fn drive(
         };
         let now = [
             arrivals.get(next_arrival).map(|a| a.0),
+            cancels.get(next_cancel).map(|c| c.0),
             retries.first().copied(),
             timer,
         ]
@@ -299,15 +313,26 @@ fn drive(
             next_arrival += 1;
             // Host FIFO: never overtake a same-pair message that waits.
             let waits = backlog.iter().any(|b| (b.src, b.dest) == (n.src, n.dest));
-            if waits || sched.notify(now, n).is_err() {
+            if waits || notify(&mut sched, now, n).is_err() {
                 backlog.push_back(n);
             } else {
                 poll = true;
             }
         }
+        while cancels.get(next_cancel).is_some_and(|c| c.0 == now) {
+            let c = cancels[next_cancel].1;
+            next_cancel += 1;
+            // Still in the backlog or already granted in full: no-op.
+            if let CancelOutcome::Cancelled { uncovered, .. } =
+                sched.cancel(c.src, c.dest, c.msg_id)
+            {
+                poll |= uncovered;
+                retries.insert(now);
+            }
+        }
         if retries.remove(&now) {
             if let Some(n) = backlog.pop_front() {
-                match sched.notify(now, n) {
+                match notify(&mut sched, now, n) {
                     Ok(()) => poll = true,
                     Err(_) => backlog.push_back(n),
                 }
@@ -315,13 +340,18 @@ fn drive(
         }
         if exhaustive {
             poll |= expiries.remove(&now) && sched.pending_messages() > 0;
-        } else {
-            poll |= wake == Some(now);
+        } else if wake == Some(now) {
+            // A cancel may have withdrawn what this wake-up was for.
+            wake = None;
+            poll |= sched.pending_messages() > 0;
         }
         if !poll {
             continue;
         }
         let r = sched.poll(now);
+        if let Err(e) = sched.audit_ready(now) {
+            panic!("after the round at {now}: {e}");
+        }
         for g in &r.grants {
             seen.push((
                 g.issued_at,
@@ -488,6 +518,7 @@ proptest! {
             if is_poll {
                 let a = sparse.poll(now);
                 let b = dense.poll(now);
+                prop_assert_eq!(sparse.audit_ready(now), Ok(()));
                 prop_assert_eq!(&a.grants, &b.grants);
                 prop_assert_eq!(a.pim_iterations, b.pim_iterations);
                 prop_assert_eq!(a.sched_latency, b.sched_latency);
@@ -507,6 +538,7 @@ proptest! {
         loop {
             let a = sparse.poll(now);
             let b = dense.poll(now);
+            prop_assert_eq!(sparse.audit_ready(now), Ok(()));
             prop_assert_eq!(&a.grants, &b.grants);
             prop_assert_eq!(a.next_wakeup, b.next_wakeup);
             match a.next_wakeup {
@@ -522,8 +554,9 @@ proptest! {
     /// Polling only when `next_wakeup` (or a fresh notification) says so
     /// loses nothing: the grant stream — issue time, ports, message,
     /// chunk, matching latency — is the one an exhaustive driver sees,
-    /// in fewer rounds. Schedules mix single- and multi-chunk messages
-    /// and overflow the per-pair X bound into a backlog; the wide shape
+    /// in fewer rounds. Schedules mix single- and multi-chunk messages,
+    /// overflow the per-pair X bound into a backlog and withdraw some
+    /// messages shortly after they were announced; the wide shape
     /// piles more sources onto a destination than PIM's row holds, and
     /// `one_iteration` caps PIM so rounds leave eligible demand behind —
     /// the two cases where the wake-up must fall back to every expiry.
@@ -535,6 +568,7 @@ proptest! {
             (0u16..100, 0u16..100, 1u32..1500, 0u64..4, 0u64..12),
             1..400,
         ),
+        withdrawn in proptest::collection::vec((0usize..400, 0u64..200), 0..40),
         chunk in prop::sample::select(vec![64u32, 256]),
         srpt in any::<bool>(),
         x in 1usize..4,
@@ -587,8 +621,18 @@ proptest! {
                 *id = id.wrapping_add(1);
                 (now, n)
             }));
-        let (got, rounds) = drive(Scheduler::with_pim(cfg, pim), &arrivals, false);
-        let (want, all_rounds) = drive(Scheduler::with_pim(cfg, pim), &arrivals, true);
+        // Each cancel targets one arrival, a little after it was due:
+        // queued, waiting behind its pair's head, backlogged or done.
+        let mut cancels: Vec<(Time, Notification)> = withdrawn
+            .iter()
+            .map(|&(i, after)| {
+                let (at, n) = arrivals[i % arrivals.len()];
+                (at + Duration::from_ns(after), n)
+            })
+            .collect();
+        cancels.sort_by_key(|c| c.0);
+        let (got, rounds) = drive(Scheduler::with_pim(cfg, pim), &arrivals, &cancels, false);
+        let (want, all_rounds) = drive(Scheduler::with_pim(cfg, pim), &arrivals, &cancels, true);
         prop_assert_eq!(got.len(), want.len());
         for (a, b) in got.iter().zip(&want) {
             prop_assert_eq!(a, b);

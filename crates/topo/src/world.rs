@@ -313,6 +313,10 @@ pub struct TopoResult {
     /// Rounds that issued no grant: what the poll protocol wastes (a
     /// round is only worth an event when a grant is possible).
     pub empty_rounds: u64,
+    /// Destinations the rounds handed to PIM, summed over every switch
+    /// (`edm_sched::Scheduler::dests_examined`): what a round costs
+    /// beyond one comparison per destination with queued demand.
+    pub examined: u64,
 }
 
 impl TopoResult {
@@ -334,6 +338,7 @@ impl TopoResult {
             events: stats.events,
             rounds: stats.rounds,
             empty_rounds: stats.empty_rounds,
+            examined: stats.examined,
         }
     }
 
@@ -427,6 +432,10 @@ pub struct TopoStreamStats {
     /// Rounds that issued no grant: what the poll protocol wastes (a
     /// round is only worth an event when a grant is possible).
     pub empty_rounds: u64,
+    /// Destinations the rounds handed to PIM, summed over every switch
+    /// (`edm_sched::Scheduler::dests_examined`): what a round costs
+    /// beyond one comparison per destination with queued demand.
+    pub examined: u64,
     /// Peak number of concurrently-resident flow entries — with eager
     /// retirement (streamed, unbatched runs; faults included, whose
     /// zombie references drain through per-flow counts) this is the
@@ -694,6 +703,12 @@ impl TopoEdm {
         S: FnMut(u32, TopoOutcome),
         I: Iterator<Item = Flow>,
     {
+        // X = 0 on trunk pairs would backlog every multi-hop offer for
+        // good; the host-pair X is checked by each switch's scheduler.
+        assert!(
+            self.config.trunk_max_active_per_pair > 0,
+            "trunk_max_active_per_pair must be at least 1"
+        );
         let topo = topo.clone();
         let link_count = topo.links().len();
         let domains = (0..topo.switch_count() as u32)
@@ -789,15 +804,17 @@ impl TopoEdm {
             events: worlds.iter().map(|w| w.events).sum(),
             rounds: 0,
             empty_rounds: 0,
+            examined: 0,
             active_high_water: w0.active_hwm,
             msg_slots_high_water: 0,
         };
         // Each switch is owned by exactly one shard, so round totals
         // and slab peaks sum.
         for d in worlds.iter().flat_map(|w| w.domains.iter().flatten()) {
-            let (rounds, empty) = d.rounds();
+            let (rounds, empty, examined) = d.rounds();
             stats.rounds += rounds;
             stats.empty_rounds += empty;
+            stats.examined += examined;
             stats.msg_slots_high_water += d.msg_slab_high_water();
         }
         (stats, worlds[0].app.take())
@@ -954,7 +971,7 @@ impl std::ops::Index<u32> for RtMap {
         // One subtraction plus one slice index: the materialized paths
         // never compact (`base` stays 0), so this is as cheap as the
         // flat `Vec<FlowRt>` it replaced — which keeps the leaf-spine
-        // per-flow cost inside the `topo_scale` 2x gate in debug builds.
+        // cost inside the `topo_scale` gate in debug builds.
         match self.slots[id.wrapping_sub(self.base) as usize] {
             Some(ref rt) => rt,
             None => panic!("flow {id} is not resident"),
@@ -2215,6 +2232,30 @@ mod tests {
             .unwrap();
         // The single chunk crosses the degraded leaf→spine trunk once.
         assert_eq!(slow, clean + extra);
+    }
+
+    #[test]
+    #[should_panic(expected = "trunk_max_active_per_pair must be at least 1")]
+    fn zero_trunk_pair_limit_is_rejected_before_the_run() {
+        // Used to end in `finish`'s "a flow stalled without a terminal
+        // state": every cross-leaf offer backlogged for good.
+        let topo = Topology::leaf_spine(LeafSpine::symmetric(2, 1, 4, 1));
+        let cfg = TopoEdmConfig {
+            trunk_max_active_per_pair: 0,
+            ..TopoEdmConfig::default()
+        };
+        TopoEdm::new(cfg).simulate(&topo, &[write_flow(0, 0, 4, 64, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "(X) must be at least 1")]
+    fn zero_host_pair_limit_is_rejected_before_the_run() {
+        let topo = Topology::leaf_spine(LeafSpine::symmetric(2, 1, 4, 1));
+        let cfg = TopoEdmConfig {
+            max_active_per_pair: 0,
+            ..TopoEdmConfig::default()
+        };
+        TopoEdm::new(cfg).simulate(&topo, &[write_flow(0, 0, 1, 64, 0)]);
     }
 
     #[test]

@@ -48,8 +48,8 @@ fn assert_lockstep(
     prop_assert_eq!(par.ip_delayed, seq.ip_delayed, "IP delay count diverged");
     prop_assert_eq!(par.events, seq.events, "event tally diverged");
     prop_assert_eq!(
-        (par.rounds, par.empty_rounds),
-        (seq.rounds, seq.empty_rounds),
+        (par.rounds, par.empty_rounds, par.examined),
+        (seq.rounds, seq.empty_rounds, seq.examined),
         "scheduling-round tally diverged"
     );
     Ok(())
@@ -283,8 +283,8 @@ fn lockstep_288(shards: usize) {
     assert_eq!(par.ip_delayed, seq.ip_delayed);
     assert_eq!(par.events, seq.events);
     assert_eq!(
-        (par.rounds, par.empty_rounds),
-        (seq.rounds, seq.empty_rounds)
+        (par.rounds, par.empty_rounds, par.examined),
+        (seq.rounds, seq.empty_rounds, seq.examined)
     );
     assert!(seq.reroutes > 0, "the spine kill must land mid-run");
 }

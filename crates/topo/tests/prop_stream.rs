@@ -87,8 +87,8 @@ proptest! {
         prop_assert_eq!(stats.delivered + stats.failed, stats.admitted);
         prop_assert_eq!(stats.events, reference.events, "event tally diverged");
         prop_assert_eq!(
-            (stats.rounds, stats.empty_rounds),
-            (reference.rounds, reference.empty_rounds),
+            (stats.rounds, stats.empty_rounds, stats.examined),
+            (reference.rounds, reference.empty_rounds, reference.examined),
             "scheduling-round tally diverged"
         );
         prop_assert_eq!(stats.ip_frames, reference.ip_frames);
@@ -111,8 +111,8 @@ proptest! {
         prop_assert_eq!(pstats.failed, stats.failed);
         prop_assert_eq!(pstats.events, stats.events, "sharded event tally diverged");
         prop_assert_eq!(
-            (pstats.rounds, pstats.empty_rounds),
-            (stats.rounds, stats.empty_rounds),
+            (pstats.rounds, pstats.empty_rounds, pstats.examined),
+            (stats.rounds, stats.empty_rounds, stats.examined),
             "sharded scheduling-round tally diverged"
         );
         prop_assert_eq!(pstats.ip_frames, stats.ip_frames);
@@ -205,8 +205,8 @@ proptest! {
         prop_assert_eq!(pstats.readmitted, stats.readmitted, "re-admission count diverged");
         prop_assert_eq!(pstats.events, stats.events, "sharded event tally diverged");
         prop_assert_eq!(
-            (pstats.rounds, pstats.empty_rounds),
-            (stats.rounds, stats.empty_rounds),
+            (pstats.rounds, pstats.empty_rounds, pstats.examined),
+            (stats.rounds, stats.empty_rounds, stats.examined),
             "sharded scheduling-round tally diverged"
         );
         prop_assert_eq!(pstats.ip_frames, stats.ip_frames);
@@ -228,6 +228,12 @@ proptest! {
 /// stream. Polling at every busy expiry and after every completed
 /// message ran 1.8 empty rounds per useful one here; this keeps that
 /// from silently coming back.
+///
+/// And a round looks only at the destinations that can have changed:
+/// when every round re-examined every free destination these 56 675
+/// rounds handed 226 533 destinations to PIM (4.00 per round); with
+/// the remembered per-destination instants it is 51 807 (0.91). The full-size stream (400k flows, 1 142 871 rounds)
+/// went from 4 912 653 (4.30) to 1 043 664 (0.91).
 #[test]
 fn empty_rounds_stay_a_minority_on_the_64b_stream() {
     let topo = Topology::leaf_spine(LeafSpine::symmetric(4, 2, 72, 36));
@@ -248,6 +254,12 @@ fn empty_rounds_stay_a_minority_on_the_64b_stream() {
         stats.empty_rounds <= stats.rounds / 3,
         "{} of {} scheduling rounds issued no grant",
         stats.empty_rounds,
+        stats.rounds
+    );
+    assert!(
+        2 * stats.examined <= 3 * stats.rounds,
+        "{} destinations handed to PIM in {} rounds",
+        stats.examined,
         stats.rounds
     );
 }
