@@ -81,7 +81,7 @@ run_app_smoke() {
         --out "$(mktemp -d)" > /dev/null
 }
 
-PROP_CRATES=(edm-core edm-phy edm-sched edm-memory edm-sim edm-topo edm-workloads)
+PROP_CRATES=(edm-core edm-phy edm-sched edm-memory edm-sim edm-topo edm-workloads edm-approx)
 
 # One cargo invocation builds every release test binary, then the
 # per-crate suites run as concurrent background jobs (cargo only takes

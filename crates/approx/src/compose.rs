@@ -73,6 +73,11 @@ pub struct ApproxResult {
     pub link_instances: usize,
     /// Merged per-crossing excess distribution across all clusters.
     pub hop_excess: LogHistogram,
+    /// Flows whose estimate this call recomputed. A from-scratch
+    /// composition reports every flow; [`crate::SweepBase::estimate_delta`]
+    /// reports only the flows the scenario perturbed or that share a
+    /// rebuilt cluster with one — the rest took their base terms.
+    pub recomposed: usize,
 }
 
 impl ApproxResult {
@@ -101,6 +106,11 @@ impl ApproxResult {
     }
 }
 
+/// One crossing's parameter triple: (scheduler bandwidth, link
+/// bandwidth, latency) — what a crossing contributes to a flow's
+/// unloaded completion time.
+pub(crate) type Shape = (Bandwidth, Bandwidth, Duration);
+
 /// Memo of exact unloaded baselines ([`TopoEdm::solo_mct`] probes),
 /// keyed by what physically determines them: message size, flow kind,
 /// and the per-crossing (scheduler bandwidth, link bandwidth, latency)
@@ -110,8 +120,11 @@ impl ApproxResult {
 /// symmetric fabric pays for a handful of probes over the entire sweep.
 #[derive(Debug, Default)]
 pub struct SoloCache {
-    #[allow(clippy::type_complexity)]
-    map: FxHashMap<(u32, bool, Vec<(Bandwidth, Bandwidth, Duration)>), Duration>,
+    /// Every distinct crossing triple seen so far; a triple's index is
+    /// its *shape id*, stable for the life of the cache. `u32`, because a
+    /// fabric with per-link degradations has as many shapes as links.
+    shapes: Vec<Shape>,
+    map: FxHashMap<(u32, bool, Vec<Shape>), Duration>,
 }
 
 impl SoloCache {
@@ -124,32 +137,42 @@ impl SoloCache {
     pub fn probes(&self) -> usize {
         self.map.len()
     }
+
+    /// The shape id of crossing triple `t`, assigned on first sight. A
+    /// linear scan: a fabric has a handful of distinct triples, and the
+    /// callers look up once per cluster, not per flow.
+    pub(crate) fn shape_id(&mut self, t: Shape) -> u32 {
+        let i = self.shapes.iter().position(|&s| s == t).unwrap_or_else(|| {
+            self.shapes.push(t);
+            self.shapes.len() - 1
+        });
+        u32::try_from(i).expect("fewer than 2^32 crossing shapes")
+    }
 }
 
 /// Packed solo key: size (32b) | write (1b) | hop count (3b) | 4 × 6-bit
-/// shape ids — usable whenever the route has ≤ 4 hops over ≤ 64 distinct
-/// crossing-parameter shapes, which covers every leaf-spine fabric.
-/// Callers guarantee the ≤ 64-shape side.
-pub(crate) fn pack_solo_key<I: ExactSizeIterator<Item = u8>>(
-    size: u32,
-    write: bool,
-    ids: I,
-) -> Option<u64> {
+/// shape ids — usable whenever the route has ≤ 4 hops and every hop's
+/// shape id is below 64, which covers every leaf-spine fabric. Anything
+/// else goes through the structural key.
+fn pack_solo_key(size: u32, write: bool, ids: impl ExactSizeIterator<Item = u32>) -> Option<u64> {
     if ids.len() > 4 {
         return None;
     }
     let mut k = size as u64 | (write as u64) << 32 | (ids.len() as u64) << 33;
     for (j, id) in ids.enumerate() {
+        if id >= 64 {
+            return None;
+        }
         k |= (id as u64) << (36 + 6 * j);
     }
     Some(k)
 }
 
 /// Per-scenario unloaded-baseline prober: a packed-key fast path over
-/// per-scenario shape ids (a linear scan — a scenario sees one entry
-/// per (size, kind, hop-shape) combination, typically under a couple
-/// dozen), falling back to the structural, scenario-stable
-/// [`SoloCache`] and ultimately the exact [`TopoEdm::solo_mct`] probe.
+/// shape ids (a linear scan — a scenario sees one entry per (size, kind,
+/// hop-shape) combination, typically under a couple dozen), falling back
+/// to the structural [`SoloCache`] key and ultimately the exact
+/// [`TopoEdm::solo_mct`] probe.
 pub(crate) struct SoloProber<'a> {
     prober: TopoEdm,
     solo: &'a mut SoloCache,
@@ -165,24 +188,29 @@ impl<'a> SoloProber<'a> {
         }
     }
 
-    /// The flow's unloaded completion time; `triples` materializes the
-    /// route's crossing-parameter sequence only on a fast-path miss.
+    /// The flow's unloaded completion time; `ids` are the shape ids
+    /// ([`SoloCache::shape_id`]) of its crossings in path order.
     pub(crate) fn unloaded(
         &mut self,
         topo: &Topology,
         flow: &Flow,
-        packed: Option<u64>,
-        triples: impl FnOnce() -> Vec<(Bandwidth, Bandwidth, Duration)>,
+        ids: impl ExactSizeIterator<Item = u32> + Clone,
     ) -> Duration {
+        let write = flow.kind == FlowKind::Write;
+        let packed = pack_solo_key(flow.size, write, ids.clone());
         if let Some(d) = packed.and_then(|k| self.fast.iter().find(|e| e.0 == k).map(|e| e.1)) {
             return d;
         }
-        let key = (flow.size, flow.kind == FlowKind::Write, triples());
-        let d = *self.solo.map.entry(key).or_insert_with(|| {
-            self.prober
-                .solo_mct(topo, flow)
-                .expect("a decomposed flow has a route")
-        });
+        let triples = ids.map(|id| self.solo.shapes[id as usize]).collect();
+        let d = *self
+            .solo
+            .map
+            .entry((flow.size, write, triples))
+            .or_insert_with(|| {
+                self.prober
+                    .solo_mct(topo, flow)
+                    .expect("a decomposed flow has a route")
+            });
         if let Some(k) = packed {
             self.fast.push((k, d));
         }
@@ -210,11 +238,10 @@ pub fn compose<D: AsRef<[Duration]>>(
 /// Solo baselines come from `solo`, which outlives one composition —
 /// hand the same cache to every scenario of a sweep.
 ///
-/// This runs once per scenario over every flow, so the per-flow solo
-/// lookup goes through a packed one-word key over per-scenario *shape
-/// ids* (a fabric has a handful of distinct crossing parameter triples);
-/// only a first-seen shape sequence falls back to the structural
-/// [`SoloCache`] key, which persists across scenarios.
+/// This visits every flow, so the per-flow solo lookup goes through a
+/// packed one-word key over *shape ids* (a fabric has a handful of
+/// distinct crossing parameter triples); only a first-seen shape
+/// sequence falls back to the structural [`SoloCache`] key.
 pub fn compose_cached<D: AsRef<[Duration]>>(
     topo: &Topology,
     cfg: &TopoEdmConfig,
@@ -237,49 +264,24 @@ pub fn compose_cached<D: AsRef<[Duration]>>(
             hop_excess.record_duration(q);
         }
     }
-    // Per-scenario shape ids: cluster index → index of its crossing
-    // parameter triple.
-    let mut shapes: Vec<(Bandwidth, Bandwidth, Duration)> = Vec::new();
-    let shape_id: Vec<u8> = decomp
+    // Cluster index → shape id of its crossing parameter triple.
+    let shape_id: Vec<u32> = decomp
         .clusters
         .iter()
-        .map(|c| {
-            let t = (
-                c.profile.sched_bandwidth,
-                c.profile.link_bandwidth,
-                c.profile.latency,
-            );
-            match shapes.iter().position(|&s| s == t) {
-                Some(i) => i as u8,
-                None => {
-                    shapes.push(t);
-                    shapes.len() as u8 - 1
-                }
-            }
-        })
+        .map(|c| solo.shape_id(c.profile.shape()))
         .collect();
-    let packable = shapes.len() <= 64;
     let mut probe = SoloProber::new(cfg, solo);
-    let outcomes = (0..decomp.flows.len())
+    let outcomes: Vec<TopoOutcome> = (0..decomp.flows.len())
         .map(|i| {
             let fp = &decomp.flows[i];
             let status = match decomp.hops(i) {
                 None => FlowStatus::Failed(fp.flow.arrival),
                 Some(hops) => {
-                    let packed = if packable {
-                        pack_solo_key(
-                            fp.flow.size,
-                            fp.flow.kind == FlowKind::Write,
-                            hops.iter().map(|h| shape_id[h.cluster as usize]),
-                        )
-                    } else {
-                        None
-                    };
-                    let unloaded = probe.unloaded(topo, &fp.flow, packed, || {
-                        hops.iter()
-                            .map(|h| shapes[shape_id[h.cluster as usize] as usize])
-                            .collect()
-                    });
+                    let unloaded = probe.unloaded(
+                        topo,
+                        &fp.flow,
+                        hops.iter().map(|h| shape_id[h.cluster as usize]),
+                    );
                     let queued = combine.apply(
                         hops.iter()
                             .map(|h| delays[h.cluster as usize].as_ref()[h.member as usize]),
@@ -294,6 +296,7 @@ pub fn compose_cached<D: AsRef<[Duration]>>(
         })
         .collect();
     ApproxResult {
+        recomposed: outcomes.len(),
         outcomes,
         clusters: decomp.clusters.len(),
         link_instances: decomp.link_instances,

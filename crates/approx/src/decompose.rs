@@ -95,6 +95,24 @@ pub struct ClusterProfile {
     pub members: Vec<LinkFlow>,
 }
 
+impl ClusterProfile {
+    /// The crossing-parameter triple (scheduler bandwidth, link
+    /// bandwidth, latency): what this link contributes to a member's
+    /// unloaded completion time.
+    pub(crate) fn shape(&self) -> (Bandwidth, Bandwidth, Duration) {
+        (self.sched_bandwidth, self.link_bandwidth, self.latency)
+    }
+
+    /// The profile's dedup hash; candidates that agree on it are
+    /// confirmed with full equality.
+    pub(crate) fn fx_hash(&self) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = crate::fxhash::FxHasher::default();
+        self.hash(&mut h);
+        h.finish()
+    }
+}
+
 /// Hand-rolled to pack each member into three words: profiles are
 /// hashed once per directed link per scenario (dedup *and* sweep-cache
 /// lookup), which makes this one of a sweep's hottest loops. The packing
@@ -199,16 +217,40 @@ pub struct ResolvedRoutes {
     /// Prefix offsets, `flows.len() + 1` entries; an empty span is an
     /// unroutable flow (a routable flow always has ≥ 2 crossings).
     spans: Vec<u32>,
-    /// Flows actually re-resolved by the call that built this (equals
-    /// the flow count for [`resolve_all`]; the interesting number for
-    /// [`resolve_delta`]).
-    pub rerouted: usize,
+    /// Flows actually re-resolved by the call that built this, ascending
+    /// (every flow for [`resolve_all`]); [`resolve_delta`] copied every
+    /// other span from its baseline verbatim.
+    resolved: Vec<u32>,
 }
 
 impl ResolvedRoutes {
     /// Flow `i`'s crossings, empty if unroutable.
     pub fn span(&self, i: usize) -> &[CrossRec] {
         &self.recs[self.spans[i] as usize..self.spans[i + 1] as usize]
+    }
+
+    /// Where flow `i`'s span starts in the crossing arena — with the hop
+    /// index, a dense key over every crossing of every flow.
+    pub(crate) fn offset(&self, i: usize) -> usize {
+        self.spans[i] as usize
+    }
+
+    /// The flows the call that built this re-resolved — for
+    /// [`resolve_delta`], the only ones whose spans can differ from the
+    /// baseline's.
+    pub(crate) fn resolved(&self) -> &[u32] {
+        &self.resolved
+    }
+
+    /// How many flows that was (the flow count for [`resolve_all`]; the
+    /// interesting number for [`resolve_delta`]).
+    pub fn rerouted(&self) -> usize {
+        self.resolved.len()
+    }
+
+    /// Crossings of all flows together.
+    pub(crate) fn crossings(&self) -> usize {
+        self.recs.len()
     }
 
     /// Number of flows covered.
@@ -275,7 +317,7 @@ pub fn resolve_all(topo: &Topology, flows: &[Flow]) -> ResolvedRoutes {
     let mut routes = ResolvedRoutes {
         recs: Vec::with_capacity(flows.len() * 4),
         spans: Vec::with_capacity(flows.len() + 1),
-        rerouted: flows.len(),
+        resolved: (0..flows.len() as u32).collect(),
     };
     routes.spans.push(0);
     for flow in flows {
@@ -314,7 +356,7 @@ pub fn resolve_delta(
     let mut routes = ResolvedRoutes {
         recs: Vec::with_capacity(prev.recs.len()),
         spans: Vec::with_capacity(flows.len() + 1),
-        rerouted: 0,
+        resolved: Vec::new(),
     };
     routes.spans.push(0);
     for (i, flow) in flows.iter().enumerate() {
@@ -333,7 +375,7 @@ pub fn resolve_delta(
                 .iter()
                 .any(|r| dirty[r.switch as usize * n + d_sw as usize]);
         if affected {
-            routes.rerouted += 1;
+            routes.resolved.push(i as u32);
             if let Some(route) = resolve_route(topo, flow) {
                 routes.push_route(&route);
             }
@@ -468,8 +510,6 @@ pub fn bucket(
     flows: &[Flow],
     routes: &ResolvedRoutes,
 ) -> Decomposition {
-    use std::hash::{Hash, Hasher};
-
     assert_eq!(routes.len(), flows.len(), "routes must cover these flows");
     let snap = snap_links(topo);
     let sched_bw: Vec<Bandwidth> = (0..topo.switch_count() as u32)
@@ -572,9 +612,7 @@ pub fn bucket(
             dsts: raw.dst_map.len() as u16,
             members: raw.members,
         };
-        let mut h = crate::fxhash::FxHasher::default();
-        profile.hash(&mut h);
-        let candidates = canonical.entry(h.finish()).or_default();
+        let candidates = canonical.entry(profile.fx_hash()).or_default();
         match candidates
             .iter()
             .find(|&&c| clusters[c as usize].profile == profile)
@@ -726,10 +764,10 @@ mod tests {
                 assert_eq!(delta.span(i), full.span(i), "case {c}, flow {i}");
             }
             if c == 0 || c == 4 {
-                assert_eq!(delta.rerouted, 0, "case {c} cannot move any route");
+                assert_eq!(delta.rerouted(), 0, "case {c} cannot move any route");
             } else {
                 assert!(
-                    delta.rerouted < flows.len(),
+                    delta.rerouted() < flows.len(),
                     "case {c} must skip unaffected flows"
                 );
             }

@@ -1,14 +1,15 @@
 //! Delta decomposition: evaluate a what-if scenario against a cached
 //! healthy base, rebuilding only the clusters the fault actually
-//! touches.
+//! touches and recomposing only the flows those clusters carry.
 //!
 //! A what-if grid's per-scenario floor under the from-scratch path is
 //! the full re-bucket of every crossing plus a cache-key hash of every
 //! cluster — ~8 ms at a million crossings even when a fault moved
 //! nothing but one optics latency. [`SweepBase`] keeps, per (topology,
 //! workload) pair, the healthy decomposition *plus* each directed
-//! link's member list in pre-densification form and each base cluster's
-//! simulated delays. [`SweepBase::estimate_delta`] then:
+//! link's member list in pre-densification form, each base cluster's id
+//! in the sweep's [`SweepCache`], and each flow's healthy estimate
+//! (`BaseTerm`). [`SweepBase::estimate_delta`] then:
 //!
 //! 1. finds the flows a scenario can have perturbed — rerouted flows
 //!    (via [`resolve_delta`]'s span diff) plus flows crossing a link
@@ -21,9 +22,13 @@
 //!    [`bucket`] uses, so a rebuilt cluster is bit-identical to what a
 //!    from-scratch bucket would produce (`delta_matches_scratch` holds
 //!    the whole path to outcome equality);
-//! 3. replays only the rebuilt clusters (through the shared
-//!    [`SweepCache`], so symmetric rebuilds still dedup) and composes
-//!    flows against base delays plus a small overlay.
+//! 3. interns each rebuilt cluster in the shared [`SweepCache`] — one
+//!    hash per cluster, a replay only if the sweep has never seen that
+//!    profile — and notes, in a flat per-crossing overlay, which
+//!    (cluster, member) now stands behind each crossing of each member;
+//! 4. recomposes the flows with a crossing in a rebuilt cluster, reading
+//!    delays in place from the cache; every other flow's outcome is its
+//!    arrival plus its base term.
 //!
 //! When a fault perturbs most of the fabric (a spine kill rehashes
 //! every leaf's ECMP row), the rebuild would touch more clusters than
@@ -31,16 +36,15 @@
 //! falls back to the from-scratch bucket, which is cheaper than a
 //! mostly-total rebuild plus overlay bookkeeping.
 
-use std::hash::{Hash, Hasher};
+use std::borrow::Cow;
 
-use crate::compose::{pack_solo_key, SoloProber};
+use crate::compose::SoloProber;
 use crate::decompose::{
     bucket, resolve_all, resolve_delta, snap_links, walk_span, ClusterProfile, Decomposition,
-    LinkCluster, LinkFlow, ResolvedRoutes, TopoSignature,
+    LinkFlow, ResolvedRoutes, TopoSignature,
 };
-use crate::fxhash::{FxHashMap, FxHasher};
-use crate::{ApproxResult, Combine, SweepCache};
-use edm_core::sim::{Flow, FlowKind};
+use crate::{ApproxResult, ClusterId, Combine, SweepCache};
+use edm_core::sim::Flow;
 use edm_sim::{Bandwidth, Duration, LogHistogram, Time};
 use edm_topo::{FlowStatus, TopoEdmConfig, TopoOutcome, Topology};
 
@@ -50,6 +54,7 @@ use edm_topo::{FlowStatus, TopoEdmConfig, TopoOutcome, Topology};
 #[derive(Debug, Clone, Copy)]
 struct KeyMember {
     flow: u32,
+    bytes: u32,
     hop: u8,
     in_port: u16,
     out_port: u16,
@@ -71,21 +76,48 @@ fn dense(map: &mut Vec<u16>, raw: u16) -> u16 {
     }
 }
 
+/// One flow's healthy estimate, as the terms a scenario can reuse: the
+/// unloaded baseline and each [`Combine`] of the base excesses.
+///
+/// A flow that was not rerouted and crosses no link or granting switch
+/// whose parameters changed keeps its base crossing triples, so its
+/// [`crate::SoloCache`] key — and with it `unloaded` — is the base's
+/// (the assumption that cache already makes: a baseline depends on the
+/// route's shape, not on the scenario). If in addition none of its
+/// crossings sits in a rebuilt cluster, each crossing is still served by
+/// its base cluster at its base member position, and interned delays
+/// never change: `sum` and `bottleneck` are the base's too.
+#[derive(Debug, Clone, Copy, Default)]
+struct BaseTerm {
+    unloaded: Duration,
+    sum: Duration,
+    bottleneck: Duration,
+}
+
+impl BaseTerm {
+    fn queued(self, combine: Combine) -> Duration {
+        match combine {
+            Combine::Sum => self.sum,
+            Combine::Bottleneck => self.bottleneck,
+        }
+    }
+}
+
 /// A (topology, workload) pair's cached healthy decomposition, ready to
 /// answer what-if scenarios by delta rebuild. Build once per sweep axis
-/// with [`SweepBase::new`], fill the delay side with
-/// [`SweepBase::prime`] (or an external fan-out followed by
-/// [`SweepBase::adopt`]), then call
-/// [`SweepBase::estimate_delta`] per scenario.
+/// with [`SweepBase::new`], simulate it into the sweep's cache with
+/// [`SweepBase::prime`], then call [`SweepBase::estimate_delta`] per
+/// scenario with that same cache.
 #[derive(Debug)]
 pub struct SweepBase {
     cfg: TopoEdmConfig,
+    /// The healthy fabric: what [`prime`](Self::prime) probes baselines
+    /// on, and what a scenario's link states are diffed against.
+    topo: Topology,
     flows: Vec<Flow>,
     decomp: Decomposition,
     routes: ResolvedRoutes,
     sig: TopoSignature,
-    /// Per-link baseline (latency, bandwidth, up) for change detection.
-    link_state: Vec<(Duration, Bandwidth, bool)>,
     /// Per-switch baseline scheduler reference bandwidth.
     ref_bw: Vec<Bandwidth>,
     /// Per directed-link key: granting switch (`u32::MAX` when unused).
@@ -94,11 +126,10 @@ pub struct SweepBase {
     key_members: Vec<Vec<KeyMember>>,
     /// Per directed-link key: base cluster index (`u32::MAX` when unused).
     key_cluster: Vec<u32>,
-    /// Per base cluster: simulated delays, adopted from the sweep cache.
-    base_delays: Vec<Box<[Duration]>>,
-    /// Per base cluster: crossing-parameter shape id.
-    base_shape_id: Vec<u8>,
-    shapes: Vec<(Bandwidth, Bandwidth, Duration)>,
+    /// Per base cluster: its id in the cache the base was primed with.
+    base_ids: Vec<ClusterId>,
+    /// Per flow: the healthy estimate's terms (zero for an unroutable flow).
+    base_terms: Vec<BaseTerm>,
     /// Affected-key fraction above which [`Self::estimate_delta`]
     /// abandons the delta rebuild for a
     /// from-scratch bucket. Default 0.6; tests pin it to 0.0/1.0 to
@@ -114,11 +145,6 @@ impl SweepBase {
         let decomp = bucket(topo, cfg, &flows, &routes);
         let sig = TopoSignature::of(topo);
         let snap = snap_links(topo);
-        let link_state = topo
-            .links()
-            .iter()
-            .map(|l| (l.latency(), l.params.bandwidth, l.is_up()))
-            .collect();
         let ref_bw = (0..topo.switch_count() as u32)
             .map(|s| topo.reference_bandwidth(s))
             .collect();
@@ -134,6 +160,7 @@ impl SweepBase {
                 key_cluster[x.key] = hops.expect("non-empty span has hops")[h as usize].cluster;
                 key_members[x.key].push(KeyMember {
                     flow: i as u32,
+                    bytes: flow.size,
                     hop: h,
                     in_port: x.in_port,
                     out_port: x.out_port,
@@ -144,41 +171,24 @@ impl SweepBase {
                 h += 1;
             });
         }
-        let mut shapes: Vec<(Bandwidth, Bandwidth, Duration)> = Vec::new();
-        let base_shape_id = decomp
-            .clusters
-            .iter()
-            .map(|c| {
-                shape_of(
-                    &mut shapes,
-                    (
-                        c.profile.sched_bandwidth,
-                        c.profile.link_bandwidth,
-                        c.profile.latency,
-                    ),
-                )
-            })
-            .collect();
         SweepBase {
             cfg: cfg.clone(),
+            topo: topo.clone(),
             flows,
             decomp,
             routes,
             sig,
-            link_state,
             ref_bw,
             key_switch,
             key_members,
             key_cluster,
-            base_delays: Vec::new(),
-            base_shape_id,
-            shapes,
+            base_ids: Vec::new(),
+            base_terms: Vec::new(),
             fallback_fraction: 0.6,
         }
     }
 
-    /// The healthy decomposition — fan its clusters out however the
-    /// harness likes, then [`adopt`](Self::adopt) the cache.
+    /// The healthy decomposition.
     pub fn decomp(&self) -> &Decomposition {
         &self.decomp
     }
@@ -188,45 +198,47 @@ impl SweepBase {
         &self.flows
     }
 
-    /// Copies every base cluster's delays out of `cache` (which must
-    /// already hold them all — e.g. after a parallel fan-out), so delta
-    /// compositions never contend with the cache for borrows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a base cluster has no cached delays.
-    pub fn adopt(&mut self, cache: &SweepCache) {
-        self.base_delays = self
+    /// Interns every base cluster in `cache` (replaying the ones the
+    /// sweep has not seen) and computes each flow's healthy terms against
+    /// the interned delays. `cache` is from then on *the* cache of this
+    /// base: the ids kept here mean nothing to another one.
+    pub fn prime(&mut self, cache: &mut SweepCache) {
+        self.base_ids = self
             .decomp
             .clusters
             .iter()
-            .map(|c| {
-                cache
-                    .peek(c)
-                    .expect("every base cluster cached before adopt")
-                    .to_vec()
-                    .into_boxed_slice()
+            .map(|c| cache.intern(Cow::Borrowed(&c.profile), &self.cfg))
+            .collect();
+        let (interned, solo) = cache.split();
+        let mut probe = SoloProber::new(&self.cfg, solo);
+        self.base_terms = self
+            .flows
+            .iter()
+            .enumerate()
+            .map(|(i, flow)| {
+                let Some(hops) = self.decomp.hops(i) else {
+                    return BaseTerm::default();
+                };
+                let of = |h: &crate::HopRef| &interned[self.base_ids[h.cluster as usize].index()];
+                let unloaded = probe.unloaded(&self.topo, flow, hops.iter().map(|h| of(h).shape));
+                let excesses = || hops.iter().map(|h| of(h).delays[h.member as usize]);
+                BaseTerm {
+                    unloaded,
+                    sum: Combine::Sum.apply(excesses()),
+                    bottleneck: Combine::Bottleneck.apply(excesses()),
+                }
             })
             .collect();
-    }
-
-    /// Serially simulates every base cluster into `cache` and adopts
-    /// the delays — the no-fan-out convenience path.
-    pub fn prime(&mut self, cache: &mut SweepCache) {
-        for c in &self.decomp.clusters {
-            cache.ensure(c, &self.cfg);
-        }
-        self.adopt(cache);
     }
 
     /// Estimates one what-if scenario (`what_if` is the base fabric
     /// with faults applied — [`crate::apply_faults`]) by delta rebuild
     /// against this base, replaying only clusters the scenario
-    /// perturbs. Outcomes are identical to a from-scratch
-    /// [`crate::ApproxEngine::estimate`] on `what_if`
-    /// (`delta_matches_scratch` pins this); `hop_excess` may count a
-    /// rebuilt cluster separately from an identical retained one where
-    /// a from-scratch dedup would merge them.
+    /// perturbs and recomposing only the flows they carry. `cache` must
+    /// be the one this base was [`prime`](Self::prime)d with. The result
+    /// is identical to a from-scratch [`crate::ApproxEngine::estimate`]
+    /// on `what_if` in every field but `recomposed` (`delta_matches_scratch`
+    /// and `prop_approx` pin this).
     pub fn estimate_delta(
         &self,
         what_if: &Topology,
@@ -235,8 +247,12 @@ impl SweepBase {
     ) -> ApproxResult {
         let n = self.flows.len();
         assert!(
-            self.base_delays.len() == self.decomp.clusters.len(),
-            "prime or adopt the base before estimating deltas"
+            self.base_ids.len() == self.decomp.clusters.len() && self.base_terms.len() == n,
+            "prime the base before estimating deltas"
+        );
+        assert!(
+            self.base_ids.iter().all(|id| id.index() < cache.len()),
+            "estimate against the cache the base was primed with"
         );
         let routes_new = resolve_delta(what_if, &self.flows, &self.routes, &self.sig);
         let snap_new = snap_links(what_if);
@@ -246,14 +262,9 @@ impl SweepBase {
         // (their own and downstream demand arrivals shift), and flows
         // granted by a switch whose reference bandwidth moved.
         let mut touched = vec![false; n];
-        let links = what_if.links();
-        for (l, st) in self.link_state.iter().enumerate() {
-            let cur = (
-                links[l].latency(),
-                links[l].params.bandwidth,
-                links[l].is_up(),
-            );
-            if cur != *st {
+        let state = |l: &edm_topo::Link| (l.latency(), l.params.bandwidth, l.is_up());
+        for (l, (was, is)) in self.topo.links().iter().zip(what_if.links()).enumerate() {
+            if state(was) != state(is) {
                 for k in l * 3..l * 3 + 3 {
                     for m in &self.key_members[k] {
                         touched[m.flow as usize] = true;
@@ -261,8 +272,11 @@ impl SweepBase {
                 }
             }
         }
-        for (s, &bw) in self.ref_bw.iter().enumerate() {
-            if what_if.reference_bandwidth(s as u32) != bw {
+        let ref_bw_new: Vec<Bandwidth> = (0..self.ref_bw.len() as u32)
+            .map(|s| what_if.reference_bandwidth(s))
+            .collect();
+        for (s, (new, old)) in ref_bw_new.iter().zip(&self.ref_bw).enumerate() {
+            if new != old {
                 for (k, &sw) in self.key_switch.iter().enumerate() {
                     if sw == s as u32 {
                         for m in &self.key_members[k] {
@@ -272,12 +286,9 @@ impl SweepBase {
                 }
             }
         }
-        if routes_new.rerouted > 0 {
-            for (i, t) in touched.iter_mut().enumerate() {
-                if !*t && routes_new.span(i) != self.routes.span(i) {
-                    *t = true;
-                }
-            }
+        for &i in routes_new.resolved() {
+            let i = i as usize;
+            touched[i] |= routes_new.span(i) != self.routes.span(i);
         }
 
         // Affected directed links: everything a perturbed flow crosses,
@@ -307,7 +318,7 @@ impl SweepBase {
         if aff_keys.len() as f64 > self.fallback_fraction * self.decomp.link_instances as f64 {
             let d = bucket(what_if, &self.cfg, &self.flows, &routes_new);
             for c in &d.clusters {
-                cache.ensure(c, &self.cfg);
+                cache.intern(Cow::Borrowed(&c.profile), &self.cfg);
             }
             return cache.compose(what_if, &self.cfg, &d, combine);
         }
@@ -332,6 +343,7 @@ impl SweepBase {
                 }
                 additions[j].push(KeyMember {
                     flow: i as u32,
+                    bytes: flow.size,
                     hop: h,
                     in_port: x.in_port,
                     out_port: x.out_port,
@@ -345,11 +357,21 @@ impl SweepBase {
 
         // Rebuild each affected key: stored unaffected members merged
         // with the additions by flow index — reproducing the bucket's
-        // flow-input member order — then densified and deduplicated.
-        let mut fresh: Vec<LinkCluster> = Vec::new();
-        let mut canonical: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        let mut overlay: FxHashMap<u64, (u32, u32)> = FxHashMap::default();
+        // flow-input member order — then densified and interned. The
+        // cache lookup is the dedup: affected links whose rebuilt
+        // profiles coincide get one id.
+        //
+        // `overlay[routes_new.offset(flow) + hop]` names the (rebuilt
+        // cluster, member) behind that crossing; it is written for
+        // *every* member of every rebuilt cluster, perturbed or not, so
+        // an untouched entry means "this crossing is the base's".
+        // Fresh per scenario, so nothing of the last one can show.
+        let mut overlay = vec![(ClusterId::NONE, 0u32); routes_new.crossings()];
         let mut consults_overlay = vec![false; n];
+        // Per cluster id: referenced in this scenario already?
+        let mut seen = vec![false; cache.len()];
+        // The scenario's clusters: first the rebuilt ones, one entry each.
+        let mut clusters: Vec<ClusterId> = Vec::new();
         let (mut emptied, mut created) = (0usize, 0usize);
         let mut merged: Vec<KeyMember> = Vec::new();
         for (j, &k) in aff_keys.iter().enumerate() {
@@ -394,14 +416,13 @@ impl SweepBase {
                 created += 1;
             }
             let (lat, bw, _) = snap_new[k / 3];
-            let sched = what_if.reference_bandwidth(aff_switch[j]);
             let mut src_map: Vec<u16> = Vec::new();
             let mut dst_map: Vec<u16> = Vec::new();
             let members: Vec<LinkFlow> = merged
                 .iter()
                 .map(|m| LinkFlow {
                     arrival: m.arrival,
-                    bytes: self.flows[m.flow as usize].size,
+                    bytes: m.bytes,
                     src: dense(&mut src_map, m.in_port),
                     dst: dense(&mut dst_map, m.out_port),
                     limit: m.limit,
@@ -409,187 +430,118 @@ impl SweepBase {
                 })
                 .collect();
             let profile = ClusterProfile {
-                sched_bandwidth: sched,
+                sched_bandwidth: ref_bw_new[aff_switch[j] as usize],
                 link_bandwidth: bw,
                 latency: lat,
                 srcs: src_map.len() as u16,
                 dsts: dst_map.len() as u16,
                 members,
             };
-            let mut hasher = FxHasher::default();
-            profile.hash(&mut hasher);
-            let candidates = canonical.entry(hasher.finish()).or_default();
-            let fi = match candidates
-                .iter()
-                .find(|&&c| fresh[c as usize].profile == profile)
-            {
-                Some(&c) => {
-                    fresh[c as usize].instances += 1;
-                    c
-                }
-                None => {
-                    let c = fresh.len() as u32;
-                    candidates.push(c);
-                    fresh.push(LinkCluster {
-                        profile,
-                        instances: 1,
-                    });
-                    c
-                }
-            };
+            // Replays only what the sweep has never seen; a cluster is
+            // tallied once per scenario, like a from-scratch estimate
+            // would tally it.
+            let (id, hit) = cache.lookup(Cow::Owned(profile), &self.cfg);
+            if first_sight(&mut seen, id) {
+                cache.tally(hit);
+                clusters.push(id);
+            }
             for (pos, m) in merged.iter().enumerate() {
-                overlay.insert((m.flow as u64) << 8 | m.hop as u64, (fi, pos as u32));
+                overlay[routes_new.offset(m.flow as usize) + m.hop as usize] = (id, pos as u32);
                 consults_overlay[m.flow as usize] = true;
             }
         }
 
-        // Replay only the rebuilt clusters (the shared cache dedups
-        // symmetric rebuilds across scenarios too), then copy their
-        // delays out so composition doesn't contend for the cache.
-        for c in &fresh {
-            cache.ensure(c, &self.cfg);
-        }
-        let fresh_delays: Vec<Box<[Duration]>> = fresh
-            .iter()
-            .map(|c| {
-                cache
-                    .peek(c)
-                    .expect("just ensured")
-                    .to_vec()
-                    .into_boxed_slice()
-            })
-            .collect();
-
-        // Merged per-crossing excesses: retained base clusters (those
-        // still serving at least one unaffected directed link) plus the
-        // rebuilt ones.
-        let mut retained = vec![false; self.decomp.clusters.len()];
+        // Then every base cluster still serving at least one unaffected
+        // directed link — by id, so a rebuilt profile equal to a retained
+        // one counts once, as a from-scratch dedup would count it.
         for (k, &c) in self.key_cluster.iter().enumerate() {
             if c != u32::MAX && !aff_mark[k] {
-                retained[c as usize] = true;
-            }
-        }
-        let mut hop_excess = LogHistogram::new();
-        for (c, r) in retained.iter().enumerate() {
-            if *r {
-                for &q in &self.base_delays[c][..] {
-                    hop_excess.record_duration(q);
+                let id = self.base_ids[c as usize];
+                if first_sight(&mut seen, id) {
+                    clusters.push(id);
                 }
             }
         }
-        for d in &fresh_delays {
-            for &q in &d[..] {
+        let mut hop_excess = LogHistogram::new();
+        for &id in &clusters {
+            for &q in cache.delays(id) {
                 hop_excess.record_duration(q);
             }
         }
 
-        // Compose: per hop, overlay first (covers every member of a
-        // rebuilt cluster, perturbed or not), base otherwise.
-        let mut shapes = self.shapes.clone();
-        let fresh_shape_id: Vec<u8> = fresh
-            .iter()
-            .map(|c| {
-                shape_of(
-                    &mut shapes,
-                    (
-                        c.profile.sched_bandwidth,
-                        c.profile.link_bandwidth,
-                        c.profile.latency,
-                    ),
-                )
-            })
-            .collect();
-        let packable = shapes.len() <= 64;
-        let mut probe = SoloProber::new(&self.cfg, cache.solo_mut());
-        // Per-hop scratch: (rebuilt?, cluster, member), reused across flows.
-        let mut hops: Vec<(bool, u32, u32)> = Vec::new();
+        // Compose. Only a flow with a crossing in a rebuilt cluster is
+        // recombined hop by hop — overlay first, base otherwise — and
+        // only a perturbed one (all its links were rebuilt) re-probes its
+        // baseline; everything else is a base term (see [`BaseTerm`]).
+        let (interned, solo) = cache.split();
+        let mut probe = SoloProber::new(&self.cfg, solo);
+        let mut recomposed = 0;
+        // Per-hop scratch: (cluster, member), reused across flows.
+        let mut hops: Vec<(ClusterId, u32)> = Vec::new();
         let outcomes: Vec<TopoOutcome> = (0..n)
             .map(|i| {
                 let flow = self.flows[i];
+                let base = self.base_terms[i];
+                recomposed += (touched[i] || consults_overlay[i]) as usize;
                 let span_len = routes_new.span(i).len();
-                if span_len == 0 {
-                    return TopoOutcome {
-                        flow,
-                        status: FlowStatus::Failed(flow.arrival),
-                    };
-                }
-                let base_hops = self.decomp.hops(i);
-                hops.clear();
-                for h in 0..span_len {
-                    let entry = if consults_overlay[i] {
-                        overlay.get(&((i as u64) << 8 | h as u64)).copied()
-                    } else {
-                        None
-                    };
-                    hops.push(match entry {
-                        Some((c, m)) => (true, c, m),
-                        None => {
-                            let hr = base_hops.expect("unperturbed flow keeps its base hops")[h];
-                            (false, hr.cluster, hr.member)
-                        }
-                    });
-                }
-                let id_of = |&(rebuilt, c, _): &(bool, u32, u32)| {
-                    if rebuilt {
-                        fresh_shape_id[c as usize]
-                    } else {
-                        self.base_shape_id[c as usize]
-                    }
-                };
-                let packed = if packable {
-                    pack_solo_key(
-                        flow.size,
-                        flow.kind == FlowKind::Write,
-                        hops.iter().map(id_of),
-                    )
+                let status = if span_len == 0 {
+                    FlowStatus::Failed(flow.arrival)
+                } else if !consults_overlay[i] {
+                    FlowStatus::Delivered(flow.arrival + base.unloaded + base.queued(combine))
                 } else {
-                    None
-                };
-                let unloaded = probe.unloaded(what_if, &flow, packed, || {
-                    hops.iter().map(|h| shapes[id_of(h) as usize]).collect()
-                });
-                let queued = combine.apply(hops.iter().map(|&(rebuilt, c, m)| {
-                    if rebuilt {
-                        fresh_delays[c as usize][m as usize]
+                    let at = routes_new.offset(i);
+                    let base_hops = self.decomp.hops(i);
+                    hops.clear();
+                    hops.extend((0..span_len).map(|h| match overlay[at + h] {
+                        (ClusterId::NONE, _) => {
+                            let hr = base_hops.expect("unperturbed crossing keeps its base hop")[h];
+                            (self.base_ids[hr.cluster as usize], hr.member)
+                        }
+                        rebuilt => rebuilt,
+                    }));
+                    let unloaded = if touched[i] {
+                        probe.unloaded(
+                            what_if,
+                            &flow,
+                            hops.iter().map(|&(c, _)| interned[c.index()].shape),
+                        )
                     } else {
-                        self.base_delays[c as usize][m as usize]
-                    }
-                }));
-                TopoOutcome {
-                    flow,
-                    status: FlowStatus::Delivered(flow.arrival + unloaded + queued),
-                }
+                        base.unloaded
+                    };
+                    let queued = combine.apply(
+                        hops.iter()
+                            .map(|&(c, m)| interned[c.index()].delays[m as usize]),
+                    );
+                    FlowStatus::Delivered(flow.arrival + unloaded + queued)
+                };
+                TopoOutcome { flow, status }
             })
             .collect();
 
         ApproxResult {
             outcomes,
-            clusters: retained.iter().filter(|&&r| r).count() + fresh.len(),
+            clusters: clusters.len(),
             link_instances: self.decomp.link_instances - emptied + created,
             hop_excess,
+            recomposed,
         }
     }
 }
 
-/// Dense shape-id assignment shared by base construction and delta
-/// composition.
-fn shape_of(
-    shapes: &mut Vec<(Bandwidth, Bandwidth, Duration)>,
-    t: (Bandwidth, Bandwidth, Duration),
-) -> u8 {
-    match shapes.iter().position(|&s| s == t) {
-        Some(i) => i as u8,
-        None => {
-            shapes.push(t);
-            shapes.len() as u8 - 1
-        }
+/// Marks cluster `id` referenced in this scenario; true the first time.
+/// `seen` grows on demand: replays intern new ids mid-scenario.
+fn first_sight(seen: &mut Vec<bool>, id: ClusterId) -> bool {
+    if id.index() >= seen.len() {
+        seen.resize(id.index() + 1, false);
     }
+    !std::mem::replace(&mut seen[id.index()], true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{apply_faults, ApproxEngine};
+    use edm_core::sim::FlowKind;
     use edm_topo::{FaultKind, LeafSpine};
 
     fn workload(nodes: usize) -> Vec<Flow> {
@@ -694,10 +646,12 @@ mod tests {
     }
 
     /// A single-optic degradation must rebuild (and replay) only the
-    /// clusters along the flows that cross it — the cheapness the
-    /// delta path exists for.
+    /// clusters along the flows that cross it, and recompose only the
+    /// flows those clusters carry — the cheapness the delta path exists
+    /// for, as exact counts. A "what-if" that changes nothing does none
+    /// of either.
     #[test]
-    fn degrade_replays_only_affected_clusters() {
+    fn degrade_replays_and_recomposes_only_what_it_perturbs() {
         let spec = LeafSpine::symmetric(4, 2, 8, 2);
         let healthy = Topology::leaf_spine(spec);
         let cfg = TopoEdmConfig::default();
@@ -705,7 +659,13 @@ mod tests {
         let mut base = SweepBase::new(&healthy, &cfg, flows.clone());
         let mut cache = SweepCache::new();
         base.prime(&mut cache);
-        let cold = cache.misses();
+        let (cold, served) = (cache.misses(), cache.hits());
+
+        let same = base.estimate_delta(&healthy, Combine::Sum, &mut cache);
+        assert_eq!(same.recomposed, 0);
+        assert_eq!((cache.misses(), cache.hits()), (cold, served));
+        assert_eq!(same.clusters, base.decomp().clusters.len());
+
         let mut what_if = Topology::leaf_spine(spec);
         apply_faults(
             &mut what_if,
@@ -714,11 +674,70 @@ mod tests {
                 extra: Duration::from_ns(250),
             }],
         );
-        base.estimate_delta(&what_if, Combine::Sum, &mut cache);
+        let r = base.estimate_delta(&what_if, Combine::Sum, &mut cache);
         let replays = cache.misses() - cold;
         assert!(
             replays * 4 < cold,
             "one access degradation replayed {replays} of {cold} clusters"
         );
+        // Node 0's two dozen flows drag in everyone sharing a trunk with
+        // them: a third of this small fabric's flows, never most.
+        assert!(
+            r.recomposed > 0 && r.recomposed * 2 < flows.len(),
+            "one access degradation recomposed {} of {} flows",
+            r.recomposed,
+            flows.len()
+        );
+        let scratch = ApproxEngine::new(cfg).estimate(&what_if, &flows);
+        assert_eq!(scratch.recomposed, flows.len());
+    }
+
+    /// More than 256 distinct crossing shapes — every access link
+    /// degraded by its own amount — used to alias shape ids (`u8`): a
+    /// flow was handed another route shape's unloaded baseline in
+    /// release builds, and debug builds overflowed. Lone flows queue
+    /// nowhere, so each estimate must *be* the exact engine's answer, on
+    /// the from-scratch and the delta path alike.
+    #[test]
+    fn three_hundred_shapes_keep_their_own_baselines() {
+        let spec = LeafSpine::symmetric(4, 1, 100, 1);
+        let healthy = Topology::leaf_spine(spec);
+        let nodes = healthy.nodes();
+        let mut slowed = healthy.clone();
+        let faults: Vec<FaultKind> = (0..nodes)
+            .map(|i| FaultKind::DegradeLink {
+                link: healthy.node_link(i),
+                extra: Duration::from_ns(1 + i as u64),
+            })
+            .collect();
+        apply_faults(&mut slowed, &faults);
+        let flows: Vec<Flow> = (0..300usize)
+            .map(|i| Flow {
+                id: i,
+                src: i,
+                dst: nodes - 1,
+                size: 64,
+                arrival: Time::ZERO + Duration::from_us(50 * i as u64),
+                kind: FlowKind::Write,
+            })
+            .collect();
+        let cfg = TopoEdmConfig::default();
+        let exact = edm_topo::TopoEdm::new(cfg.clone()).simulate(&slowed, &flows);
+
+        let scratch = ApproxEngine::new(cfg.clone()).estimate(&slowed, &flows);
+        let mut base = SweepBase::new(&healthy, &cfg, flows.clone());
+        base.fallback_fraction = 1.01;
+        let mut cache = SweepCache::new();
+        base.prime(&mut cache);
+        let delta = base.estimate_delta(&slowed, Combine::Sum, &mut cache);
+        assert!(
+            cache.solo_probes() > 256,
+            "the case must cross the old id width"
+        );
+        for (path, est) in [("scratch", &scratch), ("delta", &delta)] {
+            for (i, (e, x)) in est.outcomes.iter().zip(&exact.outcomes).enumerate() {
+                assert_eq!(e.status, x.status, "{path}: lone flow {i}");
+            }
+        }
     }
 }

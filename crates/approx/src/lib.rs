@@ -55,6 +55,8 @@ pub use decompose::{
 pub use delta::SweepBase;
 pub use linksim::{simulate_batch, simulate_cluster, ClusterDelays};
 
+use std::borrow::Cow;
+
 use crate::fxhash::FxHashMap;
 use crate::linksim::{DomainPool, SoloMemo};
 use edm_core::sim::Flow;
@@ -90,19 +92,55 @@ pub fn apply_faults(topo: &mut Topology, faults: &[FaultKind]) {
     }
 }
 
-/// Sweep-level memo: simulated cluster delays keyed by the cluster's
-/// dedup signature, plus the exact unloaded baselines ([`SoloCache`]).
-/// Across a what-if grid most links' flow profiles are identical from
-/// scenario to scenario (a fault only reshapes the clusters of links
-/// whose crossing flows rerouted), so consecutive scenarios hit mostly
-/// cache — the grid pays for the clusters that *changed*.
-/// Cached delays are bare excess slices, not [`ClusterDelays`]: a grid's
-/// cache holds thousands of clusters, and the per-cluster histogram
-/// (~32 KB each) is cheap to rebuild from the excesses at composition
-/// time but expensive to keep resident.
+/// Handle to one cluster interned in a [`SweepCache`]: dense, and stable
+/// for the life of that cache (entries are only ever appended), so a
+/// [`SweepBase`] can hold its base clusters' ids across every scenario of
+/// a sweep. Meaningless to any other cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClusterId(u32);
+
+impl ClusterId {
+    /// Marks "no cluster" in the delta path's flat per-crossing overlay.
+    pub(crate) const NONE: ClusterId = ClusterId(u32::MAX);
+
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// One interned cluster: its signature, its simulated per-member
+/// excesses, and the shape id ([`SoloCache`]) of its crossing triple.
+#[derive(Debug)]
+pub(crate) struct Interned {
+    profile: ClusterProfile,
+    pub(crate) delays: Box<[Duration]>,
+    pub(crate) shape: u32,
+    /// Next entry whose profile hashes alike ([`ClusterId::NONE`] ends
+    /// the chain) — collisions are resolved by full profile equality.
+    next: ClusterId,
+}
+
+/// Sweep-level memo: every distinct cluster signature the sweep has
+/// seen, interned once with its simulated delays, plus the exact
+/// unloaded baselines ([`SoloCache`]). Across a what-if grid most links'
+/// flow profiles are identical from scenario to scenario (a fault only
+/// reshapes the clusters of links whose crossing flows rerouted), so
+/// consecutive scenarios hit mostly cache — the grid pays for the
+/// clusters that *changed*.
+///
+/// A lookup ([`intern`](Self::intern)) hashes the profile — its whole
+/// member list — exactly once, moves an owned profile in on a miss, and
+/// hands back a [`ClusterId`]; delays are then read in place
+/// ([`delays`](Self::delays)), never copied out. Cached delays are bare
+/// excess slices, not [`ClusterDelays`]: a grid's cache holds thousands
+/// of clusters, and the per-cluster histogram (~32 KB each) is cheap to
+/// rebuild from the excesses at composition time but expensive to keep
+/// resident.
 #[derive(Debug, Default)]
 pub struct SweepCache {
-    map: FxHashMap<ClusterProfile, Box<[Duration]>>,
+    /// Profile hash → head of the chain of entries hashing to it.
+    index: FxHashMap<u64, ClusterId>,
+    entries: Vec<Interned>,
     mini: SoloMemo,
     pool: DomainPool,
     solo: SoloCache,
@@ -121,7 +159,7 @@ impl SweepCache {
         self.hits
     }
 
-    /// Cluster simulations actually replayed (or [`insert`](Self::insert)ed).
+    /// Cluster simulations actually replayed.
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -131,38 +169,93 @@ impl SweepCache {
         self.solo.probes()
     }
 
-    /// The cached per-member excesses for `cluster`'s signature, without
-    /// tallying — harnesses that fan misses out over worker threads use
-    /// this to split hits from misses, then [`insert`](Self::insert) the
-    /// simulated misses and [`note_hits`](Self::note_hits) the rest.
-    pub fn peek(&self, cluster: &LinkCluster) -> Option<&[Duration]> {
-        self.map.get(&cluster.profile).map(|d| &d[..])
+    /// Clusters interned so far; every [`ClusterId`] this cache handed
+    /// out indexes below it.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
     }
 
-    /// Records an externally simulated cluster — tallied as a miss.
-    pub fn insert(&mut self, cluster: &LinkCluster, delays: ClusterDelays) {
-        self.misses += 1;
-        self.map
-            .insert(cluster.profile.clone(), delays.excess.into_boxed_slice());
+    /// Takes the two fields rather than `&self` so composition can hold
+    /// the entries while it mutates the solo half.
+    fn find(
+        index: &FxHashMap<u64, ClusterId>,
+        entries: &[Interned],
+        hash: u64,
+        profile: &ClusterProfile,
+    ) -> Option<ClusterId> {
+        let mut at = *index.get(&hash)?;
+        while at != ClusterId::NONE {
+            let e = &entries[at.index()];
+            if e.profile == *profile {
+                return Some(at);
+            }
+            at = e.next;
+        }
+        None
     }
 
-    /// Tallies cache hits counted externally (the [`peek`](Self::peek) /
-    /// [`insert`](Self::insert) fan-out protocol).
-    pub fn note_hits(&mut self, n: u64) {
-        self.hits += n;
+    /// Finds `profile`'s entry, replaying the cluster in-process first if
+    /// the sweep has not seen it; says whether it was a hit. Tallies
+    /// nothing: the delta rebuild counts a cluster once per scenario
+    /// however many of its links collapse onto it.
+    pub(crate) fn lookup(
+        &mut self,
+        profile: Cow<'_, ClusterProfile>,
+        cfg: &TopoEdmConfig,
+    ) -> (ClusterId, bool) {
+        let hash = profile.fx_hash();
+        if let Some(id) = Self::find(&self.index, &self.entries, hash, &profile) {
+            return (id, true);
+        }
+        let delays = linksim::simulate_memo(&profile, cfg, &mut self.mini, &mut self.pool);
+        let id = u32::try_from(self.entries.len()).map_or(ClusterId::NONE, ClusterId);
+        assert!(
+            id != ClusterId::NONE,
+            "fewer than 2^32 - 1 clusters per sweep"
+        );
+        let next = self.index.insert(hash, id).unwrap_or(ClusterId::NONE);
+        let shape = self.solo.shape_id(profile.shape());
+        self.entries.push(Interned {
+            profile: profile.into_owned(),
+            delays: delays.excess.into_boxed_slice(),
+            shape,
+            next,
+        });
+        (id, false)
     }
 
-    /// Ensures `cluster`'s delays are cached, replaying in-process on a
-    /// miss; tallies either way.
-    pub fn ensure(&mut self, cluster: &LinkCluster, cfg: &TopoEdmConfig) {
-        if self.map.contains_key(&cluster.profile) {
+    pub(crate) fn tally(&mut self, hit: bool) {
+        if hit {
             self.hits += 1;
         } else {
             self.misses += 1;
-            let d = linksim::simulate_memo(cluster, cfg, &mut self.mini, &mut self.pool);
-            self.map
-                .insert(cluster.profile.clone(), d.excess.into_boxed_slice());
         }
+    }
+
+    /// Interns `profile`: one hash of the profile, an in-process replay
+    /// if the sweep has not seen it (tallied a miss; an owned profile is
+    /// moved in, a borrowed one cloned), a hit otherwise. The returned id
+    /// reads the delays in place via [`delays`](Self::delays).
+    pub fn intern(&mut self, profile: Cow<'_, ClusterProfile>, cfg: &TopoEdmConfig) -> ClusterId {
+        let (id, hit) = self.lookup(profile, cfg);
+        self.tally(hit);
+        id
+    }
+
+    /// The per-member excesses of interned cluster `id`, indexed like its
+    /// profile's `members`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` came from another cache with fewer entries.
+    pub fn delays(&self, id: ClusterId) -> &[Duration] {
+        &self.entries[id.index()].delays
+    }
+
+    /// The interned clusters and the solo-baseline half, borrowed apart:
+    /// composition probes baselines (mutably) while reading delays.
+    pub(crate) fn split(&mut self) -> (&[Interned], &mut SoloCache) {
+        (&self.entries, &mut self.solo)
     }
 
     /// The solo-baseline half of the cache, for [`compose_cached`].
@@ -171,8 +264,8 @@ impl SweepCache {
     }
 
     /// Composes `decomp` against this cache's delays without cloning
-    /// them. Every cluster must already be cached ([`ensure`](Self::ensure)
-    /// or [`insert`](Self::insert)).
+    /// them. Every cluster must already be interned
+    /// ([`intern`](Self::intern)).
     ///
     /// # Panics
     ///
@@ -184,14 +277,14 @@ impl SweepCache {
         decomp: &Decomposition,
         combine: Combine,
     ) -> ApproxResult {
-        let (map, solo) = (&self.map, &mut self.solo);
+        let (entries, solo) = (&self.entries, &mut self.solo);
         let delays: Vec<&[Duration]> = decomp
             .clusters
             .iter()
             .map(|c| {
-                map.get(&c.profile)
-                    .map(|d| &d[..])
-                    .expect("every cluster simulated before composition")
+                let id = Self::find(&self.index, entries, c.profile.fx_hash(), &c.profile)
+                    .expect("every cluster simulated before composition");
+                &entries[id.index()].delays[..]
             })
             .collect();
         compose_cached(topo, cfg, decomp, &delays, combine, solo)
@@ -223,10 +316,8 @@ impl ApproxEngine {
 
     /// Estimates per-flow outcomes for `flows` on `topo`, simulating
     /// every cluster in-process. For grids, use
-    /// [`estimate_cached`](Self::estimate_cached); to fan clusters over
-    /// cores, drive the three stages directly (the `approx_sweep`
-    /// harness pushes [`decompose`](decompose())'s clusters through
-    /// `par_sweep`).
+    /// [`estimate_cached`](Self::estimate_cached), or a [`SweepBase`]
+    /// per (topology, workload) pair.
     pub fn estimate(&self, topo: &Topology, flows: &[Flow]) -> ApproxResult {
         let mut cache = SweepCache::new();
         self.estimate_cached(topo, flows, &mut cache)
@@ -242,7 +333,7 @@ impl ApproxEngine {
     ) -> ApproxResult {
         let d = decompose(topo, &self.cfg, flows);
         for c in &d.clusters {
-            cache.ensure(c, &self.cfg);
+            cache.intern(Cow::Borrowed(&c.profile), &self.cfg);
         }
         cache.compose(topo, &self.cfg, &d, self.combine)
     }
@@ -265,7 +356,7 @@ impl ApproxEngine {
         let routes = resolve_delta(topo, flows, baseline, base_sig);
         let d = bucket(topo, &self.cfg, flows, &routes);
         for c in &d.clusters {
-            cache.ensure(c, &self.cfg);
+            cache.intern(Cow::Borrowed(&c.profile), &self.cfg);
         }
         cache.compose(topo, &self.cfg, &d, self.combine)
     }

@@ -326,12 +326,11 @@ fn solo_of(
 /// asymptotic win over the exact engine comes from (Parsimon skips
 /// low-utilization links the same way).
 pub(crate) fn simulate_memo(
-    cluster: &LinkCluster,
+    profile: &ClusterProfile,
     cfg: &TopoEdmConfig,
     solo: &mut SoloMemo,
     pool: &mut DomainPool,
 ) -> ClusterDelays {
-    let profile = &cluster.profile;
     let m = profile.members.len();
 
     let mut service_max = Duration::ZERO;
@@ -394,24 +393,24 @@ pub(crate) fn simulate_memo(
 }
 
 /// Simulates one cluster's replay and returns per-member queueing
-/// excesses. Clusters are independent — fan them out with `par_sweep`.
+/// excesses. Clusters are independent of one another.
 pub fn simulate_cluster(cluster: &LinkCluster, cfg: &TopoEdmConfig) -> ClusterDelays {
     let mut solo = SoloMemo::default();
     let mut pool = DomainPool::default();
-    simulate_memo(cluster, cfg, &mut solo, &mut pool)
+    simulate_memo(&cluster.profile, cfg, &mut solo, &mut pool)
 }
 
-/// Simulates a batch of clusters on one worker, sharing one solo memo
-/// and domain pool across the whole batch. Sweep harnesses hand each
-/// `par_sweep` worker a batch of cache misses: per-cluster
-/// [`simulate_cluster`] would rebuild a [`edm_core::sim::SwitchDomain`]
-/// per replay, which costs more than the replays themselves.
+/// Simulates a batch of clusters, sharing one solo memo and domain pool
+/// across the whole batch: per-cluster [`simulate_cluster`] would
+/// rebuild a [`edm_core::sim::SwitchDomain`] per replay, which costs
+/// more than the replays themselves. ([`crate::SweepCache`] pools the
+/// same way across a whole sweep.)
 pub fn simulate_batch(clusters: &[&LinkCluster], cfg: &TopoEdmConfig) -> Vec<ClusterDelays> {
     let mut solo = SoloMemo::default();
     let mut pool = DomainPool::default();
     clusters
         .iter()
-        .map(|c| simulate_memo(c, cfg, &mut solo, &mut pool))
+        .map(|c| simulate_memo(&c.profile, cfg, &mut solo, &mut pool))
         .collect()
 }
 
@@ -501,13 +500,13 @@ mod tests {
         let mut solo = SoloMemo::default();
         let mut pool = DomainPool::default();
         for c in &clusters {
-            let pooled = simulate_memo(c, &cfg, &mut solo, &mut pool);
+            let pooled = simulate_memo(&c.profile, &cfg, &mut solo, &mut pool);
             let fresh = simulate_cluster(c, &cfg);
             assert_eq!(pooled.excess, fresh.excess);
         }
         // Round two drives the cursor far past every arrival.
         for c in &clusters {
-            let pooled = simulate_memo(c, &cfg, &mut solo, &mut pool);
+            let pooled = simulate_memo(&c.profile, &cfg, &mut solo, &mut pool);
             assert_eq!(pooled.excess, simulate_cluster(c, &cfg).excess);
         }
     }

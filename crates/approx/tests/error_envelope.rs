@@ -8,6 +8,14 @@
 //! envelope ([`edm_approx::P99_ERROR_BOUND`]). The `approx_sweep`
 //! harness measures the same quantities into `BENCH_approx.json`; this
 //! suite is the regression gate.
+//!
+//! One point sits deliberately *outside* the envelope: 4 KiB messages at
+//! load 0.7, where per-hop serialization couples the links and the
+//! independent replays miss correlated delay. It is pinned to a band,
+//! not a bound: a bound would only catch the breakdown getting worse,
+//! while an estimator change that silently "fixed" it — or a workload
+//! change that stopped exercising it — would leave the documentation
+//! describing a regime that no longer exists.
 
 use edm_approx::{apply_faults, ApproxEngine, P99_ERROR_BOUND};
 use edm_core::sim::Flow;
@@ -25,8 +33,9 @@ fn p(s: &mut Summary, q: f64) -> f64 {
     s.percentile(q)
 }
 
-/// Runs one exact-vs-approx comparison and asserts the envelope.
-fn assert_envelope(name: &str, topo: &Topology, cfg: &TopoEdmConfig, flows: &[Flow]) {
+/// Runs one exact-vs-approx comparison: the estimate's signed relative
+/// FCT error at p50 and p99 (negative: the estimator is optimistic).
+fn fct_errors(name: &str, topo: &Topology, cfg: &TopoEdmConfig, flows: &[Flow]) -> [f64; 2] {
     let exact = TopoEdm::new(cfg.clone()).simulate(topo, flows);
     // The estimator sees the post-fault fabric statically.
     let mut what_if = topo.clone();
@@ -48,24 +57,31 @@ fn assert_envelope(name: &str, topo: &Topology, cfg: &TopoEdmConfig, flows: &[Fl
         }
     }
     let mut es = est.mct_summary();
-    for q in [50.0, 99.0] {
+    [50.0, 99.0].map(|q| {
         let (x, e) = (p(&mut xs, q), p(&mut es, q));
-        let err = (e - x).abs() / x;
-        eprintln!("{name}: p{q:.0} exact {x:.0} ns, approx {e:.0} ns, err {err:.4}");
+        let err = (e - x) / x;
+        eprintln!("{name}: p{q:.0} exact {x:.0} ns, approx {e:.0} ns, err {err:+.4}");
+        err
+    })
+}
+
+/// Asserts both quantiles inside the documented envelope.
+fn assert_envelope(name: &str, topo: &Topology, cfg: &TopoEdmConfig, flows: &[Flow]) {
+    for err in fct_errors(name, topo, cfg, flows) {
         assert!(
-            err <= P99_ERROR_BOUND,
-            "{name}: p{q:.0} error {err:.4} exceeds the documented {P99_ERROR_BOUND} envelope"
+            err.abs() <= P99_ERROR_BOUND,
+            "{name}: error {err:+.4} exceeds the documented {P99_ERROR_BOUND} envelope"
         );
     }
 }
 
-fn rack_workload(load: f64, count: usize) -> RackAwareWorkload {
+fn rack_workload(load: f64, size: u32, count: usize) -> RackAwareWorkload {
     RackAwareWorkload {
         nodes: 288,
         racks: 4,
         link: Bandwidth::from_gbps(100),
         load,
-        size: 64,
+        size,
         write_fraction: 0.5,
         local_fraction: 0.5,
         count,
@@ -92,7 +108,7 @@ fn envelope_leaf_spine_288() {
     let topo = Topology::leaf_spine(LeafSpine::symmetric(4, 2, 72, 36));
     let cfg = TopoEdmConfig::default();
     for load in [0.4, 0.7] {
-        let flows = rack_workload(load, FLOWS).generate(42);
+        let flows = rack_workload(load, 64, FLOWS).generate(42);
         assert_envelope(&format!("leaf_spine_288/load_{load}"), &topo, &cfg, &flows);
     }
 }
@@ -114,6 +130,24 @@ fn envelope_fault_scenario_288() {
         at: Time::ZERO,
         kind: FaultKind::LinkDown(trunk),
     });
-    let flows = rack_workload(0.7, FLOWS).generate(42);
+    let flows = rack_workload(0.7, 64, FLOWS).generate(42);
     assert_envelope("leaf_spine_288/trunk_down/load_0.7", &topo, &cfg, &flows);
+}
+
+#[test]
+fn breakdown_regime_4k_stays_where_documented() {
+    // Measured on 2026-09-27, this fabric and load, p99 error by seed:
+    // 2000 flows −0.121 … −0.220 over seeds {42, 7, 1..6} (seed 42:
+    // −0.206); 4000 flows −0.191 … −0.227. Always an underestimate.
+    // Ceiling 0.30 leaves a third of headroom over the worst seed.
+    let topo = Topology::leaf_spine(LeafSpine::symmetric(4, 2, 72, 36));
+    let flows = rack_workload(0.7, 4096, FLOWS).generate(42);
+    let name = "leaf_spine_288/size_4096/load_0.7";
+    let [_, p99] = fct_errors(name, &topo, &TopoEdmConfig::default(), &flows);
+    assert!(
+        p99 < -P99_ERROR_BOUND && p99 > -0.30,
+        "{name}: p99 error {p99:+.4} left the documented breakdown band \
+         (-0.30, -{P99_ERROR_BOUND}): update docs/ARCHITECTURE.md and \
+         `approx_sweep`'s `asserted: false` point together with this pin"
+    );
 }

@@ -22,10 +22,11 @@
 //! (healthy, trunk cuts, optics degradation, spine kills, double trunk
 //! cuts, access cuts) = 105 scenarios. Scenarios share one
 //! [`edm_approx::SweepCache`]; each load's healthy point builds a
-//! [`edm_approx::SweepBase`] and fans its cold clusters over
-//! `par_sweep` workers ([`edm_approx::simulate_batch`]), fault
-//! variants go through [`edm_approx::SweepBase::estimate_delta`] so
-//! only the clusters a fault touches are rebuilt and replayed.
+//! [`edm_approx::SweepBase`] and replays its cold clusters into the
+//! cache ([`edm_approx::SweepBase::prime`]), fault variants go through
+//! [`edm_approx::SweepBase::estimate_delta`] so only the clusters a
+//! fault touches are rebuilt and replayed, and only the flows they
+//! carry recomposed.
 //! The whole grid runs `EDM_GRID_PASSES` times with fresh caches and
 //! each scenario reports its minimum wall-clock, the usual steal-noise
 //! defense on shared runners.
@@ -49,10 +50,8 @@
 
 use std::time::Instant;
 
-use edm_approx::{
-    apply_faults, simulate_batch, ApproxEngine, LinkCluster, SweepBase, SweepCache, P99_ERROR_BOUND,
-};
-use edm_bench::{par_sweep, row, scenarios};
+use edm_approx::{apply_faults, ApproxEngine, SweepBase, SweepCache, P99_ERROR_BOUND};
+use edm_bench::{row, scenarios};
 use edm_core::sim::Flow;
 use edm_sim::{Bandwidth, Duration, Summary, Time};
 use edm_topo::{FaultEvent, FaultKind, LeafSpine, TopoEdm, TopoEdmConfig, Topology};
@@ -243,47 +242,6 @@ fn variants(topo: &Topology) -> Vec<(String, Vec<FaultKind>)> {
         ));
     }
     v
-}
-
-/// Ensures every cluster in `clusters` has cached delays, fanning the
-/// cold ones over `par_sweep` workers — the cache's
-/// peek/insert/note_hits protocol.
-fn fanout_clusters(cfg: &TopoEdmConfig, clusters: &[LinkCluster], cache: &mut SweepCache) {
-    let mut hits = 0u64;
-    let mut miss: Vec<usize> = Vec::new();
-    for (i, c) in clusters.iter().enumerate() {
-        if cache.peek(c).is_some() {
-            hits += 1;
-        } else {
-            miss.push(i);
-        }
-    }
-    cache.note_hits(hits);
-    if !miss.is_empty() {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
-            .min(miss.len());
-        // Contiguous batches: neighbors in cluster order share port
-        // shapes, so each worker's domain pool stays hot.
-        let batches: Vec<Vec<usize>> = (0..workers)
-            .map(|w| {
-                let (lo, hi) = ((w * miss.len()) / workers, ((w + 1) * miss.len()) / workers);
-                miss[lo..hi].to_vec()
-            })
-            .collect();
-        let points: Vec<Vec<&LinkCluster>> = batches
-            .iter()
-            .map(|b| b.iter().map(|&i| &clusters[i]).collect())
-            .collect();
-        let results = par_sweep(points, |batch| simulate_batch(&batch, cfg));
-        for (b, ds) in batches.iter().zip(results) {
-            for (&i, dl) in b.iter().zip(ds) {
-                cache.insert(&clusters[i], dl);
-            }
-        }
-    }
 }
 
 struct GridPoint {
@@ -532,8 +490,8 @@ fn main() {
         for (load, flows) in &loads {
             // The healthy variant runs first at each load: it builds the
             // load's `SweepBase` (routes, decomposition, per-link member
-            // index), fans the cold clusters across cores, and adopts
-            // their delays. Every fault variant is then a delta rebuild
+            // index) and replays its cold clusters into the shared
+            // cache. Every fault variant is then a delta rebuild
             // against that base. All of the base construction is timed
             // inside the healthy point — nothing is free.
             let mut base: Option<SweepBase> = None;
@@ -542,8 +500,7 @@ fn main() {
                 let t = Instant::now();
                 let res = if faults.is_empty() {
                     let mut b = SweepBase::new(&topo1024, &cfg, flows.clone());
-                    fanout_clusters(&cfg, &b.decomp().clusters, &mut cache);
-                    b.adopt(&cache);
+                    b.prime(&mut cache);
                     let r = cache.compose(&topo1024, &cfg, b.decomp(), eng.combine);
                     base = Some(b);
                     r

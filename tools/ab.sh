@@ -26,7 +26,8 @@
 # runs: those are functions of the seed alone.
 #
 # Full-scale runs append one JSON line per (workload, side) to
-# BENCH_history.jsonl at the root of this checkout: git rev, seed, pairs,
+# BENCH_history.jsonl at the root of this checkout: git rev (rev_of below
+# says how a tree with uncommitted work is named), seed, pairs,
 # every host-side metric's median and quartiles, every simulated one's
 # value. --quick runs (1/20 scale, the ci.sh smoke) are not measurements
 # and are not recorded.
@@ -104,10 +105,23 @@ done
 mapfile -t metrics < <(awk '$1 == "e" { print $2 }' "$tmp/spec")
 [[ ${#metrics[@]} -gt 0 ]] || die "BENCHMARK.json lists no end-to-end metric"
 
+# rev_of DIR -> HEAD's short hash; for a tree with uncommitted work,
+# HEAD+<8 hex of what the tree adds to it> (the tracked diff and the
+# untracked .rs files; this script's own log aside), so two different
+# trees measured on one parent never share a rev, and a recorded line can
+# be matched to the commit that later contains that diff.
 rev_of() {
-    local rev
-    rev=$(git -C "$1" rev-parse --short HEAD 2> /dev/null) || rev=unknown
-    [[ -z $(git -C "$1" status --porcelain 2> /dev/null) ]] || rev+="-dirty"
+    local rev added
+    rev=$(git -C "$1" rev-parse --short HEAD 2> /dev/null) || {
+        echo unknown
+        return
+    }
+    added=$(
+        cd "$1"
+        git diff HEAD -- . ':(exclude)BENCH_history.jsonl'
+        git ls-files -z --others --exclude-standard -- '*.rs' | xargs -0 -r sha1sum
+    )
+    [[ -z $added ]] || rev+="+$(sha1sum <<< "$added" | cut -c1-8)"
     echo "$rev"
 }
 parent_rev=$(rev_of "$parent")
