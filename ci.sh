@@ -98,8 +98,12 @@ run_prop_suites() {
     for crate in "${PROP_CRATES[@]}"; do
         (
             t0=$SECONDS
+            # The event-queue lockstep holds are not proptests but belong
+            # with them: release is where the engines actually run.
+            extra=""
+            [[ $crate == edm-sim ]] && extra="--test hold_lockstep"
             if PROPTEST_CASES="$PROPTEST_CASES" \
-                cargo test -q --release -p "$crate" --test "prop_*" \
+                cargo test -q --release -p "$crate" --test "prop_*" $extra \
                 > "$tmp/$crate.log" 2>&1; then
                 echo "$((SECONDS - t0))" > "$tmp/$crate.ok"
             else

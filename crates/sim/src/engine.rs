@@ -61,14 +61,35 @@
 //! plain binary heap — allocation free until first use), engages the
 //! calendar once enough events are pending, doubles geometrically under
 //! growth, and degrades back to the plain heap when nearly drained. A
-//! resize rebuilds the geometry from the live event-time span, so bucket
-//! width tracks the average event spacing. Because a population can
-//! *compress* without ever changing size (the classic hold pattern:
-//! always reschedule the popped minimum, and the span shrinks toward a
-//! few gaps while `len` stays constant), staleness is also detected
-//! directly: a sorted-insert walk longer than `WALK_LIMIT` re-derives
-//! the geometry, rate-limited to once per population turnover so an
-//! incompressible population cannot thrash in rebuilds.
+//! resize rebuilds the geometry from the live population: bucket width
+//! is twice the average spacing of the events nearest the head — or, when
+//! those all sit at one instant (a synchronized burst, which says
+//! nothing about spacing), of the whole population.
+//!
+//! That width is only as good as the population it was derived from, and
+//! a population can change shape without ever changing size, so no size
+//! threshold fires. Staleness is therefore also detected directly, from
+//! both sides, each check rate-limited to about once per population
+//! turnover and backing off after a futile rebuild (same geometry), so a
+//! population no width suits cannot thrash in rebuilds:
+//!
+//! * **Too coarse** — the classic hold pattern (always reschedule the
+//!   popped minimum) *compresses* the span toward a few gaps while `len`
+//!   stays constant, piling everything into one bucket: a sorted-insert
+//!   walk longer than `WALK_LIMIT` re-derives the geometry.
+//! * **Too fine** — a closed loop whose clients all issue at the same
+//!   instant engages the calendar on a population that spans zero time
+//!   (1 ps buckets), and then holds `len` between the shrink and grow
+//!   thresholds for the rest of the run: every pop steps over a run of
+//!   empty buckets, the year is so short that most schedules miss it and
+//!   ride the overflow heap, and a year advances every few pops. `pop`
+//!   adds up what its forward scan steps over, plus a fixed charge per
+//!   year advance; a window of pops averaging more than `SCAN_LIMIT`
+//!   re-derives the geometry.
+//!
+//! Neither trigger can change a result: pop order is the `(time, ord,
+//! seq)` total order whatever the geometry. [`QueueStats`] counts what
+//! the queue did, rebuilds by cause included.
 
 use crate::time::Time;
 use std::cmp::Reverse;
@@ -85,6 +106,19 @@ const MAX_BUCKETS: usize = 1 << 20;
 /// An insert walk longer than this signals degenerate geometry (bucket
 /// width too coarse for the live population) and requests a rebuild.
 const WALK_LIMIT: u32 = 16;
+/// Average dequeue cost per pop — empty buckets stepped over, plus
+/// `YEAR_ADVANCE_CHARGE` per year advance — above which a turnover of
+/// pops signals degenerate geometry (bucket width too fine for the live
+/// population) and requests a rebuild. Healthy geometry (width about
+/// twice the head spacing) steps over less than one empty bucket per pop.
+const SCAN_LIMIT: u64 = 4;
+/// What one year advance counts for against `SCAN_LIMIT`: it pours the
+/// next year out of the overflow heap, and every event it pours paid a
+/// heap push and a heap pop instead of an O(1) bucket insert.
+const YEAR_ADVANCE_CHARGE: u64 = 16;
+/// After a futile rebuild (same geometry), the dequeue-cost window
+/// stretches to this many population turnovers.
+const SCAN_BACKOFF: usize = 8;
 /// How many head-end events the rebuild samples to derive the bucket
 /// width (Brown's calendar-queue sampling rule).
 const HEAD_SAMPLE: usize = 32;
@@ -125,6 +159,38 @@ struct Node<E> {
     seq: u64,
     next: u32,
     event: Option<E>,
+}
+
+/// What an [`EventQueue`] has done so far: plain counters, always on,
+/// for telling a healthy calendar (about one bucket looked at per pop,
+/// few events through the overflow heap) from a degenerate one.
+///
+/// These depend on the queue's geometry, not on the simulation's
+/// result: two shards of one run, or two queue implementations, pop the
+/// same events in the same order with different counts here.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Events scheduled.
+    pub schedules: u64,
+    /// Events popped.
+    pub pops: u64,
+    /// Empty buckets `pop`'s forward scan stepped over.
+    pub empty_steps: u64,
+    /// Times `pop` found the year exhausted and poured the next one out
+    /// of the overflow heap.
+    pub year_advances: u64,
+    /// Schedules that fell beyond the current year and went to the
+    /// overflow heap (schedules into a disengaged queue not counted).
+    pub overflow_pushes: u64,
+    /// Geometry rebuilds because the population outgrew or fell far
+    /// below the bucket count (engaging and disengaging included).
+    pub size_rebuilds: u64,
+    /// Geometry rebuilds because a sorted-insert walk ran long (width
+    /// too coarse).
+    pub walk_rebuilds: u64,
+    /// Geometry rebuilds because dequeues got expensive (width too
+    /// fine).
+    pub scan_rebuilds: u64,
 }
 
 /// A time-ordered event queue (calendar queue).
@@ -176,8 +242,18 @@ pub struct EventQueue<E> {
     /// geometry rebuild (one population turnover of cooldown, so a
     /// degenerate-but-unfixable population cannot thrash in rebuilds).
     walk_cooldown: usize,
+    /// Pops left in the current dequeue-cost window (about one
+    /// population turnover; stretched after a futile rebuild).
+    scan_window: usize,
+    /// Dequeue cost the window may still absorb: `SCAN_LIMIT` per pop of
+    /// the window at its start, drawn down by every empty bucket stepped
+    /// over and every year advance. Spent at the window's end, the
+    /// geometry is stale.
+    scan_budget: u64,
     /// Next sequence number for FIFO tie-breaking.
     seq: u64,
+    /// Counters behind [`stats`](Self::stats) (`schedules` is `seq`).
+    stats: QueueStats,
 }
 
 impl<E> EventQueue<E> {
@@ -196,7 +272,18 @@ impl<E> EventQueue<E> {
             overflow: BinaryHeap::new(),
             length: 0,
             walk_cooldown: 0,
+            scan_window: 0,
+            scan_budget: 0,
             seq: 0,
+            stats: QueueStats::default(),
+        }
+    }
+
+    /// The queue's counters so far.
+    pub fn stats(&self) -> QueueStats {
+        QueueStats {
+            schedules: self.seq,
+            ..self.stats
         }
     }
 
@@ -245,10 +332,12 @@ impl<E> EventQueue<E> {
                 // turnover.
                 self.walk_cooldown = self.walk_cooldown.saturating_sub(1);
                 if walk > WALK_LIMIT && self.walk_cooldown == 0 {
+                    self.stats.walk_rebuilds += 1;
                     self.rebuild();
                     return;
                 }
             } else {
+                self.stats.overflow_pushes += 1;
                 self.overflow.push(Reverse(Entry {
                     at,
                     ord,
@@ -263,6 +352,7 @@ impl<E> EventQueue<E> {
         // schedule and trigger a futile O(n) rebuild per insert.
         if self.length > 2 * self.heads.len().max(ENGAGE_LEN / 2) && self.heads.len() < MAX_BUCKETS
         {
+            self.stats.size_rebuilds += 1;
             self.rebuild();
         }
     }
@@ -272,30 +362,51 @@ impl<E> EventQueue<E> {
         if self.length == 0 {
             return None;
         }
+        self.stats.pops += 1;
         let popped = if self.heads.is_empty() {
             // Disengaged: plain binary-heap behavior.
             let Reverse(e) = self.overflow.pop().expect("length > 0");
             (e.at, e.event)
         } else {
+            let mut cost = 0;
             if self.in_buckets == 0 {
                 // Year exhausted: jump straight to the year containing the
                 // overflow minimum and pour that year's events in.
                 let base = self.overflow.peek().expect("length > 0").0.at;
                 self.rebase(base);
+                self.stats.year_advances += 1;
+                cost = YEAR_ADVANCE_CHARGE;
             }
             let b = self.first_nonempty().expect("in_buckets > 0");
+            let steps = b.saturating_sub(self.cur_bucket) as u64;
+            self.stats.empty_steps += steps;
+            self.scan_budget = self.scan_budget.saturating_sub(cost + steps);
+            self.scan_window -= 1;
             self.cur_bucket = b;
             let node = self.pop_bucket(b);
             let (at, _, _, event) = self.release(node);
             (at, event)
         };
         self.length -= 1;
-        // Shrink once occupancy is far below the bucket count (hysteresis
-        // against the growth threshold), or degrade to the plain heap.
-        if !self.heads.is_empty()
-            && (self.length < DISENGAGE_LEN || self.length * 8 < self.heads.len())
-        {
-            self.rebuild();
+        if !self.heads.is_empty() {
+            if self.length < DISENGAGE_LEN || self.length * 8 < self.heads.len() {
+                // Shrink once occupancy is far below the bucket count
+                // (hysteresis against the growth threshold), or degrade
+                // to the plain heap.
+                self.stats.size_rebuilds += 1;
+                self.rebuild();
+            } else if self.scan_window == 0 {
+                // A window of pops averaging more than `SCAN_LIMIT` means
+                // the width has gone stale the other way — far finer
+                // than the live spacing (e.g. derived from a same-instant
+                // burst) — again without `length` crossing a threshold.
+                if self.scan_budget == 0 {
+                    self.stats.scan_rebuilds += 1;
+                    self.rebuild();
+                } else {
+                    self.arm_scan_window(1);
+                }
+            }
         }
         Some(popped)
     }
@@ -335,6 +446,12 @@ impl<E> EventQueue<E> {
         }
         debug_assert!(false, "occupied bucket behind the scan cursor");
         (0..self.cur_bucket).find(|&i| self.heads[i] != NIL)
+    }
+
+    /// Opens a dequeue-cost window of `turnovers` population turnovers.
+    fn arm_scan_window(&mut self, turnovers: usize) {
+        self.scan_window = self.length.max(MIN_BUCKETS) * turnovers;
+        self.scan_budget = SCAN_LIMIT * self.scan_window as u64;
     }
 
     /// Takes a node from the free list (or grows the slab).
@@ -500,7 +617,13 @@ impl<E> EventQueue<E> {
         // (bucket lists are sorted and bucket ranges ascend — invariant
         // 1), and every overflow event sorts after every bucketed one.
         let ascending_prefix = all.len();
-        all.extend(self.overflow.drain().map(|Reverse(e)| e));
+        // Take the heap whole rather than drain it: its capacity was sized
+        // for events that may be about to move into buckets, and keeping
+        // it through the refill below stacks heap, `all` and slab at the
+        // rebuild's peak (`chaos_288`, whose outages leave 59k events
+        // pending behind a same-instant head: peak RSS 58.3 -> 54.6 MB).
+        let overflow = std::mem::take(&mut self.overflow).into_vec();
+        all.extend(overflow.into_iter().map(|Reverse(e)| e));
         if self.length < ENGAGE_LEN {
             // Disengage: back to the plain heap; slab memory released.
             self.heads = Vec::new();
@@ -528,8 +651,17 @@ impl<E> EventQueue<E> {
         // stragglers yields a width that dumps the whole pack into one
         // bucket. The head sample sizes buckets for the events that will
         // actually pop next; stragglers simply wait in overflow.
-        let m = ascending_prefix.min(HEAD_SAMPLE);
-        let spread = all[m - 1].at.as_ps() - all[0].at.as_ps();
+        let mut m = ascending_prefix.min(HEAD_SAMPLE);
+        let mut spread = all[m - 1].at.as_ps() - all[0].at.as_ps();
+        if spread == 0 {
+            // A head sample at one instant (a synchronized burst) says
+            // nothing about spacing — and a same-instant run is O(1)
+            // appends and pops in a bucket of any width — so size the
+            // buckets for the whole population instead of at 1 ps.
+            m = all.len();
+            let last = all.iter().map(|e| e.at.as_ps()).max().expect("engaged");
+            spread = last - all[0].at.as_ps();
+        }
         // Saturate and clamp: a head sample spanning >= 2^62 ps (times
         // near `Time::MAX`) must yield a huge width, not a multiply
         // overflow or a `next_power_of_two` panic.
@@ -545,11 +677,15 @@ impl<E> EventQueue<E> {
         // hundreds of turnovers), each rebuild lands a different width —
         // re-arm quickly so the geometry tracks the drift. Once a rebuild
         // is futile (same geometry), back off to a full turnover.
-        self.walk_cooldown = if (self.width_log2, nbuckets) == old_geometry {
+        let futile = (self.width_log2, nbuckets) == old_geometry;
+        self.walk_cooldown = if futile {
             self.length
         } else {
             (self.length / 8).max(MIN_BUCKETS)
         };
+        // The dequeue-cost window restarts on the fresh geometry and
+        // backs off the same way.
+        self.arm_scan_window(if futile { SCAN_BACKOFF } else { 1 });
         self.heads.clear();
         self.heads.resize(nbuckets, NIL);
         self.tails.clear();
@@ -738,6 +874,11 @@ impl<W: World> Engine<W> {
     /// Total number of events dispatched so far.
     pub fn steps(&self) -> u64 {
         self.steps
+    }
+
+    /// The event queue's counters so far ([`EventQueue::stats`]).
+    pub fn queue_stats(&self) -> QueueStats {
+        self.queue.stats()
     }
 
     /// Shared access to the world.
@@ -1069,6 +1210,29 @@ mod tests {
             q.schedule(t, 100 + i);
             scheduled.push((t, 100 + i));
         }
+        assert_drains_like_reference(&mut q, &scheduled);
+    }
+
+    #[test]
+    fn same_instant_head_does_not_set_picosecond_buckets() {
+        // A synchronized burst engages the calendar (nothing to derive a
+        // width from yet); arrivals spread over 200 ns then grow it past
+        // the next resize, where the head sample is still the burst. The
+        // width must come from the spread, not from the sample's zero.
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut scheduled = Vec::new();
+        for i in 0..48u32 {
+            q.schedule(Time::ZERO, i);
+            scheduled.push((Time::ZERO, i));
+        }
+        assert_eq!(q.width_log2, 0, "a zero-span population has no spacing");
+        for i in 0..100u32 {
+            let t = Time::from_ns(2 * i as u64 + 1);
+            q.schedule(t, 48 + i);
+            scheduled.push((t, 48 + i));
+        }
+        assert!(q.stats().size_rebuilds >= 2, "the spread grew the calendar");
+        assert!(q.width_log2 > 0, "width 2^{} ps", q.width_log2);
         assert_drains_like_reference(&mut q, &scheduled);
     }
 

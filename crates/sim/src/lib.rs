@@ -54,7 +54,7 @@ pub mod sharded;
 pub mod stats;
 pub mod time;
 
-pub use engine::{BinaryHeapEventQueue, Engine, EventQueue, World};
+pub use engine::{BinaryHeapEventQueue, Engine, EventQueue, QueueStats, World};
 pub use rng::Rng;
 pub use sharded::{run_sharded, Envelope, Recipient, ShardWorld, ShardedConfig};
 pub use stats::{Availability, Histogram, LogHistogram, Summary, Throughput};

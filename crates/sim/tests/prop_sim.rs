@@ -198,6 +198,46 @@ proptest! {
         lockstep_drain(&mut cal, &mut reference)?;
     }
 
+    /// Synchronized bursts followed by spread arrivals — the closed-loop
+    /// shape: every client issues at one instant (the calendar engages on,
+    /// or resizes around, a head that spans zero time), then each popped
+    /// event is rescheduled a random gap ahead under a mixed order key, so
+    /// `len` holds still while the geometry has to find the real spacing.
+    /// Gap scales run from ties to microseconds, and later rounds burst
+    /// again at the then-current instant.
+    #[test]
+    fn calendar_queue_bursts_then_spread_arrivals(
+        rounds in proptest::collection::vec(
+            (1usize..160, 0u32..24, 0usize..600, any::<u64>()), 1..5)
+    ) {
+        let mut cal = EventQueue::new();
+        let mut reference = BinaryHeapEventQueue::new();
+        let mut tag = 0u32;
+        let mut now = Time::ZERO;
+        for &(burst, gap_log2, holds, seed) in &rounds {
+            let mut rng = Rng::seed_from(seed);
+            for _ in 0..burst {
+                tag += 1;
+                let ord = rng.below(4);
+                cal.schedule_ordered(now, ord, tag);
+                reference.schedule_ordered(now, ord, tag);
+            }
+            for _ in 0..holds {
+                prop_assert_eq!(cal.peek_time(), reference.peek_time());
+                let (a, b) = (cal.pop(), reference.pop());
+                prop_assert_eq!(a, b);
+                let (at, ev) = a.expect("a burst is pending");
+                now = at;
+                let next = at + Duration::from_ps(rng.below(1 << gap_log2));
+                let ord = rng.below(4);
+                cal.schedule_ordered(next, ord, ev);
+                reference.schedule_ordered(next, ord, ev);
+                prop_assert_eq!(cal.len(), reference.len());
+            }
+        }
+        lockstep_drain(&mut cal, &mut reference)?;
+    }
+
     /// Substream derivation is order-independent: `Rng::stream(seed, i)`
     /// yields the same sequence no matter how many sibling streams exist
     /// or in which order they are created, and distinct indices give

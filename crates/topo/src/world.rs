@@ -2428,6 +2428,62 @@ mod tests {
         assert_eq!(outcomes.len(), 24);
     }
 
+    /// The event queue's counters after a sequential run of `input`.
+    fn queue_stats_of<I>(topo: &Topology, input: Input<'_, I>) -> edm_sim::QueueStats
+    where
+        I: Iterator<Item = Flow>,
+    {
+        let plan = Arc::new(ShardPlan::solo(topo.switch_count()));
+        let sink = None::<fn(u32, TopoOutcome)>;
+        let (world, q) = TopoEdm::default().seed(topo, &plan, 0, sink, input);
+        let mut engine = Engine::with_queue(world, q);
+        engine.run();
+        engine.queue_stats()
+    }
+
+    #[test]
+    fn event_queue_stays_healthy_after_a_closed_loop_burst_start() {
+        // `app_ycsb_288`, reduced: 48 saturating tenants at MLP 8 all
+        // issue at t = 0, so the calendar queue engages and first grows
+        // on a head that spans zero time. Before the queue watched its
+        // dequeue cost that meant 1 ps buckets for the whole run: 63
+        // empty buckets stepped over per pop, a year advance every third
+        // pop and 80 % of schedules through the overflow heap.
+        let topo = Topology::leaf_spine(LeafSpine::symmetric(4, 2, 72, 36));
+        let mix = edm_workloads::OpMix::remote(edm_workloads::YcsbWorkload::b());
+        let tenants = (0..48)
+            .map(|i| edm_workloads::TenantSpec::saturating(i * 3, mix, 8, 250))
+            .collect();
+        let memory_nodes = (0..16).map(|i| 144 + i * 9).collect();
+        let app = AppConfig::new(tenants, memory_nodes);
+        let s = queue_stats_of(&topo, Input::<NoSource>::App(&app));
+        assert!(s.pops > 100_000, "{s:?}");
+        assert!(s.empty_steps <= 2 * s.pops, "{s:?}");
+        assert!(s.year_advances * 32 <= s.pops, "{s:?}");
+    }
+
+    #[test]
+    fn event_queue_never_rebuilds_on_dequeue_cost_in_an_open_loop_stream() {
+        // The healthy path must not start rebuilding: `prop_stream`'s
+        // reduced 288-node 64 B stream keeps its geometry through the
+        // size and insert-walk triggers alone.
+        let topo = Topology::leaf_spine(LeafSpine::symmetric(4, 2, 72, 36));
+        let wl = edm_workloads::RackAwareWorkload {
+            nodes: 288,
+            racks: 4,
+            link: edm_sim::Bandwidth::from_gbps(100),
+            load: 0.6,
+            size: 64,
+            write_fraction: 0.5,
+            local_fraction: 0.4,
+            count: 20_000,
+        };
+        let s = queue_stats_of(&topo, Input::Source(wl.source(42)));
+        assert!(s.pops > 100_000, "{s:?}");
+        assert_eq!(s.scan_rebuilds, 0, "{s:?}");
+        assert!(s.empty_steps <= 2 * s.pops, "{s:?}");
+    }
+
     #[test]
     #[should_panic(expected = "time-ordered")]
     fn streamed_source_must_be_time_ordered() {
