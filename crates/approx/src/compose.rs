@@ -24,9 +24,8 @@
 //! on the 144/288-node overlaps: p99 within ~3–5% at the paper's 64 B
 //! messages, degrading to ~15% at 1–4 KiB where per-hop serialization
 //! couples the links more strongly). That envelope is measured, not
-//! argued: the `approx_sweep` harness compares both engines on overlap
-//! sizes and commits the numbers to `BENCH_approx.json`, and the
-//! `error_envelope` suite pins [`crate::P99_ERROR_BOUND`].
+//! argued: the `error_envelope` suite compares both engines on overlap
+//! sizes and pins [`crate::P99_ERROR_BOUND`].
 
 use crate::decompose::Decomposition;
 use crate::fxhash::FxHashMap;

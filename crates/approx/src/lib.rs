@@ -66,13 +66,12 @@ use edm_topo::{FaultKind, TopoEdmConfig, Topology};
 /// The documented p99 FCT error envelope of the estimator against the
 /// exact engine on the overlap-size validation points: the paper's 64 B
 /// message workloads at loads 0.4/0.7 on healthy and single-fault
-/// 144/288-node fabrics. Asserted by the `error_envelope` suite and the
-/// `approx_sweep` harness, measured into `BENCH_approx.json`. Outside
+/// 144/288-node fabrics. Asserted by the `error_envelope` suite. Outside
 /// this regime the error grows — at 1–4 KiB messages under load 0.7 the
 /// measured p99 gap reaches ~15% (per-hop serialization couples links
 /// more strongly, and the per-link replays cannot see cross-link
-/// correlation); `approx_sweep` records one such out-of-envelope point
-/// so the degradation stays visible in committed artifacts.
+/// correlation); `error_envelope` pins one such out-of-envelope point
+/// to a band so the degradation stays visible.
 pub const P99_ERROR_BOUND: f64 = 0.10;
 
 /// Applies a what-if fault set to a topology as *static* element state

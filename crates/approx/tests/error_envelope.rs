@@ -5,9 +5,9 @@
 //! Each case simulates the same flow set through [`edm_topo::TopoEdm`]
 //! and estimates it through [`edm_approx::ApproxEngine`], then asserts
 //! the relative FCT error at p50 and p99 stays inside the documented
-//! envelope ([`edm_approx::P99_ERROR_BOUND`]). The `approx_sweep`
-//! harness measures the same quantities into `BENCH_approx.json`; this
-//! suite is the regression gate.
+//! envelope ([`edm_approx::P99_ERROR_BOUND`]). This suite is the only
+//! place the envelope is checked; `edm-bench approx_sweep` prices the
+//! 1024-host grid and gates the estimator's speedup.
 //!
 //! One point sits deliberately *outside* the envelope: 4 KiB messages at
 //! load 0.7, where per-hop serialization couples the links and the
@@ -147,7 +147,6 @@ fn breakdown_regime_4k_stays_where_documented() {
     assert!(
         p99 < -P99_ERROR_BOUND && p99 > -0.30,
         "{name}: p99 error {p99:+.4} left the documented breakdown band \
-         (-0.30, -{P99_ERROR_BOUND}): update docs/ARCHITECTURE.md and \
-         `approx_sweep`'s `asserted: false` point together with this pin"
+         (-0.30, -{P99_ERROR_BOUND}): update docs/ARCHITECTURE.md together with this pin"
     );
 }

@@ -2,13 +2,14 @@
 //! matching latency for line-rate scheduling (≥128 B on a 512×100G
 //! switch), but larger chunks hold ports longer and delay competing
 //! messages. The evaluation settles on 256 B.
-//!
-//! Run: `cargo run --release -p edm-bench --bin chunk_sweep`
 
-use edm_core::sim::{solo_mct, ClusterConfig, EdmProtocol, FabricProtocol, Flow, FlowKind};
+use std::path::Path;
+
+use crate::util::{par_sweep, solo_by_kind};
+use edm_core::sim::{ClusterConfig, EdmProtocol, FabricProtocol};
 use edm_workloads::{AppTrace, SyntheticWorkload};
 
-fn main() {
+pub fn run(_out: &Path) {
     let cluster = ClusterConfig::default();
     println!("Chunk-size sweep at load 0.8 (evaluation default: 256 B)");
     println!();
@@ -20,35 +21,13 @@ fn main() {
     let heavy = AppTrace::hadoop().generate(cluster.nodes, cluster.link, 0.8, 1500, 42);
     // One thread per chunk size: independent simulations fan out via
     // par_sweep, printed in input order.
-    let rows = edm_bench::par_sweep(vec![64u32, 128, 256, 512, 1024], |chunk| {
+    let rows = par_sweep(vec![64u32, 128, 256, 512, 1024], |chunk| {
         let mut p = EdmProtocol {
             chunk_bytes: chunk,
             ..EdmProtocol::default()
         };
-        let probe = small[0];
-        let solo_w = solo_mct(
-            &mut p,
-            &cluster,
-            &Flow {
-                kind: FlowKind::Write,
-                ..probe
-            },
-        );
-        let solo_r = solo_mct(
-            &mut p,
-            &cluster,
-            &Flow {
-                kind: FlowKind::Read,
-                ..probe
-            },
-        );
-        let r_small = p.simulate(&cluster, &small);
-        let small_mean = r_small
-            .normalized_mct(|f| match f.kind {
-                FlowKind::Write => solo_w,
-                FlowKind::Read => solo_r,
-            })
-            .mean();
+        let solo = solo_by_kind(&mut p, &cluster, small[0]);
+        let small_mean = p.simulate(&cluster, &small).normalized_mct(solo).mean();
         // Heavy trace: normalize by mean MCT against the 256 B default to
         // keep the comparison one-dimensional.
         let r_heavy = p.simulate(&cluster, &heavy);

@@ -1,7 +1,7 @@
 //! Regenerates **Figure 5**: the cycle-level breakdown of EDM's fabric
 //! latency for a 64 B read and write (one clock cycle = 2.56 ns).
-//!
-//! Run: `cargo run --release -p edm-bench --bin fig5`
+
+use std::path::Path;
 
 use edm_core::stack::{self, cycles};
 
@@ -9,7 +9,7 @@ fn stage(name: &str, cy: u64) {
     println!("  {name:<46} {cy:>3} cycles = {}", cycles(cy));
 }
 
-fn main() {
+pub fn run(_out: &Path) {
     println!("Figure 5: EDM latency breakdown, 64 B read/write (cycle = 2.56 ns)");
     println!();
     println!("READ (RREQ -> RRES):");

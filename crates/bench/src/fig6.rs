@@ -1,12 +1,12 @@
 //! Regenerates **Figure 6**: requests/second for the YCSB workloads over
 //! a 25 GbE link — EDM's in-PHY transport vs RDMA (RoCEv2).
-//!
-//! Run: `cargo run --release -p edm-bench --bin fig6`
+
+use std::path::Path;
 
 use edm_core::throughput::{edm_throughput, rdma_throughput, RequestMix};
 use edm_sim::Bandwidth;
 
-fn main() {
+pub fn run(_out: &Path) {
     let link = Bandwidth::from_gbps(25);
     println!("Figure 6: YCSB throughput on {link} (1 KB reads, 100 B writes)");
     println!();

@@ -6,8 +6,8 @@
 //! the fabric (Table 1 for EDM/RDMA, the Pond-calibrated constants for
 //! CXL) plus the remote DRAM service. YCSB-A is 50% reads / 50% updates,
 //! so each fabric's remote cost is the read/write average.
-//!
-//! Run: `cargo run --release -p edm-bench --bin fig7`
+
+use std::path::Path;
 
 use edm_baselines::stacks::{self, cxl, LOCAL_DRAM};
 use edm_core::latency::{edm_read, edm_write};
@@ -18,7 +18,7 @@ fn remote_cost(read: Duration, write: Duration) -> f64 {
     (read.as_ns_f64() + write.as_ns_f64()) / 2.0 + LOCAL_DRAM.as_ns_f64()
 }
 
-fn main() {
+pub fn run(_out: &Path) {
     let edm = remote_cost(edm_read().total(), edm_write().total());
     let cxl = remote_cost(cxl::READ, cxl::WRITE);
     let rdma = remote_cost(

@@ -1,29 +1,17 @@
 //! Regenerates **Figure 8b**: mean message completion time (MCT) on
 //! heavy-tailed disaggregated-application traces, normalized by the ideal
 //! (solo) completion time per message, for all seven protocols.
-//!
-//! Run: `cargo run --release -p edm-bench --bin fig8b`
-//!
-//! Optional env: `EDM_FLOWS` (default 3000), `EDM_SEED` (default 42),
-//! `EDM_LOAD` (default 0.8).
 
+use std::path::Path;
+
+use crate::util::{par_sweep, solo_by_size};
 use edm_baselines::prelude::*;
-use edm_bench::SoloCurve;
-use edm_core::sim::{ClusterConfig, EdmProtocol, FlowKind};
+use edm_core::sim::{ClusterConfig, EdmProtocol};
 use edm_sim::{Bandwidth, Summary};
 use edm_workloads::AppTrace;
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn main() {
-    let count = env_f64("EDM_FLOWS", 3000.0) as usize;
-    let seed = env_f64("EDM_SEED", 42.0) as u64;
-    let load = env_f64("EDM_LOAD", 0.8);
+pub fn run(_out: &Path) {
+    let (count, seed, load) = (3000, 42, 0.8);
     let cluster = ClusterConfig::default();
     let link = Bandwidth::from_gbps(100);
 
@@ -46,21 +34,13 @@ fn main() {
     let points: Vec<(usize, usize)> = (0..apps.len())
         .flat_map(|ai| (0..n_protocols).map(move |pi| (ai, pi)))
         .collect();
-    let cells = edm_bench::par_sweep(points, |(ai, pi)| {
+    let cells = par_sweep(points, |(ai, pi)| {
         let app = &apps[ai];
         let flows = &traces[ai];
         let max_size = app.cdf().max_value() as u32;
         let mut protocol = all_protocols().swap_remove(pi);
         let protocol = protocol.as_mut();
-        let write_curve = SoloCurve::measure(protocol, &cluster, FlowKind::Write, max_size);
-        let read_curve = SoloCurve::measure(protocol, &cluster, FlowKind::Read, max_size);
-        let solo = |f: &edm_core::sim::Flow| {
-            let ns = match f.kind {
-                FlowKind::Write => write_curve.solo_ns(f.size),
-                FlowKind::Read => read_curve.solo_ns(f.size),
-            };
-            edm_sim::Duration::from_ns_f64(ns)
-        };
+        let solo = solo_by_size(protocol, &cluster, max_size);
         let norm = if protocol.name() == "EDM" {
             // The EDM point streams the trace through the lazy-admission
             // path (bit-identical to the materialized run), retiring

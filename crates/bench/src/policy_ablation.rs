@@ -5,11 +5,11 @@
 //! policies on a light-tailed workload (uniform 64 B messages) and a
 //! heavy-tailed one (the Hadoop trace) and reports mean and tail
 //! normalized completion times.
-//!
-//! Run: `cargo run --release -p edm-bench --bin policy_ablation`
 
-use edm_bench::SoloCurve;
-use edm_core::sim::{ClusterConfig, EdmProtocol, FabricProtocol, Flow, FlowKind};
+use std::path::Path;
+
+use crate::util::{par_sweep, solo_by_size};
+use edm_core::sim::{ClusterConfig, EdmProtocol, FabricProtocol, Flow};
 use edm_sched::Policy;
 use edm_workloads::{AppTrace, SyntheticWorkload};
 
@@ -23,20 +23,12 @@ fn norm_stats(
         policy,
         ..EdmProtocol::default()
     };
-    let wcurve = SoloCurve::measure(&mut p, cluster, FlowKind::Write, max_size);
-    let rcurve = SoloCurve::measure(&mut p, cluster, FlowKind::Read, max_size);
-    let r = p.simulate(cluster, flows);
-    let mut norm = r.normalized_mct(|f| {
-        let ns = match f.kind {
-            FlowKind::Write => wcurve.solo_ns(f.size),
-            FlowKind::Read => rcurve.solo_ns(f.size),
-        };
-        edm_sim::Duration::from_ns_f64(ns)
-    });
+    let solo = solo_by_size(&mut p, cluster, max_size);
+    let mut norm = p.simulate(cluster, flows).normalized_mct(solo);
     (norm.mean(), norm.percentile(99.0))
 }
 
-fn main() {
+pub fn run(_out: &Path) {
     let cluster = ClusterConfig::default();
     println!("Scheduling-policy ablation at load 0.8 (paper §3.1.1, property 4)");
     println!();
@@ -56,7 +48,7 @@ fn main() {
         ("heavy-tailed Hadoop", "FCFS", Policy::Fcfs, &heavy, max),
         ("heavy-tailed Hadoop", "SRPT", Policy::Srpt, &heavy, max),
     ];
-    let rows = edm_bench::par_sweep(points, |(workload, name, policy, flows, max_size)| {
+    let rows = par_sweep(points, |(workload, name, policy, flows, max_size)| {
         let (mean, p99) = norm_stats(policy, &cluster, flows, max_size);
         format!(
             "{:<28} {:>14.3} {:>14.3}",

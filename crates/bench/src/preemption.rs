@@ -5,8 +5,8 @@
 //! Sweeps interfering frame sizes and compares the wait a small memory
 //! message suffers (in PHY block slots) under three policies: EDM fair
 //! preemption, EDM memory-first, and no preemption (MAC behaviour).
-//!
-//! Run: `cargo run --release -p edm-bench --bin preemption`
+
+use std::path::Path;
 
 use edm_phy::frame::{blocks_for_frame, encode_frame};
 use edm_phy::mem_codec::{encode_message, MemMessage};
@@ -37,7 +37,7 @@ fn mac_wait_blocks(frame_len: usize, progress: usize) -> usize {
     blocks_for_frame(frame_len) - progress
 }
 
-fn main() {
+pub fn run(_out: &Path) {
     println!("Intra-frame preemption ablation: 8 B memory message arriving");
     println!("10 blocks into an interfering frame's transmission");
     println!();

@@ -1,14 +1,14 @@
 //! Ablation (§3.1.3): scheduler matching latency and minimum chunk size
 //! as the switch scales from 16 to 512 ports, plus measured PIM iteration
 //! counts under full demand.
-//!
-//! Run: `cargo run --release -p edm-bench --bin sched_scaling`
+
+use std::path::Path;
 
 use edm_sched::pim::{min_chunk_for_line_rate, scheduling_latency, PimConfig, PimRunner};
 use edm_sched::ASIC_CLOCK;
 use edm_sim::{Bandwidth, Rng};
 
-fn main() {
+pub fn run(_out: &Path) {
     let link = Bandwidth::from_gbps(100);
     println!("Scheduler scaling (3 GHz ASIC pipeline, 3 cycles/iteration):");
     println!();

@@ -3,13 +3,15 @@
 //!
 //! The EDM column is *derived* from the per-stage cycle model
 //! (`edm_core::stack`); the baselines use the per-layer constants the
-//! paper measured. Run: `cargo run --release -p edm-bench --bin table1`
+//! paper measured.
 
+use std::path::Path;
+
+use crate::util::{ns, row};
 use edm_baselines::stacks;
-use edm_bench::{ns, row};
 use edm_core::latency::{edm_read, edm_write, FabricLatency};
 
-fn main() {
+pub fn run(_out: &Path) {
     let columns: Vec<FabricLatency> = vec![
         stacks::tcp_read(),
         stacks::tcp_write(),

@@ -1,81 +1,8 @@
-//! `edm-bench` — experiment harnesses that regenerate every table and
-//! figure of the paper's evaluation (§4) and assert the repository's own
-//! acceptance envelopes. Host-time performance is measured elsewhere, by
-//! the one benchmark under `/benchmark` (`BENCHMARK.json`).
-//!
-//! | Binary | Artefact |
-//! |--------|----------|
-//! | `table1` | Table 1 — unloaded fabric latency, four stacks |
-//! | `fig5` | Figure 5 — EDM cycle-level latency breakdown |
-//! | `fig6` | Figure 6 — YCSB throughput, EDM vs RDMA |
-//! | `fig7` | Figure 7 — end-to-end latency vs local:remote split |
-//! | `fig8a` | Figure 8a — normalized latency vs load (+ `--mix` panel) |
-//! | `fig8b` | Figure 8b — normalized MCT on application traces |
-//! | `preemption` | §4.2.1 ablation — interference from IP traffic |
-//! | `sched_scaling` | §3.1.3 ablation — scheduling latency vs port count |
-//! | `topo_sweep` | Multi-switch leaf–spine × oversubscription × IP sweep |
-//! | `million_flows` | Streaming-lifecycle memory benchmark → `BENCH_mem.json` |
-//! | `chaos_sweep` | Seeded fault/repair campaign → `BENCH_faults.json` |
-//!
-//! Each binary prints a self-describing table; every multi-point sweep
-//! fans out one thread per point via [`par_sweep`].
-
-#![forbid(unsafe_code)]
+//! What the experiments share: the sweep fan-out, table formatting and
+//! the unloaded-latency curve that normalizes heavy-tailed traces.
 
 use edm_core::sim::{solo_mct, ClusterConfig, FabricProtocol, Flow, FlowKind};
 use edm_sim::{Duration, Time};
-
-pub mod app;
-pub mod faults;
-pub mod mem;
-
-pub mod scenarios {
-    //! Shared scenarios: the sweep bins, the memory and fault campaigns
-    //! and `edm-approx`'s envelope test must run the *same* fabric and
-    //! workload under the same names, so all build them from here.
-
-    use edm_core::sim::Flow;
-
-    /// The topo benchmark fabric's shape: 288 nodes as 4 leaves × 72
-    /// hosts with 2 spines. `oversub` divides the uplink capacity (1 =
-    /// non-blocking 36 uplinks per spine per leaf, 2 = 2:1, 4 = 4:1).
-    /// Normalization probes must use this same spec (see `topo_sweep`).
-    pub fn leaf_spine_288_spec(oversub: usize) -> edm_topo::LeafSpine {
-        assert!(36 % oversub == 0, "oversub must divide 36");
-        edm_topo::LeafSpine::symmetric(4, 2, 72, 36 / oversub)
-    }
-
-    /// The topo benchmark fabric built from [`leaf_spine_288_spec`].
-    pub fn leaf_spine_288(oversub: usize) -> edm_topo::Topology {
-        edm_topo::Topology::leaf_spine(leaf_spine_288_spec(oversub))
-    }
-
-    /// The rack-aware workload spec behind [`rack_flows_288`]: `local` of
-    /// each compute node's requests stay in-rack, the rest cross the
-    /// spines. 64 B messages, 50:50 read/write. Call `.generate(42)` to
-    /// materialize or `.source(42)` to stream the identical flows.
-    pub fn rack_workload_288(
-        load: f64,
-        local: f64,
-        count: usize,
-    ) -> edm_workloads::RackAwareWorkload {
-        edm_workloads::RackAwareWorkload {
-            nodes: 288,
-            racks: 4,
-            link: edm_sim::Bandwidth::from_gbps(100),
-            load,
-            size: 64,
-            write_fraction: 0.5,
-            local_fraction: local,
-            count,
-        }
-    }
-
-    /// Rack-aware traffic for [`leaf_spine_288`], materialized (seed 42).
-    pub fn rack_flows_288(load: f64, local: f64, count: usize) -> Vec<Flow> {
-        rack_workload_288(load, local, count).generate(42)
-    }
-}
 
 /// Runs one closure per sweep point on its own OS thread and returns the
 /// results in input order.
@@ -84,6 +11,13 @@ pub mod scenarios {
 /// (protocol, load) point simulates an independent cluster. One thread per
 /// point is the right grain here — points are few (tens) and each runs for
 /// milliseconds to seconds.
+///
+/// Kept on a measurement (PR 23, 2 vCPUs, release, 5 alternating pairs
+/// against a plain sequential `map`, median wall): `fig8b` 705 ms here vs
+/// 1169 ms sequential (1.66×; a second set 625 vs 1149), `fig8a` 347 vs
+/// 231 ms and, repeated, 149 vs 213 ms (noise either way), `app_sweep`
+/// 965 vs 938 ms (0.97×). Sequential is not within 10 % on `fig8b`, so
+/// the fan-out stays and is the only sweep path.
 ///
 /// # Panics
 ///
@@ -123,6 +57,22 @@ pub fn ns(d: Duration) -> String {
         format!("{:.2} us", v / 1000.0)
     } else {
         format!("{v:.1} ns")
+    }
+}
+
+/// A protocol's unloaded MCT for a flow shaped like `probe`, by kind — what
+/// the fixed-size sweeps normalize each flow by (one write and one read
+/// probe, write first).
+pub fn solo_by_kind<P: FabricProtocol + ?Sized>(
+    protocol: &mut P,
+    cluster: &ClusterConfig,
+    probe: Flow,
+) -> impl Fn(&Flow) -> Duration {
+    let mut solo = |kind| solo_mct(protocol, cluster, &Flow { kind, ..probe });
+    let (write, read) = (solo(FlowKind::Write), solo(FlowKind::Read));
+    move |f| match f.kind {
+        FlowKind::Write => write,
+        FlowKind::Read => read,
     }
 }
 
@@ -188,6 +138,21 @@ impl SoloCurve {
             }
         }
         pts.last().expect("non-empty").1
+    }
+}
+
+/// A protocol's interpolated unloaded MCT for a flow's kind and size — what
+/// the heavy-tailed traces normalize each flow by (write curve first).
+pub fn solo_by_size<P: FabricProtocol + ?Sized>(
+    protocol: &mut P,
+    cluster: &ClusterConfig,
+    max_size: u32,
+) -> impl Fn(&Flow) -> Duration {
+    let write = SoloCurve::measure(protocol, cluster, FlowKind::Write, max_size);
+    let read = SoloCurve::measure(protocol, cluster, FlowKind::Read, max_size);
+    move |f| match f.kind {
+        FlowKind::Write => Duration::from_ns_f64(write.solo_ns(f.size)),
+        FlowKind::Read => Duration::from_ns_f64(read.solo_ns(f.size)),
     }
 }
 

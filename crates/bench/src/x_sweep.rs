@@ -5,13 +5,14 @@
 //! Sweeps X over the all-to-all microbenchmark at load 0.8 and reports
 //! the normalized mean/p99 latency, plus the notification-queue SRAM the
 //! switch must provision (K·N·X bytes).
-//!
-//! Run: `cargo run --release -p edm-bench --bin x_sweep`
 
-use edm_core::sim::{solo_mct, ClusterConfig, EdmProtocol, FabricProtocol, Flow, FlowKind};
+use std::path::Path;
+
+use crate::util::{par_sweep, solo_by_kind};
+use edm_core::sim::{ClusterConfig, EdmProtocol, FabricProtocol};
 use edm_workloads::SyntheticWorkload;
 
-fn main() {
+pub fn run(_out: &Path) {
     // A hot 16-node cluster so that source-destination pairs actually
     // carry several concurrent messages (on 144 nodes with uniform
     // destinations, pairs are too cold for X to bind).
@@ -36,33 +37,13 @@ fn main() {
     );
     // One thread per X value: independent simulations fan out via
     // par_sweep, printed in input order.
-    let rows = edm_bench::par_sweep(vec![1usize, 2, 3, 4, 6, 8], |x| {
+    let rows = par_sweep(vec![1usize, 2, 3, 4, 6, 8], |x| {
         let mut p = EdmProtocol {
             max_active_per_pair: x,
             ..EdmProtocol::default()
         };
-        let probe = flows[0];
-        let solo_w = solo_mct(
-            &mut p,
-            &cluster,
-            &Flow {
-                kind: FlowKind::Write,
-                ..probe
-            },
-        );
-        let solo_r = solo_mct(
-            &mut p,
-            &cluster,
-            &Flow {
-                kind: FlowKind::Read,
-                ..probe
-            },
-        );
-        let r = p.simulate(&cluster, &flows);
-        let mut norm = r.normalized_mct(|f| match f.kind {
-            FlowKind::Write => solo_w,
-            FlowKind::Read => solo_r,
-        });
+        let solo = solo_by_kind(&mut p, &cluster, flows[0]);
+        let mut norm = p.simulate(&cluster, &flows).normalized_mct(solo);
         // §3.1.2: queue bound X*N entries; §4.1: K*N^2 bytes total SRAM
         // (K = notification length ≈ 8 B including metadata).
         let entries = x * cluster.nodes;

@@ -148,71 +148,6 @@ impl PipeIfEmpty for f64 {
     }
 }
 
-/// A fixed-width histogram over `[0, width * buckets)` with an overflow
-/// bucket, for latency distributions.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    width: f64,
-    counts: Vec<u64>,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` buckets of `width` each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width <= 0` or `buckets == 0`.
-    pub fn new(width: f64, buckets: usize) -> Self {
-        assert!(width > 0.0, "bucket width must be positive");
-        assert!(buckets > 0, "need at least one bucket");
-        Histogram {
-            width,
-            counts: vec![0; buckets],
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.total += 1;
-        if x < 0.0 {
-            self.overflow += 1;
-            return;
-        }
-        let idx = (x / self.width) as usize;
-        match self.counts.get_mut(idx) {
-            Some(c) => *c += 1,
-            None => self.overflow += 1,
-        }
-    }
-
-    /// Count in bucket `i`.
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.counts.get(i).copied().unwrap_or(0)
-    }
-
-    /// Observations outside the bucketed range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Iterator over `(bucket_lower_bound, count)`.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (i as f64 * self.width, c))
-    }
-}
-
 /// Sub-bucket resolution bits for [`LogHistogram`]: each power-of-two
 /// octave is split into `2^SUB_BITS = 64` linear sub-buckets, so the
 /// relative bucket width — and therefore the percentile error bound — is
@@ -786,21 +721,5 @@ mod tests {
         assert_eq!(a.windows(), 8);
         assert_eq!(a.failed_in(7), 1);
         assert_eq!(a.degraded_windows(), 3);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(10.0, 5); // [0,50) + overflow
-        for x in [0.0, 9.99, 10.0, 49.9, 50.0, 1000.0, -1.0] {
-            h.record(x);
-        }
-        assert_eq!(h.bucket(0), 2);
-        assert_eq!(h.bucket(1), 1);
-        assert_eq!(h.bucket(4), 1);
-        assert_eq!(h.overflow(), 3);
-        assert_eq!(h.total(), 7);
-        let buckets: Vec<_> = h.iter().collect();
-        assert_eq!(buckets.len(), 5);
-        assert_eq!(buckets[1].0, 10.0);
     }
 }
