@@ -308,22 +308,23 @@ impl CxlNet {
         salt: u64,
         start: Time,
     ) -> Option<Time> {
-        let route = topo.route(from, to, salt)?;
+        let path = topo.path(from, to, salt)?;
+        let src_link = topo.node_link(from);
         let bytes = payload + self.cfg.frame_overhead;
         let mut t = start + self.cfg.host_latency;
         t = self.cross(
             topo,
-            route.src_link,
-            dir_from_node(topo, route.src_link, from),
+            src_link,
+            dir_from_node(topo, src_link, from),
             t,
             bytes,
         );
-        for h in &route.hops {
+        for (switch, out_link) in path.iter() {
             t += self.cfg.switch_latency;
             t = self.cross(
                 topo,
-                h.out_link,
-                dir_from_switch(topo, h.out_link, h.switch),
+                out_link,
+                dir_from_switch(topo, out_link, switch),
                 t,
                 bytes,
             );
@@ -361,10 +362,10 @@ pub(crate) fn control_flight(
     to: usize,
     salt: u64,
 ) -> Option<Duration> {
-    let route = topo.route(from, to, salt)?;
-    let mut d = access_half(cfg, topo, route.src_link);
-    for h in &route.hops {
-        d = d + cfg.forward_latency + link_lat(topo, h.out_link) + tx8(topo, h.out_link);
+    let path = topo.path(from, to, salt)?;
+    let mut d = access_half(cfg, topo, topo.node_link(from));
+    for (_, out_link) in path.iter() {
+        d = d + cfg.forward_latency + link_lat(topo, out_link) + tx8(topo, out_link);
     }
     Some(d + cfg.pipeline_latency / 2)
 }

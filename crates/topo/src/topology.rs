@@ -138,6 +138,87 @@ impl Route {
     }
 }
 
+/// Hops a [`Path`] holds without allocating: a leaf–spine path crosses
+/// at most three switches (leaf, spine, leaf).
+const INLINE_HOPS: usize = 3;
+
+/// A routed path in the engine's compact form: per hop only the
+/// scheduling switch and the link crossed leaving it. Ports follow from
+/// link endpoints ([`Topology::port_at`]) and the source access link from
+/// the data source ([`Topology::node_link`]), so a leaf–spine path fits
+/// in 24 bytes; longer paths (arbitrary adjacency) spill to the heap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Path {
+    /// Up to [`INLINE_HOPS`] hops; switch ids are `u16`, as in event
+    /// order keys (`Topology::recompute_routes` enforces the range).
+    Inline {
+        len: u8,
+        switches: [u16; INLINE_HOPS],
+        out_links: [u32; INLINE_HOPS],
+    },
+    /// `(switch, out_link)` per hop.
+    Spill(Box<[(u32, u32)]>),
+}
+
+impl Path {
+    const EMPTY: Path = Path::Inline {
+        len: 0,
+        switches: [0; INLINE_HOPS],
+        out_links: [0; INLINE_HOPS],
+    };
+
+    fn push(&mut self, switch: u32, out_link: u32) {
+        match self {
+            Path::Inline {
+                len,
+                switches,
+                out_links,
+            } if (*len as usize) < INLINE_HOPS => {
+                switches[*len as usize] = switch as u16;
+                out_links[*len as usize] = out_link;
+                *len += 1;
+            }
+            _ => {
+                let mut hops: Vec<(u32, u32)> = self.iter().collect();
+                hops.push((switch, out_link));
+                *self = Path::Spill(hops.into_boxed_slice());
+            }
+        }
+    }
+
+    /// Number of hops (switches crossed).
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Path::Inline { len, .. } => *len as usize,
+            Path::Spill(hops) => hops.len(),
+        }
+    }
+
+    /// The switch that schedules hop `i`.
+    pub(crate) fn switch(&self, i: usize) -> u32 {
+        debug_assert!(i < self.len(), "hop {i} of a {}-hop path", self.len());
+        match self {
+            Path::Inline { switches, .. } => switches[i] as u32,
+            Path::Spill(hops) => hops[i].0,
+        }
+    }
+
+    /// The link crossed leaving hop `i`'s switch; the last hop's reaches
+    /// the destination node.
+    pub(crate) fn out_link(&self, i: usize) -> u32 {
+        debug_assert!(i < self.len(), "hop {i} of a {}-hop path", self.len());
+        match self {
+            Path::Inline { out_links, .. } => out_links[i],
+            Path::Spill(hops) => hops[i].1,
+        }
+    }
+
+    /// `(switch, out_link)` per hop, in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (0..self.len()).map(|i| (self.switch(i), self.out_link(i)))
+    }
+}
+
 /// Hop distance marking "unreachable".
 const UNREACH: u16 = u16::MAX;
 
@@ -463,6 +544,20 @@ impl Topology {
         &self.links[id as usize]
     }
 
+    /// The port `link` occupies on `switch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `switch` is not an endpoint of the link.
+    pub fn port_at(&self, link: u32, switch: u32) -> u16 {
+        let l = &self.links[link as usize];
+        match (l.a, l.b) {
+            (_, Endpoint::Port { switch: s, port }) if s == switch => port,
+            (Endpoint::Port { switch: s, port }, _) if s == switch => port,
+            _ => panic!("switch {switch} is not an endpoint of link {link}"),
+        }
+    }
+
     /// The far end of `link` as seen from `from_switch`.
     ///
     /// # Panics
@@ -525,6 +620,7 @@ impl Topology {
     /// edits.
     pub fn recompute_routes(&mut self) {
         let n = self.switches.len();
+        assert!(n <= 1 << 16, "switch ids travel as u16");
         self.dist = vec![UNREACH; n * n];
         let mut queue = std::collections::VecDeque::new();
         for start in 0..n {
@@ -623,6 +719,25 @@ impl Topology {
     ///
     /// Panics if `src == dst` or either node is out of range.
     pub fn route(&self, src: usize, dst: usize, salt: u64) -> Option<Route> {
+        let mut hops = Vec::with_capacity(INLINE_HOPS);
+        self.walk(src, dst, salt, |h| hops.push(h)).then(|| Route {
+            hops,
+            src_link: self.node_link[src],
+        })
+    }
+
+    /// [`Topology::route`] in the engine's allocation-free [`Path`] form
+    /// (same walk, same hops).
+    pub(crate) fn path(&self, src: usize, dst: usize, salt: u64) -> Option<Path> {
+        let mut path = Path::EMPTY;
+        self.walk(src, dst, salt, |h| path.push(h.switch, h.out_link))
+            .then_some(path)
+    }
+
+    /// The ECMP walk behind [`Topology::route`] and [`Topology::path`]:
+    /// hands each hop to `hop` in order, and returns `false` (hops handed
+    /// so far are meaningless) when no live path exists.
+    fn walk(&self, src: usize, dst: usize, salt: u64, mut hop: impl FnMut(Hop)) -> bool {
         assert_ne!(src, dst, "a flow needs two distinct nodes");
         let (s_sw, s_port) = self.node_attach[src];
         let (d_sw, d_port) = self.node_attach[dst];
@@ -633,29 +748,29 @@ impl Topology {
             || !self.links[src_link as usize].up
             || !self.links[dst_link as usize].up
         {
-            return None;
+            return false;
         }
-        let mut hops = Vec::with_capacity(3);
         let mut cur = s_sw;
         let mut in_port = s_port;
+        let mut crossed = 0;
         loop {
             if cur == d_sw {
-                hops.push(Hop {
+                hop(Hop {
                     switch: cur,
                     in_port,
                     out_port: d_port,
                     out_link: dst_link,
                 });
-                return Some(Route { hops, src_link });
+                return true;
             }
             // ECMP: the salt picks among the precomputed equal-cost
             // choices — this runs once per flow on the simulator hot path.
             let choices = self.choices(cur as usize, d_sw as usize);
             if choices.is_empty() {
-                return None; // partitioned from the destination switch
+                return false; // partitioned from the destination switch
             }
             let (nb, link, local, far) = choices[(salt % choices.len() as u64) as usize];
-            hops.push(Hop {
+            hop(Hop {
                 switch: cur,
                 in_port,
                 out_port: local,
@@ -663,7 +778,8 @@ impl Topology {
             });
             cur = nb;
             in_port = far;
-            debug_assert!(hops.len() <= self.switches.len(), "routing walked a loop");
+            crossed += 1;
+            debug_assert!(crossed <= self.switches.len(), "routing walked a loop");
         }
     }
 }

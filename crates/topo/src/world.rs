@@ -131,7 +131,7 @@
 use crate::app::{AppConfig, AppEv, AppState};
 use crate::ip::{IpModel, IpTraffic};
 use crate::shard::ShardPlan;
-use crate::topology::{Endpoint, Hop, Route, Topology};
+use crate::topology::{Endpoint, Path, Route, Topology};
 use edm_core::sim::{
     evord, ClusterConfig, DomainCancel, DomainOffer, EdmProtocol, Flow, FlowKind, FlowOutcome,
     Forwarded, SimResult, SwitchDomain,
@@ -139,6 +139,7 @@ use edm_core::sim::{
 use edm_sched::{Policy, SchedulerConfig};
 use edm_sim::sharded::{run_sharded, Envelope, Recipient, ShardWorld, ShardedConfig};
 use edm_sim::{Duration, Engine, EventQueue, Summary, Time, World};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A failure (or degradation) injected at a point in simulated time.
@@ -847,15 +848,19 @@ enum RtStatus {
 /// Per-flow runtime state. Replicated in every shard: epochs and routes
 /// advance through replicated fault/reroute events, delivery credits
 /// through barrier-synced broadcasts.
+///
+/// Its size is pinned (`flow_rt_slot_stays_96_bytes`): [`RtMap`] is a ring
+/// of these over the live id-span, and one long closed-loop op can hold
+/// that span open across much of a run, so the slot size multiplies
+/// peak RSS.
 #[derive(Debug)]
 struct FlowRt {
     /// The admitted flow (moved in at admission; the world keeps no
     /// separate flow list).
     flow: Flow,
-    /// Route per epoch; `routes[epoch]` is the live one (`None` while a
-    /// reroute is pending). Old epochs stay resident so in-flight zombie
-    /// chunks can still resolve their path context.
-    routes: Vec<Option<Route>>,
+    /// The live epoch's route, inline (`None` while a reroute is
+    /// pending). Bumped epochs' routes move to [`RtMap::old_paths`].
+    path: Option<Path>,
     epoch: u32,
     /// Bytes that reached the destination node (current epoch only;
     /// stale-epoch arrivals are retransmitted, never double-counted).
@@ -894,6 +899,10 @@ struct RtMap {
     /// Leading `None` slots (already-retired ids below every live one),
     /// compacted away once they dominate the vector.
     dead_prefix: usize,
+    /// Routes of bumped epochs, keyed by `(flow, epoch)`. Only fault runs
+    /// fill it, and only zombie grants — old-epoch offers still resident
+    /// at a switch — read it; a flow's entries go when the flow retires.
+    old_paths: HashMap<(u32, u32), Path>,
 }
 
 impl RtMap {
@@ -931,6 +940,9 @@ impl RtMap {
         let idx = id.checked_sub(self.base)? as usize;
         let rt = self.slots.get_mut(idx)?.take()?;
         self.live -= 1;
+        for epoch in 0..rt.epoch {
+            self.old_paths.remove(&(id, epoch));
+        }
         if idx == self.dead_prefix {
             let mut dp = self.dead_prefix + 1;
             while dp < self.slots.len() && self.slots[dp].is_none() {
@@ -949,6 +961,26 @@ impl RtMap {
     /// Resident (live) entries.
     fn len(&self) -> usize {
         self.live
+    }
+
+    /// The route resident flow `id` was offered under in `epoch`.
+    fn path(&self, id: u32, epoch: u32) -> &Path {
+        let rt = &self[id];
+        if rt.epoch == epoch {
+            rt.path.as_ref().expect("offered epochs are routed")
+        } else {
+            &self.old_paths[&(id, epoch)]
+        }
+    }
+
+    /// Moves resident flow `id` to its next epoch, routeless until its
+    /// recovery re-enters it; the bumped route stays readable through
+    /// [`RtMap::path`] until the flow retires.
+    fn bump(&mut self, id: u32) {
+        let rt = self.get_mut(id).expect("bumped flows are resident");
+        let (epoch, path) = (rt.epoch, rt.path.take().expect("only routed flows bump"));
+        rt.epoch = next_epoch(epoch);
+        self.old_paths.insert((id, epoch), path);
     }
 
     /// Live `(id, entry)` pairs in increasing (admission) order.
@@ -994,19 +1026,20 @@ pub(crate) enum TopoEv {
     /// notification at the next one (same-shard / final-hop case).
     /// `gen` is the granting switch's generation at grant time: a chunk
     /// granted before its switch died must never settle into the
-    /// revived switch's cold slab.
+    /// revived switch's cold slab. `last`: the chunk left its route's
+    /// final hop, so it reaches the destination node, not a switch.
     Chunk {
         token: u64,
         from_switch: u16,
         slot: u32,
         bytes: u32,
         gen: u32,
+        last: bool,
     },
     /// The bookkeeping half of a chunk whose next hop lives in another
     /// shard (its `Arrive` half is mailed there with the same order
-    /// key).
+    /// key). Never a final-hop chunk: its next element is a switch.
     Settle {
-        token: u64,
         from_switch: u16,
         slot: u32,
         bytes: u32,
@@ -1014,11 +1047,7 @@ pub(crate) enum TopoEv {
     },
     /// The notification half of a cross-shard chunk, merged in at a
     /// window barrier.
-    Arrive {
-        token: u64,
-        from_switch: u16,
-        bytes: u32,
-    },
+    Arrive { token: u64, bytes: u32 },
     /// A planned fault strikes (replicated in every shard).
     Fault { idx: u32 },
     /// A bumped flow re-enters on a fresh route (replicated; only the
@@ -1039,22 +1068,41 @@ pub(crate) enum TopoEv {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum TopoMsg {
     /// A chunk's implicit notification at its next-hop switch.
-    Arrive {
-        token: u64,
-        from_switch: u16,
-        bytes: u32,
-    },
+    Arrive { token: u64, bytes: u32 },
     /// One completed sub-offer's bytes reached the destination: every
     /// shard replays this against its flow-state replica.
     Credit { flow: u32, bytes: u32 },
 }
 
-fn pack(flow: u32, epoch: u32) -> u64 {
-    flow as u64 | (epoch as u64) << 32
+/// Width of a token's epoch field.
+const EPOCH_BITS: u32 = 24;
+
+/// An offer token: the flow id in the low word; the epoch (24 bits) and
+/// the index of the hop the offer sits at (8 bits, top) in the high
+/// word. A hop-0 token is `flow | epoch << 32`. Events read the hop off
+/// the token instead of searching the route for their switch.
+fn pack(flow: u32, epoch: u32, hop: u8) -> u64 {
+    flow as u64 | (epoch as u64) << 32 | (hop as u64) << 56
 }
 
-fn unpack(token: u64) -> (u32, u32) {
-    (token as u32, (token >> 32) as u32)
+/// `(flow, epoch, hop)` of a [`pack`]ed token.
+fn unpack(token: u64) -> (u32, u32, u8) {
+    let high = (token >> 32) as u32;
+    (
+        token as u32,
+        high & ((1 << EPOCH_BITS) - 1),
+        (high >> EPOCH_BITS) as u8,
+    )
+}
+
+/// The epoch after `epoch`. Panics rather than let the token's epoch
+/// field wrap onto a live epoch.
+fn next_epoch(epoch: u32) -> u32 {
+    assert!(
+        epoch + 1 < 1 << EPOCH_BITS,
+        "flow epoch overflows the token's {EPOCH_BITS}-bit field"
+    );
+    epoch + 1
 }
 
 /// Batching key: flows fold into one mega message only when they share
@@ -1078,10 +1126,36 @@ pub fn admission_route(topo: &Topology, flow: &Flow) -> Option<Route> {
     topo.route(ds as usize, dd as usize, flow.id as u64)
 }
 
-/// Per-pair X for a route: single-hop host pairs keep the paper's X;
-/// multi-hop routes touch aggregated trunk ports.
-fn route_limit(cfg: &TopoEdmConfig, route: &Route) -> usize {
-    if route.hops.len() == 1 {
+/// [`admission_route`] in the [`Path`] form a flow's entry holds.
+fn admission_path(topo: &Topology, flow: &Flow) -> Option<Path> {
+    let (ds, dd) = flow.data_direction();
+    let path = topo.path(ds as usize, dd as usize, flow.id as u64)?;
+    assert!(path.len() <= 1 << 8, "hop indices travel in 8 token bits");
+    Some(path)
+}
+
+/// The access link a flow's data crosses before its hop 0.
+fn src_link(topo: &Topology, flow: &Flow) -> u32 {
+    topo.node_link(flow.data_direction().0 as usize)
+}
+
+/// Ingress and egress port of `path`'s hop `hop` for `flow`.
+fn hop_ports(topo: &Topology, flow: &Flow, path: &Path, hop: usize) -> (u16, u16) {
+    let switch = path.switch(hop);
+    let in_link = match hop {
+        0 => src_link(topo, flow),
+        _ => path.out_link(hop - 1),
+    };
+    (
+        topo.port_at(in_link, switch),
+        topo.port_at(path.out_link(hop), switch),
+    )
+}
+
+/// Per-pair X for a route of `hops` hops: single-hop host pairs keep the
+/// paper's X; multi-hop routes touch aggregated trunk ports.
+fn route_limit(cfg: &TopoEdmConfig, hops: usize) -> usize {
+    if hops == 1 {
         cfg.max_active_per_pair
     } else {
         cfg.trunk_max_active_per_pair
@@ -1203,19 +1277,19 @@ where
     /// demand events produced are bit-identical either way.
     pub(crate) fn admit(&mut self, id: u32, flow: Flow, q: &mut EventQueue<TopoEv>) {
         self.admitted += 1;
-        let route = admission_route(&self.topo, &flow);
-        if route.is_none() && self.cfg.max_retries == 0 {
+        let path = admission_path(&self.topo, &flow);
+        if path.is_none() && self.cfg.max_retries == 0 {
             let status = FlowStatus::Failed(flow.arrival);
             self.emit(id, TopoOutcome { flow, status });
             self.app_flow_done(id, flow.arrival, false, q);
             return;
         }
-        let h0 = route.as_ref().map(|r| r.hops[0].switch);
+        let h0 = path.as_ref().map(|p| p.switch(0));
         self.rt.insert(
             id,
             FlowRt {
                 flow,
-                routes: vec![route],
+                path,
                 epoch: 0,
                 delivered: 0,
                 inject_bytes: flow.size,
@@ -1294,15 +1368,16 @@ where
     /// hop-0 shard) seeds the demand flight. `false` on partition.
     fn re_enter(&mut self, flow: u32, epoch: u32, now: Time, q: &mut EventQueue<TopoEv>) -> bool {
         let f = self.rt[flow].flow;
-        let Some(route) = admission_route(&self.topo, &f) else {
+        let Some(path) = admission_path(&self.topo, &f) else {
             return false;
         };
-        let h0 = route.hops[0].switch;
+        let h0 = path.switch(0);
         let r = self
             .rt
             .get_mut(flow)
             .expect("re-entering flows are resident");
-        r.routes[epoch as usize] = Some(route);
+        debug_assert_eq!(r.epoch, epoch, "re-entry for the live epoch");
+        r.path = Some(path);
         debug_assert!(f.size > r.delivered, "completed flows are never bumped");
         r.inject_bytes = f.size - r.delivered;
         if self.local(h0) {
@@ -1367,8 +1442,7 @@ where
         let mut dead = Vec::new();
         dom.purge(&mut dead);
         for tok in dead {
-            let (fi, _ep) = unpack(tok);
-            self.release_ref(fi);
+            self.release_ref(unpack(tok).0);
         }
     }
 
@@ -1380,15 +1454,15 @@ where
     fn demand_time(&self, fi: u32, base: Time) -> Time {
         let rt = &self.rt[fi];
         let f = &rt.flow;
-        let route = rt.routes[rt.epoch as usize].as_ref().expect("route set");
+        let path = rt.path.as_ref().expect("route set");
         let origin_link = self.topo.node_link(f.src);
         let mut t = base + access_half(&self.cfg, &self.topo, origin_link);
         if f.kind == FlowKind::Read {
-            for h in &route.hops[..route.hops.len() - 1] {
+            for (_, out_link) in path.iter().take(path.len() - 1) {
                 t = t
                     + self.cfg.forward_latency
-                    + link_lat(&self.topo, h.out_link)
-                    + tx8(&self.topo, h.out_link);
+                    + link_lat(&self.topo, out_link)
+                    + tx8(&self.topo, out_link);
             }
         }
         t
@@ -1435,55 +1509,44 @@ where
             return;
         };
         let gen = gens[switch as usize];
+        let multi = plan.shards() > 1;
         for g in round.grants {
-            let (fi, ep) = unpack(g.token);
+            let (fi, ep, hop) = unpack(g.token);
+            let hop = hop as usize;
             // Zombie (stale-epoch) grants still consume their ports: the
             // chunk flies and is dropped downstream. The entry is
             // resident: flows with granted-but-unsettled chunks never
             // retire.
-            let route = rt[fi].routes[ep as usize]
-                .as_ref()
-                .expect("grant for an offered epoch");
-            let hop_pos = route
-                .hops
-                .iter()
-                .position(|h| h.switch == switch)
-                .expect("grant on the route");
-            let h = route.hops[hop_pos];
-            debug_assert_eq!(h.out_port, g.dst);
-            let turnaround = if hop_pos == 0 {
+            let path = rt.path(fi, ep);
+            assert_eq!(path.switch(hop), switch, "grant at its token's hop");
+            let out_link = path.out_link(hop);
+            let last = hop + 1 == path.len();
+            debug_assert_eq!(topo.port_at(out_link, switch), g.dst);
+            let hop0_link = (hop == 0).then(|| src_link(topo, &rt[fi].flow));
+            let turnaround = match hop0_link {
                 // Grant flight to the data source, then the chunk's
                 // flight back to the switch — the legacy half + ingress
                 // composition.
-                access_half(cfg, topo, route.src_link)
-                    + cfg.pipeline_latency / 2
-                    + link_lat(topo, route.src_link)
-            } else {
-                cfg.forward_latency
+                Some(l) => access_half(cfg, topo, l) + cfg.pipeline_latency / 2 + link_lat(topo, l),
+                None => cfg.forward_latency,
             };
             let emit = now + round.sched_latency + turnaround;
-            let out_bw = topo.link(h.out_link).params.bandwidth;
+            let out_bw = topo.link(out_link).params.bandwidth;
             let mut extra = Duration::ZERO;
-            if hop_pos == 0 {
-                let src_bw = topo.link(route.src_link).params.bandwidth;
-                extra += ip.crossing_delay(route.src_link, 0, emit, src_bw);
+            if let Some(l) = hop0_link {
+                extra += ip.crossing_delay(l, 0, emit, topo.link(l).params.bandwidth);
             }
-            extra += ip.crossing_delay(
-                h.out_link,
-                lane_side(topo, h.out_link, switch),
-                emit,
-                out_bw,
-            );
+            extra += ip.crossing_delay(out_link, lane_side(topo, out_link, switch), emit, out_bw);
             let arrival = emit
                 + extra
-                + link_lat(topo, h.out_link)
+                + link_lat(topo, out_link)
                 + out_bw.tx_time_bytes(g.chunk_bytes as u64);
             let ord = evord::chunk(switch as u16, g.gseq);
-            let remote = match topo.link_far_end(h.out_link, switch) {
-                Endpoint::Node(_) => None,
-                Endpoint::Port { switch: sw2, .. } => {
-                    (plan.shard_of(sw2) != *me).then(|| plan.shard_of(sw2))
-                }
+            let remote = if multi && !last {
+                let to = plan.shard_of(path.switch(hop + 1));
+                (to != *me).then_some(to)
+            } else {
+                None
             };
             match remote {
                 None => q.schedule_ordered(
@@ -1495,6 +1558,7 @@ where
                         slot: g.slot,
                         bytes: g.chunk_bytes,
                         gen,
+                        last,
                     },
                 ),
                 Some(to) => {
@@ -1505,7 +1569,6 @@ where
                         arrival,
                         ord,
                         TopoEv::Settle {
-                            token: g.token,
                             from_switch: switch as u16,
                             slot: g.slot,
                             bytes: g.chunk_bytes,
@@ -1518,7 +1581,6 @@ where
                         ord,
                         msg: TopoMsg::Arrive {
                             token: g.token,
-                            from_switch: switch as u16,
                             bytes: g.chunk_bytes,
                         },
                     });
@@ -1531,16 +1593,17 @@ where
     /// A chunk's egress bookkeeping at its granting switch: the port
     /// really carried it, so the message state advances and backlogged
     /// demand is admitted — also for zombie chunks (blackholed bandwidth
-    /// is still spent). Final-hop chunks credit the destination here.
+    /// is still spent). Final-hop (`last`) chunks credit the destination
+    /// here.
     #[allow(clippy::too_many_arguments)]
     fn settle(
         &mut self,
         now: Time,
-        token: u64,
         from_switch: u32,
         slot: u32,
         bytes: u32,
         gen: u32,
+        last: bool,
         q: &mut EventQueue<TopoEv>,
     ) {
         // Generation fence: a chunk granted before this switch died must
@@ -1550,28 +1613,6 @@ where
         if self.gens[from_switch as usize] != gen || !self.topo.switch_up(from_switch) {
             return;
         }
-        let is_final = {
-            // A missing entry here can only be a cancelled message's
-            // draining chunk — cancellation released its reference, so
-            // the flow may have retired. Delivery below still runs for
-            // slot bookkeeping, but no completion fires for a cancelled
-            // message, so the flag's value is irrelevant then.
-            let (fi, ep) = unpack(token);
-            self.rt.get(fi).is_some_and(|r| {
-                let route = r.routes[ep as usize]
-                    .as_ref()
-                    .expect("chunk of an offered epoch");
-                let h = route
-                    .hops
-                    .iter()
-                    .find(|h| h.switch == from_switch)
-                    .expect("chunk granted on its route");
-                matches!(
-                    self.topo.link_far_end(h.out_link, from_switch),
-                    Endpoint::Node(_)
-                )
-            })
-        };
         let TopoWorld {
             domains,
             rt,
@@ -1591,7 +1632,7 @@ where
             .as_mut()
             .expect("settle at an owned switch");
         let poll = dom.deliver(now, slot, bytes, |tok, sub_bytes| {
-            let (cfi, cep) = unpack(tok);
+            let (cfi, cep, _) = unpack(tok);
             // Every completed sub-offer releases the residency reference
             // it held — stale epochs drain as blackholed bandwidth but
             // still complete at their granting switch, so references
@@ -1603,7 +1644,7 @@ where
             r.refs -= 1;
             // Late bytes of a pre-fault epoch were already re-sent;
             // crediting them would double-count.
-            if is_final && r.epoch == cep && r.status == RtStatus::Active {
+            if last && r.epoch == cep && r.status == RtStatus::Active {
                 r.delivered += sub_bytes;
                 if r.delivered >= r.flow.size {
                     debug_assert_eq!(r.delivered, r.flow.size);
@@ -1658,17 +1699,11 @@ where
         }
     }
 
-    /// A chunk's implicit notification at its next-hop switch (arrival =
-    /// demand), unless the chunk is stale or the switch is gone.
-    fn arrive(
-        &mut self,
-        now: Time,
-        token: u64,
-        from_switch: u32,
-        bytes: u32,
-        q: &mut EventQueue<TopoEv>,
-    ) {
-        let (fi, ep) = unpack(token);
+    /// A non-final chunk's implicit notification at its next-hop switch
+    /// (arrival = demand), unless the chunk is stale or the switch is
+    /// gone.
+    fn arrive(&mut self, now: Time, token: u64, bytes: u32, q: &mut EventQueue<TopoEv>) {
+        let (fi, ep, hop) = unpack(token);
         // A chunk can outlive its flow's replica on this shard: a
         // terminal flow retires here while a zombie chunk is still
         // mailed over from the shard whose switch drains it. Retirement
@@ -1681,32 +1716,19 @@ where
         if r.epoch != ep || r.status != RtStatus::Active {
             return;
         }
-        let route = r.routes[ep as usize]
-            .as_ref()
-            .expect("route for the offered epoch");
-        let cur = route
-            .hops
-            .iter()
-            .find(|h| h.switch == from_switch)
-            .expect("chunk granted on its route");
-        let Endpoint::Port { switch: sw2, .. } = self.topo.link_far_end(cur.out_link, from_switch)
-        else {
-            return; // reached its destination node: settle credited it
-        };
+        let path = r.path.as_ref().expect("route for the offered epoch");
+        let next = hop as usize + 1;
+        let sw2 = path.switch(next);
         if !self.topo.switch_up(sw2) {
             return;
         }
-        let h = *route
-            .hops
-            .iter()
-            .find(|h| h.switch == sw2)
-            .expect("chunk follows its route");
-        let limit = route_limit(&self.cfg, route);
+        let (src, dst) = hop_ports(&self.topo, &r.flow, path, next);
+        let token = pack(fi, ep, next as u8);
         let offer = DomainOffer {
-            src: h.in_port,
-            dst: h.out_port,
+            src,
+            dst,
             bytes,
-            limit,
+            limit: route_limit(&self.cfg, path.len()),
             // Forwarded chunks carry a single token, so only same-flow
             // chunks may fold into one message — a cross-flow mega would
             // credit every byte to its head flow at the destination.
@@ -1732,34 +1754,35 @@ where
         now: Time,
         delay: Duration,
         q: &mut EventQueue<TopoEv>,
-        pred: impl Fn(&Topology, &Flow, &Route) -> bool,
+        pred: impl Fn(&Topology, &Flow, &Path) -> bool,
     ) {
         let reroute_at = now + delay;
         // Bump in admission-index order — the ring iterates ids
         // ascending, so reroute scheduling and demand revocation are
         // deterministic. (Materialized first: the loop mutates entries.)
         let ids: Vec<u32> = self.rt.ids().collect();
-        let mut bumped: Vec<(u32, u32, Hop)> = Vec::new();
+        // (flow, bumped epoch, hop-0 switch, its ingress and egress port)
+        let mut bumped: Vec<(u32, u32, u32, u16, u16)> = Vec::new();
         for fi in ids {
-            let r = self.rt.get_mut(fi).expect("listed above");
+            let r = &self.rt[fi];
             if r.status != RtStatus::Active {
                 continue;
             }
-            let Some(route) = r.routes[r.epoch as usize].as_ref() else {
+            let Some(path) = r.path.as_ref() else {
                 continue;
             };
-            if !pred(&self.topo, &r.flow, route) {
+            if !pred(&self.topo, &r.flow, path) {
                 continue;
             }
-            bumped.push((fi, r.epoch, route.hops[0]));
-            r.epoch += 1;
-            r.routes.push(None);
+            let (in_port, out_port) = hop_ports(&self.topo, &r.flow, path, 0);
+            bumped.push((fi, r.epoch, path.switch(0), in_port, out_port));
+            self.rt.bump(fi);
             q.schedule_ordered(
                 reroute_at,
                 evord::reroute(fi),
                 TopoEv::Reroute {
                     flow: fi,
-                    epoch: r.epoch,
+                    epoch: self.rt[fi].epoch,
                 },
             );
         }
@@ -1767,20 +1790,20 @@ where
         // hop-0 message so the dead path's backlog stops counting as
         // demand. In flow order — the same order the sequential run
         // cancels in, so backlog admissions stay deterministic.
-        for (flow, old_epoch, h0) in bumped {
-            if !self.local(h0.switch) || !self.topo.switch_up(h0.switch) {
+        for (flow, old_epoch, h0, in_port, out_port) in bumped {
+            if !self.local(h0) || !self.topo.switch_up(h0) {
                 continue;
             }
-            let dom = self.domains[h0.switch as usize]
+            let dom = self.domains[h0 as usize]
                 .as_mut()
                 .expect("cancel at an owned switch");
-            let cancel = dom.cancel(now, h0.in_port, h0.out_port, pack(flow, old_epoch));
+            let cancel = dom.cancel(now, in_port, out_port, pack(flow, old_epoch, 0));
             if let DomainCancel::Withdrawn { poll } = cancel {
                 // The withdrawn offer's reference releases; the flow
                 // itself stays Active (its reroute is pending), so no
                 // retirement can trigger here.
                 self.release_ref(flow);
-                schedule_poll(q, h0.switch, poll);
+                schedule_poll(q, h0, poll);
             }
         }
     }
@@ -1797,8 +1820,8 @@ where
             }
             TopoEv::Demand { flow, epoch } => {
                 self.events += 1;
-                let token = pack(flow, epoch);
-                let (h0, bytes, limit, bk) = {
+                let token = pack(flow, epoch, 0);
+                let (h0, (src, dst), bytes, limit, bk) = {
                     // The flow can retire before its demand fires: a
                     // fault between admission and the demand flight
                     // bumps it, and the bumped epoch can fail (and
@@ -1810,30 +1833,31 @@ where
                     if r.epoch != epoch || r.status != RtStatus::Active {
                         return;
                     }
-                    let route = r.routes[epoch as usize].as_ref().expect("active route");
+                    let path = r.path.as_ref().expect("active route");
                     // Single-hop messages batch by end-to-end pair (the
                     // legacy §3.1.2 behavior — the whole path delivers
                     // the mega's per-offer boundaries). Multi-hop
                     // messages must never fold with another flow: the
                     // forwarded chunks carry one token each.
-                    let bk = if route.hops.len() == 1 {
+                    let bk = if path.len() == 1 {
                         batch_key(&r.flow, epoch)
                     } else {
                         token
                     };
                     (
-                        route.hops[0],
+                        path.switch(0),
+                        hop_ports(&self.topo, &r.flow, path, 0),
                         r.inject_bytes,
-                        route_limit(&self.cfg, route),
+                        route_limit(&self.cfg, path.len()),
                         bk,
                     )
                 };
-                if !self.topo.switch_up(h0.switch) {
+                if !self.topo.switch_up(h0) {
                     return; // covered by the epoch bump; defensive
                 }
                 let offer = DomainOffer {
-                    src: h0.in_port,
-                    dst: h0.out_port,
+                    src,
+                    dst,
                     bytes,
                     limit,
                     batch_key: bk,
@@ -1841,10 +1865,10 @@ where
                 };
                 // The resident hop-0 offer holds a reference on the flow.
                 self.rt.get_mut(flow).expect("checked resident above").refs += 1;
-                let dom = self.domains[h0.switch as usize]
+                let dom = self.domains[h0 as usize]
                     .as_mut()
                     .expect("demand at an owned switch");
-                schedule_poll(q, h0.switch, dom.offer(now, offer));
+                schedule_poll(q, h0, dom.offer(now, offer));
             }
             TopoEv::Poll { switch } => {
                 self.events += 1;
@@ -1858,13 +1882,15 @@ where
                 slot,
                 bytes,
                 gen,
+                last,
             } => {
                 self.events += 1;
-                self.settle(now, token, from_switch as u32, slot, bytes, gen, q);
-                self.arrive(now, token, from_switch as u32, bytes, q);
+                self.settle(now, from_switch as u32, slot, bytes, gen, last, q);
+                if !last {
+                    self.arrive(now, token, bytes, q);
+                }
             }
             TopoEv::Settle {
-                token,
                 from_switch,
                 slot,
                 bytes,
@@ -1873,15 +1899,9 @@ where
                 // Counts as the chunk's one event; its mailed Arrive
                 // half does not.
                 self.events += 1;
-                self.settle(now, token, from_switch as u32, slot, bytes, gen, q);
+                self.settle(now, from_switch as u32, slot, bytes, gen, false, q);
             }
-            TopoEv::Arrive {
-                token,
-                from_switch,
-                bytes,
-            } => {
-                self.arrive(now, token, from_switch as u32, bytes, q);
-            }
+            TopoEv::Arrive { token, bytes } => self.arrive(now, token, bytes, q),
             TopoEv::Fault { idx } => {
                 // Replicated in every shard; counted once.
                 if self.me == 0 {
@@ -1892,7 +1912,9 @@ where
                 match fault.kind {
                     FaultKind::LinkDown(l) => {
                         self.topo.set_link_up(l, false);
-                        self.bump_affected(now, reroute_delay, q, |_, _, route| route.uses_link(l));
+                        self.bump_affected(now, reroute_delay, q, |topo, flow, path| {
+                            src_link(topo, flow) == l || path.iter().any(|(_, out)| out == l)
+                        });
                     }
                     FaultKind::SwitchDown(s) => {
                         // Idempotence guard: a double-down must not bump
@@ -1903,8 +1925,8 @@ where
                             self.topo.set_switch_up(s, false);
                             self.gens[s as usize] += 1;
                             self.purge_switch(s);
-                            self.bump_affected(now, reroute_delay, q, |_, _, route| {
-                                route.uses_switch(s)
+                            self.bump_affected(now, reroute_delay, q, |_, _, path| {
+                                path.iter().any(|(sw, _)| sw == s)
                             });
                         }
                     }
@@ -1984,15 +2006,15 @@ where
     /// detection delay. Routeless flows (reroute or retry pending) are
     /// skipped — their own recovery event will find the better fabric.
     fn bump_improvable(&mut self, now: Time, delay: Duration, q: &mut EventQueue<TopoEv>) {
-        self.bump_affected(now, delay, q, |topo, flow, route| {
+        self.bump_affected(now, delay, q, |topo, flow, path| {
             let (ds, dd) = flow.data_direction();
             let a = topo.attach(ds as usize).0;
             let b = topo.attach(dd as usize).0;
             match topo.switch_distance(a, b) {
                 // `dist` trunk hops ⇒ `dist + 1` switches on a shortest
-                // path, one `Route::hops` entry each — strictly fewer
-                // than the current detour means a bump pays for itself.
-                Some(dist) => route.hops.len() > dist + 1,
+                // path, one hop each — strictly fewer than the current
+                // detour means a bump pays for itself.
+                Some(dist) => path.len() > dist + 1,
                 None => false,
             }
         });
@@ -2035,19 +2057,9 @@ where
 
     fn receive(&mut self, at: Time, ord: u64, msg: TopoMsg, q: &mut EventQueue<TopoEv>) {
         match msg {
-            TopoMsg::Arrive {
-                token,
-                from_switch,
-                bytes,
-            } => q.schedule_ordered(
-                at,
-                ord,
-                TopoEv::Arrive {
-                    token,
-                    from_switch,
-                    bytes,
-                },
-            ),
+            TopoMsg::Arrive { token, bytes } => {
+                q.schedule_ordered(at, ord, TopoEv::Arrive { token, bytes })
+            }
             TopoMsg::Credit { flow, bytes } => {
                 // State sync: replay the destination shard's credit
                 // against this replica. The emitting shard already
@@ -2106,6 +2118,38 @@ mod tests {
             arrival: Time::from_ns(at_ns),
             kind: FlowKind::Write,
         }
+    }
+
+    #[test]
+    fn flow_rt_slot_stays_96_bytes() {
+        // `RtMap` holds one slot per id in the live id-span, and a single
+        // long closed-loop op (`app_ycsb_288`'s p99.9 is 680 µs of a
+        // ~2 ms run) keeps a large share of a run's ids in that span:
+        // peak RSS scales with this size (a 168-byte slot measured +46 %
+        // there). The live route is inline, so it must fit here.
+        assert!(std::mem::size_of::<FlowRt>() <= 96);
+        assert!(std::mem::size_of::<Option<FlowRt>>() <= 96);
+        // The hop index rides in the token, `last` in the chunk event's
+        // padding: the event queue's element size does not move.
+        assert_eq!(std::mem::size_of::<TopoEv>(), 48);
+    }
+
+    #[test]
+    fn tokens_round_trip_at_their_field_limits() {
+        let max_epoch = (1 << EPOCH_BITS) - 1;
+        for (flow, epoch, hop) in [(u32::MAX, max_epoch, 255), (0, 0, 0), (7, max_epoch, 0)] {
+            assert_eq!(unpack(pack(flow, epoch, hop)), (flow, epoch, hop));
+        }
+        // Hop-0 tokens keep the pre-hop layout `cancel` and the
+        // single-hop batch key were written against.
+        assert_eq!(pack(9, 3, 0), 9 | 3 << 32);
+        assert_eq!(next_epoch(max_epoch - 1), max_epoch);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow epoch overflows the token's 24-bit field")]
+    fn epoch_bump_past_the_token_field_panics() {
+        next_epoch((1 << EPOCH_BITS) - 1);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 use edm_core::sim::{Flow, FlowKind};
 use edm_sim::{Duration, Time};
 use edm_topo::{
-    FaultEvent, FaultKind, IpTraffic, LeafSpine, LinkParams, ShardPlan, TopoEdm, TopoEdmConfig,
-    Topology,
+    FaultEvent, FaultKind, FlowStatus, IpTraffic, LeafSpine, LinkParams, ShardPlan, TopoEdm,
+    TopoEdmConfig, Topology,
 };
 use proptest::prelude::*;
 
@@ -297,4 +297,87 @@ fn lockstep_at_2_shards_288_nodes() {
 #[test]
 fn lockstep_at_4_shards_288_nodes() {
     lockstep_288(4);
+}
+
+/// A chain of six switches, two hosts each, with every neighbour pair
+/// joined by two parallel trunks: end-to-end routes cross all six
+/// switches, twice what a leaf–spine path can, under a trunk failure
+/// (same-length reroutes onto the parallel trunk, zombie chunks on the
+/// dead one) and a mid-chain switch outage with revival (retries, then
+/// re-admission). Sequential and 2-shard runs must agree, and every
+/// flow's outcome must be the one this scenario has always produced:
+/// `CHAIN_DIGEST` folds each outcome's status and time, the counters
+/// and the event tally.
+#[test]
+fn chain_routes_longer_than_a_leaf_spine_path() {
+    const CHAIN_DIGEST: u64 = 0x8a42_5a68_8718_561f;
+    let attach: Vec<u32> = (0..6u32).flat_map(|s| [s, s]).collect();
+    let trunks: Vec<(u32, u32)> = (0..5u32).flat_map(|s| [(s, s + 1), (s, s + 1)]).collect();
+    let topo = Topology::from_adjacency(
+        6,
+        &attach,
+        &trunks,
+        LinkParams::default(),
+        LinkParams::default(),
+    );
+    assert_eq!(topo.route(0, 10, 0).unwrap().hops.len(), 6);
+    let flows: Vec<Flow> = (0..48usize)
+        .map(|i| Flow {
+            id: i,
+            src: i % 4,
+            dst: 11 - (i * 5) % 6,
+            size: [64, 700, 4096][i % 3],
+            arrival: Time::from_ns(150 * i as u64),
+            kind: if i % 4 == 3 {
+                FlowKind::Read
+            } else {
+                FlowKind::Write
+            },
+        })
+        .collect();
+    // Link ids: 12 access links, then the trunks in `trunks` order.
+    let proto = TopoEdm::new(TopoEdmConfig {
+        faults: vec![
+            FaultEvent {
+                at: Time::from_ns(1_500),
+                kind: FaultKind::LinkDown(12 + 4),
+            },
+            FaultEvent {
+                at: Time::from_ns(3_000),
+                kind: FaultKind::SwitchDown(3),
+            },
+            FaultEvent {
+                at: Time::from_ns(9_000),
+                kind: FaultKind::SwitchUp(3),
+            },
+        ],
+        reroute_delay: Duration::from_ns(800),
+        max_retries: 3,
+        retry_backoff: Duration::from_us(2),
+        ..TopoEdmConfig::default()
+    });
+    let seq = proto.simulate(&topo, &flows);
+    let par = proto.simulate_sharded(&topo, &flows, 2);
+    assert_eq!(ShardPlan::new(&topo, &proto.config, 2).shards(), 2);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |v: u64| h = (h ^ v).wrapping_mul(0x100_0000_01b3);
+    for (a, b) in seq.outcomes.iter().zip(&par.outcomes) {
+        assert_eq!(a.status, b.status, "2 shards diverged on {:?}", a.flow);
+        let (tag, t) = match a.status {
+            FlowStatus::Delivered(t) => (1, t),
+            FlowStatus::Failed(t) => (2, t),
+        };
+        mix(a.flow.id as u64);
+        mix(tag);
+        mix(t.as_ps());
+    }
+    assert_eq!(
+        (par.reroutes, par.retried, par.readmitted, par.events),
+        (seq.reroutes, seq.retried, seq.readmitted, seq.events)
+    );
+    for v in [seq.reroutes, seq.retried, seq.readmitted, seq.events] {
+        mix(v);
+    }
+    assert!(seq.reroutes > 0 && seq.readmitted > 0, "{seq:?}");
+    assert_eq!(h, CHAIN_DIGEST, "{:#x}; {} delivered", h, seq.delivered());
 }

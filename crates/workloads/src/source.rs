@@ -118,9 +118,13 @@ impl<D: DrawDest> Iterator for MergeSource<D> {
         if self.remaining == 0 {
             return None;
         }
-        let Reverse((at, node, slot)) = self.heap.pop()?;
+        // The emitting node's next arrival replaces it at the top: one
+        // sift (when the guard drops) instead of a pop and a push.
+        let mut top = self.heap.peek_mut()?;
+        let Reverse((at, node, slot)) = *top;
         let rng = &mut self.rngs[slot];
         let (dst, kind) = self.draw.draw(rng, node);
+        *top = Reverse((at + rng.exp_duration(self.gap), node, slot));
         let flow = Flow {
             id: self.next_id,
             src: node,
@@ -131,8 +135,6 @@ impl<D: DrawDest> Iterator for MergeSource<D> {
         };
         self.next_id += 1;
         self.remaining -= 1;
-        self.heap
-            .push(Reverse((at + rng.exp_duration(self.gap), node, slot)));
         Some(flow)
     }
 
