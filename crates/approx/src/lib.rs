@@ -336,29 +336,6 @@ impl ApproxEngine {
         }
         cache.compose(topo, &self.cfg, &d, self.combine)
     }
-
-    /// Estimates one what-if scenario of a sweep, reusing a baseline
-    /// resolution: only flows the scenario's element changes can have
-    /// rerouted are re-resolved ([`resolve_delta`]), and only clusters
-    /// whose profiles shifted are replayed. `topo` must be the baseline
-    /// fabric with the scenario's faults applied
-    /// ([`apply_faults`]); `baseline`/`base_sig` come from the healthy
-    /// fabric via [`resolve_all`] and [`TopoSignature::of`].
-    pub fn estimate_scenario(
-        &self,
-        topo: &Topology,
-        flows: &[Flow],
-        baseline: &ResolvedRoutes,
-        base_sig: &TopoSignature,
-        cache: &mut SweepCache,
-    ) -> ApproxResult {
-        let routes = resolve_delta(topo, flows, baseline, base_sig);
-        let d = bucket(topo, &self.cfg, flows, &routes);
-        for c in &d.clusters {
-            cache.intern(Cow::Borrowed(&c.profile), &self.cfg);
-        }
-        cache.compose(topo, &self.cfg, &d, self.combine)
-    }
 }
 
 #[cfg(test)]

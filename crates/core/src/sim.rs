@@ -459,8 +459,9 @@ type PairFifo = u64;
 /// [`SwitchDomain::poll`] takes the firing event's time and ignores
 /// superseded wake-ups. A world schedules exactly the events it is told
 /// to and decides nothing itself, so the same state machine drives the
-/// single-switch [`EdmProtocol`] world, `edm-topo`'s multi-switch
-/// fabrics (one domain per switch) and `edm-approx`'s link replays.
+/// single-switch [`EdmProtocol`] world, the byte-moving
+/// [`crate::testbed`], `edm-topo`'s multi-switch fabrics (one domain per
+/// switch) and `edm-approx`'s link replays.
 #[derive(Debug)]
 pub struct SwitchDomain {
     ports: usize,

@@ -17,20 +17,29 @@
 //!   demand notification, and *forwarding the RREQ to the memory node is
 //!   itself the first grant* for the RRES; later RRES chunks get `/G/`s;
 //! * the switch forwards data chunks through pre-established virtual
-//!   circuits (no L2 processing), cut-through at block granularity.
+//!   circuits (no L2 processing), cut-through at block granularity;
+//! * the switch holds at most X = 3 notifications per (src, dst) pair;
+//!   demand past X waits in the sender's FIFO and is announced, in order,
+//!   as the pair's earlier messages complete.
+//!
+//! The switch's scheduler sits behind the same [`SwitchDomain`] — offer,
+//! poll, deliver — as every other EDM world's.
 
 use crate::latency::physical::{PMA_PMD_PASS, PROPAGATION};
 use crate::message::MemOp;
+use crate::sim::{DomainOffer, SwitchDomain};
 use crate::stack;
 use edm_memory::rmw::RmwOp;
 use edm_memory::MemoryController;
 use edm_phy::mem_codec;
-use edm_sched::{Notification, Policy, Scheduler, SchedulerConfig};
+use edm_sched::{Policy, SchedulerConfig};
 use edm_sim::{Bandwidth, Duration, Engine, EventQueue, Time, World};
-use std::collections::HashMap;
 
 /// Identifies a node (== its switch port).
 pub type NodeId = u16;
+
+/// X: active notifications the switch holds per (src, dst) pair (§3.1.1).
+const MAX_ACTIVE_PER_PAIR: usize = 3;
 
 /// Configuration of the testbed fabric.
 #[derive(Debug, Clone, Copy)]
@@ -90,15 +99,8 @@ pub enum Pkt {
     Grant { chunk: u32 },
     /// An RREQ/RMWREQ `/M*/` run (also the implicit notification/grant).
     Request { op: MemOp },
-    /// One granted chunk of a WREQ.
-    WriteChunk {
-        addr: u64,
-        offset: u32,
-        data: Vec<u8>,
-        last: bool,
-    },
-    /// One granted chunk of an RRES.
-    ReadChunk {
+    /// One granted chunk of a WREQ or an RRES (the op says which).
+    Data {
         offset: u32,
         data: Vec<u8>,
         last: bool,
@@ -113,14 +115,13 @@ impl Pkt {
             Pkt::Request { op } => {
                 mem_codec::blocks_for_message(op.nominal_bytes() as usize) as u64
             }
-            Pkt::WriteChunk { data, .. } | Pkt::ReadChunk { data, .. } => {
-                mem_codec::blocks_for_message(data.len()) as u64
-            }
+            Pkt::Data { data, .. } => mem_codec::blocks_for_message(data.len()) as u64,
         }
     }
 }
 
 /// DES events (public only because `Testbed: World` exposes the type).
+/// `msg` names the op a packet belongs to.
 #[doc(hidden)]
 #[derive(Debug, Clone)]
 pub enum Ev {
@@ -135,72 +136,107 @@ pub enum Ev {
     SwitchRx {
         src: NodeId,
         dst: NodeId,
-        msg_id: u8,
+        msg: u32,
         pkt: Pkt,
     },
     /// A packet arrives at node `node`.
-    NodeRx {
-        node: NodeId,
-        src: NodeId,
-        msg_id: u8,
-        pkt: Pkt,
-    },
-    /// Scheduler poll.
-    SchedPoll,
+    NodeRx { node: NodeId, msg: u32, pkt: Pkt },
+    /// A scheduling round the switch's domain asked for.
+    Poll,
 }
 
-/// Per-message sender-side state.
+/// One remote operation from issue to completion: what the issuer, the
+/// switch and the memory node keep about it.
 #[derive(Debug)]
-enum TxState {
-    /// Outgoing write: data waiting for grants.
-    Write {
-        peer: NodeId,
-        addr: u64,
-        data: Vec<u8>,
-        sent: u32,
-        op_id: u64,
-        issued: Time,
-    },
-    /// Outgoing read/RMW: awaiting RRES.
-    Read {
-        expected: u32,
-        received: Vec<u8>,
-        op_id: u64,
-        issued: Time,
-        kind: &'static str,
-    },
-}
-
-/// Memory-node-side staged RRES data awaiting grants.
-#[derive(Debug)]
-struct RresState {
-    data: Vec<u8>,
+struct Op {
+    op_id: u64,
+    issued: Time,
+    kind: &'static str,
+    issuer: NodeId,
+    peer: NodeId,
+    /// Where a write lands.
+    addr: u64,
+    /// The data message's bytes — the writer's data, or the memory node's
+    /// staged RRES — and how many of them have been sent.
+    payload: Vec<u8>,
     sent: u32,
+    /// The RREQ/RMWREQ the switch keeps until the RRES's first grant.
+    request: Option<MemOp>,
+    /// The issuer's receive buffer for the RRES.
+    received: Vec<u8>,
+    /// The data message's switch-domain slot, known from its first grant.
+    slot: u32,
 }
 
-#[derive(Debug, Default)]
-struct Node {
-    /// Sender-side message state, keyed by msg_id.
-    tx: HashMap<u8, TxState>,
-    /// Memory-side staged read responses, keyed by (peer, request msg_id).
-    rres: HashMap<(NodeId, u8), RresState>,
-    next_msg_id: u8,
-    /// Uplink busy-until (serialization at the source).
-    tx_free_at: Time,
+impl Op {
+    fn is_write(&self) -> bool {
+        self.kind == "write"
+    }
+
+    /// (sender, receiver) of the data message: WREQ or RRES.
+    fn data_ends(&self) -> (NodeId, NodeId) {
+        if self.is_write() {
+            (self.issuer, self.peer)
+        } else {
+            (self.peer, self.issuer)
+        }
+    }
+}
+
+/// Every node's uplink and the switch's downlinks, each busy until its
+/// last serialized block has left.
+#[derive(Debug)]
+struct Links {
+    link: Bandwidth,
+    up_free_at: Vec<Time>,
+    down_free_at: Vec<Time>,
+}
+
+impl Links {
+    /// Serializes `pkt` on a link free from `*free_at`, after `cycles` of
+    /// EDM logic plus the PCS; returns when it reaches the far end (TX
+    /// PMA/PMD + propagation + RX PMA/PMD later).
+    fn transmit(link: Bandwidth, free_at: &mut Time, now: Time, cycles: u64, pkt: &Pkt) -> Time {
+        let depart = now.max(*free_at) + stack::cycles(cycles + stack::PCS_PASS);
+        // Serialization at 66 bits per block on the line.
+        let ser = link.tx_time_bits(pkt.blocks() * 66);
+        *free_at = depart + ser;
+        depart + ser + (PMA_PMD_PASS + PROPAGATION + PMA_PMD_PASS)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn send_up(
+        &mut self,
+        now: Time,
+        q: &mut EventQueue<Ev>,
+        src: NodeId,
+        dst: NodeId,
+        msg: u32,
+        pkt: Pkt,
+        cycles: u64,
+    ) {
+        let free_at = &mut self.up_free_at[src as usize];
+        let at = Self::transmit(self.link, free_at, now, cycles, &pkt);
+        q.schedule(at, Ev::SwitchRx { src, dst, msg, pkt });
+    }
+
+    fn send_down(&mut self, now: Time, q: &mut EventQueue<Ev>, node: NodeId, msg: u32, pkt: Pkt) {
+        let free_at = &mut self.down_free_at[node as usize];
+        let at = Self::transmit(self.link, free_at, now, 0, &pkt);
+        q.schedule(at, Ev::NodeRx { node, msg, pkt });
+    }
 }
 
 /// The testbed world.
 pub struct Testbed {
     config: TestbedConfig,
-    nodes: Vec<Node>,
     memories: Vec<MemoryController>,
-    scheduler: Scheduler,
-    /// RREQs buffered at the switch: (src=memory, dst=compute, msg_id) ->
-    /// original request, released by the first grant.
-    buffered_rreqs: HashMap<(NodeId, NodeId, u8), (NodeId, Pkt)>,
-    /// Per-switch-egress busy-until (downlink serialization).
-    egress_free_at: Vec<Time>,
-    poll_scheduled: Option<Time>,
+    domain: SwitchDomain,
+    links: Links,
+    /// Ops in flight, indexed by the `msg` their packets carry (also their
+    /// domain offer token); retired indices wait in `free`.
+    ops: Vec<Option<Op>>,
+    free: Vec<u32>,
     completions: Vec<Completion>,
     next_op_id: u64,
 }
@@ -208,9 +244,16 @@ pub struct Testbed {
 impl std::fmt::Debug for Testbed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Testbed")
-            .field("nodes", &self.nodes.len())
+            .field("nodes", &self.memories.len())
             .field("completions", &self.completions.len())
             .finish()
+    }
+}
+
+/// Queues the `Poll` event the switch's domain asked for, if it asked.
+fn schedule_poll(q: &mut EventQueue<Ev>, at: Option<Time>) {
+    if let Some(t) = at {
+        q.schedule(t, Ev::Poll);
     }
 }
 
@@ -222,18 +265,21 @@ impl Testbed {
             chunk_bytes: config.chunk_bytes,
             link: config.link,
             policy: config.policy,
-            max_active_per_pair: 3,
+            max_active_per_pair: MAX_ACTIVE_PER_PAIR,
             clock: edm_sched::ASIC_CLOCK,
         };
         Testbed {
-            nodes: (0..config.nodes).map(|_| Node::default()).collect(),
             memories: (0..config.nodes)
                 .map(|_| MemoryController::ddr4())
                 .collect(),
-            scheduler: Scheduler::new(sched_cfg),
-            buffered_rreqs: HashMap::new(),
-            egress_free_at: vec![Time::ZERO; config.nodes],
-            poll_scheduled: None,
+            domain: SwitchDomain::new(sched_cfg, false),
+            links: Links {
+                link: config.link,
+                up_free_at: vec![Time::ZERO; config.nodes],
+                down_free_at: vec![Time::ZERO; config.nodes],
+            },
+            ops: Vec::new(),
+            free: Vec::new(),
             completions: Vec::new(),
             next_op_id: 0,
             config,
@@ -250,83 +296,10 @@ impl Testbed {
         &mut self.memories[node as usize]
     }
 
-    fn wire_time(&self, blocks: u64) -> Duration {
-        // Serialization at 66 bits per block on the line.
-        self.config.link.tx_time_bits(blocks * 66)
-    }
-
-    /// One-hop delivery latency after serialization: TX PMA/PMD +
-    /// propagation + RX PMA/PMD.
-    fn hop() -> Duration {
-        PMA_PMD_PASS + PROPAGATION + PMA_PMD_PASS
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn send_to_switch(
-        &mut self,
-        now: Time,
-        q: &mut EventQueue<Ev>,
-        src: NodeId,
-        dst: NodeId,
-        msg_id: u8,
-        pkt: Pkt,
-        extra_tx_cycles: u64,
-    ) {
-        let node = &mut self.nodes[src as usize];
-        let depart = now.max(node.tx_free_at) + stack::cycles(extra_tx_cycles + stack::PCS_PASS);
-        let ser = self.config.link.tx_time_bits(pkt.blocks() * 66);
-        node.tx_free_at = depart + ser;
-        let arrive = depart + ser + Self::hop();
-        q.schedule(
-            arrive,
-            Ev::SwitchRx {
-                src,
-                dst,
-                msg_id,
-                pkt,
-            },
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn send_to_node(
-        &mut self,
-        now: Time,
-        q: &mut EventQueue<Ev>,
-        src: NodeId,
-        node: NodeId,
-        msg_id: u8,
-        pkt: Pkt,
-        extra_tx_cycles: u64,
-    ) {
-        let depart = now.max(self.egress_free_at[node as usize])
-            + stack::cycles(extra_tx_cycles + stack::PCS_PASS);
-        let ser = self.wire_time(pkt.blocks());
-        self.egress_free_at[node as usize] = depart + ser;
-        let arrive = depart + ser + Self::hop();
-        q.schedule(
-            arrive,
-            Ev::NodeRx {
-                node,
-                src,
-                msg_id,
-                pkt,
-            },
-        );
-    }
-
-    fn schedule_poll(&mut self, q: &mut EventQueue<Ev>, at: Time) {
-        if self.poll_scheduled.is_none_or(|t| at < t) {
-            self.poll_scheduled = Some(at);
-            q.schedule(at, Ev::SchedPoll);
-        }
-    }
-
-    fn alloc_msg_id(&mut self, node: NodeId) -> u8 {
-        let n = &mut self.nodes[node as usize];
-        let id = n.next_msg_id;
-        n.next_msg_id = n.next_msg_id.wrapping_add(1);
-        id
+    fn op_mut(&mut self, msg: u32) -> &mut Op {
+        self.ops[msg as usize]
+            .as_mut()
+            .expect("packet of a live op")
     }
 
     fn handle_app(
@@ -338,63 +311,41 @@ impl Testbed {
         op: MemOp,
         op_id: u64,
     ) {
-        let msg_id = self.alloc_msg_id(node);
         // Requests (reads, RMWs) travel immediately; writes notify first.
-        let two_sided = match &op {
-            MemOp::Read { len, .. } => Some((*len, "read")),
-            MemOp::Rmw { op: rmw_op, .. } => Some((rmw_op.response_bytes(), "rmw")),
-            MemOp::Write { .. } => None,
+        let (kind, addr, payload, pkt) = match op {
+            MemOp::Write { addr, data } => {
+                let size = data.len() as u32;
+                ("write", addr, data, Pkt::Notify { size })
+            }
+            MemOp::Read { .. } => ("read", 0, Vec::new(), Pkt::Request { op }),
+            MemOp::Rmw { .. } => ("rmw", 0, Vec::new(), Pkt::Request { op }),
             MemOp::ReadResponse { .. } => panic!("applications issue requests, not responses"),
         };
-        match two_sided {
-            Some((expected, kind)) => {
-                self.nodes[node as usize].tx.insert(
-                    msg_id,
-                    TxState::Read {
-                        expected,
-                        received: Vec::new(),
-                        op_id,
-                        issued: now,
-                        kind,
-                    },
-                );
-                self.send_to_switch(
-                    now,
-                    q,
-                    node,
-                    peer,
-                    msg_id,
-                    Pkt::Request { op },
-                    stack::host::GEN_NOTIFY_OR_RREQ,
-                );
+        let op = Some(Op {
+            op_id,
+            issued: now,
+            kind,
+            issuer: node,
+            peer,
+            addr,
+            payload,
+            sent: 0,
+            request: None,
+            received: Vec::new(),
+            slot: 0,
+        });
+        let msg = match self.free.pop() {
+            Some(msg) => {
+                self.ops[msg as usize] = op;
+                msg
             }
             None => {
-                let MemOp::Write { addr, data } = op else {
-                    unreachable!()
-                };
-                let size = data.len() as u32;
-                self.nodes[node as usize].tx.insert(
-                    msg_id,
-                    TxState::Write {
-                        peer,
-                        addr,
-                        data,
-                        sent: 0,
-                        op_id,
-                        issued: now,
-                    },
-                );
-                self.send_to_switch(
-                    now,
-                    q,
-                    node,
-                    peer,
-                    msg_id,
-                    Pkt::Notify { size },
-                    stack::host::GEN_NOTIFY_OR_RREQ,
-                );
+                self.ops.push(op);
+                self.ops.len() as u32 - 1
             }
-        }
+        };
+        let cycles = stack::host::GEN_NOTIFY_OR_RREQ;
+        self.links.send_up(now, q, node, peer, msg, pkt, cycles);
     }
 
     fn handle_switch_rx(
@@ -403,60 +354,64 @@ impl Testbed {
         q: &mut EventQueue<Ev>,
         src: NodeId,
         dst: NodeId,
-        msg_id: u8,
+        msg: u32,
         pkt: Pkt,
     ) {
         let rx_cost = stack::cycles(stack::PCS_PASS + stack::switch::IDENTIFY);
+        let t = now + rx_cost + stack::cycles(stack::switch::ENQUEUE_NOTIFICATION);
+        let offer = |src, dst, bytes| DomainOffer {
+            src,
+            dst,
+            bytes,
+            limit: MAX_ACTIVE_PER_PAIR,
+            batch_key: 0,
+            token: msg as u64,
+        };
         match pkt {
-            Pkt::Notify { size } => {
-                let t = now + rx_cost + stack::cycles(stack::switch::ENQUEUE_NOTIFICATION);
-                self.scheduler
-                    .notify(t, Notification::new(src, dst, msg_id, size))
-                    .expect("testbed stays under the pair limit");
-                self.schedule_poll(q, t);
-            }
-            Pkt::Request { ref op } => {
+            Pkt::Notify { size } => schedule_poll(q, self.domain.offer(t, offer(src, dst, size))),
+            Pkt::Request { op } => {
                 // Implicit notification: demand for the RRES (dst -> src).
+                // The switch keeps the request; the first grant releases it.
                 let rres_size = op
                     .response_bytes()
                     .expect("requests carried to the switch elicit responses");
-                let t = now + rx_cost + stack::cycles(stack::switch::ENQUEUE_NOTIFICATION);
-                self.scheduler
-                    .notify(t, Notification::new(dst, src, msg_id, rres_size))
-                    .expect("testbed stays under the pair limit");
-                // Buffer the request; the first grant releases it.
-                self.buffered_rreqs.insert((dst, src, msg_id), (src, pkt));
-                self.schedule_poll(q, t);
+                self.op_mut(msg).request = Some(op);
+                schedule_poll(q, self.domain.offer(t, offer(dst, src, rres_size)));
             }
             Pkt::Grant { .. } => unreachable!("grants originate at the switch"),
-            Pkt::WriteChunk { .. } | Pkt::ReadChunk { .. } => {
-                // Data path: forward through the virtual circuit.
+            Pkt::Data { ref data, .. } => {
+                // Data path: forward through the virtual circuit. The
+                // domain counts the bytes to retire the message.
+                let (slot, bytes) = (self.op_mut(msg).slot, data.len() as u32);
+                schedule_poll(q, self.domain.deliver(now, slot, bytes, |_, _| {}));
                 let t = now + stack::cycles(stack::PCS_PASS + stack::switch::FORWARD);
-                self.send_to_node(t, q, src, dst, msg_id, pkt, 0);
+                self.links.send_down(t, q, dst, msg, pkt);
             }
         }
     }
 
-    fn deliver_grant(&mut self, now: Time, q: &mut EventQueue<Ev>, grant: edm_sched::Grant) {
-        let key = (grant.src, grant.dest, grant.msg_id);
-        if let Some((orig_src, pkt)) = self.buffered_rreqs.remove(&key) {
-            // First grant for an RRES: forward the buffered RREQ itself.
-            let t = now + stack::cycles(stack::switch::GEN_GRANT);
-            self.send_to_node(t, q, orig_src, grant.src, grant.msg_id, pkt, 0);
-        } else {
-            let t = now + stack::cycles(stack::switch::GEN_GRANT);
-            self.send_to_node(
-                t,
-                q,
-                grant.dest,
-                grant.src,
-                grant.msg_id,
-                Pkt::Grant {
-                    chunk: grant.chunk_bytes,
+    fn handle_poll(&mut self, now: Time, q: &mut EventQueue<Ev>) {
+        let Testbed {
+            domain, ops, links, ..
+        } = self;
+        let Some(round) = domain.poll(now) else {
+            return;
+        };
+        let t = now + round.sched_latency + stack::cycles(stack::switch::GEN_GRANT);
+        for g in round.grants {
+            let msg = g.token as u32;
+            let op = ops[msg as usize].as_mut().expect("grant for a live op");
+            op.slot = g.slot;
+            let pkt = match op.request.take() {
+                // First grant for an RRES: forward the kept RREQ itself.
+                Some(op) => Pkt::Request { op },
+                None => Pkt::Grant {
+                    chunk: g.chunk_bytes,
                 },
-                0,
-            );
+            };
+            links.send_down(t, q, g.src, msg, pkt);
         }
+        schedule_poll(q, round.next_poll);
     }
 
     fn handle_node_rx(
@@ -464,8 +419,7 @@ impl Testbed {
         now: Time,
         q: &mut EventQueue<Ev>,
         node: NodeId,
-        src: NodeId,
-        msg_id: u8,
+        msg: u32,
         pkt: Pkt,
     ) {
         let rx_base = stack::cycles(stack::PCS_PASS);
@@ -474,201 +428,71 @@ impl Testbed {
                 // Memory node: serve the request. The RREQ's arrival is the
                 // implicit grant for the first RRES chunk.
                 let t_proc = now + rx_base + stack::cycles(stack::host::RX_RREQ);
-                match op {
-                    MemOp::Read { addr, len } => {
-                        let (data, timing) =
-                            self.memories[node as usize].read(t_proc, addr, len as usize);
-                        let ready = timing.complete;
-                        self.stage_and_send_rres(ready, q, node, src, msg_id, data);
-                    }
+                let memory = &mut self.memories[node as usize];
+                let (data, timing) = match op {
+                    MemOp::Read { addr, len } => memory.read(t_proc, addr, len as usize),
                     MemOp::Rmw { addr, op } => {
-                        let (orig, timing) = self.memories[node as usize]
-                            .rmw(t_proc, edm_memory::RmwRequest { addr, op });
-                        let data = orig.to_le_bytes().to_vec();
-                        self.stage_and_send_rres(timing.complete, q, node, src, msg_id, data);
+                        let (orig, timing) =
+                            memory.rmw(t_proc, edm_memory::RmwRequest { addr, op });
+                        (orig.to_le_bytes().to_vec(), timing)
                     }
                     _ => panic!("only reads/RMWs travel as requests"),
-                }
+                };
+                self.op_mut(msg).payload = data;
+                self.send_next_chunk(timing.complete, q, msg, self.config.chunk_bytes);
             }
             Pkt::Grant { chunk } => {
+                // A grant continues an RRES (we are the memory node) or a
+                // WREQ (we are the writer).
                 let grant_cost =
                     rx_base + stack::cycles(stack::host::RX_GRANT + stack::host::READ_GRANT_QUEUE);
-                // A grant either continues an RRES (we are the memory node;
-                // keyed by the requesting peer) or a WREQ (we are the
-                // writer).
-                if self.nodes[node as usize].rres.contains_key(&(src, msg_id)) {
-                    self.send_next_rres_chunk(now + grant_cost, q, node, src, msg_id, chunk);
+                self.send_next_chunk(now + grant_cost, q, msg, chunk);
+            }
+            Pkt::Data { offset, data, last } => {
+                let t = now + rx_base + stack::cycles(stack::host::RX_DATA);
+                let op = self.ops[msg as usize].as_mut().expect("chunk of a live op");
+                let done = if op.is_write() {
+                    let at = op.addr + offset as u64;
+                    self.memories[node as usize].write(t, at, &data).complete
                 } else {
-                    self.send_next_write_chunk(now + grant_cost, q, node, msg_id, chunk);
-                }
-            }
-            Pkt::WriteChunk {
-                addr,
-                offset,
-                data,
-                last,
-            } => {
-                let t = now + rx_base + stack::cycles(stack::host::RX_DATA);
-                let timing = self.memories[node as usize].write(t, addr + offset as u64, &data);
-                if last {
-                    // Completion is recorded against the writer.
-                    // Find the writer's op bookkeeping via the sender state.
-                    if let Some(TxState::Write { op_id, issued, .. }) =
-                        self.nodes[src as usize].tx.remove(&msg_id)
-                    {
-                        self.completions.push(Completion {
-                            issuer: src,
-                            kind: "write",
-                            op_id,
-                            issued,
-                            completed: timing.complete,
-                            data: Vec::new(),
-                        });
-                    }
-                }
-            }
-            Pkt::ReadChunk { offset, data, last } => {
-                let t = now + rx_base + stack::cycles(stack::host::RX_DATA);
-                let done = match self.nodes[node as usize].tx.get_mut(&msg_id) {
-                    Some(TxState::Read {
-                        received, expected, ..
-                    }) => {
-                        debug_assert_eq!(received.len(), offset as usize, "in-order chunks");
-                        received.extend_from_slice(&data);
-                        debug_assert!(received.len() <= *expected as usize);
-                        last
-                    }
-                    _ => panic!("RRES chunk for unknown read"),
+                    debug_assert_eq!(op.received.len(), offset as usize, "in-order chunks");
+                    op.received.extend_from_slice(&data);
+                    t
                 };
-                if done {
-                    if let Some(TxState::Read {
-                        received,
-                        op_id,
-                        issued,
-                        kind,
-                        ..
-                    }) = self.nodes[node as usize].tx.remove(&msg_id)
-                    {
-                        self.completions.push(Completion {
-                            issuer: node,
-                            kind,
-                            op_id,
-                            issued,
-                            completed: t,
-                            data: received,
-                        });
-                    }
+                if last {
+                    self.complete(msg, done);
                 }
             }
             Pkt::Notify { .. } => unreachable!("notifications terminate at the switch"),
         }
     }
 
-    fn stage_and_send_rres(
-        &mut self,
-        now: Time,
-        q: &mut EventQueue<Ev>,
-        node: NodeId,
-        peer: NodeId,
-        msg_id: u8,
-        data: Vec<u8>,
-    ) {
-        let chunk = self.config.chunk_bytes;
-        self.nodes[node as usize]
-            .rres
-            .insert((peer, msg_id), RresState { data, sent: 0 });
-        // The request's arrival was the grant for chunk 1.
-        self.send_next_rres_chunk(now, q, node, peer, msg_id, chunk);
+    /// Sends the next granted chunk of op `msg`'s data message.
+    fn send_next_chunk(&mut self, now: Time, q: &mut EventQueue<Ev>, msg: u32, chunk: u32) {
+        let op = self.op_mut(msg);
+        let (offset, total) = (op.sent, op.payload.len() as u32);
+        let n = chunk.min(total - offset);
+        let data = op.payload[offset as usize..(offset + n) as usize].to_vec();
+        op.sent += n;
+        let last = op.sent >= total;
+        let (src, dst) = op.data_ends();
+        let pkt = Pkt::Data { offset, data, last };
+        self.links
+            .send_up(now, q, src, dst, msg, pkt, stack::host::GEN_DATA_BLOCK);
     }
 
-    fn send_next_rres_chunk(
-        &mut self,
-        now: Time,
-        q: &mut EventQueue<Ev>,
-        node: NodeId,
-        peer: NodeId,
-        msg_id: u8,
-        chunk: u32,
-    ) {
-        let pkt = {
-            let st = self.nodes[node as usize]
-                .rres
-                .get_mut(&(peer, msg_id))
-                .expect("grant for unknown RRES");
-            let total = st.data.len() as u32;
-            let offset = st.sent;
-            let n = chunk.min(total - offset);
-            let slice = st.data[offset as usize..(offset + n) as usize].to_vec();
-            st.sent += n;
-            Pkt::ReadChunk {
-                offset,
-                data: slice,
-                last: st.sent >= total,
-            }
-        };
-        if matches!(pkt, Pkt::ReadChunk { last: true, .. }) {
-            self.nodes[node as usize].rres.remove(&(peer, msg_id));
-        }
-        self.send_to_switch(now, q, node, peer, msg_id, pkt, stack::host::GEN_DATA_BLOCK);
-    }
-
-    fn send_next_write_chunk(
-        &mut self,
-        now: Time,
-        q: &mut EventQueue<Ev>,
-        node: NodeId,
-        msg_id: u8,
-        chunk: u32,
-    ) {
-        let (pkt, peer) = {
-            let st = self.nodes[node as usize]
-                .tx
-                .get_mut(&msg_id)
-                .expect("grant for unknown write");
-            match st {
-                TxState::Write {
-                    peer,
-                    addr,
-                    data,
-                    sent,
-                    ..
-                } => {
-                    let total = data.len() as u32;
-                    let offset = *sent;
-                    let n = chunk.min(total - offset);
-                    let slice = data[offset as usize..(offset + n) as usize].to_vec();
-                    *sent += n;
-                    let last = *sent >= total;
-                    (
-                        Pkt::WriteChunk {
-                            addr: *addr,
-                            offset,
-                            data: slice,
-                            last,
-                        },
-                        *peer,
-                    )
-                }
-                TxState::Read { .. } => panic!("write grant routed to a read"),
-            }
-        };
-        self.send_to_switch(now, q, node, peer, msg_id, pkt, stack::host::GEN_DATA_BLOCK);
-    }
-
-    fn handle_poll(&mut self, now: Time, q: &mut EventQueue<Ev>) {
-        // Drop superseded poll events; only the recorded wake-up runs.
-        if self.poll_scheduled != Some(now) {
-            return;
-        }
-        self.poll_scheduled = None;
-        let result = self.scheduler.poll(now);
-        let grant_time = now + result.sched_latency;
-        for g in result.grants {
-            self.deliver_grant(grant_time, q, g);
-        }
-        if let Some(t) = result.next_wakeup {
-            self.schedule_poll(q, t);
-        }
+    /// Retires op `msg`, recording its completion at `at`.
+    fn complete(&mut self, msg: u32, at: Time) {
+        let op = self.ops[msg as usize].take().expect("completes once");
+        self.free.push(msg);
+        self.completions.push(Completion {
+            issuer: op.issuer,
+            kind: op.kind,
+            op_id: op.op_id,
+            issued: op.issued,
+            completed: at,
+            data: op.received,
+        });
     }
 }
 
@@ -683,19 +507,11 @@ impl World for Testbed {
                 op,
                 op_id,
             } => self.handle_app(now, q, node, peer, op, op_id),
-            Ev::SwitchRx {
-                src,
-                dst,
-                msg_id,
-                pkt,
-            } => self.handle_switch_rx(now, q, src, dst, msg_id, pkt),
-            Ev::NodeRx {
-                node,
-                src,
-                msg_id,
-                pkt,
-            } => self.handle_node_rx(now, q, node, src, msg_id, pkt),
-            Ev::SchedPoll => self.handle_poll(now, q),
+            Ev::SwitchRx { src, dst, msg, pkt } => {
+                self.handle_switch_rx(now, q, src, dst, msg, pkt)
+            }
+            Ev::NodeRx { node, msg, pkt } => self.handle_node_rx(now, q, node, msg, pkt),
+            Ev::Poll => self.handle_poll(now, q),
         }
     }
 }
@@ -910,5 +726,75 @@ mod tests {
             (lr - lw).abs() / lr < 0.25,
             "read {lr} ns vs write {lw} ns diverge"
         );
+    }
+
+    /// 1 KiB of bytes distinct per `i`.
+    fn kib(i: u64) -> Vec<u8> {
+        (0..1024u64).map(|b| (i * 37 + b) as u8).collect()
+    }
+
+    #[test]
+    fn same_pair_burst_beyond_x_completes() {
+        // X = 3: the fourth and later same-pair messages wait at the sender.
+        for n in [4u64, 8] {
+            let mut f = Fabric::new(TestbedConfig::default());
+            for i in 0..n {
+                f.seed_memory(1, i * 0x1000, &kib(i));
+            }
+            let reads: Vec<u64> = (0..n)
+                .map(|i| f.read(Time::ZERO, 0, 1, i * 0x1000, 1024))
+                .collect();
+            f.run();
+            for (i, id) in (0..n).zip(reads) {
+                assert_eq!(f.completion(id).expect("read completed").data, kib(i));
+            }
+
+            let mut f = Fabric::new(TestbedConfig::default());
+            let writes: Vec<u64> = (0..n)
+                .map(|i| f.write(Time::ZERO, 0, 1, i * 0x1000, kib(n + i)))
+                .collect();
+            f.run();
+            assert!(writes.iter().all(|&id| f.completion(id).is_some()));
+            let back: Vec<u64> = (0..n)
+                .map(|i| f.read(Time::from_us(100), 0, 1, i * 0x1000, 1024))
+                .collect();
+            f.run();
+            for (i, id) in (0..n).zip(back) {
+                assert_eq!(
+                    f.completion(id).expect("read-back completed").data,
+                    kib(n + i)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn msg_ids_never_alias_live_ops() {
+        // 297 reads outstanding from node 0 at once: more ops than a u8
+        // message id can name.
+        let mut f = Fabric::new(TestbedConfig {
+            nodes: 100,
+            ..TestbedConfig::default()
+        });
+        let line = |peer: u16, k: u64| -> Vec<u8> {
+            (0..64u64)
+                .map(|b| (peer as u64 * 7 + k * 64 + b) as u8)
+                .collect()
+        };
+        let mut reads = Vec::new();
+        for peer in 1..100u16 {
+            for k in 0..3 {
+                f.seed_memory(peer, k * 64, &line(peer, k));
+                reads.push((f.read(Time::ZERO, 0, peer, k * 64, 64), peer, k));
+            }
+        }
+        f.run();
+        assert_eq!(f.completions().len(), reads.len());
+        for (id, peer, k) in reads {
+            assert_eq!(
+                f.completion(id).expect("read completed").data,
+                line(peer, k)
+            );
+        }
     }
 }

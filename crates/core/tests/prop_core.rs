@@ -325,6 +325,87 @@ proptest! {
         prop_assert_eq!(&f.completion(r).expect("read done").data, &data);
     }
 
+    /// Random bursts over the functional testbed — any ordered pair, any
+    /// number of same-pair ops at a handful of shared instants, so pairs
+    /// run past the switch's X — lose nothing: every op completes exactly
+    /// once, reads return the seeded bytes, writes land, and each memory
+    /// node's fetch-adds form one chain that sums to its counter's final
+    /// value.
+    #[test]
+    fn testbed_bursts_complete_exactly_once(
+        nodes in 2usize..41,
+        bursts in proptest::collection::vec(
+            (any::<u16>(), any::<u16>(), 1usize..10, 0u8..3, 1u32..2048, 0usize..4),
+            1..24,
+        ),
+    ) {
+        const COUNTER: u64 = 1 << 40;
+        let n = nodes as u16;
+        let bytes = |i: usize, len: u32| -> Vec<u8> {
+            (0..len).map(|b| (i as u32 * 131 + b * 7) as u8).collect()
+        };
+        let mut f = Fabric::new(TestbedConfig { nodes, ..TestbedConfig::default() });
+        // (op id, kind, issuer, peer, addr, size), one disjoint 4 KiB line
+        // per op.
+        let mut issued = Vec::new();
+        for &(src, dst, count, kind, size, instant) in &bursts {
+            let src = src % n;
+            let dst = (src + 1 + dst % (n - 1)) % n;
+            let at = Time::from_ns([0, 1, 40, 1000][instant]);
+            for _ in 0..count {
+                let i = issued.len();
+                let addr = i as u64 * 4096;
+                let id = match kind {
+                    0 => {
+                        f.seed_memory(dst, addr, &bytes(i, size));
+                        f.read(at, src, dst, addr, size)
+                    }
+                    1 => f.write(at, src, dst, addr, bytes(i, size)),
+                    _ => f.rmw(at, src, dst, COUNTER, RmwOp::FetchAdd(size as u64)),
+                };
+                issued.push((id, kind, src, dst, addr, size));
+            }
+        }
+        f.run();
+        let mut seen = vec![0u32; issued.len()];
+        for c in f.completions() {
+            seen[c.op_id as usize] += 1;
+        }
+        prop_assert!(seen.iter().all(|&k| k == 1), "completions per op: {:?}", seen);
+
+        // Fetch-add chains per memory node; then read back every write
+        // and every counter at once, after the fabric drained.
+        let mut chains: BTreeMap<u16, Vec<(u64, u64)>> = BTreeMap::new();
+        let quiet = f.completions().iter().map(|c| c.completed).max().expect("ops ran")
+            + Duration::from_us(1);
+        let mut back = Vec::new();
+        for (i, &(id, kind, src, peer, addr, size)) in issued.iter().enumerate() {
+            let data = f.completion(id).expect("completed").data.clone();
+            match kind {
+                0 => prop_assert_eq!(data, bytes(i, size)),
+                1 => back.push((f.read(quiet, src, peer, addr, size), bytes(i, size))),
+                _ => {
+                    let orig = u64::from_le_bytes(data[..].try_into().expect("8 B RRES"));
+                    chains.entry(peer).or_default().push((orig, size as u64));
+                }
+            }
+        }
+        for (&peer, chain) in &mut chains {
+            chain.sort_unstable();
+            let mut sum = 0;
+            for &(orig, delta) in chain.iter() {
+                prop_assert_eq!(orig, sum, "fetch-adds at node {} are not one chain", peer);
+                sum += delta;
+            }
+            let reader = (peer + 1) % n;
+            back.push((f.read(quiet, reader, peer, COUNTER, 8), sum.to_le_bytes().to_vec()));
+        }
+        f.run();
+        for (id, want) in back {
+            prop_assert_eq!(&f.completion(id).expect("read-back completed").data, &want);
+        }
+    }
+
     /// Every flow offered to the EDM cluster simulator completes, after
     /// its arrival, with byte-conservation implied by completion.
     #[test]
