@@ -384,8 +384,9 @@ pub enum DomainCancel {
     Withdrawn {
         /// When the caller must schedule a `Poll` event: the scheduler
         /// now holds demand its last round did not see — the freed
-        /// admission slot put a backlogged notification into it, or the
-        /// withdrawal uncovered one (`edm_sched::CancelOutcome`).
+        /// admission slot put a backlogged notification into it (a round
+        /// when its ports free), or the withdrawal uncovered one (a round
+        /// now; `edm_sched::CancelOutcome`).
         poll: Option<Time>,
     },
 }
@@ -454,8 +455,10 @@ type PairFifo = u64;
 ///
 /// The domain is event-queue agnostic and owns the poll protocol: every
 /// method that can make a grant possible returns *when the caller must
-/// schedule a `Poll` event* — `None` when nothing changed a round could
-/// act on, or when an event for that instant is already queued — and
+/// schedule a `Poll` event* — the first instant a round can grant what
+/// changed, or `None` when nothing changed a round could act on, when the
+/// live wake-up comes no later, or when an event for that instant is
+/// already queued — and
 /// [`SwitchDomain::poll`] takes the firing event's time and ignores
 /// superseded wake-ups. A world schedules exactly the events it is told
 /// to and decides nothing itself, so the same state machine drives the
@@ -583,12 +586,14 @@ impl SwitchDomain {
     }
 
     /// Offers one message's demand. Returns when the caller must
-    /// schedule a `Poll` event: `now` if the demand was admitted to the
-    /// scheduler and no event for `now` is queued yet; `None` if it
-    /// joined the per-pair backlog (nothing the matcher sees changed).
+    /// schedule a `Poll` event: the instant both its ports are free —
+    /// `now` if they already are — unless the round already due at or
+    /// before then will see it, or an event for that instant is queued;
+    /// `None` if it joined the per-pair backlog or waits behind its pair's
+    /// admitted messages (the rounds that serve those will see it).
     pub fn offer(&mut self, now: Time, offer: DomainOffer) -> Option<Time> {
         if self.admit(now, offer) {
-            self.wake(now)
+            self.wake_for(now, offer.src, offer.dst)
         } else {
             None
         }
@@ -598,8 +603,9 @@ impl SwitchDomain {
     /// (an arrival that is its own notification). An uncontended
     /// store-and-forward hop — the chunk is the switch's only demand and
     /// both its ports are free — forces the round's outcome, so the round
-    /// runs inline instead of costing a `Poll` event. Hop-0 demand must
-    /// use [`SwitchDomain::offer`]: an inline round precedes same-instant
+    /// runs inline instead of costing a `Poll` event. Otherwise, as
+    /// `offer`, when its ports free. Hop-0 demand must use
+    /// [`SwitchDomain::offer`]: an inline round precedes same-instant
     /// arrivals a `Poll` event would have followed.
     pub fn offer_forwarded(&mut self, now: Time, offer: DomainOffer) -> Forwarded<'_> {
         if !self.admit(now, offer) {
@@ -607,7 +613,7 @@ impl SwitchDomain {
         } else if self.sole_eligible_demand(now, offer.src, offer.dst) {
             Forwarded::Granted(self.round(now))
         } else {
-            Forwarded::Queued(self.wake(now))
+            Forwarded::Queued(self.wake_for(now, offer.src, offer.dst))
         }
     }
 
@@ -730,17 +736,17 @@ impl SwitchDomain {
     /// Admits backlogged offers after a pair slot frees: one offer, or —
     /// with batching — every backlogged offer of the same (pair, batch
     /// key) folded into a single mega message (bounded by the 16-bit size
-    /// field, §3.1.4). Returns `true` when a notification went into the
-    /// scheduler — not when the backlog was empty, nor when its head's
-    /// pair is still at its X bound and the offer went back to wait.
-    fn admit_from_backlog(&mut self, now: Time) -> bool {
-        let Some(first) = self.backlog.pop_front() else {
-            return false;
-        };
+    /// field, §3.1.4). Returns the `(src, dst)` pair whose notification
+    /// went into the scheduler — `None` when the backlog was empty, or its
+    /// head's pair is still at its X bound and the offer went back to
+    /// wait.
+    fn admit_from_backlog(&mut self, now: Time) -> Option<(u16, u16)> {
+        let first = self.backlog.pop_front()?;
+        let pair = (first.src, first.dst);
         let pi = self.pair_idx(first.src, first.dst);
         self.pair_meta[pi] -= 1;
         if !self.batch_small {
-            return self.notify_one(now, first);
+            return self.notify_one(now, first).then_some(pair);
         }
         let key = (first.src, first.dst, first.batch_key);
         let mut total = first.bytes;
@@ -757,11 +763,12 @@ impl SwitchDomain {
             }
         });
         self.pair_meta[pi] -= (batch.len() - 1) as u64;
-        if batch.len() == 1 {
+        let admitted = if batch.len() == 1 {
             self.notify_one(now, first)
         } else {
             self.notify_batch(now, batch)
-        }
+        };
+        admitted.then_some(pair)
     }
 
     /// Asks for a round at `at` on behalf of demand that just entered
@@ -770,6 +777,16 @@ impl SwitchDomain {
     fn wake(&mut self, at: Time) -> Option<Time> {
         debug_assert!(self.has_demand(), "a round without demand is a no-op");
         self.note_poll_wanted(at).then_some(at)
+    }
+
+    /// [`SwitchDomain::wake`] for a message just admitted on `(src, dst)`:
+    /// at the instant the scheduler can first grant it, not before `now`
+    /// (`edm_sched::Scheduler::grantable_at`). A round between `now` and
+    /// then could not grant it, and every other queued message already
+    /// has its wake-up.
+    fn wake_for(&mut self, now: Time, src: u16, dst: u16) -> Option<Time> {
+        let at = self.scheduler.grantable_at(src, dst)?;
+        self.wake(at.max(now))
     }
 
     /// Records that a poll is wanted at `at`. Returns `true` when the
@@ -882,11 +899,12 @@ impl SwitchDomain {
     /// Records a granted chunk's arrival at its next element. Sub-offers
     /// of a mega message complete in FIFO order as their cumulative bytes
     /// arrive; `on_complete(token, bytes)` fires once per completed offer.
-    /// Returns when the caller must schedule a `Poll` event: `now` when
-    /// the message finished *and* the pair slot it freed put a backlogged
+    /// Returns when the caller must schedule a `Poll` event: when the
+    /// message finished *and* the pair slot it freed put a backlogged
     /// notification into the scheduler — the only way a delivery changes
-    /// what a scheduling round can grant — unless an event for `now` is
-    /// already queued.
+    /// what a scheduling round can grant — the instant that
+    /// notification's ports free (`now` if they are), as for
+    /// [`SwitchDomain::offer`].
     ///
     /// Completion is *byte-counted*, not flagged by the final grant:
     /// background-IP jitter can land a small final chunk before its
@@ -942,8 +960,8 @@ impl SwitchDomain {
             // backlog admission below may reuse it immediately), and the
             // freed pair slot admits backlogged demand.
             self.free_slots.push(slot);
-            if self.admit_from_backlog(now) {
-                return self.wake(now);
+            if let Some((src, dst)) = self.admit_from_backlog(now) {
+                return self.wake_for(now, src, dst);
             }
         }
         None
@@ -959,7 +977,11 @@ impl SwitchDomain {
     /// bookkeeping still runs, but the message can no longer complete, so
     /// no completion callback ever fires for it. Freeing the admission
     /// slot admits backlogged demand, exactly like a completion — the
-    /// outcome says when to schedule a `Poll` event.
+    /// outcome says when to schedule a `Poll` event: when the admitted
+    /// notification's ports free, as for [`SwitchDomain::deliver`], or
+    /// `now` if the withdrawal uncovered an entry of a queue deeper than
+    /// PIM's row (`edm_sched::CancelOutcome`), which may be eligible at
+    /// once.
     ///
     /// Offers folded into a §3.1.2 mega message are *not* cancellable
     /// (the notification covers the whole batch); those keep the
@@ -1015,12 +1037,14 @@ impl SwitchDomain {
                 if st.delivered >= st.granted {
                     self.free_slots.push(slot as u32);
                 }
-                // The admission slot freed: admit backlogged demand.
+                // The admission slot freed: admit backlogged demand. An
+                // entry the withdrawal moved into PIM's view may be
+                // eligible right away.
                 let admitted = self.admit_from_backlog(now);
-                let poll = if (admitted || uncovered) && self.has_demand() {
+                let poll = if uncovered {
                     self.wake(now)
                 } else {
-                    None
+                    admitted.and_then(|(s, d)| self.wake_for(now, s, d))
                 };
                 return DomainCancel::Withdrawn { poll };
             }
@@ -1113,6 +1137,10 @@ pub struct EdmStreamStats {
     /// Simulation events dispatched (demand arrivals, polls — superseded
     /// ones included — and chunk deliveries).
     pub events: u64,
+    /// Scheduling rounds the switch ran ([`SwitchDomain::rounds`]).
+    pub rounds: u64,
+    /// Rounds that issued no grant.
+    pub empty_rounds: u64,
     /// Most flows simultaneously resident (admitted, not yet retired).
     pub active_high_water: usize,
     /// High-water mark of the switch's message slab
@@ -1324,9 +1352,12 @@ impl EdmProtocol {
         let events = engine.steps();
         let world = engine.into_world();
         assert_eq!(world.live, 0, "flows stalled without completing");
+        let (rounds, empty_rounds, _) = world.domain.rounds();
         EdmStreamStats {
             completed: world.completed,
             events,
+            rounds,
+            empty_rounds,
             active_high_water: world.active_hwm,
             msg_slab_high_water: world.domain.msg_slab_high_water(),
         }
@@ -1651,6 +1682,64 @@ mod tests {
             Some(t(200))
         );
         assert_eq!(dom.poll(t(200)).expect("live").grants[0].token, 3);
+    }
+
+    #[test]
+    fn offer_on_busy_ports_asks_for_the_instant_they_free() {
+        let mut dom = domain4();
+        let t = Time::from_ns;
+        assert_eq!(dom.offer(t(0), pair_offer(1, 256)), Some(t(0)));
+        let round = dom.poll(t(0)).expect("live");
+        assert_eq!((round.grants.len(), round.next_poll), (1, None));
+        let frees = t(0) + dom.scheduler().config().link.tx_time_bytes(256);
+        // Port 1 is receiving the chunk: no round can grant 2->1 before
+        // it frees.
+        let to_busy_dst = DomainOffer {
+            src: 2,
+            ..pair_offer(2, 64)
+        };
+        assert_eq!(dom.offer(t(1), to_busy_dst), Some(frees));
+        // Port 0 frees at the same instant: that event serves 0->3 too.
+        let from_busy_src = DomainOffer {
+            dst: 3,
+            ..pair_offer(3, 64)
+        };
+        assert_eq!(dom.offer(t(2), from_busy_src), None);
+        let round = dom.poll(frees).expect("live");
+        let mut tokens: Vec<u64> = round.grants.iter().map(|g| g.token).collect();
+        tokens.sort_unstable();
+        assert_eq!(tokens, [2, 3]);
+        assert_eq!(dom.rounds(), (2, 0, 3), "no round without a grant");
+    }
+
+    #[test]
+    fn backlog_admitted_by_a_delivery_asks_for_the_instant_its_ports_free() {
+        let mut dom = domain4();
+        let t = Time::from_ns;
+        let link = dom.scheduler().config().link;
+        // Pair 0->1 (X = 1) has a 64 B message admitted and one
+        // backlogged; 2->1 queues a 256 B chunk for the same destination.
+        assert_eq!(dom.offer(t(0), pair_offer(1, 64)), Some(t(0)));
+        assert_eq!(dom.offer(t(0), pair_offer(2, 64)), None, "X=1 backlogs");
+        let other = DomainOffer {
+            src: 2,
+            ..pair_offer(3, 256)
+        };
+        assert_eq!(dom.offer(t(0), other), None, "rides on the round at 0");
+        let round = dom.poll(t(0)).expect("live");
+        let first = round.grants[0];
+        assert_eq!((round.grants.len(), first.token), (1, 1), "SRPT");
+        let dst_free = round.next_poll.expect("2->1 waits for port 1");
+        assert_eq!(dom.poll(dst_free).expect("live").grants[0].token, 3);
+        // Message 1 lands while port 1 receives 2->1's chunk: the freed
+        // slot admits message 2, which can be granted once port 1 frees.
+        let frees = dst_free + link.tx_time_bytes(256);
+        assert_eq!(
+            dom.deliver(t(10), first.slot, first.chunk_bytes, |_, _| {}),
+            Some(frees)
+        );
+        assert_eq!(dom.poll(frees).expect("live").grants[0].token, 2);
+        assert_eq!(dom.rounds().1, 0, "no round without a grant");
     }
 
     #[test]

@@ -259,24 +259,21 @@ fn wake_up_for_an_instant_with_a_queued_event_recycles_it() {
     let t = Time::from_ns;
     let mut dom = domain4();
     assert_eq!(dom.offer(t(0), offer4(0, 1, 1000, 1)), Some(t(0)));
-    assert_eq!(dom.offer(t(0), offer4(0, 1, 500, 2)), None, "X=1 backlogs");
     let first = dom.poll(t(0)).expect("live");
     assert_eq!(first.grants.len(), 1);
     let port_free = first.next_poll.expect("three chunks still to grant");
     assert!(port_free > t(5));
-    // Withdrawing message 1 mid-flight hands its slot to the backlogged
-    // offer: new demand, so a round at the cancel instant, superseding
-    // the event queued for `port_free`.
-    let woken = DomainCancel::Withdrawn { poll: Some(t(5)) };
-    assert_eq!(dom.cancel(t(5), 0, 1, 1), woken);
-    // That round finds the ports busy with the in-flight chunk, and its
-    // wake-up is the very instant the superseded event is queued for.
-    let blocked = dom.poll(t(5)).expect("live");
-    assert!(blocked.grants.is_empty());
-    assert_eq!(blocked.next_poll, None, "the event for that instant exists");
+    // Demand on another pair, whose ports are free, asks for a round at
+    // once, superseding the event queued for `port_free`.
+    assert_eq!(dom.offer(t(5), offer4(2, 3, 64, 2)), Some(t(5)));
+    // That round grants it, and its wake-up is the very instant the
+    // superseded event is queued for.
+    let other = dom.poll(t(5)).expect("live");
+    assert_eq!(other.grants.len(), 1);
+    assert_eq!(other.next_poll, None, "the event for that instant exists");
     let round = dom.poll(port_free).expect("recycled into the live wake-up");
     assert_eq!(round.grants.len(), 1);
-    assert_eq!(round.grants[0].token, 2);
+    assert_eq!(round.grants[0].token, 1);
 }
 
 proptest! {

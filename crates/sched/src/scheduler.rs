@@ -9,11 +9,12 @@
 //!    timers expired, runs priority PIM over all eligible demand, and
 //!    issues one [`Grant`] of up to `chunk_bytes` per matched pair. The
 //!    poll also says when the next one is worth running
-//!    ([`PollResult::next_wakeup`]): like the hardware, which only acts
-//!    on ports holding a queued notification (§3.1.2), a driver never
-//!    has to run a round that cannot grant — and a round visits only the
-//!    destinations that can have changed since it last looked at them
-//!    (`dest_ready`).
+//!    ([`PollResult::next_wakeup`]), and a fresh notification says when
+//!    its own ports free ([`Scheduler::grantable_at`]): like the
+//!    hardware, which only acts on ports holding a queued notification
+//!    (§3.1.2), a driver never has to run a round that cannot grant — and
+//!    a round visits only the destinations that can have changed since
+//!    it last looked at them (`dest_ready`).
 //! 3. A granted port pair is *busy* for exactly `chunk/B` — the paper's
 //!    step (7): releasing after the chunk's transmission time (not its
 //!    arrival) keeps the pipe full despite propagation delay.
@@ -203,9 +204,10 @@ pub struct PollResult {
     /// walking the row again. Rounds between `now`
     /// and this instant could not grant, and an empty round has no side
     /// effect (the matcher is priority-driven: no pointers, no RNG), so a
-    /// driver that polls only at wake-ups and after each accepted
-    /// [`Scheduler::notify`] sees exactly the grants of one that polls at
-    /// every busy expiry.
+    /// driver that polls only at wake-ups and at the
+    /// [`Scheduler::grantable_at`] of each accepted [`Scheduler::notify`]
+    /// sees exactly the grants of one that polls at every busy expiry and
+    /// every notification.
     ///
     /// When the round may have left *eligible* demand unmatched — PIM hit
     /// its iteration cap, or a walked row is deeper than PIM's snapshot —
@@ -289,6 +291,10 @@ pub struct Scheduler {
     dests_examined: u64,
     /// Time of the latest round: `dest_ready` assumes time moves forward.
     last_poll: Time,
+    /// Whether the latest round's matcher stopped at its iteration cap
+    /// with destinations still contending, so an edge between two free
+    /// ports may be waiting for whichever round runs next.
+    capped: bool,
     /// Scratch: destinations eligible for PIM this round.
     pim_dests: Vec<usize>,
     /// Scratch: matched pairs from the last PIM run.
@@ -374,6 +380,7 @@ impl Scheduler {
             empty_rounds: 0,
             dests_examined: 0,
             last_poll: Time::ZERO,
+            capped: false,
             pim_dests: Vec::new(),
             pairs_scratch: Vec::new(),
             config,
@@ -587,6 +594,33 @@ impl Scheduler {
         Ok(())
     }
 
+    /// The earliest instant a message just accepted by
+    /// [`Scheduler::notify`] for `(src, dest)` can be granted: when both
+    /// its ports are free, `max(src_busy_until, dst_busy_until)` (at or
+    /// before the notification if they already are). `None` when it went
+    /// into the pair's waiting FIFO: the round that grants the pair's
+    /// queued head its last chunk promotes it, and that round's
+    /// [`PollResult::next_wakeup`] covers it.
+    ///
+    /// A driver that polls here after a notification, instead of at the
+    /// notification's own instant, sees the same grants: the rounds in
+    /// between would have found the new edge ineligible, and with it
+    /// every edge the last round's wake-up does not cover. The exception
+    /// is a round capped by [`PimConfig::max_iterations`] that left
+    /// contending demand behind, which any round can grant: then this
+    /// returns `Time::ZERO`, "poll at once".
+    pub fn grantable_at(&self, src: u16, dest: u16) -> Option<Time> {
+        let idx = self.pair_idx(src, dest);
+        debug_assert_ne!(self.pair_adm[idx] & HEAD_IN_QUEUE, 0, "nothing notified");
+        if self.capped {
+            Some(Time::ZERO)
+        } else if self.pair_wait[idx] != 0 {
+            None
+        } else {
+            Some(self.src_busy_until[src as usize].max(self.dst_busy_until[dest as usize]))
+        }
+    }
+
     /// Withdraws a message's *ungranted* remainder (sender-side demand
     /// revocation).
     ///
@@ -789,6 +823,7 @@ impl Scheduler {
         // may have left *eligible* demand behind when PIM hit its cap or
         // a row is deeper than its snapshot: then nothing short of every
         // busy expiry is a safe wake-up.
+        self.capped = outcome.capped;
         let mut fallback = outcome.capped;
         for &d in &self.pim_dests {
             let pos = self.dest_active_pos[d];
@@ -1012,6 +1047,70 @@ mod tests {
     }
 
     #[test]
+    fn notification_behind_a_busy_source_is_grantable_when_it_frees() {
+        let mut s = sched(4, 256, Policy::Fcfs);
+        s.notify(Time::ZERO, Notification::new(0, 1, 0, 256))
+            .unwrap();
+        assert_eq!(s.grantable_at(0, 1), Some(Time::ZERO), "free ports");
+        assert_eq!(s.poll(Time::ZERO).grants.len(), 1);
+        let frees = Time::ZERO + s.config().link.tx_time_bytes(256);
+        s.notify(Time::from_ns(1), Notification::new(0, 2, 0, 64))
+            .unwrap();
+        assert_eq!(s.grantable_at(0, 2), Some(frees));
+        let r = s.poll(frees);
+        assert_eq!((r.grants.len(), r.grants[0].dest), (1, 2));
+    }
+
+    #[test]
+    fn notification_to_a_busy_destination_is_grantable_when_it_frees() {
+        let mut s = sched(4, 256, Policy::Fcfs);
+        s.notify(Time::ZERO, Notification::new(0, 1, 0, 256))
+            .unwrap();
+        assert_eq!(s.poll(Time::ZERO).grants.len(), 1);
+        let frees = Time::ZERO + s.config().link.tx_time_bytes(256);
+        s.notify(Time::from_ns(1), Notification::new(2, 1, 0, 64))
+            .unwrap();
+        assert_eq!(s.grantable_at(2, 1), Some(frees));
+        let r = s.poll(frees);
+        assert_eq!((r.grants.len(), r.grants[0].src), (1, 2));
+    }
+
+    #[test]
+    fn notification_with_both_ports_busy_waits_for_the_later() {
+        // 0->1 holds its ports for 64 B, 2->3 for 256 B; the crossed
+        // pairs wait for the 256 B chunk whichever side it is on.
+        let mut s = sched(4, 256, Policy::Fcfs);
+        s.notify(Time::ZERO, Notification::new(0, 1, 0, 64))
+            .unwrap();
+        s.notify(Time::ZERO, Notification::new(2, 3, 0, 256))
+            .unwrap();
+        assert_eq!(s.poll(Time::ZERO).grants.len(), 2);
+        let long = Time::ZERO + s.config().link.tx_time_bytes(256);
+        for (src, dst) in [(0, 3), (2, 1)] {
+            s.notify(Time::from_ns(1), Notification::new(src, dst, 0, 64))
+                .unwrap();
+            assert_eq!(s.grantable_at(src, dst), Some(long), "{src}->{dst}");
+        }
+        assert_eq!(s.poll(long).grants.len(), 2);
+    }
+
+    #[test]
+    fn notification_behind_its_pair_head_asks_for_nothing() {
+        // The round that grants the head's last chunk promotes the
+        // second message, and its wake-up covers it.
+        let mut s = sched(4, 256, Policy::Fcfs);
+        for id in 0..2 {
+            s.notify(Time::ZERO, Notification::new(0, 1, id, 64))
+                .unwrap();
+        }
+        assert_eq!(s.grantable_at(0, 1), None);
+        let r = s.poll(Time::ZERO);
+        assert_eq!(r.grants[0].msg_id, 0);
+        let next = r.next_wakeup.expect("the promoted message");
+        assert_eq!(s.poll(next).grants[0].msg_id, 1);
+    }
+
+    #[test]
     fn cancel_that_promotes_a_waiter_reopens_its_destination() {
         let mut s = sched(4, 256, Policy::Fcfs);
         s.notify(Time::ZERO, Notification::new(0, 1, 0, 256))
@@ -1109,6 +1208,13 @@ mod tests {
         assert_eq!((r.grants[0].src, r.grants[0].dest), (0, 1));
         let short = s.config().link.tx_time_bytes(64);
         assert_eq!(r.next_wakeup, Some(Time::ZERO + short));
+        // Any round may now grant the edge left behind, so a notification
+        // asks for one at once even though its own source is busy.
+        s.notify(Time::from_ns(1), Notification::new(0, 3, 0, 64))
+            .unwrap();
+        assert_eq!(s.grantable_at(0, 3), Some(Time::ZERO));
+        let r = s.poll(Time::from_ns(1));
+        assert_eq!((r.grants[0].src, r.grants[0].dest), (3, 2));
     }
 
     #[test]

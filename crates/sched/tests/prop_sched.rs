@@ -3,8 +3,9 @@
 //! the grant engine conserves bytes and never double-books a port, pairs
 //! stay FIFO, the demand-sparse `poll` is equivalent to a dense
 //! reference implementation on randomized notify/poll scripts, a driver
-//! that polls only when `next_wakeup` says so sees the grants of one that
-//! polls at every busy expiry, and after every round of either the
+//! that polls only when `next_wakeup` or a notification's `grantable_at`
+//! says so sees the grants of one that polls at every busy expiry and
+//! every notification, and after every round of either the
 //! per-destination instants the scheduler remembers are the ones a
 //! from-scratch look computes (`Scheduler::audit_ready`).
 
@@ -256,21 +257,23 @@ type SeenGrant = (Time, u16, u16, u8, u32, Duration);
 
 /// Drives `sched` through `arrivals` and `cancels` (both time-sorted) the
 /// way every engine does — the offer/poll/deliver protocol of
-/// `edm_core::SwitchDomain`: a round runs after each accepted
-/// notification; a notification the pair's X bound rejects waits in a
-/// FIFO backlog, and `DELIVERY` after a message's final grant the backlog
-/// head is offered again. A cancel names a message by its notification;
-/// one that withdraws demand frees an admission slot like a completion
-/// (backlog head offered again at once) and asks for a round only when it
-/// uncovered a deep row. Odd sources get a wider X, trunk-style, through
-/// `notify_with_limit`.
+/// `edm_core::SwitchDomain`: a notification the pair's X bound rejects
+/// waits in a FIFO backlog, and `DELIVERY` after a message's final grant
+/// the backlog head is offered again. A cancel names a message by its
+/// notification; one that withdraws demand frees an admission slot like a
+/// completion (backlog head offered again at once) and asks for a round
+/// at once only when it uncovered a deep row. Odd sources get a wider X,
+/// trunk-style, through `notify_with_limit`.
 ///
-/// What differs is when else a round runs. The driver under test trusts
-/// the latest round's `next_wakeup`; the `exhaustive` reference ignores
-/// it and polls at every busy expiry of every grant while demand is
-/// pending, which is every instant at which a grant can become possible.
-/// Every round of either is followed by `audit_ready`. Returns the grant
-/// stream and the number of rounds run.
+/// What differs is when a round runs. The driver under test asks for one
+/// at each accepted notification's `grantable_at` (now, if that has
+/// passed) and trusts the latest round's `next_wakeup`, keeping only the
+/// earliest instant asked for. The `exhaustive` reference ignores both:
+/// it polls after every accepted notification and at every busy expiry
+/// of every grant while demand is pending, which is every instant at
+/// which a grant can become possible. Every round of either is followed
+/// by `audit_ready`. Returns the grant stream and the number of rounds
+/// run.
 fn drive(
     mut sched: Scheduler,
     arrivals: &[(Time, Notification)],
@@ -282,6 +285,21 @@ fn drive(
     let x = sched.config().max_active_per_pair;
     let notify = |sched: &mut Scheduler, now, n: Notification| {
         sched.notify_with_limit(now, n, x + 2 * (n.src as usize % 2))
+    };
+    // After an accepted notification: whether to poll now, else fold the
+    // instant it asks for into the wake-up.
+    let ask = |sched: &Scheduler, now, n: Notification, wake: &mut Option<Time>| {
+        if exhaustive {
+            return true;
+        }
+        match sched.grantable_at(n.src, n.dest) {
+            Some(at) if at <= now => true,
+            Some(at) => {
+                *wake = Some(wake.map_or(at, |w| w.min(at)));
+                false
+            }
+            None => false,
+        }
     };
     let mut seen = Vec::new();
     let mut backlog: VecDeque<Notification> = VecDeque::new();
@@ -316,7 +334,7 @@ fn drive(
             if waits || notify(&mut sched, now, n).is_err() {
                 backlog.push_back(n);
             } else {
-                poll = true;
+                poll |= ask(&sched, now, n, &mut wake);
             }
         }
         while cancels.get(next_cancel).is_some_and(|c| c.0 == now) {
@@ -333,7 +351,7 @@ fn drive(
         if retries.remove(&now) {
             if let Some(n) = backlog.pop_front() {
                 match notify(&mut sched, now, n) {
-                    Ok(()) => poll = true,
+                    Ok(()) => poll |= ask(&sched, now, n, &mut wake),
                     Err(_) => backlog.push_back(n),
                 }
             }
@@ -551,15 +569,17 @@ proptest! {
         prop_assert_eq!(sparse.pending_messages(), 0);
     }
 
-    /// Polling only when `next_wakeup` (or a fresh notification) says so
-    /// loses nothing: the grant stream — issue time, ports, message,
-    /// chunk, matching latency — is the one an exhaustive driver sees,
-    /// in fewer rounds. Schedules mix single- and multi-chunk messages,
-    /// overflow the per-pair X bound into a backlog and withdraw some
-    /// messages shortly after they were announced; the wide shape
-    /// piles more sources onto a destination than PIM's row holds, and
-    /// `one_iteration` caps PIM so rounds leave eligible demand behind —
-    /// the two cases where the wake-up must fall back to every expiry.
+    /// Polling only when `next_wakeup` says so, or when a fresh
+    /// notification's ports free (`grantable_at`), loses nothing: the
+    /// grant stream — issue time, ports, message, chunk, matching
+    /// latency — is the one an exhaustive driver sees, in fewer rounds.
+    /// Schedules mix single- and multi-chunk messages, overflow the
+    /// per-pair X bound into a backlog and withdraw some messages shortly
+    /// after they were announced; the wide shape piles more sources onto
+    /// a destination than PIM's row holds, and `one_iteration` caps PIM
+    /// so rounds leave eligible demand behind — the two cases where the
+    /// wake-up must fall back to every expiry, and the second the one
+    /// where a notification must still ask for a round at once.
     #[test]
     fn next_wakeup_driver_sees_the_exhaustive_grant_stream(
         wide in any::<bool>(),

@@ -307,10 +307,12 @@ fn lockstep_at_4_shards_288_nodes() {
 /// re-admission). Sequential and 2-shard runs must agree, and every
 /// flow's outcome must be the one this scenario has always produced:
 /// `CHAIN_DIGEST` folds each outcome's status and time, the counters
-/// and the event tally.
+/// and the event tally. Asking for a notification's round when its
+/// ports free, not when it arrives, moved only the tally (3029 → 2692
+/// events); folded before it, the digest stays `0x4da4afa5059b6030`.
 #[test]
 fn chain_routes_longer_than_a_leaf_spine_path() {
-    const CHAIN_DIGEST: u64 = 0x8a42_5a68_8718_561f;
+    const CHAIN_DIGEST: u64 = 0x8a41_2968_8716_4fdc;
     let attach: Vec<u32> = (0..6u32).flat_map(|s| [s, s]).collect();
     let trunks: Vec<(u32, u32)> = (0..5u32).flat_map(|s| [(s, s + 1), (s, s + 1)]).collect();
     let topo = Topology::from_adjacency(

@@ -226,14 +226,20 @@ proptest! {
 /// so rounds that issue nothing stay a small minority on the headline
 /// scenario, reduced: the 288-node leaf–spine under a 64 B rack-aware
 /// stream. Polling at every busy expiry and after every completed
-/// message ran 1.8 empty rounds per useful one here; this keeps that
-/// from silently coming back.
+/// message ran 1.8 empty rounds per useful one here; polling at each
+/// notification's own instant, even with its ports mid-chunk, left
+/// 14 882 of 56 675 rounds empty; asking for the instant its ports free
+/// leaves 1 071 of 42 864 (2.5 %). This keeps either from silently
+/// coming back.
 ///
 /// And a round looks only at the destinations that can have changed:
-/// when every round re-examined every free destination these 56 675
+/// when every round re-examined every free destination the 56 675
 /// rounds handed 226 533 destinations to PIM (4.00 per round); with
-/// the remembered per-destination instants it is 51 807 (0.91). The full-size stream (400k flows, 1 142 871 rounds)
-/// went from 4 912 653 (4.30) to 1 043 664 (0.91).
+/// the remembered per-destination instants it is 51 807 (0.91), and
+/// 51 577 over the 42 864 rounds left (1.20). The full-size stream
+/// (400k flows, 1 142 871 rounds) went from 4 912 653 (4.30) to
+/// 1 043 664 (0.91), then to 1 039 381 over 854 652 rounds (1.22), of
+/// which 23 154 are empty (311 373 before).
 #[test]
 fn empty_rounds_stay_a_minority_on_the_64b_stream() {
     let topo = Topology::leaf_spine(LeafSpine::symmetric(4, 2, 72, 36));
@@ -251,7 +257,7 @@ fn empty_rounds_stay_a_minority_on_the_64b_stream() {
     assert_eq!(stats.delivered, 20_000);
     assert!(stats.rounds > 0);
     assert!(
-        stats.empty_rounds <= stats.rounds / 3,
+        stats.empty_rounds <= stats.rounds / 20,
         "{} of {} scheduling rounds issued no grant",
         stats.empty_rounds,
         stats.rounds

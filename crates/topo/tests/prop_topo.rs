@@ -366,8 +366,9 @@ proptest! {
         // The two worlds agree event for event, not only outcome for
         // outcome: streamed over the same time-ordered flows, both
         // dispatch one demand per flow, the same polls (superseded ones
-        // included) and the same chunks. Admissions are the topology
-        // world's alone and it does not count them.
+        // included) and the same chunks, and run the same rounds, empty
+        // ones included. Admissions are the topology world's alone and
+        // it does not count them.
         let mut sorted = flows;
         sorted.sort_by_key(|f| f.arrival);
         for (id, f) in sorted.iter_mut().enumerate() {
@@ -375,7 +376,10 @@ proptest! {
         }
         let legacy_stats = legacy.simulate_streamed(&cluster, sorted.iter().copied(), |_| {});
         let topo_stats = topo_edm.simulate_streamed(&topo, sorted.iter().copied(), |_| {});
-        prop_assert_eq!(legacy_stats.events, topo_stats.events);
+        prop_assert_eq!(
+            (legacy_stats.events, legacy_stats.rounds, legacy_stats.empty_rounds),
+            (topo_stats.events, topo_stats.rounds, topo_stats.empty_rounds)
+        );
         prop_assert_eq!(legacy_stats.completed, topo_stats.delivered);
     }
 

@@ -29,8 +29,10 @@
 # BENCH_history.jsonl at the root of this checkout: git rev (rev_of below
 # says how a tree with uncommitted work is named), seed, pairs,
 # every host-side metric's median and quartiles, every simulated one's
-# value. --quick runs (1/20 scale, the ci.sh smoke) are not measurements
-# and are not recorded.
+# value, and sim.events / sim.events_per_unit from one extra --trace 1
+# run per side after the pairs (untimed, part of no verdict). --quick
+# runs (1/20 scale, the ci.sh smoke) are not measurements and are not
+# recorded.
 #
 # Needs bash, coreutils, awk and git; no jq, no python.
 set -euo pipefail
@@ -127,29 +129,43 @@ rev_of() {
 parent_rev=$(rev_of "$parent")
 change_rev=$(rev_of "$change")
 
-# run_side SIDE DIR WORKLOAD: one benchmark process; appends each metric's
-# value to $tmp/WORKLOAD.SIDE.METRIC and the run's seed-determined part
-# (counts and simulated metrics, verbatim) to $tmp/WORKLOAD.SIDE.sim.
-run_side() {
+# bench_line SIDE DIR WORKLOAD [ARG ...] -> the result line (the last of
+# stdout) of one benchmark process at this seed, which must exit zero and
+# report "correct": true.
+bench_line() {
     local side=$1 dir=$2 w=$3 line
-    local args=(--workload "$w" --seed "$seed")
-    [[ $quick -eq 1 ]] && args+=(--quick)
-    if ! line=$(bash "$dir/benchmark/run.sh" "${args[@]}" 2> "$tmp/stderr" | tail -n 1); then
+    shift 3
+    if ! line=$(bash "$dir/benchmark/run.sh" --workload "$w" --seed "$seed" "$@" 2> "$tmp/stderr" | tail -n 1); then
         cat "$tmp/stderr" >&2
         echo "ab.sh: $side run of $w exited non-zero" >&2
-        exit 1
+        return 1
     fi
     if [[ $line != '{"correct": true,'* ]]; then
         cat "$tmp/stderr" >&2
         echo "ab.sh: $side run of $w is not correct: $line" >&2
-        exit 1
+        return 1
     fi
-    local m
+    echo "$line"
+}
+
+# value_of METRIC <<< LINE -> that metric's value in a result line.
+value_of() {
+    awk -v m="\"$1\": {\"value\": " '{
+        i = index($0, m); if (!i) exit 1
+        v = substr($0, i + length(m)); sub(/[,}].*/, "", v); print v
+    }'
+}
+
+# run_side SIDE DIR WORKLOAD: one benchmark process; appends each metric's
+# value to $tmp/WORKLOAD.SIDE.METRIC and the run's seed-determined part
+# (counts and simulated metrics, verbatim) to $tmp/WORKLOAD.SIDE.sim.
+run_side() {
+    local side=$1 dir=$2 w=$3 line m
+    local args=()
+    [[ $quick -eq 1 ]] && args+=(--quick)
+    line=$(bench_line "$side" "$dir" "$w" "${args[@]}") || exit 1
     for m in "${metrics[@]}"; do
-        awk -v m="\"$m\": {\"value\": " '{
-            i = index($0, m); if (!i) exit 1
-            v = substr($0, i + length(m)); sub(/[,}].*/, "", v); print v
-        }' <<< "$line" >> "$tmp/$w.$side.$m" || die "$side run of $w printed no $m"
+        value_of "$m" <<< "$line" >> "$tmp/$w.$side.$m" || die "$side run of $w printed no $m"
     done
     {
         awk '{ match($0, /"attempted": [0-9]+, "failed": [0-9]+/); printf "%s", substr($0, RSTART, RLENGTH) }' <<< "$line"
@@ -190,7 +206,7 @@ for w in "${workloads[@]}"; do
     else
         echo "  identical on all $((2 * pairs)) runs: $(head -n 1 "$tmp/$w.parent.sim")"
     fi
-    printf '  %-18s %-30s %-30s %8s %6s  %s\n' metric "parent median [p25, p75]" "change median [p25, p75]" "delta" "wins" verdict
+    printf '  %-19s %-30s %-30s %8s %6s  %s\n' metric "parent median [p25, p75]" "change median [p25, p75]" "delta" "wins" verdict
     hist_p="" hist_c=""
     for m in "${metrics[@]}"; do
         if [[ $m == sim_* ]]; then
@@ -217,9 +233,21 @@ for w in "${workloads[@]}"; do
                 printf "%+.1f%% %d/%d %s\n", 100 * (cm - pm) / pm, wins, n, verdict
             }' > "$tmp/verdict"
         read -r delta wins verdict < "$tmp/verdict"
-        printf '  %-18s %-30s %-30s %8s %6s  %s\n' "$m" "$pm [$p25, $p75]" "$cm [$c25, $c75]" "$delta" "$wins" "$verdict"
+        printf '  %-19s %-30s %-30s %8s %6s  %s\n' "$m" "$pm [$p25, $p75]" "$cm [$c25, $c75]" "$delta" "$wins" "$verdict"
     done
     if [[ $quick -eq 0 ]]; then
+        # One untimed traced run per side: its event tally goes into the
+        # history line, not into any verdict.
+        bench_line parent "$parent" "$w" --trace 1 > "$tmp/$w.parent.traced" || exit 1
+        bench_line change "$change" "$w" --trace 1 > "$tmp/$w.change.traced" || exit 1
+        for m in sim.events sim.events_per_unit; do
+            pv=$(value_of "$m" < "$tmp/$w.parent.traced") || die "traced parent run of $w printed no $m"
+            cv=$(value_of "$m" < "$tmp/$w.change.traced") || die "traced change run of $w printed no $m"
+            hist_p+=", \"$m\": $pv"
+            hist_c+=", \"$m\": $cv"
+            delta=$(awk -v p="$pv" -v c="$cv" 'BEGIN { if (p != 0) printf "%+.1f%%", 100 * (c - p) / p }')
+            printf '  %-19s %-30s %-30s %8s %6s  %s\n' "$m" "$pv" "$cv" "$delta" "" "one traced run per side"
+        done
         for side in parent change; do
             [[ $side == parent ]] && { rev=$parent_rev body=$hist_p; } || { rev=$change_rev body=$hist_c; }
             echo "{\"workload\": \"$w\", \"side\": \"$side\", \"rev\": \"$rev\", \"seed\": $seed, \"pairs\": $pairs$body}" >> "$root/BENCH_history.jsonl"
