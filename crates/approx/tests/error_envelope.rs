@@ -47,7 +47,7 @@ fn fct_errors(name: &str, topo: &Topology, cfg: &TopoEdmConfig, flows: &[Flow]) 
 
     assert_eq!(
         est.delivered(),
-        exact.delivered(),
+        exact.stats.delivered as usize,
         "{name}: both engines must agree on deliverability"
     );
     let mut xs = Summary::new();

@@ -7,8 +7,7 @@ use std::path::Path;
 
 use crate::util::{par_sweep, solo_by_kind};
 use edm_baselines::prelude::*;
-use edm_core::sim::{ClusterConfig, EdmProtocol, Flow, FlowKind};
-use edm_sim::Summary;
+use edm_core::sim::{ClusterConfig, Flow, FlowKind};
 use edm_workloads::SyntheticWorkload;
 
 /// Flows per (load, protocol) point.
@@ -47,21 +46,7 @@ fn run_panel(loads_or_mixes: &[(f64, f64, String)]) {
             kind: FlowKind::Write,
         };
         let solo = solo_by_kind(protocol, &cluster, probe);
-        let norm = if protocol.name() == "EDM" {
-            // The EDM point pulls its arrivals lazily from the workload
-            // source (bit-identical to the materialized run) so the
-            // harness holds O(active flows) instead of the whole trace,
-            // like the topo-scale streaming harnesses.
-            let (load, wf, _) = &loads_or_mixes[ri];
-            let wl = SyntheticWorkload::paper_default(*load, *wf, FLOWS);
-            let mut norm = Summary::new();
-            EdmProtocol::default().simulate_streamed(&cluster, wl.source(SEED), |o| {
-                norm.record(o.mct().ratio(solo(&o.flow)));
-            });
-            norm
-        } else {
-            protocol.simulate(&cluster, flows).normalized_mct(solo)
-        };
+        let norm = protocol.simulate(&cluster, flows).normalized_mct(solo);
         format!("{:.2}", norm.mean())
     });
     for (ri, (_, _, label)) in loads_or_mixes.iter().enumerate() {

@@ -6,8 +6,8 @@ use std::path::Path;
 
 use crate::util::{par_sweep, solo_by_size};
 use edm_baselines::prelude::*;
-use edm_core::sim::{ClusterConfig, EdmProtocol};
-use edm_sim::{Bandwidth, Summary};
+use edm_core::sim::ClusterConfig;
+use edm_sim::Bandwidth;
 use edm_workloads::AppTrace;
 
 pub fn run(_out: &Path) {
@@ -41,18 +41,7 @@ pub fn run(_out: &Path) {
         let mut protocol = all_protocols().swap_remove(pi);
         let protocol = protocol.as_mut();
         let solo = solo_by_size(protocol, &cluster, max_size);
-        let norm = if protocol.name() == "EDM" {
-            // The EDM point streams the trace through the lazy-admission
-            // path (bit-identical to the materialized run), retiring
-            // flows as they complete instead of retaining every outcome.
-            let mut norm = Summary::new();
-            EdmProtocol::default().simulate_streamed(&cluster, flows.iter().copied(), |o| {
-                norm.record(o.mct().ratio(solo(&o.flow)));
-            });
-            norm
-        } else {
-            protocol.simulate(&cluster, flows).normalized_mct(solo)
-        };
+        let norm = protocol.simulate(&cluster, flows).normalized_mct(solo);
         format!("{:.2}", norm.mean())
     });
     for (ai, app) in apps.iter().enumerate() {

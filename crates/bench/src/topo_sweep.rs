@@ -78,9 +78,9 @@ pub fn run(_out: &Path) {
             format!("{oversub}:1 / ip {:.2}", ip),
             norm.mean(),
             norm.percentile(99.0),
-            result.reroutes,
-            result.failed(),
-            result.ip_frames,
+            result.stats.reroutes,
+            result.stats.failed,
+            result.stats.ip_frames,
         )
     });
     for row in rows {

@@ -83,11 +83,6 @@ impl MemOp {
         }
     }
 
-    /// Whether this is a request generated at a compute node.
-    pub fn is_request(&self) -> bool {
-        !matches!(self, MemOp::ReadResponse { .. })
-    }
-
     /// Serializes to the byte payload carried in `/M*/` blocks.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();

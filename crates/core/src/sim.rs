@@ -123,19 +123,6 @@ impl SimResult {
         }
         s
     }
-
-    /// Summary restricted to one flow kind.
-    pub fn normalized_mct_of_kind<F: Fn(&Flow) -> Duration>(
-        &self,
-        kind: FlowKind,
-        ideal: F,
-    ) -> Summary {
-        let mut s = Summary::new();
-        for o in self.outcomes.iter().filter(|o| o.flow.kind == kind) {
-            s.record(o.mct().ratio(ideal(&o.flow)));
-        }
-        s
-    }
 }
 
 /// A fabric protocol that can simulate a workload on a cluster.
@@ -1150,9 +1137,9 @@ pub struct EdmStreamStats {
 
 /// The single-switch EDM world, generic over how results leave (`sink`,
 /// called once per completion with the flow's input position) and where
-/// arrivals come from (an optional lazy `source` pulled one flow ahead).
-/// Memory is O(active flows): a retired flow's slab slot, pair-FIFO
-/// link, and msg-id return to free lists.
+/// arrivals come from (`source`, pulled one flow ahead). Memory is
+/// O(active flows): a retired flow's slab slot, pair-FIFO link, and
+/// msg-id return to free lists.
 struct EdmWorld<F, I> {
     cluster: ClusterConfig,
     domain: SwitchDomain,
@@ -1164,13 +1151,13 @@ struct EdmWorld<F, I> {
     active_hwm: usize,
     completed: u64,
     sink: F,
-    /// Lazy arrival source and the input position of its next flow. Each
-    /// admission pulls (at most) one successor, so only one pending
-    /// arrival is ever queued.
-    source: Option<(I, u32)>,
+    /// Time-ordered `(input position, flow)` arrivals. Each admission
+    /// pulls (at most) one successor, so only one pending arrival is
+    /// ever queued.
+    source: I,
 }
 
-impl<F: FnMut(u32, FlowOutcome), I: Iterator<Item = Flow>> EdmWorld<F, I> {
+impl<F: FnMut(u32, FlowOutcome), I: Iterator<Item = (u32, Flow)>> EdmWorld<F, I> {
     /// Admits a flow into the active slab, returning its token.
     fn admit(&mut self, idx: u32, flow: Flow) -> u32 {
         let entry = ActiveFlow { idx, flow };
@@ -1191,32 +1178,28 @@ impl<F: FnMut(u32, FlowOutcome), I: Iterator<Item = Flow>> EdmWorld<F, I> {
     }
 
     /// Pulls the next arrival from the source (if any) and schedules its
-    /// demand. Sources emit nondecreasing arrivals, so the demand time
-    /// (a constant offset past arrival) never lands in the past.
-    fn pull_next(&mut self, q: &mut EventQueue<EdmEv>) {
-        let Some((source, next_idx)) = self.source.as_mut() else {
+    /// demand, a constant offset past its arrival — so a time-ordered
+    /// source never schedules into the past.
+    fn pull_next(&mut self, now: Time, q: &mut EventQueue<EdmEv>) {
+        let Some((idx, flow)) = self.source.next() else {
             return;
         };
-        let Some(flow) = source.next() else {
-            return;
-        };
-        let idx = *next_idx;
-        *next_idx += 1;
-        q.schedule_ordered(
-            demand_time(&self.cluster, &flow),
-            evord::demand(idx),
-            EdmEv::DemandArrives { idx, flow },
+        let at = demand_time(&self.cluster, &flow);
+        assert!(
+            at >= now,
+            "streamed sources must emit time-ordered arrivals"
         );
+        q.schedule_ordered(at, evord::demand(idx), EdmEv::DemandArrives { idx, flow });
     }
 }
 
-impl<F: FnMut(u32, FlowOutcome), I: Iterator<Item = Flow>> World for EdmWorld<F, I> {
+impl<F: FnMut(u32, FlowOutcome), I: Iterator<Item = (u32, Flow)>> World for EdmWorld<F, I> {
     type Event = EdmEv;
 
     fn handle(&mut self, now: Time, ev: EdmEv, q: &mut EventQueue<EdmEv>) {
         match ev {
             EdmEv::DemandArrives { idx, flow } => {
-                self.pull_next(q);
+                self.pull_next(now, q);
                 let token = self.admit(idx, flow);
                 let (s, d) = flow.data_direction();
                 let offer = DomainOffer {
@@ -1305,13 +1288,15 @@ impl EdmProtocol {
         }
     }
 
-    fn world<F: FnMut(u32, FlowOutcome), I: Iterator<Item = Flow>>(
-        &self,
-        cluster: &ClusterConfig,
-        sink: F,
-        source: Option<(I, u32)>,
-    ) -> EdmWorld<F, I> {
-        EdmWorld {
+    /// Runs one world until its queue drains: `source` yields `(input
+    /// position, flow)` in nondecreasing arrival order, and every
+    /// completion reaches `sink` with its flow's input position.
+    fn run<I, F>(&self, cluster: &ClusterConfig, source: I, sink: F) -> EdmStreamStats
+    where
+        I: Iterator<Item = (u32, Flow)>,
+        F: FnMut(u32, FlowOutcome),
+    {
+        let mut world = EdmWorld {
             cluster: *cluster,
             domain: SwitchDomain::new(self.scheduler_config(cluster), self.batch_small_messages),
             max_active_per_pair: self.max_active_per_pair,
@@ -1322,31 +1307,9 @@ impl EdmProtocol {
             completed: 0,
             sink,
             source,
-        }
-    }
-
-    /// Simulates a *stream* of arrivals in O(active flows) memory:
-    /// arrivals are pulled from `source` one at a time (lazy admission),
-    /// each completion streams to `sink` and its state retires to free
-    /// lists. Bit-identical to [`FabricProtocol::simulate`] on the same
-    /// flow sequence.
-    ///
-    /// `source` must yield flows in nondecreasing arrival order (every
-    /// `FlowSource` in `edm-workloads` does); outcomes reach `sink` in
-    /// completion order, not input order.
-    pub fn simulate_streamed<I, F>(
-        &mut self,
-        cluster: &ClusterConfig,
-        source: I,
-        mut sink: F,
-    ) -> EdmStreamStats
-    where
-        I: Iterator<Item = Flow>,
-        F: FnMut(FlowOutcome),
-    {
-        let mut world = self.world(cluster, |_idx, o| sink(o), Some((source, 0)));
+        };
         let mut q = EventQueue::new();
-        world.pull_next(&mut q);
+        world.pull_next(Time::ZERO, &mut q);
         let mut engine = Engine::with_queue(world, q);
         engine.run();
         let events = engine.steps();
@@ -1362,6 +1325,31 @@ impl EdmProtocol {
             msg_slab_high_water: world.domain.msg_slab_high_water(),
         }
     }
+
+    /// Simulates a *stream* of arrivals in O(active flows) memory:
+    /// arrivals are pulled from `source` one at a time (lazy admission),
+    /// each completion streams to `sink` and its state retires to free
+    /// lists. Bit-identical to [`FabricProtocol::simulate`] on the same
+    /// flow sequence. Outcomes reach `sink` in completion order, not
+    /// input order.
+    ///
+    /// # Panics
+    ///
+    /// If `source` yields arrivals out of time order (every
+    /// `edm_workloads` source is time-ordered).
+    pub fn simulate_streamed<I, F>(
+        &mut self,
+        cluster: &ClusterConfig,
+        source: I,
+        mut sink: F,
+    ) -> EdmStreamStats
+    where
+        I: Iterator<Item = Flow>,
+        F: FnMut(FlowOutcome),
+    {
+        let source = source.enumerate().map(|(i, f)| (i as u32, f));
+        self.run(cluster, source, |_idx, o| sink(o))
+    }
 }
 
 impl FabricProtocol for EdmProtocol {
@@ -1370,28 +1358,17 @@ impl FabricProtocol for EdmProtocol {
     }
 
     fn simulate(&mut self, cluster: &ClusterConfig, flows: &[Flow]) -> SimResult {
-        // The collecting sink keys outcomes by input position, so input
-        // order is preserved even for unsorted arrival lists.
+        // Streams the slice in `(arrival, input position)` order — the
+        // order its demand events pop in — and keys each outcome by input
+        // position, so input order is preserved for unsorted lists too.
+        let mut order: Vec<u32> = (0..flows.len() as u32).collect();
+        order.sort_by_key(|&i| flows[i as usize].arrival);
         let mut results: Vec<Option<FlowOutcome>> = vec![None; flows.len()];
-        {
-            let world = self.world(
-                cluster,
-                |idx, o| results[idx as usize] = Some(o),
-                None::<(std::iter::Empty<Flow>, u32)>,
-            );
-            let mut engine = Engine::new(world);
-            for (i, f) in flows.iter().enumerate() {
-                engine.queue_mut().schedule_ordered(
-                    demand_time(cluster, f),
-                    evord::demand(i as u32),
-                    EdmEv::DemandArrives {
-                        idx: i as u32,
-                        flow: *f,
-                    },
-                );
-            }
-            engine.run();
-        }
+        self.run(
+            cluster,
+            order.into_iter().map(|i| (i, flows[i as usize])),
+            |idx, o| results[idx as usize] = Some(o),
+        );
         let outcomes = results
             .into_iter()
             .map(|o| o.expect("all flows complete when the queue drains"))
@@ -1764,39 +1741,54 @@ mod tests {
     }
 
     #[test]
-    fn streamed_simulate_is_bit_identical_to_vec_path() {
-        // Lazy admission from a source must not perturb a single event:
-        // same flows in sorted-arrival order, same completions.
+    fn simulate_pins_an_unsorted_slice() {
+        // `simulate` on an unsorted slice with same-instant arrivals,
+        // reads and writes, and a hot pair offered past X, batching off
+        // and on: outcomes come back in input order, and every flow
+        // completes when it always has — `DIGEST` folds each outcome's
+        // flow id and completion time, recorded when `simulate`
+        // pre-queued the whole slice instead of streaming it.
+        const DIGEST: u64 = 0x3745_e5f8_688b_0685;
         let c = cluster(16);
-        let flows: Vec<Flow> = (0..60)
+        let flows: Vec<Flow> = (0..72)
             .map(|i| {
+                // 12 instants, 6 flows each, visited out of order.
+                let at = (i as u64 * 7) % 12 * 40;
+                if i % 4 == 0 {
+                    // The hot pair: 6 writes at each of 3 instants.
+                    return write_flow(i, 0, 9, 64 + 32 * (i as u32 % 3), at);
+                }
                 let size = 64 + 96 * (i as u32 % 5);
-                let mut f = write_flow(i, i % 8, 8 + (i * 3) % 8, size, (i as u64 * 7) % 200);
+                let mut f = write_flow(i, i % 8, 8 + (i * 3) % 8, size, at);
                 if i % 3 == 0 {
                     f.kind = FlowKind::Read;
                 }
                 f
             })
             .collect();
-        let mut sorted = flows.clone();
-        sorted.sort_by_key(|f| f.arrival);
-        for (id, f) in sorted.iter_mut().enumerate() {
-            f.id = id;
-        }
+        assert!(flows.windows(2).any(|w| w[0].arrival > w[1].arrival));
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |v: u64| h = (h ^ v).wrapping_mul(0x100_0000_01b3);
         for batching in [false, true] {
             let mut proto = EdmProtocol {
                 batch_small_messages: batching,
                 ..EdmProtocol::default()
             };
-            let reference = proto.simulate(&c, &sorted);
-            let mut streamed = Vec::new();
-            let stats = proto.simulate_streamed(&c, sorted.iter().copied(), |o| streamed.push(o));
-            assert_eq!(stats.completed, sorted.len() as u64);
-            streamed.sort_by_key(|o| o.flow.id);
-            assert_eq!(streamed, reference.outcomes, "batching={batching}");
-            assert!(stats.active_high_water <= sorted.len());
-            assert!(stats.active_high_water >= 1);
+            let r = proto.simulate(&c, &flows);
+            for (o, f) in r.outcomes.iter().zip(&flows) {
+                assert_eq!(o.flow, *f, "input order, batching={batching}");
+                mix(o.flow.id as u64);
+                mix(o.completed.as_ps());
+            }
         }
+        assert_eq!(h, DIGEST, "{h:#x}");
+    }
+
+    #[test]
+    #[should_panic(expected = "time-ordered")]
+    fn streamed_source_must_be_time_ordered() {
+        let flows = [write_flow(0, 0, 1, 64, 100), write_flow(1, 2, 3, 64, 50)];
+        EdmProtocol::default().simulate_streamed(&cluster(4), flows.into_iter(), |_| {});
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl MemMessage {
     pub fn payload(&self) -> &[u8] {
         &self.payload
     }
-
-    /// Consumes the message, returning its payload.
-    pub fn into_payload(self) -> Vec<u8> {
-        self.payload
-    }
 }
 
 /// Errors from [`decode_message`].

@@ -216,11 +216,6 @@ impl RxReorderBuffer {
         self.frame_buf_high_water
     }
 
-    /// Whether a memory bracket is currently open.
-    pub fn in_memory_bracket(&self) -> bool {
-        self.in_mem_bracket
-    }
-
     /// Processes one received block.
     ///
     /// # Errors

@@ -52,18 +52,6 @@ pub struct Matching {
     pub cycles: u64,
 }
 
-impl Matching {
-    /// Whether `src` appears as a source in the matching.
-    pub fn matches_source(&self, src: usize) -> bool {
-        self.pairs.iter().any(|&(s, _)| s == src)
-    }
-
-    /// Whether `dst` appears as a destination in the matching.
-    pub fn matches_dest(&self, dst: usize) -> bool {
-        self.pairs.iter().any(|&(_, d)| d == dst)
-    }
-}
-
 /// Outcome of a [`PimRunner::run_sparse`] call, whose matched pairs are
 /// written into a caller-owned buffer instead of a fresh allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

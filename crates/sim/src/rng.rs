@@ -109,19 +109,6 @@ impl Rng {
         }
     }
 
-    /// Uniform integer in `[lo, hi]` inclusive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "invalid range [{lo}, {hi}]");
-        if lo == hi {
-            return lo;
-        }
-        lo + self.below(hi - lo + 1)
-    }
-
     /// Uniform float in `[0, 1)` with 53 bits of precision.
     pub fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)

@@ -50,7 +50,7 @@
 //!     arrival: Time::ZERO, kind: FlowKind::Write,
 //! };
 //! let result = TopoEdm::default().simulate(&topo, &[flow]);
-//! assert_eq!(result.delivered(), 1);
+//! assert_eq!(result.stats.delivered, 1);
 //! ```
 
 #![forbid(unsafe_code)]

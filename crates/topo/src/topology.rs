@@ -127,11 +127,6 @@ pub struct Route {
 }
 
 impl Route {
-    /// Whether the path crosses `link` (including both access links).
-    pub fn uses_link(&self, link: u32) -> bool {
-        self.src_link == link || self.hops.iter().any(|h| h.out_link == link)
-    }
-
     /// Whether the path is scheduled by `switch`.
     pub fn uses_switch(&self, switch: u32) -> bool {
         self.hops.iter().any(|h| h.switch == switch)

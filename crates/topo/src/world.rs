@@ -106,7 +106,7 @@
 //! population rather than the total offered load:
 //!
 //! * **Admission.** [`TopoEdm::simulate_streamed`] pulls arrivals lazily
-//!   from a time-ordered iterator (any `edm_workloads` `FlowSource`):
+//!   from a time-ordered iterator (any `edm_workloads` source):
 //!   each `Admit` event routes one flow, creates its runtime entry, and
 //!   schedules the next arrival's admission — exactly one pending
 //!   arrival is materialized at any instant. The materialized
@@ -124,17 +124,18 @@
 //!   lower the peak and measurably costs time — see `TopoEdm::seed`).
 //! * **Sinking.** Terminal outcomes stream to a sink callback the moment
 //!   they are decided instead of accumulating in a `Vec`. The `Vec`
-//!   paths use a collecting sink, preserving their API and results
-//!   bit-for-bit; shard 0 holds the sink in sharded runs (it observes
-//!   every terminal transition — local settles plus barrier credits).
+//!   paths use a collecting sink and return the same counters record
+//!   ([`TopoResult::stats`]); shard 0 holds the sink in sharded runs
+//!   (it observes every terminal transition — local settles plus
+//!   barrier credits).
 
 use crate::app::{AppConfig, AppEv, AppState};
 use crate::ip::{IpModel, IpTraffic};
 use crate::shard::ShardPlan;
 use crate::topology::{Endpoint, Path, Route, Topology};
 use edm_core::sim::{
-    evord, ClusterConfig, DomainCancel, DomainOffer, EdmProtocol, Flow, FlowKind, FlowOutcome,
-    Forwarded, SimResult, SwitchDomain,
+    evord, ClusterConfig, DomainCancel, DomainOffer, EdmProtocol, Flow, FlowKind, Forwarded,
+    SwitchDomain,
 };
 use edm_sched::{Policy, SchedulerConfig};
 use edm_sim::sharded::{run_sharded, Envelope, Recipient, ShardWorld, ShardedConfig};
@@ -288,36 +289,14 @@ impl TopoOutcome {
     }
 }
 
-/// Result of one multi-switch simulation.
+/// Result of one multi-switch simulation: the collecting sink's
+/// outcomes and the run's counters.
 #[derive(Debug, Clone)]
 pub struct TopoResult {
     /// Per-flow outcomes, in input order.
     pub outcomes: Vec<TopoOutcome>,
-    /// Successful re-routes after faults.
-    pub reroutes: u64,
-    /// Retry probes scheduled for partitioned flows
-    /// ([`TopoEdmConfig::max_retries`]).
-    pub retried: u64,
-    /// Partitioned flows that found a route again on a retry probe
-    /// (after a repair healed the partition).
-    pub readmitted: u64,
-    /// Background IP frames generated on crossed links.
-    pub ip_frames: u64,
-    /// Memory-chunk link crossings that hit an in-flight IP frame.
-    pub ip_delayed: u64,
-    /// Simulation events dispatched (cost proxy; a cross-shard chunk's
-    /// settle/arrive pair counts once, and replicated fault/reroute
-    /// events count once, so the tally is shard-count independent).
-    pub events: u64,
-    /// Scheduling rounds run, summed over every switch.
-    pub rounds: u64,
-    /// Rounds that issued no grant: what the poll protocol wastes (a
-    /// round is only worth an event when a grant is possible).
-    pub empty_rounds: u64,
-    /// Destinations the rounds handed to PIM, summed over every switch
-    /// (`edm_sched::Scheduler::dests_examined`): what a round costs
-    /// beyond one comparison per destination with queued demand.
-    pub examined: u64,
+    /// The run's counters — the same record a streamed run returns.
+    pub stats: TopoStreamStats,
 }
 
 impl TopoResult {
@@ -329,31 +308,7 @@ impl TopoResult {
             .enumerate()
             .map(|(i, o)| o.unwrap_or_else(|| panic!("flow {i} stalled without a terminal state")))
             .collect();
-        TopoResult {
-            outcomes,
-            reroutes: stats.reroutes,
-            retried: stats.retried,
-            readmitted: stats.readmitted,
-            ip_frames: stats.ip_frames,
-            ip_delayed: stats.ip_delayed,
-            events: stats.events,
-            rounds: stats.rounds,
-            empty_rounds: stats.empty_rounds,
-            examined: stats.examined,
-        }
-    }
-
-    /// Number of delivered flows.
-    pub fn delivered(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o.status, FlowStatus::Delivered(_)))
-            .count()
-    }
-
-    /// Number of failed flows.
-    pub fn failed(&self) -> usize {
-        self.outcomes.len() - self.delivered()
+        TopoResult { outcomes, stats }
     }
 
     /// Mean completion time over delivered flows.
@@ -382,31 +337,17 @@ impl TopoResult {
         }
         s
     }
-
-    /// Converts to the shared [`SimResult`] shape; `None` if any flow
-    /// failed.
-    pub fn to_sim_result(&self, protocol: &'static str) -> Option<SimResult> {
-        let mut outcomes = Vec::with_capacity(self.outcomes.len());
-        for o in &self.outcomes {
-            match o.status {
-                FlowStatus::Delivered(t) => outcomes.push(FlowOutcome {
-                    flow: o.flow,
-                    completed: t,
-                }),
-                FlowStatus::Failed(_) => return None,
-            }
-        }
-        Some(SimResult { protocol, outcomes })
-    }
 }
 
-/// Aggregate counters of one streaming run ([`TopoEdm::simulate_streamed`]
-/// / [`TopoEdm::simulate_sharded_streamed`]) — everything the run retains
-/// once per-flow outcomes have streamed to the sink.
+/// Aggregate counters of one run — everything it retains once per-flow
+/// outcomes have gone to the sink. The streamed entry points
+/// ([`TopoEdm::simulate_streamed`] /
+/// [`TopoEdm::simulate_sharded_streamed`]) return it; the slice entry
+/// points carry it as [`TopoResult::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopoStreamStats {
-    /// Flows pulled from the source and admitted (delivered + failed once
-    /// the run drains).
+    /// Flows admitted, from the source or the slice (delivered + failed
+    /// once the run drains).
     pub admitted: u64,
     /// Flows whose every byte reached its destination.
     pub delivered: u64,
@@ -425,8 +366,11 @@ pub struct TopoStreamStats {
     pub ip_frames: u64,
     /// Memory-chunk link crossings that hit an in-flight IP frame.
     pub ip_delayed: u64,
-    /// Simulation events dispatched (admission events are free: the
-    /// materialized path has none, and the tallies must match).
+    /// Simulation events dispatched (cost proxy; a cross-shard chunk's
+    /// settle/arrive pair counts once, and replicated fault/reroute
+    /// events count once, so the tally is shard-count independent).
+    /// Admission events are free: the materialized path has none, and
+    /// the tallies must match.
     pub events: u64,
     /// Scheduling rounds run, summed over every switch.
     pub rounds: u64,
@@ -527,7 +471,7 @@ impl TopoEdm {
     }
 
     /// Streams a simulation: arrivals are pulled lazily from `source`
-    /// (must be time-ordered — every `edm_workloads` `FlowSource` is) and
+    /// (must be time-ordered — every `edm_workloads` source is) and
     /// per-flow outcomes are pushed to `sink` the moment they are
     /// decided. Without §3.1.2 batching, completed flows *retire* — their
     /// routing entry, switch message slots, pair-FIFO links, and backlog
@@ -2169,7 +2113,7 @@ mod tests {
         for (a, b) in expect.outcomes.iter().zip(&got.outcomes) {
             assert_eq!(FlowStatus::Delivered(a.completed), b.status, "{:?}", a.flow);
         }
-        assert_eq!(got.reroutes, 0);
+        assert_eq!(got.stats.reroutes, 0);
     }
 
     #[test]
@@ -2199,7 +2143,7 @@ mod tests {
             kind: FlowKind::Read,
         }];
         let r = proto.simulate(&topo, &flows);
-        assert_eq!(r.delivered(), 1);
+        assert_eq!(r.stats.delivered, 1);
         let mct = r.outcomes[0].mct().unwrap();
         let write_mct = proto.solo_mct(&topo, &write_flow(0, 0, 6, 256, 0)).unwrap();
         // The read pays the RREQ's extra trunk forwarding on top of the
@@ -2214,7 +2158,7 @@ mod tests {
         let topo = Topology::leaf_spine(LeafSpine::symmetric(2, 1, 8, 1));
         let flows: Vec<Flow> = (0..8).map(|i| write_flow(i, i, 8 + i, 4096, 0)).collect();
         let r = TopoEdm::default().simulate(&topo, &flows);
-        assert_eq!(r.delivered(), 8);
+        assert_eq!(r.stats.delivered, 8);
     }
 
     #[test]
@@ -2233,8 +2177,8 @@ mod tests {
             ..TopoEdmConfig::default()
         };
         let loaded = TopoEdm::new(cfg.clone()).simulate(&topo, &flows);
-        assert_eq!(loaded.delivered(), 64);
-        assert!(loaded.ip_frames > 0);
+        assert_eq!(loaded.stats.delivered, 64);
+        assert!(loaded.stats.ip_frames > 0);
         assert!(
             loaded.mean_mct() > clean.mean_mct(),
             "IP interference must cost latency: {} vs {}",
@@ -2244,7 +2188,7 @@ mod tests {
         // Preemption caps the interference far below frame waits.
         cfg.ip.preemption = true;
         let preempt = TopoEdm::new(cfg).simulate(&topo, &flows);
-        assert_eq!(preempt.delivered(), 64);
+        assert_eq!(preempt.stats.delivered, 64);
         assert!(
             preempt.mean_mct() < loaded.mean_mct(),
             "preemption {} must beat store-and-wait {}",
@@ -2320,7 +2264,10 @@ mod tests {
             .map(|i| write_flow(i, 0, 4, 4096, i as u64))
             .collect();
         let r = TopoEdm::new(cfg.clone()).simulate(&topo, &flows);
-        assert_eq!(r.delivered(), 5, "every batched cross-leaf flow delivers");
+        assert_eq!(
+            r.stats.delivered, 5,
+            "every batched cross-leaf flow delivers"
+        );
         // Same-pair order still holds end-to-end.
         let done = |o: &TopoOutcome| match o.status {
             FlowStatus::Delivered(t) => t,
@@ -2334,7 +2281,7 @@ mod tests {
             .map(|i| write_flow(i, 0, 2, 4096, i as u64))
             .collect();
         let r = TopoEdm::new(cfg).simulate(&topo, &local);
-        assert_eq!(r.delivered(), 5);
+        assert_eq!(r.stats.delivered, 5);
     }
 
     #[test]
@@ -2373,8 +2320,11 @@ mod tests {
                     a.flow
                 );
             }
-            assert_eq!(par.reroutes, seq.reroutes);
-            assert_eq!(par.events, seq.events, "{shards}-shard event tally");
+            assert_eq!(par.stats.reroutes, seq.stats.reroutes);
+            assert_eq!(
+                par.stats.events, seq.stats.events,
+                "{shards}-shard event tally"
+            );
         }
     }
 
@@ -2398,7 +2348,7 @@ mod tests {
         let stats = proto.simulate_streamed(&topo, flows.iter().copied(), |o| streamed.push(o));
         assert_eq!(stats.admitted, 96);
         assert_eq!(stats.delivered, 96);
-        assert_eq!(stats.events, reference.events);
+        assert_eq!(stats.events, reference.stats.events);
         streamed.sort_by_key(|o| o.flow.id);
         for (a, b) in reference.outcomes.iter().zip(&streamed) {
             assert_eq!(a.status, b.status, "streamed diverged on {:?}", a.flow);
@@ -2563,8 +2513,8 @@ mod tests {
             ..TopoEdmConfig::default()
         })
         .simulate(&topo, &flows);
-        assert_eq!(r.delivered(), 2);
-        assert_eq!(r.reroutes, 1);
+        assert_eq!(r.stats.delivered, 2);
+        assert_eq!(r.stats.reroutes, 1);
         for (o, never_revoked) in r.outcomes.iter().zip(NEVER_REVOKED) {
             let mct = o.mct().unwrap();
             assert!(

@@ -42,7 +42,7 @@ fn spine_kill_reroutes_affected_and_leaves_others_bit_identical() {
     let topo = fabric();
     let flows = probes();
     let base = TopoEdm::default().simulate(&topo, &flows);
-    assert_eq!(base.delivered(), 3);
+    assert_eq!(base.stats.delivered, 3);
 
     let cfg = TopoEdmConfig {
         faults: vec![FaultEvent {
@@ -52,8 +52,11 @@ fn spine_kill_reroutes_affected_and_leaves_others_bit_identical() {
         ..TopoEdmConfig::default()
     };
     let hit = TopoEdm::new(cfg).simulate(&topo, &flows);
-    assert_eq!(hit.delivered(), 3, "spine 5 remains: everything reroutes");
-    assert_eq!(hit.reroutes, 1, "only flow A crossed spine 4");
+    assert_eq!(
+        hit.stats.delivered, 3,
+        "spine 5 remains: everything reroutes"
+    );
+    assert_eq!(hit.stats.reroutes, 1, "only flow A crossed spine 4");
 
     // A is mid-flight at the kill: it must finish later than fault-free.
     let (base_a, hit_a) = (
@@ -102,7 +105,7 @@ fn fabric_partition_fails_deterministically() {
     assert_eq!(hit.outcomes[1].status, expect_fail);
     // The same-leaf mouse never touches a spine.
     assert_eq!(hit.outcomes[2].status, base.outcomes[2].status);
-    assert_eq!(hit.reroutes, 0);
+    assert_eq!(hit.stats.reroutes, 0);
 }
 
 #[test]
@@ -121,8 +124,8 @@ fn trunk_link_down_reroutes_over_the_parallel_trunk() {
         ..TopoEdmConfig::default()
     };
     let hit = TopoEdm::new(cfg).simulate(&topo, &[flow]);
-    assert_eq!(hit.delivered(), 1);
-    assert_eq!(hit.reroutes, 1);
+    assert_eq!(hit.stats.delivered, 1);
+    assert_eq!(hit.stats.reroutes, 1);
     assert!(hit.outcomes[0].mct().unwrap() > base.outcomes[0].mct().unwrap());
 }
 
@@ -155,9 +158,15 @@ fn healed_partition_readmits_timed_out_flows() {
         ..TopoEdmConfig::default()
     };
     let a = TopoEdm::new(cfg.clone()).simulate(&topo, &flows);
-    assert_eq!(a.delivered(), 3, "the healed partition re-admits A and B");
-    assert_eq!(a.readmitted, 2, "both cross-leaf flows re-enter");
-    assert_eq!(a.retried, 6, "three backoff probes each before the heal");
+    assert_eq!(
+        a.stats.delivered, 3,
+        "the healed partition re-admits A and B"
+    );
+    assert_eq!(a.stats.readmitted, 2, "both cross-leaf flows re-enter");
+    assert_eq!(
+        a.stats.retried, 6,
+        "three backoff probes each before the heal"
+    );
 
     // Re-admission is deterministic: bit-identical outcomes on a second
     // run and under the sharded engine.
@@ -167,8 +176,8 @@ fn healed_partition_readmits_timed_out_flows() {
         assert_eq!(x.status, y.status, "re-admission must be deterministic");
         assert_eq!(x.status, z.status, "sharded run must match sequential");
     }
-    assert_eq!(a.readmitted, c.readmitted);
-    assert_eq!(a.retried, c.retried);
+    assert_eq!(a.stats.readmitted, c.stats.readmitted);
+    assert_eq!(a.stats.retried, c.stats.retried);
 
     // If the fabric never heals, the same retry budget runs dry and the
     // flows still fail deterministically.
@@ -177,8 +186,8 @@ fn healed_partition_readmits_timed_out_flows() {
         ..cfg
     };
     let d = TopoEdm::new(dead).simulate(&topo, &flows);
-    assert_eq!(d.delivered(), 1, "only the same-leaf mouse survives");
-    assert_eq!(d.readmitted, 0);
+    assert_eq!(d.stats.delivered, 1, "only the same-leaf mouse survives");
+    assert_eq!(d.stats.readmitted, 0);
     assert!(matches!(d.outcomes[0].status, FlowStatus::Failed(_)));
 }
 
@@ -225,9 +234,9 @@ fn repaired_trunk_pulls_detoured_flows_back_onto_the_short_path() {
         ..TopoEdmConfig::default()
     })
     .simulate(&topo, &[flow]);
-    assert_eq!(flapped.delivered(), 1);
+    assert_eq!(flapped.stats.delivered, 1);
     assert_eq!(
-        flapped.reroutes, 2,
+        flapped.stats.reroutes, 2,
         "one bump onto the detour, one back onto the repaired trunk"
     );
 
@@ -236,8 +245,8 @@ fn repaired_trunk_pulls_detoured_flows_back_onto_the_short_path() {
         ..TopoEdmConfig::default()
     })
     .simulate(&topo, &[flow]);
-    assert_eq!(dead.delivered(), 1);
-    assert_eq!(dead.reroutes, 1);
+    assert_eq!(dead.stats.delivered, 1);
+    assert_eq!(dead.stats.reroutes, 1);
     assert!(
         flapped.outcomes[0].mct().unwrap() < dead.outcomes[0].mct().unwrap(),
         "migrating back onto the short path must beat the detour"
@@ -269,7 +278,10 @@ fn equal_length_revival_does_not_churn_detoured_flows() {
         ..TopoEdmConfig::default()
     })
     .simulate(&topo, &flows);
-    assert_eq!(flapped.reroutes, 1, "no migration between equal paths");
+    assert_eq!(
+        flapped.stats.reroutes, 1,
+        "no migration between equal paths"
+    );
     for (x, y) in flapped.outcomes.iter().zip(&dead.outcomes) {
         assert_eq!(x.status, y.status);
     }
@@ -306,8 +318,8 @@ fn restored_link_sheds_accumulated_degradation() {
         ..TopoEdmConfig::default()
     })
     .simulate(&topo, &[flow]);
-    assert_eq!(healed.delivered(), 1);
-    assert_eq!(sick.delivered(), 1);
+    assert_eq!(healed.stats.delivered, 1);
+    assert_eq!(sick.stats.delivered, 1);
     assert!(
         healed.outcomes[0].mct().unwrap() < sick.outcomes[0].mct().unwrap(),
         "the retrained link stops paying the degradation tax"
@@ -341,21 +353,20 @@ fn spine_kill_at_scale_is_deterministic_and_total() {
     };
     let a = TopoEdm::new(cfg.clone()).simulate(&topo, &flows);
     assert_eq!(
-        a.delivered(),
-        600,
+        a.stats.delivered, 600,
         "one live spine still connects all leaves"
     );
-    assert!(a.reroutes > 0, "the kill must land mid-run");
+    assert!(a.stats.reroutes > 0, "the kill must land mid-run");
     let b = TopoEdm::new(cfg.clone()).simulate(&topo, &flows);
     for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
         assert_eq!(x.status, y.status, "simulation must be deterministic");
     }
-    assert_eq!(a.reroutes, b.reroutes);
+    assert_eq!(a.stats.reroutes, b.stats.reroutes);
     // The sharded engine survives the same mid-run spine kill with
     // bit-identical outcomes.
     let c = TopoEdm::new(cfg).simulate_sharded(&topo, &flows, 4);
     for (x, y) in a.outcomes.iter().zip(&c.outcomes) {
         assert_eq!(x.status, y.status, "sharded run must match sequential");
     }
-    assert_eq!(a.reroutes, c.reroutes);
+    assert_eq!(a.stats.reroutes, c.stats.reroutes);
 }

@@ -37,19 +37,31 @@ fn assert_lockstep(
             a.flow
         );
     }
-    prop_assert_eq!(par.reroutes, seq.reroutes, "reroute count diverged");
-    prop_assert_eq!(par.retried, seq.retried, "retry count diverged");
     prop_assert_eq!(
-        par.readmitted,
-        seq.readmitted,
+        par.stats.reroutes,
+        seq.stats.reroutes,
+        "reroute count diverged"
+    );
+    prop_assert_eq!(par.stats.retried, seq.stats.retried, "retry count diverged");
+    prop_assert_eq!(
+        par.stats.readmitted,
+        seq.stats.readmitted,
         "re-admission count diverged"
     );
-    prop_assert_eq!(par.ip_frames, seq.ip_frames, "IP frame count diverged");
-    prop_assert_eq!(par.ip_delayed, seq.ip_delayed, "IP delay count diverged");
-    prop_assert_eq!(par.events, seq.events, "event tally diverged");
     prop_assert_eq!(
-        (par.rounds, par.empty_rounds, par.examined),
-        (seq.rounds, seq.empty_rounds, seq.examined),
+        par.stats.ip_frames,
+        seq.stats.ip_frames,
+        "IP frame count diverged"
+    );
+    prop_assert_eq!(
+        par.stats.ip_delayed,
+        seq.stats.ip_delayed,
+        "IP delay count diverged"
+    );
+    prop_assert_eq!(par.stats.events, seq.stats.events, "event tally diverged");
+    prop_assert_eq!(
+        (par.stats.rounds, par.stats.empty_rounds, par.stats.examined),
+        (seq.stats.rounds, seq.stats.empty_rounds, seq.stats.examined),
         "scheduling-round tally diverged"
     );
     Ok(())
@@ -276,17 +288,17 @@ fn lockstep_288(shards: usize) {
             a.flow
         );
     }
-    assert_eq!(par.reroutes, seq.reroutes);
-    assert_eq!(par.retried, seq.retried);
-    assert_eq!(par.readmitted, seq.readmitted);
-    assert_eq!(par.ip_frames, seq.ip_frames);
-    assert_eq!(par.ip_delayed, seq.ip_delayed);
-    assert_eq!(par.events, seq.events);
+    assert_eq!(par.stats.reroutes, seq.stats.reroutes);
+    assert_eq!(par.stats.retried, seq.stats.retried);
+    assert_eq!(par.stats.readmitted, seq.stats.readmitted);
+    assert_eq!(par.stats.ip_frames, seq.stats.ip_frames);
+    assert_eq!(par.stats.ip_delayed, seq.stats.ip_delayed);
+    assert_eq!(par.stats.events, seq.stats.events);
     assert_eq!(
-        (par.rounds, par.empty_rounds, par.examined),
-        (seq.rounds, seq.empty_rounds, seq.examined)
+        (par.stats.rounds, par.stats.empty_rounds, par.stats.examined),
+        (seq.stats.rounds, seq.stats.empty_rounds, seq.stats.examined)
     );
-    assert!(seq.reroutes > 0, "the spine kill must land mid-run");
+    assert!(seq.stats.reroutes > 0, "the spine kill must land mid-run");
 }
 
 #[test]
@@ -374,12 +386,34 @@ fn chain_routes_longer_than_a_leaf_spine_path() {
         mix(t.as_ps());
     }
     assert_eq!(
-        (par.reroutes, par.retried, par.readmitted, par.events),
-        (seq.reroutes, seq.retried, seq.readmitted, seq.events)
+        (
+            par.stats.reroutes,
+            par.stats.retried,
+            par.stats.readmitted,
+            par.stats.events
+        ),
+        (
+            seq.stats.reroutes,
+            seq.stats.retried,
+            seq.stats.readmitted,
+            seq.stats.events
+        )
     );
-    for v in [seq.reroutes, seq.retried, seq.readmitted, seq.events] {
+    for v in [
+        seq.stats.reroutes,
+        seq.stats.retried,
+        seq.stats.readmitted,
+        seq.stats.events,
+    ] {
         mix(v);
     }
-    assert!(seq.reroutes > 0 && seq.readmitted > 0, "{seq:?}");
-    assert_eq!(h, CHAIN_DIGEST, "{:#x}; {} delivered", h, seq.delivered());
+    assert!(
+        seq.stats.reroutes > 0 && seq.stats.readmitted > 0,
+        "{seq:?}"
+    );
+    assert_eq!(
+        h, CHAIN_DIGEST,
+        "{:#x}; {} delivered",
+        h, seq.stats.delivered
+    );
 }

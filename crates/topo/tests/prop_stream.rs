@@ -85,14 +85,14 @@ proptest! {
         let stats = proto.simulate_streamed(&topo, flows.iter().copied(), |o| streamed.push(o));
         prop_assert_eq!(stats.admitted as usize, flows.len());
         prop_assert_eq!(stats.delivered + stats.failed, stats.admitted);
-        prop_assert_eq!(stats.events, reference.events, "event tally diverged");
+        prop_assert_eq!(stats.events, reference.stats.events, "event tally diverged");
         prop_assert_eq!(
             (stats.rounds, stats.empty_rounds, stats.examined),
-            (reference.rounds, reference.empty_rounds, reference.examined),
+            (reference.stats.rounds, reference.stats.empty_rounds, reference.stats.examined),
             "scheduling-round tally diverged"
         );
-        prop_assert_eq!(stats.ip_frames, reference.ip_frames);
-        prop_assert_eq!(stats.ip_delayed, reference.ip_delayed);
+        prop_assert_eq!(stats.ip_frames, reference.stats.ip_frames);
+        prop_assert_eq!(stats.ip_delayed, reference.stats.ip_delayed);
         prop_assert!(stats.active_high_water <= flows.len());
         prop_assert_eq!(streamed.len(), reference.outcomes.len());
         for o in &streamed {

@@ -361,8 +361,8 @@ proptest! {
                 a.flow
             );
         }
-        prop_assert_eq!(got.reroutes, 0);
-        prop_assert_eq!(got.failed(), 0);
+        prop_assert_eq!(got.stats.reroutes, 0);
+        prop_assert_eq!(got.stats.failed, 0);
         // The two worlds agree event for event, not only outcome for
         // outcome: streamed over the same time-ordered flows, both
         // dispatch one demand per flow, the same polls (superseded ones

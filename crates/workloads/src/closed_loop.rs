@@ -1,6 +1,6 @@
 //! Closed-loop tenant specifications for the end-to-end application tier.
 //!
-//! An open workload ([`crate::FlowSource`]) fixes arrival *times*; a
+//! An open workload ([`crate::MergeSource`]) fixes arrival *times*; a
 //! closed loop fixes the *population*: each tenant keeps at most `mlp`
 //! operations outstanding (its memory-level-parallelism window, the knob
 //! EDAN shows application slowdown is most sensitive to), issues the next

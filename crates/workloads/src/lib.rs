@@ -16,12 +16,11 @@
 //!   end-to-end application tier, where arrival times are outputs of the
 //!   simulation rather than inputs.
 //!
-//! The synthetic generators come in two consumption shapes: materialized
-//! (`generate`/`generate_par`, building the whole `Vec<Flow>` up front)
-//! and streaming ([`source`] — a pull-based [`FlowSource`] emitting the
-//! bit-identical flow sequence one arrival at a time in O(compute nodes)
-//! memory, for million-flow runs where the materialized list would
-//! dominate RSS).
+//! The synthetic generators have one implementation, a stream
+//! ([`source`] — a pull-based [`MergeSource`] emitting time-ordered
+//! arrivals one at a time in O(compute nodes) memory, for million-flow
+//! runs where a materialized list would dominate RSS). `generate` is
+//! that stream collected into a `Vec<Flow>`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +32,7 @@ pub mod traces;
 pub mod ycsb;
 
 pub use closed_loop::{OpKind, OpMix, TenantOp, TenantSpec};
-pub use source::{DrawDest, FlowSource, MergeSource};
+pub use source::{DrawDest, MergeSource};
 pub use synthetic::{RackAwareWorkload, SyntheticWorkload};
 pub use traces::AppTrace;
 pub use ycsb::{YcsbOp, YcsbWorkload};

@@ -1,61 +1,32 @@
 //! Streaming flow sources: pull-based, time-ordered arrival generation
 //! in O(active generators) memory.
 //!
-//! The materialized generators ([`crate::SyntheticWorkload::generate`],
-//! [`crate::RackAwareWorkload::generate`]) build the entire `Vec<Flow>`
-//! up front — O(count) memory, which caps how many flows a harness can
-//! push through a simulation. A [`FlowSource`] inverts that: the
-//! simulation *pulls* the next arrival when it is ready to admit it, so
-//! the generator holds only one pending arrival per compute node.
+//! A simulation *pulls* the next arrival when it is ready to admit it,
+//! so the generator holds only one pending arrival per compute node
+//! however many flows it emits. A materialized flow list
+//! ([`crate::SyntheticWorkload::generate`],
+//! [`crate::RackAwareWorkload::generate`]) is the same stream, collected.
 //!
-//! [`MergeSource`] is the streaming twin of the batch generators' merge:
+//! [`MergeSource`] is a k-way heap merge of per-node Poisson streams:
 //! each compute node draws from its own splittable [`Rng::stream`]
-//! substream, and a k-way heap merge keyed by `(arrival, node)` emits
-//! flows in exactly the order the batch path's stable
-//! `sort_by_key((at, node))` produces. Because one candidate per node is
-//! in the heap at a time and each node's arrivals are nondecreasing, the
-//! heap order *is* the sorted order — the emitted stream is
-//! bit-identical to `generate()` (including dense ids assigned in
-//! emission order), which the `prop_source` suite pins, prefix by
-//! prefix.
+//! substream, and the heap, keyed by `(arrival, node)`, emits flows in
+//! exactly the order a batch generator's stable `sort_by_key((at, node))`
+//! over every node's arrivals would produce. Because one candidate per
+//! node is in the heap at a time and each node's arrivals are
+//! nondecreasing, the heap order *is* the sorted order, dense ids
+//! included — the `prop_source` suite pins it, prefix by prefix, against
+//! such a batch merge.
 
 use edm_core::sim::{Flow, FlowKind};
 use edm_sim::{Duration, Rng, Time};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A pull-based source of time-ordered flow arrivals.
-///
-/// Implementors yield flows with nondecreasing `arrival` and dense ids
-/// (`0, 1, 2, …` in emission order), so a simulation can admit arrivals
-/// lazily — scheduling the next admission event when the previous one
-/// fires — instead of pre-loading the whole workload.
-pub trait FlowSource: Iterator<Item = Flow> {
-    /// Flows not yet emitted.
-    fn remaining(&self) -> usize;
-
-    /// Drains the source into a flow list, pre-sized from
-    /// [`remaining`](Self::remaining) — the bridge from streaming
-    /// ingestion to consumers that slice one flow set many ways (the
-    /// `edm-approx` per-link decomposition buckets every flow onto each
-    /// link its route crosses, so it needs the whole set at once).
-    fn materialize(mut self) -> Vec<Flow>
-    where
-        Self: Sized,
-    {
-        let mut out = Vec::with_capacity(self.remaining());
-        out.extend(&mut self);
-        out
-    }
-}
-
-/// Per-compute-node destination/kind draw shared by the batch and
-/// streaming generators — one implementation, two consumption shapes,
-/// so the RNG call sequence per node cannot diverge between them.
+/// Per-compute-node destination/kind draw of a [`MergeSource`]: the
+/// part of a workload that differs between generators.
 pub trait DrawDest {
     /// Draws the destination node and flow kind for one arrival issued
-    /// by compute node `src`, advancing `rng` exactly as the batch
-    /// generator's closure does.
+    /// by compute node `src`, advancing `rng`.
     fn draw(&self, rng: &mut Rng, src: usize) -> (usize, FlowKind);
 }
 
@@ -75,7 +46,7 @@ pub struct MergeSource<D> {
     rngs: Vec<Rng>,
     /// Min-heap of `(arrival, node, rng slot)` — one entry per node. The
     /// slot rides along for O(1) RNG lookup; `(arrival, node)` alone
-    /// decides the order, matching the batch path's stable sort key.
+    /// decides the order, matching a batch merge's stable sort key.
     heap: BinaryHeap<Reverse<(Time, usize, usize)>>,
 }
 
@@ -145,15 +116,8 @@ impl<D: DrawDest> Iterator for MergeSource<D> {
 
 impl<D: DrawDest> ExactSizeIterator for MergeSource<D> {}
 
-impl<D: DrawDest> FlowSource for MergeSource<D> {
-    fn remaining(&self) -> usize {
-        self.remaining
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{RackAwareWorkload, SyntheticWorkload};
     use edm_sim::Bandwidth;
 
@@ -201,12 +165,11 @@ mod tests {
     #[test]
     fn remaining_counts_down_and_len_is_exact() {
         let mut s = wl(10).source(1);
-        assert_eq!(s.remaining(), 10);
         assert_eq!(s.len(), 10);
         s.next().unwrap();
-        assert_eq!(s.remaining(), 9);
+        assert_eq!(s.len(), 9);
         assert_eq!(s.by_ref().count(), 9);
-        assert_eq!(s.remaining(), 0);
+        assert_eq!(s.len(), 0);
         assert!(s.next().is_none());
     }
 

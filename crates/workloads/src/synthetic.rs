@@ -9,93 +9,13 @@
 //!
 //! Every compute node draws from its **own splittable RNG stream**
 //! ([`Rng::stream`] keyed by the node id), so arrival generation is a
-//! pure per-node function: chunk the nodes across any number of threads
-//! or shards ([`SyntheticWorkload::generate_par`]) and the merged flow
-//! list is identical to the sequential one.
+//! pure per-node function. Each generator has one implementation, its
+//! streaming [`MergeSource`]: `generate` is that stream collected, and a
+//! sharded run replays its own clone of it.
 
 use crate::source::{DrawDest, MergeSource};
 use edm_core::sim::{Flow, FlowKind};
-use edm_sim::{Bandwidth, Duration, Rng, Time};
-
-/// Generates `count` flows by merging per-node Poisson streams: node
-/// `c`'s arrivals and per-flow draws come only from `Rng::stream(seed,
-/// c)`, so the result is independent of how `computes` is chunked across
-/// `chunks` workers. The merge orders by `(arrival, node)` — exactly the
-/// earliest-next-arrival order a sequential generator would emit.
-fn merge_generate(
-    seed: u64,
-    computes: &[usize],
-    gap: Duration,
-    count: usize,
-    size: u32,
-    chunks: usize,
-    draw: impl Fn(&mut Rng, usize) -> (usize, FlowKind) + Sync,
-) -> Vec<Flow> {
-    if count == 0 || computes.is_empty() {
-        return Vec::new();
-    }
-    // A horizon wide enough to cover `count` flows in expectation, grown
-    // geometrically when a draw-starved run undershoots. Every node's
-    // candidate prefix is a pure function of (seed, node, horizon), and
-    // a larger horizon only extends it, so retries stay deterministic.
-    let mut horizon = gap
-        .as_ps()
-        .max(1)
-        .saturating_mul(2 * (count as u64 / computes.len() as u64 + 2));
-    loop {
-        let gen_node = |c: usize| -> Vec<(Time, usize, usize, FlowKind)> {
-            let mut rng = Rng::stream(seed, c as u64);
-            let mut at = Time::ZERO + rng.exp_duration(gap);
-            let mut out = Vec::new();
-            while at.as_ps() <= horizon {
-                let (dst, kind) = draw(&mut rng, c);
-                out.push((at, c, dst, kind));
-                at += rng.exp_duration(gap);
-            }
-            out
-        };
-        let mut all: Vec<(Time, usize, usize, FlowKind)> = if chunks <= 1 {
-            computes.iter().flat_map(|&c| gen_node(c)).collect()
-        } else {
-            let gen_node = &gen_node;
-            let per = computes.len().div_ceil(chunks);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = computes
-                    .chunks(per)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            part.iter().flat_map(|&c| gen_node(c)).collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("workload chunk worker panicked"))
-                    .collect()
-            })
-        };
-        if all.len() < count {
-            horizon = horizon.saturating_mul(2);
-            continue;
-        }
-        // Stable sort: same-instant flows of one node keep their
-        // generation order; across nodes the lower node id issues first.
-        all.sort_by_key(|&(at, c, _, _)| (at, c));
-        all.truncate(count);
-        return all
-            .into_iter()
-            .enumerate()
-            .map(|(id, (arrival, src, dst, kind))| Flow {
-                id,
-                src,
-                dst,
-                size,
-                arrival,
-                kind,
-            })
-            .collect();
-    }
-}
+use edm_sim::{Bandwidth, Duration, Rng};
 
 /// Generator for the all-to-all microbenchmark.
 #[derive(Debug, Clone, Copy)]
@@ -150,43 +70,24 @@ impl SyntheticWorkload {
         Duration::from_ps((1e12 / msgs_per_sec).round() as u64)
     }
 
-    /// Generates the flow list, deterministically from `seed`. Each
-    /// compute node draws from its own [`Rng::stream`], so the output is
-    /// identical to [`SyntheticWorkload::generate_par`] at any chunk
-    /// count.
+    /// Generates the flow list, deterministically from `seed`: the
+    /// [`SyntheticWorkload::source`] stream, collected.
     ///
     /// # Panics
     ///
     /// Panics if the cluster has fewer than 2 nodes or `load` is out of
     /// range.
     pub fn generate(&self, seed: u64) -> Vec<Flow> {
-        self.generate_par(seed, 1)
+        self.source(seed).collect()
     }
 
-    /// [`SyntheticWorkload::generate`] with per-node stream generation
-    /// fanned out over `chunks` threads. The flow list is bit-identical
-    /// for every chunk count.
-    pub fn generate_par(&self, seed: u64, chunks: usize) -> Vec<Flow> {
-        assert!(
-            self.nodes >= 2,
-            "need at least one compute and one memory node"
-        );
-        let nodes: Vec<usize> = (0..self.compute_nodes()).collect();
-        merge_generate(
-            seed,
-            &nodes,
-            self.mean_gap(),
-            self.count,
-            self.size,
-            chunks,
-            |rng, src| self.draw(rng, src),
-        )
-    }
-
-    /// A streaming [`crate::source::FlowSource`] that pulls the *exact*
-    /// same flows as [`SyntheticWorkload::generate`] one at a time —
-    /// O(compute nodes) memory instead of O(count). Pinned bit-identical
-    /// by the `prop_source` property suite.
+    /// The flows in arrival order, pulled one at a time — O(compute
+    /// nodes) memory instead of O(count). The `prop_source` suite pins
+    /// the stream against an independent batch merge.
+    ///
+    /// # Panics
+    ///
+    /// As [`SyntheticWorkload::generate`].
     pub fn source(&self, seed: u64) -> MergeSource<SyntheticWorkload> {
         assert!(
             self.nodes >= 2,
@@ -249,39 +150,24 @@ impl RackAwareWorkload {
         (rack * npr + npr / 2)..((rack + 1) * npr)
     }
 
-    /// Generates the flow list, deterministically from `seed`. Each
-    /// compute node draws from its own [`Rng::stream`], so the output is
-    /// identical to [`RackAwareWorkload::generate_par`] at any chunk
-    /// count.
+    /// Generates the flow list, deterministically from `seed`: the
+    /// [`RackAwareWorkload::source`] stream, collected.
     ///
     /// # Panics
     ///
     /// Panics unless nodes divide evenly into racks of even size ≥ 2,
     /// and `load` is in range.
     pub fn generate(&self, seed: u64) -> Vec<Flow> {
-        self.generate_par(seed, 1)
+        self.source(seed).collect()
     }
 
-    /// [`RackAwareWorkload::generate`] with per-node stream generation
-    /// fanned out over `chunks` threads. The flow list is bit-identical
-    /// for every chunk count.
-    pub fn generate_par(&self, seed: u64, chunks: usize) -> Vec<Flow> {
-        let computes = self.validate_and_computes();
-        merge_generate(
-            seed,
-            &computes,
-            self.mean_gap(),
-            self.count,
-            self.size,
-            chunks,
-            |rng, src| self.draw(rng, src),
-        )
-    }
-
-    /// A streaming [`crate::source::FlowSource`] that pulls the *exact*
-    /// same flows as [`RackAwareWorkload::generate`] one at a time —
-    /// O(compute nodes) memory instead of O(count). Pinned bit-identical
-    /// by the `prop_source` property suite.
+    /// The flows in arrival order, pulled one at a time — O(compute
+    /// nodes) memory instead of O(count). The `prop_source` suite pins
+    /// the stream against an independent batch merge.
+    ///
+    /// # Panics
+    ///
+    /// As [`RackAwareWorkload::generate`].
     pub fn source(&self, seed: u64) -> MergeSource<RackAwareWorkload> {
         let computes = self.validate_and_computes();
         MergeSource::new(
@@ -483,26 +369,6 @@ mod tests {
         let a = rack_wl(0.3).generate(5);
         assert_eq!(a, rack_wl(0.3).generate(5));
         assert!(a.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-    }
-
-    #[test]
-    fn chunked_generation_is_bit_identical() {
-        // Per-node splittable streams: the flow list must not depend on
-        // how nodes are chunked across threads — the property that lets
-        // per-shard arrival generation stay deterministic at any shard
-        // count.
-        for seed in [0u64, 7, 42, 0xDEAD] {
-            let w = wl(0.6);
-            let reference = w.generate(seed);
-            for chunks in [1usize, 2, 3, 8, 64] {
-                assert_eq!(w.generate_par(seed, chunks), reference, "seed {seed}");
-            }
-            let r = rack_wl(0.4);
-            let reference = r.generate(seed);
-            for chunks in [1usize, 2, 5, 16] {
-                assert_eq!(r.generate_par(seed, chunks), reference, "seed {seed}");
-            }
-        }
     }
 
     #[test]

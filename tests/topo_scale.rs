@@ -55,9 +55,9 @@ fn leaf_spine_288_completes_under_load() {
     assert_eq!(topo.switch_count(), 6);
     let flows = workload_288(800);
     let result = TopoEdm::default().simulate(&topo, &flows);
-    assert_eq!(result.delivered(), 800, "every flow must be delivered");
-    assert_eq!(result.failed(), 0);
-    assert_eq!(result.reroutes, 0, "no faults were injected");
+    assert_eq!(result.stats.delivered, 800, "every flow must be delivered");
+    assert_eq!(result.stats.failed, 0);
+    assert_eq!(result.stats.reroutes, 0, "no faults were injected");
     // Sanity on the latency shape: the fabric is non-blocking at load
     // 0.6, so the mean MCT stays within a small multiple of a cross-leaf
     // unloaded write.
@@ -95,8 +95,8 @@ fn leaf_spine_cost_per_event_within_bound_of_single_switch() {
             let t0 = std::time::Instant::now();
             let r = proto.simulate(&topo, &flows);
             let dt = t0.elapsed().as_secs_f64();
-            assert_eq!(r.delivered(), 500);
-            topo_cost = topo_cost.min(dt / r.events as f64);
+            assert_eq!(r.stats.delivered, 500);
+            topo_cost = topo_cost.min(dt / r.stats.events as f64);
             let t0 = std::time::Instant::now();
             let r = EdmProtocol::default().simulate(&single, &flows);
             let dt = t0.elapsed().as_secs_f64();
