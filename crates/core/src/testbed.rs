@@ -24,6 +24,19 @@
 //!
 //! The switch's scheduler sits behind the same [`SwitchDomain`] — offer,
 //! poll, deliver — as every other EDM world's.
+//!
+//! # Where the bytes are
+//!
+//! A packet names its op and a byte count; the bytes stay with the op.
+//! They are copied twice: a write's data (moved in from the caller) into
+//! the memory node's DRAM, chunk by chunk, as each WREQ chunk arrives; a
+//! read's or RMW's result out of DRAM once, when the request reaches the
+//! memory node, into the staged RRES that becomes the issuer's
+//! [`Completion::data`] at its last chunk.
+//!
+//! [`Fabric`] keeps the ops it is given in a list and issues them at
+//! their instants while it runs, so the event queue only ever holds the
+//! in-flight packets and rounds.
 
 use crate::latency::physical::{PMA_PMD_PASS, PROPAGATION};
 use crate::message::MemOp;
@@ -33,13 +46,19 @@ use edm_memory::rmw::RmwOp;
 use edm_memory::MemoryController;
 use edm_phy::mem_codec;
 use edm_sched::{Policy, SchedulerConfig};
-use edm_sim::{Bandwidth, Duration, Engine, EventQueue, Time, World};
+use edm_sim::{Bandwidth, Duration, Engine, EventQueue, QueueStats, Time, World};
 
 /// Identifies a node (== its switch port).
 pub type NodeId = u16;
 
 /// X: active notifications the switch holds per (src, dst) pair (§3.1.1).
 const MAX_ACTIVE_PER_PAIR: usize = 3;
+
+/// Order keys at one instant: an op issued at an instant goes before the
+/// packets and rounds due then, so a run pops its events in the order it
+/// would with every issue queued before the run started.
+const ISSUE_ORD: u64 = 0;
+const FABRIC_ORD: u64 = 1;
 
 /// Configuration of the testbed fabric.
 #[derive(Debug, Clone, Copy)]
@@ -90,48 +109,28 @@ impl Completion {
 }
 
 /// Packets exchanged on the wire (transaction-level view of block runs).
+/// The op a packet belongs to holds its bytes.
 #[doc(hidden)]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum Pkt {
     /// `/N/` — explicit write-demand notification.
     Notify { size: u32 },
     /// `/G/` — grant for the next chunk of a message.
     Grant { chunk: u32 },
     /// An RREQ/RMWREQ `/M*/` run (also the implicit notification/grant).
-    Request { op: MemOp },
-    /// One granted chunk of a WREQ or an RRES (the op says which).
-    Data {
-        offset: u32,
-        data: Vec<u8>,
-        last: bool,
-    },
-}
-
-impl Pkt {
-    /// Wire size in PHY blocks.
-    fn blocks(&self) -> u64 {
-        match self {
-            Pkt::Notify { .. } | Pkt::Grant { .. } => 1,
-            Pkt::Request { op } => {
-                mem_codec::blocks_for_message(op.nominal_bytes() as usize) as u64
-            }
-            Pkt::Data { data, .. } => mem_codec::blocks_for_message(data.len()) as u64,
-        }
-    }
+    Request,
+    /// One granted chunk of a WREQ or an RRES (the op says which): the
+    /// next `len` bytes of its payload.
+    Data { len: u32 },
 }
 
 /// DES events (public only because `Testbed: World` exposes the type).
 /// `msg` names the op a packet belongs to.
 #[doc(hidden)]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum Ev {
-    /// Application issues an operation at a node.
-    App {
-        node: NodeId,
-        peer: NodeId,
-        op: MemOp,
-        op_id: u64,
-    },
+    /// The next pending op's issue instant.
+    Issue,
     /// A packet arrives at the switch from `src`.
     SwitchRx {
         src: NodeId,
@@ -145,6 +144,16 @@ pub enum Ev {
     Poll,
 }
 
+/// An op handed to [`Fabric`], waiting for its issue instant.
+#[derive(Debug)]
+struct Pending {
+    at: Time,
+    node: NodeId,
+    peer: NodeId,
+    op: MemOp,
+    op_id: u64,
+}
+
 /// One remote operation from issue to completion: what the issuer, the
 /// switch and the memory node keep about it.
 #[derive(Debug)]
@@ -152,34 +161,37 @@ struct Op {
     op_id: u64,
     issued: Time,
     kind: &'static str,
+    write: bool,
+    /// The switch holds the RREQ/RMWREQ until the RRES's first grant.
+    held: bool,
     issuer: NodeId,
     peer: NodeId,
     /// Where a write lands.
     addr: u64,
+    /// The request as issued (a write's data moved to `payload`).
+    request: MemOp,
     /// The data message's bytes — the writer's data, or the memory node's
-    /// staged RRES — and how many of them have been sent.
+    /// staged RRES — and how many of them have been sent and received.
     payload: Vec<u8>,
     sent: u32,
-    /// The RREQ/RMWREQ the switch keeps until the RRES's first grant.
-    request: Option<MemOp>,
-    /// The issuer's receive buffer for the RRES.
-    received: Vec<u8>,
+    received: u32,
     /// The data message's switch-domain slot, known from its first grant.
     slot: u32,
 }
 
 impl Op {
-    fn is_write(&self) -> bool {
-        self.kind == "write"
-    }
-
     /// (sender, receiver) of the data message: WREQ or RRES.
     fn data_ends(&self) -> (NodeId, NodeId) {
-        if self.is_write() {
+        if self.write {
             (self.issuer, self.peer)
         } else {
             (self.peer, self.issuer)
         }
+    }
+
+    /// Wire size of the RREQ/RMWREQ run, in PHY blocks.
+    fn request_blocks(&self) -> usize {
+        mem_codec::blocks_for_message(self.request.nominal_bytes() as usize)
     }
 }
 
@@ -190,16 +202,27 @@ struct Links {
     link: Bandwidth,
     up_free_at: Vec<Time>,
     down_free_at: Vec<Time>,
+    /// Serialization time of a run of `k` blocks, at 66 bits per block on
+    /// the line, by `k`.
+    ser: Vec<Duration>,
 }
 
 impl Links {
-    /// Serializes `pkt` on a link free from `*free_at`, after `cycles` of
-    /// EDM logic plus the PCS; returns when it reaches the far end (TX
-    /// PMA/PMD + propagation + RX PMA/PMD later).
-    fn transmit(link: Bandwidth, free_at: &mut Time, now: Time, cycles: u64, pkt: &Pkt) -> Time {
+    fn ser(&mut self, blocks: usize) -> Duration {
+        if blocks >= self.ser.len() {
+            let link = self.link;
+            let known = self.ser.len();
+            self.ser
+                .extend((known..=blocks).map(|k| link.tx_time_bits(k as u64 * 66)));
+        }
+        self.ser[blocks]
+    }
+
+    /// Serializes `ser` worth of blocks on a link free from `*free_at`,
+    /// after `cycles` of EDM logic plus the PCS; returns when it reaches
+    /// the far end (TX PMA/PMD + propagation + RX PMA/PMD later).
+    fn transmit(ser: Duration, free_at: &mut Time, now: Time, cycles: u64) -> Time {
         let depart = now.max(*free_at) + stack::cycles(cycles + stack::PCS_PASS);
-        // Serialization at 66 bits per block on the line.
-        let ser = link.tx_time_bits(pkt.blocks() * 66);
         *free_at = depart + ser;
         depart + ser + (PMA_PMD_PASS + PROPAGATION + PMA_PMD_PASS)
     }
@@ -212,19 +235,34 @@ impl Links {
         src: NodeId,
         dst: NodeId,
         msg: u32,
-        pkt: Pkt,
+        (pkt, blocks): (Pkt, usize),
         cycles: u64,
     ) {
-        let free_at = &mut self.up_free_at[src as usize];
-        let at = Self::transmit(self.link, free_at, now, cycles, &pkt);
-        q.schedule(at, Ev::SwitchRx { src, dst, msg, pkt });
+        let ser = self.ser(blocks);
+        let at = Self::transmit(ser, &mut self.up_free_at[src as usize], now, cycles);
+        q.schedule_ordered(at, FABRIC_ORD, Ev::SwitchRx { src, dst, msg, pkt });
     }
 
-    fn send_down(&mut self, now: Time, q: &mut EventQueue<Ev>, node: NodeId, msg: u32, pkt: Pkt) {
-        let free_at = &mut self.down_free_at[node as usize];
-        let at = Self::transmit(self.link, free_at, now, 0, &pkt);
-        q.schedule(at, Ev::NodeRx { node, msg, pkt });
+    fn send_down(
+        &mut self,
+        now: Time,
+        q: &mut EventQueue<Ev>,
+        node: NodeId,
+        msg: u32,
+        (pkt, blocks): (Pkt, usize),
+    ) {
+        let ser = self.ser(blocks);
+        let at = Self::transmit(ser, &mut self.down_free_at[node as usize], now, 0);
+        q.schedule_ordered(at, FABRIC_ORD, Ev::NodeRx { node, msg, pkt });
     }
+}
+
+/// A data chunk of `len` bytes and its wire size in PHY blocks.
+fn data_pkt(len: u32) -> (Pkt, usize) {
+    (
+        Pkt::Data { len },
+        mem_codec::blocks_for_message(len as usize),
+    )
 }
 
 /// The testbed world.
@@ -233,12 +271,14 @@ pub struct Testbed {
     memories: Vec<MemoryController>,
     domain: SwitchDomain,
     links: Links,
+    /// Ops not yet issued, in issue order; each `Issue` event takes the
+    /// next.
+    issuing: std::vec::IntoIter<Pending>,
     /// Ops in flight, indexed by the `msg` their packets carry (also their
     /// domain offer token); retired indices wait in `free`.
     ops: Vec<Option<Op>>,
     free: Vec<u32>,
     completions: Vec<Completion>,
-    next_op_id: u64,
 }
 
 impl std::fmt::Debug for Testbed {
@@ -253,7 +293,7 @@ impl std::fmt::Debug for Testbed {
 /// Queues the `Poll` event the switch's domain asked for, if it asked.
 fn schedule_poll(q: &mut EventQueue<Ev>, at: Option<Time>) {
     if let Some(t) = at {
-        q.schedule(t, Ev::Poll);
+        q.schedule_ordered(t, FABRIC_ORD, Ev::Poll);
     }
 }
 
@@ -277,11 +317,12 @@ impl Testbed {
                 link: config.link,
                 up_free_at: vec![Time::ZERO; config.nodes],
                 down_free_at: vec![Time::ZERO; config.nodes],
+                ser: Vec::new(),
             },
+            issuing: Vec::new().into_iter(),
             ops: Vec::new(),
             free: Vec::new(),
             completions: Vec::new(),
-            next_op_id: 0,
             config,
         }
     }
@@ -302,45 +343,52 @@ impl Testbed {
             .expect("packet of a live op")
     }
 
-    fn handle_app(
-        &mut self,
-        now: Time,
-        q: &mut EventQueue<Ev>,
-        node: NodeId,
-        peer: NodeId,
-        op: MemOp,
-        op_id: u64,
-    ) {
-        // Requests (reads, RMWs) travel immediately; writes notify first.
-        let (kind, addr, payload, pkt) = match op {
-            MemOp::Write { addr, data } => {
-                let size = data.len() as u32;
-                ("write", addr, data, Pkt::Notify { size })
-            }
-            MemOp::Read { .. } => ("read", 0, Vec::new(), Pkt::Request { op }),
-            MemOp::Rmw { .. } => ("rmw", 0, Vec::new(), Pkt::Request { op }),
-            MemOp::ReadResponse { .. } => panic!("applications issue requests, not responses"),
+    fn handle_issue(&mut self, now: Time, q: &mut EventQueue<Ev>) {
+        let Pending {
+            node,
+            peer,
+            mut op,
+            op_id,
+            ..
+        } = self.issuing.next().expect("one Issue event per pending op");
+        if let Some(next) = self.issuing.as_slice().first() {
+            q.schedule_ordered(next.at, ISSUE_ORD, Ev::Issue);
+        }
+        let (kind, write, addr, payload) = match &mut op {
+            MemOp::Write { addr, data } => ("write", true, *addr, std::mem::take(data)),
+            MemOp::Read { .. } => ("read", false, 0, Vec::new()),
+            MemOp::Rmw { .. } => ("rmw", false, 0, Vec::new()),
+            MemOp::ReadResponse { .. } => unreachable!("Fabric issues requests, not responses"),
         };
-        let op = Some(Op {
+        let op = Op {
             op_id,
             issued: now,
             kind,
+            write,
+            held: false,
             issuer: node,
             peer,
             addr,
+            request: op,
             payload,
             sent: 0,
-            request: None,
-            received: Vec::new(),
+            received: 0,
             slot: 0,
-        });
+        };
+        // Requests (reads, RMWs) travel immediately; writes notify first.
+        let pkt = if op.write {
+            let size = op.payload.len() as u32;
+            (Pkt::Notify { size }, 1)
+        } else {
+            (Pkt::Request, op.request_blocks())
+        };
         let msg = match self.free.pop() {
             Some(msg) => {
-                self.ops[msg as usize] = op;
+                self.ops[msg as usize] = Some(op);
                 msg
             }
             None => {
-                self.ops.push(op);
+                self.ops.push(Some(op));
                 self.ops.len() as u32 - 1
             }
         };
@@ -369,23 +417,25 @@ impl Testbed {
         };
         match pkt {
             Pkt::Notify { size } => schedule_poll(q, self.domain.offer(t, offer(src, dst, size))),
-            Pkt::Request { op } => {
+            Pkt::Request => {
                 // Implicit notification: demand for the RRES (dst -> src).
-                // The switch keeps the request; the first grant releases it.
+                // The switch holds the request; the first grant releases it.
+                let op = self.op_mut(msg);
+                op.held = true;
                 let rres_size = op
+                    .request
                     .response_bytes()
                     .expect("requests carried to the switch elicit responses");
-                self.op_mut(msg).request = Some(op);
                 schedule_poll(q, self.domain.offer(t, offer(dst, src, rres_size)));
             }
             Pkt::Grant { .. } => unreachable!("grants originate at the switch"),
-            Pkt::Data { ref data, .. } => {
+            Pkt::Data { len } => {
                 // Data path: forward through the virtual circuit. The
                 // domain counts the bytes to retire the message.
-                let (slot, bytes) = (self.op_mut(msg).slot, data.len() as u32);
-                schedule_poll(q, self.domain.deliver(now, slot, bytes, |_, _| {}));
+                let slot = self.op_mut(msg).slot;
+                schedule_poll(q, self.domain.deliver(now, slot, len, |_, _| {}));
                 let t = now + stack::cycles(stack::PCS_PASS + stack::switch::FORWARD);
-                self.links.send_down(t, q, dst, msg, pkt);
+                self.links.send_down(t, q, dst, msg, data_pkt(len));
             }
         }
     }
@@ -402,12 +452,12 @@ impl Testbed {
             let msg = g.token as u32;
             let op = ops[msg as usize].as_mut().expect("grant for a live op");
             op.slot = g.slot;
-            let pkt = match op.request.take() {
-                // First grant for an RRES: forward the kept RREQ itself.
-                Some(op) => Pkt::Request { op },
-                None => Pkt::Grant {
-                    chunk: g.chunk_bytes,
-                },
+            let pkt = if std::mem::take(&mut op.held) {
+                // First grant for an RRES: forward the held RREQ itself.
+                (Pkt::Request, op.request_blocks())
+            } else {
+                let chunk = g.chunk_bytes;
+                (Pkt::Grant { chunk }, 1)
             };
             links.send_down(t, q, g.src, msg, pkt);
         }
@@ -424,21 +474,24 @@ impl Testbed {
     ) {
         let rx_base = stack::cycles(stack::PCS_PASS);
         match pkt {
-            Pkt::Request { op } => {
-                // Memory node: serve the request. The RREQ's arrival is the
-                // implicit grant for the first RRES chunk.
+            Pkt::Request => {
+                // Memory node: serve the request, staging the RRES. The
+                // RREQ's arrival is the implicit grant for its first chunk.
                 let t_proc = now + rx_base + stack::cycles(stack::host::RX_RREQ);
                 let memory = &mut self.memories[node as usize];
-                let (data, timing) = match op {
+                let op = self.ops[msg as usize]
+                    .as_mut()
+                    .expect("request of a live op");
+                let (data, timing) = match op.request {
                     MemOp::Read { addr, len } => memory.read(t_proc, addr, len as usize),
                     MemOp::Rmw { addr, op } => {
                         let (orig, timing) =
                             memory.rmw(t_proc, edm_memory::RmwRequest { addr, op });
                         (orig.to_le_bytes().to_vec(), timing)
                     }
-                    _ => panic!("only reads/RMWs travel as requests"),
+                    _ => unreachable!("only reads/RMWs travel as requests"),
                 };
-                self.op_mut(msg).payload = data;
+                op.payload = data;
                 self.send_next_chunk(timing.complete, q, msg, self.config.chunk_bytes);
             }
             Pkt::Grant { chunk } => {
@@ -448,15 +501,19 @@ impl Testbed {
                     rx_base + stack::cycles(stack::host::RX_GRANT + stack::host::READ_GRANT_QUEUE);
                 self.send_next_chunk(now + grant_cost, q, msg, chunk);
             }
-            Pkt::Data { offset, data, last } => {
+            Pkt::Data { len } => {
+                // Chunks arrive in order: the next `len` bytes of the
+                // payload, the last once all of it is in.
                 let t = now + rx_base + stack::cycles(stack::host::RX_DATA);
                 let op = self.ops[msg as usize].as_mut().expect("chunk of a live op");
-                let done = if op.is_write() {
+                let offset = op.received;
+                op.received += len;
+                let last = op.received as usize == op.payload.len();
+                let done = if op.write {
+                    let bytes = &op.payload[offset as usize..op.received as usize];
                     let at = op.addr + offset as u64;
-                    self.memories[node as usize].write(t, at, &data).complete
+                    self.memories[node as usize].write(t, at, bytes).complete
                 } else {
-                    debug_assert_eq!(op.received.len(), offset as usize, "in-order chunks");
-                    op.received.extend_from_slice(&data);
                     t
                 };
                 if last {
@@ -470,15 +527,12 @@ impl Testbed {
     /// Sends the next granted chunk of op `msg`'s data message.
     fn send_next_chunk(&mut self, now: Time, q: &mut EventQueue<Ev>, msg: u32, chunk: u32) {
         let op = self.op_mut(msg);
-        let (offset, total) = (op.sent, op.payload.len() as u32);
-        let n = chunk.min(total - offset);
-        let data = op.payload[offset as usize..(offset + n) as usize].to_vec();
-        op.sent += n;
-        let last = op.sent >= total;
+        let len = chunk.min(op.payload.len() as u32 - op.sent);
+        op.sent += len;
         let (src, dst) = op.data_ends();
-        let pkt = Pkt::Data { offset, data, last };
+        let cycles = stack::host::GEN_DATA_BLOCK;
         self.links
-            .send_up(now, q, src, dst, msg, pkt, stack::host::GEN_DATA_BLOCK);
+            .send_up(now, q, src, dst, msg, data_pkt(len), cycles);
     }
 
     /// Retires op `msg`, recording its completion at `at`.
@@ -491,7 +545,7 @@ impl Testbed {
             op_id: op.op_id,
             issued: op.issued,
             completed: at,
-            data: op.received,
+            data: if op.write { Vec::new() } else { op.payload },
         });
     }
 }
@@ -501,12 +555,7 @@ impl World for Testbed {
 
     fn handle(&mut self, now: Time, ev: Ev, q: &mut EventQueue<Ev>) {
         match ev {
-            Ev::App {
-                node,
-                peer,
-                op,
-                op_id,
-            } => self.handle_app(now, q, node, peer, op, op_id),
+            Ev::Issue => self.handle_issue(now, q),
             Ev::SwitchRx { src, dst, msg, pkt } => {
                 self.handle_switch_rx(now, q, src, dst, msg, pkt)
             }
@@ -517,8 +566,15 @@ impl World for Testbed {
 }
 
 /// A convenient driver around [`Testbed`] + [`Engine`].
+///
+/// Ops are recorded when they are issued and enter the simulation at
+/// their instants during [`Fabric::run`]; ops given the same instant
+/// issue in the order they were given.
 pub struct Fabric {
     engine: Engine<Testbed>,
+    /// Ops issued since the last run, in the order they were given.
+    pending: Vec<Pending>,
+    next_op_id: u64,
 }
 
 impl std::fmt::Debug for Fabric {
@@ -532,6 +588,8 @@ impl Fabric {
     pub fn new(config: TestbedConfig) -> Self {
         Fabric {
             engine: Engine::new(Testbed::new(config)),
+            pending: Vec::new(),
+            next_op_id: 0,
         }
     }
 
@@ -546,39 +604,80 @@ impl Fabric {
 
     /// Issues a remote read from `node` to `peer` at time `at`.
     /// Returns the operation id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` or `peer` is not a node of this fabric, or if
+    /// `len` is 0.
     pub fn read(&mut self, at: Time, node: NodeId, peer: NodeId, addr: u64, len: u32) -> u64 {
+        assert!(
+            len > 0,
+            "Fabric::read: `len` is 0; a read moves at least one byte"
+        );
         self.issue(at, node, peer, MemOp::Read { addr, len })
     }
 
     /// Issues a remote write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` or `peer` is not a node of this fabric, or if
+    /// `data` is empty.
     pub fn write(&mut self, at: Time, node: NodeId, peer: NodeId, addr: u64, data: Vec<u8>) -> u64 {
+        assert!(
+            !data.is_empty(),
+            "Fabric::write: `data` is empty; a write moves at least one byte"
+        );
         self.issue(at, node, peer, MemOp::Write { addr, data })
     }
 
     /// Issues a remote atomic RMW.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` or `peer` is not a node of this fabric.
     pub fn rmw(&mut self, at: Time, node: NodeId, peer: NodeId, addr: u64, op: RmwOp) -> u64 {
         self.issue(at, node, peer, MemOp::Rmw { addr, op })
     }
 
     fn issue(&mut self, at: Time, node: NodeId, peer: NodeId, op: MemOp) -> u64 {
-        let world = self.engine.world_mut();
-        let op_id = world.next_op_id;
-        world.next_op_id += 1;
-        self.engine.queue_mut().schedule(
+        let nodes = self.engine.world().config.nodes;
+        for (name, id) in [("node", node), ("peer", peer)] {
+            assert!(
+                (id as usize) < nodes,
+                "`{name}` {id} is not a node of this {nodes}-node fabric"
+            );
+        }
+        let op_id = self.next_op_id;
+        self.next_op_id += 1;
+        self.pending.push(Pending {
             at,
-            Ev::App {
-                node,
-                peer,
-                op,
-                op_id,
-            },
-        );
+            node,
+            peer,
+            op,
+            op_id,
+        });
         op_id
     }
 
-    /// Runs the fabric until all events drain.
+    /// Runs the fabric until all events drain: every op issued since the
+    /// last run enters at its instant.
     pub fn run(&mut self) {
+        let mut pending = std::mem::take(&mut self.pending);
+        // Stable: ops given one instant keep the order they were given.
+        pending.sort_by_key(|p| p.at);
+        let world = self.engine.world_mut();
+        world.completions.reserve(pending.len());
+        if let Some(first) = pending.first() {
+            let at = first.at;
+            world.issuing = pending.into_iter();
+            self.engine
+                .queue_mut()
+                .schedule_ordered(at, ISSUE_ORD, Ev::Issue);
+        }
         self.engine.run();
+        // Every op has issued; free the list's storage.
+        self.engine.world_mut().issuing = Vec::new().into_iter();
     }
 
     /// Completions recorded so far.
@@ -589,6 +688,11 @@ impl Fabric {
     /// The completion with the given op id, if finished.
     pub fn completion(&self, op_id: u64) -> Option<&Completion> {
         self.completions().iter().find(|c| c.op_id == op_id)
+    }
+
+    /// The event queue's counters so far ([`Engine::queue_stats`]).
+    pub fn queue_stats(&self) -> QueueStats {
+        self.engine.queue_stats()
     }
 }
 
@@ -796,5 +900,192 @@ mod tests {
                 line(peer, k)
             );
         }
+    }
+    #[test]
+    fn events_carry_byte_counts_not_bytes() {
+        // The event queue moves every event several times; a packet names
+        // its op and a byte count, never the bytes.
+        assert_eq!(std::mem::size_of::<Ev>(), 20);
+    }
+
+    /// FNV-1a over the completion log of one mixed two-round run: per op
+    /// its id, issuer, kind, issue and completion instants, and the bytes
+    /// it returned.
+    fn mixed_run_digest(seed: u64) -> u64 {
+        const NODES: u16 = 6;
+        const COUNTER: u64 = 0x8000;
+        // When the RREQ of a 64 B read issued on an idle fabric reaches
+        // its memory node.
+        const RREQ_ARRIVES: Duration = Duration::from_ps(143_559);
+        let mut f = Fabric::new(TestbedConfig {
+            nodes: NODES as usize,
+            ..TestbedConfig::default()
+        });
+        for n in 0..NODES {
+            let image: Vec<u8> = (0..4096u64)
+                .map(|b| (b * 31 + n as u64 * 7) as u8)
+                .collect();
+            f.seed_memory(n, 0, &image);
+        }
+        let bytes = |len: u32, tag: u64| -> Vec<u8> {
+            (0..len as u64).map(|b| ((b * 13) ^ tag) as u8).collect()
+        };
+        let mut rng = edm_sim::Rng::seed_from(seed);
+        // Round 1: 64 ops on 16 instants 40 ns apart, issued in shuffled
+        // order, so every instant ties ops of several pairs. Every node
+        // issues and serves; 600 B and 1000 B messages end in a partial
+        // chunk; every fetch-add hits node 5's counter.
+        let mut instants: Vec<u64> = (0..64).map(|i| i % 16 * 40).collect();
+        rng.shuffle(&mut instants);
+        for (i, ns) in (0u64..).zip(instants) {
+            let at = Time::from_ns(ns);
+            let node = rng.below(NODES as u64) as u16;
+            let peer = (node + 1 + rng.below(NODES as u64 - 1) as u16) % NODES;
+            let addr = rng.below(8) * 512;
+            let len = [8, 64, 600, 1000][rng.below(4) as usize];
+            match rng.below(4) {
+                0 | 1 => f.read(at, node, peer, addr, len),
+                2 => f.write(at, node, peer, addr, bytes(len, i)),
+                _ => f.rmw(at, node, 5, COUNTER, RmwOp::FetchAdd(1 + i)),
+            };
+        }
+        // A same-pair burst past X = 3 at one instant.
+        for k in 0..7u64 {
+            let at = Time::from_ns(200);
+            if k % 2 == 0 {
+                f.read(at, 0, 1, k * 512, 600);
+            } else {
+                f.write(at, 0, 1, k * 512, bytes(600, 100 + k));
+            }
+        }
+        f.run();
+        // Round 2, issued after the first drained. Node 4 issues at the
+        // instant the first read's RREQ reaches it, an RREQ the switch
+        // sent before the op issued just ahead of it: the issue goes
+        // first, as an op issued at an instant always has.
+        let t0 = Time::from_us(50);
+        f.read(t0, 0, 4, 0, 64);
+        f.write(
+            t0 + RREQ_ARRIVES - Duration::from_ps(1),
+            1,
+            2,
+            0,
+            bytes(64, 7),
+        );
+        f.write(t0 + RREQ_ARRIVES, 4, 3, 512, bytes(64, 8));
+        // Self-access, then a same-instant multi-chunk read-back burst.
+        f.read(t0 + Duration::from_us(10), 2, 2, 0, 64);
+        for k in 0..8u64 {
+            let at = t0 + Duration::from_us(20);
+            f.read(at, (k % 3) as u16, 1, k * 512, 1000);
+        }
+        f.rmw(
+            t0 + Duration::from_us(30),
+            3,
+            5,
+            COUNTER,
+            RmwOp::FetchAdd(0),
+        );
+        f.run();
+
+        assert_eq!(f.completions().len(), 64 + 7 + 13);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |v: u64| h = (h ^ v).wrapping_mul(0x100_0000_01b3);
+        for c in f.completions() {
+            mix(c.op_id);
+            mix(c.issuer as u64);
+            c.kind.bytes().for_each(|b| mix(b as u64));
+            mix(c.issued.as_ps());
+            mix(c.completed.as_ps());
+            mix(c.data.len() as u64);
+            c.data.iter().for_each(|&b| mix(b as u64));
+        }
+        h
+    }
+
+    #[test]
+    fn mixed_run_log_pins_timing_and_bytes() {
+        // Recorded when every issue was queued as an event up front and
+        // every packet carried its bytes.
+        for (seed, digest) in [(42, 0x0a84_d3bc_951e_d5ec), (7, 0xe0da_c07d_059e_a7be)] {
+            let h = mixed_run_digest(seed);
+            assert_eq!(h, digest, "seed {seed}: {h:#x}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "`node` 2 is not a node of this 2-node fabric")]
+    fn issue_from_a_missing_node_fails_at_the_call() {
+        Fabric::new(TestbedConfig::default()).read(Time::ZERO, 2, 1, 0, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "`peer` 5 is not a node of this 2-node fabric")]
+    fn issue_to_a_missing_peer_fails_at_the_call() {
+        let mut f = Fabric::new(TestbedConfig::default());
+        f.rmw(Time::ZERO, 0, 5, 0, RmwOp::FetchAdd(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "Fabric::read: `len` is 0")]
+    fn zero_byte_read_fails_at_the_call() {
+        Fabric::new(TestbedConfig::default()).read(Time::ZERO, 0, 1, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "Fabric::write: `data` is empty")]
+    fn zero_byte_write_fails_at_the_call() {
+        Fabric::new(TestbedConfig::default()).write(Time::ZERO, 0, 1, 0, Vec::new());
+    }
+
+    #[test]
+    fn event_queue_holds_only_in_flight_events() {
+        // `testbed_kv`, reduced: nodes 0..8 issue to nodes 8..16 round
+        // robin every 40 ns, half reads, 45 % writes, 5 % fetch-adds, all
+        // one chunk; then, after the fabric drains, the read-back tail: 64
+        // instants 1 us apart with 64 reads each. Queued up front, the
+        // tail's 4 104 reads would engage the calendar on same-instant
+        // heads and trip its dequeue-cost trigger.
+        const OPS: u64 = 20_000;
+        const COUNTER: u64 = 0x10_0000;
+        let mut f = Fabric::new(TestbedConfig {
+            nodes: 16,
+            ..TestbedConfig::default()
+        });
+        let mut rng = edm_sim::Rng::seed_from(42);
+        let gap = Duration::from_ns(40);
+        for i in 0..OPS {
+            let (node, peer) = ((i % 8) as u16, (8 + (i / 8 + i % 8) % 8) as u16);
+            let at = Time::ZERO + gap * i;
+            let addr = ((i % 8) * 64 + rng.below(64)) * 64;
+            match rng.below(100) {
+                0..=49 => f.read(at, node, peer, addr, 64),
+                50..=94 => f.write(at, node, peer, addr, vec![i as u8; 64]),
+                _ => f.rmw(at, node, peer, COUNTER, RmwOp::FetchAdd(1)),
+            };
+        }
+        f.run();
+        // Issue, request or notification, round, RREQ or grant, chunk
+        // up, chunk down.
+        let s = f.queue_stats();
+        assert_eq!(s.schedules, 6 * OPS, "{s:?}");
+        let quiet = Time::ZERO + gap * OPS + Duration::from_us(100);
+        for peer in 8..16 {
+            f.read(quiet, 0, peer, COUNTER, 8);
+            for issuer in 0..8u16 {
+                for slot in 0..64 {
+                    let at = quiet + Duration::from_us(1) * (slot + 1);
+                    f.read(at, issuer, peer, (issuer as u64 * 64 + slot) * 64, 64);
+                }
+            }
+        }
+        f.run();
+        let tail = f.completions().len() as u64 - OPS;
+        assert_eq!(tail, 8 * (1 + 8 * 64));
+        let s = f.queue_stats();
+        // Same-instant reads share rounds.
+        assert!(s.schedules <= 6 * (OPS + tail), "{s:?}");
+        assert_eq!(s.pops, s.schedules, "{s:?}");
+        assert_eq!(s.scan_rebuilds, 0, "{s:?}");
     }
 }
