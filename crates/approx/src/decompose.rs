@@ -29,7 +29,8 @@
 //! — symmetric fabrics under symmetric workloads collapse many physical
 //! links onto one simulated [`LinkCluster`], and an unchanged link
 //! re-simulated across a what-if grid hits the same signature in a sweep
-//! cache (`ClusterCache` in the crate root).
+//! cache ([`crate::SweepCache`], which also lets similar — not only
+//! equal — profiles share one representative replay).
 
 use crate::fxhash::FxHashMap;
 use edm_core::sim::Flow;

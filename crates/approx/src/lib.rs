@@ -14,12 +14,19 @@
 //!    by `prop_approx`) and slice the flow set onto per-directed-link
 //!    clusters, deduplicating links with identical (bandwidth, latency,
 //!    flow-profile) signatures.
-//! 2. [`simulate_cluster`] — replay each cluster through a miniature
-//!    [`edm_core::sim::SwitchDomain`] (the same scheduler core the exact
-//!    engine runs per switch — not a new queueing model), yielding
-//!    per-crossing queueing excesses as shard-mergeable
-//!    [`edm_sim::LogHistogram`]s. Clusters are independent:
-//!    embarrassingly parallel.
+//! 2. Replay through a miniature [`edm_core::sim::SwitchDomain`] (the
+//!    same scheduler core the exact engine runs per switch — not a new
+//!    queueing model), yielding per-crossing queueing excesses as
+//!    shard-mergeable [`edm_sim::LogHistogram`]s. An estimate replays
+//!    one *representative* per similar link, not one mini-simulation per
+//!    distinct one: [`SweepCache`] keys each cluster by quantized
+//!    features (crossing triple and largest message exact; member and
+//!    port counts and mean arrival gap log-bucketed; pair-limit and
+//!    batching shares in quarters), replays a synthetic profile built
+//!    from the key alone once per key, and gives each member the
+//!    representative's excess at its own arrival rank.
+//!    [`simulate_cluster`] / [`simulate_batch`] replay each cluster
+//!    itself — the reference the representatives approximate.
 //! 3. [`compose()`] — per flow, an exact unloaded baseline
 //!    ([`edm_topo::TopoEdm::solo_mct`], memoized per route shape) plus a
 //!    combination of its crossings' excesses ([`Combine`]; the
@@ -27,8 +34,12 @@
 //!
 //! What-if grids go through [`SweepCache`]: scenarios that leave a
 //! link's flow profile untouched (most failure what-ifs) reuse its
-//! simulated delays, so a 100-scenario sweep pays for the clusters that
-//! *changed*, not 100 full decompositions' worth of replays.
+//! delays, and a changed profile usually lands on a representative the
+//! sweep already replayed, so a 100-scenario sweep pays for the
+//! representatives it has not needed before, not 100 full
+//! decompositions' worth of replays. A cluster's delays depend on its
+//! own profile alone, so an estimate is the same whichever scenarios
+//! the cache served first.
 //!
 //! When to trust which engine: the estimator is built for breadth-first
 //! sweeps over placements, failures, and load points, where relative
@@ -46,6 +57,7 @@ pub mod decompose;
 pub mod delta;
 mod fxhash;
 pub mod linksim;
+mod represent;
 
 pub use compose::{compose, compose_cached, ApproxResult, Combine, SoloCache};
 pub use decompose::{
@@ -59,6 +71,7 @@ use std::borrow::Cow;
 
 use crate::fxhash::FxHashMap;
 use crate::linksim::{DomainPool, SoloMemo};
+use crate::represent::RepKey;
 use edm_core::sim::Flow;
 use edm_sim::Duration;
 use edm_topo::{FaultKind, TopoEdmConfig, Topology};
@@ -67,11 +80,11 @@ use edm_topo::{FaultKind, TopoEdmConfig, Topology};
 /// exact engine on the overlap-size validation points: the paper's 64 B
 /// message workloads at loads 0.4/0.7 on healthy and single-fault
 /// 144/288-node fabrics. Asserted by the `error_envelope` suite. Outside
-/// this regime the error grows — at 1–4 KiB messages under load 0.7 the
-/// measured p99 gap reaches ~15% (per-hop serialization couples links
-/// more strongly, and the per-link replays cannot see cross-link
-/// correlation); `error_envelope` pins one such out-of-envelope point
-/// to a band so the degradation stays visible.
+/// this regime the error grows — at 4 KiB messages under load 0.7 the
+/// measured p99 gap is 7–19% across seeds (per-hop serialization
+/// couples links more strongly, and the per-link replays cannot see
+/// cross-link correlation); `error_envelope` pins one such
+/// out-of-envelope point to a band so the degradation stays visible.
 pub const P99_ERROR_BOUND: f64 = 0.10;
 
 /// Applies a what-if fault set to a topology as *static* element state
@@ -120,31 +133,56 @@ pub(crate) struct Interned {
 }
 
 /// Sweep-level memo: every distinct cluster signature the sweep has
-/// seen, interned once with its simulated delays, plus the exact
-/// unloaded baselines ([`SoloCache`]). Across a what-if grid most links'
-/// flow profiles are identical from scenario to scenario (a fault only
-/// reshapes the clusters of links whose crossing flows rerouted), so
-/// consecutive scenarios hit mostly cache — the grid pays for the
-/// clusters that *changed*.
+/// seen, interned once with its delays, the representative replays
+/// those delays were read from, and the exact unloaded baselines
+/// ([`SoloCache`]). Across a what-if grid most links' flow profiles are
+/// identical from scenario to scenario (a fault only reshapes the
+/// clusters of links whose crossing flows rerouted), so consecutive
+/// scenarios hit mostly cache — the grid pays for the clusters that
+/// *changed*.
 ///
 /// A lookup ([`intern`](Self::intern)) hashes the profile — its whole
-/// member list — exactly once, moves an owned profile in on a miss, and
-/// hands back a [`ClusterId`]; delays are then read in place
+/// member list — exactly once. On a miss it does not replay the cluster
+/// itself: it keys the profile by quantized features (crossing triple
+/// and largest message exact; member, source-port and destination-port
+/// counts and mean arrival gap log-bucketed; trunk-limit and batchable
+/// shares in quarters), replays that key's synthetic representative once
+/// per cache, and gives each member the representative's excess at its
+/// own arrival rank (the `represent` module). The mapped delays are
+/// interned under the exact profile, so an exact repeat is a plain hit.
+/// The representative is built from the key alone, so a cluster's
+/// delays depend on its own profile and never on what the cache served
+/// before: an estimate is the same through a fresh cache or a
+/// long-lived one.
+///
+/// A miss moves an owned profile in (a borrowed one is cloned); every
+/// lookup hands back a [`ClusterId`], and delays are then read in place
 /// ([`delays`](Self::delays)), never copied out. Cached delays are bare
 /// excess slices, not [`ClusterDelays`]: a grid's cache holds thousands
 /// of clusters, and the per-cluster histogram (~32 KB each) is cheap to
 /// rebuild from the excesses at composition time but expensive to keep
 /// resident.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SweepCache {
     /// Profile hash → head of the chain of entries hashing to it.
     index: FxHashMap<u64, ClusterId>,
     entries: Vec<Interned>,
+    /// Feature key → its representative's excesses in arrival-rank order.
+    reps: FxHashMap<RepKey, Box<[Duration]>>,
+    /// Sub-buckets per octave of the feature key; `None` replays every
+    /// distinct cluster itself (the reference path, test-only).
+    resolution: Option<u32>,
     mini: SoloMemo,
     pool: DomainPool,
     solo: SoloCache,
     hits: u64,
     misses: u64,
+}
+
+impl Default for SweepCache {
+    fn default() -> Self {
+        Self::with_resolution(Some(represent::RESOLUTION))
+    }
 }
 
 impl SweepCache {
@@ -153,12 +191,31 @@ impl SweepCache {
         Self::default()
     }
 
-    /// Cluster simulations served from the cache.
+    /// An empty cache keying clusters at `resolution` sub-buckets per
+    /// octave, or replaying every distinct cluster with `None`.
+    pub(crate) fn with_resolution(resolution: Option<u32>) -> Self {
+        SweepCache {
+            index: FxHashMap::default(),
+            entries: Vec::new(),
+            reps: FxHashMap::default(),
+            resolution,
+            mini: SoloMemo::default(),
+            pool: DomainPool::default(),
+            solo: SoloCache::default(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Cluster lookups served without a replay: an exact repeat of a
+    /// profile the cache has seen, or a new profile whose
+    /// representative was already replayed.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Cluster simulations actually replayed.
+    /// Replays actually run: one per representative, the first time a
+    /// lookup needs it.
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -193,10 +250,12 @@ impl SweepCache {
         None
     }
 
-    /// Finds `profile`'s entry, replaying the cluster in-process first if
-    /// the sweep has not seen it; says whether it was a hit. Tallies
-    /// nothing: the delta rebuild counts a cluster once per scenario
-    /// however many of its links collapse onto it.
+    /// Finds `profile`'s entry, interning it first if the sweep has not
+    /// seen it — its delays read off its representative, replayed
+    /// in-process first if no earlier profile needed it. Says whether
+    /// the lookup was served without a replay. Tallies nothing: the
+    /// delta rebuild counts a cluster once per scenario however many of
+    /// its links collapse onto it.
     pub(crate) fn lookup(
         &mut self,
         profile: Cow<'_, ClusterProfile>,
@@ -206,7 +265,27 @@ impl SweepCache {
         if let Some(id) = Self::find(&self.index, &self.entries, hash, &profile) {
             return (id, true);
         }
-        let delays = linksim::simulate_memo(&profile, cfg, &mut self.mini, &mut self.pool);
+        let (mini, pool) = (&mut self.mini, &mut self.pool);
+        let mut served = true;
+        let delays = match self.resolution {
+            None => {
+                served = false;
+                linksim::simulate_memo(&profile, cfg, mini, pool)
+                    .excess
+                    .into_boxed_slice()
+            }
+            Some(r) => {
+                let key = RepKey::of(&profile, cfg, r);
+                let rep = self.reps.entry(key).or_insert_with(|| {
+                    served = false;
+                    let rep = key.profile(cfg);
+                    linksim::simulate_memo(&rep, cfg, mini, pool)
+                        .excess
+                        .into_boxed_slice()
+                });
+                represent::by_rank(&profile, rep)
+            }
+        };
         let id = u32::try_from(self.entries.len()).map_or(ClusterId::NONE, ClusterId);
         assert!(
             id != ClusterId::NONE,
@@ -216,11 +295,11 @@ impl SweepCache {
         let shape = self.solo.shape_id(profile.shape());
         self.entries.push(Interned {
             profile: profile.into_owned(),
-            delays: delays.excess.into_boxed_slice(),
+            delays,
             shape,
             next,
         });
-        (id, false)
+        (id, served)
     }
 
     pub(crate) fn tally(&mut self, hit: bool) {
@@ -337,8 +416,9 @@ impl ApproxEngine {
 mod tests {
     use super::*;
     use edm_core::sim::{ClusterConfig, FlowKind};
-    use edm_sim::{Duration, Time};
-    use edm_topo::{cluster_topology, LeafSpine, TopoEdm};
+    use edm_sim::{Bandwidth, Duration, LogHistogram, Time};
+    use edm_topo::{cluster_topology, FlowStatus, LeafSpine, TopoEdm};
+    use edm_workloads::RackAwareWorkload;
 
     fn flows(n: usize, nodes: usize, gap_ns: u64) -> Vec<Flow> {
         (0..n)
@@ -382,14 +462,18 @@ mod tests {
         let eng = ApproxEngine::new(cfg);
         let mut cache = SweepCache::new();
 
+        // Every distinct cluster is looked up once: the first to need a
+        // representative replays it, the rest are served by it.
         let healthy = Topology::leaf_spine(spec);
-        eng.estimate_cached(&healthy, &fs, &mut cache);
-        let cold = cache.misses();
-        assert_eq!(cache.hits(), 0);
+        let clusters = eng.estimate_cached(&healthy, &fs, &mut cache).clusters as u64;
+        let (cold, served) = (cache.misses(), cache.hits());
+        assert!(cold > 0);
+        assert_eq!(cold + served, clusters);
 
-        // Same scenario again: pure cache.
+        // Same scenario again: pure cache, every lookup an exact repeat.
         eng.estimate_cached(&healthy, &fs, &mut cache);
         assert_eq!(cache.misses(), cold);
+        assert_eq!(cache.hits(), served + clusters);
 
         // One access link down: only the clusters whose profiles shifted
         // (rerouted crossings) replay.
@@ -413,5 +497,228 @@ mod tests {
         let est = ApproxEngine::default().estimate(&topo, &fs);
         assert!(est.failed() > 0, "node 0's flows are unroutable");
         assert_eq!(est.failed() + est.delivered(), fs.len());
+    }
+
+    /// The 288-node overlap fabric: 4 leaves × 72 hosts, 2 spines.
+    fn leaf_spine_288() -> Topology {
+        Topology::leaf_spine(LeafSpine::symmetric(4, 2, 72, 36))
+    }
+
+    /// Rack-aware 64 B traffic over `nodes` hosts in `racks` racks.
+    fn rack_flows(
+        nodes: usize,
+        racks: usize,
+        load: f64,
+        local: f64,
+        count: usize,
+        seed: u64,
+    ) -> Vec<Flow> {
+        RackAwareWorkload {
+            nodes,
+            racks,
+            link: Bandwidth::from_gbps(100),
+            load,
+            size: 64,
+            write_fraction: 0.5,
+            local_fraction: local,
+            count,
+        }
+        .generate(seed)
+    }
+
+    fn first_trunk(topo: &Topology) -> u32 {
+        topo.links()
+            .iter()
+            .position(|l| l.is_trunk())
+            .expect("leaf-spine has trunks") as u32
+    }
+
+    /// Folds every outcome's flow id, status and instant.
+    fn fold_outcomes(h: &mut u64, r: &ApproxResult) {
+        let mut mix = |v: u64| *h = (*h ^ v).wrapping_mul(0x100_0000_01b3);
+        for o in &r.outcomes {
+            let (tag, t) = match o.status {
+                FlowStatus::Delivered(t) => (1, t),
+                FlowStatus::Failed(t) => (2, t),
+            };
+            mix(o.flow.id as u64);
+            mix(tag);
+            mix(t.as_ps());
+        }
+    }
+
+    /// A cluster's delays are a function of its own profile: scenario B
+    /// estimated through a cache that first served another load and a
+    /// fault delta reads exactly what a fresh cache reads — while
+    /// actually reusing representatives the earlier scenarios replayed.
+    #[test]
+    fn estimates_do_not_depend_on_what_the_cache_served_before() {
+        let topo = leaf_spine_288();
+        let cfg = TopoEdmConfig::default();
+        let eng = ApproxEngine::new(cfg.clone());
+        let b = rack_flows(288, 4, 0.7, 0.5, 2000, 42);
+        let mut fresh_cache = SweepCache::new();
+        let fresh = eng.estimate_cached(&topo, &b, &mut fresh_cache);
+
+        let mut cache = SweepCache::new();
+        eng.estimate_cached(&topo, &rack_flows(288, 4, 0.4, 0.5, 2000, 42), &mut cache);
+        let mut base = SweepBase::new(&topo, &cfg, rack_flows(288, 4, 0.55, 0.5, 2000, 7));
+        base.prime(&mut cache);
+        let mut faulted = topo.clone();
+        apply_faults(&mut faulted, &[FaultKind::LinkDown(first_trunk(&topo))]);
+        base.estimate_delta(&faulted, Combine::Sum, &mut cache);
+        let replays = cache.misses();
+        let warm = eng.estimate_cached(&topo, &b, &mut cache);
+        assert!(
+            cache.misses() - replays < fresh_cache.misses(),
+            "B must reuse representatives A replayed ({} of {} replays)",
+            cache.misses() - replays,
+            fresh_cache.misses()
+        );
+        let differing = fresh
+            .outcomes
+            .iter()
+            .zip(&warm.outcomes)
+            .filter(|(x, y)| x.status != y.status)
+            .count();
+        assert_eq!(differing, 0, "of {} outcomes", b.len());
+        assert_eq!(fresh.clusters, warm.clusters);
+    }
+
+    /// The reference path — every distinct cluster replayed itself —
+    /// keeps the outcomes it had before representatives existed: a
+    /// from-scratch estimate and a trunk-down delta on the 288-node
+    /// fabric at load 0.7, plus the cache's counters, folded into the
+    /// digest this body produced through `SweepCache::new()` then.
+    #[test]
+    fn exact_path_keeps_its_recorded_digest() {
+        let topo = leaf_spine_288();
+        let cfg = TopoEdmConfig::default();
+        let eng = ApproxEngine::new(cfg.clone());
+        let mut faulted = topo.clone();
+        apply_faults(&mut faulted, &[FaultKind::LinkDown(first_trunk(&topo))]);
+        for (seed, want) in [(42, 0x770d_3b4d_2e7e_d7dd), (7, 0x0571_5c47_0cda_9cd4)] {
+            let flows = rack_flows(288, 4, 0.7, 0.5, 2000, seed);
+            let mut cache = SweepCache::with_resolution(None);
+            let scratch = eng.estimate_cached(&topo, &flows, &mut cache);
+            let mut base = SweepBase::new(&topo, &cfg, flows);
+            base.prime(&mut cache);
+            let delta = base.estimate_delta(&faulted, Combine::Sum, &mut cache);
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            fold_outcomes(&mut h, &scratch);
+            fold_outcomes(&mut h, &delta);
+            for v in [cache.hits(), cache.misses()] {
+                h = (h ^ v).wrapping_mul(0x100_0000_01b3);
+            }
+            assert_eq!(h, want, "seed {seed}: {h:#x}");
+        }
+    }
+
+    /// The 21 what-if states of the 1024-host grid: healthy, 6 trunk
+    /// cuts, 6 optics degradations (+1 µs), 2 spine kills, a double
+    /// trunk cut, 5 access-link cuts.
+    fn grid_variants(topo: &Topology) -> Vec<Vec<FaultKind>> {
+        let trunks: Vec<u32> = (0..topo.links().len() as u32)
+            .filter(|&l| topo.link(l).is_trunk())
+            .collect();
+        let spread = |i: usize, n: usize| trunks[(i * trunks.len()) / n];
+        let mut v = vec![vec![]];
+        v.extend((0..6).map(|i| vec![FaultKind::LinkDown(spread(i, 6))]));
+        v.extend((0..6).map(|i| {
+            vec![FaultKind::DegradeLink {
+                link: spread(2 * i + 1, 12),
+                extra: Duration::from_us(1),
+            }]
+        }));
+        // 16 leaves come first; spines follow.
+        v.extend([16, 20].map(|s| vec![FaultKind::SwitchDown(s)]));
+        v.push(vec![
+            FaultKind::LinkDown(spread(0, 6)),
+            FaultKind::LinkDown(spread(3, 6)),
+        ]);
+        let hosts = topo.nodes();
+        v.extend((0..5).map(|i| vec![FaultKind::LinkDown(topo.node_link((i * hosts) / 5 + i))]));
+        v
+    }
+
+    /// The error-versus-replays curve the shipped resolution was chosen
+    /// from: per seed and resolution (`exact` replays every distinct
+    /// cluster), the replays of one 105-scenario grid pass on the
+    /// 1024-host fabric (5 loads × 21 what-ifs, 20 000 flows each), the
+    /// most any healthy scenario replays, the grid's p50 / p99 / p99.9
+    /// completion time, the relative p99 error against the exact engine
+    /// on the 288-node overlap point (load 0.7, 4000 flows), and the
+    /// grid pass's wall-clock per flow-scenario (informative only: one
+    /// unpaired run). The workloads are `approx_grid_1024`'s.
+    /// `cargo test --release -p edm-approx -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "prints the resolution curve; minutes in a debug build"]
+    fn resolution_curve() {
+        let grid_topo = Topology::leaf_spine(LeafSpine::symmetric(16, 8, 64, 8));
+        let variants = grid_variants(&grid_topo);
+        let cfg = TopoEdmConfig::default();
+        let overlap = leaf_spine_288();
+        for seed in [42, 7] {
+            let loads: Vec<Vec<Flow>> = [0.15, 0.3, 0.5, 0.7, 0.85]
+                .iter()
+                .map(|&l| rack_flows(1024, 16, l, 0.4, 20_000, seed))
+                .collect();
+            let flows = rack_flows(288, 4, 0.7, 0.4, 4000, seed);
+            let exact = TopoEdm::new(cfg.clone()).simulate(&overlap, &flows);
+            for resolution in [None, Some(16), Some(8), Some(4), Some(2)] {
+                let t = std::time::Instant::now();
+                let mut cache = SweepCache::with_resolution(resolution);
+                let (mut healthy_max, mut hist) = (0, LogHistogram::new());
+                for flows in &loads {
+                    let before = cache.misses();
+                    let mut base = SweepBase::new(&grid_topo, &cfg, flows.clone());
+                    base.prime(&mut cache);
+                    healthy_max = healthy_max.max(cache.misses() - before);
+                    let healthy = cache.compose(&grid_topo, &cfg, base.decomp(), Combine::Sum);
+                    let mut record = |r: &ApproxResult| {
+                        for o in &r.outcomes {
+                            if let Some(mct) = o.mct() {
+                                hist.record_duration(mct);
+                            }
+                        }
+                    };
+                    record(&healthy);
+                    for faults in &variants[1..] {
+                        let mut what_if = grid_topo.clone();
+                        apply_faults(&mut what_if, faults);
+                        record(&base.estimate_delta(&what_if, Combine::Sum, &mut cache));
+                    }
+                }
+                let ns =
+                    t.elapsed().as_nanos() as f64 / (loads.len() * variants.len() * 20_000) as f64;
+                let est = ApproxEngine::new(cfg.clone()).estimate_cached(
+                    &overlap,
+                    &flows,
+                    &mut SweepCache::with_resolution(resolution),
+                );
+                let p99 = |outcomes: &[edm_topo::TopoOutcome]| {
+                    let mut mcts: Vec<u64> = outcomes
+                        .iter()
+                        .filter_map(|o| o.mct())
+                        .map(|d| d.as_ps())
+                        .collect();
+                    mcts.sort_unstable();
+                    mcts[(mcts.len() * 99).div_ceil(100) - 1] as f64
+                };
+                let (x, e) = (p99(&exact.outcomes), p99(&est.outcomes));
+                let name =
+                    resolution.map_or("exact".to_string(), |r| format!("{r}/{}", (r / 2).max(1)));
+                println!(
+                    "seed {seed:>2} {name:>5}: {:>6} replays/grid, {:>5} max/healthy, grid p50 \
+                     {:.3} / p99 {:.3} / p99.9 {:.3} ns, overlap p99 err {:.4}, {ns:.0} ns/flow-scenario",
+                    cache.misses(),
+                    healthy_max,
+                    hist.percentile(50.0) as f64 / 1e3,
+                    hist.percentile(99.0) as f64 / 1e3,
+                    hist.percentile(99.9) as f64 / 1e3,
+                    (e - x).abs() / x,
+                );
+            }
+        }
     }
 }

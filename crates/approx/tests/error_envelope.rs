@@ -136,17 +136,22 @@ fn envelope_fault_scenario_288() {
 
 #[test]
 fn breakdown_regime_4k_stays_where_documented() {
-    // Measured on 2026-09-27, this fabric and load, p99 error by seed:
-    // 2000 flows −0.121 … −0.220 over seeds {42, 7, 1..6} (seed 42:
-    // −0.206); 4000 flows −0.191 … −0.227. Always an underestimate.
-    // Ceiling 0.30 leaves a third of headroom over the worst seed.
+    // Measured with representative replays (one synthetic replay per
+    // quantized cluster key), this fabric and load, p99 error by seed:
+    // 2000 flows −0.099 … −0.193 over seeds {42, 7, 1..6} (seed 42:
+    // −0.151); 4000 flows −0.065 … −0.178. Always an underestimate, and
+    // at seed 42 outside the envelope; one seed in eight per flow count
+    // now lands inside it. Replaying every distinct cluster read
+    // −0.121 … −0.220 (seed 42: −0.206) and −0.191 … −0.227. Floor 0.26
+    // leaves a third of headroom over the worst seed.
     let topo = Topology::leaf_spine(LeafSpine::symmetric(4, 2, 72, 36));
     let flows = rack_workload(0.7, 4096, FLOWS).generate(42);
     let name = "leaf_spine_288/size_4096/load_0.7";
     let [_, p99] = fct_errors(name, &topo, &TopoEdmConfig::default(), &flows);
     assert!(
-        p99 < -P99_ERROR_BOUND && p99 > -0.30,
+        p99 < -P99_ERROR_BOUND && p99 > -0.26,
         "{name}: p99 error {p99:+.4} left the documented breakdown band \
-         (-0.30, -{P99_ERROR_BOUND}): update docs/ARCHITECTURE.md together with this pin"
+         (-0.26, -{P99_ERROR_BOUND}): update docs/ARCHITECTURE.md (\"Large flows\") \
+         together with this pin"
     );
 }

@@ -14,7 +14,8 @@
 //! overlay, healthy per-flow terms reused for flows a scenario did not
 //! perturb — and must still return what a from-scratch
 //! [`edm_approx::ApproxEngine::estimate`] on the faulted fabric returns,
-//! scenario after scenario against one base and one cache.
+//! scenario after scenario against one base and one cache, and in
+//! whichever order the scenarios run.
 
 use std::collections::{HashMap, HashSet};
 
@@ -243,6 +244,54 @@ proptest! {
                     prop_assert_eq!(delta.recomposed, flows.len());
                 }
             }
+        }
+    }
+
+    /// The same three what-ifs, in the drawn order and in a shuffled
+    /// one, each time against a fresh base and cache: every scenario's
+    /// estimate is the same whichever scenarios the cache served before
+    /// it — a cluster's delays come from its own profile, never from the
+    /// representatives earlier profiles happened to leave behind.
+    #[test]
+    fn scenario_order_does_not_change_estimates(
+        leaves in 2usize..5,
+        spines in 1usize..3,
+        npl in 2usize..6,
+        uplinks in 1usize..3,
+        count in 20usize..120,
+        seed in any::<u64>(),
+        fallback in proptest::sample::select(vec![0.6, 0.0, 1.01]),
+    ) {
+        let mut d = Rng::seed_from(seed);
+        let topo = Topology::leaf_spine(LeafSpine::symmetric(leaves, spines, npl, uplinks));
+        let cfg = TopoEdmConfig::default();
+        let flows = mixed_flows(&mut d, topo.nodes(), count);
+        let scenarios: Vec<Topology> = (0..3)
+            .map(|_| {
+                let mut what_if = topo.clone();
+                apply_faults(&mut what_if, &draw_faults(&mut d, &topo, &[]));
+                what_if
+            })
+            .collect();
+        let mut shuffled = [0, 1, 2];
+        d.shuffle(&mut shuffled);
+        if shuffled == [0, 1, 2] {
+            shuffled.reverse();
+        }
+        let run = |order: &[usize]| {
+            let mut base = SweepBase::new(&topo, &cfg, flows.clone());
+            base.fallback_fraction = fallback;
+            let mut cache = SweepCache::new();
+            base.prime(&mut cache);
+            let mut out: Vec<Option<ApproxResult>> = vec![None, None, None];
+            for &i in order {
+                out[i] = Some(base.estimate_delta(&scenarios[i], Combine::Sum, &mut cache));
+            }
+            out.into_iter().map(|r| r.expect("every scenario ran")).collect::<Vec<_>>()
+        };
+        let (drawn, reordered) = (run(&[0, 1, 2]), run(&shuffled));
+        for (i, (a, b)) in drawn.iter().zip(&reordered).enumerate() {
+            assert_same_estimate(a, b, &format!("scenario {i}, order {shuffled:?}"));
         }
     }
 
