@@ -30,12 +30,6 @@
 //! 4. recomposes the flows with a crossing in a rebuilt cluster, reading
 //!    delays in place from the cache; every other flow's outcome is its
 //!    arrival plus its base term.
-//!
-//! When a fault perturbs most of the fabric (a spine kill rehashes
-//! every leaf's ECMP row), the rebuild would touch more clusters than
-//! it skips; past [`SweepBase::fallback_fraction`] the estimator
-//! falls back to the from-scratch bucket, which is cheaper than a
-//! mostly-total rebuild plus overlay bookkeeping.
 
 use std::borrow::Cow;
 
@@ -131,11 +125,6 @@ pub struct SweepBase {
     base_ids: Vec<ClusterId>,
     /// Per flow: the healthy estimate's terms (zero for an unroutable flow).
     base_terms: Vec<BaseTerm>,
-    /// Affected-key fraction above which [`Self::estimate_delta`]
-    /// abandons the delta rebuild for a
-    /// from-scratch bucket. Default 0.6; tests pin it to 0.0/1.0 to
-    /// force either path.
-    pub fallback_fraction: f64,
 }
 
 impl SweepBase {
@@ -185,7 +174,6 @@ impl SweepBase {
             key_cluster,
             base_ids: Vec::new(),
             base_terms: Vec::new(),
-            fallback_fraction: 0.6,
         }
     }
 
@@ -314,15 +302,6 @@ impl SweepBase {
                     }
                 }
             }
-        }
-
-        // A mostly-total rebuild is slower than a fresh bucket.
-        if aff_keys.len() as f64 > self.fallback_fraction * self.decomp.link_instances as f64 {
-            let d = bucket(what_if, &self.cfg, &self.flows, &routes_new);
-            for c in &d.clusters {
-                cache.intern(Cow::Borrowed(&c.profile), &self.cfg);
-            }
-            return cache.compose(what_if, &self.cfg, &d, combine);
         }
 
         // Re-walk the perturbed flows' (new) routes into per-key
@@ -594,28 +573,25 @@ mod tests {
     }
 
     /// The delta path's contract: per-flow outcomes identical to a
-    /// from-scratch estimate, under both the rebuild and the fallback
-    /// path (forced via `fallback_fraction`).
+    /// from-scratch estimate, a spine kill (most links affected)
+    /// included.
     #[test]
     fn delta_matches_scratch() {
         let spec = LeafSpine::symmetric(4, 2, 8, 2);
         let healthy = Topology::leaf_spine(spec);
         let cfg = TopoEdmConfig::default();
         let flows = workload(32);
-        for force in [1.01, 0.0] {
-            let mut base = SweepBase::new(&healthy, &cfg, flows.clone());
-            base.fallback_fraction = force;
-            let mut cache = SweepCache::new();
-            base.prime(&mut cache);
-            for (ci, faults) in fault_cases(&healthy).iter().enumerate() {
-                let mut what_if = Topology::leaf_spine(spec);
-                apply_faults(&mut what_if, faults);
-                let delta = base.estimate_delta(&what_if, Combine::Sum, &mut cache);
-                let scratch = ApproxEngine::new(cfg.clone()).estimate(&what_if, &flows);
-                assert_eq!(delta.outcomes.len(), scratch.outcomes.len());
-                for (i, (d, s)) in delta.outcomes.iter().zip(&scratch.outcomes).enumerate() {
-                    assert_eq!(d.status, s.status, "case {ci}, flow {i}, fallback {force}");
-                }
+        let mut base = SweepBase::new(&healthy, &cfg, flows.clone());
+        let mut cache = SweepCache::new();
+        base.prime(&mut cache);
+        for (ci, faults) in fault_cases(&healthy).iter().enumerate() {
+            let mut what_if = Topology::leaf_spine(spec);
+            apply_faults(&mut what_if, faults);
+            let delta = base.estimate_delta(&what_if, Combine::Sum, &mut cache);
+            let scratch = ApproxEngine::new(cfg.clone()).estimate(&what_if, &flows);
+            assert_eq!(delta.outcomes.len(), scratch.outcomes.len());
+            for (i, (d, s)) in delta.outcomes.iter().zip(&scratch.outcomes).enumerate() {
+                assert_eq!(d.status, s.status, "case {ci}, flow {i}");
             }
         }
     }
@@ -733,7 +709,6 @@ mod tests {
 
         let scratch = ApproxEngine::new(cfg.clone()).estimate(&slowed, &flows);
         let mut base = SweepBase::new(&healthy, &cfg, flows.clone());
-        base.fallback_fraction = 1.01;
         let mut cache = SweepCache::new();
         base.prime(&mut cache);
         let delta = base.estimate_delta(&slowed, Combine::Sum, &mut cache);

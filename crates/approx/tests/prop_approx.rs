@@ -111,16 +111,13 @@ type Key = (u32, u32, bool);
 /// written against the public stage functions: a flow is perturbed if
 /// its route moved or it crosses a link whose state changed; every
 /// directed link a perturbed flow crosses, before or after, is rebuilt;
-/// rebuilt links with equal profiles are one cluster. `None` when more
-/// than `fallback` of the base's links are affected (the estimator then
-/// buckets from scratch).
+/// rebuilt links with equal profiles are one cluster.
 fn rebuilt_clusters(
     base: &Topology,
     what_if: &Topology,
     cfg: &TopoEdmConfig,
     flows: &[Flow],
-    fallback: f64,
-) -> Option<usize> {
+) -> usize {
     let (old, new) = (resolve_all(base, flows), resolve_all(what_if, flows));
     let state = |t: &Topology, l: u32| {
         let l = t.link(l);
@@ -138,10 +135,6 @@ fn rebuilt_clusters(
             affected.extend(old.span(i).iter().chain(new.span(i)).map(key));
         }
     }
-    let before = decompose(base, cfg, flows);
-    if affected.len() as f64 > fallback * before.link_instances as f64 {
-        return None;
-    }
     let after = decompose(what_if, cfg, flows);
     let mut cluster_of: HashMap<Key, u32> = HashMap::new();
     for i in 0..flows.len() {
@@ -155,7 +148,7 @@ fn rebuilt_clusters(
         .iter()
         .filter_map(|k| cluster_of.get(k).copied())
         .collect();
-    Some(rebuilt.len())
+    rebuilt.len()
 }
 
 fn assert_same_estimate(delta: &ApproxResult, scratch: &ApproxResult, what: &str) {
@@ -178,8 +171,7 @@ proptest! {
     /// Three consecutive what-ifs against one primed base and one shared
     /// cache — the second and third run on the interned ids and base
     /// terms the first left behind — each equal to a from-scratch
-    /// estimate of the same faulted fabric, under either combiner, with
-    /// the delta rebuild forced, forbidden, or left to choose.
+    /// estimate of the same faulted fabric, under either combiner.
     #[test]
     fn delta_scenarios_match_scratch(
         leaves in 2usize..5,
@@ -190,7 +182,6 @@ proptest! {
         seed in any::<u64>(),
         degraded_base in any::<bool>(),
         bottleneck in any::<bool>(),
-        fallback in proptest::sample::select(vec![0.6, 0.0, 1.01]),
     ) {
         let mut d = Rng::seed_from(seed);
         let mut base_topo = Topology::leaf_spine(LeafSpine::symmetric(leaves, spines, npl, uplinks));
@@ -219,7 +210,6 @@ proptest! {
         engine.combine = combine;
 
         let mut base = SweepBase::new(&base_topo, &cfg, flows.clone());
-        base.fallback_fraction = fallback;
         let mut cache = SweepCache::new();
         base.prime(&mut cache);
         for scenario in 0..3 {
@@ -234,16 +224,9 @@ proptest! {
             let scratch = engine.estimate(&what_if, &flows);
             assert_same_estimate(&delta, &scratch, &what);
 
-            match rebuilt_clusters(&base_topo, &what_if, &cfg, &flows, fallback) {
-                Some(rebuilt) => {
-                    prop_assert_eq!(looked_up as usize, rebuilt, "{}: lookups", what);
-                    prop_assert!(delta.recomposed <= flows.len());
-                }
-                None => {
-                    prop_assert_eq!(looked_up as usize, scratch.clusters, "{}: lookups", what);
-                    prop_assert_eq!(delta.recomposed, flows.len());
-                }
-            }
+            let rebuilt = rebuilt_clusters(&base_topo, &what_if, &cfg, &flows);
+            prop_assert_eq!(looked_up as usize, rebuilt, "{}: lookups", what);
+            prop_assert!(delta.recomposed <= flows.len());
         }
     }
 
@@ -260,7 +243,6 @@ proptest! {
         uplinks in 1usize..3,
         count in 20usize..120,
         seed in any::<u64>(),
-        fallback in proptest::sample::select(vec![0.6, 0.0, 1.01]),
     ) {
         let mut d = Rng::seed_from(seed);
         let topo = Topology::leaf_spine(LeafSpine::symmetric(leaves, spines, npl, uplinks));
@@ -280,7 +262,6 @@ proptest! {
         }
         let run = |order: &[usize]| {
             let mut base = SweepBase::new(&topo, &cfg, flows.clone());
-            base.fallback_fraction = fallback;
             let mut cache = SweepCache::new();
             base.prime(&mut cache);
             let mut out: Vec<Option<ApproxResult>> = vec![None, None, None];

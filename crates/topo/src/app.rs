@@ -31,21 +31,15 @@
 //! ops + active flows), never O(total ops), so million-op campaigns
 //! stream like the flow-level ones.
 //!
-//! # Determinism and sharding
+//! # Determinism
 //!
-//! The tier is *replicated* app state inside every shard's
-//! `TopoWorld`, advanced by `Issue`/`Service`/`Done` events whose
-//! order keys (`evord::app_*`) sort after all fabric ranks at one
-//! instant — the app observes a settled fabric. Flow-terminal hooks fire
-//! from barrier-applied credits whose application order can differ from
-//! the emitting shard's settle order, so hooks only write per-op state
-//! and schedule canonically-keyed events; all RNG draws, tenant
-//! accounting, and stats recording happen inside the replicated events.
-//! Events scheduled from those hooks sit at least
-//! `min(nic_delay, completion_delay)` in the future, which
-//! [`TopoEdm::simulate_app_sharded`] folds into the conservative-window
-//! lookahead — the floor that keeps shards 1–4 bit-identical (pinned by
-//! `prop_app`).
+//! The tier is app state inside the run's `TopoWorld`, advanced by
+//! `Issue`/`Service`/`Done` events whose order keys (`evord::app_*`)
+//! sort after all fabric ranks at one instant — the app observes a
+//! settled fabric. Flow-terminal hooks only write per-op state and
+//! schedule events under those keys; all RNG draws, tenant accounting,
+//! and stats recording happen inside the keyed events, so a run is a
+//! pure function of its config (pinned by `prop_app`).
 //!
 //! # The CXL-over-Ethernet baseline
 //!
@@ -71,7 +65,7 @@ use edm_workloads::{OpKind, TenantSpec};
 use std::collections::HashMap;
 
 /// Type of the absent sink in app runs (outcomes are consumed by the
-/// replicated app state, not a callback).
+/// app state, not a callback).
 type NoSink = fn(u32, TopoOutcome);
 const NO_SINK: Option<NoSink> = None;
 
@@ -126,12 +120,10 @@ pub struct AppConfig {
     /// DRAM + on-chip interconnect).
     pub local_latency: Duration,
     /// Memory-node NIC processing between a request's arrival and the
-    /// controller issue. Must be positive — it is one of the two
-    /// sharded-lookahead floors.
+    /// controller issue. Must be positive.
     pub nic_delay: Duration,
     /// Compute-node delay between a response's arrival and the tenant
-    /// observing completion. Must be positive — the other lookahead
-    /// floor.
+    /// observing completion. Must be positive.
     pub completion_delay: Duration,
     /// Transport under test.
     pub transport: AppTransport,
@@ -168,13 +160,20 @@ impl AppConfig {
             self.memory_nodes.iter().all(|&n| n < topo.nodes()),
             "memory node out of range"
         );
+        // A repeated node would stripe keys over two `MemoryService`s for
+        // one set of banks, halving its contention.
+        let mut distinct = self.memory_nodes.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(
+            distinct.len() == self.memory_nodes.len(),
+            "memory node listed twice"
+        );
         for t in &self.tenants {
             assert!(t.node < topo.nodes(), "tenant node out of range");
             assert!(t.mlp >= 1, "a tenant needs a window of at least 1");
         }
-        // Service/Done events scheduled from flow-terminal hooks land
-        // these delays in the future; zero would break the sharded
-        // lookahead floor (and a zero-latency NIC is not a NIC).
+        // A zero-latency NIC is not a NIC.
         assert!(self.nic_delay > Duration::ZERO, "nic_delay must be > 0");
         assert!(
             self.completion_delay > Duration::ZERO,
@@ -219,7 +218,7 @@ pub struct AppReport {
     pub fabric: TopoStreamStats,
 }
 
-/// A closed-loop application step, replicated in every shard.
+/// A closed-loop application step.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum AppEv {
     /// Tenant `tenant` fills its outstanding window.
@@ -239,7 +238,7 @@ pub(crate) enum AppEv {
     },
 }
 
-/// One tenant's runtime state (replicated).
+/// One tenant's runtime state.
 #[derive(Debug)]
 struct TenantRt {
     spec: TenantSpec,
@@ -250,7 +249,7 @@ struct TenantRt {
     outstanding: u32,
 }
 
-/// One in-flight op (replicated; removed at `Done`).
+/// One in-flight op (removed at `Done`).
 #[derive(Debug, Clone, Copy)]
 struct OpRt {
     tenant: u32,
@@ -264,8 +263,7 @@ struct OpRt {
 }
 
 /// The store-and-forward CXL-over-Ethernet transport: per-(link,
-/// direction) busy horizons, advanced only from replicated app events —
-/// trivially lockstep across shards.
+/// direction) busy horizons, advanced only from app events.
 ///
 /// Each message claims its full serialization on every lane of its route
 /// at issue time (a flow-level future-claim approximation of per-frame
@@ -379,8 +377,7 @@ fn placement(memory_nodes: &[usize], key: u64, object_bytes: u32) -> (u32, u64) 
     (m, slot * (KV_SLOT_HEADER as u64 + object_bytes as u64))
 }
 
-/// The replicated closed-loop state carried by every shard's
-/// `TopoWorld`.
+/// The closed-loop state carried by an app run's `TopoWorld`.
 #[derive(Debug)]
 pub(crate) struct AppState {
     tenants: Vec<TenantRt>,
@@ -398,8 +395,8 @@ pub(crate) struct AppState {
     /// Fabric flow id → op id for the op's in-flight leg.
     flow_op: HashMap<u32, u32>,
     next_op: u32,
-    /// App flow ids, allocated inside replicated events in canonical
-    /// order (the `RtMap` increasing-id invariant).
+    /// App flow ids, allocated inside app events in canonical order (the
+    /// `RtMap` increasing-id invariant).
     next_flow: u32,
     ops_hwm: usize,
     issued: u64,
@@ -476,7 +473,7 @@ impl AppState {
         }
     }
 
-    /// Schedules every tenant's first `Issue` (replicated seeding).
+    /// Schedules every tenant's first `Issue`.
     pub(crate) fn seed(&self, q: &mut EventQueue<TopoEv>) {
         for (i, &t) in self.start_at.iter().enumerate() {
             let tenant = i as u32;
@@ -529,7 +526,7 @@ where
     S: FnMut(u32, TopoOutcome),
     I: Iterator<Item = Flow>,
 {
-    /// One replicated application-tier event.
+    /// One application-tier event.
     pub(crate) fn app_dispatch(&mut self, now: Time, ev: AppEv, q: &mut EventQueue<TopoEv>) {
         match ev {
             AppEv::Issue { tenant } => self.app_issue(now, tenant, q),
@@ -539,10 +536,8 @@ where
     }
 
     /// A fabric leg of an app op reached a terminal state at `t`
-    /// (delivered or failed). Fires exactly once per shard — from the
-    /// local settle on the owning shard, from the barrier credit
-    /// elsewhere, or from replicated fail events everywhere — and in a
-    /// potentially shard-dependent *order* for same-instant legs, so it
+    /// (delivered or failed). Fires exactly once per leg, from the settle
+    /// that credits its last byte or from the event that fails it. It
     /// only writes per-op state and schedules canonically-keyed events;
     /// RNG, tenant accounting, and stats live in the events themselves.
     pub(crate) fn app_flow_done(&mut self, fi: u32, t: Time, ok: bool, q: &mut EventQueue<TopoEv>) {
@@ -859,36 +854,16 @@ fn finish_leg(
 
 impl TopoEdm {
     /// Runs a closed-loop application workload to completion on `topo`
-    /// and returns its report. Sequential reference path.
+    /// and returns its report.
     ///
     /// # Panics
     ///
-    /// On invalid configs (no memory nodes, out-of-range nodes, zero
-    /// NIC/completion delays) and if an op stalls without completing (a
-    /// model invariant violation).
+    /// On invalid configs (no memory nodes, out-of-range or repeated
+    /// nodes, zero NIC/completion delays) and if an op stalls without
+    /// completing (a model invariant violation).
     pub fn simulate_app(&self, topo: &Topology, app: &AppConfig) -> AppReport {
-        self.simulate_app_sharded(topo, app, 1)
-    }
-
-    /// [`TopoEdm::simulate_app`], sharded over up to `shards` cores —
-    /// bit-identical for any shard count (pinned by `prop_app`), with
-    /// one diagnostic exception: delivery credits apply at window
-    /// barriers, so [`AppReport::fabric`]'s `active_high_water` may
-    /// exceed the sequential peak by the not-yet-retired lag (never
-    /// undershoot it) — the same caveat as the flow-level streaming
-    /// path.
-    ///
-    /// # Panics
-    ///
-    /// As [`TopoEdm::simulate_app`].
-    pub fn simulate_app_sharded(
-        &self,
-        topo: &Topology,
-        app: &AppConfig,
-        shards: usize,
-    ) -> AppReport {
         let input = Input::<NoSource>::App(app);
-        AppState::report(self.run_on_shards(topo, NO_SINK, input, shards))
+        AppState::report(self.run_solo(topo, NO_SINK, input))
     }
 }
 
@@ -945,24 +920,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_closed_loop_is_bit_identical() {
-        let topo = leaf_spine();
-        let edm = TopoEdm::default();
-        let app = small_app(AppTransport::Edm);
-        let seq = edm.simulate_app(&topo, &app);
-        for shards in 2..=4 {
-            let par = edm.simulate_app_sharded(&topo, &app, shards);
-            assert_eq!(seq.lat, par.lat, "{shards} shards diverged");
-            assert_eq!(seq.lat_read, par.lat_read);
-            assert_eq!(seq.throughput, par.throughput);
-            assert_eq!(seq.availability, par.availability);
-            assert_eq!(seq.makespan, par.makespan);
-            assert_eq!(seq.dram_rows, par.dram_rows);
-            assert_eq!(
-                (seq.fabric.admitted, seq.fabric.delivered, seq.fabric.failed),
-                (par.fabric.admitted, par.fabric.delivered, par.fabric.failed)
-            );
-        }
+    #[should_panic(expected = "memory node listed twice")]
+    fn repeated_memory_node_is_rejected() {
+        let app = AppConfig::new(small_app(AppTransport::Edm).tenants, vec![4, 6, 4]);
+        TopoEdm::default().simulate_app(&leaf_spine(), &app);
     }
 
     #[test]

@@ -18,19 +18,19 @@
 //!   semantics (and sender-side demand revocation on reroute), and a
 //!   mixed-traffic mode where background IP flows share egress ports
 //!   with memory traffic ([`ip`]).
-//! * [`shard`] — partitioning one simulation across cores:
-//!   [`TopoEdm::simulate_sharded`] runs the same world as several
-//!   conservative logical processes (`edm_sim::sharded`), bit-identical
-//!   to the sequential run at any shard count; [`ShardPlan`] derives the
-//!   switch partition and the trunk-latency lookahead.
+//! * [`shard`] — partitioning one streamed simulation across cores:
+//!   [`TopoEdm::simulate_sharded_streamed`] runs the same world as
+//!   several conservative logical processes (`edm_sim::sharded`),
+//!   bit-identical to [`TopoEdm::simulate_streamed`] at any shard count;
+//!   [`ShardPlan`] derives the switch partition and the trunk-latency
+//!   lookahead. Slice and closed-loop runs are sequential.
 //! * [`app`] — the closed-loop application tier on top of all of it:
 //!   [`TopoEdm::simulate_app`] runs N tenants issuing YCSB-mix
 //!   read/update/RMW operations with think times and bounded MLP
 //!   windows against remote memory nodes (DDR4 service via
 //!   `edm_memory::MemoryService`), over EDM's in-PHY transport or a
 //!   store-and-forward CXL-over-Ethernet baseline on the identical
-//!   fabric; [`TopoEdm::simulate_app_sharded`] is bit-identical at any
-//!   shard count.
+//!   fabric.
 //!
 //! A 1-switch [`Topology`] is the *degenerate* case: [`TopoEdm`] on
 //! [`cluster_topology`] is bit-identical to the legacy single-switch

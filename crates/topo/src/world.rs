@@ -1,7 +1,7 @@
 //! The multi-switch event-driven fabric: one demand-sparse EDM scheduler
 //! per switch, hop-by-hop grant coordination, failure injection, and
-//! mixed IP+memory traffic — runnable sequentially or sharded across
-//! cores with bit-identical results.
+//! mixed IP+memory traffic — runnable sequentially, and a streamed run
+//! also sharded across cores with bit-identical results.
 //!
 //! # Model
 //!
@@ -37,16 +37,19 @@
 //! Because the key is a pure function of event content — never of
 //! scheduling order — the simulation's outcome is independent of *where*
 //! an event was scheduled, which is exactly what lets
-//! [`TopoEdm::simulate_sharded`] split one run across cores and still be
-//! bit-identical to [`TopoEdm::simulate`] (pinned by the
-//! `prop_parallel` lockstep suite).
+//! [`TopoEdm::simulate_sharded_streamed`] split one run across cores and
+//! still be bit-identical to [`TopoEdm::simulate_streamed`] (pinned by
+//! the `prop_parallel` lockstep suite).
 //!
 //! # Parallel execution
 //!
-//! [`TopoEdm::simulate_sharded`] partitions the switches into shards
-//! (`crate::shard::ShardPlan`) and runs one logical process per shard
-//! under the conservative window protocol of `edm_sim::sharded`:
+//! [`TopoEdm::simulate_sharded_streamed`] partitions the switches into
+//! shards (`crate::shard::ShardPlan`) and runs one logical process per
+//! shard under the conservative window protocol of `edm_sim::sharded`.
+//! Only streamed runs shard; slice and closed-loop runs are sequential.
 //!
+//! * Each shard replays its own clone of the source, so every shard
+//!   admits every flow at the same instant without coordination.
 //! * Each shard owns the [`SwitchDomain`]s, per-direction IP lanes, and
 //!   host events of its switches; a flow's demand/reroute events are
 //!   pinned to its hop-0 leaf's shard.
@@ -61,7 +64,10 @@
 //!   the plan's lookahead, so the arrival always lands in a later
 //!   window.
 //! * Final-hop delivery credits broadcast to every shard as state-sync
-//!   records, applied in deterministic order at window barriers.
+//!   records, applied in deterministic order at window barriers. A
+//!   replica therefore retires a flow a beat after the sequential run
+//!   would, so [`TopoStreamStats::active_high_water`] may read higher
+//!   sharded — the one counter that is not bit-identical.
 //!
 //! # Failures and repairs
 //!
@@ -124,7 +130,7 @@
 //!   lower the peak and measurably costs time — see `TopoEdm::seed`).
 //! * **Sinking.** Terminal outcomes stream to a sink callback the moment
 //!   they are decided instead of accumulating in a `Vec`. The `Vec`
-//!   paths use a collecting sink and return the same counters record
+//!   path uses a collecting sink and returns the same counters record
 //!   ([`TopoResult::stats`]); shard 0 holds the sink in sharded runs
 //!   (it observes every terminal transition — local settles plus
 //!   barrier credits).
@@ -397,13 +403,13 @@ pub struct TopoStreamStats {
 
 /// The multi-switch EDM protocol.
 ///
-/// [`TopoEdm::simulate`] runs sequentially; [`TopoEdm::simulate_sharded`]
-/// runs the *same* simulation split across cores under conservative
-/// windows, bit-identical to the sequential run for every shard count
-/// (pinned by the `prop_parallel` lockstep suite). Topologies that
-/// cannot support parallelism — a single switch, or zero-latency trunks
-/// contracting everything into one component — degenerate to the
-/// sequential path.
+/// [`TopoEdm::simulate`] and [`TopoEdm::simulate_streamed`] run
+/// sequentially; [`TopoEdm::simulate_sharded_streamed`] runs the *same*
+/// streamed simulation split across cores under conservative windows,
+/// bit-identical to the sequential run for every shard count (pinned by
+/// the `prop_parallel` lockstep suite). Topologies that cannot support
+/// parallelism — a single switch, or zero-latency trunks contracting
+/// everything into one component — degenerate to the sequential path.
 #[derive(Debug, Clone, Default)]
 pub struct TopoEdm {
     /// Configuration.
@@ -412,7 +418,6 @@ pub struct TopoEdm {
 
 /// What a run is fed with — the one seam between the public entry
 /// points and the launch path ([`TopoEdm::seed`]).
-#[derive(Clone)]
 pub(crate) enum Input<'a, I> {
     /// A slice admitted whole before the run: every flow is routed on
     /// the topology as configured (route-up-front, so a later fault
@@ -447,26 +452,9 @@ impl TopoEdm {
     /// zero-size messages) and if a flow stalls without a terminal state
     /// (a model invariant violation).
     pub fn simulate(&self, topo: &Topology, flows: &[Flow]) -> TopoResult {
-        self.simulate_sharded(topo, flows, 1)
-    }
-
-    /// [`TopoEdm::simulate`], sharded over up to `shards` cores.
-    ///
-    /// The result — flow outcomes, reroute/IP counters, event tally — is
-    /// bit-identical to the sequential run for any shard count. When the
-    /// plan degenerates to one shard (single switch, zero-latency
-    /// trunks, `shards <= 1`), this *is* the sequential run.
-    ///
-    /// # Panics
-    ///
-    /// As [`TopoEdm::simulate`].
-    pub fn simulate_sharded(&self, topo: &Topology, flows: &[Flow], shards: usize) -> TopoResult {
         let mut results = vec![None; flows.len()];
-        // Shard 0 holds the collecting sink; replicas elsewhere run the
-        // same terminal transitions without reporting them.
         let sink = |id: u32, o: TopoOutcome| results[id as usize] = Some(o);
-        let input = Input::<NoSource>::Slice(flows);
-        let (stats, _) = self.run_on_shards(topo, Some(sink), input, shards);
+        let (stats, _) = self.run_solo(topo, Some(sink), Input::<NoSource>::Slice(flows));
         TopoResult::new(results, stats)
     }
 
@@ -501,9 +489,14 @@ impl TopoEdm {
     }
 
     /// [`TopoEdm::simulate_streamed`], sharded over up to `shards` cores
-    /// — bit-identical to the sequential streamed run (each shard
-    /// replays its own clone of the source, so flow-state replicas stay
-    /// lockstep; the sink lives in shard 0).
+    /// under conservative windows — bit-identical to the sequential
+    /// streamed run in every outcome and counter but
+    /// [`TopoStreamStats::active_high_water`] (pinned by the
+    /// `prop_parallel` lockstep suite). Each shard replays its own clone
+    /// of the source, so flow-state replicas stay lockstep; the sink
+    /// lives in shard 0. When the plan degenerates to one shard (single
+    /// switch, zero-latency trunks, `shards <= 1`), this *is* the
+    /// sequential run.
     ///
     /// # Panics
     ///
@@ -521,8 +514,22 @@ impl TopoEdm {
     {
         let mut sink = sink;
         let sink = move |_id: u32, o: TopoOutcome| sink(o);
-        self.run_on_shards(topo, Some(sink), Input::Source(source), shards)
-            .0
+        let plan = Arc::new(ShardPlan::new(topo, &self.config, shards));
+        if plan.shards() == 1 {
+            return self.run_solo(topo, Some(sink), Input::Source(source)).0;
+        }
+        // Fault and repair times are window cuts: every shard applies
+        // them to its topology replica before anyone observes the change.
+        let mut cuts: Vec<Time> = self.config.faults.iter().map(|f| f.at).collect();
+        cuts.sort_unstable();
+        // The sink lives in shard 0, which observes every terminal
+        // transition (local settles plus barrier credits).
+        let mut sink = Some(sink);
+        let inputs = (0..plan.shards() as u32)
+            .map(|me| self.seed(topo, &plan, me, sink.take(), Input::Source(source.clone())))
+            .collect();
+        let lookahead = plan.lookahead();
+        TopoEdm::finish(run_sharded(inputs, &ShardedConfig { lookahead, cuts })).0
     }
 
     /// The sequential launch path: one world owning every switch.
@@ -541,47 +548,6 @@ impl TopoEdm {
         let mut engine = Engine::with_queue(world, q);
         engine.run();
         TopoEdm::finish(vec![engine.into_world()])
-    }
-
-    /// The sharded launch path: one world per shard of the plan under
-    /// conservative windows — or the sequential path, when the plan
-    /// degenerates to one shard.
-    pub(crate) fn run_on_shards<S, I>(
-        &self,
-        topo: &Topology,
-        sink: Option<S>,
-        input: Input<'_, I>,
-        shards: usize,
-    ) -> Finished
-    where
-        S: FnMut(u32, TopoOutcome) + Send,
-        I: Iterator<Item = Flow> + Clone + Send,
-    {
-        let plan = Arc::new(ShardPlan::new(topo, &self.config, shards));
-        if plan.shards() == 1 {
-            return self.run_solo(topo, sink, input);
-        }
-        // Fault and repair times are window cuts: every shard applies
-        // them to its topology replica before anyone observes the change.
-        let mut cuts: Vec<Time> = self.config.faults.iter().map(|f| f.at).collect();
-        cuts.sort_unstable();
-        let mut lookahead = plan.lookahead();
-        if let Input::App(app) = &input {
-            // `Service`/`Done` events scheduled from barrier-applied
-            // credit hooks sit `nic_delay` respectively
-            // `completion_delay` in the future; the window length must
-            // not exceed either, or a receiving shard would be asked to
-            // schedule into a window it already closed. Shrinking
-            // lookahead is always safe (more barriers, same protocol).
-            lookahead = lookahead.min(app.nic_delay).min(app.completion_delay);
-        }
-        // The sink lives in shard 0, which observes every terminal
-        // transition (local settles plus barrier credits).
-        let mut sink = sink;
-        let inputs = (0..plan.shards() as u32)
-            .map(|me| self.seed(topo, &plan, me, sink.take(), input.clone()))
-            .collect();
-        TopoEdm::finish(run_sharded(inputs, &ShardedConfig { lookahead, cuts }))
     }
 
     /// One shard's world and event queue (for the solo plan: the whole
@@ -1001,10 +967,10 @@ pub(crate) enum TopoEv {
     /// (replicated, [`evord::reroute`]-keyed like the reroute it
     /// follows — at most one recovery event per flow is ever pending).
     Retry { flow: u32, epoch: u32, attempt: u32 },
-    /// A closed-loop application-tier step (`crate::app`): replicated in
-    /// every shard, keyed by [`evord::app_issue`]/[`evord::app_service`]/
-    /// [`evord::app_done`] so it sorts after all fabric events at one
-    /// instant — the app observes a settled fabric.
+    /// A closed-loop application-tier step (`crate::app`), keyed by
+    /// [`evord::app_issue`]/[`evord::app_service`]/[`evord::app_done`] so
+    /// it sorts after all fabric events at one instant — the app
+    /// observes a settled fabric.
     App(AppEv),
 }
 
@@ -1187,8 +1153,8 @@ pub(crate) struct TopoWorld<S, I> {
     failed_n: u64,
     /// Peak of `rt.len()` — the active-flow high-water mark.
     active_hwm: usize,
-    /// The closed-loop application tier, replicated in every shard
-    /// (`crate::app`); `None` on plain fabric runs.
+    /// The closed-loop application tier (`crate::app`); `None` on plain
+    /// fabric runs.
     pub(crate) app: Option<Box<AppState>>,
     /// Flows whose terminal delivery was observed inside the current
     /// `settle` (whose delivery pass holds `rt` mutably); drained into
@@ -1936,10 +1902,7 @@ where
                 }
             }
             TopoEv::App(ev) => {
-                // Replicated in every shard; counted once.
-                if self.me == 0 {
-                    self.events += 1;
-                }
+                self.events += 1;
                 self.app_dispatch(now, ev, q);
             }
         }
@@ -2036,11 +1999,6 @@ where
                 if self.eager_retire && no_refs {
                     self.rt.remove(flow);
                 }
-                // Barrier credits apply in (time, flow-keyed order), which
-                // need not match the emitting shard's local settle order —
-                // the hook only writes per-op state and schedules
-                // canonical-keyed events, so the divergence is harmless.
-                self.app_flow_done(flow, at, true, q);
             }
         }
     }
@@ -2309,20 +2267,25 @@ mod tests {
             })
             .collect();
         let proto = TopoEdm::default();
-        let seq = proto.simulate(&topo, &flows);
+        let mut seq = Vec::new();
+        let seq_stats = proto.simulate_streamed(&topo, flows.iter().copied(), |o| seq.push(o));
+        seq.sort_by_key(|o| o.flow.id);
         for shards in [2, 3, 4] {
-            let par = proto.simulate_sharded(&topo, &flows, shards);
-            assert_eq!(par.outcomes.len(), seq.outcomes.len());
-            for (a, b) in seq.outcomes.iter().zip(&par.outcomes) {
+            let mut par = Vec::new();
+            let source = flows.iter().copied();
+            let par_stats = proto.simulate_sharded_streamed(&topo, source, |o| par.push(o), shards);
+            assert_eq!(par.len(), seq.len());
+            par.sort_by_key(|o| o.flow.id);
+            for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(
                     a.status, b.status,
                     "{shards} shards diverged on {:?}",
                     a.flow
                 );
             }
-            assert_eq!(par.stats.reroutes, seq.stats.reroutes);
+            assert_eq!(par_stats.reroutes, seq_stats.reroutes);
             assert_eq!(
-                par.stats.events, seq.stats.events,
+                par_stats.events, seq_stats.events,
                 "{shards}-shard event tally"
             );
         }

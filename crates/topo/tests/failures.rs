@@ -5,7 +5,8 @@
 use edm_core::sim::{Flow, FlowKind};
 use edm_sim::{Duration, Time};
 use edm_topo::{
-    FaultEvent, FaultKind, FlowStatus, LeafSpine, LinkParams, TopoEdm, TopoEdmConfig, Topology,
+    FaultEvent, FaultKind, FlowStatus, LeafSpine, LinkParams, TopoEdm, TopoEdmConfig, TopoOutcome,
+    TopoStreamStats, Topology,
 };
 use edm_workloads::SyntheticWorkload;
 
@@ -18,6 +19,29 @@ fn write_flow(id: usize, src: usize, dst: usize, size: u32, at_ns: u64) -> Flow 
         arrival: Time::from_ns(at_ns),
         kind: FlowKind::Write,
     }
+}
+
+/// Streams the time-ordered `flows` through the sequential engine and
+/// the 4-shard engine, requires identical per-flow outcomes, and returns
+/// both runs' counters.
+fn streamed_4_shard_lockstep(
+    cfg: &TopoEdmConfig,
+    topo: &Topology,
+    flows: &[Flow],
+) -> (TopoStreamStats, TopoStreamStats) {
+    let proto = TopoEdm::new(cfg.clone());
+    let (mut seq, mut par) = (Vec::new(), Vec::new());
+    let s = proto.simulate_streamed(topo, flows.iter().copied(), |o| seq.push(o));
+    let p = proto.simulate_sharded_streamed(topo, flows.iter().copied(), |o| par.push(o), 4);
+    for v in [&mut seq, &mut par] {
+        v.sort_by_key(|o: &TopoOutcome| o.flow.id);
+    }
+    assert_eq!(seq.len(), par.len());
+    for (x, y) in seq.iter().zip(&par) {
+        assert_eq!(x.flow.id, y.flow.id);
+        assert_eq!(x.status, y.status, "sharded run must match sequential");
+    }
+    (s, p)
 }
 
 /// 4 leaves × 4 hosts, 2 spines (switches 4 and 5), one uplink each.
@@ -169,15 +193,14 @@ fn healed_partition_readmits_timed_out_flows() {
     );
 
     // Re-admission is deterministic: bit-identical outcomes on a second
-    // run and under the sharded engine.
+    // run, and streamed under the sharded engine.
     let b = TopoEdm::new(cfg.clone()).simulate(&topo, &flows);
-    let c = TopoEdm::new(cfg.clone()).simulate_sharded(&topo, &flows, 4);
-    for (x, (y, z)) in a.outcomes.iter().zip(b.outcomes.iter().zip(&c.outcomes)) {
+    for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
         assert_eq!(x.status, y.status, "re-admission must be deterministic");
-        assert_eq!(x.status, z.status, "sharded run must match sequential");
     }
-    assert_eq!(a.stats.readmitted, c.stats.readmitted);
-    assert_eq!(a.stats.retried, c.stats.retried);
+    let (seq, par) = streamed_4_shard_lockstep(&cfg, &topo, &flows);
+    assert_eq!((seq.readmitted, seq.retried), (2, 6));
+    assert_eq!((par.readmitted, par.retried), (seq.readmitted, seq.retried));
 
     // If the fabric never heals, the same retry budget runs dry and the
     // flows still fail deterministically.
@@ -362,11 +385,9 @@ fn spine_kill_at_scale_is_deterministic_and_total() {
         assert_eq!(x.status, y.status, "simulation must be deterministic");
     }
     assert_eq!(a.stats.reroutes, b.stats.reroutes);
-    // The sharded engine survives the same mid-run spine kill with
-    // bit-identical outcomes.
-    let c = TopoEdm::new(cfg).simulate_sharded(&topo, &flows, 4);
-    for (x, y) in a.outcomes.iter().zip(&c.outcomes) {
-        assert_eq!(x.status, y.status, "sharded run must match sequential");
-    }
-    assert_eq!(a.stats.reroutes, c.stats.reroutes);
+    // The sharded engine survives the same mid-run spine kill, streamed,
+    // with bit-identical outcomes.
+    let (seq, par) = streamed_4_shard_lockstep(&cfg, &topo, &flows);
+    assert!(seq.reroutes > 0, "the kill must land mid-run");
+    assert_eq!(par.reroutes, seq.reroutes);
 }

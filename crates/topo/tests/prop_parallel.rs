@@ -1,9 +1,13 @@
-//! The parallel-DES lockstep suite: a sharded run must be *bit-identical*
-//! to the sequential run — flow statuses and completion times, reroute
-//! and fault outcomes, IP interference counters, and the dispatched-event
+//! The parallel-DES lockstep suite: a sharded streamed run must be
+//! *bit-identical* to the sequential streamed run — flow statuses and
+//! completion times, reroute, retry and fault outcomes, IP interference
+//! counters, scheduling rounds, slab peaks and the dispatched-event
 //! tally — for every shard count, across random topologies, workloads,
-//! fault schedules, and configuration corners (batching, X bounds,
-//! demand revocation, background IP).
+//! fault and repair schedules, and configuration corners (batching, X
+//! bounds, retries, background IP). One counter is exempt: a replica
+//! retires a flow when its delivery credit crosses a window barrier, a
+//! beat after the sequential run, so the sharded active-flow high-water
+//! mark may read higher — never lower.
 //!
 //! Also pins the degenerate cases: a single-switch fabric has no trunks
 //! (zero lookahead), so a sharded request must fall back to one shard;
@@ -14,21 +18,41 @@ use edm_core::sim::{Flow, FlowKind};
 use edm_sim::{Duration, Time};
 use edm_topo::{
     FaultEvent, FaultKind, FlowStatus, IpTraffic, LeafSpine, LinkParams, ShardPlan, TopoEdm,
-    TopoEdmConfig, Topology,
+    TopoEdmConfig, TopoOutcome, TopoStreamStats, Topology,
 };
 use proptest::prelude::*;
 
-/// Runs both engines and requires bit-identical results.
+/// Streams `flows`, sorted by arrival (sources are time-ordered),
+/// through the sequential and the `shards`-way engine and requires
+/// bit-identical results. Returns the sequential run's counters.
 fn assert_lockstep(
     proto: &TopoEdm,
     topo: &Topology,
     flows: &[Flow],
     shards: usize,
-) -> Result<(), TestCaseError> {
-    let seq = proto.simulate(topo, flows);
-    let par = proto.simulate_sharded(topo, flows, shards);
-    prop_assert_eq!(par.outcomes.len(), seq.outcomes.len());
-    for (a, b) in seq.outcomes.iter().zip(&par.outcomes) {
+) -> Result<TopoStreamStats, TestCaseError> {
+    let mut flows = flows.to_vec();
+    flows.sort_by_key(|f| f.arrival);
+    let by_id = |mut v: Vec<TopoOutcome>| {
+        v.sort_by_key(|o| o.flow.id);
+        v
+    };
+    let mut seq = Vec::new();
+    let s = proto.simulate_streamed(topo, flows.iter().copied(), |o| seq.push(o));
+    let mut par = Vec::new();
+    let source = flows.iter().copied();
+    let mut p = proto.simulate_sharded_streamed(topo, source, |o| par.push(o), shards);
+    let (seq, par) = (by_id(seq), by_id(par));
+
+    prop_assert_eq!(s.admitted as usize, flows.len());
+    prop_assert_eq!(s.delivered + s.failed, s.admitted, "a flow stalled");
+    prop_assert!(
+        seq.iter().map(|o| o.flow.id).eq(0..flows.len()),
+        "each flow must be decided exactly once"
+    );
+    prop_assert_eq!(par.len(), seq.len());
+    for (a, b) in seq.iter().zip(&par) {
+        prop_assert_eq!(a.flow.id, b.flow.id);
         prop_assert_eq!(
             a.status,
             b.status,
@@ -37,34 +61,16 @@ fn assert_lockstep(
             a.flow
         );
     }
-    prop_assert_eq!(
-        par.stats.reroutes,
-        seq.stats.reroutes,
-        "reroute count diverged"
+    prop_assert!(
+        p.active_high_water >= s.active_high_water,
+        "sharded active HWM {} below sequential {}",
+        p.active_high_water,
+        s.active_high_water
     );
-    prop_assert_eq!(par.stats.retried, seq.stats.retried, "retry count diverged");
-    prop_assert_eq!(
-        par.stats.readmitted,
-        seq.stats.readmitted,
-        "re-admission count diverged"
-    );
-    prop_assert_eq!(
-        par.stats.ip_frames,
-        seq.stats.ip_frames,
-        "IP frame count diverged"
-    );
-    prop_assert_eq!(
-        par.stats.ip_delayed,
-        seq.stats.ip_delayed,
-        "IP delay count diverged"
-    );
-    prop_assert_eq!(par.stats.events, seq.stats.events, "event tally diverged");
-    prop_assert_eq!(
-        (par.stats.rounds, par.stats.empty_rounds, par.stats.examined),
-        (seq.stats.rounds, seq.stats.empty_rounds, seq.stats.examined),
-        "scheduling-round tally diverged"
-    );
-    Ok(())
+    prop_assert!(p.active_high_water <= flows.len());
+    p.active_high_water = s.active_high_water;
+    prop_assert_eq!(p, s, "{} shards: counters diverged", shards);
+    Ok(s)
 }
 
 /// Decodes flow specs against a node count (src ≠ dst guaranteed).
@@ -123,9 +129,9 @@ fn decode_faults(specs: &[(u8, u64, u64)], topo: &Topology) -> Vec<FaultEvent> {
 }
 
 proptest! {
-    /// Random leaf–spine fabrics under random workloads, faults, and
-    /// config corners: every shard count in 1..=4 is bit-identical to
-    /// the sequential run.
+    /// Random leaf–spine fabrics under random workloads, fault and
+    /// repair schedules, and config corners: every shard count in 1..=4
+    /// is bit-identical to the sequential run.
     #[test]
     fn lockstep_on_leaf_spine(
         leaves in 2usize..5,
@@ -279,26 +285,8 @@ fn lockstep_288(shards: usize) {
         retry_backoff: Duration::from_us(5),
         ..TopoEdmConfig::default()
     });
-    let seq = proto.simulate(&topo, &flows);
-    let par = proto.simulate_sharded(&topo, &flows, shards);
-    for (a, b) in seq.outcomes.iter().zip(&par.outcomes) {
-        assert_eq!(
-            a.status, b.status,
-            "{shards} shards diverged on {:?}",
-            a.flow
-        );
-    }
-    assert_eq!(par.stats.reroutes, seq.stats.reroutes);
-    assert_eq!(par.stats.retried, seq.stats.retried);
-    assert_eq!(par.stats.readmitted, seq.stats.readmitted);
-    assert_eq!(par.stats.ip_frames, seq.stats.ip_frames);
-    assert_eq!(par.stats.ip_delayed, seq.stats.ip_delayed);
-    assert_eq!(par.stats.events, seq.stats.events);
-    assert_eq!(
-        (par.stats.rounds, par.stats.empty_rounds, par.stats.examined),
-        (seq.stats.rounds, seq.stats.empty_rounds, seq.stats.examined)
-    );
-    assert!(seq.stats.reroutes > 0, "the spine kill must land mid-run");
+    let seq = assert_lockstep(&proto, &topo, &flows, shards).unwrap();
+    assert!(seq.reroutes > 0, "the spine kill must land mid-run");
 }
 
 #[test]
@@ -316,12 +304,13 @@ fn lockstep_at_4_shards_288_nodes() {
 /// switches, twice what a leaf–spine path can, under a trunk failure
 /// (same-length reroutes onto the parallel trunk, zombie chunks on the
 /// dead one) and a mid-chain switch outage with revival (retries, then
-/// re-admission). Sequential and 2-shard runs must agree, and every
-/// flow's outcome must be the one this scenario has always produced:
-/// `CHAIN_DIGEST` folds each outcome's status and time, the counters
-/// and the event tally. Asking for a notification's round when its
-/// ports free, not when it arrives, moved only the tally (3029 → 2692
-/// events); folded before it, the digest stays `0x4da4afa5059b6030`.
+/// re-admission). Sequential and 2-shard streamed runs must agree, and
+/// every flow's outcome in the slice run must be the one this scenario
+/// has always produced: `CHAIN_DIGEST` folds each outcome's status and
+/// time, the counters and the event tally. Asking for a notification's
+/// round when its ports free, not when it arrives, moved only the tally
+/// (3029 → 2692 events); folded before it, the digest stays
+/// `0x4da4afa5059b6030`.
 #[test]
 fn chain_routes_longer_than_a_leaf_spine_path() {
     const CHAIN_DIGEST: u64 = 0x8a41_2968_8716_4fdc;
@@ -370,35 +359,20 @@ fn chain_routes_longer_than_a_leaf_spine_path() {
         retry_backoff: Duration::from_us(2),
         ..TopoEdmConfig::default()
     });
-    let seq = proto.simulate(&topo, &flows);
-    let par = proto.simulate_sharded(&topo, &flows, 2);
     assert_eq!(ShardPlan::new(&topo, &proto.config, 2).shards(), 2);
+    assert_lockstep(&proto, &topo, &flows, 2).unwrap();
+    let seq = proto.simulate(&topo, &flows);
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |v: u64| h = (h ^ v).wrapping_mul(0x100_0000_01b3);
-    for (a, b) in seq.outcomes.iter().zip(&par.outcomes) {
-        assert_eq!(a.status, b.status, "2 shards diverged on {:?}", a.flow);
-        let (tag, t) = match a.status {
+    for o in &seq.outcomes {
+        let (tag, t) = match o.status {
             FlowStatus::Delivered(t) => (1, t),
             FlowStatus::Failed(t) => (2, t),
         };
-        mix(a.flow.id as u64);
+        mix(o.flow.id as u64);
         mix(tag);
         mix(t.as_ps());
     }
-    assert_eq!(
-        (
-            par.stats.reroutes,
-            par.stats.retried,
-            par.stats.readmitted,
-            par.stats.events
-        ),
-        (
-            seq.stats.reroutes,
-            seq.stats.retried,
-            seq.stats.readmitted,
-            seq.stats.events
-        )
-    );
     for v in [
         seq.stats.reroutes,
         seq.stats.retried,
