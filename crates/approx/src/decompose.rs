@@ -70,10 +70,6 @@ pub struct LinkFlow {
     /// (single-hop routes keep the paper's X, multi-hop routes the trunk
     /// provision).
     pub limit: u32,
-    /// Whether the exact engine would fold this flow into same-pair
-    /// mega-batches (§3.1.2: single-hop routes under
-    /// [`TopoEdmConfig::batch_small_messages`]).
-    pub batchable: bool,
 }
 
 /// A cluster's identity for deduplication and sweep-level caching: two
@@ -129,7 +125,7 @@ impl std::hash::Hash for ClusterProfile {
         for m in &self.members {
             state.write_u64(m.arrival.as_ps());
             state.write_u64(m.bytes as u64 | (m.src as u64) << 32 | (m.dst as u64) << 48);
-            state.write_u64(m.limit as u64 | (m.batchable as u64) << 32);
+            state.write_u64(m.limit as u64);
         }
     }
 }
@@ -449,8 +445,6 @@ pub(crate) struct Crossing {
     pub arrival: Time,
     /// Per-pair X bound on this route.
     pub limit: u32,
-    /// Same-pair mega-batch eligibility on this route.
-    pub batchable: bool,
 }
 
 /// Walks one flow's crossings, yielding each in path order with the
@@ -473,13 +467,12 @@ pub(crate) fn walk_span(
     } else {
         cfg.trunk_max_active_per_pair
     } as u32;
-    let batchable = route_hops == 1 && cfg.batch_small_messages;
     let head = flow.size.min(cfg.chunk_bytes) as u64;
     let mut offset = Duration::ZERO;
     for (j, rec) in span.iter().enumerate() {
         if j >= 2 {
             let (lat, bw, _) = snap[span[j - 1].link as usize];
-            offset += lat + bw.tx_time_bytes(head) + cfg.forward_latency;
+            offset += lat + bw.tx_time_bytes(head) + cfg.pipeline_latency / 2;
         }
         let (_, _, b_sw) = snap[rec.link as usize];
         let dir = if rec.from_node {
@@ -494,7 +487,6 @@ pub(crate) fn walk_span(
             out_port: rec.out_port,
             arrival: flow.arrival + offset,
             limit,
-            batchable,
         });
     }
 }
@@ -584,7 +576,6 @@ pub fn bucket(
                 src: RawCluster::dense(&mut raw.src_map, x.in_port),
                 dst: RawCluster::dense(&mut raw.dst_map, x.out_port),
                 limit: x.limit,
-                batchable: x.batchable,
             });
             hop_refs.push(HopRef {
                 cluster: slot,

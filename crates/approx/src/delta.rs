@@ -55,7 +55,6 @@ struct KeyMember {
     out_port: u16,
     arrival: Time,
     limit: u32,
-    batchable: bool,
 }
 
 /// First-appearance dense numbering, mirroring the bucket's private
@@ -156,7 +155,6 @@ impl SweepBase {
                     out_port: x.out_port,
                     arrival: x.arrival,
                     limit: x.limit,
-                    batchable: x.batchable,
                 });
                 h += 1;
             });
@@ -330,7 +328,6 @@ impl SweepBase {
                     out_port: x.out_port,
                     arrival: x.arrival,
                     limit: x.limit,
-                    batchable: x.batchable,
                 });
                 h += 1;
             });
@@ -407,7 +404,6 @@ impl SweepBase {
                     src: dense(&mut src_map, m.in_port),
                     dst: dense(&mut dst_map, m.out_port),
                     limit: m.limit,
-                    batchable: m.batchable,
                 })
                 .collect();
             let profile = ClusterProfile {

@@ -145,8 +145,8 @@ pub(crate) struct Interned {
 /// member list — exactly once. On a miss it does not replay the cluster
 /// itself: it keys the profile by quantized features (crossing triple
 /// and largest message exact; member, source-port and destination-port
-/// counts and mean arrival gap log-bucketed; trunk-limit and batchable
-/// shares in quarters), replays that key's synthetic representative once
+/// counts and mean arrival gap log-bucketed; trunk-limit share in
+/// quarters), replays that key's synthetic representative once
 /// per cache, and gives each member the representative's excess at its
 /// own arrival rank (the `represent` module). The mapped delays are
 /// interned under the exact profile, so an exact repeat is a plain hit.

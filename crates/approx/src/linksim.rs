@@ -128,20 +128,11 @@ impl World for MiniWorld<'_> {
         match ev {
             MiniEv::Demand(m) => {
                 let lf = self.profile.members[self.members[m as usize] as usize];
-                let pair = lf.src as u64 * self.profile.dsts as u64 + lf.dst as u64;
                 let offer = DomainOffer {
                     src: lf.src,
                     dst: self.src_ports + lf.dst,
                     bytes: lf.bytes,
                     limit: lf.limit as usize,
-                    // Batchable members fold per end-to-end pair, like
-                    // the exact engine's single-hop batching; everything
-                    // else gets a unique key (never folds).
-                    batch_key: if lf.batchable {
-                        pair
-                    } else {
-                        1 << 32 | m as u64
-                    },
                     token: m as u64,
                 };
                 schedule_poll(q, self.dom.offer(now, offer));
@@ -221,10 +212,7 @@ fn replay(
             max_active_per_pair: cfg.max_active_per_pair,
             clock: edm_sched::ASIC_CLOCK,
         };
-        (
-            SwitchDomain::new(sched, cfg.batch_small_messages),
-            Time::ZERO,
-        )
+        (SwitchDomain::new(sched), Time::ZERO)
     });
     let first = members
         .iter()
@@ -240,7 +228,7 @@ fn replay(
         profile,
         members,
         dom,
-        turnaround: cfg.forward_latency,
+        turnaround: cfg.pipeline_latency / 2,
         src_ports: profile.srcs,
         shift,
         done: vec![Duration::MAX; members.len()],
@@ -302,7 +290,6 @@ fn solo_of(
             src: 0,
             dst: 0,
             limit: 1,
-            batchable: false,
         }],
         ..profile.clone()
     };
@@ -441,7 +428,6 @@ mod tests {
             src,
             dst,
             limit: 3,
-            batchable: false,
         }
     }
 

@@ -11,8 +11,8 @@
 //! A cluster's [`RepKey`] keeps exact what sets a crossing's unloaded
 //! service (the crossing triple and the largest message) and quantizes
 //! what sets its queueing: member count, distinct source and destination
-//! ports, and mean arrival gap on a log scale, the trunk-limit and
-//! batchable shares in quarters. The key's representative is a synthetic
+//! ports, and mean arrival gap on a log scale, the trunk-limit share in
+//! quarters. The key's representative is a synthetic
 //! profile built from the key *alone* ([`RepKey::profile`], every draw
 //! seeded by the key's hash), replayed once through the unchanged
 //! [`crate::linksim`] path. A member then reads the representative's
@@ -73,10 +73,9 @@ pub(crate) struct RepKey {
     dsts: u16,
     /// Centre of the mean arrival gap's bucket, in ps.
     mean_gap_ps: u64,
-    /// Members with the trunk per-pair limit, and batchable members, in
-    /// quarters of the cluster.
+    /// Members with the trunk per-pair limit, in quarters of the
+    /// cluster.
     trunk: u8,
-    batchable: u8,
 }
 
 impl RepKey {
@@ -86,13 +85,12 @@ impl RepKey {
         let m = profile.members.len();
         let trunk_limit = cfg.trunk_max_active_per_pair as u32;
         let (mut first, mut last) = (Time::MAX, Time::ZERO);
-        let (mut bytes, mut trunk, mut batchable) = (0, 0, 0);
+        let (mut bytes, mut trunk) = (0, 0);
         for lf in &profile.members {
             first = first.min(lf.arrival);
             last = last.max(lf.arrival);
             bytes = bytes.max(lf.bytes);
             trunk += (lf.limit == trunk_limit) as usize;
-            batchable += lf.batchable as usize;
         }
         let gap = match m {
             0 | 1 => 0,
@@ -110,7 +108,6 @@ impl RepKey {
             dsts: count(profile.dsts as usize) as u16,
             mean_gap_ps: gap_floor + gap_width / 2,
             trunk: quarters(trunk, m),
-            batchable: quarters(batchable, m),
         }
     }
 
@@ -118,9 +115,8 @@ impl RepKey {
     /// alone: bucket-floor member and port counts; the first `srcs` /
     /// `dsts` members take distinct ports, the rest uniform draws;
     /// exponential gaps scaled to span `members − 1` times the mean
-    /// gap; the trunk-limit and batchable shares as
-    /// quartered, on random members. Arrivals never decrease, so member
-    /// order is arrival rank.
+    /// gap; the trunk-limit share as quartered, on random members.
+    /// Arrivals never decrease, so member order is arrival rank.
     ///
     /// The gaps are scaled because the key holds the cluster's mean gap
     /// over its own first-to-last span: a Poisson stream conditioned on
@@ -132,6 +128,10 @@ impl RepKey {
     pub(crate) fn profile(&self, cfg: &TopoEdmConfig) -> ClusterProfile {
         let mut h = FxHasher::default();
         self.hash(&mut h);
+        // The key once ended in a §3.1.2 batching share that was always
+        // 0: hashing that 0 keeps every representative's seed, and so
+        // its draws, as they were.
+        h.write_u8(0);
         let mut rng = Rng::seed_from(h.finish());
         let m = self.members as usize;
         let (srcs, dsts) = (self.srcs as u64, self.dsts as u64);
@@ -152,7 +152,6 @@ impl RepKey {
                     src: port(&mut rng, srcs),
                     dst: port(&mut rng, dsts),
                     limit: cfg.max_active_per_pair as u32,
-                    batchable: false,
                 }
             })
             .collect();
@@ -161,9 +160,6 @@ impl RepKey {
         let share = |q: u8| (q as usize * m + 2) / 4;
         for &i in &order[..share(self.trunk)] {
             members[i].limit = cfg.trunk_max_active_per_pair as u32;
-        }
-        for &i in &order[m - share(self.batchable)..] {
-            members[i].batchable = true;
         }
         ClusterProfile {
             sched_bandwidth: self.sched_bandwidth,
@@ -218,7 +214,6 @@ mod tests {
             src,
             dst,
             limit,
-            batchable: false,
         }
     }
 
@@ -253,7 +248,7 @@ mod tests {
         // [24 576, 32 768) ps; 19 of 37 trunk-limited is two quarters.
         assert_eq!((key.members, key.srcs, key.dsts), (32, 10, 5));
         assert_eq!(key.mean_gap_ps, 24_576 + 4_096);
-        assert_eq!((key.trunk, key.batchable), (2, 0));
+        assert_eq!(key.trunk, 2);
         let rep = key.profile(&cfg);
         assert_eq!(rep.members.len(), 32);
         assert_eq!((rep.srcs, rep.dsts), (10, 5));

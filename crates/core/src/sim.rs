@@ -193,11 +193,6 @@ pub struct EdmProtocol {
     pub policy: Policy,
     /// X: max active notifications per source–destination pair.
     pub max_active_per_pair: usize,
-    /// §3.1.2 optimization: when the X bound forces same-pair messages to
-    /// wait, batch them into one "mega" message with a single
-    /// notification. Off by default (the recorded experiments don't use
-    /// it); enable for hot-pair workloads.
-    pub batch_small_messages: bool,
 }
 
 impl Default for EdmProtocol {
@@ -206,7 +201,6 @@ impl Default for EdmProtocol {
             chunk_bytes: 256,
             policy: Policy::Srpt,
             max_active_per_pair: 3,
-            batch_small_messages: false,
         }
     }
 }
@@ -307,11 +301,6 @@ pub struct DomainOffer {
     /// paper's X; multi-switch worlds provision aggregated trunk pairs
     /// with a larger share (via [`edm_sched::Scheduler::notify_with_limit`]).
     pub limit: usize,
-    /// Offers fold into one mega message (§3.1.2 batching) only when they
-    /// share the port pair *and* this key. Multi-hop worlds key it by the
-    /// end-to-end route so a batched message never spans two destinations;
-    /// the single-switch world uses a constant (pair-only batching).
-    pub batch_key: u64,
     /// Opaque caller tag, reported by [`SwitchDomain::deliver`] when this
     /// offer's bytes have fully arrived.
     pub token: u64,
@@ -329,9 +318,7 @@ pub struct DomainGrant {
     pub dst: u16,
     /// Bytes granted in this chunk.
     pub chunk_bytes: u32,
-    /// Token of the message's first (oldest) constituent offer — for
-    /// mega messages every constituent shares the batch key, so this is
-    /// representative for routing purposes.
+    /// Token of the granted message's offer.
     pub token: u64,
     /// This domain's monotone grant sequence number — the content key
     /// worlds use to order simultaneous chunk events deterministically
@@ -365,7 +352,7 @@ pub enum Forwarded<'a> {
 /// Outcome of [`SwitchDomain::cancel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DomainCancel {
-    /// No unbatched offer with that token is backlogged or admitted.
+    /// No offer with that token is backlogged or admitted.
     NotFound,
     /// The offer's ungranted remainder was withdrawn.
     Withdrawn {
@@ -378,27 +365,19 @@ pub enum DomainCancel {
     },
 }
 
-/// The offers a scheduled message carries. The overwhelmingly common
-/// unbatched case stays allocation-free; only §3.1.2 mega messages pay
-/// for the boundary vectors.
-#[derive(Debug)]
-enum MsgBody {
-    /// One offer.
-    Single { token: u64, bytes: u32 },
-    /// A mega-batched message: constituent tokens in FIFO order and their
-    /// cumulative byte boundaries (`prefix[i]` = bytes after offer i).
-    Batch { tokens: Vec<u64>, prefix: Vec<u32> },
-}
-
-/// A (possibly mega-batched) scheduled message.
+/// A scheduled message: one offer. Its size is pinned
+/// (`msg_state_stays_32_bytes`): the slab holds one per in-flight
+/// message at every switch.
 #[derive(Debug)]
 struct MsgState {
-    body: MsgBody,
+    /// The offer's caller tag.
+    token: u64,
+    /// The offer's size.
+    bytes: u32,
     delivered: u32,
     /// Bytes granted so far — the in-flight watermark that decides when a
     /// cancelled message's slot can be reclaimed (no grants outstanding).
     granted: u32,
-    next_sub: u32,
     /// Scheduler msg_id this message was notified under (sanity checks).
     msg_id: u8,
     /// Whether the ungranted remainder was withdrawn ([`SwitchDomain::cancel`]).
@@ -411,22 +390,6 @@ struct MsgState {
     next_in_pair: u32,
 }
 
-impl MsgState {
-    fn first_token(&self) -> u64 {
-        match &self.body {
-            MsgBody::Single { token, .. } => *token,
-            MsgBody::Batch { tokens, .. } => tokens[0],
-        }
-    }
-
-    fn sub_count(&self) -> u32 {
-        match &self.body {
-            MsgBody::Single { .. } => 1,
-            MsgBody::Batch { tokens, .. } => tokens.len() as u32,
-        }
-    }
-}
-
 /// Per-pair in-flight FIFO endpoints, packed head (low 32) / tail
 /// (high 32) into one word (`targets` index + 1; 0 = empty). Grants
 /// within a pair are strictly FIFO (§3.1.1 property 5), so the head *is*
@@ -437,8 +400,9 @@ type PairFifo = u64;
 /// One EDM switch's scheduling state as seen by an event-driven world: a
 /// demand-sparse [`Scheduler`] plus the bookkeeping that maps its grants
 /// back to simulation-level messages — per-pair in-flight FIFOs, the
-/// X-limit backlog with §3.1.2 mega-batching, msg-id allocation, and
-/// poll-event deduplication.
+/// X-limit backlog, msg-id allocation, and poll-event deduplication.
+/// Every offer is its own scheduled message: §3.1.2 small-message
+/// batching is not modelled.
 ///
 /// The domain is event-queue agnostic and owns the poll protocol: every
 /// method that can make a grant possible returns *when the caller must
@@ -455,7 +419,6 @@ type PairFifo = u64;
 #[derive(Debug)]
 pub struct SwitchDomain {
     ports: usize,
-    batch_small: bool,
     scheduler: Scheduler,
     /// Per-pair in-flight FIFO words, keyed by flat pair index.
     pair_fifo: Vec<PairFifo>,
@@ -498,11 +461,10 @@ pub struct SwitchDomain {
 
 impl SwitchDomain {
     /// Creates a domain for one switch.
-    pub fn new(config: SchedulerConfig, batch_small_messages: bool) -> Self {
+    pub fn new(config: SchedulerConfig) -> Self {
         let pairs = config.ports * config.ports;
         SwitchDomain {
             ports: config.ports,
-            batch_small: batch_small_messages,
             scheduler: Scheduler::new(config),
             pair_fifo: vec![0; pairs],
             pair_meta: vec![0; pairs],
@@ -621,14 +583,14 @@ impl SwitchDomain {
 
     /// Links a freshly admitted message into its pair's grant FIFO,
     /// reusing a retired slot when one is free.
-    fn push_msg(&mut self, pi: usize, msg_id: u8, body: MsgBody) {
+    fn push_msg(&mut self, pi: usize, msg_id: u8, offer: &DomainOffer) {
         let meta = self.pair_meta[pi];
         self.pair_meta[pi] = (meta & !0xFF_0000_0000) | (msg_id.wrapping_add(1) as u64) << 32;
         let state = MsgState {
-            body,
+            token: offer.token,
+            bytes: offer.bytes,
             delivered: 0,
             granted: 0,
-            next_sub: 0,
             msg_id,
             cancelled: false,
             next_in_pair: 0,
@@ -656,8 +618,8 @@ impl SwitchDomain {
         }
     }
 
-    /// Announces one unbatched message to the scheduler (the common,
-    /// allocation-free path). Returns `true` on admission.
+    /// Announces one message to the scheduler. Returns `true` on
+    /// admission; at the pair's X bound the offer joins the backlog.
     fn notify_one(&mut self, now: Time, offer: DomainOffer) -> bool {
         let pi = self.pair_idx(offer.src, offer.dst);
         let msg_id = (self.pair_meta[pi] >> 32) as u8;
@@ -667,14 +629,7 @@ impl SwitchDomain {
             offer.limit,
         ) {
             Ok(()) => {
-                self.push_msg(
-                    pi,
-                    msg_id,
-                    MsgBody::Single {
-                        token: offer.token,
-                        bytes: offer.bytes,
-                    },
-                );
+                self.push_msg(pi, msg_id, &offer);
                 true
             }
             Err(NotifyError::PairLimitReached { .. }) => {
@@ -687,75 +642,16 @@ impl SwitchDomain {
         }
     }
 
-    /// Announces one mega message carrying several batched same-pair
-    /// offers (§3.1.2). Returns `true` on admission.
-    fn notify_batch(&mut self, now: Time, offers: Vec<DomainOffer>) -> bool {
-        debug_assert!(offers.len() > 1);
-        let (s, d, limit) = (offers[0].src, offers[0].dst, offers[0].limit);
-        let mut tokens = Vec::with_capacity(offers.len());
-        let mut prefix = Vec::with_capacity(offers.len());
-        let mut total = 0u32;
-        for o in &offers {
-            debug_assert_eq!((o.src, o.dst), (s, d), "mega is one pair");
-            total += o.bytes;
-            prefix.push(total);
-            tokens.push(o.token);
-        }
-        let pi = self.pair_idx(s, d);
-        let msg_id = (self.pair_meta[pi] >> 32) as u8;
-        match self
-            .scheduler
-            .notify_with_limit(now, Notification::new(s, d, msg_id, total), limit)
-        {
-            Ok(()) => {
-                self.push_msg(pi, msg_id, MsgBody::Batch { tokens, prefix });
-                true
-            }
-            Err(NotifyError::PairLimitReached { .. }) => {
-                self.pair_meta[pi] += offers.len() as u64;
-                self.backlog.extend(offers);
-                false
-            }
-            Err(e) => panic!("unexpected notify error: {e}"),
-        }
-    }
-
-    /// Admits backlogged offers after a pair slot frees: one offer, or —
-    /// with batching — every backlogged offer of the same (pair, batch
-    /// key) folded into a single mega message (bounded by the 16-bit size
-    /// field, §3.1.4). Returns the `(src, dst)` pair whose notification
-    /// went into the scheduler — `None` when the backlog was empty, or its
-    /// head's pair is still at its X bound and the offer went back to
-    /// wait.
+    /// Admits the backlog's head offer after a pair slot frees. Returns
+    /// the `(src, dst)` pair whose notification went into the scheduler
+    /// — `None` when the backlog was empty, or its head's pair is still
+    /// at its X bound and the offer went back to wait.
     fn admit_from_backlog(&mut self, now: Time) -> Option<(u16, u16)> {
         let first = self.backlog.pop_front()?;
-        let pair = (first.src, first.dst);
         let pi = self.pair_idx(first.src, first.dst);
         self.pair_meta[pi] -= 1;
-        if !self.batch_small {
-            return self.notify_one(now, first).then_some(pair);
-        }
-        let key = (first.src, first.dst, first.batch_key);
-        let mut total = first.bytes;
-        let mut batch = vec![first];
-        self.backlog.retain(|o| {
-            if (o.src, o.dst, o.batch_key) == key
-                && total as u64 + o.bytes as u64 <= u16::MAX as u64
-            {
-                total += o.bytes;
-                batch.push(*o);
-                false
-            } else {
-                true
-            }
-        });
-        self.pair_meta[pi] -= (batch.len() - 1) as u64;
-        let admitted = if batch.len() == 1 {
-            self.notify_one(now, first)
-        } else {
-            self.notify_batch(now, batch)
-        };
-        admitted.then_some(pair)
+        self.notify_one(now, first)
+            .then_some((first.src, first.dst))
     }
 
     /// Asks for a round at `at` on behalf of demand that just entered
@@ -870,7 +766,7 @@ impl SwitchDomain {
                 src: g.src,
                 dst: g.dest,
                 chunk_bytes: g.chunk_bytes,
-                token: self.targets[slot].first_token(),
+                token: self.targets[slot].token,
                 gseq,
             });
         }
@@ -883,9 +779,8 @@ impl SwitchDomain {
         }
     }
 
-    /// Records a granted chunk's arrival at its next element. Sub-offers
-    /// of a mega message complete in FIFO order as their cumulative bytes
-    /// arrive; `on_complete(token, bytes)` fires once per completed offer.
+    /// Records a granted chunk's arrival at its next element;
+    /// `on_complete(token, bytes)` fires when it completes the message.
     /// Returns when the caller must schedule a `Poll` event: when the
     /// message finished *and* the pair slot it freed put a backlogged
     /// notification into the scheduler — the only way a delivery changes
@@ -917,32 +812,9 @@ impl SwitchDomain {
             }
             return None;
         }
-        let total = match &st.body {
-            MsgBody::Single {
-                token,
-                bytes: total,
-            } => {
-                if st.next_sub == 0 && *total <= st.delivered {
-                    on_complete(*token, *total);
-                    st.next_sub = 1;
-                }
-                *total
-            }
-            MsgBody::Batch { tokens, prefix } => {
-                while (st.next_sub as usize) < tokens.len()
-                    && prefix[st.next_sub as usize] <= st.delivered
-                {
-                    let i = st.next_sub as usize;
-                    let start = if i == 0 { 0 } else { prefix[i - 1] };
-                    on_complete(tokens[i], prefix[i] - start);
-                    st.next_sub += 1;
-                }
-                *prefix.last().expect("batch is non-empty")
-            }
-        };
-        debug_assert!(st.delivered <= total, "over-delivery");
-        if st.delivered >= total {
-            debug_assert_eq!(st.next_sub, st.sub_count(), "all sub-offers done");
+        debug_assert!(st.delivered <= st.bytes, "over-delivery");
+        if st.delivered >= st.bytes {
+            on_complete(st.token, st.bytes);
             // Retire the message: its slot returns to the free list (the
             // backlog admission below may reuse it immediately), and the
             // freed pair slot admits backlogged demand.
@@ -954,8 +826,8 @@ impl SwitchDomain {
         None
     }
 
-    /// Withdraws the ungranted remainder of an *unbatched* offer (by its
-    /// token): sender-side demand revocation after a failure reroute.
+    /// Withdraws the ungranted remainder of an offer (by its token):
+    /// sender-side demand revocation after a failure reroute.
     ///
     /// Finds the offer wherever it queues — the per-pair X backlog (never
     /// notified: simply dropped) or the pair's in-flight FIFO (its
@@ -969,11 +841,6 @@ impl SwitchDomain {
     /// `now` if the withdrawal uncovered an entry of a queue deeper than
     /// PIM's row (`edm_sched::CancelOutcome`), which may be eligible at
     /// once.
-    ///
-    /// Offers folded into a §3.1.2 mega message are *not* cancellable
-    /// (the notification covers the whole batch); those keep the
-    /// documented stale-demand pessimism and report
-    /// [`DomainCancel::NotFound`].
     pub fn cancel(&mut self, now: Time, src: u16, dst: u16, token: u64) -> DomainCancel {
         let pi = self.pair_idx(src, dst);
         // Still in the X backlog: never notified, just drop it.
@@ -987,8 +854,8 @@ impl SwitchDomain {
                 return DomainCancel::Withdrawn { poll: None };
             }
         }
-        // Admitted: walk the pair's in-flight FIFO for the unbatched
-        // message carrying this token.
+        // Admitted: walk the pair's in-flight FIFO for the message
+        // carrying this token.
         let fifo = self.pair_fifo[pi];
         let (head, tail) = (fifo as u32, (fifo >> 32) as u32);
         let mut prev: u32 = 0;
@@ -996,11 +863,7 @@ impl SwitchDomain {
         while cur != 0 {
             let slot = (cur - 1) as usize;
             let next = self.targets[slot].next_in_pair;
-            let hit = matches!(
-                self.targets[slot].body,
-                MsgBody::Single { token: t, .. } if t == token
-            );
-            if hit {
+            if self.targets[slot].token == token {
                 let edm_sched::CancelOutcome::Cancelled { uncovered, .. } =
                     self.scheduler.cancel(src, dst, self.targets[slot].msg_id)
                 else {
@@ -1042,11 +905,10 @@ impl SwitchDomain {
     }
 
     /// Hard-resets the domain after its switch dies, appending to `dead`
-    /// the token of every resident sub-offer that will now never complete
-    /// — backlogged offers plus the uncompleted constituents of every
-    /// scheduled message. Callers release whatever references those
-    /// offers held; cancelled messages report nothing (their references
-    /// were already released at cancellation).
+    /// the token of every resident offer that will now never complete —
+    /// backlogged offers plus every scheduled message. Callers release
+    /// whatever references those offers held; cancelled messages report
+    /// nothing (their references were already released at cancellation).
     ///
     /// The revived switch comes back like a power-cycled ASIC: cold
     /// scheduler, empty FIFOs and backlog, no pending polls. Only the
@@ -1065,18 +927,8 @@ impl SwitchDomain {
             retired[s as usize] = true;
         }
         for (slot, st) in self.targets.iter().enumerate() {
-            if retired[slot] || st.cancelled {
-                continue;
-            }
-            match &st.body {
-                MsgBody::Single { token, .. } => {
-                    if st.next_sub == 0 {
-                        dead.push(*token);
-                    }
-                }
-                MsgBody::Batch { tokens, .. } => {
-                    dead.extend_from_slice(&tokens[st.next_sub as usize..]);
-                }
+            if !retired[slot] && !st.cancelled {
+                dead.push(st.token);
             }
         }
         self.purged_rounds = self.rounds();
@@ -1207,7 +1059,6 @@ impl<F: FnMut(u32, FlowOutcome), I: Iterator<Item = (u32, Flow)>> World for EdmW
                     dst: d,
                     bytes: flow.size,
                     limit: self.max_active_per_pair,
-                    batch_key: 0,
                     token: token as u64,
                 };
                 schedule_poll(q, self.domain.offer(now, offer));
@@ -1298,7 +1149,7 @@ impl EdmProtocol {
     {
         let mut world = EdmWorld {
             cluster: *cluster,
-            domain: SwitchDomain::new(self.scheduler_config(cluster), self.batch_small_messages),
+            domain: SwitchDomain::new(self.scheduler_config(cluster)),
             max_active_per_pair: self.max_active_per_pair,
             active: Vec::new(),
             free: Vec::new(),
@@ -1520,64 +1371,18 @@ mod tests {
         );
     }
 
-    #[test]
-    fn mega_batching_completes_hot_pair_backlog() {
-        // 30 small messages on one pair: with batching the backlog folds
-        // into mega messages; everything must still complete, in order.
-        let c = cluster(4);
-        let flows: Vec<Flow> = (0..30).map(|i| write_flow(i, 0, 1, 64, 0)).collect();
-        let batched = EdmProtocol {
-            batch_small_messages: true,
-            ..EdmProtocol::default()
-        }
-        .simulate(&c, &flows);
-        assert_eq!(batched.outcomes.len(), 30);
-        for o in &batched.outcomes {
-            assert!(o.completed > o.flow.arrival);
-        }
-        // Batching needs fewer notifications, so the tail completes no
-        // later than without batching.
-        let plain = EdmProtocol::default().simulate(&c, &flows);
-        let tail = |r: &SimResult| r.outcomes.iter().map(|o| o.completed).max().unwrap();
-        assert!(tail(&batched) <= tail(&plain));
-    }
-
-    #[test]
-    fn mega_batching_preserves_per_flow_order() {
-        let c = cluster(4);
-        let flows: Vec<Flow> = (0..12)
-            .map(|i| write_flow(i, 0, 1, 64 + 32 * (i as u32 % 3), i as u64))
-            .collect();
-        let r = EdmProtocol {
-            batch_small_messages: true,
-            ..EdmProtocol::default()
-        }
-        .simulate(&c, &flows);
-        // Same-pair messages complete in arrival order (EDM's in-order
-        // guarantee within a pair, §3.1.1 property 5).
-        for w in r.outcomes.windows(2) {
-            assert!(
-                w[0].completed <= w[1].completed,
-                "pair order violated: {:?} then {:?}",
-                w[0],
-                w[1]
-            );
-        }
-    }
-
     fn pair_offer(token: u64, bytes: u32) -> DomainOffer {
         DomainOffer {
             src: 0,
             dst: 1,
             bytes,
             limit: 1,
-            batch_key: token,
             token,
         }
     }
 
     fn domain4() -> SwitchDomain {
-        SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false)
+        SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4))
     }
 
     #[test]
@@ -1721,13 +1526,12 @@ mod tests {
 
     #[test]
     fn second_same_instant_offer_schedules_nothing() {
-        let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(8), false);
+        let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(8));
         let offer = |i: u64| DomainOffer {
             src: 2 * i as u16,
             dst: 2 * i as u16 + 1,
             bytes: 64,
             limit: 3,
-            batch_key: i,
             token: i,
         };
         // One event per instant: later same-instant offers ride on it.
@@ -1743,12 +1547,14 @@ mod tests {
     #[test]
     fn simulate_pins_an_unsorted_slice() {
         // `simulate` on an unsorted slice with same-instant arrivals,
-        // reads and writes, and a hot pair offered past X, batching off
-        // and on: outcomes come back in input order, and every flow
-        // completes when it always has — `DIGEST` folds each outcome's
-        // flow id and completion time, recorded when `simulate`
-        // pre-queued the whole slice instead of streaming it.
-        const DIGEST: u64 = 0x3745_e5f8_688b_0685;
+        // reads and writes, and a hot pair offered past X: outcomes come
+        // back in input order, and every flow completes when it always
+        // has — `DIGEST` folds each outcome's flow id and completion
+        // time. Recorded by running the batching-off half of this test
+        // alone on b52fe63, the last commit with §3.1.2 batching (whose
+        // digest, over both halves, dated from when `simulate`
+        // pre-queued the whole slice instead of streaming it).
+        const DIGEST: u64 = 0xffae_f5b1_c448_c415;
         let c = cluster(16);
         let flows: Vec<Flow> = (0..72)
             .map(|i| {
@@ -1769,17 +1575,11 @@ mod tests {
         assert!(flows.windows(2).any(|w| w[0].arrival > w[1].arrival));
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |v: u64| h = (h ^ v).wrapping_mul(0x100_0000_01b3);
-        for batching in [false, true] {
-            let mut proto = EdmProtocol {
-                batch_small_messages: batching,
-                ..EdmProtocol::default()
-            };
-            let r = proto.simulate(&c, &flows);
-            for (o, f) in r.outcomes.iter().zip(&flows) {
-                assert_eq!(o.flow, *f, "input order, batching={batching}");
-                mix(o.flow.id as u64);
-                mix(o.completed.as_ps());
-            }
+        let r = EdmProtocol::default().simulate(&c, &flows);
+        for (o, f) in r.outcomes.iter().zip(&flows) {
+            assert_eq!(o.flow, *f, "input order");
+            mix(o.flow.id as u64);
+            mix(o.completed.as_ps());
         }
         assert_eq!(h, DIGEST, "{h:#x}");
     }
@@ -1874,7 +1674,6 @@ mod tests {
                     dst: 3,
                     bytes: 64,
                     limit: 1,
-                    batch_key: 9,
                     token: 9,
                 }
             )
@@ -1900,6 +1699,19 @@ mod tests {
         assert_eq!(grants[0].token, 7);
         assert!(grants[0].gseq > gseq_before, "gseq stays monotone");
         assert_eq!(dom.rounds(), (2, 0, 2), "round totals span the purge");
+    }
+
+    #[test]
+    fn msg_state_stays_32_bytes() {
+        // The slab holds one per in-flight message at every switch, so
+        // the offer's token and size sit inline.
+        assert_eq!(std::mem::size_of::<MsgState>(), 32);
+    }
+
+    #[test]
+    fn domain_offer_stays_24_bytes() {
+        // The X backlog holds offers by value.
+        assert_eq!(std::mem::size_of::<DomainOffer>(), 24);
     }
 
     #[test]

@@ -312,7 +312,7 @@ impl Testbed {
             memories: (0..config.nodes)
                 .map(|_| MemoryController::ddr4())
                 .collect(),
-            domain: SwitchDomain::new(sched_cfg, false),
+            domain: SwitchDomain::new(sched_cfg),
             links: Links {
                 link: config.link,
                 up_free_at: vec![Time::ZERO; config.nodes],
@@ -412,7 +412,6 @@ impl Testbed {
             dst,
             bytes,
             limit: MAX_ACTIVE_PER_PAIR,
-            batch_key: 0,
             token: msg as u64,
         };
         match pkt {

@@ -76,26 +76,18 @@ struct Driven {
 /// run, and whether two `Poll`s were ever queued for one instant (a
 /// purge forgets the events queued before it; one of those does not
 /// count against a later request for the same instant).
-fn drive_domain(
-    ops: &[(u64, DomainOp)],
-    x: usize,
-    batching: bool,
-    exhaustive: bool,
-) -> (Driven, u64, bool) {
+fn drive_domain(ops: &[(u64, DomainOp)], x: usize, exhaustive: bool) -> (Driven, u64, bool) {
     const PORTS: u16 = 6;
     const FLIGHT: Duration = Duration::from_ns(120);
     let link = Bandwidth::from_gbps(100);
-    let mut dom = SwitchDomain::new(
-        SchedulerConfig {
-            ports: PORTS as usize,
-            chunk_bytes: 256,
-            link,
-            policy: Policy::Srpt,
-            max_active_per_pair: x,
-            clock: edm_sched::ASIC_CLOCK,
-        },
-        batching,
-    );
+    let mut dom = SwitchDomain::new(SchedulerConfig {
+        ports: PORTS as usize,
+        chunk_bytes: 256,
+        link,
+        policy: Policy::Srpt,
+        max_active_per_pair: x,
+        clock: edm_sched::ASIC_CLOCK,
+    });
     // (time, rank, key) → event. Chunks key by gseq, polls by a counter
     // (so a duplicate would coexist and be seen), steps by index.
     let mut queue: BTreeMap<(Time, u8, u64), DomainEv> = BTreeMap::new();
@@ -136,7 +128,6 @@ fn drive_domain(
                     dst,
                     bytes,
                     limit: x,
-                    batch_key: 0,
                     token: offers.len() as u64,
                 };
                 offers.push((src, dst));
@@ -213,13 +204,12 @@ fn offer4(src: u16, dst: u16, bytes: u32, token: u64) -> DomainOffer {
         dst,
         bytes,
         limit: 1,
-        batch_key: token,
         token,
     }
 }
 
 fn domain4() -> SwitchDomain {
-    SwitchDomain::new(SchedulerConfig::default_for_ports(4), false)
+    SwitchDomain::new(SchedulerConfig::default_for_ports(4))
 }
 
 /// A `Poll` event overtaken by an earlier wake-up runs no round and asks
@@ -454,7 +444,7 @@ proptest! {
     /// `Poll` events `SwitchDomain`'s return values ask for issues the
     /// grants, at the times, of one that polls after every call and at
     /// every scheduler wake-up — through multi-chunk messages, per-pair
-    /// X backlogs, §3.1.2 batching, inline cut-through grants,
+    /// X backlogs, inline cut-through grants,
     /// revocations and purges — and never queues two `Poll`s for one
     /// instant.
     #[test]
@@ -464,7 +454,6 @@ proptest! {
             1..120,
         ),
         x in 1usize..4,
-        batching in any::<bool>(),
     ) {
         let ops: Vec<(u64, DomainOp)> = steps
             .iter()
@@ -480,8 +469,8 @@ proptest! {
                 (dt, op)
             })
             .collect();
-        let (got, rounds, duplicate_poll) = drive_domain(&ops, x, batching, false);
-        let (want, all_rounds, _) = drive_domain(&ops, x, batching, true);
+        let (got, rounds, duplicate_poll) = drive_domain(&ops, x, false);
+        let (want, all_rounds, _) = drive_domain(&ops, x, true);
         prop_assert_eq!(&got.grants, &want.grants);
         prop_assert_eq!(&got.completions, &want.completions);
         prop_assert!(!duplicate_poll, "two Poll events queued for one instant");

@@ -93,12 +93,10 @@ impl Summary {
 
     /// Minimum sample. Zero if empty.
     pub fn min(&self) -> f64 {
-        self.samples
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-            .min(f64::INFINITY)
-            .pipe_if_empty(self.samples.is_empty())
+        if self.samples.is_empty() {
+            return 0.0;
+        }
+        self.samples.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
     /// Maximum sample. Zero if empty.
@@ -130,21 +128,6 @@ impl Summary {
     /// Median (50th percentile).
     pub fn median(&mut self) -> f64 {
         self.percentile(50.0)
-    }
-}
-
-// Small private helper so `min()` returns 0.0 when empty without branching
-// twice; keeps the public surface clean.
-trait PipeIfEmpty {
-    fn pipe_if_empty(self, empty: bool) -> f64;
-}
-impl PipeIfEmpty for f64 {
-    fn pipe_if_empty(self, empty: bool) -> f64 {
-        if empty {
-            0.0
-        } else {
-            self
-        }
     }
 }
 

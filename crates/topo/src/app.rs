@@ -363,7 +363,7 @@ pub(crate) fn control_flight(
     let path = topo.path(from, to, salt)?;
     let mut d = access_half(cfg, topo, topo.node_link(from));
     for (_, out_link) in path.iter() {
-        d = d + cfg.forward_latency + link_lat(topo, out_link) + tx8(topo, out_link);
+        d = d + cfg.pipeline_latency / 2 + link_lat(topo, out_link) + tx8(topo, out_link);
     }
     Some(d + cfg.pipeline_latency / 2)
 }

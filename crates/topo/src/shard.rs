@@ -22,7 +22,7 @@
 //! The plan's [`lookahead`](ShardPlan::lookahead) adds the protocol's
 //! minimum store-and-forward slack on top of the minimum cross-shard
 //! trunk propagation: every cross-shard chunk pays at least the granting
-//! switch's turnaround (`forward_latency`, or the full pipeline at hop
+//! switch's turnaround (half the pipeline, or the full pipeline at hop
 //! 0) before it even reaches the trunk, so windows can be that much
 //! wider at no risk — fewer barriers for the same bit-identical result.
 
@@ -125,9 +125,9 @@ impl ShardPlan {
         // 4. Lookahead: minimum cross-shard trunk propagation plus the
         //    protocol's minimum pre-trunk turnaround. Hop-0 grants pay
         //    the full pipeline (grant flight + chunk ingress) and
-        //    store-and-forward hops pay `forward_latency` before the
-        //    chunk reaches any trunk.
-        let slack = cfg.forward_latency.min(cfg.pipeline_latency);
+        //    store-and-forward hops pay half of it before the chunk
+        //    reaches any trunk.
+        let slack = cfg.pipeline_latency / 2;
         let mut min_prop = Duration::MAX;
         for link in topo.links() {
             if !link.is_trunk() {
@@ -192,11 +192,11 @@ mod tests {
         for sw in 0..t.switch_count() as u32 {
             assert_eq!(plan.shard_of(sw), again.shard_of(sw));
         }
-        // Lookahead = trunk propagation (10 ns) + min(forward, pipeline).
+        // Lookahead = trunk propagation (10 ns) + half the pipeline.
         let cfg = TopoEdmConfig::default();
         assert_eq!(
             plan.lookahead(),
-            LinkParams::default().propagation + cfg.forward_latency.min(cfg.pipeline_latency)
+            LinkParams::default().propagation + cfg.pipeline_latency / 2
         );
     }
 

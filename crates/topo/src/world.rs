@@ -21,7 +21,7 @@
 //!   The switch schedules it like any message — at most one sender per
 //!   egress port, so trunks stay contention-free virtual circuits — and
 //!   forwards it after its matching latency plus a store-and-forward
-//!   turnaround ([`TopoEdmConfig::forward_latency`]).
+//!   turnaround: the egress half of [`TopoEdmConfig::pipeline_latency`].
 //!
 //! Trunk-facing pairs aggregate many end-to-end flows, so multi-hop
 //! routes are provisioned a larger per-pair X than single-hop access
@@ -96,18 +96,16 @@
 //! replicated topology state that every shard must observe in lockstep,
 //! *after* pending delivery credits have flushed at the barrier.
 //!
-//! The epoch bump also *revokes* the bumped flow's unbatched hop-0
-//! message via [`SwitchDomain::cancel`]: the dead path's backlog stops
-//! counting as demand, and only chunks already granted at bump time
-//! drain as blackholed bandwidth. Offers folded into a §3.1.2 mega
-//! message are not revocable (their notification covers the whole
-//! batch): those keep contending until they drain.
+//! The epoch bump also *revokes* the bumped flow's hop-0 message via
+//! [`SwitchDomain::cancel`]: the dead path's backlog stops counting as
+//! demand, and only chunks already granted at bump time drain as
+//! blackholed bandwidth.
 //!
 //! # Streaming flow lifecycle
 //!
 //! Flow state lives in a base-offset ring keyed by admission index
 //! (ids are dense and admitted in order), populated by
-//! *admission* and — in unbatched source-fed and app runs — drained by
+//! *admission* and — in source-fed and app runs — drained by
 //! *retirement*, so resident state tracks the concurrently-active flow
 //! population rather than the total offered load:
 //!
@@ -123,11 +121,10 @@
 //!   drained to zero, so zombie chunks of fault runs delay retirement
 //!   rather than disable it — its entry is removed between events, and
 //!   the per-switch message slots, pair-FIFO links, and backlog words
-//!   it held return to the [`SwitchDomain`] free lists. Two kinds of run
-//!   keep terminal entries resident: §3.1.2 batching (a mega message's
-//!   grants resolve through its head flow's entry) and slice input
-//!   (every entry exists before the first event, so retiring cannot
-//!   lower the peak and measurably costs time — see `TopoEdm::seed`).
+//!   it held return to the [`SwitchDomain`] free lists. Slice input
+//!   keeps terminal entries resident: every entry exists before the
+//!   first event, so retiring cannot lower the peak and measurably costs
+//!   time (see `TopoEdm::seed`).
 //! * **Sinking.** Terminal outcomes stream to a sink callback the moment
 //!   they are decided instead of accumulating in a `Vec`. The `Vec`
 //!   path uses a collecting sink and returns the same counters record
@@ -189,11 +186,10 @@ pub enum FaultKind {
 #[derive(Debug, Clone)]
 pub struct TopoEdmConfig {
     /// Fixed per-direction fabric pipeline latency (host stacks + switch,
-    /// the Table 1 model) — same semantics as `ClusterConfig`.
+    /// the Table 1 model) — same semantics as `ClusterConfig`. Half of it
+    /// is the store-and-forward turnaround at an intermediate switch (the
+    /// egress half of the pipeline).
     pub pipeline_latency: Duration,
-    /// Store-and-forward turnaround at an intermediate switch (the egress
-    /// half of the pipeline).
-    pub forward_latency: Duration,
     /// Scheduler chunk size.
     pub chunk_bytes: u32,
     /// Scheduling policy.
@@ -204,8 +200,6 @@ pub struct TopoEdmConfig {
     /// aggregate many concurrent end-to-end flows, so they get a larger
     /// share of the notification queue.
     pub trunk_max_active_per_pair: usize,
-    /// §3.1.2 mega-batching of same-route backlogged messages.
-    pub batch_small_messages: bool,
     /// Detection + recovery time before a failed flow's remaining bytes
     /// re-enter on a new route.
     pub reroute_delay: Duration,
@@ -230,15 +224,12 @@ pub struct TopoEdmConfig {
 
 impl Default for TopoEdmConfig {
     fn default() -> Self {
-        let pipeline = Duration::from_ns(54); // ClusterConfig's default
         TopoEdmConfig {
-            pipeline_latency: pipeline,
-            forward_latency: pipeline / 2,
+            pipeline_latency: Duration::from_ns(54), // ClusterConfig's default
             chunk_bytes: 256,
             policy: Policy::Srpt,
             max_active_per_pair: 3,
             trunk_max_active_per_pair: 16,
-            batch_small_messages: false,
             reroute_delay: Duration::from_us(10),
             repair_delay: Duration::from_us(10),
             max_retries: 0,
@@ -256,11 +247,9 @@ impl TopoEdmConfig {
     pub fn matching(cluster: &ClusterConfig, p: &EdmProtocol) -> Self {
         TopoEdmConfig {
             pipeline_latency: cluster.pipeline_latency,
-            forward_latency: cluster.pipeline_latency / 2,
             chunk_bytes: p.chunk_bytes,
             policy: p.policy,
             max_active_per_pair: p.max_active_per_pair,
-            batch_small_messages: p.batch_small_messages,
             ..TopoEdmConfig::default()
         }
     }
@@ -388,7 +377,7 @@ pub struct TopoStreamStats {
     /// beyond one comparison per destination with queued demand.
     pub examined: u64,
     /// Peak number of concurrently-resident flow entries — with eager
-    /// retirement (streamed, unbatched runs; faults included, whose
+    /// retirement (streamed and app runs; faults included, whose
     /// zombie references drain through per-flow counts) this is the
     /// active-flow population peak, independent of how many flows the
     /// source emits in total. Sharded runs may report slightly more than the
@@ -461,7 +450,7 @@ impl TopoEdm {
     /// Streams a simulation: arrivals are pulled lazily from `source`
     /// (must be time-ordered — every `edm_workloads` source is) and
     /// per-flow outcomes are pushed to `sink` the moment they are
-    /// decided. Without §3.1.2 batching, completed flows *retire* — their
+    /// decided. Completed flows *retire* — their
     /// routing entry, switch message slots, pair-FIFO links, and backlog
     /// words all return to free lists — so resident memory tracks the
     /// concurrently-active flow population, not the total flow count
@@ -627,17 +616,14 @@ impl TopoEdm {
                 if plan.shard_of(sw) != me {
                     return None;
                 }
-                Some(SwitchDomain::new(
-                    SchedulerConfig {
-                        ports: topo.switch_ports(sw),
-                        chunk_bytes: self.config.chunk_bytes,
-                        link: topo.reference_bandwidth(sw),
-                        policy: self.config.policy,
-                        max_active_per_pair: self.config.max_active_per_pair,
-                        clock: edm_sched::ASIC_CLOCK,
-                    },
-                    self.config.batch_small_messages,
-                ))
+                Some(SwitchDomain::new(SchedulerConfig {
+                    ports: topo.switch_ports(sw),
+                    chunk_bytes: self.config.chunk_bytes,
+                    link: topo.reference_bandwidth(sw),
+                    policy: self.config.policy,
+                    max_active_per_pair: self.config.max_active_per_pair,
+                    clock: edm_sched::ASIC_CLOCK,
+                }))
             })
             .collect();
         let gens = vec![0u32; topo.switch_count()];
@@ -646,12 +632,9 @@ impl TopoEdm {
             // A terminal flow retires once its per-flow reference count
             // drains to zero — every resident offer it holds at an
             // owned switch is counted, so zombie chunks of fault runs
-            // simply delay retirement instead of disabling it. §3.1.2
-            // mega messages are excluded: grants resolve their route
-            // through the *head* constituent's entry, which must outlive
-            // the whole mega. (So are slice runs, where retiring buys
-            // nothing — see `seed`.)
-            eager_retire: !self.config.batch_small_messages,
+            // simply delay retirement instead of disabling it. (Slice
+            // runs opt out in `seed`: there retiring buys nothing.)
+            eager_retire: true,
             cfg: self.config.clone(),
             topo,
             rt: RtMap::default(),
@@ -787,9 +770,8 @@ struct FlowRt {
     status: RtStatus,
 }
 
-/// Flow state keyed by admission index: live flows plus — in fault or
-/// batching runs — terminal entries whose route context may still be
-/// referenced.
+/// Flow state keyed by admission index: live flows plus — in fault
+/// runs — terminal entries whose route context may still be referenced.
 ///
 /// Ids are dense and admitted in increasing order, and retirement is
 /// FIFO-ish (flows complete within a bounded window of their arrival),
@@ -1015,14 +997,6 @@ fn next_epoch(epoch: u32) -> u32 {
     epoch + 1
 }
 
-/// Batching key: flows fold into one mega message only when they share
-/// the end-to-end pair and epoch, so a batched chunk never spans two
-/// routes.
-fn batch_key(flow: &Flow, epoch: u32) -> u64 {
-    let (s, d) = flow.data_direction();
-    (s as u64) << 48 | (d as u64) << 32 | epoch as u64
-}
-
 /// The route the engine assigns `flow` on `topo` — the *pinned* path
 /// choice: salted ECMP over the flow's data direction (writes travel
 /// src→dst, reads dst→src), salted by the flow id. [`TopoEdm`] routes
@@ -1142,8 +1116,8 @@ pub(crate) struct TopoWorld<S, I> {
     /// once drained (or always, for slice and app input).
     source: Option<(I, u32)>,
     /// Whether a terminal flow leaves `rt` once its reference count
-    /// drains: off under §3.1.2 batching (cross-flow megas) and for
-    /// slice input (`TopoEdm::seed` records what retiring would cost).
+    /// drains: off for slice input (`TopoEdm::seed` records what
+    /// retiring would cost).
     eager_retire: bool,
     /// Flows whose terminal transition happened inside the current event
     /// dispatch; drained between events (eager mode only).
@@ -1370,7 +1344,7 @@ where
         if f.kind == FlowKind::Read {
             for (_, out_link) in path.iter().take(path.len() - 1) {
                 t = t
-                    + self.cfg.forward_latency
+                    + self.cfg.pipeline_latency / 2
                     + link_lat(&self.topo, out_link)
                     + tx8(&self.topo, out_link);
             }
@@ -1438,7 +1412,7 @@ where
                 // flight back to the switch — the legacy half + ingress
                 // composition.
                 Some(l) => access_half(cfg, topo, l) + cfg.pipeline_latency / 2 + link_lat(topo, l),
-                None => cfg.forward_latency,
+                None => cfg.pipeline_latency / 2,
             };
             let emit = now + round.sched_latency + turnaround;
             let out_bw = topo.link(out_link).params.bandwidth;
@@ -1639,10 +1613,6 @@ where
             dst,
             bytes,
             limit: route_limit(&self.cfg, path.len()),
-            // Forwarded chunks carry a single token, so only same-flow
-            // chunks may fold into one message — a cross-flow mega would
-            // credit every byte to its head flow at the destination.
-            batch_key: token,
             token,
         };
         // The resident offer — admitted or backlogged — holds a
@@ -1696,8 +1666,8 @@ where
                 },
             );
         }
-        // Sender-side revocation: withdraw each bumped flow's unbatched
-        // hop-0 message so the dead path's backlog stops counting as
+        // Sender-side revocation: withdraw each bumped flow's hop-0
+        // message so the dead path's backlog stops counting as
         // demand. In flow order — the same order the sequential run
         // cancels in, so backlog admissions stay deterministic.
         for (flow, old_epoch, h0, in_port, out_port) in bumped {
@@ -1731,7 +1701,7 @@ where
             TopoEv::Demand { flow, epoch } => {
                 self.events += 1;
                 let token = pack(flow, epoch, 0);
-                let (h0, (src, dst), bytes, limit, bk) = {
+                let (h0, (src, dst), bytes, limit) = {
                     // The flow can retire before its demand fires: a
                     // fault between admission and the demand flight
                     // bumps it, and the bumped epoch can fail (and
@@ -1744,22 +1714,11 @@ where
                         return;
                     }
                     let path = r.path.as_ref().expect("active route");
-                    // Single-hop messages batch by end-to-end pair (the
-                    // legacy §3.1.2 behavior — the whole path delivers
-                    // the mega's per-offer boundaries). Multi-hop
-                    // messages must never fold with another flow: the
-                    // forwarded chunks carry one token each.
-                    let bk = if path.len() == 1 {
-                        batch_key(&r.flow, epoch)
-                    } else {
-                        token
-                    };
                     (
                         path.switch(0),
                         hop_ports(&self.topo, &r.flow, path, 0),
                         r.inject_bytes,
                         route_limit(&self.cfg, path.len()),
-                        bk,
                     )
                 };
                 if !self.topo.switch_up(h0) {
@@ -1770,7 +1729,6 @@ where
                     dst,
                     bytes,
                     limit,
-                    batch_key: bk,
                     token,
                 };
                 // The resident hop-0 offer holds a reference on the flow.
@@ -2042,8 +2000,8 @@ mod tests {
         for (flow, epoch, hop) in [(u32::MAX, max_epoch, 255), (0, 0, 0), (7, max_epoch, 0)] {
             assert_eq!(unpack(pack(flow, epoch, hop)), (flow, epoch, hop));
         }
-        // Hop-0 tokens keep the pre-hop layout `cancel` and the
-        // single-hop batch key were written against.
+        // Hop-0 tokens keep the pre-hop layout `cancel` was written
+        // against.
         assert_eq!(pack(9, 3, 0), 9 | 3 << 32);
         assert_eq!(next_epoch(max_epoch - 1), max_epoch);
     }
@@ -2205,15 +2163,12 @@ mod tests {
     }
 
     #[test]
-    fn batching_with_cross_leaf_hot_pair_delivers_every_flow() {
-        // Regression: X=1 everywhere forces §3.1.2 mega-batching of a hot
-        // cross-leaf pair's backlog. Multi-hop messages must not fold
-        // distinct flows into one message (the forwarded chunks carry a
-        // single token), or every byte is credited to the head flow and
-        // the rest stall.
+    fn x1_hot_pair_backlog_drains_in_pair_order() {
+        // X = 1 everywhere: a hot cross-leaf pair's backlog admits one
+        // message at a time at every hop, and still every flow delivers,
+        // in pair order.
         let topo = Topology::leaf_spine(LeafSpine::symmetric(2, 1, 4, 1));
         let cfg = TopoEdmConfig {
-            batch_small_messages: true,
             max_active_per_pair: 1,
             trunk_max_active_per_pair: 1,
             ..TopoEdmConfig::default()
@@ -2222,10 +2177,7 @@ mod tests {
             .map(|i| write_flow(i, 0, 4, 4096, i as u64))
             .collect();
         let r = TopoEdm::new(cfg.clone()).simulate(&topo, &flows);
-        assert_eq!(
-            r.stats.delivered, 5,
-            "every batched cross-leaf flow delivers"
-        );
+        assert_eq!(r.stats.delivered, 5, "every cross-leaf flow delivers");
         // Same-pair order still holds end-to-end.
         let done = |o: &TopoOutcome| match o.status {
             FlowStatus::Delivered(t) => t,
@@ -2234,7 +2186,7 @@ mod tests {
         for w in r.outcomes.windows(2) {
             assert!(done(&w[0]) <= done(&w[1]), "pair order violated");
         }
-        // Same-leaf hot pair with batching still folds and delivers too.
+        // The same-leaf hot pair delivers too.
         let local: Vec<Flow> = (0..5)
             .map(|i| write_flow(i, 0, 2, 4096, i as u64))
             .collect();

@@ -252,14 +252,12 @@ proptest! {
         tenant_specs in proptest::collection::vec((any::<u64>(), any::<u8>(), any::<u32>(), any::<u8>(), any::<u64>(), any::<u8>()), 1..6),
         mem_sel in any::<u64>(),
         fault_specs in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 0..3),
-        batching in any::<bool>(),
         x in 1usize..4,
         seed in 0u64..1_000,
         retries in 0u32..3,
     ) {
         let topo = Topology::leaf_spine(LeafSpine::symmetric(leaves, spines, npl, uplinks));
         let proto = TopoEdm::new(TopoEdmConfig {
-            batch_small_messages: batching,
             max_active_per_pair: x,
             faults: decode_faults(&fault_specs, &topo),
             reroute_delay: Duration::from_us(2),

@@ -3,8 +3,8 @@
 //! completion times, reroute, retry and fault outcomes, IP interference
 //! counters, scheduling rounds, slab peaks and the dispatched-event
 //! tally — for every shard count, across random topologies, workloads,
-//! fault and repair schedules, and configuration corners (batching, X
-//! bounds, retries, background IP). One counter is exempt: a replica
+//! fault and repair schedules, and configuration corners (X bounds,
+//! retries, background IP). One counter is exempt: a replica
 //! retires a flow when its delivery credit crosses a window barrier, a
 //! beat after the sequential run, so the sharded active-flow high-water
 //! mark may read higher — never lower.
@@ -144,7 +144,6 @@ proptest! {
         ),
         fault_specs in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 0..4),
         shards in 1usize..=4,
-        batching in any::<bool>(),
         x in 1usize..4,
         ip_on in any::<bool>(),
         retries in 0u32..3,
@@ -152,7 +151,6 @@ proptest! {
         let topo = Topology::leaf_spine(LeafSpine::symmetric(leaves, spines, npl, uplinks));
         let flows = decode_flows(&flow_specs, topo.nodes());
         let proto = TopoEdm::new(TopoEdmConfig {
-            batch_small_messages: batching,
             max_active_per_pair: x,
             ip: if ip_on { IpTraffic::load(0.3) } else { IpTraffic::default() },
             faults: decode_faults(&fault_specs, &topo),

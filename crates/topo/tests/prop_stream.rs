@@ -47,7 +47,7 @@ fn decode_sorted_flows(specs: &[(u64, u64, u32, u64, bool)], nodes: usize) -> Ve
 
 proptest! {
     /// Random leaf–spine fabrics under random time-ordered workloads and
-    /// config corners (batching, X bounds, background IP): the streamed
+    /// config corners (X bounds, background IP): the streamed
     /// run matches the materialized run flow-for-flow, and the sharded
     /// streamed run matches the sequential streamed run.
     #[test]
@@ -61,14 +61,12 @@ proptest! {
             1..24,
         ),
         shards in 1usize..=4,
-        batching in any::<bool>(),
         x in 1usize..4,
         ip_on in any::<bool>(),
     ) {
         let topo = Topology::leaf_spine(LeafSpine::symmetric(leaves, spines, npl, uplinks));
         let flows = decode_sorted_flows(&flow_specs, topo.nodes());
         let proto = TopoEdm::new(TopoEdmConfig {
-            batch_small_messages: batching,
             max_active_per_pair: x,
             ip: if ip_on { IpTraffic::load(0.3) } else { IpTraffic::default() },
             ..TopoEdmConfig::default()
@@ -148,7 +146,6 @@ proptest! {
         ),
         fault_specs in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..4),
         shards in 1usize..=4,
-        batching in any::<bool>(),
         retries in 0u32..3,
     ) {
         let topo = Topology::leaf_spine(LeafSpine::symmetric(leaves, spines, npl, uplinks));
@@ -170,7 +167,6 @@ proptest! {
             },
         }).collect::<Vec<_>>();
         let proto = TopoEdm::new(TopoEdmConfig {
-            batch_small_messages: batching,
             faults,
             reroute_delay: Duration::from_us(2),
             max_retries: retries,

@@ -319,15 +319,13 @@ proptest! {
 
     /// The degenerate 1-switch topology is bit-identical to the legacy
     /// single-switch simulator: same flows, exactly equal per-flow
-    /// completion times — including the X-limit backlog and §3.1.2
-    /// mega-batching paths.
+    /// completion times — including the X-limit backlog path.
     #[test]
     fn single_switch_bit_identical_to_legacy(
         specs in proptest::collection::vec(
             (0usize..8, 8usize..16, 1u32..4096, 0u64..10_000, any::<bool>()),
             1..40,
         ),
-        batching in any::<bool>(),
         x in 1usize..5,
     ) {
         let cluster = ClusterConfig { nodes: 16, ..ClusterConfig::default() };
@@ -344,7 +342,6 @@ proptest! {
             })
             .collect();
         let mut legacy = EdmProtocol {
-            batch_small_messages: batching,
             max_active_per_pair: x,
             ..EdmProtocol::default()
         };
