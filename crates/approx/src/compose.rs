@@ -30,7 +30,7 @@
 use crate::decompose::Decomposition;
 use crate::fxhash::FxHashMap;
 use edm_core::sim::{Flow, FlowKind};
-use edm_sim::{Bandwidth, Duration, LogHistogram, Summary};
+use edm_sim::{Bandwidth, Duration, Summary};
 use edm_topo::{FlowStatus, TopoEdm, TopoEdmConfig, TopoOutcome, Topology};
 
 /// How a flow's per-link excesses combine into one end-to-end estimate.
@@ -70,8 +70,6 @@ pub struct ApproxResult {
     pub clusters: usize,
     /// Directed links that carried flows (pre-dedup).
     pub link_instances: usize,
-    /// Merged per-crossing excess distribution across all clusters.
-    pub hop_excess: LogHistogram,
     /// Flows whose estimate this call recomputed. A from-scratch
     /// composition reports every flow; [`crate::SweepBase::estimate_delta`]
     /// reports only the flows the scenario perturbed or that share a
@@ -254,15 +252,6 @@ pub fn compose_cached<D: AsRef<[Duration]>>(
         delays.len(),
         "one simulation per cluster"
     );
-    // The merged per-crossing distribution is rebuilt by re-recording
-    // every member excess — the same multiset a per-cluster histogram
-    // merge would produce, minus the full-width bucket traffic.
-    let mut hop_excess = LogHistogram::new();
-    for d in delays {
-        for &q in d.as_ref() {
-            hop_excess.record_duration(q);
-        }
-    }
     // Cluster index → shape id of its crossing parameter triple.
     let shape_id: Vec<u32> = decomp
         .clusters
@@ -299,7 +288,6 @@ pub fn compose_cached<D: AsRef<[Duration]>>(
         outcomes,
         clusters: decomp.clusters.len(),
         link_instances: decomp.link_instances,
-        hop_excess,
     }
 }
 

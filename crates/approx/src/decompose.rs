@@ -283,28 +283,149 @@ impl ResolvedRoutes {
     fn close_span(&mut self) {
         self.spans.push(self.recs.len() as u32);
     }
+
+    /// Appends `prev`'s spans of `flows` unchanged: one copy of their
+    /// crossings, their offsets shifted to where the copy lands.
+    fn copy_spans(&mut self, prev: &ResolvedRoutes, flows: std::ops::Range<usize>) {
+        let (lo, hi) = (prev.spans[flows.start], prev.spans[flows.end]);
+        let at = self.recs.len() as u32;
+        self.recs
+            .extend_from_slice(&prev.recs[lo as usize..hi as usize]);
+        self.spans.extend(
+            prev.spans[flows.start + 1..=flows.end]
+                .iter()
+                .map(|&s| s - lo + at),
+        );
+    }
 }
 
-/// What [`resolve_delta`] compares to decide whether a fault can have
-/// moved a flow: per-element liveness plus the ECMP decision-row digests
-/// ([`Topology::route_digests`]). Snapshot the *baseline* topology once
-/// per sweep.
+/// Flows grouped by a dense key in one arena: key `k`'s are
+/// `flows[offsets[k]..offsets[k + 1]]`, in the order they were handed in.
 #[derive(Debug, Clone)]
-pub struct TopoSignature {
+struct Postings {
+    offsets: Vec<u32>,
+    flows: Vec<u32>,
+}
+
+impl Postings {
+    /// Groups `pairs` — `(key, flow)`, keys below `keys` — by key:
+    /// counts first, then fills the arena in place.
+    fn new(keys: usize, pairs: &[(u32, u32)]) -> Self {
+        let mut offsets = vec![0u32; keys + 1];
+        for &(k, _) in pairs {
+            offsets[k as usize + 1] += 1;
+        }
+        for k in 0..keys {
+            offsets[k + 1] += offsets[k];
+        }
+        let mut fill = offsets.clone();
+        let mut flows = vec![0; pairs.len()];
+        for &(k, i) in pairs {
+            flows[fill[k as usize] as usize] = i;
+            fill[k as usize] += 1;
+        }
+        Postings { offsets, flows }
+    }
+
+    fn get(&self, k: usize) -> &[u32] {
+        &self.flows[self.offsets[k] as usize..self.offsets[k + 1] as usize]
+    }
+}
+
+/// A set of flow indices that iterates in ascending order: one bit per
+/// flow, so clearing it costs a word per 64 flows and walking it a
+/// word per 64 flows plus one step per member.
+#[derive(Debug, Clone)]
+pub(crate) struct FlowSet {
+    words: Vec<u64>,
+}
+
+impl FlowSet {
+    /// An empty set over flows `0..n`.
+    pub(crate) fn new(n: usize) -> Self {
+        FlowSet {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    pub(crate) fn insert(&mut self, i: u32) {
+        self.words[i as usize / 64] |= 1 << (i % 64);
+    }
+
+    pub(crate) fn contains(&self, i: u32) -> bool {
+        self.words[i as usize / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// The members, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    w as u32 * 64 + bit
+                })
+            })
+        })
+    }
+}
+
+/// What [`resolve_delta`] consults to find the flows a fault can have
+/// moved, without visiting the others: the baseline's per-element
+/// liveness and ECMP decision-row digests ([`Topology::route_digests`]),
+/// and, inverted from the baseline routes, which flows consult each
+/// decision row, which have an endpoint at each node, and which were
+/// unroutable. Build it once per baseline with [`RouteIndex::new`].
+#[derive(Debug, Clone)]
+pub struct RouteIndex {
     switches: Vec<bool>,
     links: Vec<bool>,
     digests: Vec<u64>,
+    /// Per decision row `switch * switch_count + destination switch`:
+    /// the routable flows whose baseline path consults it.
+    by_row: Postings,
+    /// Per node: the routable flows with an endpoint there.
+    by_node: Postings,
+    /// Flows the baseline could not route.
+    unroutable: Vec<u32>,
 }
 
-impl TopoSignature {
-    /// Snapshots `topo`'s routing-relevant state.
-    pub fn of(topo: &Topology) -> Self {
-        TopoSignature {
-            switches: (0..topo.switch_count())
-                .map(|s| topo.switch_up(s as u32))
-                .collect(),
+impl RouteIndex {
+    /// Indexes `routes`, the baseline resolution of `flows` on `topo`.
+    pub fn new(topo: &Topology, flows: &[Flow], routes: &ResolvedRoutes) -> Self {
+        assert_eq!(routes.len(), flows.len(), "routes must cover these flows");
+        let n = topo.switch_count();
+        let mut rows = Vec::with_capacity(routes.crossings());
+        let mut nodes = Vec::with_capacity(2 * flows.len());
+        let mut unroutable = Vec::new();
+        for (i, flow) in flows.iter().enumerate() {
+            let (span, i) = (routes.span(i), i as u32);
+            if span.is_empty() {
+                unroutable.push(i);
+                continue;
+            }
+            // The ECMP walk consults, at every switch it visits before
+            // the destination's attach switch, that switch's row toward
+            // it. `span[0]`, the source access link, is granted by the
+            // same switch as `span[1]`.
+            let (data_src, data_dst) = flow.data_direction();
+            let (d_sw, _) = topo.attach(data_dst as usize);
+            rows.extend(
+                span[1..]
+                    .iter()
+                    .filter(|r| r.switch != d_sw)
+                    .map(|r| (r.switch * n as u32 + d_sw, i)),
+            );
+            nodes.extend([(data_src as u32, i), (data_dst as u32, i)]);
+        }
+        RouteIndex {
+            switches: (0..n).map(|s| topo.switch_up(s as u32)).collect(),
             links: topo.links().iter().map(|l| l.is_up()).collect(),
             digests: topo.route_digests(),
+            by_row: Postings::new(n * n, &rows),
+            by_node: Postings::new(topo.nodes(), &nodes),
+            unroutable,
         }
     }
 }
@@ -327,60 +448,62 @@ pub fn resolve_all(topo: &Topology, flows: &[Flow]) -> ResolvedRoutes {
 }
 
 /// Re-resolves only the flows that `topo`'s state can actually have
-/// moved relative to the baseline `prev`/`base` pair: flows whose
-/// endpoints changed liveness, flows that were unroutable, and flows
-/// whose baseline path visits a switch whose ECMP decision row toward
-/// the flow's destination changed. Everything else keeps its baseline
-/// crossings verbatim — the salted-ECMP walk consults exactly those
-/// rows, so the copy is bit-identical to re-resolving
-/// (`delta_matches_full_resolution` in this module's tests, plus the
-/// `prop_approx` pin, hold it to that).
+/// moved relative to the baseline `prev` that `index` was built from:
+/// flows with an endpoint whose access link or attach switch changed
+/// liveness, flows that were unroutable, and flows whose baseline path
+/// visits a switch whose ECMP decision row toward the flow's destination
+/// changed — all read off `index`, never by visiting the other flows.
+/// Every other flow keeps its baseline crossings verbatim, copied in
+/// runs — the salted-ECMP walk consults exactly those rows, so the copy
+/// is bit-identical to re-resolving (`delta_matches_full_resolution` in
+/// this module's tests, plus the `prop_approx` pin, hold it to that).
 pub fn resolve_delta(
     topo: &Topology,
     flows: &[Flow],
     prev: &ResolvedRoutes,
-    base: &TopoSignature,
+    index: &RouteIndex,
 ) -> ResolvedRoutes {
     assert_eq!(prev.len(), flows.len(), "baseline must cover these flows");
-    let cur = TopoSignature::of(topo);
-    let n = topo.switch_count();
-    let dirty: Vec<bool> = base
-        .digests
-        .iter()
-        .zip(&cur.digests)
-        .map(|(a, b)| a != b)
-        .collect();
+    let mut affected = FlowSet::new(flows.len());
+    let mut mark = |list: &[u32]| {
+        for &i in list {
+            affected.insert(i);
+        }
+    };
+    mark(&index.unroutable);
+    for node in 0..topo.nodes() {
+        let link = topo.node_link(node);
+        let (switch, _) = topo.attach(node);
+        if index.links[link as usize] != topo.link(link).is_up()
+            || index.switches[switch as usize] != topo.switch_up(switch)
+        {
+            mark(index.by_node.get(node));
+        }
+    }
+    for (row, (was, is)) in index.digests.iter().zip(topo.route_digests()).enumerate() {
+        if *was != is {
+            mark(index.by_row.get(row));
+        }
+    }
+
     let mut routes = ResolvedRoutes {
         recs: Vec::with_capacity(prev.recs.len()),
         spans: Vec::with_capacity(flows.len() + 1),
         resolved: Vec::new(),
     };
     routes.spans.push(0);
-    for (i, flow) in flows.iter().enumerate() {
-        let (data_src, data_dst) = flow.data_direction();
-        let src_link = topo.node_link(data_src as usize) as usize;
-        let dst_link = topo.node_link(data_dst as usize) as usize;
-        let (s_sw, _) = topo.attach(data_src as usize);
-        let (d_sw, _) = topo.attach(data_dst as usize);
-        let span = prev.span(i);
-        let affected = span.is_empty()
-            || base.links[src_link] != cur.links[src_link]
-            || base.links[dst_link] != cur.links[dst_link]
-            || base.switches[s_sw as usize] != cur.switches[s_sw as usize]
-            || base.switches[d_sw as usize] != cur.switches[d_sw as usize]
-            || span
-                .iter()
-                .any(|r| dirty[r.switch as usize * n + d_sw as usize]);
-        if affected {
-            routes.resolved.push(i as u32);
-            if let Some(route) = resolve_route(topo, flow) {
-                routes.push_route(&route);
-            }
-        } else {
-            routes.recs.extend_from_slice(span);
+    let mut kept = 0;
+    for i in affected.iter() {
+        routes.resolved.push(i);
+        let i = i as usize;
+        routes.copy_spans(prev, kept..i);
+        if let Some(route) = resolve_route(topo, &flows[i]) {
+            routes.push_route(&route);
         }
         routes.close_span();
+        kept = i + 1;
     }
+    routes.copy_spans(prev, kept..flows.len());
     routes
 }
 
@@ -398,18 +521,18 @@ struct RawCluster {
     members: Vec<LinkFlow>,
 }
 
-impl RawCluster {
-    /// First-appearance dense numbering. A linear scan: most clusters
-    /// touch a handful of distinct ports, so the scan beats any
-    /// port-indexed table (measured — the table's per-port allocation
-    /// and cache misses cost more than these few comparisons).
-    fn dense(map: &mut Vec<u16>, raw: u16) -> u16 {
-        match map.iter().position(|&p| p == raw) {
-            Some(i) => i as u16,
-            None => {
-                map.push(raw);
-                map.len() as u16 - 1
-            }
+/// First-appearance dense numbering of a cluster's raw ports — shared
+/// by the bucket and the delta rebuild, so a rebuilt cluster densifies
+/// in exactly the order a from-scratch bucket would. A linear scan: most
+/// clusters touch a handful of distinct ports, so the scan beats any
+/// port-indexed table (measured — the table's per-port allocation and
+/// cache misses cost more than these few comparisons).
+pub(crate) fn dense(map: &mut Vec<u16>, raw: u16) -> u16 {
+    match map.iter().position(|&p| p == raw) {
+        Some(i) => i as u16,
+        None => {
+            map.push(raw);
+            map.len() as u16 - 1
         }
     }
 }
@@ -427,6 +550,19 @@ pub(crate) fn snap_links(topo: &Topology) -> Vec<(Duration, Bandwidth, u32)> {
             (l.latency(), l.params.bandwidth, b_sw)
         })
         .collect()
+}
+
+/// The directed-link identity of a crossing, `link * 3 + direction`: a
+/// trunk carries traffic both ways (told apart by the granting switch,
+/// slots 0/1), and an access link adds its node-facing ingress (slot 2).
+pub(crate) fn directed_key(snap: &[(Duration, Bandwidth, u32)], rec: &CrossRec) -> usize {
+    let (_, _, b_sw) = snap[rec.link as usize];
+    let dir = if rec.from_node {
+        2
+    } else {
+        (rec.switch == b_sw) as usize
+    };
+    rec.link as usize * 3 + dir
 }
 
 /// One crossing as the span walk yields it: the directed-link key plus
@@ -474,14 +610,8 @@ pub(crate) fn walk_span(
             let (lat, bw, _) = snap[span[j - 1].link as usize];
             offset += lat + bw.tx_time_bytes(head) + cfg.pipeline_latency / 2;
         }
-        let (_, _, b_sw) = snap[rec.link as usize];
-        let dir = if rec.from_node {
-            2
-        } else {
-            (rec.switch == b_sw) as usize
-        };
         f(Crossing {
-            key: rec.link as usize * 3 + dir,
+            key: directed_key(snap, rec),
             switch: rec.switch,
             in_port: rec.in_port,
             out_port: rec.out_port,
@@ -509,9 +639,7 @@ pub fn bucket(
         .map(|s| topo.reference_bandwidth(s))
         .collect();
 
-    // Directed-link index: a trunk carries traffic in both directions
-    // (disambiguated by the granting switch, slots 0/1), and an access
-    // link additionally separates its node-facing ingress (slot 2).
+    // Directed-link index, by `directed_key`.
     let mut index: Vec<u32> = vec![u32::MAX; snap.len() * 3];
     let mut raws: Vec<RawCluster> = Vec::new();
     let mut paths: Vec<FlowPath> = Vec::with_capacity(flows.len());
@@ -527,13 +655,8 @@ pub fn bucket(
         let span = routes.span(i);
         total_refs += span.len();
         for rec in span {
-            let (lat, bw, b_sw) = snap[rec.link as usize];
-            let dir = if rec.from_node {
-                2
-            } else {
-                (rec.switch == b_sw) as usize
-            };
-            let key = rec.link as usize * 3 + dir;
+            let (lat, bw, _) = snap[rec.link as usize];
+            let key = directed_key(&snap, rec);
             let slot = match index[key] {
                 u32::MAX => {
                     index[key] = raws.len() as u32;
@@ -573,8 +696,8 @@ pub fn bucket(
             raw.members.push(LinkFlow {
                 arrival: x.arrival,
                 bytes: flow.size,
-                src: RawCluster::dense(&mut raw.src_map, x.in_port),
-                dst: RawCluster::dense(&mut raw.dst_map, x.out_port),
+                src: dense(&mut raw.src_map, x.in_port),
+                dst: dense(&mut raw.dst_map, x.out_port),
                 limit: x.limit,
             });
             hop_refs.push(HopRef {
@@ -716,11 +839,10 @@ mod tests {
     #[test]
     fn delta_matches_full_resolution() {
         // Across a spread of faults, the delta path must reproduce the
-        // from-scratch resolution record for record — while actually
-        // skipping most of the work on the single-element faults.
+        // from-scratch resolution record for record — while re-resolving
+        // only the flows the route index says the fault can have moved.
         let spec = LeafSpine::symmetric(4, 2, 8, 2);
         let healthy = Topology::leaf_spine(spec);
-        let base = TopoSignature::of(&healthy);
         let flows: Vec<Flow> = (0..400)
             .map(|i| Flow {
                 kind: if i % 3 == 0 {
@@ -733,7 +855,15 @@ mod tests {
             .filter(|f| f.src != f.dst)
             .collect();
         let baseline = resolve_all(&healthy, &flows);
+        let index = RouteIndex::new(&healthy, &flows, &baseline);
         let trunk = healthy.links().iter().position(|l| l.is_trunk()).unwrap() as u32;
+        // Node 5's flows: every flow with an endpoint behind its access link.
+        let node5: Vec<u32> = (0..flows.len() as u32)
+            .filter(|&i| {
+                let f = &flows[i as usize];
+                f.src == 5 || f.dst == 5
+            })
+            .collect();
         type FaultCase = Box<dyn Fn(&mut Topology)>;
         let cases: Vec<FaultCase> = vec![
             Box::new(|_| {}),
@@ -750,18 +880,33 @@ mod tests {
         for (c, mutate) in cases.iter().enumerate() {
             let mut faulted = Topology::leaf_spine(spec);
             mutate(&mut faulted);
-            let delta = resolve_delta(&faulted, &flows, &baseline, &base);
+            let delta = resolve_delta(&faulted, &flows, &baseline, &index);
             let full = resolve_all(&faulted, &flows);
+            assert_eq!(delta.len(), full.len(), "case {c}");
+            assert_eq!(delta.crossings(), full.crossings(), "case {c}");
             for i in 0..flows.len() {
                 assert_eq!(delta.span(i), full.span(i), "case {c}, flow {i}");
+                assert_eq!(delta.offset(i), full.offset(i), "case {c}, flow {i}");
             }
-            if c == 0 || c == 4 {
-                assert_eq!(delta.rerouted(), 0, "case {c} cannot move any route");
-            } else {
-                assert!(
+            match c {
+                0 | 4 => assert_eq!(delta.rerouted(), 0, "case {c} cannot move any route"),
+                2 => assert_eq!(
+                    delta.resolved(),
+                    &node5[..],
+                    "the cut re-resolves node 5's flows"
+                ),
+                // Switch 4 is a spine: flows within one leaf consult no
+                // spine's row, so even a spine kill skips some.
+                3 => assert!(
+                    delta.rerouted() > 0 && delta.rerouted() < flows.len(),
+                    "the spine kill re-resolves {} of {} flows",
+                    delta.rerouted(),
+                    flows.len()
+                ),
+                _ => assert!(
                     delta.rerouted() < flows.len(),
                     "case {c} must skip unaffected flows"
-                );
+                ),
             }
         }
     }

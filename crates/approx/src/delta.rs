@@ -6,15 +6,20 @@
 //! the full re-bucket of every crossing plus a cache-key hash of every
 //! cluster — ~8 ms at a million crossings even when a fault moved
 //! nothing but one optics latency. [`SweepBase`] keeps, per (topology,
-//! workload) pair, the healthy decomposition *plus* each directed
-//! link's member list in pre-densification form, each base cluster's id
-//! in the sweep's [`SweepCache`], and each flow's healthy estimate
-//! (`BaseTerm`). [`SweepBase::estimate_delta`] then:
+//! workload) pair, the healthy decomposition *plus* a route index
+//! ([`RouteIndex`]: which flows consult each ECMP decision row, sit
+//! behind each access link or attach switch, or were unroutable), each
+//! directed link's member list in pre-densification form, each base
+//! cluster's id in the sweep's [`SweepCache`], each base crossing's
+//! excess, and each flow's healthy estimate (`BaseTerm`).
+//! [`SweepBase::estimate_delta`] then, at a cost that follows the
+//! perturbation rather than the workload:
 //!
 //! 1. finds the flows a scenario can have perturbed — rerouted flows
-//!    (via [`resolve_delta`]'s span diff) plus flows crossing a link
-//!    whose latency/bandwidth/liveness changed (their downstream demand
-//!    arrivals shift even when the route holds);
+//!    ([`resolve_delta`] re-resolves only the flows the route index
+//!    names and copies every other span in runs) plus flows crossing a
+//!    link whose latency/bandwidth/liveness changed (their downstream
+//!    demand arrivals shift even when the route holds);
 //! 2. marks every directed link those flows cross (old or new route) as
 //!    *affected* and rebuilds exactly those clusters, merging the
 //!    stored unaffected members with the perturbed flows' re-walked
@@ -24,23 +29,27 @@
 //!    the whole path to outcome equality);
 //! 3. interns each rebuilt cluster in the shared [`SweepCache`] — one
 //!    hash per cluster, a replay only if no profile the sweep has seen
-//!    needed that cluster's representative yet — and notes, in a flat
-//!    per-crossing overlay, which (cluster, member) now stands behind
-//!    each crossing of each member;
-//! 4. recomposes the flows with a crossing in a rebuilt cluster, reading
-//!    delays in place from the cache; every other flow's outcome is its
+//!    needed that cluster's representative yet — and writes, into a
+//!    flat per-crossing overlay, the excess that cluster now gives each
+//!    crossing of each member, read in member order straight off its
+//!    delays;
+//! 4. recomposes the flows with a crossing in a rebuilt cluster from
+//!    that overlay, taking each untouched crossing's excess from the
+//!    base's per-crossing excesses (a perturbed flow, all of whose
+//!    crossings were rebuilt, also re-probes its unloaded baseline from
+//!    the rebuilt clusters' shapes); every other flow's outcome is its
 //!    arrival plus its base term.
 
 use std::borrow::Cow;
 
 use crate::compose::SoloProber;
 use crate::decompose::{
-    bucket, resolve_all, resolve_delta, snap_links, walk_span, ClusterProfile, Decomposition,
-    LinkFlow, ResolvedRoutes, TopoSignature,
+    bucket, dense, directed_key, resolve_all, resolve_delta, snap_links, walk_span, ClusterProfile,
+    Decomposition, FlowSet, LinkFlow, ResolvedRoutes, RouteIndex,
 };
 use crate::{ApproxResult, ClusterId, Combine, SweepCache};
 use edm_core::sim::Flow;
-use edm_sim::{Bandwidth, Duration, LogHistogram, Time};
+use edm_sim::{Bandwidth, Duration, Time};
 use edm_topo::{FlowStatus, TopoEdmConfig, TopoOutcome, Topology};
 
 /// One stored crossing of the base decomposition, in pre-densification
@@ -55,19 +64,6 @@ struct KeyMember {
     out_port: u16,
     arrival: Time,
     limit: u32,
-}
-
-/// First-appearance dense numbering, mirroring the bucket's private
-/// helper: a rebuilt cluster must densify ports in exactly the order a
-/// from-scratch bucket would.
-fn dense(map: &mut Vec<u16>, raw: u16) -> u16 {
-    match map.iter().position(|&p| p == raw) {
-        Some(i) => i as u16,
-        None => {
-            map.push(raw);
-            map.len() as u16 - 1
-        }
-    }
 }
 
 /// One flow's healthy estimate, as the terms a scenario can reuse: the
@@ -111,7 +107,7 @@ pub struct SweepBase {
     flows: Vec<Flow>,
     decomp: Decomposition,
     routes: ResolvedRoutes,
-    sig: TopoSignature,
+    index: RouteIndex,
     /// Per-switch baseline scheduler reference bandwidth.
     ref_bw: Vec<Bandwidth>,
     /// Per directed-link key: granting switch (`u32::MAX` when unused).
@@ -122,17 +118,21 @@ pub struct SweepBase {
     key_cluster: Vec<u32>,
     /// Per base cluster: its id in the cache the base was primed with.
     base_ids: Vec<ClusterId>,
+    /// Per base crossing, indexed like `routes`' arena (span offset +
+    /// hop): the excess its base cluster gives it.
+    base_excess: Vec<Duration>,
     /// Per flow: the healthy estimate's terms (zero for an unroutable flow).
     base_terms: Vec<BaseTerm>,
 }
 
 impl SweepBase {
     /// Decomposes `flows` on the healthy `topo` and indexes every
-    /// directed link's membership for later delta rebuilds.
+    /// directed link's membership and every flow's routing dependencies
+    /// for later delta rebuilds.
     pub fn new(topo: &Topology, cfg: &TopoEdmConfig, flows: Vec<Flow>) -> Self {
         let routes = resolve_all(topo, &flows);
         let decomp = bucket(topo, cfg, &flows, &routes);
-        let sig = TopoSignature::of(topo);
+        let index = RouteIndex::new(topo, &flows, &routes);
         let snap = snap_links(topo);
         let ref_bw = (0..topo.switch_count() as u32)
             .map(|s| topo.reference_bandwidth(s))
@@ -165,12 +165,13 @@ impl SweepBase {
             flows,
             decomp,
             routes,
-            sig,
+            index,
             ref_bw,
             key_switch,
             key_members,
             key_cluster,
             base_ids: Vec::new(),
+            base_excess: Vec::new(),
             base_terms: Vec::new(),
         }
     }
@@ -187,9 +188,9 @@ impl SweepBase {
 
     /// Interns every base cluster in `cache` (replaying the
     /// representatives the sweep has not needed yet) and computes each
-    /// flow's healthy terms against the interned delays. `cache` is from
-    /// then on *the* cache of this base: the ids kept here mean nothing
-    /// to another one.
+    /// crossing's excess and each flow's healthy terms against the
+    /// interned delays. `cache` is from then on *the* cache of this
+    /// base: the ids kept here mean nothing to another one.
     pub fn prime(&mut self, cache: &mut SweepCache) {
         self.base_ids = self
             .decomp
@@ -199,6 +200,7 @@ impl SweepBase {
             .collect();
         let (interned, solo) = cache.split();
         let mut probe = SoloProber::new(&self.cfg, solo);
+        let mut excess = Vec::with_capacity(self.routes.crossings());
         self.base_terms = self
             .flows
             .iter()
@@ -209,7 +211,9 @@ impl SweepBase {
                 };
                 let of = |h: &crate::HopRef| &interned[self.base_ids[h.cluster as usize].index()];
                 let unloaded = probe.unloaded(&self.topo, flow, hops.iter().map(|h| of(h).shape));
-                let excesses = || hops.iter().map(|h| of(h).delays[h.member as usize]);
+                let at = excess.len();
+                excess.extend(hops.iter().map(|h| of(h).delays[h.member as usize]));
+                let excesses = || excess[at..].iter().copied();
                 BaseTerm {
                     unloaded,
                     sum: Combine::Sum.apply(excesses()),
@@ -217,6 +221,7 @@ impl SweepBase {
                 }
             })
             .collect();
+        self.base_excess = excess;
     }
 
     /// Estimates one what-if scenario (`what_if` is the base fabric
@@ -242,21 +247,24 @@ impl SweepBase {
             self.base_ids.iter().all(|id| id.index() < cache.len()),
             "estimate against the cache the base was primed with"
         );
-        let routes_new = resolve_delta(what_if, &self.flows, &self.routes, &self.sig);
+        let routes_new = resolve_delta(what_if, &self.flows, &self.routes, &self.index);
         let snap_new = snap_links(what_if);
 
         // Which flows can the scenario have perturbed? Rerouted flows,
         // flows crossing a link whose effective parameters changed
         // (their own and downstream demand arrivals shift), and flows
         // granted by a switch whose reference bandwidth moved.
-        let mut touched = vec![false; n];
+        let mut touched = FlowSet::new(n);
+        let touch_key = |touched: &mut FlowSet, k: usize| {
+            for m in &self.key_members[k] {
+                touched.insert(m.flow);
+            }
+        };
         let state = |l: &edm_topo::Link| (l.latency(), l.params.bandwidth, l.is_up());
         for (l, (was, is)) in self.topo.links().iter().zip(what_if.links()).enumerate() {
             if state(was) != state(is) {
                 for k in l * 3..l * 3 + 3 {
-                    for m in &self.key_members[k] {
-                        touched[m.flow as usize] = true;
-                    }
+                    touch_key(&mut touched, k);
                 }
             }
         }
@@ -267,61 +275,57 @@ impl SweepBase {
             if new != old {
                 for (k, &sw) in self.key_switch.iter().enumerate() {
                     if sw == s as u32 {
-                        for m in &self.key_members[k] {
-                            touched[m.flow as usize] = true;
-                        }
+                        touch_key(&mut touched, k);
                     }
                 }
             }
         }
         for &i in routes_new.resolved() {
-            let i = i as usize;
-            touched[i] |= routes_new.span(i) != self.routes.span(i);
+            if routes_new.span(i as usize) != self.routes.span(i as usize) {
+                touched.insert(i);
+            }
         }
+        let perturbed: Vec<u32> = touched.iter().collect();
 
         // Affected directed links: everything a perturbed flow crosses,
-        // on its old or new route.
+        // on its old or new route; `gains` counts each one's crossings on
+        // new routes.
         let keyn = self.key_members.len();
-        let mut aff_mark = vec![false; keyn];
+        let mut aff_idx = vec![u32::MAX; keyn];
         let mut aff_keys: Vec<usize> = Vec::new();
-        for (i, _) in touched.iter().enumerate().filter(|(_, t)| **t) {
-            for span in [self.routes.span(i), routes_new.span(i)] {
-                for rec in span {
-                    let (_, _, b_sw) = snap_new[rec.link as usize];
-                    let dir = if rec.from_node {
-                        2
-                    } else {
-                        (rec.switch == b_sw) as usize
-                    };
-                    let key = rec.link as usize * 3 + dir;
-                    if !aff_mark[key] {
-                        aff_mark[key] = true;
-                        aff_keys.push(key);
-                    }
+        let mut gains: Vec<u32> = Vec::new();
+        for &i in &perturbed {
+            let (old, new) = (self.routes.span(i as usize), routes_new.span(i as usize));
+            let recs = old.iter().map(|r| (r, 0)).chain(new.iter().map(|r| (r, 1)));
+            for (rec, adds) in recs {
+                let key = directed_key(&snap_new, rec);
+                if aff_idx[key] == u32::MAX {
+                    aff_idx[key] = aff_keys.len() as u32;
+                    aff_keys.push(key);
+                    gains.push(0);
                 }
+                gains[aff_idx[key] as usize] += adds;
             }
         }
 
         // Re-walk the perturbed flows' (new) routes into per-key
-        // addition lists, in flow order.
-        let mut aff_idx = vec![u32::MAX; keyn];
-        for (j, &k) in aff_keys.iter().enumerate() {
-            aff_idx[k] = j as u32;
-        }
-        let mut additions: Vec<Vec<KeyMember>> = vec![Vec::new(); aff_keys.len()];
+        // addition lists, in flow order. Sized exactly: one block per
+        // key keeps the heap from growing with the largest scenario.
+        let mut additions: Vec<Vec<KeyMember>> = gains
+            .iter()
+            .map(|&g| Vec::with_capacity(g as usize))
+            .collect();
         let mut aff_switch: Vec<u32> = aff_keys.iter().map(|&k| self.key_switch[k]).collect();
-        for (i, flow) in self.flows.iter().enumerate() {
-            if !touched[i] {
-                continue;
-            }
+        for &i in &perturbed {
+            let (flow, span) = (&self.flows[i as usize], routes_new.span(i as usize));
             let mut h = 0u8;
-            walk_span(&self.cfg, &snap_new, flow, routes_new.span(i), |x| {
+            walk_span(&self.cfg, &snap_new, flow, span, |x| {
                 let j = aff_idx[x.key] as usize;
                 if aff_switch[j] == u32::MAX {
                     aff_switch[j] = x.switch;
                 }
                 additions[j].push(KeyMember {
-                    flow: i as u32,
+                    flow: i,
                     bytes: flow.size,
                     hop: h,
                     in_port: x.in_port,
@@ -339,19 +343,27 @@ impl SweepBase {
         // cache lookup is the dedup: affected links whose rebuilt
         // profiles coincide get one id.
         //
-        // `overlay[routes_new.offset(flow) + hop]` names the (rebuilt
-        // cluster, member) behind that crossing; it is written for
-        // *every* member of every rebuilt cluster, perturbed or not, so
-        // an untouched entry means "this crossing is the base's".
-        // Fresh per scenario, so nothing of the last one can show.
-        let mut overlay = vec![(ClusterId::NONE, 0u32); routes_new.crossings()];
-        let mut consults_overlay = vec![false; n];
+        // `overlay[routes_new.offset(flow) + hop]` holds the excess the
+        // rebuilt cluster behind that crossing gives it; it is written
+        // for *every* member of every rebuilt cluster, perturbed or not,
+        // so an entry left at `Duration::MAX` (no replay measures that)
+        // means "this crossing is the base's". Fresh per scenario, so
+        // nothing of the last one can show. Perturbed flows read their
+        // shapes per affected key instead: 8 bytes a crossing, not 16,
+        // keeps the allocator's high-water mark down.
+        let mut overlay = vec![Duration::MAX; routes_new.crossings()];
+        // Per affected key: the shape id of its rebuilt cluster.
+        let mut aff_shape = vec![u32::MAX; aff_keys.len()];
+        // Flows to recompose: the perturbed ones and every member of a
+        // rebuilt cluster.
+        let mut recompose = touched.clone();
         // Per cluster id: referenced in this scenario already?
         let mut seen = vec![false; cache.len()];
         // The scenario's clusters: first the rebuilt ones, one entry each.
         let mut clusters: Vec<ClusterId> = Vec::new();
         let (mut emptied, mut created) = (0usize, 0usize);
         let mut merged: Vec<KeyMember> = Vec::new();
+        let (mut src_map, mut dst_map): (Vec<u16>, Vec<u16>) = (Vec::new(), Vec::new());
         for (j, &k) in aff_keys.iter().enumerate() {
             let stored = &self.key_members[k];
             let adds = &additions[j];
@@ -360,7 +372,7 @@ impl SweepBase {
             merged.reserve(stored.len() + adds.len());
             let (mut a, mut b) = (0usize, 0usize);
             loop {
-                while a < stored.len() && touched[stored[a].flow as usize] {
+                while a < stored.len() && touched.contains(stored[a].flow) {
                     a += 1;
                 }
                 match (a < stored.len(), b < adds.len()) {
@@ -394,8 +406,8 @@ impl SweepBase {
                 created += 1;
             }
             let (lat, bw, _) = snap_new[k / 3];
-            let mut src_map: Vec<u16> = Vec::new();
-            let mut dst_map: Vec<u16> = Vec::new();
+            src_map.clear();
+            dst_map.clear();
             let members: Vec<LinkFlow> = merged
                 .iter()
                 .map(|m| LinkFlow {
@@ -422,9 +434,11 @@ impl SweepBase {
                 cache.tally(hit);
                 clusters.push(id);
             }
-            for (pos, m) in merged.iter().enumerate() {
-                overlay[routes_new.offset(m.flow as usize) + m.hop as usize] = (id, pos as u32);
-                consults_overlay[m.flow as usize] = true;
+            let served = &cache.split().0[id.index()];
+            aff_shape[j] = served.shape;
+            for (m, &excess) in merged.iter().zip(&served.delays) {
+                overlay[routes_new.offset(m.flow as usize) + m.hop as usize] = excess;
+                recompose.insert(m.flow);
             }
         }
 
@@ -432,74 +446,68 @@ impl SweepBase {
         // directed link — by id, so a rebuilt profile equal to a retained
         // one counts once, as a from-scratch dedup would count it.
         for (k, &c) in self.key_cluster.iter().enumerate() {
-            if c != u32::MAX && !aff_mark[k] {
+            if c != u32::MAX && aff_idx[k] == u32::MAX {
                 let id = self.base_ids[c as usize];
                 if first_sight(&mut seen, id) {
                     clusters.push(id);
                 }
             }
         }
-        let mut hop_excess = LogHistogram::new();
-        for &id in &clusters {
-            for &q in cache.delays(id) {
-                hop_excess.record_duration(q);
-            }
-        }
 
-        // Compose. Only a flow with a crossing in a rebuilt cluster is
-        // recombined hop by hop — overlay first, base otherwise — and
-        // only a perturbed one (all its links were rebuilt) re-probes its
-        // baseline; everything else is a base term (see [`BaseTerm`]).
-        let (interned, solo) = cache.split();
-        let mut probe = SoloProber::new(&self.cfg, solo);
-        let mut recomposed = 0;
-        // Per-hop scratch: (cluster, member), reused across flows.
-        let mut hops: Vec<(ClusterId, u32)> = Vec::new();
-        let outcomes: Vec<TopoOutcome> = (0..n)
-            .map(|i| {
-                let flow = self.flows[i];
-                let base = self.base_terms[i];
-                recomposed += (touched[i] || consults_overlay[i]) as usize;
-                let span_len = routes_new.span(i).len();
-                let status = if span_len == 0 {
+        // Compose. Every flow starts from its base term (see
+        // [`BaseTerm`]); only a flow with a crossing in a rebuilt
+        // cluster is recombined hop by hop — overlay first, the base's
+        // excess otherwise — and only a perturbed one (all its links
+        // were rebuilt) re-probes its baseline.
+        let mut outcomes: Vec<TopoOutcome> = self
+            .flows
+            .iter()
+            .zip(&self.base_terms)
+            .enumerate()
+            .map(|(i, (&flow, base))| {
+                let status = if self.routes.span(i).is_empty() {
                     FlowStatus::Failed(flow.arrival)
-                } else if !consults_overlay[i] {
-                    FlowStatus::Delivered(flow.arrival + base.unloaded + base.queued(combine))
                 } else {
-                    let at = routes_new.offset(i);
-                    let base_hops = self.decomp.hops(i);
-                    hops.clear();
-                    hops.extend((0..span_len).map(|h| match overlay[at + h] {
-                        (ClusterId::NONE, _) => {
-                            let hr = base_hops.expect("unperturbed crossing keeps its base hop")[h];
-                            (self.base_ids[hr.cluster as usize], hr.member)
-                        }
-                        rebuilt => rebuilt,
-                    }));
-                    let unloaded = if touched[i] {
-                        probe.unloaded(
-                            what_if,
-                            &flow,
-                            hops.iter().map(|&(c, _)| interned[c.index()].shape),
-                        )
-                    } else {
-                        base.unloaded
-                    };
-                    let queued = combine.apply(
-                        hops.iter()
-                            .map(|&(c, m)| interned[c.index()].delays[m as usize]),
-                    );
-                    FlowStatus::Delivered(flow.arrival + unloaded + queued)
+                    FlowStatus::Delivered(flow.arrival + base.unloaded + base.queued(combine))
                 };
                 TopoOutcome { flow, status }
             })
             .collect();
+        let (_, solo) = cache.split();
+        let mut probe = SoloProber::new(&self.cfg, solo);
+        let mut recomposed = 0;
+        for i in recompose.iter() {
+            recomposed += 1;
+            let i = i as usize;
+            let flow = self.flows[i];
+            let at = routes_new.offset(i);
+            let hops = &overlay[at..at + routes_new.span(i).len()];
+            outcomes[i].status = if hops.is_empty() {
+                FlowStatus::Failed(flow.arrival)
+            } else if touched.contains(i as u32) {
+                let shapes = routes_new
+                    .span(i)
+                    .iter()
+                    .map(|rec| aff_shape[aff_idx[directed_key(&snap_new, rec)] as usize]);
+                let unloaded = probe.unloaded(what_if, &flow, shapes);
+                FlowStatus::Delivered(flow.arrival + unloaded + combine.apply(hops.iter().copied()))
+            } else {
+                let base = &self.base_excess[self.routes.offset(i)..];
+                let queued = combine.apply(hops.iter().zip(base).map(|(&o, &b)| {
+                    if o == Duration::MAX {
+                        b
+                    } else {
+                        o
+                    }
+                }));
+                FlowStatus::Delivered(flow.arrival + self.base_terms[i].unloaded + queued)
+            };
+        }
 
         ApproxResult {
             outcomes,
             clusters: clusters.len(),
             link_instances: self.decomp.link_instances - emptied + created,
-            hop_excess,
             recomposed,
         }
     }

@@ -62,7 +62,7 @@ mod represent;
 pub use compose::{compose, compose_cached, ApproxResult, Combine, SoloCache};
 pub use decompose::{
     bucket, decompose, resolve_all, resolve_delta, resolve_route, ClusterProfile, CrossRec,
-    Decomposition, FlowPath, HopRef, LinkCluster, LinkFlow, ResolvedRoutes, TopoSignature,
+    Decomposition, FlowPath, HopRef, LinkCluster, LinkFlow, ResolvedRoutes, RouteIndex,
 };
 pub use delta::SweepBase;
 pub use linksim::{simulate_batch, simulate_cluster, ClusterDelays};
@@ -112,7 +112,7 @@ pub fn apply_faults(topo: &mut Topology, faults: &[FaultKind]) {
 pub struct ClusterId(u32);
 
 impl ClusterId {
-    /// Marks "no cluster" in the delta path's flat per-crossing overlay.
+    /// Marks "no cluster": the end of a [`SweepCache`] hash chain.
     pub(crate) const NONE: ClusterId = ClusterId(u32::MAX);
 
     pub(crate) fn index(self) -> usize {
@@ -159,8 +159,8 @@ pub(crate) struct Interned {
 /// lookup hands back a [`ClusterId`], and delays are then read in place
 /// ([`delays`](Self::delays)), never copied out. Cached delays are bare
 /// excess slices, not [`ClusterDelays`]: a grid's cache holds thousands
-/// of clusters, and the per-cluster histogram (~32 KB each) is cheap to
-/// rebuild from the excesses at composition time but expensive to keep
+/// of clusters, composition reads only the excesses, and the
+/// per-cluster histogram (~32 KB each) would be expensive to keep
 /// resident.
 #[derive(Debug)]
 pub struct SweepCache {
