@@ -206,7 +206,7 @@ pub struct CrossRec {
 
 /// Every flow's resolved crossing sequence, arena-packed. The expensive
 /// part of decomposition is route resolution; a what-if sweep resolves
-/// the baseline once and then [`resolve_delta`] copies the spans of
+/// the baseline once and then its route delta copies the spans of
 /// flows the fault provably cannot have rerouted.
 #[derive(Debug, Clone)]
 pub struct ResolvedRoutes {
@@ -240,7 +240,7 @@ impl ResolvedRoutes {
     }
 
     /// How many flows that was (the flow count for [`resolve_all`]; the
-    /// interesting number for [`resolve_delta`]).
+    /// interesting number for a what-if's route delta).
     pub fn rerouted(&self) -> usize {
         self.resolved.len()
     }
@@ -376,9 +376,11 @@ impl FlowSet {
 /// liveness and ECMP decision-row digests ([`Topology::route_digests`]),
 /// and, inverted from the baseline routes, which flows consult each
 /// decision row, which have an endpoint at each node, and which were
-/// unroutable. Build it once per baseline with [`RouteIndex::new`].
+/// unroutable. Build it once per baseline with [`RouteIndex::new`]; a
+/// route delta is only right against the flows and baseline the index
+/// was built from, so it never leaves the crate.
 #[derive(Debug, Clone)]
-pub struct RouteIndex {
+pub(crate) struct RouteIndex {
     switches: Vec<bool>,
     links: Vec<bool>,
     digests: Vec<u64>,
@@ -393,7 +395,7 @@ pub struct RouteIndex {
 
 impl RouteIndex {
     /// Indexes `routes`, the baseline resolution of `flows` on `topo`.
-    pub fn new(topo: &Topology, flows: &[Flow], routes: &ResolvedRoutes) -> Self {
+    pub(crate) fn new(topo: &Topology, flows: &[Flow], routes: &ResolvedRoutes) -> Self {
         assert_eq!(routes.len(), flows.len(), "routes must cover these flows");
         let n = topo.switch_count();
         let mut rows = Vec::with_capacity(routes.crossings());
@@ -457,7 +459,7 @@ pub fn resolve_all(topo: &Topology, flows: &[Flow]) -> ResolvedRoutes {
 /// runs — the salted-ECMP walk consults exactly those rows, so the copy
 /// is bit-identical to re-resolving (`delta_matches_full_resolution` in
 /// this module's tests, plus the `prop_approx` pin, hold it to that).
-pub fn resolve_delta(
+pub(crate) fn resolve_delta(
     topo: &Topology,
     flows: &[Flow],
     prev: &ResolvedRoutes,
@@ -763,8 +765,8 @@ pub fn bucket(
 ///
 /// Routes are resolved against the topology's *current* element state —
 /// apply static what-if faults ([`crate::apply_faults`]) before calling.
-/// Sweeps over many scenarios should resolve once and delta instead:
-/// [`resolve_all`] + [`resolve_delta`] + [`bucket`].
+/// Sweeps over many scenarios should build one [`crate::SweepBase`] and
+/// estimate each scenario as a delta against it instead.
 pub fn decompose(topo: &Topology, cfg: &TopoEdmConfig, flows: &[Flow]) -> Decomposition {
     bucket(topo, cfg, flows, &resolve_all(topo, flows))
 }

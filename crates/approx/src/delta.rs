@@ -7,7 +7,7 @@
 //! cluster — ~8 ms at a million crossings even when a fault moved
 //! nothing but one optics latency. [`SweepBase`] keeps, per (topology,
 //! workload) pair, the healthy decomposition *plus* a route index
-//! ([`RouteIndex`]: which flows consult each ECMP decision row, sit
+//! (`RouteIndex`: which flows consult each ECMP decision row, sit
 //! behind each access link or attach switch, or were unroutable), each
 //! directed link's member list in pre-densification form, each base
 //! cluster's id in the sweep's [`SweepCache`], each base crossing's
@@ -16,7 +16,7 @@
 //! perturbation rather than the workload:
 //!
 //! 1. finds the flows a scenario can have perturbed — rerouted flows
-//!    ([`resolve_delta`] re-resolves only the flows the route index
+//!    (`resolve_delta` re-resolves only the flows the route index
 //!    names and copies every other span in runs) plus flows crossing a
 //!    link whose latency/bandwidth/liveness changed (their downstream
 //!    demand arrivals shift even when the route holds);

@@ -61,8 +61,8 @@ mod represent;
 
 pub use compose::{compose, compose_cached, ApproxResult, Combine, SoloCache};
 pub use decompose::{
-    bucket, decompose, resolve_all, resolve_delta, resolve_route, ClusterProfile, CrossRec,
-    Decomposition, FlowPath, HopRef, LinkCluster, LinkFlow, ResolvedRoutes, RouteIndex,
+    bucket, decompose, resolve_all, resolve_route, ClusterProfile, CrossRec, Decomposition,
+    FlowPath, HopRef, LinkCluster, LinkFlow, ResolvedRoutes,
 };
 pub use delta::SweepBase;
 pub use linksim::{simulate_batch, simulate_cluster, ClusterDelays};
@@ -156,8 +156,8 @@ pub(crate) struct Interned {
 /// long-lived one.
 ///
 /// A miss moves an owned profile in (a borrowed one is cloned); every
-/// lookup hands back a [`ClusterId`], and delays are then read in place
-/// ([`delays`](Self::delays)), never copied out. Cached delays are bare
+/// lookup hands back a [`ClusterId`], and composition then reads the
+/// delays in place, never copied out. Cached delays are bare
 /// excess slices, not [`ClusterDelays`]: a grid's cache holds thousands
 /// of clusters, composition reads only the excesses, and the
 /// per-cluster histogram (~32 KB each) would be expensive to keep
@@ -312,22 +312,12 @@ impl SweepCache {
 
     /// Interns `profile`: one hash of the profile, an in-process replay
     /// if the sweep has not seen it (tallied a miss; an owned profile is
-    /// moved in, a borrowed one cloned), a hit otherwise. The returned id
-    /// reads the delays in place via [`delays`](Self::delays).
+    /// moved in, a borrowed one cloned), a hit otherwise. Composition
+    /// reads the delays behind the returned id in place.
     pub fn intern(&mut self, profile: Cow<'_, ClusterProfile>, cfg: &TopoEdmConfig) -> ClusterId {
         let (id, hit) = self.lookup(profile, cfg);
         self.tally(hit);
         id
-    }
-
-    /// The per-member excesses of interned cluster `id`, indexed like its
-    /// profile's `members`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` came from another cache with fewer entries.
-    pub fn delays(&self, id: ClusterId) -> &[Duration] {
-        &self.entries[id.index()].delays
     }
 
     /// The interned clusters and the solo-baseline half, borrowed apart:

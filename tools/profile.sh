@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Where one benchmark workload spends its CPU time, by sampling.
 #
-#   tools/profile.sh --workload NAME [--seconds S] [--seed N] [--top K]
+#   tools/profile.sh --workload NAME [--seconds S]
 #
 # Builds the benchmark (benchmark/, unmodified) with line tables into
 # its own target dir (target/profile), runs NAME once under
 # tools/sampler.c (LD_PRELOAD; SIGPROF on consumed CPU time records the
 # interrupted instruction pointer), symbolizes every sample with
-# `addr2line -a -f -C -i` and prints three tables: the top K innermost
+# `addr2line -a -f -C -i` and prints three tables: the top 25 innermost
 # functions (inlined frames count as their own function), then the top
-# K source files and source lines, each sample charged to its innermost
+# 25 source files and source lines, each sample charged to its innermost
 # frame in this repository (std code inlined into a crate counts toward
 # that crate's line).
 #
@@ -18,7 +18,8 @@
 # kernel — so a share below 1 % of a 10 s run rests on fewer than 25
 # samples. Run 10 s or more (default 20) and read shares, not absolutes;
 # the script prints the rate it saw. The benchmark's warm-up rep and its
-# per-layer probes are sampled too.
+# per-layer probes are sampled too. The run uses the benchmark's
+# default seed, 42.
 #
 # Needs bash, cc, addr2line, readelf, awk, sort and uniq.
 set -euo pipefail
@@ -31,19 +32,15 @@ die() {
 
 workload=
 seconds=20
-seed=42
 top=25
 while [[ $# -gt 0 ]]; do
     case "$1" in
     --workload) workload=${2:?--workload needs a value} && shift 2 ;;
     --seconds) seconds=${2:?--seconds needs a value} && shift 2 ;;
-    --seed) seed=${2:?--seed needs a value} && shift 2 ;;
-    --top) top=${2:?--top needs a value} && shift 2 ;;
     *) die "unknown argument: $1" ;;
     esac
 done
-[[ -n $workload ]] || die "usage: tools/profile.sh --workload NAME [--seconds S] [--seed N] [--top K]"
-[[ $top =~ ^[1-9][0-9]*$ ]] || die "--top must be a positive integer"
+[[ -n $workload ]] || die "usage: tools/profile.sh --workload NAME [--seconds S]"
 
 target=target/profile
 work=$(mktemp -d)
@@ -59,7 +56,7 @@ bin=$(cd "$target/release" && pwd)/edm-benchmark
 start=$(date +%s.%N)
 SAMPLER_OUT=$work/raw LD_PRELOAD=$work/sampler.so \
     MALLOC_TRIM_THRESHOLD_=1073741824 MALLOC_MMAP_THRESHOLD_=4194304 \
-    "$bin" --workload "$workload" --seconds "$seconds" --seed "$seed" > /dev/null
+    "$bin" --workload "$workload" --seconds "$seconds" --seed 42 > /dev/null
 end=$(date +%s.%N)
 [[ -s $work/raw ]] || die "the run wrote no samples"
 
