@@ -13,19 +13,17 @@
 //! per-link waits overlap in time rather than accruing one after
 //! another.
 //!
-//! [`Combine::Sum`] (the default, Parsimon's serial-queueing
-//! assumption) charges each flow the sum of its per-link excesses;
-//! [`Combine::Bottleneck`] charges only the worst link (per-link waits
-//! fully overlapping in time). Measured against the exact engine, the
-//! per-link replays *miss* delay — cross-link correlation (a stall
-//! upstream bunches arrivals downstream) and incast synchronization are
-//! invisible to them — so both combiners underestimate the tail and Sum,
-//! which recovers the most, tracks the exact engine closest (calibrated
-//! on the 144/288-node overlaps: p99 within ~3–5% at the paper's 64 B
-//! messages, degrading to ~15% at 1–4 KiB where per-hop serialization
-//! couples the links more strongly). That envelope is measured, not
-//! argued: the `error_envelope` suite compares both engines on overlap
-//! sizes and pins [`crate::P99_ERROR_BOUND`].
+//! Each flow is charged the sum of its per-link excesses ([`Combine::Sum`],
+//! Parsimon's serial-queueing assumption). Measured against the exact
+//! engine, the per-link replays *miss* delay — cross-link correlation (a
+//! stall upstream bunches arrivals downstream) and incast
+//! synchronization are invisible to them — so the estimate underestimates
+//! the tail, and the sum, which recovers the most, tracks the exact
+//! engine closest (calibrated on the 144/288-node overlaps: p99 within
+//! ~3–5% at the paper's 64 B messages, degrading to ~15% at 1–4 KiB
+//! where per-hop serialization couples the links more strongly). That
+//! envelope is measured, not argued: the `error_envelope` suite compares
+//! both engines on overlap sizes and pins [`crate::P99_ERROR_BOUND`].
 
 use crate::decompose::Decomposition;
 use crate::fxhash::FxHashMap;
@@ -34,27 +32,17 @@ use edm_sim::{Bandwidth, Duration, Summary};
 use edm_topo::{FlowStatus, TopoEdm, TopoEdmConfig, TopoOutcome, Topology};
 
 /// How a flow's per-link excesses combine into one end-to-end estimate.
+/// [`Combine::Sum`] is the one choice; the type remains as the `combine`
+/// parameter of [`crate::SweepCache::compose`] and
+/// [`crate::SweepBase::estimate_delta`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Combine {
     /// Sum every link's excess (Parsimon's serial-queueing assumption).
     /// Since the per-link replays systematically *miss* correlated
     /// delay, the combiner recovering the most tracks the exact engine
-    /// closest — the calibrated default.
+    /// closest.
     #[default]
     Sum,
-    /// Charge only the worst single link (per-link waits modeled as
-    /// fully overlapping) — the optimistic bound, kept for comparison
-    /// sweeps.
-    Bottleneck,
-}
-
-impl Combine {
-    pub(crate) fn apply(self, excesses: impl Iterator<Item = Duration>) -> Duration {
-        match self {
-            Combine::Bottleneck => excesses.max().unwrap_or(Duration::ZERO),
-            Combine::Sum => excesses.sum(),
-        }
-    }
 }
 
 /// The estimator's output, shaped like the exact engine's result so
@@ -116,7 +104,7 @@ pub(crate) type Shape = (Bandwidth, Bandwidth, Duration);
 /// their crossing parameters match an already-probed shape, so a
 /// symmetric fabric pays for a handful of probes over the entire sweep.
 #[derive(Debug, Default)]
-pub struct SoloCache {
+pub(crate) struct SoloCache {
     /// Every distinct crossing triple seen so far; a triple's index is
     /// its *shape id*, stable for the life of the cache. `u32`, because a
     /// fabric with per-link degradations has as many shapes as links.
@@ -125,13 +113,8 @@ pub struct SoloCache {
 }
 
 impl SoloCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Distinct route shapes probed so far.
-    pub fn probes(&self) -> usize {
+    pub(crate) fn probes(&self) -> usize {
         self.map.len()
     }
 
@@ -215,23 +198,12 @@ impl<'a> SoloProber<'a> {
     }
 }
 
-/// Composes per-cluster delays back into per-flow estimates, memoizing
-/// the exact unloaded probes in a fresh [`SoloCache`].
-pub fn compose<D: AsRef<[Duration]>>(
-    topo: &Topology,
-    cfg: &TopoEdmConfig,
-    decomp: &Decomposition,
-    delays: &[D],
-    combine: Combine,
-) -> ApproxResult {
-    compose_cached(topo, cfg, decomp, delays, combine, &mut SoloCache::new())
-}
-
 /// Composes per-cluster delays back into per-flow estimates.
 ///
 /// `delays[i]` must be the per-member excesses of `decomp.clusters[i]` —
 /// a [`crate::ClusterDelays`], an owned vector, or a borrowed slice
-/// (sweep harnesses pass `&[&[Duration]]` straight out of their cache).
+/// ([`crate::SweepCache::compose`] passes `&[&[Duration]]` straight out
+/// of its entries).
 /// Solo baselines come from `solo`, which outlives one composition —
 /// hand the same cache to every scenario of a sweep.
 ///
@@ -239,12 +211,11 @@ pub fn compose<D: AsRef<[Duration]>>(
 /// packed one-word key over *shape ids* (a fabric has a handful of
 /// distinct crossing parameter triples); only a first-seen shape
 /// sequence falls back to the structural [`SoloCache`] key.
-pub fn compose_cached<D: AsRef<[Duration]>>(
+pub(crate) fn compose_cached<D: AsRef<[Duration]>>(
     topo: &Topology,
     cfg: &TopoEdmConfig,
     decomp: &Decomposition,
     delays: &[D],
-    combine: Combine,
     solo: &mut SoloCache,
 ) -> ApproxResult {
     assert_eq!(
@@ -270,10 +241,10 @@ pub fn compose_cached<D: AsRef<[Duration]>>(
                         &fp.flow,
                         hops.iter().map(|h| shape_id[h.cluster as usize]),
                     );
-                    let queued = combine.apply(
-                        hops.iter()
-                            .map(|h| delays[h.cluster as usize].as_ref()[h.member as usize]),
-                    );
+                    let queued = hops
+                        .iter()
+                        .map(|h| delays[h.cluster as usize].as_ref()[h.member as usize])
+                        .sum::<Duration>();
                     FlowStatus::Delivered(fp.flow.arrival + unloaded + queued)
                 }
             };
@@ -300,6 +271,17 @@ mod tests {
     use edm_sim::Time;
     use edm_topo::cluster_topology;
 
+    /// Composes per-cluster delays back into per-flow estimates through a
+    /// fresh [`SoloCache`].
+    fn compose<D: AsRef<[Duration]>>(
+        topo: &Topology,
+        cfg: &TopoEdmConfig,
+        decomp: &Decomposition,
+        delays: &[D],
+    ) -> ApproxResult {
+        compose_cached(topo, cfg, decomp, delays, &mut SoloCache::default())
+    }
+
     #[test]
     fn lone_flow_estimate_matches_exact_solo() {
         let topo = cluster_topology(&ClusterConfig::default());
@@ -318,7 +300,7 @@ mod tests {
             .iter()
             .map(|c| simulate_cluster(c, &cfg))
             .collect();
-        let r = compose(&topo, &cfg, &d, &delays, Combine::Bottleneck);
+        let r = compose(&topo, &cfg, &d, &delays);
         let exact = TopoEdm::new(cfg).simulate(&topo, &[flow]);
         // An uncontended flow has zero excess everywhere, so the
         // estimate *is* the exact engine's answer.
@@ -340,7 +322,7 @@ mod tests {
             kind: FlowKind::Write,
         };
         let d = decompose(&topo, &cfg, &[flow]);
-        let r = compose::<ClusterDelays>(&topo, &cfg, &d, &[], Combine::Bottleneck);
+        let r = compose::<ClusterDelays>(&topo, &cfg, &d, &[]);
         assert_eq!(r.outcomes[0].status, FlowStatus::Failed(at));
         assert_eq!(r.failed(), 1);
     }

@@ -35,7 +35,7 @@
 use crate::fxhash::FxHashMap;
 use edm_core::sim::Flow;
 use edm_sim::{Bandwidth, Duration, Time};
-use edm_topo::{Endpoint, Route, TopoEdmConfig, Topology};
+use edm_topo::{Endpoint, Route, TopoEdmConfig, Topology, TRUNK_MAX_ACTIVE_PER_PAIR};
 
 /// The approximate engine's own derivation of the exact engine's path
 /// choice: salted ECMP over the flow's *data* direction (writes travel
@@ -603,7 +603,7 @@ pub(crate) fn walk_span(
     let limit = if route_hops == 1 {
         cfg.max_active_per_pair
     } else {
-        cfg.trunk_max_active_per_pair
+        TRUNK_MAX_ACTIVE_PER_PAIR
     } as u32;
     let head = flow.size.min(cfg.chunk_bytes) as u64;
     let mut offset = Duration::ZERO;

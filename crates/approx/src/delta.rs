@@ -67,30 +67,20 @@ struct KeyMember {
 }
 
 /// One flow's healthy estimate, as the terms a scenario can reuse: the
-/// unloaded baseline and each [`Combine`] of the base excesses.
+/// unloaded baseline and the sum of the base excesses.
 ///
 /// A flow that was not rerouted and crosses no link or granting switch
 /// whose parameters changed keeps its base crossing triples, so its
-/// [`crate::SoloCache`] key — and with it `unloaded` — is the base's
-/// (the assumption that cache already makes: a baseline depends on the
-/// route's shape, not on the scenario). If in addition none of its
+/// [`crate::compose::SoloCache`] key — and with it `unloaded` — is the
+/// base's (the assumption that cache already makes: a baseline depends
+/// on the route's shape, not on the scenario). If in addition none of its
 /// crossings sits in a rebuilt cluster, each crossing is still served by
 /// its base cluster at its base member position, and interned delays
-/// never change: `sum` and `bottleneck` are the base's too.
+/// never change: `queued` is the base's too.
 #[derive(Debug, Clone, Copy, Default)]
 struct BaseTerm {
     unloaded: Duration,
-    sum: Duration,
-    bottleneck: Duration,
-}
-
-impl BaseTerm {
-    fn queued(self, combine: Combine) -> Duration {
-        match combine {
-            Combine::Sum => self.sum,
-            Combine::Bottleneck => self.bottleneck,
-        }
-    }
+    queued: Duration,
 }
 
 /// A (topology, workload) pair's cached healthy decomposition, ready to
@@ -213,11 +203,9 @@ impl SweepBase {
                 let unloaded = probe.unloaded(&self.topo, flow, hops.iter().map(|h| of(h).shape));
                 let at = excess.len();
                 excess.extend(hops.iter().map(|h| of(h).delays[h.member as usize]));
-                let excesses = || excess[at..].iter().copied();
                 BaseTerm {
                     unloaded,
-                    sum: Combine::Sum.apply(excesses()),
-                    bottleneck: Combine::Bottleneck.apply(excesses()),
+                    queued: excess[at..].iter().copied().sum(),
                 }
             })
             .collect();
@@ -231,11 +219,12 @@ impl SweepBase {
     /// be the one this base was [`prime`](Self::prime)d with. The result
     /// is identical to a from-scratch [`crate::ApproxEngine::estimate`]
     /// on `what_if` in every field but `recomposed` (`delta_matches_scratch`
-    /// and `prop_approx` pin this).
+    /// and `prop_approx` pin this). `Combine` has the one variant
+    /// [`Combine::Sum`], so the parameter selects nothing.
     pub fn estimate_delta(
         &self,
         what_if: &Topology,
-        combine: Combine,
+        _combine: Combine,
         cache: &mut SweepCache,
     ) -> ApproxResult {
         let n = self.flows.len();
@@ -468,7 +457,7 @@ impl SweepBase {
                 let status = if self.routes.span(i).is_empty() {
                     FlowStatus::Failed(flow.arrival)
                 } else {
-                    FlowStatus::Delivered(flow.arrival + base.unloaded + base.queued(combine))
+                    FlowStatus::Delivered(flow.arrival + base.unloaded + base.queued)
                 };
                 TopoOutcome { flow, status }
             })
@@ -490,16 +479,16 @@ impl SweepBase {
                     .iter()
                     .map(|rec| aff_shape[aff_idx[directed_key(&snap_new, rec)] as usize]);
                 let unloaded = probe.unloaded(what_if, &flow, shapes);
-                FlowStatus::Delivered(flow.arrival + unloaded + combine.apply(hops.iter().copied()))
+                FlowStatus::Delivered(
+                    flow.arrival + unloaded + hops.iter().copied().sum::<Duration>(),
+                )
             } else {
                 let base = &self.base_excess[self.routes.offset(i)..];
-                let queued = combine.apply(hops.iter().zip(base).map(|(&o, &b)| {
-                    if o == Duration::MAX {
-                        b
-                    } else {
-                        o
-                    }
-                }));
+                let queued = hops
+                    .iter()
+                    .zip(base)
+                    .map(|(&o, &b)| if o == Duration::MAX { b } else { o })
+                    .sum();
                 FlowStatus::Delivered(flow.arrival + self.base_terms[i].unloaded + queued)
             };
         }
@@ -528,6 +517,13 @@ mod tests {
     use crate::{apply_faults, ApproxEngine};
     use edm_core::sim::FlowKind;
     use edm_topo::{FaultKind, LeafSpine};
+
+    /// A base keeps one term per flow: the unloaded baseline and the
+    /// summed excess, nothing per combiner.
+    #[test]
+    fn base_term_stays_16_bytes() {
+        assert_eq!(std::mem::size_of::<BaseTerm>(), 16);
+    }
 
     fn workload(nodes: usize) -> Vec<Flow> {
         (0..400usize)

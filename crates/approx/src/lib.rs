@@ -16,21 +16,21 @@
 //!    flow-profile) signatures.
 //! 2. Replay through a miniature [`edm_core::sim::SwitchDomain`] (the
 //!    same scheduler core the exact engine runs per switch — not a new
-//!    queueing model), yielding per-crossing queueing excesses as
-//!    shard-mergeable [`edm_sim::LogHistogram`]s. An estimate replays
+//!    queueing model), yielding one queueing excess per crossing
+//!    ([`ClusterDelays`]). An estimate replays
 //!    one *representative* per similar link, not one mini-simulation per
 //!    distinct one: [`SweepCache`] keys each cluster by quantized
 //!    features (crossing triple and largest message exact; member and
-//!    port counts and mean arrival gap log-bucketed; pair-limit and
-//!    batching shares in quarters), replays a synthetic profile built
+//!    port counts and mean arrival gap log-bucketed; trunk-limit share
+//!    in quarters), replays a synthetic profile built
 //!    from the key alone once per key, and gives each member the
 //!    representative's excess at its own arrival rank.
 //!    [`simulate_cluster`] / [`simulate_batch`] replay each cluster
 //!    itself — the reference the representatives approximate.
-//! 3. [`compose()`] — per flow, an exact unloaded baseline
-//!    ([`edm_topo::TopoEdm::solo_mct`], memoized per route shape) plus a
-//!    combination of its crossings' excesses ([`Combine`]; the
-//!    documented independence assumption lives there).
+//! 3. Compose ([`SweepCache::compose`]) — per flow, an exact unloaded
+//!    baseline ([`edm_topo::TopoEdm::solo_mct`], memoized per route
+//!    shape) plus the sum of its crossings' excesses (the documented
+//!    independence assumption lives in [`compose`]).
 //!
 //! What-if grids go through [`SweepCache`]: scenarios that leave a
 //! link's flow profile untouched (most failure what-ifs) reuse its
@@ -59,7 +59,7 @@ mod fxhash;
 pub mod linksim;
 mod represent;
 
-pub use compose::{compose, compose_cached, ApproxResult, Combine, SoloCache};
+pub use compose::{ApproxResult, Combine};
 pub use decompose::{
     bucket, decompose, resolve_all, resolve_route, ClusterProfile, CrossRec, Decomposition,
     FlowPath, HopRef, LinkCluster, LinkFlow, ResolvedRoutes,
@@ -69,6 +69,7 @@ pub use linksim::{simulate_batch, simulate_cluster, ClusterDelays};
 
 use std::borrow::Cow;
 
+use crate::compose::{compose_cached, SoloCache};
 use crate::fxhash::FxHashMap;
 use crate::linksim::{DomainPool, SoloMemo};
 use crate::represent::RepKey;
@@ -135,13 +136,13 @@ pub(crate) struct Interned {
 /// Sweep-level memo: every distinct cluster signature the sweep has
 /// seen, interned once with its delays, the representative replays
 /// those delays were read from, and the exact unloaded baselines
-/// ([`SoloCache`]). Across a what-if grid most links' flow profiles are
+/// (`SoloCache`). Across a what-if grid most links' flow profiles are
 /// identical from scenario to scenario (a fault only reshapes the
 /// clusters of links whose crossing flows rerouted), so consecutive
 /// scenarios hit mostly cache — the grid pays for the clusters that
 /// *changed*.
 ///
-/// A lookup ([`intern`](Self::intern)) hashes the profile — its whole
+/// A lookup (`intern`) hashes the profile — its whole
 /// member list — exactly once. On a miss it does not replay the cluster
 /// itself: it keys the profile by quantized features (crossing triple
 /// and largest message exact; member, source-port and destination-port
@@ -157,11 +158,9 @@ pub(crate) struct Interned {
 ///
 /// A miss moves an owned profile in (a borrowed one is cloned); every
 /// lookup hands back a [`ClusterId`], and composition then reads the
-/// delays in place, never copied out. Cached delays are bare
-/// excess slices, not [`ClusterDelays`]: a grid's cache holds thousands
-/// of clusters, composition reads only the excesses, and the
-/// per-cluster histogram (~32 KB each) would be expensive to keep
-/// resident.
+/// delays in place, never copied out. Cached delays are boxed excess
+/// slices, one per member, not [`ClusterDelays`]' growable vectors: a
+/// grid's cache holds thousands of clusters and never grows one.
 #[derive(Debug)]
 pub struct SweepCache {
     /// Profile hash → head of the chain of entries hashing to it.
@@ -275,7 +274,7 @@ impl SweepCache {
                     .into_boxed_slice()
             }
             Some(r) => {
-                let key = RepKey::of(&profile, cfg, r);
+                let key = RepKey::of(&profile, r);
                 let rep = self.reps.entry(key).or_insert_with(|| {
                     served = false;
                     let rep = key.profile(cfg);
@@ -314,7 +313,11 @@ impl SweepCache {
     /// if the sweep has not seen it (tallied a miss; an owned profile is
     /// moved in, a borrowed one cloned), a hit otherwise. Composition
     /// reads the delays behind the returned id in place.
-    pub fn intern(&mut self, profile: Cow<'_, ClusterProfile>, cfg: &TopoEdmConfig) -> ClusterId {
+    pub(crate) fn intern(
+        &mut self,
+        profile: Cow<'_, ClusterProfile>,
+        cfg: &TopoEdmConfig,
+    ) -> ClusterId {
         let (id, hit) = self.lookup(profile, cfg);
         self.tally(hit);
         id
@@ -327,8 +330,10 @@ impl SweepCache {
     }
 
     /// Composes `decomp` against this cache's delays without cloning
-    /// them. Every cluster must already be interned
-    /// ([`intern`](Self::intern)).
+    /// them. Every cluster must already be interned (by
+    /// [`SweepBase::prime`] or [`ApproxEngine::estimate_cached`]).
+    /// `Combine` has the one variant [`Combine::Sum`], so `_combine`
+    /// selects nothing.
     ///
     /// # Panics
     ///
@@ -338,7 +343,7 @@ impl SweepCache {
         topo: &Topology,
         cfg: &TopoEdmConfig,
         decomp: &Decomposition,
-        combine: Combine,
+        _combine: Combine,
     ) -> ApproxResult {
         let (entries, solo) = (&self.entries, &mut self.solo);
         let delays: Vec<&[Duration]> = decomp
@@ -350,7 +355,7 @@ impl SweepCache {
                 &entries[id.index()].delays[..]
             })
             .collect();
-        compose_cached(topo, cfg, decomp, &delays, combine, solo)
+        compose_cached(topo, cfg, decomp, &delays, solo)
     }
 }
 
@@ -359,17 +364,12 @@ impl SweepCache {
 #[derive(Debug, Clone, Default)]
 pub struct ApproxEngine {
     cfg: TopoEdmConfig,
-    /// How per-link excesses combine end to end (see [`Combine`]).
-    pub combine: Combine,
 }
 
 impl ApproxEngine {
     /// An engine estimating the exact engine under `cfg`.
     pub fn new(cfg: TopoEdmConfig) -> Self {
-        ApproxEngine {
-            cfg,
-            combine: Combine::default(),
-        }
+        ApproxEngine { cfg }
     }
 
     /// The exact-engine configuration being estimated.
@@ -398,7 +398,7 @@ impl ApproxEngine {
         for c in &d.clusters {
             cache.intern(Cow::Borrowed(&c.profile), &self.cfg);
         }
-        cache.compose(topo, &self.cfg, &d, self.combine)
+        cache.compose(topo, &self.cfg, &d, Combine::Sum)
     }
 }
 

@@ -4,7 +4,7 @@
 //! This is deliberately *not* a new queueing model. Each cluster replays
 //! its members through the same demand-sparse scheduler core the exact
 //! engine runs per switch (`edm_core::sim::SwitchDomain`: offer →
-//! poll/grant → deliver, with per-pair X limits and §3.1.2 batching), on
+//! poll/grant → deliver, with per-pair X limits), on
 //! a miniature port space holding just the cluster's own source and
 //! destination ports. What the mini-simulation cannot see — the other
 //! links of each member's route — is exactly the independence assumption
@@ -40,7 +40,7 @@ use crate::decompose::{ClusterProfile, LinkCluster};
 use crate::fxhash::FxHashMap;
 use edm_core::sim::{evord, DomainOffer, SwitchDomain};
 use edm_sched::SchedulerConfig;
-use edm_sim::{Bandwidth, Duration, EventQueue, LogHistogram, Time, World};
+use edm_sim::{Bandwidth, Duration, EventQueue, Time, World};
 use edm_topo::TopoEdmConfig;
 
 /// Unloaded per-crossing baselines, keyed by everything that physically
@@ -67,21 +67,6 @@ pub(crate) struct DomainPool {
 pub struct ClusterDelays {
     /// Per-member queueing excess, indexed like `profile.members`.
     pub excess: Vec<Duration>,
-}
-
-impl ClusterDelays {
-    /// The excesses as a shard-mergeable log-bucket distribution —
-    /// merge across clusters for a fabric-wide per-hop delay profile.
-    /// Built on demand: the histogram is 32 KB of buckets, and sweep
-    /// paths that replay thousands of clusters per scenario only keep
-    /// the excess vectors.
-    pub fn hist(&self) -> LogHistogram {
-        let mut hist = LogHistogram::new();
-        for &q in &self.excess {
-            hist.record_duration(q);
-        }
-        hist
-    }
 }
 
 impl AsRef<[Duration]> for ClusterDelays {
@@ -454,7 +439,7 @@ mod tests {
         assert_eq!(d.excess[0], Duration::ZERO, "someone goes first");
         let worst = d.excess.iter().max().unwrap();
         assert!(*worst > Duration::ZERO, "incast must queue, got {worst:?}");
-        assert_eq!(d.hist().count(), 10);
+        assert_eq!(d.excess.len(), 10);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::hash::{Hash, Hasher};
 use crate::decompose::{ClusterProfile, LinkFlow};
 use crate::fxhash::FxHasher;
 use edm_sim::{Bandwidth, Duration, Rng, Time};
-use edm_topo::TopoEdmConfig;
+use edm_topo::{TopoEdmConfig, TRUNK_MAX_ACTIVE_PER_PAIR};
 
 /// Sub-buckets per octave for the member and port counts; the mean gap
 /// is bucketed at half of it. Chosen from the measured curve (replays
@@ -80,10 +80,10 @@ pub(crate) struct RepKey {
 
 impl RepKey {
     /// `profile`'s key at `resolution` sub-buckets per octave. A member
-    /// counts as trunk-limited when its limit is `cfg`'s trunk limit.
-    pub(crate) fn of(profile: &ClusterProfile, cfg: &TopoEdmConfig, resolution: u32) -> Self {
+    /// counts as trunk-limited when its limit is the trunk limit.
+    pub(crate) fn of(profile: &ClusterProfile, resolution: u32) -> Self {
         let m = profile.members.len();
-        let trunk_limit = cfg.trunk_max_active_per_pair as u32;
+        let trunk_limit = TRUNK_MAX_ACTIVE_PER_PAIR as u32;
         let (mut first, mut last) = (Time::MAX, Time::ZERO);
         let (mut bytes, mut trunk) = (0, 0);
         for lf in &profile.members {
@@ -159,7 +159,7 @@ impl RepKey {
         rng.shuffle(&mut order);
         let share = |q: u8| (q as usize * m + 2) / 4;
         for &i in &order[..share(self.trunk)] {
-            members[i].limit = cfg.trunk_max_active_per_pair as u32;
+            members[i].limit = TRUNK_MAX_ACTIVE_PER_PAIR as u32;
         }
         ClusterProfile {
             sched_bandwidth: self.sched_bandwidth,
@@ -243,7 +243,7 @@ mod tests {
                 )
             })
             .collect();
-        let key = RepKey::of(&profile(members), &cfg, 4);
+        let key = RepKey::of(&profile(members), 4);
         // 37 → 32, 11 → 10, 5 stays; gap 30 ns at 2 per octave lands in
         // [24 576, 32 768) ps; 19 of 37 trunk-limited is two quarters.
         assert_eq!((key.members, key.srcs, key.dsts), (32, 10, 5));
@@ -257,7 +257,7 @@ mod tests {
         assert_eq!(trunk, 16);
         // Built from the key alone: the same key, the same profile.
         assert_eq!(key.profile(&cfg), rep);
-        assert_eq!(RepKey::of(&rep, &cfg, 4).members, key.members);
+        assert_eq!(RepKey::of(&rep, 4).members, key.members);
     }
 
     #[test]

@@ -165,7 +165,7 @@ proptest! {
     /// Three consecutive what-ifs against one primed base and one shared
     /// cache — the second and third run on the interned ids and base
     /// terms the first left behind — each equal to a from-scratch
-    /// estimate of the same faulted fabric, under either combiner.
+    /// estimate of the same faulted fabric.
     #[test]
     fn delta_scenarios_match_scratch(
         leaves in 2usize..5,
@@ -175,7 +175,6 @@ proptest! {
         count in 20usize..120,
         seed in any::<u64>(),
         degraded_base in any::<bool>(),
-        bottleneck in any::<bool>(),
     ) {
         let mut d = Rng::seed_from(seed);
         let mut base_topo = Topology::leaf_spine(LeafSpine::symmetric(leaves, spines, npl, uplinks));
@@ -199,9 +198,7 @@ proptest! {
         }
         let cfg = TopoEdmConfig::default();
         let flows = mixed_flows(&mut d, base_topo.nodes(), count);
-        let combine = if bottleneck { Combine::Bottleneck } else { Combine::Sum };
-        let mut engine = ApproxEngine::new(cfg.clone());
-        engine.combine = combine;
+        let engine = ApproxEngine::new(cfg.clone());
 
         let mut base = SweepBase::new(&base_topo, &cfg, flows.clone());
         let mut cache = SweepCache::new();
@@ -213,7 +210,7 @@ proptest! {
             let what = format!("scenario {scenario} {faults:?}");
 
             let looked_up = cache.hits() + cache.misses();
-            let delta = base.estimate_delta(&what_if, combine, &mut cache);
+            let delta = base.estimate_delta(&what_if, Combine::Sum, &mut cache);
             let looked_up = cache.hits() + cache.misses() - looked_up;
             let scratch = engine.estimate(&what_if, &flows);
             assert_same_estimate(&delta, &scratch, &what);

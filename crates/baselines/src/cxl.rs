@@ -10,49 +10,30 @@
 //! failure mode the paper (and Aurelia \[92\]) identifies. There is no
 //! SRPT, no admission control, and no way for a victim flow to overtake.
 
-use edm_core::sim::{ClusterConfig, FabricProtocol, Flow, FlowKind, FlowOutcome, SimResult};
+use edm_core::sim::{
+    ClusterConfig, FabricProtocol, Flow, FlowKind, FlowOutcome, SimResult, PROP_DELAY,
+};
 use edm_sim::{Duration, Engine, EventQueue, Time, World};
 use std::collections::VecDeque;
 
-/// CXL fabric configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct CxlConfig {
-    /// Flit payload size (CXL.mem transfers 64 B flits).
-    pub flit_bytes: u32,
-    /// Per-flit wire overhead (flit header + CRC).
-    pub header_bytes: u32,
-    /// Egress buffer credits, in flits.
-    pub egress_credits: u32,
-    /// Latency for a consumed credit to return to the pool (the credit
-    /// update must physically travel back through the switch).
-    pub credit_return_delay: Duration,
-    /// Fixed one-way switch latency (~100 ns per CXL switch hop, §2.2).
-    pub switch_latency: Duration,
-    /// Fixed one-way host adapter latency.
-    pub host_latency: Duration,
-}
-
-impl Default for CxlConfig {
-    fn default() -> Self {
-        CxlConfig {
-            flit_bytes: 64,
-            header_bytes: 8,
-            // Enough credits to cover the credit-return loop at line rate
-            // on an uncongested path, but shared under incast.
-            egress_credits: 16,
-            credit_return_delay: Duration::from_ns(50),
-            switch_latency: Duration::from_ns(100),
-            host_latency: Duration::from_ns(25),
-        }
-    }
-}
+/// Flit payload size (CXL.mem transfers 64 B flits).
+const FLIT_BYTES: u32 = 64;
+/// Per-flit wire overhead (flit header + CRC).
+const HEADER_BYTES: u32 = 8;
+/// Egress buffer credits, in flits: enough to cover the credit-return
+/// loop at line rate on an uncongested path, but shared under incast.
+const EGRESS_CREDITS: u32 = 16;
+/// Latency for a consumed credit to return to the pool (the credit update
+/// must physically travel back through the switch).
+const CREDIT_RETURN_DELAY: Duration = Duration::from_ns(50);
+/// Fixed one-way switch latency (~100 ns per CXL switch hop, §2.2).
+const SWITCH_LATENCY: Duration = Duration::from_ns(100);
+/// Fixed one-way host adapter latency.
+const HOST_LATENCY: Duration = Duration::from_ns(25);
 
 /// The CXL protocol instance.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CxlProtocol {
-    /// Configuration.
-    pub config: CxlConfig,
-}
+pub struct CxlProtocol;
 
 #[derive(Debug, Clone, Copy)]
 struct Flit {
@@ -83,7 +64,6 @@ enum CEv {
 }
 
 struct CxlWorld {
-    cfg: CxlConfig,
     cluster: ClusterConfig,
     /// (data_src, data_dst, size) per flow.
     flows: Vec<(usize, usize, u32)>,
@@ -111,7 +91,7 @@ impl CxlWorld {
     fn flit_time(&self) -> Duration {
         self.cluster
             .link
-            .tx_time_bytes((self.cfg.flit_bytes + self.cfg.header_bytes) as u64)
+            .tx_time_bytes((FLIT_BYTES + HEADER_BYTES) as u64)
     }
 
     fn inject_next(&mut self, flow: usize, now: Time, q: &mut EventQueue<CEv>) {
@@ -120,13 +100,13 @@ impl CxlWorld {
         }
         let (src, _, _) = self.flows[flow];
         let start = now.max(self.src_free_at[src]);
-        let bytes = self.remaining_to_send[flow].min(self.cfg.flit_bytes);
+        let bytes = self.remaining_to_send[flow].min(FLIT_BYTES);
         self.remaining_to_send[flow] -= bytes;
         let last = self.remaining_to_send[flow] == 0;
         let depart = start + self.flit_time();
         self.src_free_at[src] = depart;
         q.schedule(
-            depart + self.cluster.prop_delay + self.cfg.host_latency,
+            depart + PROP_DELAY + HOST_LATENCY,
             CEv::IngressArrive {
                 src,
                 flit: Flit { flow, bytes, last },
@@ -167,15 +147,12 @@ impl CxlWorld {
         };
         let tx = self.flit_time();
         q.schedule(
-            now + tx + self.cluster.prop_delay + self.cfg.switch_latency,
+            now + tx + PROP_DELAY + SWITCH_LATENCY,
             CEv::NodeArrive { flit },
         );
         // Credit returns once the flit has left the buffer *and* the
         // credit update has travelled back.
-        q.schedule(
-            now + tx + self.cfg.credit_return_delay,
-            CEv::CreditReturn { dst },
-        );
+        q.schedule(now + tx + CREDIT_RETURN_DELAY, CEv::CreditReturn { dst });
         q.schedule(now + tx, CEv::EgressDrain { dst });
     }
 }
@@ -211,7 +188,7 @@ impl World for CxlWorld {
                 self.delivered[flit.flow] += flit.bytes;
                 let (_, _, size) = self.flows[flit.flow];
                 if flit.last && self.delivered[flit.flow] >= size {
-                    self.completed[flit.flow] = Some(now + self.cfg.host_latency);
+                    self.completed[flit.flow] = Some(now + HOST_LATENCY);
                 }
             }
         }
@@ -240,12 +217,11 @@ impl FabricProtocol for CxlProtocol {
             ingress: vec![VecDeque::new(); n],
             ingress_free_at: vec![Time::ZERO; n],
             ingress_blocked: vec![false; n],
-            credits: vec![self.config.egress_credits; n],
+            credits: vec![EGRESS_CREDITS; n],
             credit_waiters: vec![VecDeque::new(); n],
             egress_q: vec![VecDeque::new(); n],
             egress_busy: vec![false; n],
             src_free_at: vec![Time::ZERO; n],
-            cfg: self.config,
             cluster: *cluster,
         };
         let mut engine = Engine::new(world);
@@ -255,9 +231,9 @@ impl FabricProtocol for CxlProtocol {
                 FlowKind::Read => {
                     // Request flit flight to the memory node.
                     f.arrival
-                        + self.config.host_latency
-                        + self.config.switch_latency
-                        + 2 * cluster.prop_delay
+                        + HOST_LATENCY
+                        + SWITCH_LATENCY
+                        + 2 * PROP_DELAY
                         + cluster.link.tx_time_bytes(72)
                 }
             };
@@ -289,7 +265,6 @@ mod tests {
         ClusterConfig {
             nodes: n,
             link: Bandwidth::from_gbps(100),
-            prop_delay: Duration::from_ns(10),
             pipeline_latency: Duration::from_ns(54),
         }
     }
@@ -308,7 +283,7 @@ mod tests {
     #[test]
     fn solo_write_is_fast() {
         let c = cluster(4);
-        let r = CxlProtocol::default().simulate(&c, &[wflow(0, 0, 1, 64, 0)]);
+        let r = CxlProtocol.simulate(&c, &[wflow(0, 0, 1, 64, 0)]);
         let ns = r.outcomes[0].mct().as_ns_f64();
         // One flit: host + crossbar + switch + wire ≈ 200-350 ns.
         assert!((100.0..500.0).contains(&ns), "CXL solo MCT {ns} ns");
@@ -317,7 +292,7 @@ mod tests {
     #[test]
     fn multi_flit_flow_completes_fully() {
         let c = cluster(4);
-        let r = CxlProtocol::default().simulate(&c, &[wflow(0, 0, 1, 10_000, 0)]);
+        let r = CxlProtocol.simulate(&c, &[wflow(0, 0, 1, 10_000, 0)]);
         assert!(r.outcomes[0].mct() >= c.link.tx_time_bytes(10_000));
     }
 
@@ -325,8 +300,8 @@ mod tests {
     fn incast_exhausts_credits_and_blocks() {
         let c = cluster(32);
         let flows: Vec<Flow> = (0..16).map(|i| wflow(i, i, 31, 4096, 0)).collect();
-        let r = CxlProtocol::default().simulate(&c, &flows);
-        let solo = CxlProtocol::default()
+        let r = CxlProtocol.simulate(&c, &flows);
+        let solo = CxlProtocol
             .simulate(&c, &[wflow(0, 0, 31, 4096, 0)])
             .outcomes[0]
             .mct();
@@ -344,9 +319,9 @@ mod tests {
         let c = cluster(16);
         let mut flows: Vec<Flow> = (0..8).map(|i| wflow(i, i, 15, 8192, 0)).collect();
         flows.push(wflow(8, 0, 14, 512, 100));
-        let r = CxlProtocol::default().simulate(&c, &flows);
+        let r = CxlProtocol.simulate(&c, &flows);
         let victim = r.outcomes[8].mct();
-        let solo = CxlProtocol::default()
+        let solo = CxlProtocol
             .simulate(&c, &[wflow(0, 0, 14, 512, 0)])
             .outcomes[0]
             .mct();
@@ -367,8 +342,8 @@ mod tests {
             arrival: Time::ZERO,
             kind: FlowKind::Read,
         };
-        let r = CxlProtocol::default().simulate(&c, &[read]);
-        let w = CxlProtocol::default().simulate(&c, &[wflow(0, 1, 0, 64, 0)]);
+        let r = CxlProtocol.simulate(&c, &[read]);
+        let w = CxlProtocol.simulate(&c, &[wflow(0, 1, 0, 64, 0)]);
         assert!(r.outcomes[0].mct() > w.outcomes[0].mct());
     }
 }

@@ -22,44 +22,28 @@
 //! message path differs: EDM's rides the switch's own PHY, Fastpass's
 //! rides a serialized server link.
 
-use edm_core::sim::{ClusterConfig, FabricProtocol, Flow, FlowKind, FlowOutcome, SimResult};
+use edm_core::sim::{
+    ClusterConfig, FabricProtocol, Flow, FlowKind, FlowOutcome, SimResult, PROP_DELAY,
+};
 use edm_sched::{Notification, Policy, Scheduler, SchedulerConfig};
 use edm_sim::{Bandwidth, Duration, Engine, EventQueue, Time, World};
 use std::collections::VecDeque;
 
-/// Fastpass configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct FastpassConfig {
-    /// Arbiter server NIC bandwidth (the paper grants 100 Gb/s).
-    pub server_link: Bandwidth,
-    /// Wire size of one aggregated control packet (minimum Ethernet frame
-    /// + preamble + IFG).
-    pub control_bytes: u32,
-    /// Demands/allocations one control packet can carry.
-    pub batch_limit: usize,
-    /// Data chunk per allocation.
-    pub chunk_bytes: u32,
-}
-
-impl Default for FastpassConfig {
-    fn default() -> Self {
-        FastpassConfig {
-            server_link: Bandwidth::from_gbps(100),
-            control_bytes: 84,
-            // A 64 B frame payload of 46 B fits ~11 four-byte allocation
-            // entries; keep 8 as a round batch.
-            batch_limit: 8,
-            chunk_bytes: 256,
-        }
-    }
-}
+/// Arbiter server NIC bandwidth (the paper grants 100 Gb/s).
+const SERVER_LINK: Bandwidth = Bandwidth::from_gbps(100);
+/// Wire size of one aggregated control packet (minimum Ethernet frame +
+/// preamble + IFG).
+const CONTROL_BYTES: u64 = 84;
+/// Demands/allocations one control packet can carry: a 64 B frame
+/// payload of 46 B fits ~11 four-byte allocation entries; 8 is a round
+/// batch.
+const BATCH_LIMIT: usize = 8;
+/// Data chunk per allocation.
+const CHUNK_BYTES: u32 = 256;
 
 /// The Fastpass protocol instance.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FastpassProtocol {
-    /// Configuration.
-    pub config: FastpassConfig,
-}
+pub struct FastpassProtocol;
 
 #[derive(Debug, Clone, Copy)]
 enum FEv {
@@ -87,7 +71,6 @@ struct Alloc {
 }
 
 struct FastpassWorld {
-    cfg: FastpassConfig,
     cluster: ClusterConfig,
     flows: Vec<(usize, usize, u32)>,
     scheduler: Scheduler,
@@ -112,13 +95,11 @@ struct FastpassWorld {
 
 impl FastpassWorld {
     fn control_time(&self) -> Duration {
-        self.cfg
-            .server_link
-            .tx_time_bytes(self.cfg.control_bytes as u64)
+        SERVER_LINK.tx_time_bytes(CONTROL_BYTES)
     }
 
     fn half_hop(&self) -> Duration {
-        self.cluster.pipeline_latency / 2 + self.cluster.prop_delay
+        self.cluster.pipeline_latency / 2 + PROP_DELAY
     }
 
     fn schedule_poll(&mut self, at: Time, q: &mut EventQueue<FEv>) {
@@ -166,7 +147,7 @@ impl World for FastpassWorld {
             FEv::NotifySend { src } => {
                 // One aggregated demand packet serializes on the arbiter's
                 // RX link; it announces up to batch_limit pending flows.
-                let count = self.notify_pending[src].len().min(self.cfg.batch_limit);
+                let count = self.notify_pending[src].len().min(BATCH_LIMIT);
                 let start = now.max(self.server_rx_free_at);
                 let done = start + self.control_time();
                 self.server_rx_free_at = done;
@@ -216,7 +197,7 @@ impl World for FastpassWorld {
                 }
             }
             FEv::GrantSend { src } => {
-                let count = self.grant_pending[src].len().min(self.cfg.batch_limit);
+                let count = self.grant_pending[src].len().min(BATCH_LIMIT);
                 let start = now.max(self.server_tx_free_at);
                 let done = start + self.control_time();
                 self.server_tx_free_at = done;
@@ -231,10 +212,7 @@ impl World for FastpassWorld {
                     let tx = self.cluster.link.tx_time_bytes(alloc.chunk as u64);
                     self.src_free_at[src] = start + tx;
                     q.schedule(
-                        start
-                            + tx
-                            + 2 * self.cluster.prop_delay
-                            + self.cluster.pipeline_latency / 2,
+                        start + tx + 2 * PROP_DELAY + self.cluster.pipeline_latency / 2,
                         FEv::ChunkArrive {
                             flow: alloc.flow,
                             last: alloc.last,
@@ -275,7 +253,7 @@ impl FabricProtocol for FastpassProtocol {
             .collect();
         let sched_cfg = SchedulerConfig {
             ports: cluster.nodes,
-            chunk_bytes: self.config.chunk_bytes,
+            chunk_bytes: CHUNK_BYTES,
             link: cluster.link,
             policy: Policy::Srpt,
             max_active_per_pair: 3,
@@ -284,7 +262,6 @@ impl FabricProtocol for FastpassProtocol {
         };
         let n = cluster.nodes;
         let world = FastpassWorld {
-            cfg: self.config,
             cluster: *cluster,
             completed: vec![None; flows.len()],
             flows: dirs,
@@ -335,7 +312,6 @@ mod tests {
         ClusterConfig {
             nodes: n,
             link: Bandwidth::from_gbps(100),
-            prop_delay: Duration::from_ns(10),
             pipeline_latency: Duration::from_ns(54),
         }
     }
@@ -354,7 +330,7 @@ mod tests {
     #[test]
     fn solo_flow_completes_reasonably() {
         let c = cluster(4);
-        let r = FastpassProtocol::default().simulate(&c, &[wflow(0, 0, 1, 64, 0)]);
+        let r = FastpassProtocol.simulate(&c, &[wflow(0, 0, 1, 64, 0)]);
         let ns = r.outcomes[0].mct().as_ns_f64();
         assert!((50.0..500.0).contains(&ns), "Fastpass solo MCT {ns} ns");
     }
@@ -368,13 +344,13 @@ mod tests {
         let flows: Vec<Flow> = (0..2000)
             .map(|i| wflow(i, i % 32, 32 + (i % 32), 64, (i / 64) as u64))
             .collect();
-        let r = FastpassProtocol::default().simulate(&c, &flows);
+        let r = FastpassProtocol.simulate(&c, &flows);
         let worst = r
             .outcomes
             .iter()
             .map(|o| o.mct().as_ns_f64())
             .fold(0.0, f64::max);
-        let solo = FastpassProtocol::default()
+        let solo = FastpassProtocol
             .simulate(&c, &[wflow(0, 0, 32, 64, 0)])
             .outcomes[0]
             .mct()
@@ -391,7 +367,7 @@ mod tests {
         // 100 separate control round trips.
         let c = cluster(4);
         let flows: Vec<Flow> = (0..100).map(|i| wflow(i, 0, 1, 64, 0)).collect();
-        let r = FastpassProtocol::default().simulate(&c, &flows);
+        let r = FastpassProtocol.simulate(&c, &flows);
         let worst = r
             .outcomes
             .iter()
@@ -406,7 +382,7 @@ mod tests {
     fn matching_is_still_conflict_free() {
         let c = cluster(8);
         let flows: Vec<Flow> = (0..4).map(|i| wflow(i, i, 4 + i, 256, 0)).collect();
-        let r = FastpassProtocol::default().simulate(&c, &flows);
+        let r = FastpassProtocol.simulate(&c, &flows);
         let mcts: Vec<f64> = r.outcomes.iter().map(|o| o.mct().as_ns_f64()).collect();
         let spread = mcts.iter().cloned().fold(0.0, f64::max)
             - mcts.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -427,7 +403,7 @@ mod tests {
                 )
             })
             .collect();
-        let r = FastpassProtocol::default().simulate(&c, &flows);
+        let r = FastpassProtocol.simulate(&c, &flows);
         assert_eq!(r.outcomes.len(), 200);
     }
 }

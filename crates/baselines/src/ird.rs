@@ -15,37 +15,22 @@
 //! slots — the bandwidth under-utilization that makes IRD degrade at
 //! high load in Figure 8a.
 
-use edm_core::sim::{ClusterConfig, FabricProtocol, Flow, FlowKind, FlowOutcome, SimResult};
+use edm_core::sim::{
+    ClusterConfig, FabricProtocol, Flow, FlowKind, FlowOutcome, SimResult, PROP_DELAY,
+};
 use edm_sim::{Duration, Engine, EventQueue, Time, World};
 
-/// IRD configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct IrdConfig {
-    /// Credit chunk size in bytes.
-    pub chunk_bytes: u32,
-    /// Unscheduled (blind) bytes each message may send before credits
-    /// (one bandwidth-delay product, like Homa's RTTbytes).
-    pub unscheduled_bytes: u32,
-    /// Per-packet wire overhead.
-    pub header_bytes: u32,
-}
-
-impl Default for IrdConfig {
-    fn default() -> Self {
-        IrdConfig {
-            chunk_bytes: 256,
-            unscheduled_bytes: 1024,
-            header_bytes: 40,
-        }
-    }
-}
+/// Credit chunk size in bytes.
+const CHUNK_BYTES: u32 = 256;
+/// Unscheduled (blind) bytes each message may send before credits (one
+/// bandwidth-delay product, like Homa's RTTbytes).
+const UNSCHEDULED_BYTES: u32 = 1024;
+/// Per-packet wire overhead.
+const HEADER_BYTES: u32 = 40;
 
 /// The IRD protocol instance.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct IrdProtocol {
-    /// Configuration.
-    pub config: IrdConfig,
-}
+pub struct IrdProtocol;
 
 #[derive(Debug, Clone, Copy)]
 enum IEv {
@@ -67,7 +52,6 @@ enum IEv {
 }
 
 struct IrdWorld {
-    cfg: IrdConfig,
     cluster: ClusterConfig,
     /// (data_src, data_dst, size).
     flows: Vec<(usize, usize, u32)>,
@@ -99,11 +83,11 @@ impl IrdWorld {
     fn chunk_time(&self, bytes: u32) -> Duration {
         self.cluster
             .link
-            .tx_time_bytes((bytes + self.cfg.header_bytes) as u64)
+            .tx_time_bytes((bytes + HEADER_BYTES) as u64)
     }
 
     fn half_hop(&self) -> Duration {
-        self.cluster.pipeline_latency / 2 + self.cluster.prop_delay
+        self.cluster.pipeline_latency / 2 + PROP_DELAY
     }
 
     /// Schedules a ReceiverSlot wake-up at `at`, deduplicating so each
@@ -121,12 +105,12 @@ impl IrdWorld {
         }
         let (src, _, _) = self.flows[flow];
         let start = now.max(self.src_free_at[src]);
-        let bytes = self.blind_remaining[flow].min(self.cfg.chunk_bytes);
+        let bytes = self.blind_remaining[flow].min(CHUNK_BYTES);
         self.blind_remaining[flow] -= bytes;
         let tx = self.chunk_time(bytes);
         self.src_free_at[src] = start + tx;
         q.schedule(
-            start + tx + self.cluster.prop_delay + self.cluster.pipeline_latency / 2,
+            start + tx + PROP_DELAY + self.cluster.pipeline_latency / 2,
             IEv::EdgeArrive { flow, bytes },
         );
         if self.blind_remaining[flow] > 0 {
@@ -141,10 +125,7 @@ impl IrdWorld {
         };
         let tx = self.chunk_time(bytes);
         self.edge_free_at[dst] = now + tx;
-        q.schedule(
-            now + tx + self.cluster.prop_delay,
-            IEv::NodeArrive { flow, bytes },
-        );
+        q.schedule(now + tx + PROP_DELAY, IEv::NodeArrive { flow, bytes });
         q.schedule(now + tx, IEv::EdgeDrain { dst });
     }
 
@@ -175,7 +156,7 @@ impl IrdWorld {
             }
             return;
         };
-        let bytes = self.to_credit[flow].min(self.cfg.chunk_bytes);
+        let bytes = self.to_credit[flow].min(CHUNK_BYTES);
         self.to_credit[flow] -= bytes;
         if self.to_credit[flow] == 0 {
             self.pending[dst].retain(|&f| f != flow);
@@ -208,7 +189,7 @@ impl IrdWorld {
         // Credited chunks bypass the edge queue (the receiver reserved the
         // slot) and land after the data flight.
         q.schedule(
-            now + tx + 2 * self.cluster.prop_delay + self.cluster.pipeline_latency / 2,
+            now + tx + 2 * PROP_DELAY + self.cluster.pipeline_latency / 2,
             IEv::NodeArrive { flow, bytes },
         );
     }
@@ -221,7 +202,7 @@ impl World for IrdWorld {
         match ev {
             IEv::Start { flow } => {
                 let (_, dst, size) = self.flows[flow];
-                let unsched = size.min(self.cfg.unscheduled_bytes);
+                let unsched = size.min(UNSCHEDULED_BYTES);
                 self.blind_remaining[flow] = unsched;
                 self.to_credit[flow] = size - unsched;
                 self.blind_next(flow, now, q);
@@ -272,7 +253,6 @@ impl FabricProtocol for IrdProtocol {
             })
             .collect();
         let world = IrdWorld {
-            cfg: self.config,
             cluster: *cluster,
             blind_remaining: vec![0; flows.len()],
             to_credit: vec![0; flows.len()],
@@ -296,7 +276,7 @@ impl FabricProtocol for IrdProtocol {
                 FlowKind::Read => {
                     f.arrival
                         + cluster.pipeline_latency
-                        + 2 * cluster.prop_delay
+                        + 2 * PROP_DELAY
                         + cluster.link.tx_time_bytes(48)
                 }
             };
@@ -328,7 +308,6 @@ mod tests {
         ClusterConfig {
             nodes: n,
             link: Bandwidth::from_gbps(100),
-            prop_delay: Duration::from_ns(10),
             pipeline_latency: Duration::from_ns(54),
         }
     }
@@ -347,7 +326,7 @@ mod tests {
     #[test]
     fn solo_small_flow_is_fast() {
         let c = cluster(4);
-        let r = IrdProtocol::default().simulate(&c, &[wflow(0, 0, 1, 64, 0)]);
+        let r = IrdProtocol.simulate(&c, &[wflow(0, 0, 1, 64, 0)]);
         let ns = r.outcomes[0].mct().as_ns_f64();
         assert!((40.0..250.0).contains(&ns), "IRD solo MCT {ns} ns");
     }
@@ -357,9 +336,9 @@ mod tests {
         // A 64 B message never waits for credits: its MCT is close to a
         // one-way flight even with a cold receiver.
         let c = cluster(4);
-        let r = IrdProtocol::default().simulate(&c, &[wflow(0, 0, 1, 64, 0)]);
+        let r = IrdProtocol.simulate(&c, &[wflow(0, 0, 1, 64, 0)]);
         let flight =
-            (c.pipeline_latency + 2 * c.prop_delay + c.link.tx_time_bytes(64 + 40)).as_ns_f64();
+            (c.pipeline_latency + 2 * PROP_DELAY + c.link.tx_time_bytes(64 + 40)).as_ns_f64();
         let mct = r.outcomes[0].mct().as_ns_f64();
         assert!(
             mct < flight * 2.0,
@@ -371,7 +350,7 @@ mod tests {
     fn incast_queues_at_receiver_edge() {
         let c = cluster(16);
         let flows: Vec<Flow> = (0..8).map(|i| wflow(i, i, 15, 256, 0)).collect();
-        let r = IrdProtocol::default().simulate(&c, &flows);
+        let r = IrdProtocol.simulate(&c, &flows);
         let mcts: Vec<f64> = r.outcomes.iter().map(|o| o.mct().as_ns_f64()).collect();
         let max = mcts.iter().cloned().fold(0.0, f64::max);
         let min = mcts.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -381,7 +360,7 @@ mod tests {
     #[test]
     fn large_flows_use_credits_and_complete() {
         let c = cluster(4);
-        let r = IrdProtocol::default().simulate(&c, &[wflow(0, 0, 1, 100_000, 0)]);
+        let r = IrdProtocol.simulate(&c, &[wflow(0, 0, 1, 100_000, 0)]);
         let mct = r.outcomes[0].mct();
         assert!(
             mct >= c.link.tx_time_bytes(100_000),
@@ -396,7 +375,7 @@ mod tests {
         // slots cannot be reclaimed.
         let c = cluster(4);
         let flows = vec![wflow(0, 0, 1, 40_960, 0), wflow(1, 0, 2, 40_960, 0)];
-        let r = IrdProtocol::default().simulate(&c, &flows);
+        let r = IrdProtocol.simulate(&c, &flows);
         let perfect = c.link.tx_time_bytes(2 * (40_960 + 40 * 160)).as_ns_f64();
         let worst = r
             .outcomes
@@ -416,7 +395,7 @@ mod tests {
             wflow(0, 0, 3, 200_000, 0), // elephant (mostly scheduled)
             wflow(1, 1, 3, 4_096, 500), // shorter scheduled flow
         ];
-        let r = IrdProtocol::default().simulate(&c, &flows);
+        let r = IrdProtocol.simulate(&c, &flows);
         assert!(
             r.outcomes[1].completed < r.outcomes[0].completed,
             "short flow must finish first under SRPT credits"
@@ -437,7 +416,7 @@ mod tests {
                 )
             })
             .collect();
-        let r = IrdProtocol::default().simulate(&c, &flows);
+        let r = IrdProtocol.simulate(&c, &flows);
         assert_eq!(r.outcomes.len(), 64);
     }
 }

@@ -8,16 +8,34 @@
 //! | Protocol  | queue discipline | buffer | loss model | rate control |
 //! |-----------|------------------|--------|-----------|--------------|
 //! | DCTCP     | FIFO             | large  | drop-tail + RTO | ECN window |
-//! | pFabric   | SRPT priority    | small  | priority drop + fast retx | line rate |
+//! | pFabric   | SRPT priority    | small  | priority drop + RTO | ECN window |
 //! | PFC+DCQCN | FIFO             | large  | lossless (PAUSE + HOL) | ECN window |
 //!
 //! These are reactive protocols: they only learn about congestion after
 //! queues have already built, which is exactly the §2.4 limitation the
 //! experiment demonstrates.
 
-use edm_core::sim::{ClusterConfig, FabricProtocol, Flow, FlowKind, FlowOutcome, SimResult};
+use edm_core::sim::{
+    ClusterConfig, FabricProtocol, Flow, FlowKind, FlowOutcome, SimResult, PROP_DELAY,
+};
 use edm_sim::{Duration, Engine, EventQueue, Time, World};
 use std::collections::VecDeque;
+
+// Shared by all three protocols.
+
+/// Max packet payload bytes.
+const MTU: u32 = 1000;
+/// Per-packet wire overhead: Eth + IP + TCP + preamble/IFG.
+const HEADER_BYTES: u32 = 58;
+/// ECN marking threshold (queue depth at enqueue). A mark halves the
+/// sender's congestion window (DCTCP/DCQCN-style).
+const ECN_THRESHOLD_BYTES: u64 = 30 * 1024;
+/// Initial congestion window in packets.
+const INITIAL_WINDOW_PKTS: u32 = 10;
+/// Fixed one-way switch pipeline latency (L2 processing).
+const SWITCH_LATENCY: Duration = Duration::from_ns(400);
+/// Fixed one-way host stack latency.
+const HOST_LATENCY: Duration = Duration::from_ns(230);
 
 /// Egress queue service discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,26 +70,12 @@ pub enum LossMode {
 pub struct QueueConfig {
     /// Protocol display name.
     pub name: &'static str,
-    /// Max packet payload bytes.
-    pub mtu: u32,
-    /// Per-packet wire overhead (headers, preamble, IFG).
-    pub header_bytes: u32,
     /// Per-egress-port buffer.
     pub buffer_bytes: u64,
-    /// ECN marking threshold (queue depth at enqueue).
-    pub ecn_threshold_bytes: Option<u64>,
     /// Service discipline.
     pub discipline: Discipline,
     /// Loss model.
     pub loss: LossMode,
-    /// Whether ECN marks halve the congestion window (DCTCP/DCQCN-style).
-    pub window_control: bool,
-    /// Initial congestion window in packets.
-    pub initial_window_pkts: u32,
-    /// Fixed one-way switch pipeline latency (L2 processing).
-    pub switch_latency: Duration,
-    /// Fixed one-way host stack latency.
-    pub host_latency: Duration,
 }
 
 impl QueueConfig {
@@ -80,18 +84,11 @@ impl QueueConfig {
     pub fn dctcp() -> Self {
         QueueConfig {
             name: "DCTCP",
-            mtu: 1000,
-            header_bytes: 58, // Eth + IP + TCP + preamble/IFG
             buffer_bytes: 200 * 1024,
-            ecn_threshold_bytes: Some(30 * 1024),
             discipline: Discipline::Fifo,
             loss: LossMode::DropTail {
                 rto: Duration::from_us(12),
             },
-            window_control: true,
-            initial_window_pkts: 10,
-            switch_latency: Duration::from_ns(400),
-            host_latency: Duration::from_ns(230),
         }
     }
 
@@ -102,18 +99,11 @@ impl QueueConfig {
     pub fn pfabric() -> Self {
         QueueConfig {
             name: "pFabric",
-            mtu: 1000,
-            header_bytes: 58,
             buffer_bytes: 36 * 1024,
-            ecn_threshold_bytes: Some(30 * 1024),
             discipline: Discipline::SrptPriority,
             loss: LossMode::DropTail {
                 rto: Duration::from_us(12), // DCTCP's RTO underneath
             },
-            window_control: true,
-            initial_window_pkts: 10,
-            switch_latency: Duration::from_ns(400),
-            host_latency: Duration::from_ns(230),
         }
     }
 
@@ -122,19 +112,12 @@ impl QueueConfig {
     pub fn pfc_dcqcn() -> Self {
         QueueConfig {
             name: "PFC",
-            mtu: 1000,
-            header_bytes: 58,
             buffer_bytes: u64::MAX, // lossless
-            ecn_threshold_bytes: Some(30 * 1024),
             discipline: Discipline::Fifo,
             loss: LossMode::Pfc {
                 xoff_bytes: 60 * 1024,
                 xon_bytes: 30 * 1024,
             },
-            window_control: true,
-            initial_window_pkts: 10,
-            switch_latency: Duration::from_ns(400),
-            host_latency: Duration::from_ns(230),
         }
     }
 }
@@ -223,7 +206,7 @@ impl QWorld {
     fn pkt_wire_time(&self, bytes: u32) -> Duration {
         self.cluster
             .link
-            .tx_time_bytes((bytes + self.cfg.header_bytes) as u64)
+            .tx_time_bytes((bytes + HEADER_BYTES) as u64)
     }
 
     fn activate(&mut self, flow: usize, q: &mut EventQueue<QEv>, now: Time) {
@@ -278,7 +261,7 @@ impl QWorld {
             self.pfc_waiters[dst].push(src);
             return;
         }
-        let bytes = f.to_send.min(self.cfg.mtu);
+        let bytes = f.to_send.min(MTU);
         let f = &mut self.flows[flow];
         f.to_send -= bytes;
         f.inflight_pkts += 1;
@@ -289,7 +272,7 @@ impl QWorld {
         if self.flows[head].to_send > 0 || self.flows[head].completed.is_none() {
             self.src_active[src].push_back(head);
         }
-        let arrive = now + tx + self.cluster.prop_delay + self.cfg.host_latency;
+        let arrive = now + tx + PROP_DELAY + HOST_LATENCY;
         q.schedule(
             arrive,
             QEv::SwitchArrive {
@@ -305,7 +288,7 @@ impl QWorld {
 
     fn switch_arrive(&mut self, mut pkt: QPkt, now: Time, q: &mut EventQueue<QEv>) {
         let dst = self.flows[pkt.flow].dst;
-        let pkt_wire = (pkt.bytes + self.cfg.header_bytes) as u64;
+        let pkt_wire = (pkt.bytes + HEADER_BYTES) as u64;
         // Loss handling.
         if let LossMode::DropTail { rto } = self.cfg.loss {
             if self.egress_bytes[dst] + pkt_wire > self.cfg.buffer_bytes {
@@ -334,7 +317,7 @@ impl QWorld {
                         match worst_queued {
                             Some((i, rem, bytes, flow)) if rem > arriving_rem => {
                                 self.egress[dst].remove(i);
-                                self.egress_bytes[dst] -= (bytes + self.cfg.header_bytes) as u64;
+                                self.egress_bytes[dst] -= (bytes + HEADER_BYTES) as u64;
                                 self.drops += 1;
                                 q.schedule(now + rto, QEv::Retx { flow, bytes });
                                 // fall through: enqueue the arriving packet
@@ -356,11 +339,9 @@ impl QWorld {
             }
         }
         // ECN marking at enqueue.
-        if let Some(k) = self.cfg.ecn_threshold_bytes {
-            if self.egress_bytes[dst] > k {
-                pkt.marked = true;
-                self.marks += 1;
-            }
+        if self.egress_bytes[dst] > ECN_THRESHOLD_BYTES {
+            pkt.marked = true;
+            self.marks += 1;
         }
         self.egress[dst].push_back(pkt);
         self.egress_bytes[dst] += pkt_wire;
@@ -390,10 +371,10 @@ impl QWorld {
             return;
         };
         let pkt = self.egress[dst].remove(idx).expect("index valid");
-        self.egress_bytes[dst] -= (pkt.bytes + self.cfg.header_bytes) as u64;
+        self.egress_bytes[dst] -= (pkt.bytes + HEADER_BYTES) as u64;
         let tx = self.pkt_wire_time(pkt.bytes);
         q.schedule(
-            now + tx + self.cluster.prop_delay + self.cfg.switch_latency,
+            now + tx + PROP_DELAY + SWITCH_LATENCY,
             QEv::NodeArrive { pkt },
         );
         q.schedule(now + tx, QEv::PortDrain { dst });
@@ -412,19 +393,17 @@ impl QWorld {
         let f = &mut self.flows[pkt.flow];
         f.delivered += pkt.bytes;
         f.inflight_pkts = f.inflight_pkts.saturating_sub(1);
-        if self.cfg.window_control {
-            if pkt.marked {
-                f.cwnd_pkts = (f.cwnd_pkts / 2).max(1);
-            } else {
-                f.cwnd_pkts = (f.cwnd_pkts + 1).min(256);
-            }
+        if pkt.marked {
+            f.cwnd_pkts = (f.cwnd_pkts / 2).max(1);
+        } else {
+            f.cwnd_pkts = (f.cwnd_pkts + 1).min(256);
         }
         if f.delivered >= f.size && f.completed.is_none() {
-            f.completed = Some(now + self.cfg.host_latency);
+            f.completed = Some(now + HOST_LATENCY);
         }
         let src = f.src;
         // The ack opens window space after a return hop.
-        q.schedule(now + 2 * self.cluster.prop_delay, QEv::SrcTry { src });
+        q.schedule(now + 2 * PROP_DELAY, QEv::SrcTry { src });
     }
 }
 
@@ -469,7 +448,7 @@ impl FabricProtocol for QueueFabric {
                     to_send: f.size,
                     delivered: 0,
                     inflight_pkts: 0,
-                    cwnd_pkts: self.config.initial_window_pkts,
+                    cwnd_pkts: INITIAL_WINDOW_PKTS,
                     completed: None,
                 }
             })
@@ -497,9 +476,9 @@ impl FabricProtocol for QueueFabric {
                 FlowKind::Write => f.arrival,
                 FlowKind::Read => {
                     f.arrival
-                        + self.config.host_latency
-                        + self.config.switch_latency
-                        + 2 * cluster.prop_delay
+                        + HOST_LATENCY
+                        + SWITCH_LATENCY
+                        + 2 * PROP_DELAY
                         + cluster.link.tx_time_bytes(64)
                 }
             };
@@ -533,7 +512,6 @@ mod tests {
         ClusterConfig {
             nodes: n,
             link: Bandwidth::from_gbps(100),
-            prop_delay: Duration::from_ns(10),
             pipeline_latency: Duration::from_ns(54),
         }
     }

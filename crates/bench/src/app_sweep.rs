@@ -28,7 +28,7 @@ use crate::json::Json;
 use crate::scenarios::{self, paper_app, APP_OPS_PER_TENANT, APP_TENANTS};
 use crate::util::{par_sweep, row};
 use edm_sim::Duration;
-use edm_topo::{AppConfig, AppTransport, CxlOeConfig, TopoEdm, Topology};
+use edm_topo::{AppConfig, AppTransport, TopoEdm, Topology};
 
 /// One measured closed-loop run.
 #[derive(Debug, Clone)]
@@ -104,10 +104,7 @@ pub fn measure() -> AppSweepReport {
 
     // Transport comparison: MLP 4, fully remote, saturating.
     let comparison: Vec<AppPoint> = par_sweep(
-        vec![
-            ("edm", AppTransport::Edm),
-            ("cxl_oe", AppTransport::CxlOe(CxlOeConfig::default())),
-        ],
+        vec![("edm", AppTransport::Edm), ("cxl_oe", AppTransport::CxlOe)],
         |(label, transport)| {
             let app = paper_app(transport, 4, 0.0, Duration::ZERO);
             AppPoint::measure(label.to_string(), &topo, &app)

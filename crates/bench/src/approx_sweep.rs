@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use crate::json::Json;
 use crate::scenarios;
-use edm_approx::{apply_faults, ApproxEngine, SweepBase, SweepCache};
+use edm_approx::{apply_faults, Combine, SweepBase, SweepCache};
 use edm_core::sim::Flow;
 use edm_sim::Summary;
 use edm_topo::{TopoEdm, TopoEdmConfig};
@@ -97,7 +97,6 @@ pub fn run(out: &Path) {
         .collect();
     println!();
 
-    let eng = ApproxEngine::new(cfg.clone());
     let mut grid: Vec<GridPoint> = Vec::new();
     for pass in 0..PASSES {
         let mut cache = SweepCache::new();
@@ -116,7 +115,7 @@ pub fn run(out: &Path) {
                 let res = if faults.is_empty() {
                     let mut b = SweepBase::new(&topo, &cfg, flows.clone());
                     b.prime(&mut cache);
-                    let r = cache.compose(&topo, &cfg, b.decomp(), eng.combine);
+                    let r = cache.compose(&topo, &cfg, b.decomp(), Combine::Sum);
                     base = Some(b);
                     r
                 } else {
@@ -124,7 +123,7 @@ pub fn run(out: &Path) {
                     apply_faults(&mut what_if, faults);
                     base.as_ref()
                         .expect("healthy variant seeds the base first")
-                        .estimate_delta(&what_if, eng.combine, &mut cache)
+                        .estimate_delta(&what_if, Combine::Sum, &mut cache)
                 };
                 let est_ns = t.elapsed().as_nanos() as u64;
                 if pass == 0 {

@@ -4,7 +4,7 @@
 
 use std::path::Path;
 
-use edm_sched::pim::{min_chunk_for_line_rate, scheduling_latency, PimConfig, PimRunner};
+use edm_sched::pim::{min_chunk_for_line_rate, scheduling_latency, PimRunner};
 use edm_sched::ASIC_CLOCK;
 use edm_sim::{Bandwidth, Rng};
 
@@ -30,7 +30,7 @@ pub fn run(_out: &Path) {
                 }
                 row.sort_unstable();
             }
-            let mut pim = PimRunner::new(PimConfig::for_ports(ports));
+            let mut pim = PimRunner::new(ports);
             let all = vec![true; ports];
             let m = pim.run(&demand, &all, &all);
             assert_eq!(m.pairs.len(), ports, "full demand must match fully");

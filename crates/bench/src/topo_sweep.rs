@@ -14,7 +14,7 @@ use crate::scenarios;
 use crate::util::par_sweep;
 use edm_core::sim::{Flow, FlowKind};
 use edm_sim::{Duration, Time};
-use edm_topo::{IpTraffic, TopoEdm, TopoEdmConfig, Topology};
+use edm_topo::{TopoEdm, TopoEdmConfig, Topology};
 
 /// Unloaded MCT by (kind × locality): each flow is normalized by a 64 B
 /// probe of its own kind to a host in its own rack or in the next one.
@@ -68,7 +68,7 @@ pub fn run(_out: &Path) {
         let per_leaf = scenarios::leaf_spine_288_spec(oversub).nodes_per_leaf;
         let topo = scenarios::leaf_spine_288(oversub);
         let proto = TopoEdm::new(TopoEdmConfig {
-            ip: IpTraffic::load(ip),
+            ip,
             ..TopoEdmConfig::default()
         });
         let result = proto.simulate(&topo, &flows);

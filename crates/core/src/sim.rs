@@ -14,6 +14,9 @@
 use edm_sched::{Notification, NotifyError, Policy, PollResult, Scheduler, SchedulerConfig};
 use edm_sim::{Bandwidth, Duration, Engine, EventQueue, Summary, Time, World};
 
+/// One-hop propagation delay of every [`ClusterConfig`] link.
+pub const PROP_DELAY: Duration = Duration::from_ns(10);
+
 /// Cluster-wide configuration shared by every protocol.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {
@@ -21,8 +24,6 @@ pub struct ClusterConfig {
     pub nodes: usize,
     /// Link bandwidth (scaled to 100 Gb/s in §4.3).
     pub link: Bandwidth,
-    /// One-hop propagation delay.
-    pub prop_delay: Duration,
     /// Fixed per-direction fabric pipeline latency added to every message
     /// (host stacks + switch, from the Table 1 model).
     pub pipeline_latency: Duration,
@@ -33,7 +34,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             nodes: 144,
             link: Bandwidth::from_gbps(100),
-            prop_delay: Duration::from_ns(10),
             // EDM one-way network-stack latency for a small message, from
             // the cycle model (read path / 2 as a representative one-way
             // cost). Protocols override their own pipeline constants.
@@ -142,10 +142,9 @@ pub trait FabricProtocol {
 /// corresponding unloaded latency"), prefer measuring each protocol's own
 /// solo flow via [`solo_mct`]; this closed form is the EDM reference.
 pub fn ideal_mct(cluster: &ClusterConfig, flow: &Flow) -> Duration {
-    let ctrl_hop =
-        cluster.pipeline_latency / 2 + cluster.prop_delay + cluster.link.tx_time_bytes(8);
+    let ctrl_hop = cluster.pipeline_latency / 2 + PROP_DELAY + cluster.link.tx_time_bytes(8);
     let data_hop = cluster.pipeline_latency / 2
-        + 2 * cluster.prop_delay
+        + 2 * PROP_DELAY
         + cluster.link.tx_time_bytes(flow.size as u64);
     2 * ctrl_hop + data_hop
 }
@@ -957,7 +956,7 @@ enum EdmEv {
 /// When a flow's demand reaches the switch: half an RTT after issue
 /// (RREQ or `/N/` flight).
 fn demand_time(cluster: &ClusterConfig, flow: &Flow) -> Time {
-    flow.arrival + cluster.pipeline_latency / 2 + cluster.prop_delay + cluster.link.tx_time_bytes(8)
+    flow.arrival + cluster.pipeline_latency / 2 + PROP_DELAY + cluster.link.tx_time_bytes(8)
 }
 
 /// A flow resident in the [`EdmWorld`] active slab.
@@ -1068,14 +1067,13 @@ impl<F: FnMut(u32, FlowOutcome), I: Iterator<Item = (u32, Flow)>> World for EdmW
                     return;
                 };
                 let half = self.cluster.pipeline_latency / 2
-                    + self.cluster.prop_delay
+                    + PROP_DELAY
                     + self.cluster.link.tx_time_bytes(8); // grant block flight
                 for g in round.grants {
                     // Grant flies to the sender (half RTT), sender emits the
                     // chunk, chunk flies src -> switch -> dst.
                     let chunk_tx = self.cluster.link.tx_time_bytes(g.chunk_bytes as u64);
-                    let data_flight =
-                        self.cluster.pipeline_latency / 2 + 2 * self.cluster.prop_delay + chunk_tx;
+                    let data_flight = self.cluster.pipeline_latency / 2 + 2 * PROP_DELAY + chunk_tx;
                     let delivered = now + round.sched_latency + half + data_flight;
                     q.schedule_ordered(
                         delivered,

@@ -46,7 +46,7 @@ pub mod priority_encoder;
 pub mod scheduler;
 
 pub use ordered_list::OrderedList;
-pub use pim::{Matching, PimConfig, PimRunner, SparseOutcome};
+pub use pim::{Matching, PimRunner, SparseOutcome};
 pub use priority_encoder::PriorityEncoder;
 pub use scheduler::{
     CancelOutcome, Grant, Notification, NotifyError, Policy, PollResult, Scheduler, SchedulerConfig,

@@ -21,26 +21,6 @@ use crate::priority_encoder::PriorityEncoder;
 /// Cycles per PIM iteration (fixed by the hardware pipeline design).
 pub const CYCLES_PER_ITERATION: u64 = 3;
 
-/// PIM configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PimConfig {
-    /// Number of switch ports (both sides of the bipartite graph).
-    pub ports: usize,
-    /// Iteration cap. `None` runs until no iteration adds a match, which
-    /// is the maximal matching the grant loop needs.
-    pub max_iterations: Option<usize>,
-}
-
-impl PimConfig {
-    /// Configuration for an `n`-port switch, iterating to maximality.
-    pub fn for_ports(n: usize) -> Self {
-        PimConfig {
-            ports: n,
-            max_iterations: None,
-        }
-    }
-}
-
 /// The result of one PIM run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Matching {
@@ -60,17 +40,14 @@ pub struct SparseOutcome {
     pub iterations: usize,
     /// Hardware cycles consumed (`3 × iterations`).
     pub cycles: u64,
-    /// Whether [`PimConfig::max_iterations`] stopped the run while
-    /// destinations were still contending — the one way a run can leave
-    /// an edge between two free ports unmatched. Never set when
-    /// iterating to maximality.
-    pub capped: bool,
 }
 
-/// Runs priority PIM over demand snapshots.
+/// Runs priority PIM over demand snapshots, iterating until no iteration
+/// adds a match: the maximal matching the grant loop needs.
 #[derive(Debug)]
 pub struct PimRunner {
-    config: PimConfig,
+    /// Number of switch ports (both sides of the bipartite graph).
+    ports: usize,
     encoders: Vec<PriorityEncoder>,
     /// Reused per-source proposal buffers (cleared each iteration).
     proposals: Vec<Vec<(u64, usize)>>,
@@ -90,27 +67,22 @@ pub struct PimRunner {
 }
 
 impl PimRunner {
-    /// Creates a runner for the given configuration.
-    pub fn new(config: PimConfig) -> Self {
+    /// Creates a runner for an `ports`-port switch.
+    pub fn new(ports: usize) -> Self {
         // Encoders start at width 0 and grow on first contention: an
         // O(ports²)-bit up-front allocation would defeat the sparse model.
-        let encoders = (0..config.ports).map(|_| PriorityEncoder::new(0)).collect();
+        let encoders = (0..ports).map(|_| PriorityEncoder::new(0)).collect();
         PimRunner {
-            config,
+            ports,
             encoders,
-            proposals: (0..config.ports).map(|_| Vec::new()).collect(),
+            proposals: (0..ports).map(|_| Vec::new()).collect(),
             proposed_srcs: Vec::new(),
             active_dests: Vec::new(),
             next_active: Vec::new(),
-            src_matched: vec![0; config.ports],
-            dst_matched: vec![0; config.ports],
+            src_matched: vec![0; ports],
+            dst_matched: vec![0; ports],
             epoch: 0,
         }
-    }
-
-    /// The configuration this runner was built with.
-    pub fn config(&self) -> PimConfig {
-        self.config
     }
 
     /// Forms a priority-respecting maximal matching.
@@ -123,7 +95,7 @@ impl PimRunner {
     ///
     /// # Panics
     ///
-    /// Panics if dimensions disagree with `config.ports` or a demand names
+    /// Panics if dimensions disagree with the port count or a demand names
     /// an out-of-range source.
     pub fn run(
         &mut self,
@@ -131,7 +103,7 @@ impl PimRunner {
         src_free: &[bool],
         dst_free: &[bool],
     ) -> Matching {
-        let n = self.config.ports;
+        let n = self.ports;
         assert_eq!(demand.len(), n, "demand rows must equal port count");
         assert_eq!(src_free.len(), n);
         assert_eq!(dst_free.len(), n);
@@ -175,7 +147,7 @@ impl PimRunner {
         pairs: &mut Vec<(usize, usize)>,
     ) -> SparseOutcome {
         pairs.clear();
-        let n = self.config.ports;
+        let n = self.ports;
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Stamp wrap-around: old stamps could collide; reset them.
@@ -185,7 +157,6 @@ impl PimRunner {
         }
         let epoch = self.epoch;
         let mut iterations = 0usize;
-        let mut capped = false;
 
         // Only destinations that are available and have demand can ever
         // propose; once a destination fails to find an eligible source it
@@ -195,12 +166,6 @@ impl PimRunner {
         self.active_dests.extend_from_slice(active_dests);
 
         loop {
-            if let Some(cap) = self.config.max_iterations {
-                if iterations >= cap {
-                    capped = !self.active_dests.is_empty();
-                    break;
-                }
-            }
             // --- Cycle 1: each active destination proposes its highest-
             // priority message whose source is still available.
             // proposals[s] collects (priority, dest) requests for source s.
@@ -265,7 +230,6 @@ impl PimRunner {
         SparseOutcome {
             iterations,
             cycles: iterations as u64 * CYCLES_PER_ITERATION,
-            capped,
         }
     }
 }
@@ -322,7 +286,7 @@ mod tests {
 
     #[test]
     fn single_demand_matches() {
-        let mut pim = PimRunner::new(PimConfig::for_ports(4));
+        let mut pim = PimRunner::new(4);
         let mut demand = vec![Vec::new(); 4];
         demand[2].push((10, 0));
         let m = pim.run(&demand, &all_free(4), &all_free(4));
@@ -334,7 +298,7 @@ mod tests {
     #[test]
     fn conflict_resolved_by_priority() {
         // Two destinations want the same source; lower key wins.
-        let mut pim = PimRunner::new(PimConfig::for_ports(4));
+        let mut pim = PimRunner::new(4);
         let mut demand = vec![Vec::new(); 4];
         demand[1].push((50, 0));
         demand[2].push((10, 0)); // higher priority
@@ -346,7 +310,7 @@ mod tests {
     #[test]
     fn loser_matches_in_later_iteration() {
         // dest1 loses src0 to dest2 but can fall back to src3.
-        let mut pim = PimRunner::new(PimConfig::for_ports(4));
+        let mut pim = PimRunner::new(4);
         let mut demand = vec![Vec::new(); 4];
         demand[1] = vec![(5, 0), (80, 3)];
         demand[2] = vec![(1, 0)];
@@ -359,7 +323,7 @@ mod tests {
 
     #[test]
     fn busy_ports_excluded() {
-        let mut pim = PimRunner::new(PimConfig::for_ports(3));
+        let mut pim = PimRunner::new(3);
         let mut demand = vec![Vec::new(); 3];
         demand[1].push((1, 0));
         demand[2].push((1, 0));
@@ -378,7 +342,7 @@ mod tests {
     #[test]
     fn permutation_demand_matches_fully_in_one_iteration() {
         let n = 16;
-        let mut pim = PimRunner::new(PimConfig::for_ports(n));
+        let mut pim = PimRunner::new(n);
         let mut demand = vec![Vec::new(); n];
         for (d, row) in demand.iter_mut().enumerate() {
             row.push((d as u64, (d + 1) % n));
@@ -403,7 +367,7 @@ mod tests {
                 row.sort_unstable();
                 let _ = d;
             }
-            let mut pim = PimRunner::new(PimConfig::for_ports(n));
+            let mut pim = PimRunner::new(n);
             let m = pim.run(&demand, &all_free(n), &all_free(n));
             assert_valid_maximal(&m, &demand);
             assert!(
@@ -430,7 +394,7 @@ mod tests {
                 }
                 row.sort_unstable();
             }
-            let mut pim = PimRunner::new(PimConfig::for_ports(n));
+            let mut pim = PimRunner::new(n);
             let m = pim.run(&demand, &all_free(n), &all_free(n));
             assert_eq!(m.pairs.len(), n, "full demand must match all ports");
             total_iters += m.iterations;
@@ -441,24 +405,6 @@ mod tests {
             "avg iterations {avg} should be O(log n) = {}",
             (n as f64).log2()
         );
-    }
-
-    #[test]
-    fn iteration_cap_respected() {
-        let n = 8;
-        let mut demand = vec![Vec::new(); n];
-        for (d, row) in demand.iter_mut().enumerate() {
-            for s in 0..n {
-                row.push(((s + d) as u64, s));
-            }
-            row.sort_unstable();
-        }
-        let mut pim = PimRunner::new(PimConfig {
-            ports: n,
-            max_iterations: Some(1),
-        });
-        let m = pim.run(&demand, &all_free(n), &all_free(n));
-        assert_eq!(m.iterations, 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! 4. When a message's remaining bytes reach zero it leaves the queue.
 
 use crate::ordered_list::OrderedList;
-use crate::pim::{self, PimConfig, PimRunner};
+use crate::pim::{self, PimRunner};
 use edm_sim::{Bandwidth, Duration, Time};
 use std::fmt;
 
@@ -209,9 +209,9 @@ pub struct PollResult {
     /// sees exactly the grants of one that polls at every busy expiry and
     /// every notification.
     ///
-    /// When the round may have left *eligible* demand unmatched — PIM hit
-    /// its iteration cap, or a walked row is deeper than PIM's snapshot —
-    /// this is the earliest busy expiry of any port instead.
+    /// When the round may have left *eligible* demand unmatched — a walked
+    /// row is deeper than PIM's snapshot — this is the earliest busy
+    /// expiry of any port instead.
     pub next_wakeup: Option<Time>,
 }
 
@@ -278,7 +278,7 @@ pub struct Scheduler {
     ///   examines the destination. (Rounds must not go back in time.)
     /// * a destination with no eligible source never proposes, so leaving
     ///   it out of `run_sparse` changes neither the matching nor the
-    ///   iteration count, for any iteration budget.
+    ///   iteration count.
     dest_ready: Vec<Time>,
     /// Running count of queued messages (= Σ queue lengths).
     pending: usize,
@@ -291,10 +291,6 @@ pub struct Scheduler {
     dests_examined: u64,
     /// Time of the latest round: `dest_ready` assumes time moves forward.
     last_poll: Time,
-    /// Whether the latest round's matcher stopped at its iteration cap
-    /// with destinations still contending, so an edge between two free
-    /// ports may be waiting for whichever round runs next.
-    capped: bool,
     /// Scratch: destinations eligible for PIM this round.
     pim_dests: Vec<usize>,
     /// Scratch: matched pairs from the last PIM run.
@@ -345,22 +341,9 @@ impl Scheduler {
     /// Panics if `config.ports`, `chunk_bytes` or `max_active_per_pair`
     /// is zero.
     pub fn new(config: SchedulerConfig) -> Self {
-        Scheduler::with_pim(config, PimConfig::for_ports(config.ports))
-    }
-
-    /// [`Scheduler::new`] with an explicit matcher configuration, e.g. a
-    /// hardware iteration budget ([`PimConfig::max_iterations`]) instead
-    /// of iterating to maximality.
-    ///
-    /// # Panics
-    ///
-    /// As [`Scheduler::new`], and if `pim.ports` differs from
-    /// `config.ports`.
-    pub fn with_pim(config: SchedulerConfig, pim: PimConfig) -> Self {
         assert!(config.ports > 0, "need at least one port");
         assert!(config.chunk_bytes > 0, "chunk size must be positive");
         assert!(config.max_active_per_pair > 0, "{ZERO_PAIR_LIMIT}");
-        assert_eq!(pim.ports, config.ports, "matcher sized for the switch");
         Scheduler {
             queues: (0..config.ports).map(|_| OrderedList::new()).collect(),
             src_busy_until: vec![Time::ZERO; config.ports],
@@ -369,7 +352,7 @@ impl Scheduler {
             pair_wait: vec![0; config.ports * config.ports],
             wait_slab: Vec::new(),
             wait_free: 0,
-            pim: PimRunner::new(pim),
+            pim: PimRunner::new(config.ports),
             demand_scratch: (0..config.ports).map(|_| Vec::new()).collect(),
             row_dirty: vec![false; config.ports],
             active_dests: Vec::new(),
@@ -380,7 +363,6 @@ impl Scheduler {
             empty_rounds: 0,
             dests_examined: 0,
             last_poll: Time::ZERO,
-            capped: false,
             pim_dests: Vec::new(),
             pairs_scratch: Vec::new(),
             config,
@@ -605,16 +587,11 @@ impl Scheduler {
     /// A driver that polls here after a notification, instead of at the
     /// notification's own instant, sees the same grants: the rounds in
     /// between would have found the new edge ineligible, and with it
-    /// every edge the last round's wake-up does not cover. The exception
-    /// is a round capped by [`PimConfig::max_iterations`] that left
-    /// contending demand behind, which any round can grant: then this
-    /// returns `Time::ZERO`, "poll at once".
+    /// every edge the last round's wake-up does not cover.
     pub fn grantable_at(&self, src: u16, dest: u16) -> Option<Time> {
         let idx = self.pair_idx(src, dest);
         debug_assert_ne!(self.pair_adm[idx] & HEAD_IN_QUEUE, 0, "nothing notified");
-        if self.capped {
-            Some(Time::ZERO)
-        } else if self.pair_wait[idx] != 0 {
+        if self.pair_wait[idx] != 0 {
             None
         } else {
             Some(self.src_busy_until[src as usize].max(self.dst_busy_until[dest as usize]))
@@ -820,11 +797,10 @@ impl Scheduler {
         self.pairs_scratch = pairs;
 
         // Only the destinations PIM saw can have a new instant. The round
-        // may have left *eligible* demand behind when PIM hit its cap or
-        // a row is deeper than its snapshot: then nothing short of every
-        // busy expiry is a safe wake-up.
-        self.capped = outcome.capped;
-        let mut fallback = outcome.capped;
+        // may have left *eligible* demand behind when a row is deeper than
+        // its snapshot: then nothing short of every busy expiry is a safe
+        // wake-up.
+        let mut fallback = false;
         for &d in &self.pim_dests {
             let pos = self.dest_active_pos[d];
             if pos == NOT_ACTIVE {
@@ -840,8 +816,8 @@ impl Scheduler {
                 Time::ZERO
             } else {
                 // The round walked this whole row (its snapshot is
-                // current) and, unless capped, found every source busy or
-                // granted to another destination.
+                // current) and found every source busy or granted to
+                // another destination.
                 debug_assert!(!self.row_dirty[d]);
                 self.demand_scratch[d]
                     .iter()
@@ -1177,44 +1153,6 @@ mod tests {
     fn zero_pair_limit_override_is_rejected() {
         let mut s = sched(4, 256, Policy::Srpt);
         let _ = s.notify_with_limit(Time::ZERO, Notification::new(0, 1, 0, 64), 0);
-    }
-
-    #[test]
-    fn capped_round_falls_back_to_the_next_busy_expiry() {
-        // One PIM iteration: both destinations propose source 0, port 1
-        // wins, and port 2 never gets to fall back to source 3 — an edge
-        // between two free ports stays unmatched. The round was not
-        // maximal, so it reports the earliest busy expiry of any port
-        // (here the 64 B chunk's), where a driver polling at every expiry
-        // would try again.
-        let mut s = Scheduler::with_pim(
-            SchedulerConfig {
-                max_active_per_pair: 3,
-                ..SchedulerConfig::default_for_ports(4)
-            },
-            PimConfig {
-                ports: 4,
-                max_iterations: Some(1),
-            },
-        );
-        s.notify(Time::ZERO, Notification::new(0, 1, 0, 64))
-            .unwrap();
-        s.notify(Time::ZERO, Notification::new(0, 2, 0, 128))
-            .unwrap();
-        s.notify(Time::ZERO, Notification::new(3, 2, 0, 256))
-            .unwrap();
-        let r = s.poll(Time::ZERO);
-        assert_eq!(r.grants.len(), 1);
-        assert_eq!((r.grants[0].src, r.grants[0].dest), (0, 1));
-        let short = s.config().link.tx_time_bytes(64);
-        assert_eq!(r.next_wakeup, Some(Time::ZERO + short));
-        // Any round may now grant the edge left behind, so a notification
-        // asks for one at once even though its own source is busy.
-        s.notify(Time::from_ns(1), Notification::new(0, 3, 0, 64))
-            .unwrap();
-        assert_eq!(s.grantable_at(0, 3), Some(Time::ZERO));
-        let r = s.poll(Time::from_ns(1));
-        assert_eq!((r.grants[0].src, r.grants[0].dest), (3, 2));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! from-scratch look computes (`Scheduler::audit_ready`).
 
 use edm_sched::scheduler::{CancelOutcome, Notification, Policy, Scheduler, SchedulerConfig};
-use edm_sched::{OrderedList, PimConfig, PimRunner};
+use edm_sched::{OrderedList, PimRunner};
 use edm_sim::{Bandwidth, Duration, Time};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet, VecDeque};
@@ -427,7 +427,7 @@ proptest! {
         }
         let src_free: Vec<bool> = (0..ports).map(|i| busy_bits & (1 << i) == 0).collect();
         let dst_free: Vec<bool> = (0..ports).map(|i| busy_bits & (1 << (i + 8)) == 0 || i >= 24).collect();
-        let mut pim = PimRunner::new(PimConfig::for_ports(ports));
+        let mut pim = PimRunner::new(ports);
         let m = pim.run(&demand, &src_free, &dst_free);
 
         let mut srcs = HashSet::new();
@@ -576,10 +576,9 @@ proptest! {
     /// Schedules mix single- and multi-chunk messages, overflow the
     /// per-pair X bound into a backlog and withdraw some messages shortly
     /// after they were announced; the wide shape piles more sources onto
-    /// a destination than PIM's row holds, and `one_iteration` caps PIM
-    /// so rounds leave eligible demand behind — the two cases where the
-    /// wake-up must fall back to every expiry, and the second the one
-    /// where a notification must still ask for a round at once.
+    /// a destination than PIM's row holds, so rounds leave eligible demand
+    /// behind — the one case where the wake-up must fall back to every
+    /// expiry.
     #[test]
     fn next_wakeup_driver_sees_the_exhaustive_grant_stream(
         wide in any::<bool>(),
@@ -592,7 +591,6 @@ proptest! {
         chunk in prop::sample::select(vec![64u32, 256]),
         srpt in any::<bool>(),
         x in 1usize..4,
-        one_iteration in any::<bool>(),
     ) {
         // Narrow: 8 ports, all-to-all. Wide: 100 sources, each busy from
         // time zero sending to a private destination while queueing for
@@ -607,10 +605,6 @@ proptest! {
             policy: if srpt { Policy::Srpt } else { Policy::Fcfs },
             max_active_per_pair: x,
             clock: edm_sched::ASIC_CLOCK,
-        };
-        let pim = PimConfig {
-            ports: ports as usize,
-            max_iterations: one_iteration.then_some(1),
         };
         let mut now = Time::ZERO;
         let mut next_id = std::collections::HashMap::new();
@@ -651,8 +645,8 @@ proptest! {
             })
             .collect();
         cancels.sort_by_key(|c| c.0);
-        let (got, rounds) = drive(Scheduler::with_pim(cfg, pim), &arrivals, &cancels, false);
-        let (want, all_rounds) = drive(Scheduler::with_pim(cfg, pim), &arrivals, &cancels, true);
+        let (got, rounds) = drive(Scheduler::new(cfg), &arrivals, &cancels, false);
+        let (want, all_rounds) = drive(Scheduler::new(cfg), &arrivals, &cancels, true);
         prop_assert_eq!(got.len(), want.len());
         for (a, b) in got.iter().zip(&want) {
             prop_assert_eq!(a, b);

@@ -76,35 +76,32 @@ pub enum AppTransport {
     /// for requests/acks (`control_flight`).
     Edm,
     /// Store-and-forward CXL-over-Ethernet on the same topology.
-    CxlOe(CxlOeConfig),
+    CxlOe,
 }
 
-/// Constants of the CXL-over-Ethernet baseline transport.
-///
-/// Defaults are calibrated against the latency stack the analytic
-/// baselines use (`edm-baselines`' tunneled-CXL read of ~330 ns with
-/// ~100 ns per extra switch): ~100 ns of adapter+stack per host end and
-/// a 100 ns store-and-forward switch traversal.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CxlOeConfig {
-    /// Adapter + CXL-port + stack latency paid at *each* host end.
-    pub host_latency: Duration,
-    /// Store-and-forward forwarding latency per switch.
-    pub switch_latency: Duration,
-    /// Framing bytes added to every message (Ethernet header, CRC,
-    /// preamble+IFG, CXL.mem tunnel header).
-    pub frame_overhead: u32,
-}
+// Constants of the CXL-over-Ethernet baseline transport, calibrated
+// against the latency stack the analytic baselines use (`edm-baselines`'
+// tunneled-CXL read of ~330 ns with ~100 ns per extra switch).
 
-impl Default for CxlOeConfig {
-    fn default() -> Self {
-        CxlOeConfig {
-            host_latency: Duration::from_ns(100),
-            switch_latency: Duration::from_ns(100),
-            frame_overhead: 46,
-        }
-    }
-}
+/// CXL-oE adapter + CXL-port + stack latency paid at *each* host end.
+const CXL_HOST_LATENCY: Duration = Duration::from_ns(100);
+/// CXL-oE store-and-forward forwarding latency per switch.
+const CXL_SWITCH_LATENCY: Duration = Duration::from_ns(100);
+/// Framing bytes CXL-oE adds to every message (Ethernet header, CRC,
+/// preamble+IFG, CXL.mem tunnel header).
+const CXL_FRAME_OVERHEAD: u32 = 46;
+
+/// End-to-end latency of a local-DRAM access (Figure 7's ~82 ns: DRAM +
+/// on-chip interconnect).
+const LOCAL_LATENCY: Duration = Duration::from_ns(82);
+/// Memory-node NIC processing between a request's arrival and the
+/// controller issue.
+const NIC_DELAY: Duration = Duration::from_ns(25);
+/// Compute-node delay between a response's arrival and the tenant
+/// observing completion.
+const COMPLETION_DELAY: Duration = Duration::from_ns(25);
+/// Window width of the throughput/availability time series.
+const STATS_WINDOW: Duration = Duration::from_us(10);
 
 /// Configuration of a closed-loop application run.
 #[derive(Debug, Clone)]
@@ -116,38 +113,23 @@ pub struct AppConfig {
     pub memory_nodes: Vec<usize>,
     /// DRAM timing of every memory node.
     pub dram: DramConfig,
-    /// End-to-end latency of a local-DRAM access (Figure 7's ~82 ns:
-    /// DRAM + on-chip interconnect).
-    pub local_latency: Duration,
-    /// Memory-node NIC processing between a request's arrival and the
-    /// controller issue. Must be positive.
-    pub nic_delay: Duration,
-    /// Compute-node delay between a response's arrival and the tenant
-    /// observing completion. Must be positive.
-    pub completion_delay: Duration,
     /// Transport under test.
     pub transport: AppTransport,
     /// Base seed; tenant `i` samples from substream `i`.
     pub seed: u64,
-    /// Window width of the throughput/availability time series.
-    pub stats_window: Duration,
 }
 
 impl AppConfig {
     /// A config over `tenants` and `memory_nodes` with the paper-aligned
-    /// defaults: DDR4-2400 service, 82 ns local accesses, 25 ns NIC and
-    /// completion delays, EDM transport.
+    /// defaults: DDR4-2400 service, EDM transport. (Local accesses take
+    /// 82 ns, NIC and completion delays 25 ns each, in every run.)
     pub fn new(tenants: Vec<TenantSpec>, memory_nodes: Vec<usize>) -> Self {
         AppConfig {
             tenants,
             memory_nodes,
             dram: DramConfig::ddr4_2400(),
-            local_latency: Duration::from_ns(82),
-            nic_delay: Duration::from_ns(25),
-            completion_delay: Duration::from_ns(25),
             transport: AppTransport::Edm,
             seed: 1,
-            stats_window: Duration::from_us(10),
         }
     }
 
@@ -173,12 +155,6 @@ impl AppConfig {
             assert!(t.node < topo.nodes(), "tenant node out of range");
             assert!(t.mlp >= 1, "a tenant needs a window of at least 1");
         }
-        // A zero-latency NIC is not a NIC.
-        assert!(self.nic_delay > Duration::ZERO, "nic_delay must be > 0");
-        assert!(
-            self.completion_delay > Duration::ZERO,
-            "completion_delay must be > 0"
-        );
     }
 }
 
@@ -271,15 +247,13 @@ struct OpRt {
 /// deterministic and conservative for the FIFO lanes modeled here).
 #[derive(Debug, Clone, PartialEq)]
 struct CxlNet {
-    cfg: CxlOeConfig,
     /// `busy[link * 2 + dir]`: when that directed lane frees up.
     busy: Vec<Time>,
 }
 
 impl CxlNet {
-    fn new(cfg: CxlOeConfig, links: usize) -> Self {
+    fn new(links: usize) -> Self {
         CxlNet {
-            cfg,
             busy: vec![Time::ZERO; links * 2],
         }
     }
@@ -308,8 +282,8 @@ impl CxlNet {
     ) -> Option<Time> {
         let path = topo.path(from, to, salt)?;
         let src_link = topo.node_link(from);
-        let bytes = payload + self.cfg.frame_overhead;
-        let mut t = start + self.cfg.host_latency;
+        let bytes = payload + CXL_FRAME_OVERHEAD;
+        let mut t = start + CXL_HOST_LATENCY;
         t = self.cross(
             topo,
             src_link,
@@ -318,7 +292,7 @@ impl CxlNet {
             bytes,
         );
         for (switch, out_link) in path.iter() {
-            t += self.cfg.switch_latency;
+            t += CXL_SWITCH_LATENCY;
             t = self.cross(
                 topo,
                 out_link,
@@ -327,7 +301,7 @@ impl CxlNet {
                 bytes,
             );
         }
-        Some(t + self.cfg.host_latency)
+        Some(t + CXL_HOST_LATENCY)
     }
 }
 
@@ -385,9 +359,6 @@ pub(crate) struct AppState {
     mems: Vec<MemoryService>,
     /// `Some` iff the transport is CXL-oE.
     cxl: Option<CxlNet>,
-    local_latency: Duration,
-    nic_delay: Duration,
-    completion_delay: Duration,
     /// First-issue instant per tenant (think-time sampled at build).
     start_at: Vec<Time>,
     /// In-flight ops — O(Σ mlp), never O(total ops).
@@ -448,11 +419,8 @@ impl AppState {
                 .collect(),
             cxl: match cfg.transport {
                 AppTransport::Edm => None,
-                AppTransport::CxlOe(c) => Some(CxlNet::new(c, topo.links().len())),
+                AppTransport::CxlOe => Some(CxlNet::new(topo.links().len())),
             },
-            local_latency: cfg.local_latency,
-            nic_delay: cfg.nic_delay,
-            completion_delay: cfg.completion_delay,
             start_at,
             ops: HashMap::new(),
             flow_op: HashMap::new(),
@@ -467,8 +435,8 @@ impl AppState {
             lat_update: LogHistogram::new(),
             lat_rmw: LogHistogram::new(),
             lat_local: LogHistogram::new(),
-            throughput: Throughput::new(cfg.stats_window),
-            availability: Availability::new(cfg.stats_window),
+            throughput: Throughput::new(STATS_WINDOW),
+            availability: Availability::new(STATS_WINDOW),
             last_done: Time::ZERO,
         }
     }
@@ -552,7 +520,7 @@ where
             // Request payload delivered: the memory node's NIC hands it
             // to the controller after its processing delay.
             q.schedule_ordered(
-                t + app.nic_delay,
+                t + NIC_DELAY,
                 evord::app_service(op),
                 TopoEv::App(AppEv::Service { op }),
             );
@@ -563,7 +531,7 @@ where
             );
             rec.failed |= !ok;
             q.schedule_ordered(
-                t + app.completion_delay,
+                t + COMPLETION_DELAY,
                 evord::app_done(op),
                 TopoEv::App(AppEv::Done { op }),
             );
@@ -609,7 +577,7 @@ where
                 OpKind::Local => {
                     app.insert_op(op, rec);
                     q.schedule_ordered(
-                        now + app.local_latency,
+                        now + LOCAL_LATENCY,
                         evord::app_done(op),
                         TopoEv::App(AppEv::Done { op }),
                     );
@@ -638,7 +606,7 @@ where
                         Some(f) => {
                             app.insert_op(op, rec);
                             q.schedule_ordered(
-                                now + f + app.nic_delay,
+                                now + f + NIC_DELAY,
                                 evord::app_service(op),
                                 TopoEv::App(AppEv::Service { op }),
                             );
@@ -647,7 +615,7 @@ where
                             rec.failed = true;
                             app.insert_op(op, rec);
                             q.schedule_ordered(
-                                now + app.completion_delay,
+                                now + COMPLETION_DELAY,
                                 evord::app_done(op),
                                 TopoEv::App(AppEv::Done { op }),
                             );
@@ -671,7 +639,7 @@ where
                         Some(t) => {
                             app.insert_op(op, rec);
                             q.schedule_ordered(
-                                t + app.nic_delay,
+                                t + NIC_DELAY,
                                 evord::app_service(op),
                                 TopoEv::App(AppEv::Service { op }),
                             );
@@ -680,7 +648,7 @@ where
                             rec.failed = true;
                             app.insert_op(op, rec);
                             q.schedule_ordered(
-                                now + app.completion_delay,
+                                now + COMPLETION_DELAY,
                                 evord::app_done(op),
                                 TopoEv::App(AppEv::Done { op }),
                             );
@@ -846,7 +814,7 @@ fn finish_leg(
         }
     };
     q.schedule_ordered(
-        at + app.completion_delay,
+        at + COMPLETION_DELAY,
         evord::app_done(op),
         TopoEv::App(AppEv::Done { op }),
     );
@@ -909,10 +877,7 @@ mod tests {
     #[test]
     fn closed_loop_completes_every_op_on_cxl_oe() {
         let topo = leaf_spine();
-        let r = TopoEdm::default().simulate_app(
-            &topo,
-            &small_app(AppTransport::CxlOe(CxlOeConfig::default())),
-        );
+        let r = TopoEdm::default().simulate_app(&topo, &small_app(AppTransport::CxlOe));
         assert_eq!(r.ops_completed, 200);
         // CXL-oE bypasses the scheduler entirely.
         assert_eq!(r.fabric.admitted, 0);
@@ -955,7 +920,7 @@ mod tests {
         assert_eq!(r.lat_local.count(), 64);
         assert_eq!(r.fabric.admitted, 0);
         // Local ops pay exactly the configured latency.
-        assert_eq!(r.lat_local.max(), app.local_latency.as_ps());
+        assert_eq!(r.lat_local.max(), LOCAL_LATENCY.as_ps());
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! EDM multiplexes scheduled memory blocks with regular Ethernet frames on
 //! the same links (§3.2.3): with intra-frame preemption, a memory block
-//! waits at most one 66-bit block time behind an in-flight IP frame; with
-//! plain priority queueing it waits for the frame's remaining
-//! serialization. This module models that interference deterministically:
-//! each link carries an independent Poisson process of fixed-size IP
-//! frames at a configured fraction of its capacity, realized lazily from a
-//! per-link RNG stream, and each memory-chunk crossing is charged the
-//! residual occupancy it observes.
+//! waits at most one 66-bit block time behind an in-flight IP frame. This
+//! module models that interference deterministically: each link carries
+//! an independent Poisson process of MTU-sized IP frames at a configured
+//! fraction of its capacity ([`crate::TopoEdmConfig::ip`]), realized
+//! lazily from a per-link RNG stream, and each memory-chunk crossing is
+//! charged the residual occupancy it observes, cut at the next block
+//! boundary. (Plain priority queueing, which waits out the frame, is
+//! contrasted with preemption at the PHY by the `preemption` experiment.)
 //!
 //! The model is interference-only in the memory→IP direction: memory
 //! chunks never push IP frames back (under preemption EDM wins the link by
@@ -25,43 +26,11 @@
 
 use edm_sim::{Bandwidth, Duration, Rng, Time};
 
-/// Background IP traffic configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct IpTraffic {
-    /// Fraction of each link's capacity offered as background IP frames
-    /// (0.0 disables the model).
-    pub fraction: f64,
-    /// IP frame size in bytes (MTU-sized by default).
-    pub frame_bytes: u32,
-    /// Whether EDM's intra-frame preemption (§3.2.3) is available: if so,
-    /// a memory chunk waits at most one 66-bit PHY block behind a frame;
-    /// otherwise it waits out the frame's remaining serialization.
-    pub preemption: bool,
-    /// Seed for the per-link frame processes.
-    pub seed: u64,
-}
+/// IP frame size in bytes: MTU-sized.
+const FRAME_BYTES: u64 = 1500;
 
-impl Default for IpTraffic {
-    fn default() -> Self {
-        IpTraffic {
-            fraction: 0.0,
-            frame_bytes: 1500,
-            preemption: true,
-            seed: 0x1b,
-        }
-    }
-}
-
-impl IpTraffic {
-    /// A convenience constructor: `fraction` of every link busy with MTU
-    /// frames, preemption on.
-    pub fn load(fraction: f64) -> Self {
-        IpTraffic {
-            fraction,
-            ..IpTraffic::default()
-        }
-    }
-}
+/// Seed for the per-link frame processes.
+const SEED: u64 = 0x1b;
 
 /// Lazily-materialized per-link frame process.
 #[derive(Debug, Clone)]
@@ -75,7 +44,8 @@ struct Lane {
 /// (link, direction).
 #[derive(Debug)]
 pub(crate) struct IpModel {
-    cfg: IpTraffic,
+    /// Fraction of each link's capacity offered as IP frames.
+    fraction: f64,
     /// Two lane slots per link (`link * 2 + side`); access links only
     /// ever use side 0, trunk sides are keyed by the granting switch.
     lanes: Vec<Option<Lane>>,
@@ -84,14 +54,13 @@ pub(crate) struct IpModel {
 }
 
 impl IpModel {
-    pub(crate) fn new(cfg: IpTraffic, link_count: usize) -> Self {
+    pub(crate) fn new(fraction: f64, link_count: usize) -> Self {
         assert!(
-            (0.0..1.0).contains(&cfg.fraction),
-            "IP fraction must be in [0, 1), got {}",
-            cfg.fraction
+            (0.0..1.0).contains(&fraction),
+            "IP fraction must be in [0, 1), got {fraction}"
         );
         IpModel {
-            cfg,
+            fraction,
             lanes: vec![None; link_count * 2],
             frames: 0,
             delayed: 0,
@@ -110,7 +79,7 @@ impl IpModel {
 
     /// The extra latency a memory chunk crossing `link` (direction
     /// `side`) at `at` observes. The lane's frame stream is a pure
-    /// function of `(seed, link, side)`, never of which model instance
+    /// function of `(link, side)`, never of which model instance
     /// or shard materializes it.
     pub(crate) fn crossing_delay(
         &mut self,
@@ -119,16 +88,15 @@ impl IpModel {
         at: Time,
         bw: Bandwidth,
     ) -> Duration {
-        if self.cfg.fraction <= 0.0 {
+        if self.fraction <= 0.0 {
             return Duration::ZERO;
         }
-        let frame_tx = bw.tx_time_bytes(self.cfg.frame_bytes as u64);
+        let frame_tx = bw.tx_time_bytes(FRAME_BYTES);
         // Offered fraction f at mean inter-arrival gap = frame_tx / f.
-        let gap = Duration::from_ps((frame_tx.as_ps() as f64 / self.cfg.fraction).round() as u64);
-        let seed = self.cfg.seed;
+        let gap = Duration::from_ps((frame_tx.as_ps() as f64 / self.fraction).round() as u64);
         let lane = self.lanes[link as usize * 2 + side as usize].get_or_insert_with(|| {
             let stream = (link as u64) << 1 | side as u64;
-            let mut rng = Rng::stream(seed, stream);
+            let mut rng = Rng::stream(SEED, stream);
             let first = Time::ZERO + rng.exp_duration(gap);
             Lane {
                 rng,
@@ -143,13 +111,10 @@ impl IpModel {
         }
         if lane.busy_until > at {
             self.delayed += 1;
-            let residual = lane.busy_until.saturating_since(at);
-            if self.cfg.preemption {
-                // Preempt at the next 66-bit block boundary.
-                residual.min(bw.tx_time_bits(66))
-            } else {
-                residual
-            }
+            // Preempt at the next 66-bit block boundary.
+            lane.busy_until
+                .saturating_since(at)
+                .min(bw.tx_time_bits(66))
         } else {
             Duration::ZERO
         }
@@ -162,7 +127,7 @@ mod tests {
 
     #[test]
     fn zero_fraction_is_free() {
-        let mut m = IpModel::new(IpTraffic::default(), 4);
+        let mut m = IpModel::new(0.0, 4);
         let bw = Bandwidth::from_gbps(100);
         assert_eq!(m.crossing_delay(0, 0, Time::from_us(3), bw), Duration::ZERO);
         assert_eq!(m.frames(), 0);
@@ -170,11 +135,7 @@ mod tests {
 
     #[test]
     fn preemption_bounds_delay_to_one_block() {
-        let cfg = IpTraffic {
-            fraction: 0.8,
-            ..IpTraffic::default()
-        };
-        let mut m = IpModel::new(cfg, 1);
+        let mut m = IpModel::new(0.8, 1);
         let bw = Bandwidth::from_gbps(100);
         let block = bw.tx_time_bits(66);
         let mut hit = false;
@@ -188,38 +149,10 @@ mod tests {
     }
 
     #[test]
-    fn no_preemption_waits_out_the_frame() {
-        let cfg = IpTraffic {
-            fraction: 0.8,
-            preemption: false,
-            ..IpTraffic::default()
-        };
-        let mut m = IpModel::new(cfg, 1);
-        let bw = Bandwidth::from_gbps(100);
-        let frame_tx = bw.tx_time_bytes(1500);
-        let block = bw.tx_time_bits(66);
-        let mut max = Duration::ZERO;
-        for ns in (0..50_000).step_by(13) {
-            max = max.max(m.crossing_delay(0, 0, Time::from_ns(ns), bw));
-        }
-        assert!(max > block, "store-and-wait must exceed a block time");
-        // The worst wait cannot exceed the residual backlog of a few
-        // queued frames; a single lightly-loaded frame is ~120 ns.
-        assert!(
-            max >= frame_tx / 4,
-            "expected a substantial frame wait, got {max}"
-        );
-    }
-
-    #[test]
     fn lanes_are_independent_and_deterministic() {
-        let cfg = IpTraffic {
-            fraction: 0.5,
-            ..IpTraffic::default()
-        };
         let bw = Bandwidth::from_gbps(100);
         let sample = |link: u32, side: u8| {
-            let mut m = IpModel::new(cfg, 4);
+            let mut m = IpModel::new(0.5, 4);
             (0..2_000)
                 .step_by(11)
                 .map(|ns| m.crossing_delay(link, side, Time::from_ns(ns), bw).as_ps())
@@ -235,14 +168,10 @@ mod tests {
         // Two model instances each driving a disjoint lane subset see
         // exactly the streams one instance driving both would see — the
         // property that lets shards own disjoint lane sets.
-        let cfg = IpTraffic {
-            fraction: 0.5,
-            ..IpTraffic::default()
-        };
         let bw = Bandwidth::from_gbps(100);
-        let mut whole = IpModel::new(cfg, 2);
-        let mut part_a = IpModel::new(cfg, 2);
-        let mut part_b = IpModel::new(cfg, 2);
+        let mut whole = IpModel::new(0.5, 2);
+        let mut part_a = IpModel::new(0.5, 2);
+        let mut part_b = IpModel::new(0.5, 2);
         let mut frames_whole = Vec::new();
         let mut frames_split = Vec::new();
         for ns in (0..3_000).step_by(17) {

@@ -62,19 +62,18 @@ pub mod shard;
 pub mod topology;
 pub mod world;
 
-pub use app::{AppConfig, AppReport, AppTransport, CxlOeConfig};
-pub use ip::IpTraffic;
+pub use app::{AppConfig, AppReport, AppTransport};
 pub use shard::ShardPlan;
 pub use topology::{Endpoint, Hop, LeafSpine, Link, LinkParams, Route, SwitchRole, Topology};
 pub use world::{
     admission_route, FaultEvent, FaultKind, FlowStatus, TopoEdm, TopoEdmConfig, TopoOutcome,
-    TopoResult, TopoStreamStats,
+    TopoResult, TopoStreamStats, TRUNK_MAX_ACTIVE_PER_PAIR,
 };
 
-use edm_core::sim::ClusterConfig;
+use edm_core::sim::{ClusterConfig, PROP_DELAY};
 
 /// The 1-switch [`Topology`] equivalent to a legacy [`ClusterConfig`]:
-/// `nodes` hosts on `cluster.link` access links with `cluster.prop_delay`
+/// `nodes` hosts on `cluster.link` access links with [`PROP_DELAY`]
 /// propagation. `TopoEdm` on this topology (with
 /// [`TopoEdmConfig::matching`]) reproduces `EdmProtocol` bit-for-bit.
 pub fn cluster_topology(cluster: &ClusterConfig) -> Topology {
@@ -82,7 +81,7 @@ pub fn cluster_topology(cluster: &ClusterConfig) -> Topology {
         cluster.nodes,
         LinkParams {
             bandwidth: cluster.link,
-            propagation: cluster.prop_delay,
+            propagation: PROP_DELAY,
         },
     )
 }

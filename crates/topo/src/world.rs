@@ -25,7 +25,7 @@
 //!
 //! Trunk-facing pairs aggregate many end-to-end flows, so multi-hop
 //! routes are provisioned a larger per-pair X than single-hop access
-//! pairs ([`TopoEdmConfig::trunk_max_active_per_pair`], via the
+//! pairs ([`TRUNK_MAX_ACTIVE_PER_PAIR`], via the
 //! scheduler's `notify_with_limit` entry point).
 //!
 //! # Deterministic event ordering
@@ -84,7 +84,7 @@
 //! [`FaultKind::SwitchUp`] bring a dead element back (the revived
 //! switch's scheduler cold-starts, [`SwitchDomain::purge`]), and
 //! [`FaultKind::RestoreLink`] clears accumulated degradation. A repair
-//! bumps — after [`TopoEdmConfig::repair_delay`] — every active flow
+//! bumps — after a 10 µs detection delay — every active flow
 //! whose live route is now longer than the healed fabric's shortest
 //! path, so traffic detoured around a failure migrates back. With
 //! [`TopoEdmConfig::max_retries`] > 0, a flow that finds the fabric
@@ -133,7 +133,7 @@
 //!   barrier credits).
 
 use crate::app::{AppConfig, AppEv, AppState};
-use crate::ip::{IpModel, IpTraffic};
+use crate::ip::IpModel;
 use crate::shard::ShardPlan;
 use crate::topology::{Endpoint, Path, Route, Topology};
 use edm_core::sim::{
@@ -171,8 +171,8 @@ pub enum FaultKind {
         extra: Duration,
     },
     /// A downed link comes back up. Routes recompute, and flows detoured
-    /// onto longer paths migrate back after
-    /// [`TopoEdmConfig::repair_delay`]. A no-op if the link is up.
+    /// onto longer paths migrate back after a 10 µs detection delay. A
+    /// no-op if the link is up.
     LinkUp(u32),
     /// A downed switch comes back up with a cold scheduler (its queued
     /// state died with it). A no-op if the switch is up.
@@ -181,6 +181,17 @@ pub enum FaultKind {
     /// link (fiber replaced, FEC retrained); latency-only, no reroute.
     RestoreLink(u32),
 }
+
+/// X for pairs on multi-hop routes: those touch trunk ports, which
+/// aggregate many concurrent end-to-end flows, so they get a larger share
+/// of the notification queue than single-hop host pairs
+/// ([`TopoEdmConfig::max_active_per_pair`]).
+pub const TRUNK_MAX_ACTIVE_PER_PAIR: usize = 16;
+
+/// Detection time before flows detoured around a failure migrate back
+/// onto a repaired element's shorter paths ([`FaultKind::LinkUp`] /
+/// [`FaultKind::SwitchUp`]).
+const REPAIR_DELAY: Duration = Duration::from_us(10);
 
 /// Configuration of the multi-switch EDM protocol.
 #[derive(Debug, Clone)]
@@ -194,19 +205,12 @@ pub struct TopoEdmConfig {
     pub chunk_bytes: u32,
     /// Scheduling policy.
     pub policy: Policy,
-    /// X for single-hop (host↔host) pairs — the paper's X=3.
+    /// X for single-hop (host↔host) pairs — the paper's X=3. Multi-hop
+    /// pairs use [`TRUNK_MAX_ACTIVE_PER_PAIR`].
     pub max_active_per_pair: usize,
-    /// X for pairs on multi-hop routes: those touch trunk ports, which
-    /// aggregate many concurrent end-to-end flows, so they get a larger
-    /// share of the notification queue.
-    pub trunk_max_active_per_pair: usize,
     /// Detection + recovery time before a failed flow's remaining bytes
     /// re-enter on a new route.
     pub reroute_delay: Duration,
-    /// Detection time before flows detoured around a failure migrate
-    /// back onto a repaired element's shorter paths ([`FaultKind::LinkUp`]
-    /// / [`FaultKind::SwitchUp`]).
-    pub repair_delay: Duration,
     /// How many times a flow that finds the fabric partitioned probes
     /// for a route again before failing for good. 0 (the default)
     /// preserves the legacy fail-fast semantics: a partition at reroute
@@ -216,8 +220,10 @@ pub struct TopoEdmConfig {
     /// every subsequent attempt (the flow-level timeout is the sum of
     /// the exponential series).
     pub retry_backoff: Duration,
-    /// Background IP traffic sharing the links.
-    pub ip: IpTraffic,
+    /// Fraction of each link's capacity offered as background IP frames
+    /// sharing the links with memory traffic (0.0, the default, disables
+    /// the model; see [`crate::ip`]).
+    pub ip: f64,
     /// Fault injection plan.
     pub faults: Vec<FaultEvent>,
 }
@@ -229,12 +235,10 @@ impl Default for TopoEdmConfig {
             chunk_bytes: 256,
             policy: Policy::Srpt,
             max_active_per_pair: 3,
-            trunk_max_active_per_pair: 16,
             reroute_delay: Duration::from_us(10),
-            repair_delay: Duration::from_us(10),
             max_retries: 0,
             retry_backoff: Duration::from_us(20),
-            ip: IpTraffic::default(),
+            ip: 0.0,
             faults: Vec::new(),
         }
     }
@@ -603,12 +607,6 @@ impl TopoEdm {
         S: FnMut(u32, TopoOutcome),
         I: Iterator<Item = Flow>,
     {
-        // X = 0 on trunk pairs would backlog every multi-hop offer for
-        // good; the host-pair X is checked by each switch's scheduler.
-        assert!(
-            self.config.trunk_max_active_per_pair > 0,
-            "trunk_max_active_per_pair must be at least 1"
-        );
         let topo = topo.clone();
         let link_count = topo.links().len();
         let domains = (0..topo.switch_count() as u32)
@@ -720,7 +718,7 @@ impl TopoEdm {
     pub fn solo_mct(&self, topo: &Topology, flow: &Flow) -> Option<Duration> {
         let mut cfg = self.config.clone();
         cfg.faults.clear();
-        cfg.ip.fraction = 0.0;
+        cfg.ip = 0.0;
         let solo = Flow {
             arrival: Time::ZERO,
             ..*flow
@@ -1042,7 +1040,7 @@ fn route_limit(cfg: &TopoEdmConfig, hops: usize) -> usize {
     if hops == 1 {
         cfg.max_active_per_pair
     } else {
-        cfg.trunk_max_active_per_pair
+        TRUNK_MAX_ACTIVE_PER_PAIR
     }
 }
 
@@ -1776,7 +1774,7 @@ where
                     self.events += 1;
                 }
                 let fault = self.cfg.faults[idx as usize];
-                let (reroute_delay, repair_delay) = (self.cfg.reroute_delay, self.cfg.repair_delay);
+                let reroute_delay = self.cfg.reroute_delay;
                 match fault.kind {
                     FaultKind::LinkDown(l) => {
                         self.topo.set_link_up(l, false);
@@ -1805,7 +1803,7 @@ where
                     FaultKind::LinkUp(l) => {
                         if !self.topo.link(l).is_up() {
                             self.topo.set_link_up(l, true);
-                            self.bump_improvable(now, repair_delay, q);
+                            self.bump_improvable(now, REPAIR_DELAY, q);
                         }
                     }
                     FaultKind::SwitchUp(s) => {
@@ -1814,7 +1812,7 @@ where
                             // the revived switch starts cold, fenced
                             // from pre-outage chunks by its generation.
                             self.topo.set_switch_up(s, true);
-                            self.bump_improvable(now, repair_delay, q);
+                            self.bump_improvable(now, REPAIR_DELAY, q);
                         }
                     }
                     FaultKind::RestoreLink(l) => {
@@ -2084,15 +2082,11 @@ mod tests {
             .map(|i| write_flow(i, i % 16, 16 + (i % 16), 256, 50 * i as u64))
             .collect();
         let clean = TopoEdm::default().simulate(&topo, &flows);
-        let mut cfg = TopoEdmConfig {
-            ip: IpTraffic {
-                fraction: 0.6,
-                preemption: false,
-                ..IpTraffic::default()
-            },
+        let cfg = TopoEdmConfig {
+            ip: 0.6,
             ..TopoEdmConfig::default()
         };
-        let loaded = TopoEdm::new(cfg.clone()).simulate(&topo, &flows);
+        let loaded = TopoEdm::new(cfg).simulate(&topo, &flows);
         assert_eq!(loaded.stats.delivered, 64);
         assert!(loaded.stats.ip_frames > 0);
         assert!(
@@ -2101,16 +2095,60 @@ mod tests {
             loaded.mean_mct(),
             clean.mean_mct()
         );
-        // Preemption caps the interference far below frame waits.
-        cfg.ip.preemption = true;
-        let preempt = TopoEdm::new(cfg).simulate(&topo, &flows);
-        assert_eq!(preempt.stats.delivered, 64);
-        assert!(
-            preempt.mean_mct() < loaded.mean_mct(),
-            "preemption {} must beat store-and-wait {}",
-            preempt.mean_mct(),
-            loaded.mean_mct()
-        );
+    }
+
+    /// A leaf-spine run under background IP at 0.3 of every link folds
+    /// each outcome's flow id, status and instant, and the IP counters,
+    /// into an FNV-1a digest recorded before the IP frame size, seed and
+    /// preemption became constants: moving any of them, or the trunk X,
+    /// fails here by name.
+    #[test]
+    fn ip_loaded_leaf_spine_keeps_its_recorded_digest() {
+        const DIGEST: u64 = 0x0635_9bec_840d_0bb0;
+        let topo = Topology::leaf_spine(LeafSpine::symmetric(4, 2, 4, 2));
+        let mut rng = edm_sim::Rng::seed_from(0xed);
+        let mut at = Time::ZERO;
+        let flows: Vec<Flow> = (0..400)
+            .map(|id| {
+                at += Duration::from_ns(rng.below(120));
+                let src = rng.below(16) as usize;
+                let dst = (src + 1 + rng.below(15) as usize) % 16;
+                Flow {
+                    id,
+                    src,
+                    dst,
+                    size: 64 << rng.below(8),
+                    arrival: at,
+                    kind: if rng.chance(0.5) {
+                        FlowKind::Read
+                    } else {
+                        FlowKind::Write
+                    },
+                }
+            })
+            .collect();
+        let cfg = TopoEdmConfig {
+            ip: 0.3,
+            ..TopoEdmConfig::default()
+        };
+        let r = TopoEdm::new(cfg).simulate(&topo, &flows);
+        assert_eq!(r.stats.delivered, 400);
+        assert!(r.stats.ip_delayed > 0, "IP must delay some crossings");
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |v: u64| h = (h ^ v).wrapping_mul(0x100_0000_01b3);
+        for o in &r.outcomes {
+            mix(o.flow.id as u64);
+            let (failed, t) = match o.status {
+                FlowStatus::Delivered(t) => (0, t),
+                FlowStatus::Failed(t) => (1, t),
+            };
+            mix(failed);
+            mix(t.as_ps());
+        }
+        mix(r.stats.ip_frames);
+        mix(r.stats.ip_delayed);
+        println!("digest {h:#x}");
+        assert_eq!(h, DIGEST, "{h:#x}");
     }
 
     #[test]
@@ -2139,19 +2177,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "trunk_max_active_per_pair must be at least 1")]
-    fn zero_trunk_pair_limit_is_rejected_before_the_run() {
-        // Used to end in `finish`'s "a flow stalled without a terminal
-        // state": every cross-leaf offer backlogged for good.
-        let topo = Topology::leaf_spine(LeafSpine::symmetric(2, 1, 4, 1));
-        let cfg = TopoEdmConfig {
-            trunk_max_active_per_pair: 0,
-            ..TopoEdmConfig::default()
-        };
-        TopoEdm::new(cfg).simulate(&topo, &[write_flow(0, 0, 4, 64, 0)]);
-    }
-
-    #[test]
     #[should_panic(expected = "(X) must be at least 1")]
     fn zero_host_pair_limit_is_rejected_before_the_run() {
         let topo = Topology::leaf_spine(LeafSpine::symmetric(2, 1, 4, 1));
@@ -2164,20 +2189,24 @@ mod tests {
 
     #[test]
     fn x1_hot_pair_backlog_drains_in_pair_order() {
-        // X = 1 everywhere: a hot cross-leaf pair's backlog admits one
-        // message at a time at every hop, and still every flow delivers,
-        // in pair order.
+        // X = 1 on host pairs; a hot cross-leaf pair offers more messages
+        // than the trunk X admits, so its backlog admits one message per
+        // completion at every hop, and still every flow delivers, in pair
+        // order.
         let topo = Topology::leaf_spine(LeafSpine::symmetric(2, 1, 4, 1));
         let cfg = TopoEdmConfig {
             max_active_per_pair: 1,
-            trunk_max_active_per_pair: 1,
             ..TopoEdmConfig::default()
         };
-        let flows: Vec<Flow> = (0..5)
+        let n = TRUNK_MAX_ACTIVE_PER_PAIR + 8;
+        let flows: Vec<Flow> = (0..n)
             .map(|i| write_flow(i, 0, 4, 4096, i as u64))
             .collect();
         let r = TopoEdm::new(cfg.clone()).simulate(&topo, &flows);
-        assert_eq!(r.stats.delivered, 5, "every cross-leaf flow delivers");
+        assert_eq!(
+            r.stats.delivered, n as u64,
+            "every cross-leaf flow delivers"
+        );
         // Same-pair order still holds end-to-end.
         let done = |o: &TopoOutcome| match o.status {
             FlowStatus::Delivered(t) => t,

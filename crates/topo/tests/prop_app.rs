@@ -10,8 +10,8 @@
 
 use edm_sim::{Duration, Time};
 use edm_topo::{
-    AppConfig, AppReport, AppTransport, CxlOeConfig, FaultEvent, FaultKind, LeafSpine, TopoEdm,
-    TopoEdmConfig, Topology,
+    AppConfig, AppReport, AppTransport, FaultEvent, FaultKind, LeafSpine, TopoEdm, TopoEdmConfig,
+    Topology,
 };
 use edm_workloads::{OpMix, TenantSpec, YcsbWorkload};
 use proptest::prelude::*;
@@ -223,7 +223,7 @@ fn faulted_closed_loops_keep_their_recorded_digests() {
         .collect();
     for (transport, digest) in [
         (AppTransport::Edm, EDM_DIGEST),
-        (AppTransport::CxlOe(CxlOeConfig::default()), CXL_OE_DIGEST),
+        (AppTransport::CxlOe, CXL_OE_DIGEST),
     ] {
         let app = AppConfig {
             seed: 7,
@@ -305,7 +305,7 @@ proptest! {
         });
         let app = AppConfig {
             seed,
-            transport: AppTransport::CxlOe(CxlOeConfig::default()),
+            transport: AppTransport::CxlOe,
             ..AppConfig::new(
                 decode_tenants(&tenant_specs, topo.nodes()),
                 decode_memory(mem_sel, topo.nodes()),
@@ -329,7 +329,7 @@ proptest! {
         let app = AppConfig {
             seed,
             transport: if cxl {
-                AppTransport::CxlOe(CxlOeConfig::default())
+                AppTransport::CxlOe
             } else {
                 AppTransport::Edm
             },

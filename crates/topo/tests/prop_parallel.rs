@@ -17,8 +17,8 @@
 use edm_core::sim::{Flow, FlowKind};
 use edm_sim::{Duration, Time};
 use edm_topo::{
-    FaultEvent, FaultKind, FlowStatus, IpTraffic, LeafSpine, LinkParams, ShardPlan, TopoEdm,
-    TopoEdmConfig, TopoOutcome, TopoStreamStats, Topology,
+    FaultEvent, FaultKind, FlowStatus, LeafSpine, LinkParams, ShardPlan, TopoEdm, TopoEdmConfig,
+    TopoOutcome, TopoStreamStats, Topology,
 };
 use proptest::prelude::*;
 
@@ -152,7 +152,7 @@ proptest! {
         let flows = decode_flows(&flow_specs, topo.nodes());
         let proto = TopoEdm::new(TopoEdmConfig {
             max_active_per_pair: x,
-            ip: if ip_on { IpTraffic::load(0.3) } else { IpTraffic::default() },
+            ip: if ip_on { 0.3 } else { 0.0 },
             faults: decode_faults(&fault_specs, &topo),
             reroute_delay: Duration::from_us(2),
             max_retries: retries,
@@ -267,7 +267,7 @@ fn lockstep_288(shards: usize) {
     .generate(42);
     let span = flows.last().unwrap().arrival.saturating_since(Time::ZERO);
     let proto = TopoEdm::new(TopoEdmConfig {
-        ip: IpTraffic::load(0.25),
+        ip: 0.25,
         faults: vec![
             FaultEvent {
                 at: Time::ZERO + span / 2,

@@ -9,9 +9,7 @@
 
 use edm_core::sim::{Flow, FlowKind};
 use edm_sim::{Duration, Time};
-use edm_topo::{
-    FaultEvent, FaultKind, FlowStatus, IpTraffic, LeafSpine, TopoEdm, TopoEdmConfig, Topology,
-};
+use edm_topo::{FaultEvent, FaultKind, FlowStatus, LeafSpine, TopoEdm, TopoEdmConfig, Topology};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -68,7 +66,7 @@ proptest! {
         let flows = decode_sorted_flows(&flow_specs, topo.nodes());
         let proto = TopoEdm::new(TopoEdmConfig {
             max_active_per_pair: x,
-            ip: if ip_on { IpTraffic::load(0.3) } else { IpTraffic::default() },
+            ip: if ip_on { 0.3 } else { 0.0 },
             ..TopoEdmConfig::default()
         });
 

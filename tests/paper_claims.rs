@@ -9,7 +9,7 @@ use edm_phy::frame::blocks_for_frame;
 use edm_phy::mem_codec::blocks_for_message;
 use edm_sched::pim::{min_chunk_for_line_rate, scheduling_latency};
 use edm_sim::Bandwidth;
-use edm_topo::{AppConfig, AppTransport, CxlOeConfig, LeafSpine, TopoEdm, Topology};
+use edm_topo::{AppConfig, AppTransport, LeafSpine, TopoEdm, Topology};
 use edm_workloads::{OpMix, TenantSpec, YcsbWorkload};
 
 #[test]
@@ -156,7 +156,7 @@ fn figure7_closed_loop_crosscheck() {
     // of Ethernet-tunneled CXL on the identical fabric (the paper's
     // point that the advantage comes from the in-PHY transport, not the
     // topology).
-    let cxl = AppTransport::CxlOe(CxlOeConfig::default());
+    let cxl = AppTransport::CxlOe;
     let cxl_read = unloaded_p50(0.0, cxl) / unloaded_p50(0.0, AppTransport::Edm);
     let cxl_write = unloaded_p50(1.0, cxl) / unloaded_p50(1.0, AppTransport::Edm);
     assert!(cxl_read > 1.5, "CXL-oE/EDM read ratio {cxl_read:.2}");

@@ -154,7 +154,7 @@ fn trace_pipeline_runs_for_every_application() {
         assert_eq!(flows.len(), 400);
         // EDM and CXL exercise the two most different datapaths.
         let edm = edm_core::sim::EdmProtocol::default().simulate(&c, &flows);
-        let cxl = CxlProtocol::default().simulate(&c, &flows);
+        let cxl = CxlProtocol.simulate(&c, &flows);
         assert_eq!(edm.outcomes.len(), 400, "{}", app.name());
         assert_eq!(cxl.outcomes.len(), 400, "{}", app.name());
         // CXL must not beat EDM on heavy-tailed traces (HOL blocking).
