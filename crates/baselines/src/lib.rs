@@ -76,11 +76,14 @@ mod tests {
     /// digest per protocol, recorded before the baselines' parameters
     /// became constants. The other baseline tests check orderings and
     /// bounds; this one fails when any constant (a latency, a header
-    /// size, a credit count, a batch limit) moves.
+    /// size, a credit count, a batch limit) moves. EDM's digest was
+    /// re-recorded when offers past X began waiting in their pair's own
+    /// FIFO: the hot node's pairs announce their waiters on their own
+    /// completions, in offer order, no longer on any completion.
     #[test]
     fn all_protocols_keep_their_recorded_digests() {
         const DIGESTS: [(&str, u64); 7] = [
-            ("EDM", 0x4084_8870_6c7f_385e),
+            ("EDM", 0xbe22_93d4_f17b_eff9),
             ("IRD", 0x585f_7d39_00a5_9bcd),
             ("pFabric", 0x49ac_445e_03b3_61bd),
             ("PFC", 0x3f2d_a7ef_7f2a_47d5),

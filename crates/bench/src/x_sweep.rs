@@ -37,31 +37,34 @@ pub fn run(_out: &Path) {
     );
     // One thread per X value: independent simulations fan out via
     // par_sweep, printed in input order.
-    let rows = par_sweep(vec![1usize, 2, 3, 4, 6, 8], |x| {
+    let xs = vec![1usize, 2, 3, 4, 6, 8];
+    let rows = par_sweep(xs.clone(), |x| {
         let mut p = EdmProtocol {
             max_active_per_pair: x,
             ..EdmProtocol::default()
         };
         let solo = solo_by_kind(&mut p, &cluster, flows[0]);
         let mut norm = p.simulate(&cluster, &flows).normalized_mct(solo);
+        (norm.mean(), norm.percentile(99.0))
+    });
+    for (&x, &(mean, p99)) in xs.iter().zip(&rows) {
         // §3.1.2: queue bound X*N entries; §4.1: K*N^2 bytes total SRAM
         // (K = notification length ≈ 8 B including metadata).
         let entries = x * cluster.nodes;
-        format!(
-            "{:<4} {:>12.3} {:>12.3} {:>13} ents",
-            x,
-            norm.mean(),
-            norm.percentile(99.0),
-            entries
-        )
-    });
-    for row in rows {
-        println!("{row}");
+        println!("{x:<4} {mean:>12.3} {p99:>12.3} {entries:>13} ents");
     }
+    // The paper's ablation as a check (`rows` follows `xs`): X = 1
+    // leaves the tail on the table, and from X = 3 on nothing moves.
+    let (p1, p3) = (rows[0].1, rows[2].1);
     println!();
     println!(
-        "expected shape: X=1 leaves tail latency on the table (a hot pair \
-         stalls between its messages); X=3 recovers it; larger X only \
-         grows switch SRAM — the paper's knee."
+        "measured knee: X=1 stalls a hot pair between its messages \
+         (p99 {p1:.3}); X=2 recovers most of it and X=3 all of it \
+         (p99 {p3:.3}); larger X only grows switch SRAM."
     );
+    assert!(p1 >= 2.0 * p3, "X=1 p99 {p1:.3} is not 2x X=3's {p3:.3}");
+    for (x, &(_, p)) in xs.iter().zip(&rows).skip(3) {
+        let msg = format!("X={x} p99 {p:.3} is not within 1% of X=3's {p3:.3}");
+        assert!((p / p3 - 1.0).abs() <= 0.01, "{msg}");
+    }
 }

@@ -299,6 +299,7 @@ pub struct DomainOffer {
     /// Per-pair X bound applied to this offer. Access pairs keep the
     /// paper's X; multi-switch worlds provision aggregated trunk pairs
     /// with a larger share (via [`edm_sched::Scheduler::notify_with_limit`]).
+    /// At most 255: a waiting offer keeps it in one byte (`offer` panics).
     pub limit: usize,
     /// Opaque caller tag, reported by [`SwitchDomain::deliver`] when this
     /// offer's bytes have fully arrived.
@@ -351,22 +352,22 @@ pub enum Forwarded<'a> {
 /// Outcome of [`SwitchDomain::cancel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DomainCancel {
-    /// No offer with that token is backlogged or admitted.
+    /// No offer with that token is waiting or ungranted.
     NotFound,
     /// The offer's ungranted remainder was withdrawn.
     Withdrawn {
         /// When the caller must schedule a `Poll` event: the scheduler
         /// now holds demand its last round did not see — the freed
-        /// admission slot put a backlogged notification into it (a round
-        /// when its ports free), or the withdrawal uncovered one (a round
-        /// now; `edm_sched::CancelOutcome`).
+        /// admission slot announced the pair's oldest waiter (a round
+        /// when its ports free), or the withdrawal uncovered an entry (a
+        /// round now; `edm_sched::CancelOutcome`). `None` for a waiter.
         poll: Option<Time>,
     },
 }
 
-/// A scheduled message: one offer. Its size is pinned
-/// (`msg_state_stays_32_bytes`): the slab holds one per in-flight
-/// message at every switch.
+/// A message: one offer, announced to the scheduler or waiting in its
+/// pair's FIFO. Its size is pinned (`msg_state_stays_32_bytes`): the
+/// slab holds one per resident message at every switch.
 #[derive(Debug)]
 struct MsgState {
     /// The offer's caller tag.
@@ -377,20 +378,26 @@ struct MsgState {
     /// Bytes granted so far — the in-flight watermark that decides when a
     /// cancelled message's slot can be reclaimed (no grants outstanding).
     granted: u32,
-    /// Scheduler msg_id this message was notified under (sanity checks).
-    msg_id: u8,
+    /// Next ungranted message of the same pair — the pair's FIFO as an
+    /// intrusive list through the slab (slot index + 1; 0 = last).
+    /// The zero sentinel keeps the per-pair slabs calloc-cheap.
+    next_in_pair: u32,
+    /// The offer's ports and X bound, to announce it after it waited.
+    src: u16,
+    dst: u16,
+    limit: u8,
+    /// Scheduler msg_id this message was announced under; `None` while
+    /// it waits past its pair's X bound.
+    msg_id: Option<u8>,
     /// Whether the ungranted remainder was withdrawn ([`SwitchDomain::cancel`]).
     /// A cancelled message never completes; its slot frees once every
     /// already-granted chunk has landed.
     cancelled: bool,
-    /// Next in-flight message of the same pair — the pair's grant FIFO as
-    /// an intrusive list through the slab (slot index + 1; 0 = last).
-    /// The zero sentinel keeps the per-pair slabs calloc-cheap.
-    next_in_pair: u32,
 }
 
-/// Per-pair in-flight FIFO endpoints, packed head (low 32) / tail
-/// (high 32) into one word (`targets` index + 1; 0 = empty). Grants
+/// Per-pair FIFO endpoints, packed head (low 32) / tail (high 32) into
+/// one word (`targets` index + 1; 0 = empty): the pair's ungranted
+/// messages in offer order, announced ones before waiting ones. Grants
 /// within a pair are strictly FIFO (§3.1.1 property 5), so the head *is*
 /// the granted message. `vec![0u64]` stays a calloc: untouched pairs
 /// cost nothing at any port count.
@@ -398,8 +405,8 @@ type PairFifo = u64;
 
 /// One EDM switch's scheduling state as seen by an event-driven world: a
 /// demand-sparse [`Scheduler`] plus the bookkeeping that maps its grants
-/// back to simulation-level messages — per-pair in-flight FIFOs, the
-/// X-limit backlog, msg-id allocation, and poll-event deduplication.
+/// back to simulation-level messages — per-pair FIFOs (offers waiting
+/// past X included), msg-id allocation, and poll-event deduplication.
 /// Every offer is its own scheduled message: §3.1.2 small-message
 /// batching is not modelled.
 ///
@@ -419,19 +426,17 @@ type PairFifo = u64;
 pub struct SwitchDomain {
     ports: usize,
     scheduler: Scheduler,
-    /// Per-pair in-flight FIFO words, keyed by flat pair index.
+    /// Per-pair FIFO words, keyed by flat pair index.
     pair_fifo: Vec<PairFifo>,
-    /// Per-pair backlog count (low 32, O(1) same-pair waiter checks) and
+    /// Per-pair waiter count (low 32, O(1) same-pair waiter checks) and
     /// msg-id allocator (bits 32..40, wraps at 256).
     pair_meta: Vec<u64>,
     targets: Vec<MsgState>,
     /// Retired message slots awaiting reuse (LIFO). Slots return here when
-    /// a message completes or a cancelled message's last in-flight chunk
-    /// lands, so `targets` grows to the in-flight high-water mark — not
-    /// the total message count — under streaming workloads.
+    /// a message completes, a waiter is withdrawn, or a cancelled message's
+    /// last in-flight chunk lands, so `targets` grows to the resident
+    /// high-water mark — not the total message count — under streaming.
     free_slots: Vec<u32>,
-    /// Pending offers blocked on the per-pair X limit.
-    backlog: std::collections::VecDeque<DomainOffer>,
     /// High-water mark of `targets` across the domain's whole life —
     /// [`SwitchDomain::purge`] clears the slab but must not erase the
     /// peak the memory-bound tests pin.
@@ -469,7 +474,6 @@ impl SwitchDomain {
             pair_meta: vec![0; pairs],
             targets: Vec::new(),
             free_slots: Vec::new(),
-            backlog: std::collections::VecDeque::new(),
             slab_hwm: 0,
             grant_seq: 0,
             purged_rounds: (0, 0, 0),
@@ -515,15 +519,15 @@ impl SwitchDomain {
     }
 
     /// High-water mark of the message slab: the most messages ever
-    /// simultaneously resident. Under streaming churn this is bounded by
-    /// peak in-flight messages, not total messages — the assertion the
-    /// slab-reuse tests pin.
+    /// simultaneously resident, waiters included. Under streaming churn
+    /// this is bounded by peak resident messages, not total messages —
+    /// the assertion the slab-reuse tests pin.
     pub fn msg_slab_high_water(&self) -> usize {
         self.slab_hwm.max(self.targets.len())
     }
 
-    /// Messages currently resident (admitted or draining in-flight
-    /// chunks): slab size minus retired slots awaiting reuse.
+    /// Messages currently resident (waiting, announced, or draining
+    /// in-flight chunks): slab size minus retired slots awaiting reuse.
     pub fn msg_slots_live(&self) -> usize {
         self.targets.len() - self.free_slots.len()
     }
@@ -537,8 +541,8 @@ impl SwitchDomain {
     /// schedule a `Poll` event: the instant both its ports are free —
     /// `now` if they already are — unless the round already due at or
     /// before then will see it, or an event for that instant is queued;
-    /// `None` if it joined the per-pair backlog or waits behind its pair's
-    /// admitted messages (the rounds that serve those will see it).
+    /// `None` if it waits past its pair's X bound or behind its pair's
+    /// announced head (the completions and rounds that serve those will see it).
     pub fn offer(&mut self, now: Time, offer: DomainOffer) -> Option<Time> {
         if self.admit(now, offer) {
             self.wake_for(now, offer.src, offer.dst)
@@ -565,34 +569,37 @@ impl SwitchDomain {
         }
     }
 
-    /// Queues one offer: into the scheduler (`true`) or the per-pair
-    /// backlog (`false`).
+    /// Queues one offer at the tail of its pair's FIFO: announced to the
+    /// scheduler (`true`) or waiting past X (`false`).
     fn admit(&mut self, now: Time, offer: DomainOffer) -> bool {
+        assert!(offer.limit < 256, "per-pair X bound {} > 255", offer.limit);
         // Host message-queue FIFO: a new message may not overtake older
-        // same-pair messages already waiting in the backlog.
+        // same-pair messages still waiting.
         let pi = self.pair_idx(offer.src, offer.dst);
-        if self.pair_meta[pi] as u32 > 0 {
-            self.pair_meta[pi] += 1;
-            self.backlog.push_back(offer);
-            false
+        let msg_id = if self.pair_meta[pi] as u32 == 0 {
+            self.notify(now, offer.src, offer.dst, offer.bytes, offer.limit)
         } else {
-            self.notify_one(now, offer)
-        }
+            None
+        };
+        self.push_msg(pi, msg_id, &offer);
+        msg_id.is_some()
     }
 
-    /// Links a freshly admitted message into its pair's grant FIFO,
-    /// reusing a retired slot when one is free.
-    fn push_msg(&mut self, pi: usize, msg_id: u8, offer: &DomainOffer) {
-        let meta = self.pair_meta[pi];
-        self.pair_meta[pi] = (meta & !0xFF_0000_0000) | (msg_id.wrapping_add(1) as u64) << 32;
+    /// Links a new message (a waiter when `msg_id` is `None`) at the tail
+    /// of its pair's FIFO, reusing a retired slot when one is free.
+    fn push_msg(&mut self, pi: usize, msg_id: Option<u8>, offer: &DomainOffer) {
+        self.pair_meta[pi] += msg_id.is_none() as u64;
         let state = MsgState {
             token: offer.token,
             bytes: offer.bytes,
             delivered: 0,
             granted: 0,
+            next_in_pair: 0,
+            src: offer.src,
+            dst: offer.dst,
+            limit: offer.limit as u8,
             msg_id,
             cancelled: false,
-            next_in_pair: 0,
         };
         // Slot index + 1 encoding, as in the pair FIFO words.
         let slot = match self.free_slots.pop() {
@@ -606,7 +613,6 @@ impl SwitchDomain {
                 self.targets.len() as u32
             }
         };
-        // Append to the pair's grant FIFO.
         let fifo = self.pair_fifo[pi];
         let (head, tail) = (fifo as u32, (fifo >> 32) as u32);
         if head == 0 {
@@ -617,40 +623,43 @@ impl SwitchDomain {
         }
     }
 
-    /// Announces one message to the scheduler. Returns `true` on
-    /// admission; at the pair's X bound the offer joins the backlog.
-    fn notify_one(&mut self, now: Time, offer: DomainOffer) -> bool {
-        let pi = self.pair_idx(offer.src, offer.dst);
-        let msg_id = (self.pair_meta[pi] >> 32) as u8;
-        match self.scheduler.notify_with_limit(
-            now,
-            Notification::new(offer.src, offer.dst, msg_id, offer.bytes),
-            offer.limit,
-        ) {
-            Ok(()) => {
-                self.push_msg(pi, msg_id, &offer);
-                true
-            }
-            Err(NotifyError::PairLimitReached { .. }) => {
-                // Sender rate-limiting: retry when a grant frees a slot.
-                self.pair_meta[pi] += 1;
-                self.backlog.push_back(offer);
-                false
-            }
+    /// Announces one message to the scheduler under its pair's next
+    /// msg id. Returns that id, or `None` while the pair is at its X
+    /// bound (sender rate-limiting: the message waits).
+    fn notify(&mut self, now: Time, src: u16, dst: u16, bytes: u32, limit: usize) -> Option<u8> {
+        let pi = self.pair_idx(src, dst);
+        let meta = self.pair_meta[pi];
+        let msg_id = (meta >> 32) as u8;
+        let n = Notification::new(src, dst, msg_id, bytes);
+        match self.scheduler.notify_with_limit(now, n, limit) {
+            Ok(()) => {}
+            Err(NotifyError::PairLimitReached { .. }) => return None,
             Err(e) => panic!("unexpected notify error: {e}"),
         }
+        self.pair_meta[pi] = (meta & !0xFF_0000_0000) | (msg_id.wrapping_add(1) as u64) << 32;
+        Some(msg_id)
     }
 
-    /// Admits the backlog's head offer after a pair slot frees. Returns
-    /// the `(src, dst)` pair whose notification went into the scheduler
-    /// — `None` when the backlog was empty, or its head's pair is still
-    /// at its X bound and the offer went back to wait.
-    fn admit_from_backlog(&mut self, now: Time) -> Option<(u16, u16)> {
-        let first = self.backlog.pop_front()?;
-        let pi = self.pair_idx(first.src, first.dst);
-        self.pair_meta[pi] -= 1;
-        self.notify_one(now, first)
-            .then_some((first.src, first.dst))
+    /// Announces the pair's oldest waiter after one of the pair's
+    /// messages finished or was withdrawn. Returns whether it went into
+    /// the scheduler — `false` when nothing of the pair waits or the pair
+    /// is still at its X bound (the waiter stays put).
+    fn announce_waiter(&mut self, now: Time, src: u16, dst: u16) -> bool {
+        let pi = self.pair_idx(src, dst);
+        if self.pair_meta[pi] as u32 == 0 {
+            return false;
+        }
+        // Only the oldest waiter is ever announced, so announced messages
+        // are a prefix of the FIFO: skip them.
+        let mut slot = (self.pair_fifo[pi] as u32 - 1) as usize;
+        while self.targets[slot].msg_id.is_some() {
+            slot = (self.targets[slot].next_in_pair - 1) as usize;
+        }
+        let (bytes, limit) = (self.targets[slot].bytes, self.targets[slot].limit);
+        self.targets[slot].msg_id = self.notify(now, src, dst, bytes, limit as usize);
+        let announced = self.targets[slot].msg_id.is_some();
+        self.pair_meta[pi] -= announced as u64;
+        announced
     }
 
     /// Asks for a round at `at` on behalf of demand that just entered
@@ -742,13 +751,13 @@ impl SwitchDomain {
         self.grants_scratch.clear();
         for g in &result.grants {
             // Grants within a pair are FIFO, so the granted message is
-            // the head of the pair's in-flight list.
+            // the head of the pair's list.
             let pi = self.pair_idx(g.src, g.dest);
             let fifo = self.pair_fifo[pi];
             let head = fifo as u32;
             debug_assert_ne!(head, 0, "grant for unknown message");
             let slot = (head - 1) as usize;
-            debug_assert_eq!(self.targets[slot].msg_id, g.msg_id);
+            debug_assert_eq!(self.targets[slot].msg_id, Some(g.msg_id));
             if g.is_final() {
                 let next = self.targets[slot].next_in_pair;
                 self.pair_fifo[pi] = if next == 0 {
@@ -781,11 +790,10 @@ impl SwitchDomain {
     /// Records a granted chunk's arrival at its next element;
     /// `on_complete(token, bytes)` fires when it completes the message.
     /// Returns when the caller must schedule a `Poll` event: when the
-    /// message finished *and* the pair slot it freed put a backlogged
-    /// notification into the scheduler — the only way a delivery changes
-    /// what a scheduling round can grant — the instant that
-    /// notification's ports free (`now` if they are), as for
-    /// [`SwitchDomain::offer`].
+    /// message finished *and* the pair slot it freed announced the
+    /// pair's oldest waiting offer — the only way a delivery changes what
+    /// a scheduling round can grant — the instant that offer's ports free
+    /// (`now` if they are), as for [`SwitchDomain::offer`].
     ///
     /// Completion is *byte-counted*, not flagged by the final grant:
     /// background-IP jitter can land a small final chunk before its
@@ -814,11 +822,11 @@ impl SwitchDomain {
         debug_assert!(st.delivered <= st.bytes, "over-delivery");
         if st.delivered >= st.bytes {
             on_complete(st.token, st.bytes);
-            // Retire the message: its slot returns to the free list (the
-            // backlog admission below may reuse it immediately), and the
-            // freed pair slot admits backlogged demand.
+            // Retire the message; the freed pair slot announces the
+            // pair's oldest waiter.
+            let (src, dst) = (st.src, st.dst);
             self.free_slots.push(slot);
-            if let Some((src, dst)) = self.admit_from_backlog(now) {
+            if self.announce_waiter(now, src, dst) {
                 return self.wake_for(now, src, dst);
             }
         }
@@ -828,33 +836,19 @@ impl SwitchDomain {
     /// Withdraws the ungranted remainder of an offer (by its token):
     /// sender-side demand revocation after a failure reroute.
     ///
-    /// Finds the offer wherever it queues — the per-pair X backlog (never
-    /// notified: simply dropped) or the pair's in-flight FIFO (its
-    /// [`edm_sched::Scheduler`] message is cancelled and the FIFO entry
-    /// unlinked). Chunks already granted stay in flight; their delivery
-    /// bookkeeping still runs, but the message can no longer complete, so
-    /// no completion callback ever fires for it. Freeing the admission
-    /// slot admits backlogged demand, exactly like a completion — the
-    /// outcome says when to schedule a `Poll` event: when the admitted
-    /// notification's ports free, as for [`SwitchDomain::deliver`], or
-    /// `now` if the withdrawal uncovered an entry of a queue deeper than
-    /// PIM's row (`edm_sched::CancelOutcome`), which may be eligible at
-    /// once.
+    /// Finds the offer in its pair's FIFO and unlinks it. A waiting offer
+    /// was never announced: it simply leaves. An announced one has its
+    /// [`edm_sched::Scheduler`] message cancelled; chunks already granted
+    /// stay in flight and their delivery bookkeeping still runs, but the
+    /// message can no longer complete, so no completion callback ever
+    /// fires for it. Freeing its admission slot announces the pair's
+    /// oldest waiter, exactly like a completion — the outcome says when
+    /// to schedule a `Poll` event: when that offer's ports free, as for
+    /// [`SwitchDomain::deliver`], or `now` if the withdrawal uncovered an
+    /// entry of a queue deeper than PIM's row (`edm_sched::CancelOutcome`),
+    /// which may be eligible at once.
     pub fn cancel(&mut self, now: Time, src: u16, dst: u16, token: u64) -> DomainCancel {
         let pi = self.pair_idx(src, dst);
-        // Still in the X backlog: never notified, just drop it.
-        if self.pair_meta[pi] as u32 > 0 {
-            let before = self.backlog.len();
-            self.backlog
-                .retain(|o| !(o.src == src && o.dst == dst && o.token == token));
-            let removed = (before - self.backlog.len()) as u64;
-            if removed > 0 {
-                self.pair_meta[pi] -= removed;
-                return DomainCancel::Withdrawn { poll: None };
-            }
-        }
-        // Admitted: walk the pair's in-flight FIFO for the message
-        // carrying this token.
         let fifo = self.pair_fifo[pi];
         let (head, tail) = (fifo as u32, (fifo >> 32) as u32);
         let mut prev: u32 = 0;
@@ -863,11 +857,6 @@ impl SwitchDomain {
             let slot = (cur - 1) as usize;
             let next = self.targets[slot].next_in_pair;
             if self.targets[slot].token == token {
-                let edm_sched::CancelOutcome::Cancelled { uncovered, .. } =
-                    self.scheduler.cancel(src, dst, self.targets[slot].msg_id)
-                else {
-                    unreachable!("a pair-FIFO member is always queued or waiting");
-                };
                 let new_head = if prev == 0 { next } else { head };
                 let new_tail = if cur == tail { prev } else { tail };
                 self.pair_fifo[pi] = if new_head == 0 {
@@ -878,6 +867,17 @@ impl SwitchDomain {
                 if prev != 0 {
                     self.targets[(prev - 1) as usize].next_in_pair = next;
                 }
+                let Some(msg_id) = self.targets[slot].msg_id else {
+                    // Waiting: it never held an admission slot.
+                    self.pair_meta[pi] -= 1;
+                    self.free_slots.push(slot as u32);
+                    return DomainCancel::Withdrawn { poll: None };
+                };
+                let edm_sched::CancelOutcome::Cancelled { uncovered, .. } =
+                    self.scheduler.cancel(src, dst, msg_id)
+                else {
+                    unreachable!("an announced pair-FIFO member is always queued or waiting");
+                };
                 // The message can no longer complete; retire its slot now
                 // if nothing is in flight, else when the last granted
                 // chunk lands ([`SwitchDomain::deliver`]).
@@ -886,14 +886,16 @@ impl SwitchDomain {
                 if st.delivered >= st.granted {
                     self.free_slots.push(slot as u32);
                 }
-                // The admission slot freed: admit backlogged demand. An
-                // entry the withdrawal moved into PIM's view may be
-                // eligible right away.
-                let admitted = self.admit_from_backlog(now);
+                // The admission slot freed: announce the pair's oldest
+                // waiter. An entry the withdrawal moved into PIM's view
+                // may be eligible right away.
+                let announced = self.announce_waiter(now, src, dst);
                 let poll = if uncovered {
                     self.wake(now)
+                } else if announced {
+                    self.wake_for(now, src, dst)
                 } else {
-                    admitted.and_then(|(s, d)| self.wake_for(now, s, d))
+                    None
                 };
                 return DomainCancel::Withdrawn { poll };
             }
@@ -905,12 +907,12 @@ impl SwitchDomain {
 
     /// Hard-resets the domain after its switch dies, appending to `dead`
     /// the token of every resident offer that will now never complete —
-    /// backlogged offers plus every scheduled message. Callers release
+    /// waiting and announced alike, in slab order. Callers release
     /// whatever references those offers held; cancelled messages report
     /// nothing (their references were already released at cancellation).
     ///
     /// The revived switch comes back like a power-cycled ASIC: cold
-    /// scheduler, empty FIFOs and backlog, no pending polls. Only the
+    /// scheduler, empty FIFOs, no pending polls. Only the
     /// grant-sequence counter and the slab high-water mark survive — the
     /// former so post-revival [`evord::chunk`] keys can never collide
     /// with chunks granted before the outage, the latter so memory-bound
@@ -918,9 +920,6 @@ impl SwitchDomain {
     /// outage must be fenced off by the caller (generation-stamped
     /// settle events) and never handed back to [`SwitchDomain::deliver`].
     pub fn purge(&mut self, dead: &mut Vec<u64>) {
-        for o in &self.backlog {
-            dead.push(o.token);
-        }
         let mut retired = vec![false; self.targets.len()];
         for &s in &self.free_slots {
             retired[s as usize] = true;
@@ -936,7 +935,6 @@ impl SwitchDomain {
         self.pair_meta.iter_mut().for_each(|w| *w = 0);
         self.targets.clear();
         self.free_slots.clear();
-        self.backlog.clear();
         self.poll_at = None;
         self.scheduled_polls.clear();
     }
@@ -1387,12 +1385,8 @@ mod tests {
     fn domain_cancel_withdraws_backlogged_and_admitted_demand() {
         let mut dom = domain4();
         assert_eq!(dom.offer(Time::ZERO, pair_offer(1, 1000)), Some(Time::ZERO));
-        assert_eq!(
-            dom.offer(Time::ZERO, pair_offer(2, 500)),
-            None,
-            "X=1 backlogs"
-        );
-        // The backlogged offer drops without ever being notified.
+        assert_eq!(dom.offer(Time::ZERO, pair_offer(2, 500)), None, "X=1 waits");
+        // The waiting offer drops without ever being announced.
         let quiet = DomainCancel::Withdrawn { poll: None };
         assert_eq!(dom.cancel(Time::ZERO, 0, 1, 2), quiet);
         // The admitted offer's scheduler message is withdrawn.
@@ -1414,7 +1408,7 @@ mod tests {
         let mut dom = domain4();
         assert_eq!(dom.offer(Time::ZERO, pair_offer(1, 1000)), Some(Time::ZERO));
         assert_eq!(dom.offer(Time::ZERO, pair_offer(2, 500)), None);
-        // The backlogged offer takes the slot; the event already queued
+        // The waiting offer takes the slot; the event already queued
         // for this instant serves it.
         let quiet = DomainCancel::Withdrawn { poll: None };
         assert_eq!(dom.cancel(Time::ZERO, 0, 1, 1), quiet);
@@ -1427,15 +1421,15 @@ mod tests {
     fn deliver_asks_for_a_poll_only_when_the_backlog_admits() {
         let mut dom = domain4();
         let t = Time::from_ns;
-        // Nothing backlogged: a completion changes nothing a round could
+        // Nothing waiting: a completion changes nothing a round could
         // grant.
         assert_eq!(dom.offer(t(0), pair_offer(1, 100)), Some(t(0)));
         let g = dom.poll(t(0)).expect("live").grants[0];
         assert_eq!(dom.deliver(t(0), g.slot, g.chunk_bytes, |_, _| {}), None);
-        // Pair 0->1 (X = 1) has a two-chunk message admitted and one
-        // backlogged; pair 2->3 has a single chunk.
+        // Pair 0->1 (X = 1) has a two-chunk message announced and one
+        // waiting; pair 2->3 has a single chunk.
         assert_eq!(dom.offer(t(100), pair_offer(2, 300)), Some(t(100)));
-        assert_eq!(dom.offer(t(100), pair_offer(3, 100)), None, "X=1 backlogs");
+        assert_eq!(dom.offer(t(100), pair_offer(3, 100)), None, "X=1 waits");
         let other = DomainOffer {
             src: 2,
             dst: 3,
@@ -1447,8 +1441,8 @@ mod tests {
         let first: Vec<DomainGrant> = round.grants.to_vec();
         let second_chunk = round.next_poll.expect("message 2 has a chunk left");
         assert_eq!(first.len(), 2);
-        // 2->3 completes: the backlog head is popped, finds its pair
-        // still at the bound and goes back to wait. Still nothing new.
+        // 2->3 completes: nothing of 2->3 waits, and 0->1's waiter is
+        // announced only by its own pair. Still nothing new.
         let g = first.iter().find(|g| g.src == 2).expect("granted");
         assert_eq!(dom.deliver(t(100), g.slot, g.chunk_bytes, |_, _| {}), None);
         // A chunk that does not finish its message frees nothing.
@@ -1462,6 +1456,58 @@ mod tests {
             Some(t(200))
         );
         assert_eq!(dom.poll(t(200)).expect("live").grants[0].token, 3);
+    }
+
+    #[test]
+    fn waiters_are_announced_by_their_own_pair_in_offer_order() {
+        let mut dom = domain4();
+        let t = Time::from_ns;
+        // Pair 0->1 (X = 1) has a two-chunk message announced and two
+        // waiting; pair 2->3 has a single chunk.
+        assert_eq!(dom.offer(t(0), pair_offer(1, 300)), Some(t(0)));
+        assert_eq!(dom.offer(t(0), pair_offer(2, 100)), None, "X=1 waits");
+        assert_eq!(dom.offer(t(0), pair_offer(3, 100)), None, "X=1 waits");
+        let other = DomainOffer {
+            src: 2,
+            dst: 3,
+            ..pair_offer(4, 100)
+        };
+        assert_eq!(dom.offer(t(0), other), None);
+        let round = dom.poll(t(0)).expect("live");
+        let first: Vec<DomainGrant> = round.grants.to_vec();
+        let second_chunk = round.next_poll.expect("message 1 has a chunk left");
+        // 2->3 completes: 0->1's waiters neither move nor get announced.
+        let g = first.iter().find(|g| g.src == 2).expect("granted");
+        assert_eq!(dom.deliver(t(100), g.slot, g.chunk_bytes, |_, _| {}), None);
+        assert_eq!(dom.scheduler().pending_messages(), 1, "only message 1");
+        let g = first.iter().find(|g| g.src == 0).expect("granted");
+        assert_eq!(dom.deliver(t(100), g.slot, g.chunk_bytes, |_, _| {}), None);
+        // Each of 0->1's completions announces its oldest waiter and asks
+        // for the round at the instant the waiter is grantable: its ports
+        // freed long ago, so at once.
+        let mut g = dom.poll(second_chunk).expect("live").grants[0];
+        for (at, next) in [(200, 2), (300, 3)] {
+            let poll = dom.deliver(t(at), g.slot, g.chunk_bytes, |_, _| {});
+            let grantable = dom.scheduler().grantable_at(0, 1).expect("announced");
+            assert!(grantable < t(at));
+            assert_eq!(poll, Some(t(at)));
+            g = dom.poll(t(at)).expect("live").grants[0];
+            assert_eq!(g.token, next, "offer order");
+        }
+        assert_eq!(dom.deliver(t(400), g.slot, g.chunk_bytes, |_, _| {}), None);
+        assert_eq!(dom.msg_slots_live(), 0);
+        assert_eq!(dom.msg_slab_high_water(), 4, "waiters held slab slots");
+    }
+
+    #[test]
+    #[should_panic(expected = "per-pair X bound 256 > 255")]
+    fn wide_pair_limit_is_rejected_at_offer() {
+        // A waiter keeps its bound in one byte of its slab entry.
+        let offer = DomainOffer {
+            limit: 256,
+            ..pair_offer(1, 64)
+        };
+        domain4().offer(Time::ZERO, offer);
     }
 
     #[test]
@@ -1498,9 +1544,9 @@ mod tests {
         let t = Time::from_ns;
         let link = dom.scheduler().config().link;
         // Pair 0->1 (X = 1) has a 64 B message admitted and one
-        // backlogged; 2->1 queues a 256 B chunk for the same destination.
+        // waiting; 2->1 queues a 256 B chunk for the same destination.
         assert_eq!(dom.offer(t(0), pair_offer(1, 64)), Some(t(0)));
-        assert_eq!(dom.offer(t(0), pair_offer(2, 64)), None, "X=1 backlogs");
+        assert_eq!(dom.offer(t(0), pair_offer(2, 64)), None, "X=1 waits");
         let other = DomainOffer {
             src: 2,
             ..pair_offer(3, 256)
@@ -1548,11 +1594,10 @@ mod tests {
         // reads and writes, and a hot pair offered past X: outcomes come
         // back in input order, and every flow completes when it always
         // has — `DIGEST` folds each outcome's flow id and completion
-        // time. Recorded by running the batching-off half of this test
-        // alone on b52fe63, the last commit with §3.1.2 batching (whose
-        // digest, over both halves, dated from when `simulate`
-        // pre-queued the whole slice instead of streaming it).
-        const DIGEST: u64 = 0xffae_f5b1_c448_c415;
+        // time. Re-recorded when offers past X began waiting in their
+        // pair's FIFO: the hot pair's waiters are announced on its own
+        // completions, in offer order, no longer on other pairs'.
+        const DIGEST: u64 = 0x5aa9_dec1_1ac1_9132;
         let c = cluster(16);
         let flows: Vec<Flow> = (0..72)
             .map(|i| {
@@ -1656,14 +1701,10 @@ mod tests {
     #[test]
     fn purge_reports_resident_offers_and_cold_starts_the_domain() {
         let mut dom = domain4();
-        // One scheduled multi-chunk message, one cancelled, one backlogged.
+        // One scheduled multi-chunk message, one cancelled, one waiting.
         assert!(dom.offer(Time::ZERO, pair_offer(1, 1000)).is_some());
         let gseq_before = dom.poll(Time::ZERO).expect("live").grants[0].gseq;
-        assert_eq!(
-            dom.offer(Time::ZERO, pair_offer(2, 500)),
-            None,
-            "X=1 backlogs"
-        );
+        assert_eq!(dom.offer(Time::ZERO, pair_offer(2, 500)), None, "X=1 waits");
         assert!(dom
             .offer(
                 Time::ZERO,
@@ -1683,7 +1724,7 @@ mod tests {
         dom.purge(&mut dead);
         dead.sort_unstable();
         // The cancelled offer's reference was already released; only the
-        // backlogged and scheduled offers report.
+        // waiting and scheduled offers report.
         assert_eq!(dead, vec![1, 2]);
         assert_eq!(dom.msg_slots_live(), 0);
         assert_eq!(dom.msg_slab_high_water(), hwm, "peak survives the purge");
@@ -1704,12 +1745,6 @@ mod tests {
         // The slab holds one per in-flight message at every switch, so
         // the offer's token and size sit inline.
         assert_eq!(std::mem::size_of::<MsgState>(), 32);
-    }
-
-    #[test]
-    fn domain_offer_stays_24_bytes() {
-        // The X backlog holds offers by value.
-        assert_eq!(std::mem::size_of::<DomainOffer>(), 24);
     }
 
     #[test]

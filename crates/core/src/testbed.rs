@@ -1004,9 +1004,12 @@ mod tests {
 
     #[test]
     fn mixed_run_log_pins_timing_and_bytes() {
-        // Recorded when every issue was queued as an event up front and
-        // every packet carried its bytes.
-        for (seed, digest) in [(42, 0x0a84_d3bc_951e_d5ec), (7, 0xe0da_c07d_059e_a7be)] {
+        // Timing recorded when every issue was queued as an event up
+        // front and every packet carried its bytes; re-recorded when a
+        // pair's offers past X began waiting in that pair's own FIFO (a
+        // burst's waiters are now announced on their own pair's
+        // completions, in offer order, instead of on any completion).
+        for (seed, digest) in [(42, 0x725d_4e2e_25e2_02a2), (7, 0xc8d8_7159_8a26_d702)] {
             let h = mixed_run_digest(seed);
             assert_eq!(h, digest, "seed {seed}: {h:#x}");
         }

@@ -53,8 +53,9 @@ const RANK_OP: u8 = 0;
 const RANK_CHUNK: u8 = 1;
 const RANK_POLL: u8 = 2;
 
-/// `(gseq, src, dst, bytes, issue time)` of every grant, in issue order.
-type GrantStream = Vec<(u64, u16, u16, u32, Time)>;
+/// `(gseq, src, dst, bytes, token, issue time)` of every grant, in issue
+/// order.
+type GrantStream = Vec<(u64, u16, u16, u32, u64, Time)>;
 
 /// What one drive of a schedule observed.
 #[derive(Debug, PartialEq)]
@@ -171,7 +172,8 @@ fn drive_domain(ops: &[(u64, DomainOp)], x: usize, exhaustive: bool) -> (Driven,
         }
         if let Some((grants, sched_latency)) = launched {
             for g in grants {
-                out.grants.push((g.gseq, g.src, g.dst, g.chunk_bytes, now));
+                out.grants
+                    .push((g.gseq, g.src, g.dst, g.chunk_bytes, g.token, now));
                 let lands = now + sched_latency + FLIGHT + link.tx_time_bytes(g.chunk_bytes as u64);
                 let chunk = DomainEv::Chunk {
                     slot: g.slot,
@@ -443,10 +445,10 @@ proptest! {
     /// The poll protocol loses nothing: a driver that queues exactly the
     /// `Poll` events `SwitchDomain`'s return values ask for issues the
     /// grants, at the times, of one that polls after every call and at
-    /// every scheduler wake-up — through multi-chunk messages, per-pair
-    /// X backlogs, inline cut-through grants,
-    /// revocations and purges — and never queues two `Poll`s for one
-    /// instant.
+    /// every scheduler wake-up — through multi-chunk messages, offers
+    /// waiting past their pair's X bound, inline cut-through grants,
+    /// revocations and purges — never queues two `Poll`s for one
+    /// instant, and grants each pair's messages in offer order.
     #[test]
     fn domain_poll_protocol_sees_the_exhaustive_grant_stream(
         steps in proptest::collection::vec(
@@ -473,6 +475,17 @@ proptest! {
         let (want, all_rounds, _) = drive_domain(&ops, x, true);
         prop_assert_eq!(&got.grants, &want.grants);
         prop_assert_eq!(&got.completions, &want.completions);
+        // §3.1.1: a pair's messages are granted in offer order (tokens
+        // count offers), whatever waits past X.
+        let mut last: BTreeMap<(u16, u16), u64> = BTreeMap::new();
+        for &(_, src, dst, _, token, _) in &got.grants {
+            let prev = last.insert((src, dst), token).unwrap_or(0);
+            prop_assert!(
+                token >= prev,
+                "pair ({}, {}): offer {} granted after offer {}",
+                src, dst, token, prev
+            );
+        }
         prop_assert!(!duplicate_poll, "two Poll events queued for one instant");
         prop_assert!(rounds <= all_rounds, "{} rounds vs {} exhaustive", rounds, all_rounds);
     }
