@@ -356,11 +356,12 @@ pub enum DomainCancel {
     NotFound,
     /// The offer's ungranted remainder was withdrawn.
     Withdrawn {
-        /// When the caller must schedule a `Poll` event: the scheduler
-        /// now holds demand its last round did not see — the freed
-        /// admission slot announced the pair's oldest waiter (a round
-        /// when its ports free), or the withdrawal uncovered an entry (a
-        /// round now; `edm_sched::CancelOutcome`). `None` for a waiter.
+        /// When the caller must schedule a `Poll` event: the freed
+        /// admission slot announced the pair's oldest waiter, so the
+        /// scheduler holds demand its last round did not see (a round
+        /// when its ports free). `None` when nothing was announced — a
+        /// waiter, or a pair with none behind it: withdrawn demand never
+        /// makes a round worth running sooner.
         poll: Option<Time>,
     },
 }
@@ -662,22 +663,16 @@ impl SwitchDomain {
         announced
     }
 
-    /// Asks for a round at `at` on behalf of demand that just entered
-    /// the scheduler. Returns `at` when the caller must schedule the
-    /// `Poll` event.
-    fn wake(&mut self, at: Time) -> Option<Time> {
-        debug_assert!(self.has_demand(), "a round without demand is a no-op");
-        self.note_poll_wanted(at).then_some(at)
-    }
-
-    /// [`SwitchDomain::wake`] for a message just admitted on `(src, dst)`:
-    /// at the instant the scheduler can first grant it, not before `now`
-    /// (`edm_sched::Scheduler::grantable_at`). A round between `now` and
-    /// then could not grant it, and every other queued message already
-    /// has its wake-up.
+    /// Asks for a round on behalf of a message just admitted on `(src,
+    /// dst)`: at the instant the scheduler can first grant it, not before
+    /// `now` (`edm_sched::Scheduler::grantable_at`). A round between `now`
+    /// and then could not grant it, and every other queued message
+    /// already has its wake-up. Returns that instant when the caller must
+    /// schedule the `Poll` event.
     fn wake_for(&mut self, now: Time, src: u16, dst: u16) -> Option<Time> {
-        let at = self.scheduler.grantable_at(src, dst)?;
-        self.wake(at.max(now))
+        debug_assert!(self.has_demand(), "a round without demand is a no-op");
+        let at = self.scheduler.grantable_at(src, dst)?.max(now);
+        self.note_poll_wanted(at).then_some(at)
     }
 
     /// Records that a poll is wanted at `at`. Returns `true` when the
@@ -844,9 +839,7 @@ impl SwitchDomain {
     /// fires for it. Freeing its admission slot announces the pair's
     /// oldest waiter, exactly like a completion — the outcome says when
     /// to schedule a `Poll` event: when that offer's ports free, as for
-    /// [`SwitchDomain::deliver`], or `now` if the withdrawal uncovered an
-    /// entry of a queue deeper than PIM's row (`edm_sched::CancelOutcome`),
-    /// which may be eligible at once.
+    /// [`SwitchDomain::deliver`].
     pub fn cancel(&mut self, now: Time, src: u16, dst: u16, token: u64) -> DomainCancel {
         let pi = self.pair_idx(src, dst);
         let fifo = self.pair_fifo[pi];
@@ -873,7 +866,7 @@ impl SwitchDomain {
                     self.free_slots.push(slot as u32);
                     return DomainCancel::Withdrawn { poll: None };
                 };
-                let edm_sched::CancelOutcome::Cancelled { uncovered, .. } =
+                let edm_sched::CancelOutcome::Cancelled { .. } =
                     self.scheduler.cancel(src, dst, msg_id)
                 else {
                     unreachable!("an announced pair-FIFO member is always queued or waiting");
@@ -887,12 +880,8 @@ impl SwitchDomain {
                     self.free_slots.push(slot as u32);
                 }
                 // The admission slot freed: announce the pair's oldest
-                // waiter. An entry the withdrawal moved into PIM's view
-                // may be eligible right away.
-                let announced = self.announce_waiter(now, src, dst);
-                let poll = if uncovered {
-                    self.wake(now)
-                } else if announced {
+                // waiter.
+                let poll = if self.announce_waiter(now, src, dst) {
                     self.wake_for(now, src, dst)
                 } else {
                     None

@@ -14,11 +14,10 @@
 //!
 //! * [`ordered_list`] — the constant-time hardware ordered-list structure
 //!   (2-cycle pipelined insert/delete, 1-cycle peek) used for the demand
-//!   notification queues;
-//! * [`priority_encoder`] — the 1-cycle most-significant-bit resolver used
-//!   to pick the highest-priority matching request per source port;
+//!   notification queues, which PIM reads in place;
 //! * [`pim`] — priority PIM: each iteration completes in exactly 3 clock
-//!   cycles, and a maximal matching takes ~log2(N) iterations on average;
+//!   cycles (queue head lookup, per-source priority resolve, mark busy),
+//!   and a maximal matching takes ~log2(N) iterations on average;
 //! * [`scheduler`] — the full grant engine: per-destination notification
 //!   queues bounded to X·N entries, chunked grants, and the timed busy
 //!   release (a port is re-eligible `chunk/B` after its grant, §3.1.1
@@ -42,12 +41,10 @@
 
 pub mod ordered_list;
 pub mod pim;
-pub mod priority_encoder;
 pub mod scheduler;
 
 pub use ordered_list::OrderedList;
-pub use pim::{Matching, PimRunner, SparseOutcome};
-pub use priority_encoder::PriorityEncoder;
+pub use pim::{Matching, PimRunner};
 pub use scheduler::{
     CancelOutcome, Grant, Notification, NotifyError, Policy, PollResult, Scheduler, SchedulerConfig,
 };

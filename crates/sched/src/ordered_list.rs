@@ -6,20 +6,13 @@
 //! latency and are fully pipelined (one new operation may issue every
 //! cycle), and reading the highest-priority element takes 1 cycle.
 //!
-//! The functional behaviour here is a stable priority queue; the hardware
-//! cost model is exposed through [`OrderedList::cycles_consumed`] so the
-//! scheduler pipeline (and tests) can account time exactly as the paper
-//! does. Lower keys are higher priority; ties break FIFO.
+//! The functional behaviour here is a stable priority queue: lower keys
+//! are higher priority, ties break FIFO. PIM reads each destination's
+//! queue in place through [`OrderedList::peek_where`] (cycle 1's
+//! filtered head lookup); the hardware time of a round is charged per PIM
+//! iteration (`pim::CYCLES_PER_ITERATION`), not per list operation.
 
-/// Cycle cost of an insert (pipelined, 2-cycle latency).
-pub const INSERT_CYCLES: u64 = 2;
-/// Cycle cost of a delete (pipelined, 2-cycle latency).
-pub const DELETE_CYCLES: u64 = 2;
-/// Cycle cost of reading the head (highest priority element).
-pub const PEEK_CYCLES: u64 = 1;
-
-/// A constant-time hardware ordered list: a stable min-priority queue with
-/// cycle accounting.
+/// A constant-time hardware ordered list: a stable min-priority queue.
 ///
 /// ```
 /// use edm_sched::OrderedList;
@@ -27,14 +20,12 @@ pub const PEEK_CYCLES: u64 = 1;
 /// l.insert(5, "b");
 /// l.insert(3, "a");
 /// assert_eq!(l.peek(), Some((3, &"a")));
-/// assert_eq!(l.cycles_consumed(), 2 + 2 + 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct OrderedList<V> {
     /// Entries sorted by (key, seq): seq preserves FIFO among equal keys.
     entries: Vec<Entry<V>>,
     seq: u64,
-    cycles: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -50,7 +41,6 @@ impl<V> OrderedList<V> {
         OrderedList {
             entries: Vec::new(),
             seq: 0,
-            cycles: 0,
         }
     }
 
@@ -64,19 +54,9 @@ impl<V> OrderedList<V> {
         self.entries.is_empty()
     }
 
-    /// Total hardware cycles consumed by operations so far.
-    ///
-    /// Because the structure is fully pipelined, back-to-back operations
-    /// overlap in real hardware; this counter is the *occupancy* cost used
-    /// by the scheduler pipeline model (one issue slot per cycle).
-    pub fn cycles_consumed(&self) -> u64 {
-        self.cycles
-    }
-
     /// Inserts `value` with priority `key` (lower = higher priority).
     /// 2 cycles.
     pub fn insert(&mut self, key: u64, value: V) {
-        self.cycles += INSERT_CYCLES;
         let seq = self.seq;
         self.seq += 1;
         let pos = self
@@ -86,14 +66,12 @@ impl<V> OrderedList<V> {
     }
 
     /// The highest-priority `(key, value)`, if any. 1 cycle.
-    pub fn peek(&mut self) -> Option<(u64, &V)> {
-        self.cycles += PEEK_CYCLES;
+    pub fn peek(&self) -> Option<(u64, &V)> {
         self.entries.first().map(|e| (e.key, &e.value))
     }
 
     /// Removes and returns the highest-priority element. 2 cycles.
     pub fn pop(&mut self) -> Option<(u64, V)> {
-        self.cycles += DELETE_CYCLES;
         if self.entries.is_empty() {
             return None;
         }
@@ -104,7 +82,6 @@ impl<V> OrderedList<V> {
     /// Removes the first element matching `pred` (in priority order).
     /// 2 cycles (a keyed delete in the hardware structure).
     pub fn remove_first<F: FnMut(&V) -> bool>(&mut self, mut pred: F) -> Option<(u64, V)> {
-        self.cycles += DELETE_CYCLES;
         let idx = self.entries.iter().position(|e| pred(&e.value))?;
         let e = self.entries.remove(idx);
         Some((e.key, e.value))
@@ -117,34 +94,14 @@ impl<V> OrderedList<V> {
     /// per-destination queue performs in the first PIM cycle ("choose the
     /// highest priority *eligible* message"); it is a single-cycle parallel
     /// comparison across the list.
-    pub fn peek_where<F: FnMut(&V) -> bool>(&mut self, mut pred: F) -> Option<(u64, &V)> {
-        self.cycles += PEEK_CYCLES;
+    pub fn peek_where<F: FnMut(&V) -> bool>(&self, mut pred: F) -> Option<(u64, &V)> {
         self.entries
             .iter()
             .find(|e| pred(&e.value))
             .map(|e| (e.key, &e.value))
     }
 
-    /// Re-keys the first element matching `pred` (e.g. SRPT remaining-bytes
-    /// update). 2 cycles (delete + pipelined re-insert overlap).
-    pub fn rekey_first<F: FnMut(&V) -> bool>(&mut self, mut pred: F, new_key: u64) -> bool {
-        self.cycles += DELETE_CYCLES;
-        if let Some(idx) = self.entries.iter().position(|e| pred(&e.value)) {
-            let mut e = self.entries.remove(idx);
-            e.key = new_key;
-            e.seq = self.seq;
-            self.seq += 1;
-            let pos = self
-                .entries
-                .partition_point(|x| (x.key, x.seq) <= (e.key, e.seq));
-            self.entries.insert(pos, e);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Iterates entries in priority order (no cycle cost: debug/test aid).
+    /// Iterates entries in priority order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
         self.entries.iter().map(|e| (e.key, &e.value))
     }
@@ -184,17 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn cycle_accounting_matches_paper() {
-        let mut l = OrderedList::new();
-        l.insert(1, ());
-        assert_eq!(l.cycles_consumed(), 2);
-        l.peek();
-        assert_eq!(l.cycles_consumed(), 3);
-        l.pop();
-        assert_eq!(l.cycles_consumed(), 5);
-    }
-
-    #[test]
     fn peek_where_filters() {
         let mut l = OrderedList::new();
         l.insert(1, 10);
@@ -213,16 +159,6 @@ mod tests {
         l.insert(3, "drop");
         assert_eq!(l.remove_first(|v| *v == "drop"), Some((2, "drop")));
         assert_eq!(l.len(), 2);
-    }
-
-    #[test]
-    fn rekey_moves_entry() {
-        let mut l = OrderedList::new();
-        l.insert(10, "a");
-        l.insert(20, "b");
-        assert!(l.rekey_first(|v| *v == "b", 5));
-        assert_eq!(l.peek().unwrap().1, &"b");
-        assert!(!l.rekey_first(|v| *v == "zzz", 1));
     }
 
     #[test]

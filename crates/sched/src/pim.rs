@@ -10,13 +10,12 @@
 //! 1. each destination port picks its highest-priority eligible message
 //!    (1 cycle — notification queue head lookup);
 //! 2. each source port resolves the contending requests with a priority
-//!    encoder over its sorted destination array (1 cycle);
+//!    encoder over its sorted destination array (1 cycle) — rank 0 of that
+//!    array, the minimum `(priority, dest)` request;
 //! 3. matched ports are marked busy (1 cycle).
 //!
 //! A maximal matching takes ~log2(N) iterations on average (§3.1.3), giving
 //! a scheduling latency of `3·log2(N)/R` at clock rate `R`.
-
-use crate::priority_encoder::PriorityEncoder;
 
 /// Cycles per PIM iteration (fixed by the hardware pipeline design).
 pub const CYCLES_PER_ITERATION: u64 = 3;
@@ -35,20 +34,33 @@ pub struct Matching {
 /// Outcome of a [`PimRunner::run_sparse`] call, whose matched pairs are
 /// written into a caller-owned buffer instead of a fresh allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SparseOutcome {
+pub(crate) struct SparseOutcome {
     /// Iterations executed.
-    pub iterations: usize,
+    pub(crate) iterations: usize,
     /// Hardware cycles consumed (`3 × iterations`).
-    pub cycles: u64,
+    pub(crate) cycles: u64,
 }
 
-/// Runs priority PIM over demand snapshots, iterating until no iteration
-/// adds a match: the maximal matching the grant loop needs.
+/// One destination's demand as cycle 1 reads it: `(priority_key, src)`
+/// candidates in priority order (lower key first).
+pub(crate) trait DemandRow {
+    /// The highest-priority candidate whose source passes `eligible`.
+    fn first_eligible(&self, eligible: impl FnMut(usize) -> bool) -> Option<(u64, usize)>;
+}
+
+/// The dense entry point's rows, sorted by the caller.
+impl DemandRow for Vec<(u64, usize)> {
+    fn first_eligible(&self, mut eligible: impl FnMut(usize) -> bool) -> Option<(u64, usize)> {
+        self.iter().copied().find(|&(_, s)| eligible(s))
+    }
+}
+
+/// Runs priority PIM over per-destination demand, iterating until no
+/// iteration adds a match: the maximal matching the grant loop needs.
 #[derive(Debug)]
 pub struct PimRunner {
     /// Number of switch ports (both sides of the bipartite graph).
     ports: usize,
-    encoders: Vec<PriorityEncoder>,
     /// Reused per-source proposal buffers (cleared each iteration).
     proposals: Vec<Vec<(u64, usize)>>,
     /// Sources that received proposals this iteration.
@@ -69,12 +81,8 @@ pub struct PimRunner {
 impl PimRunner {
     /// Creates a runner for an `ports`-port switch.
     pub fn new(ports: usize) -> Self {
-        // Encoders start at width 0 and grow on first contention: an
-        // O(ports²)-bit up-front allocation would defeat the sparse model.
-        let encoders = (0..ports).map(|_| PriorityEncoder::new(0)).collect();
         PimRunner {
             ports,
-            encoders,
             proposals: (0..ports).map(|_| Vec::new()).collect(),
             proposed_srcs: Vec::new(),
             active_dests: Vec::new(),
@@ -127,7 +135,8 @@ impl PimRunner {
     /// while touching only the destinations in `active_dests` — the
     /// hardware behaviour, where ports without queued notifications never
     /// participate (§3.1.2). Cost is `O(active · depth)` per iteration
-    /// instead of `O(ports)`.
+    /// instead of `O(ports)`. The rows are read in place: the scheduler
+    /// hands over its notification queues, whole.
     ///
     /// `active_dests` must list destinations that are available this round
     /// and have a non-empty `demand` row; for bit-identical results with
@@ -139,10 +148,10 @@ impl PimRunner {
     /// # Panics
     ///
     /// Panics (debug) if an active row names an out-of-range source.
-    pub fn run_sparse<F: FnMut(usize) -> bool>(
+    pub(crate) fn run_sparse<R: DemandRow, F: FnMut(usize) -> bool>(
         &mut self,
         active_dests: &[usize],
-        demand: &[Vec<(u64, usize)>],
+        demand: &[R],
         mut src_free: F,
         pairs: &mut Vec<(usize, usize)>,
     ) -> SparseOutcome {
@@ -176,13 +185,13 @@ impl PimRunner {
             self.next_active.clear();
             for &d in &self.active_dests {
                 debug_assert!(self.dst_matched[d] != epoch);
-                let proposal = demand[d].iter().find(|&&(_, s)| {
+                let proposal = demand[d].first_eligible(|s| {
                     debug_assert!(s < n, "source {s} out of range");
                     self.src_matched[s] != epoch && src_free(s)
                 });
                 // A destination with no eligible source left is
                 // permanently out.
-                if let Some(&(prio, s)) = proposal {
+                if let Some((prio, s)) = proposal {
                     if self.proposals[s].is_empty() {
                         self.proposed_srcs.push(s);
                     }
@@ -197,24 +206,14 @@ impl PimRunner {
             iterations += 1;
 
             // --- Cycle 2: each contended source resolves by priority.
-            // The hardware keeps a per-source array of destinations sorted
-            // by priority and a priority encoder over it; we model that by
-            // sorting the (tiny) proposal set and asserting encoder bits.
-            for i in 0..self.proposed_srcs.len() {
-                let s = self.proposed_srcs[i];
-                let mut reqs = std::mem::take(&mut self.proposals[s]);
-                reqs.sort_unstable(); // (priority, dest): ascending = best first
-                let enc = &mut self.encoders[s];
-                if enc.width() < reqs.len() {
-                    *enc = PriorityEncoder::new(reqs.len().next_power_of_two());
-                }
-                enc.clear();
-                for (rank, _) in reqs.iter().enumerate() {
-                    enc.set(rank);
-                }
-                let winner = enc.resolve().expect("at least one request");
-                let (_, d) = reqs[winner];
-                self.proposals[s] = reqs;
+            // The hardware's encoder picks rank 0 of the source's requests
+            // sorted by priority: the minimum `(priority, dest)`, unique
+            // because no two requests share a destination.
+            for &s in &self.proposed_srcs {
+                let &(_, d) = self.proposals[s]
+                    .iter()
+                    .min()
+                    .expect("at least one request");
 
                 // --- Cycle 3: mark the matched pair busy.
                 debug_assert!(self.src_matched[s] != epoch && self.dst_matched[d] != epoch);

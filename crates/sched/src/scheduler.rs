@@ -21,7 +21,7 @@
 //! 4. When a message's remaining bytes reach zero it leaves the queue.
 
 use crate::ordered_list::OrderedList;
-use crate::pim::{self, PimRunner};
+use crate::pim::{self, DemandRow, PimRunner};
 use edm_sim::{Bandwidth, Duration, Time};
 use std::fmt;
 
@@ -125,17 +125,13 @@ impl std::error::Error for NotifyError {}
 pub enum CancelOutcome {
     /// The message's ungranted remainder was withdrawn (from the
     /// notification queue or the pair's waiting FIFO) and its admission
-    /// slot freed.
+    /// slot freed. Removing demand never makes a round worth running
+    /// before the last [`PollResult::next_wakeup`]: PIM reads whole
+    /// queues, so nothing queued behind the withdrawn message was hidden
+    /// from it.
     Cancelled {
         /// Bytes that will now never be granted.
         remaining: u32,
-        /// Whether the withdrawal may have moved a queued message into
-        /// PIM's view: the destination's queue was deeper than the row
-        /// PIM snapshots, so an entry hidden behind the withdrawn one can
-        /// be eligible right now. The one case where *removing* demand
-        /// makes a round worth running before the last
-        /// [`PollResult::next_wakeup`].
-        uncovered: bool,
     },
     /// No queued or waiting message matched — it was already fully
     /// granted (or never notified).
@@ -185,6 +181,15 @@ struct QueuedMsg {
     notified_at: Time,
 }
 
+/// PIM's cycle 1 reads a notification queue in place: its
+/// highest-priority entry whose source is eligible.
+impl DemandRow for OrderedList<QueuedMsg> {
+    fn first_eligible(&self, mut eligible: impl FnMut(usize) -> bool) -> Option<(u64, usize)> {
+        self.peek_where(|m| eligible(m.src as usize))
+            .map(|(k, m)| (k, m.src as usize))
+    }
+}
+
 /// Result of one [`Scheduler::poll`].
 #[derive(Debug, Clone, Default)]
 pub struct PollResult {
@@ -198,20 +203,18 @@ pub struct PollResult {
     /// at which some *queued* message can become eligible. A destination
     /// still receiving a chunk contributes its own busy expiry; a free
     /// destination PIM could not match contributes the earliest expiry
-    /// among the sources in its row — computed when PIM last walked that
-    /// row and remembered until the row changes, so a round folds one
-    /// cached instant per destination it does not hand to PIM instead of
-    /// walking the row again. Rounds between `now`
+    /// among the sources in its queue — computed when PIM last read that
+    /// queue and remembered until the queue changes, so a round folds one
+    /// remembered instant per destination it does not hand to PIM instead
+    /// of walking the queue again. Rounds between `now`
     /// and this instant could not grant, and an empty round has no side
     /// effect (the matcher is priority-driven: no pointers, no RNG), so a
     /// driver that polls only at wake-ups and at the
     /// [`Scheduler::grantable_at`] of each accepted [`Scheduler::notify`]
     /// sees exactly the grants of one that polls at every busy expiry and
-    /// every notification.
-    ///
-    /// When the round may have left *eligible* demand unmatched — a walked
-    /// row is deeper than PIM's snapshot — this is the earliest busy
-    /// expiry of any port instead.
+    /// every notification. PIM reads every queue it is handed whole, so
+    /// no round leaves eligible demand unmatched and this rule has no
+    /// exception.
     pub next_wakeup: Option<Time>,
 }
 
@@ -247,12 +250,6 @@ pub struct Scheduler {
     grants_issued: u64,
     /// Total bytes granted (stats).
     bytes_granted: u64,
-    /// Reusable demand-snapshot buffers (avoids per-poll allocation).
-    demand_scratch: Vec<Vec<(u64, usize)>>,
-    /// Whether a destination's queue changed since its snapshot was last
-    /// rebuilt. Wake-up polls mostly observe unchanged queues, so the
-    /// snapshot survives across rounds instead of being re-walked.
-    row_dirty: Vec<bool>,
     /// Destinations with a non-empty notification queue, maintained
     /// incrementally so `poll` visits only ports with live demand.
     active_dests: Vec<u32>,
@@ -261,12 +258,12 @@ pub struct Scheduler {
     dest_active_pos: Vec<u32>,
     /// Parallel to `active_dests` (pushed and swap-removed with it): the
     /// earliest instant at which that destination's queue can yield a
-    /// grant *if its row does not change*. Its own `dst_busy_until` while
-    /// it is mid-chunk; the smallest `src_busy_until` over its row once a
+    /// grant *if its queue does not change*. Its own `dst_busy_until` while
+    /// it is mid-chunk; the smallest `src_busy_until` over its queue once a
     /// round found it free but every queued source busy; `Time::ZERO`
-    /// ("look now") when the row changed since (`queue_insert`, `cancel`)
-    /// or is deeper than PIM's snapshot. A round skips every destination
-    /// whose instant is still ahead and folds it into the wake-up.
+    /// ("look now") when the queue changed since (`queue_insert`,
+    /// `cancel`). A round skips every destination whose instant is still
+    /// ahead and folds it into the wake-up.
     ///
     /// Skipping is exact, not merely safe — same pairs, same
     /// `pim_iterations`, same `next_wakeup` as examining everything:
@@ -316,13 +313,6 @@ struct WaitNode {
     next: u32,
 }
 
-/// Demand-row depth offered to PIM per destination. The hardware presents
-/// the whole queue in parallel; in the software model a deep row only
-/// matters when more than this many distinct sources contend for one
-/// destination *and* all earlier ones are busy — beyond any realistic
-/// matching fallback depth.
-const PIM_ROW_DEPTH: usize = 64;
-
 impl fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Scheduler")
@@ -353,8 +343,6 @@ impl Scheduler {
             wait_slab: Vec::new(),
             wait_free: 0,
             pim: PimRunner::new(config.ports),
-            demand_scratch: (0..config.ports).map(|_| Vec::new()).collect(),
-            row_dirty: vec![false; config.ports],
             active_dests: Vec::new(),
             dest_active_pos: vec![NOT_ACTIVE; config.ports],
             dest_ready: Vec::new(),
@@ -448,10 +436,9 @@ impl Scheduler {
         self.pending += 1;
     }
 
-    /// Marks a destination's row as changed outside a round: its snapshot
-    /// is stale and, if it still has demand, the next round must look.
+    /// Marks a destination's queue as changed outside a round: if it
+    /// still has demand, the next round must look.
     fn row_changed(&mut self, dest: usize) {
-        self.row_dirty[dest] = true;
         if let Some(ready) = self.dest_ready.get_mut(self.dest_active_pos[dest] as usize) {
             *ready = Time::ZERO;
         }
@@ -621,7 +608,6 @@ impl Scheduler {
         let d = dest as usize;
         // Only the pair's head message can be in the notification queue.
         if self.pair_adm[idx] & HEAD_IN_QUEUE != 0 {
-            let uncovered = self.queues[d].len() > PIM_ROW_DEPTH;
             if let Some((_, msg)) =
                 self.queues[d].remove_first(|m| m.src == src && m.msg_id == msg_id)
             {
@@ -640,7 +626,6 @@ impl Scheduler {
                 self.row_changed(d);
                 return CancelOutcome::Cancelled {
                     remaining: msg.remaining,
-                    uncovered,
                 };
             }
         }
@@ -670,7 +655,6 @@ impl Scheduler {
                 self.pair_adm[idx] -= 1;
                 return CancelOutcome::Cancelled {
                     remaining: node.msg.remaining,
-                    uncovered: false,
                 };
             }
             prev = cur;
@@ -721,29 +705,10 @@ impl Scheduler {
         self.pim_dests.sort_unstable();
         self.dests_examined += self.pim_dests.len() as u64;
 
-        // Refresh demand snapshots only for eligible destinations whose
-        // queue changed since the last rebuild (rows of inactive dests are
-        // stale but never read by PIM; clean rows are byte-identical to a
-        // fresh walk).
-        for &d in &self.pim_dests {
-            if !self.row_dirty[d] {
-                continue;
-            }
-            self.row_dirty[d] = false;
-            let row = &mut self.demand_scratch[d];
-            row.clear();
-            row.extend(
-                self.queues[d]
-                    .iter()
-                    .map(|(k, m)| (k, m.src as usize))
-                    .take(PIM_ROW_DEPTH),
-            );
-        }
-
         let src_busy_until = &self.src_busy_until;
         let outcome = self.pim.run_sparse(
             &self.pim_dests,
-            &self.demand_scratch,
+            &self.queues,
             |s| src_busy_until[s] <= now,
             &mut self.pairs_scratch,
         );
@@ -755,7 +720,6 @@ impl Scheduler {
             let (_, mut msg) = self.queues[d]
                 .remove_first(|m| m.src as usize == s)
                 .expect("PIM matched an edge that must exist in the queue");
-            self.row_dirty[d] = true;
             self.pending -= 1;
             let l = msg.remaining.min(self.config.chunk_bytes);
             msg.remaining -= l;
@@ -796,11 +760,7 @@ impl Scheduler {
         }
         self.pairs_scratch = pairs;
 
-        // Only the destinations PIM saw can have a new instant. The round
-        // may have left *eligible* demand behind when a row is deeper than
-        // its snapshot: then nothing short of every busy expiry is a safe
-        // wake-up.
-        let mut fallback = false;
+        // Only the destinations PIM saw can have a new instant.
         for &d in &self.pim_dests {
             let pos = self.dest_active_pos[d];
             if pos == NOT_ACTIVE {
@@ -809,19 +769,12 @@ impl Scheduler {
             let busy = self.dst_busy_until[d];
             let ready = if busy > now {
                 busy // granted: what is still queued waits for this chunk
-            } else if self.queues[d].len() > PIM_ROW_DEPTH {
-                // PIM saw only the head of this queue; entries behind it
-                // may be eligible already.
-                fallback = true;
-                Time::ZERO
             } else {
-                // The round walked this whole row (its snapshot is
-                // current) and found every source busy or granted to
-                // another destination.
-                debug_assert!(!self.row_dirty[d]);
-                self.demand_scratch[d]
+                // PIM read this whole queue and found every source busy
+                // or granted to another destination.
+                self.queues[d]
                     .iter()
-                    .map(|&(_, s)| self.src_busy_until[s])
+                    .map(|(_, m)| self.src_busy_until[m.src as usize])
                     .min()
                     .expect("an active destination has a queued message")
             };
@@ -833,8 +786,6 @@ impl Scheduler {
         self.empty_rounds += u64::from(out.grants.is_empty());
         out.next_wakeup = if self.pending == 0 {
             None
-        } else if fallback {
-            self.next_busy_expiry(now)
         } else {
             debug_assert!(wake > now && wake < Time::MAX);
             Some(wake)
@@ -865,8 +816,6 @@ impl Scheduler {
             }
             let fresh = if dst_busy > now {
                 dst_busy
-            } else if queue.len() > PIM_ROW_DEPTH {
-                Time::ZERO
             } else {
                 earliest_src
             };
@@ -877,21 +826,6 @@ impl Scheduler {
             }
         }
         Ok(())
-    }
-
-    /// The earliest busy-timer expiry of any port after `now`: the
-    /// wake-up of last resort, used only when a round may have left
-    /// eligible demand unmatched (see [`PollResult::next_wakeup`]). Every
-    /// instant at which anything can change is one of these, at O(ports)
-    /// a call — which is why the exact wake-up replaces it wherever it
-    /// can.
-    fn next_busy_expiry(&self, now: Time) -> Option<Time> {
-        self.src_busy_until
-            .iter()
-            .chain(&self.dst_busy_until)
-            .copied()
-            .filter(|&t| t > now)
-            .min()
     }
 
     /// The average-case matching latency for this configuration (§3.1.3).
@@ -1324,10 +1258,7 @@ mod tests {
         assert_eq!(r.grants.len(), 1);
         assert_eq!(
             s.cancel(0, 1, 7),
-            CancelOutcome::Cancelled {
-                remaining: 744,
-                uncovered: false
-            }
+            CancelOutcome::Cancelled { remaining: 744 }
         );
         assert_eq!(s.pending_messages(), 0);
         assert_eq!(s.active_for_pair(0, 1), 0);
@@ -1350,10 +1281,7 @@ mod tests {
         // granted next.
         assert_eq!(
             s.cancel(0, 1, 0),
-            CancelOutcome::Cancelled {
-                remaining: 64,
-                uncovered: false
-            }
+            CancelOutcome::Cancelled { remaining: 64 }
         );
         assert_eq!(s.pending_messages(), 1);
         let r = s.poll(Time::from_ns(2));
@@ -1371,10 +1299,7 @@ mod tests {
         // msg 1 waits behind the head; cancel it specifically.
         assert_eq!(
             s.cancel(0, 1, 1),
-            CancelOutcome::Cancelled {
-                remaining: 64,
-                uncovered: false
-            }
+            CancelOutcome::Cancelled { remaining: 64 }
         );
         assert_eq!(s.active_for_pair(0, 1), 2);
         // Remaining messages grant in order 0 then 2, skipping 1.
@@ -1392,39 +1317,33 @@ mod tests {
     }
 
     #[test]
-    fn cancel_reports_uncovering_a_deep_row() {
-        // More sources queue for port 0 than PIM's row holds. Cancelling
-        // a visible entry shifts a hidden one into view; cancelling from
-        // a queue that fits the row cannot.
-        let n = PIM_ROW_DEPTH + 3;
-        let mut s = sched(n + 1, 64, Policy::Fcfs);
-        for src in 1..=n as u16 {
-            s.notify(Time::from_ns(src as u64), Notification::new(src, 0, 0, 64))
+    fn a_free_source_behind_sixty_five_busy_ones_is_granted_at_once() {
+        // 66 sources queue 64 B for one hot port, in FCFS order; the
+        // first 65 are mid-chunk, each sending a 1 MiB private transfer.
+        // PIM reads the whole queue, so the 66th is granted at once and
+        // the wake-up is exact: when the hot port's chunk ends.
+        const MIB: u32 = 1 << 20;
+        let hot = 132u16;
+        let mut s = sched(hot as usize + 1, MIB, Policy::Fcfs);
+        for src in 0..65u16 {
+            s.notify(Time::ZERO, Notification::new(src, 66 + src, 0, MIB))
                 .unwrap();
         }
-        assert_eq!(
-            s.cancel(1, 0, 0),
-            CancelOutcome::Cancelled {
-                remaining: 64,
-                uncovered: true
-            }
-        );
-        assert_eq!(
-            s.cancel(2, 0, 0),
-            CancelOutcome::Cancelled {
-                remaining: 64,
-                uncovered: true
-            }
-        );
-        assert_eq!(s.pending_messages(), PIM_ROW_DEPTH + 1);
-        s.cancel(3, 0, 0);
-        assert_eq!(
-            s.cancel(4, 0, 0),
-            CancelOutcome::Cancelled {
-                remaining: 64,
-                uncovered: false
-            }
-        );
+        assert_eq!(s.poll(Time::ZERO).grants.len(), 65);
+        for src in 0..66u16 {
+            s.notify(
+                Time::from_ns(1 + src as u64),
+                Notification::new(src, hot, 0, 64),
+            )
+            .unwrap();
+        }
+        let now = Time::from_ns(100);
+        let r = s.poll(now);
+        let pairs: Vec<(u16, u16)> = r.grants.iter().map(|g| (g.src, g.dest)).collect();
+        assert_eq!(pairs, [(65, hot)]);
+        let link = s.config().link;
+        assert_eq!(r.next_wakeup, Some(now + link.tx_time_bytes(64)));
+        s.audit_ready(now).unwrap();
     }
 
     #[test]

@@ -17,7 +17,9 @@ use std::collections::{BTreeSet, HashSet, VecDeque};
 
 /// The pre-sparse scheduler, kept as an executable specification: dense
 /// O(ports) scans per poll, per-poll allocations, `HashMap` pair state.
-/// The production scheduler must produce bit-identical `PollResult`s.
+/// Every free destination's queue goes to PIM whole, however deep, and
+/// the wake-up is the exact one at any depth. The production scheduler
+/// must produce bit-identical `PollResult`s.
 mod reference {
     use edm_sched::scheduler::{
         Grant, Notification, NotifyError, Policy, PollResult, SchedulerConfig,
@@ -25,9 +27,6 @@ mod reference {
     use edm_sched::OrderedList;
     use edm_sim::{Duration, Time};
     use std::collections::{HashMap, VecDeque};
-
-    /// Demand-row depth offered to PIM (matches the production constant).
-    const PIM_ROW_DEPTH: usize = 64;
 
     /// A frozen copy of the pre-refactor dense priority-PIM loop. It must
     /// NOT call into the production `PimRunner` (whose dense `run` now
@@ -166,12 +165,7 @@ mod reference {
                 if !dst_free[d] {
                     continue;
                 }
-                row.extend(
-                    self.queues[d]
-                        .iter()
-                        .map(|(k, m)| (k, m.src as usize))
-                        .take(PIM_ROW_DEPTH),
-                );
+                row.extend(self.queues[d].iter().map(|(k, m)| (k, m.src as usize)));
             }
             let (matched_pairs, iterations) =
                 dense_pim(self.config.ports, &demand, &src_free, &dst_free);
@@ -213,16 +207,8 @@ mod reference {
             }
             // `PollResult::next_wakeup`, re-derived from its contract by a
             // scan over every port: a busy destination waits for itself,
-            // a free one for the earliest source anywhere in its queue;
-            // a free destination whose queue PIM saw only the head of
-            // falls back to the earliest busy expiry of any port.
-            let busy_expiry = self
-                .src_busy_until
-                .iter()
-                .chain(self.dst_busy_until.iter())
-                .filter(|&&t| t > now)
-                .min()
-                .copied();
+            // a free one for the earliest source anywhere in its queue,
+            // however deep.
             let mut next_wakeup: Option<Time> = None;
             for (d, q) in self.queues.iter().enumerate() {
                 if q.is_empty() {
@@ -230,9 +216,6 @@ mod reference {
                 }
                 let t = if self.dst_busy_until[d] > now {
                     self.dst_busy_until[d]
-                } else if q.len() > PIM_ROW_DEPTH {
-                    next_wakeup = busy_expiry;
-                    break;
                 } else {
                     q.iter()
                         .map(|(_, m)| self.src_busy_until[m.src as usize])
@@ -261,8 +244,9 @@ type SeenGrant = (Time, u16, u16, u8, u32, Duration);
 /// waits in a FIFO backlog, and `DELIVERY` after a message's final grant
 /// the backlog head is offered again. A cancel names a message by its
 /// notification; one that withdraws demand frees an admission slot like a
-/// completion (backlog head offered again at once) and asks for a round
-/// at once only when it uncovered a deep row. Odd sources get a wider X,
+/// completion (backlog head offered again at once) but asks for no round
+/// of its own: removing demand never makes one worth running sooner.
+/// Odd sources get a wider X,
 /// trunk-style, through `notify_with_limit`.
 ///
 /// What differs is when a round runs. The driver under test asks for one
@@ -341,10 +325,7 @@ fn drive(
             let c = cancels[next_cancel].1;
             next_cancel += 1;
             // Still in the backlog or already granted in full: no-op.
-            if let CancelOutcome::Cancelled { uncovered, .. } =
-                sched.cancel(c.src, c.dest, c.msg_id)
-            {
-                poll |= uncovered;
+            if let CancelOutcome::Cancelled { .. } = sched.cancel(c.src, c.dest, c.msg_id) {
                 retries.insert(now);
             }
         }
@@ -575,10 +556,10 @@ proptest! {
     /// latency — is the one an exhaustive driver sees, in fewer rounds.
     /// Schedules mix single- and multi-chunk messages, overflow the
     /// per-pair X bound into a backlog and withdraw some messages shortly
-    /// after they were announced; the wide shape piles more sources onto
-    /// a destination than PIM's row holds, so rounds leave eligible demand
-    /// behind — the one case where the wake-up must fall back to every
-    /// expiry.
+    /// after they were announced; the wide shape piles up to 100 sources
+    /// onto one destination, most of them mid-chunk, so PIM must find an
+    /// eligible source deep in the queue and the wake-up must cover every
+    /// entry of it, exactly.
     #[test]
     fn next_wakeup_driver_sees_the_exhaustive_grant_stream(
         wide in any::<bool>(),
@@ -594,8 +575,8 @@ proptest! {
     ) {
         // Narrow: 8 ports, all-to-all. Wide: 100 sources, each busy from
         // time zero sending to a private destination while queueing for
-        // one hot port, whose queue so outgrows the 64-entry row while
-        // the sources it shows are mid-chunk.
+        // one hot port, whose queue grows deep while the sources at its
+        // head are mid-chunk.
         const SOURCES: u16 = 100;
         let ports = if wide { 2 * SOURCES + 1 } else { 8 };
         let cfg = SchedulerConfig {

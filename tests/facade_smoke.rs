@@ -44,7 +44,7 @@ fn reexported_modules_resolve() {
     let _ = edm::throughput::RequestMix::ycsb_a();
     let _ = edm::shim::PAGE_BYTES;
     let _ = edm::phy::scramble::Scrambler::default();
-    let _ = edm::sched::PriorityEncoder::new(8);
+    let _ = edm::sched::OrderedList::<u8>::new();
     let _ = edm::memory::DramConfig::ddr4_2400();
     let _ = edm::sim::Rng::seed_from(1);
     let _ = edm::workloads::traces::AppTrace::all();
