@@ -15,11 +15,7 @@
 //!   atomic) mirroring the paper's three-FPGA testbed;
 //! * [`sim`] — the 144-node message-level simulator framework (§4.3)
 //!   shared with `edm-baselines`, plus EDM's protocol implementation;
-//! * [`throughput`] — the Figure 6 request-rate model;
-//! * [`shim`] — the §3.3 load/store application-integration layer
-//!   (virtual-to-physical translation, local/remote dispatch);
-//! * [`fault`] — the §3.3 fault-tolerance mechanisms (replicated switch
-//!   scheduling state, link corruption monitoring, read-timeout guards).
+//! * [`throughput`] — the Figure 6 request-rate model.
 //!
 //! ## Quick start
 //!
@@ -39,10 +35,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fault;
 pub mod latency;
 pub mod message;
-pub mod shim;
 pub mod sim;
 pub mod stack;
 pub mod testbed;

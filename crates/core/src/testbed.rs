@@ -110,9 +110,8 @@ impl Completion {
 
 /// Packets exchanged on the wire (transaction-level view of block runs).
 /// The op a packet belongs to holds its bytes.
-#[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
-pub enum Pkt {
+enum Pkt {
     /// `/N/` — explicit write-demand notification.
     Notify { size: u32 },
     /// `/G/` — grant for the next chunk of a message.
@@ -124,11 +123,9 @@ pub enum Pkt {
     Data { len: u32 },
 }
 
-/// DES events (public only because `Testbed: World` exposes the type).
-/// `msg` names the op a packet belongs to.
-#[doc(hidden)]
+/// DES events. `msg` names the op a packet belongs to.
 #[derive(Debug, Clone, Copy)]
-pub enum Ev {
+enum Ev {
     /// The next pending op's issue instant.
     Issue,
     /// A packet arrives at the switch from `src`.
@@ -266,7 +263,7 @@ fn data_pkt(len: u32) -> (Pkt, usize) {
 }
 
 /// The testbed world.
-pub struct Testbed {
+struct Testbed {
     config: TestbedConfig,
     memories: Vec<MemoryController>,
     domain: SwitchDomain,
@@ -299,7 +296,7 @@ fn schedule_poll(q: &mut EventQueue<Ev>, at: Option<Time>) {
 
 impl Testbed {
     /// Creates a testbed with `config.nodes` nodes, each with local DDR4.
-    pub fn new(config: TestbedConfig) -> Self {
+    fn new(config: TestbedConfig) -> Self {
         let sched_cfg = SchedulerConfig {
             ports: config.nodes,
             chunk_bytes: config.chunk_bytes,
@@ -328,12 +325,12 @@ impl Testbed {
     }
 
     /// Completed operations so far.
-    pub fn completions(&self) -> &[Completion] {
+    fn completions(&self) -> &[Completion] {
         &self.completions
     }
 
     /// Direct access to a node's memory controller (test setup).
-    pub fn memory_mut(&mut self, node: NodeId) -> &mut MemoryController {
+    fn memory_mut(&mut self, node: NodeId) -> &mut MemoryController {
         &mut self.memories[node as usize]
     }
 
@@ -564,7 +561,8 @@ impl World for Testbed {
     }
 }
 
-/// A convenient driver around [`Testbed`] + [`Engine`].
+/// The functional fabric: the testbed's nodes, switch and memories, driven
+/// by an [`Engine`].
 ///
 /// Ops are recorded when they are issued and enter the simulation at
 /// their instants during [`Fabric::run`]; ops given the same instant

@@ -25,7 +25,7 @@
 pub use edm_approx as approx;
 pub use edm_baselines as baselines;
 pub use edm_core::testbed as fabric;
-pub use edm_core::{latency, message, shim, stack, throughput};
+pub use edm_core::{latency, message, stack, throughput};
 pub use edm_memory as memory;
 pub use edm_phy as phy;
 pub use edm_sched as sched;

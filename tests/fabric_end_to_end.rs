@@ -1,55 +1,10 @@
-//! Cross-crate integration: applications (shim, KV store, locks) running
-//! over the full EDM fabric — host stacks, scheduler, switch, DRAM.
+//! Cross-crate integration: applications (locks, fan-in reads, alternating
+//! traffic) running over the full EDM fabric — host stacks, scheduler,
+//! switch, DRAM.
 
-use edm_core::shim::{AddressSpace, Placement, PAGE_BYTES};
 use edm_core::testbed::{Fabric, TestbedConfig};
 use edm_memory::rmw::RmwOp;
-use edm_memory::MemoryController;
 use edm_sim::{Duration, Time};
-
-#[test]
-fn disaggregated_working_set_via_shim() {
-    // A compute node keeps hot pages local and spills cold pages to a
-    // remote memory node, then accesses both transparently.
-    let mut space = AddressSpace::new(0);
-    space.map(0, Placement::Local { phys: 0x1_0000 });
-    for page in 1..=4u64 {
-        space.map(
-            page * PAGE_BYTES,
-            Placement::Remote {
-                node: 1,
-                phys: 0x10_0000 + page * PAGE_BYTES,
-            },
-        );
-    }
-    assert!((space.remote_fraction() - 0.8).abs() < 1e-9);
-
-    let mut local = MemoryController::ddr4();
-    let mut fabric = Fabric::new(TestbedConfig::default());
-
-    // Store a record that straddles local and remote pages.
-    let record: Vec<u8> = (0..256).map(|i| i as u8).collect();
-    let vaddr = PAGE_BYTES - 128;
-    let st = space
-        .store(Time::ZERO, vaddr, &record, &mut local, &mut fabric)
-        .expect("mapped");
-    assert_eq!(st.local_pieces, 1);
-    assert_eq!(st.remote_ops.len(), 1);
-    fabric.run();
-
-    // Load it back.
-    let ld = space
-        .load(Time::from_us(20), vaddr, 256, &mut local, &mut fabric)
-        .expect("mapped");
-    fabric.run();
-    // Local half:
-    assert_eq!(ld.data, record[..128].to_vec());
-    // Remote half arrives through the fabric:
-    let remote = fabric
-        .completion(ld.remote_ops[0])
-        .expect("remote read done");
-    assert_eq!(remote.data, record[128..].to_vec());
-}
 
 #[test]
 fn distributed_lock_with_remote_cas() {
@@ -152,22 +107,4 @@ fn sustained_alternating_traffic_keeps_latency_bounded() {
     for (i, l) in latencies.iter().enumerate() {
         assert!(*l < 600.0, "op {i} latency {l} ns exceeds unloaded bound");
     }
-}
-
-#[test]
-fn read_guard_protects_against_dead_memory_node() {
-    use edm_core::fault::{GuardedRead, ReadGuard};
-    // The fabric cannot lose data in normal operation; simulate a memory
-    // node failure by simply never delivering a response and resolving
-    // the guard at its deadline.
-    let guard = ReadGuard::arm(Time::ZERO, Duration::from_us(100));
-    assert_eq!(guard.resolve(None), GuardedRead::Null);
-    // A healthy read resolves with data well within the deadline.
-    let mut fabric = Fabric::new(TestbedConfig::default());
-    fabric.seed_memory(1, 0, &[3u8; 64]);
-    let id = fabric.read(Time::ZERO, 0, 1, 0, 64);
-    fabric.run();
-    let c = fabric.completion(id).unwrap();
-    let got = guard.resolve(Some((c.completed, c.data.clone())));
-    assert_eq!(got, GuardedRead::Data(vec![3u8; 64]));
 }

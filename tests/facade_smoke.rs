@@ -42,7 +42,6 @@ fn reexported_modules_resolve() {
     let _ = edm::message::MemOp::Read { addr: 0, len: 8 }.to_bytes();
     let _ = edm::stack::compute_node_read_cycles();
     let _ = edm::throughput::RequestMix::ycsb_a();
-    let _ = edm::shim::PAGE_BYTES;
     let _ = edm::phy::scramble::Scrambler::default();
     let _ = edm::sched::OrderedList::<u8>::new();
     let _ = edm::memory::DramConfig::ddr4_2400();
