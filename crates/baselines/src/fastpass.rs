@@ -17,15 +17,19 @@
 //! batching, the single NIC cannot keep up with a 144-node cluster's
 //! small-message demand.
 //!
-//! The matching core is the same priority matching as EDM's (we reuse
-//! [`edm_sched::Scheduler`] with zero-cost clocking); only the control
-//! message path differs: EDM's rides the switch's own PHY, Fastpass's
-//! rides a serialized server link.
+//! The matching core is the same priority matching as EDM's, driven the
+//! same way: one [`SwitchDomain`] (with zero-cost clocking) takes each
+//! announced flow as an offer, keeps offers past the pair's X bound
+//! waiting in that pair's own FIFO, hands out grants from its rounds and
+//! counts chunk deliveries to completion. Only the control message path
+//! differs: EDM's rides the switch's own PHY, Fastpass's rides a
+//! serialized server link.
 
 use edm_core::sim::{
-    ClusterConfig, FabricProtocol, Flow, FlowKind, FlowOutcome, SimResult, PROP_DELAY,
+    ClusterConfig, DomainOffer, FabricProtocol, Flow, FlowKind, FlowOutcome, SimResult,
+    SwitchDomain, PROP_DELAY,
 };
-use edm_sched::{Notification, Policy, Scheduler, SchedulerConfig};
+use edm_sched::{Policy, SchedulerConfig};
 use edm_sim::{Bandwidth, Duration, Engine, EventQueue, Time, World};
 use std::collections::VecDeque;
 
@@ -40,6 +44,9 @@ const CONTROL_BYTES: u64 = 84;
 const BATCH_LIMIT: usize = 8;
 /// Data chunk per allocation.
 const CHUNK_BYTES: u32 = 256;
+/// X — flows of one sender–receiver pair the arbiter matches at once
+/// (§3.1.2's bound, as for EDM).
+const MAX_ACTIVE_PER_PAIR: usize = 3;
 
 /// The Fastpass protocol instance.
 #[derive(Debug, Clone, Copy, Default)]
@@ -59,25 +66,23 @@ enum FEv {
     GrantSend { src: usize },
     /// The allocation packet reaches sender `src`.
     GrantDeliver { src: usize, count: usize },
-    /// A data chunk lands at the destination.
-    ChunkArrive { flow: usize, last: bool },
+    /// A data chunk of the granted message in domain slot `slot` lands
+    /// at the destination.
+    ChunkArrive { slot: u32, bytes: u32 },
 }
 
+/// One granted chunk: its domain message slot and size.
 #[derive(Debug, Clone, Copy)]
 struct Alloc {
-    flow: usize,
+    slot: u32,
     chunk: u32,
-    last: bool,
 }
 
 struct FastpassWorld {
     cluster: ClusterConfig,
     flows: Vec<(usize, usize, u32)>,
-    scheduler: Scheduler,
-    lookup: std::collections::HashMap<(u16, u16, u8), usize>,
-    next_msg_id: std::collections::HashMap<(u16, u16), u8>,
-    /// Flows rejected by the scheduler's X bound, awaiting a retry.
-    sched_backlog: VecDeque<usize>,
+    /// The arbiter's matching, poll protocol and per-pair FIFOs.
+    domain: SwitchDomain,
     completed: Vec<Option<Time>>,
     /// Arbiter NIC serialization (the bottleneck).
     server_rx_free_at: Time,
@@ -90,7 +95,6 @@ struct FastpassWorld {
     grant_inflight: Vec<bool>,
     /// Sender uplink serialization for data.
     src_free_at: Vec<Time>,
-    poll_at: Option<Time>,
 }
 
 impl FastpassWorld {
@@ -101,33 +105,12 @@ impl FastpassWorld {
     fn half_hop(&self) -> Duration {
         self.cluster.pipeline_latency / 2 + PROP_DELAY
     }
+}
 
-    fn schedule_poll(&mut self, at: Time, q: &mut EventQueue<FEv>) {
-        if self.poll_at.is_none_or(|t| at < t) {
-            self.poll_at = Some(at);
-            q.schedule(at, FEv::Poll);
-        }
-    }
-
-    fn try_notify(&mut self, flow: usize, now: Time, q: &mut EventQueue<FEv>) {
-        let (s, d, size) = self.flows[flow];
-        let (s, d) = (s as u16, d as u16);
-        let id_slot = self.next_msg_id.entry((s, d)).or_insert(0);
-        let msg_id = *id_slot;
-        match self
-            .scheduler
-            .notify(now, Notification::new(s, d, msg_id, size))
-        {
-            Ok(()) => {
-                *id_slot = id_slot.wrapping_add(1);
-                self.lookup.insert((s, d, msg_id), flow);
-                self.schedule_poll(now, q);
-            }
-            Err(edm_sched::scheduler::NotifyError::PairLimitReached { .. }) => {
-                self.sched_backlog.push_back(flow);
-            }
-            Err(e) => panic!("unexpected notify error: {e}"),
-        }
+/// Queues the `Poll` event the domain asked for, if it asked.
+fn schedule_poll(q: &mut EventQueue<FEv>, at: Option<Time>) {
+    if let Some(t) = at {
+        q.schedule(t, FEv::Poll);
     }
 }
 
@@ -156,7 +139,15 @@ impl World for FastpassWorld {
             FEv::NotifyArrive { src, count } => {
                 for _ in 0..count {
                     if let Some(flow) = self.notify_pending[src].pop_front() {
-                        self.try_notify(flow, now, q);
+                        let (s, d, bytes) = self.flows[flow];
+                        let offer = DomainOffer {
+                            src: s as u16,
+                            dst: d as u16,
+                            bytes,
+                            limit: MAX_ACTIVE_PER_PAIR,
+                            token: flow as u64,
+                        };
+                        schedule_poll(q, self.domain.offer(now, offer));
                     }
                 }
                 if self.notify_pending[src].is_empty() {
@@ -166,35 +157,22 @@ impl World for FastpassWorld {
                 }
             }
             FEv::Poll => {
-                // Drop superseded poll events (see EdmWorld: stale events
-                // would each spawn a wake-up chain).
-                if self.poll_at != Some(now) {
+                // A superseded wake-up runs no round.
+                let Some(round) = self.domain.poll(now) else {
                     return;
-                }
-                self.poll_at = None;
-                let result = self.scheduler.poll(now);
-                for g in &result.grants {
-                    let flow = *self
-                        .lookup
-                        .get(&(g.src, g.dest, g.msg_id))
-                        .expect("grant for known flow");
-                    if g.is_final() {
-                        self.lookup.remove(&(g.src, g.dest, g.msg_id));
-                    }
+                };
+                for g in round.grants {
                     let src = g.src as usize;
                     self.grant_pending[src].push_back(Alloc {
-                        flow,
+                        slot: g.slot,
                         chunk: g.chunk_bytes,
-                        last: g.is_final(),
                     });
                     if !self.grant_inflight[src] {
                         self.grant_inflight[src] = true;
                         q.schedule(now, FEv::GrantSend { src });
                     }
                 }
-                if let Some(t) = result.next_wakeup {
-                    self.schedule_poll(t, q);
-                }
+                schedule_poll(q, round.next_poll);
             }
             FEv::GrantSend { src } => {
                 let count = self.grant_pending[src].len().min(BATCH_LIMIT);
@@ -214,8 +192,8 @@ impl World for FastpassWorld {
                     q.schedule(
                         start + tx + 2 * PROP_DELAY + self.cluster.pipeline_latency / 2,
                         FEv::ChunkArrive {
-                            flow: alloc.flow,
-                            last: alloc.last,
+                            slot: alloc.slot,
+                            bytes: alloc.chunk,
                         },
                     );
                 }
@@ -225,14 +203,12 @@ impl World for FastpassWorld {
                     q.schedule(now, FEv::GrantSend { src });
                 }
             }
-            FEv::ChunkArrive { flow, last } => {
-                if last {
-                    self.completed[flow] = Some(now);
-                    if let Some(next) = self.sched_backlog.pop_front() {
-                        self.try_notify(next, now, q);
-                    }
-                    self.schedule_poll(now, q);
-                }
+            FEv::ChunkArrive { slot, bytes } => {
+                let completed = &mut self.completed;
+                let poll = self.domain.deliver(now, slot, bytes, |flow, _| {
+                    completed[flow as usize] = Some(now);
+                });
+                schedule_poll(q, poll);
             }
         }
     }
@@ -256,7 +232,7 @@ impl FabricProtocol for FastpassProtocol {
             chunk_bytes: CHUNK_BYTES,
             link: cluster.link,
             policy: Policy::Srpt,
-            max_active_per_pair: 3,
+            max_active_per_pair: MAX_ACTIVE_PER_PAIR,
             // Idealized: the matching itself costs zero time.
             clock: Duration::from_ps(0),
         };
@@ -265,10 +241,7 @@ impl FabricProtocol for FastpassProtocol {
             cluster: *cluster,
             completed: vec![None; flows.len()],
             flows: dirs,
-            scheduler: Scheduler::new(sched_cfg),
-            lookup: std::collections::HashMap::new(),
-            next_msg_id: std::collections::HashMap::new(),
-            sched_backlog: VecDeque::new(),
+            domain: SwitchDomain::new(sched_cfg),
             server_rx_free_at: Time::ZERO,
             server_tx_free_at: Time::ZERO,
             notify_pending: vec![VecDeque::new(); n],
@@ -276,7 +249,6 @@ impl FabricProtocol for FastpassProtocol {
             grant_pending: vec![VecDeque::new(); n],
             grant_inflight: vec![false; n],
             src_free_at: vec![Time::ZERO; n],
-            poll_at: None,
         };
         let mut engine = Engine::new(world);
         for (i, f) in flows.iter().enumerate() {
@@ -387,6 +359,24 @@ mod tests {
         let spread = mcts.iter().cloned().fold(0.0, f64::max)
             - mcts.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(spread < 150.0, "disjoint pairs spread {spread} ns");
+    }
+
+    /// Six 4 KiB writes on one pair and one 64 B write on another, all at
+    /// t = 0: three of the six wait past X, and only a completion on their
+    /// own pair may announce the oldest of them. A switch-wide backlog
+    /// retried on the other pair's completion re-queues that waiter
+    /// behind the others, and flow 3 finishes after flows 4 and 5.
+    #[test]
+    fn same_pair_flows_finish_in_offer_order() {
+        let c = cluster(4);
+        let mut flows: Vec<Flow> = (0..6).map(|i| wflow(i, 0, 1, 4096, 0)).collect();
+        flows.push(wflow(6, 2, 3, 64, 0));
+        let r = FastpassProtocol.simulate(&c, &flows);
+        let done: Vec<Time> = r.outcomes[..6].iter().map(|o| o.completed).collect();
+        assert!(
+            done.windows(2).all(|w| w[0] < w[1]),
+            "pair 0 -> 1 out of offer order: {done:?}"
+        );
     }
 
     #[test]

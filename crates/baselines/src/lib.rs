@@ -80,6 +80,8 @@ mod tests {
     /// re-recorded when offers past X began waiting in their pair's own
     /// FIFO: the hot node's pairs announce their waiters on their own
     /// completions, in offer order, no longer on any completion.
+    /// Fastpass's was re-recorded for the same reason when its arbiter
+    /// began matching through a `SwitchDomain`.
     #[test]
     fn all_protocols_keep_their_recorded_digests() {
         const DIGESTS: [(&str, u64); 7] = [
@@ -89,7 +91,7 @@ mod tests {
             ("PFC", 0x3f2d_a7ef_7f2a_47d5),
             ("DCTCP", 0xd382_1caf_9c0a_59f5),
             ("CXL", 0xd675_a79f_9c46_92dd),
-            ("Fastpass", 0x3148_06d9_fec9_6ce5),
+            ("Fastpass", 0xd009_cd07_79f5_cd65),
         ];
         let cluster = ClusterConfig {
             nodes: 16,

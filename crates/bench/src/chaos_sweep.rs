@@ -6,7 +6,7 @@
 //! a deterministic schedule from the workload's arrival span and a seed
 //! (see [`crate::scenarios`]). Every (scenario, load) point streams its
 //! flows with bounded retries, folding outcomes into windowed
-//! [`Availability`] counters, and reports recovery time after the first
+//! [`WindowSeries`] counters, and reports recovery time after the first
 //! incident, goodput-under-failure, and the failed/retried/re-admitted
 //! tallies. Points run sequentially so the process peak RSS bounds the
 //! resident footprint of a single streamed fault run.
@@ -16,7 +16,7 @@ use std::path::Path;
 use crate::json::Json;
 use crate::scenarios;
 use crate::util::{ns, row};
-use edm_sim::{Availability, Duration};
+use edm_sim::{Duration, WindowSeries};
 use edm_topo::{FaultEvent, FlowStatus, TopoEdm, TopoEdmConfig, TopoStreamStats, Topology};
 
 /// Flows streamed per (scenario, load) point.
@@ -47,24 +47,20 @@ fn run_point(
         max_retries: 3,
         ..TopoEdmConfig::default()
     });
-    let mut avail = Availability::new(Duration::from_us(10));
-    let mut goodput_bytes = 0u64;
+    let mut series = WindowSeries::new(Duration::from_us(10));
     let stats = proto.simulate_streamed(topo, wl.source(42), |o: edm_topo::TopoOutcome| {
         match o.status {
-            FlowStatus::Delivered(at) => {
-                avail.record_delivery(at);
-                goodput_bytes += o.flow.size as u64;
-            }
-            FlowStatus::Failed(at) => avail.record_failure(at),
+            FlowStatus::Delivered(at) => series.record(at, o.flow.size as u64),
+            FlowStatus::Failed(at) => series.record_failure(at),
         }
     });
     Point {
         scenario,
         load,
         stats,
-        goodput_bytes,
-        availability: avail.availability(),
-        recovery: avail.recovery_after(incident),
+        goodput_bytes: series.total_bytes(),
+        availability: series.availability(),
+        recovery: series.recovery_after(incident),
     }
 }
 

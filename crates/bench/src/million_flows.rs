@@ -5,7 +5,7 @@
 //! through [`edm_topo::TopoEdm`]'s streaming path — a baseline at `N/10`
 //! flows and the full run at `N` — with arrivals pulled lazily from a
 //! streaming source and per-flow MCTs folded into a bounded
-//! [`LogHistogram`] + [`Throughput`] instead of a retained `Vec`. Because
+//! [`LogHistogram`] + [`WindowSeries`] instead of a retained `Vec`. Because
 //! arrivals stream in and completed flows retire, the resident state
 //! tracks the *active*-flow population: the full run's active-flow and
 //! message-slot high-water marks must sit next to the baseline's even
@@ -18,7 +18,7 @@ use std::path::Path;
 use crate::json::Json;
 use crate::scenarios;
 use crate::util::row;
-use edm_sim::{Duration, LogHistogram, Throughput};
+use edm_sim::{Duration, LogHistogram, WindowSeries};
 use edm_topo::{FaultEvent, FlowStatus, TopoEdm, TopoEdmConfig, TopoStreamStats};
 
 /// Flows of the full run.
@@ -33,7 +33,7 @@ pub struct ScaleRun {
     /// Streamed MCT distribution (picosecond buckets).
     pub hist: LogHistogram,
     /// Completions per 1 µs window of simulated time.
-    pub throughput: Throughput,
+    pub throughput: WindowSeries,
 }
 
 impl ScaleRun {
@@ -62,7 +62,7 @@ fn run_scale(flows: usize, faults: &[FaultEvent]) -> ScaleRun {
         ..TopoEdmConfig::default()
     });
     let mut hist = LogHistogram::new();
-    let mut throughput = Throughput::new(Duration::from_us(1));
+    let mut throughput = WindowSeries::new(Duration::from_us(1));
     let stats = proto.simulate_streamed(&topo, wl.source(42), |o: edm_topo::TopoOutcome| {
         if let (Some(mct), FlowStatus::Delivered(at)) = (o.mct(), o.status) {
             hist.record_duration(mct);

@@ -1,8 +1,7 @@
-//! Property-based tests for the core fabric: message codec round-trips,
-//! end-to-end data integrity over the testbed, simulator invariants, and
-//! the switch domain's poll protocol against an exhaustive reference.
+//! Property-based tests for the core fabric: end-to-end data integrity
+//! over the testbed, simulator invariants, and the switch domain's poll
+//! protocol against an exhaustive reference.
 
-use edm_core::message::MemOp;
 use edm_core::sim::{
     ClusterConfig, DomainCancel, DomainGrant, DomainOffer, DomainRound, EdmProtocol,
     FabricProtocol, Flow, FlowKind, Forwarded, SwitchDomain,
@@ -269,34 +268,6 @@ fn wake_up_for_an_instant_with_a_queued_event_recycles_it() {
 }
 
 proptest! {
-    /// MemOp serialization round-trips for arbitrary field values.
-    #[test]
-    fn memop_roundtrip(
-        addr in any::<u64>(),
-        len in 1u32..1_000_000,
-        data in proptest::collection::vec(any::<u8>(), 0..512),
-        operand in any::<u64>(),
-    ) {
-        for op in [
-            MemOp::Read { addr, len },
-            MemOp::Write { addr, data: data.clone() },
-            MemOp::Rmw { addr, op: RmwOp::FetchAdd(operand) },
-            MemOp::Rmw {
-                addr,
-                op: RmwOp::CompareAndSwap { expected: operand, desired: !operand },
-            },
-            MemOp::ReadResponse { data: data.clone() },
-        ] {
-            let bytes = op.to_bytes();
-            prop_assert_eq!(MemOp::from_bytes(&bytes).expect("roundtrip"), op);
-            // Truncation of the serialized form must error, not panic or
-            // succeed wrongly.
-            if bytes.len() > 1 {
-                prop_assert!(MemOp::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-            }
-        }
-    }
-
     /// Arbitrary remote writes followed by reads over the functional
     /// testbed return exactly the written bytes (data integrity through
     /// chunking, scheduling, and the switch).

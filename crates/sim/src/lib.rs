@@ -57,5 +57,5 @@ pub mod time;
 pub use engine::{BinaryHeapEventQueue, Engine, EventQueue, QueueStats, World};
 pub use rng::Rng;
 pub use sharded::{run_sharded, Envelope, Recipient, ShardWorld, ShardedConfig};
-pub use stats::{Availability, LogHistogram, Summary, Throughput};
+pub use stats::{LogHistogram, Summary, WindowSeries};
 pub use time::{Bandwidth, Duration, Time};

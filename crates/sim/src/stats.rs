@@ -13,8 +13,9 @@
 //!   million-flow harnesses, where retaining per-flow samples would make
 //!   RSS scale with *total* flows instead of *active* flows.
 //!
-//! [`Throughput`] complements them with a windowed completion counter
-//! (ops and bytes per fixed window of simulated time).
+//! [`WindowSeries`] complements them with a windowed counter of
+//! completions, their bytes, and failures per fixed window of simulated
+//! time.
 
 use crate::time::{Duration, Time};
 
@@ -293,49 +294,61 @@ impl LogHistogram {
     }
 }
 
-/// Windowed throughput accumulator: completions and bytes per fixed
-/// window of simulated time.
+/// Windowed completion series: per fixed window of simulated time, the
+/// operations that completed, the bytes they carried, and the operations
+/// that failed — throughput, goodput-under-failure, degraded spans and
+/// recovery time after an incident, from one counter.
 ///
-/// Memory is O(simulated span / window) — independent of how many flows
-/// pass through — and two accumulators with the same window merge by
-/// element-wise addition, so per-shard accumulators combine exactly.
+/// Memory is O(simulated span / window) — independent of how many
+/// operations pass through — and two series with the same window merge
+/// by element-wise addition, so per-shard series combine exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Throughput {
+pub struct WindowSeries {
     window: Duration,
-    ops: Vec<u64>,
-    bytes: Vec<u64>,
-    total_ops: u64,
-    total_bytes: u64,
+    slots: Vec<Window>,
 }
 
-impl Throughput {
-    /// Creates an accumulator with the given window size.
+/// One window's counts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Window {
+    ops: u64,
+    bytes: u64,
+    failed: u64,
+}
+
+impl WindowSeries {
+    /// Creates an empty series with the given window size.
     ///
     /// # Panics
     ///
     /// Panics if `window` is zero.
     pub fn new(window: Duration) -> Self {
         assert!(window > Duration::ZERO, "window must be positive");
-        Throughput {
+        WindowSeries {
             window,
-            ops: Vec::new(),
-            bytes: Vec::new(),
-            total_ops: 0,
-            total_bytes: 0,
+            slots: Vec::new(),
         }
+    }
+
+    /// The window holding `at`, grown into the series.
+    fn slot(&mut self, at: Time) -> &mut Window {
+        let idx = (at.as_ps() / self.window.as_ps()) as usize;
+        if idx >= self.slots.len() {
+            self.slots.resize(idx + 1, Window::default());
+        }
+        &mut self.slots[idx]
     }
 
     /// Records one completion of `bytes` bytes at simulated time `at`.
     pub fn record(&mut self, at: Time, bytes: u64) {
-        let idx = (at.as_ps() / self.window.as_ps()) as usize;
-        if idx >= self.ops.len() {
-            self.ops.resize(idx + 1, 0);
-            self.bytes.resize(idx + 1, 0);
-        }
-        self.ops[idx] += 1;
-        self.bytes[idx] += bytes;
-        self.total_ops += 1;
-        self.total_bytes += bytes;
+        let w = self.slot(at);
+        w.ops += 1;
+        w.bytes += bytes;
+    }
+
+    /// Records one failure at simulated time `at`.
+    pub fn record_failure(&mut self, at: Time) {
+        self.slot(at).failed += 1;
     }
 
     /// The window size.
@@ -343,184 +356,84 @@ impl Throughput {
         self.window
     }
 
-    /// Number of windows touched so far (index of the last + 1).
+    /// Number of windows touched so far, by a completion or a failure
+    /// (index of the last + 1).
     pub fn windows(&self) -> usize {
-        self.ops.len()
+        self.slots.len()
     }
 
     /// Completions in window `i` (0 beyond the recorded span).
     pub fn ops_in(&self, i: usize) -> u64 {
-        self.ops.get(i).copied().unwrap_or(0)
+        self.slots.get(i).map_or(0, |w| w.ops)
     }
 
     /// Bytes completed in window `i` (0 beyond the recorded span).
     pub fn bytes_in(&self, i: usize) -> u64 {
-        self.bytes.get(i).copied().unwrap_or(0)
-    }
-
-    /// Total completions recorded.
-    pub fn total_ops(&self) -> u64 {
-        self.total_ops
-    }
-
-    /// Total bytes recorded.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// Peak completions in any single window.
-    pub fn peak_ops(&self) -> u64 {
-        self.ops.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Mean completions per window over the touched span. Zero if empty.
-    pub fn mean_ops_per_window(&self) -> f64 {
-        if self.ops.is_empty() {
-            return 0.0;
-        }
-        self.total_ops as f64 / self.ops.len() as f64
-    }
-
-    /// Adds another accumulator's windows into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window sizes differ.
-    pub fn merge(&mut self, other: &Throughput) {
-        assert_eq!(
-            self.window, other.window,
-            "cannot merge throughput accumulators with different windows"
-        );
-        if other.ops.len() > self.ops.len() {
-            self.ops.resize(other.ops.len(), 0);
-            self.bytes.resize(other.bytes.len(), 0);
-        }
-        for (i, (&o, &b)) in other.ops.iter().zip(&other.bytes).enumerate() {
-            self.ops[i] += o;
-            self.bytes[i] += b;
-        }
-        self.total_ops += other.total_ops;
-        self.total_bytes += other.total_bytes;
-    }
-}
-
-/// Windowed availability accumulator for failure-regime runs: per fixed
-/// window of simulated time, how many flows completed and how many
-/// failed, so a chaos campaign can report goodput-under-failure,
-/// degraded spans, and recovery time after an incident.
-///
-/// Memory is O(simulated span / window) — independent of flow count —
-/// and two accumulators with the same window merge by element-wise
-/// addition, so per-shard accumulators combine exactly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Availability {
-    window: Duration,
-    delivered: Vec<u64>,
-    failed: Vec<u64>,
-}
-
-impl Availability {
-    /// Creates an accumulator with the given window size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(window: Duration) -> Self {
-        assert!(window > Duration::ZERO, "window must be positive");
-        Availability {
-            window,
-            delivered: Vec::new(),
-            failed: Vec::new(),
-        }
-    }
-
-    fn slot(&mut self, at: Time) -> usize {
-        let idx = (at.as_ps() / self.window.as_ps()) as usize;
-        if idx >= self.delivered.len() {
-            self.delivered.resize(idx + 1, 0);
-            self.failed.resize(idx + 1, 0);
-        }
-        idx
-    }
-
-    /// Records one flow delivered at simulated time `at`.
-    pub fn record_delivery(&mut self, at: Time) {
-        let i = self.slot(at);
-        self.delivered[i] += 1;
-    }
-
-    /// Records one flow failed at simulated time `at`.
-    pub fn record_failure(&mut self, at: Time) {
-        let i = self.slot(at);
-        self.failed[i] += 1;
-    }
-
-    /// The window size.
-    pub fn window(&self) -> Duration {
-        self.window
-    }
-
-    /// Number of windows touched so far (index of the last + 1).
-    pub fn windows(&self) -> usize {
-        self.delivered.len()
-    }
-
-    /// Deliveries in window `i` (0 beyond the recorded span).
-    pub fn delivered_in(&self, i: usize) -> u64 {
-        self.delivered.get(i).copied().unwrap_or(0)
+        self.slots.get(i).map_or(0, |w| w.bytes)
     }
 
     /// Failures in window `i` (0 beyond the recorded span).
     pub fn failed_in(&self, i: usize) -> u64 {
-        self.failed.get(i).copied().unwrap_or(0)
+        self.slots.get(i).map_or(0, |w| w.failed)
+    }
+
+    /// Total completions recorded.
+    pub fn total_ops(&self) -> u64 {
+        self.slots.iter().map(|w| w.ops).sum()
+    }
+
+    /// Total bytes completed.
+    pub fn total_bytes(&self) -> u64 {
+        self.slots.iter().map(|w| w.bytes).sum()
+    }
+
+    /// Peak completions in any single window.
+    pub fn peak_ops(&self) -> u64 {
+        self.slots.iter().map(|w| w.ops).max().unwrap_or(0)
     }
 
     /// Windows with at least one failure.
     pub fn degraded_windows(&self) -> usize {
-        self.failed.iter().filter(|&&f| f > 0).count()
+        self.slots.iter().filter(|w| w.failed > 0).count()
     }
 
     /// Fraction of touched windows with no failure. 1.0 if no window
     /// was touched.
     pub fn availability(&self) -> f64 {
-        if self.failed.is_empty() {
+        if self.slots.is_empty() {
             return 1.0;
         }
-        1.0 - self.degraded_windows() as f64 / self.failed.len() as f64
+        1.0 - self.degraded_windows() as f64 / self.slots.len() as f64
     }
 
     /// Time from `incident` until the end of the first window at or
-    /// after it that completes at least one flow — the campaign's
-    /// recovery-time metric. `None` if nothing delivers after the
+    /// after it that completes at least one operation — the campaign's
+    /// recovery-time metric. `None` if nothing completes after the
     /// incident within the recorded span.
     pub fn recovery_after(&self, incident: Time) -> Option<Duration> {
         let first = (incident.as_ps() / self.window.as_ps()) as usize;
-        for (i, &d) in self.delivered.iter().enumerate().skip(first) {
-            if d > 0 {
-                let end = Time::ZERO + self.window * (i as u64 + 1);
-                return Some(end.saturating_since(incident));
-            }
-        }
-        None
+        let i = (first..self.slots.len()).find(|&i| self.slots[i].ops > 0)?;
+        let end = Time::ZERO + self.window * (i as u64 + 1);
+        Some(end.saturating_since(incident))
     }
 
-    /// Adds another accumulator's windows into this one.
+    /// Adds another series' windows into this one.
     ///
     /// # Panics
     ///
     /// Panics if the window sizes differ.
-    pub fn merge(&mut self, other: &Availability) {
+    pub fn merge(&mut self, other: &WindowSeries) {
         assert_eq!(
             self.window, other.window,
-            "cannot merge availability accumulators with different windows"
+            "cannot merge window series with different windows"
         );
-        if other.delivered.len() > self.delivered.len() {
-            self.delivered.resize(other.delivered.len(), 0);
-            self.failed.resize(other.failed.len(), 0);
+        if other.slots.len() > self.slots.len() {
+            self.slots.resize(other.slots.len(), Window::default());
         }
-        for (i, (&d, &f)) in other.delivered.iter().zip(&other.failed).enumerate() {
-            self.delivered[i] += d;
-            self.failed[i] += f;
+        for (a, b) in self.slots.iter_mut().zip(&other.slots) {
+            a.ops += b.ops;
+            a.bytes += b.bytes;
+            a.failed += b.failed;
         }
     }
 }
@@ -650,7 +563,7 @@ mod tests {
     #[test]
     fn throughput_windows_and_merge() {
         let w = Duration::from_ns(100);
-        let mut t = Throughput::new(w);
+        let mut t = WindowSeries::new(w);
         t.record(Time::from_ns(10), 64);
         t.record(Time::from_ns(99), 64);
         t.record(Time::from_ns(100), 128);
@@ -663,9 +576,8 @@ mod tests {
         assert_eq!(t.peak_ops(), 2);
         assert_eq!(t.total_ops(), 4);
         assert_eq!(t.total_bytes(), 320);
-        assert_eq!(t.mean_ops_per_window(), 1.0);
 
-        let mut other = Throughput::new(w);
+        let mut other = WindowSeries::new(w);
         other.record(Time::from_ns(120), 32);
         other.record(Time::from_ns(600), 32);
         t.merge(&other);
@@ -678,18 +590,21 @@ mod tests {
     #[test]
     fn availability_windows_degradation_and_recovery() {
         let w = Duration::from_us(10);
-        let mut a = Availability::new(w);
+        let mut a = WindowSeries::new(w);
         // Healthy start, a blackout with failures, then recovery.
-        a.record_delivery(Time::from_us(5));
-        a.record_delivery(Time::from_us(12));
+        a.record(Time::from_us(5), 64);
+        a.record(Time::from_us(12), 64);
         a.record_failure(Time::from_us(25));
         a.record_failure(Time::from_us(33));
-        a.record_delivery(Time::from_us(47));
+        a.record(Time::from_us(47), 64);
         assert_eq!(a.windows(), 5);
-        assert_eq!(a.delivered_in(0), 1);
+        assert_eq!(a.ops_in(0), 1);
         assert_eq!(a.failed_in(2), 1);
         assert_eq!(a.degraded_windows(), 2);
         assert_eq!(a.availability(), 0.6);
+        // Failures count toward neither completions nor bytes.
+        assert_eq!(a.total_ops(), 3);
+        assert_eq!(a.total_bytes(), 192);
         // Incident at 20µs: windows [20,30) and [30,40) deliver nothing;
         // the first delivering window is [40,50), which ends at 50µs.
         assert_eq!(
@@ -698,7 +613,7 @@ mod tests {
         );
         assert_eq!(a.recovery_after(Time::from_us(60)), None);
 
-        let mut b = Availability::new(w);
+        let mut b = WindowSeries::new(w);
         b.record_failure(Time::from_us(71));
         a.merge(&b);
         assert_eq!(a.windows(), 8);

@@ -5,7 +5,7 @@
 //! shard-merge path must be indistinguishable from recording into one
 //! histogram.
 
-use edm_sim::{Duration, LogHistogram, Summary, Throughput, Time};
+use edm_sim::{Duration, LogHistogram, Summary, Time, WindowSeries};
 use proptest::prelude::*;
 
 proptest! {
@@ -65,23 +65,29 @@ proptest! {
         }
     }
 
-    /// Windowed throughput totals are conserved across arbitrary event
-    /// streams and shard merges.
+    /// Windowed completion, byte and failure counts are conserved across
+    /// arbitrary event streams and shard merges.
     #[test]
     fn throughput_conserves_totals(
-        events in proptest::collection::vec((0u64..1_000_000, 1u64..10_000), 0..200),
+        events in proptest::collection::vec((0u64..1_000_000, 1u64..10_000, any::<bool>()), 0..200),
         window_ns in 1u64..10_000,
         split in 0usize..200,
     ) {
         let w = Duration::from_ns(window_ns);
-        let mut all = Throughput::new(w);
-        let mut a = Throughput::new(w);
-        let mut b = Throughput::new(w);
+        let mut all = WindowSeries::new(w);
+        let mut a = WindowSeries::new(w);
+        let mut b = WindowSeries::new(w);
         let split = split.min(events.len());
-        for (i, &(at_ns, bytes)) in events.iter().enumerate() {
+        for (i, &(at_ns, bytes, failed)) in events.iter().enumerate() {
             let at = Time::from_ns(at_ns);
-            all.record(at, bytes);
-            if i < split { a.record(at, bytes) } else { b.record(at, bytes) }
+            let shard = if i < split { &mut a } else { &mut b };
+            if failed {
+                all.record_failure(at);
+                shard.record_failure(at);
+            } else {
+                all.record(at, bytes);
+                shard.record(at, bytes);
+            }
         }
         a.merge(&b);
         prop_assert_eq!(a.total_ops(), all.total_ops());
@@ -89,9 +95,12 @@ proptest! {
         prop_assert_eq!(a.windows(), all.windows());
         let per_window_ops: u64 = (0..all.windows()).map(|i| all.ops_in(i)).sum();
         prop_assert_eq!(per_window_ops, all.total_ops());
+        let failures: u64 = (0..all.windows()).map(|i| all.failed_in(i)).sum();
+        prop_assert_eq!(failures, events.iter().filter(|e| e.2).count() as u64);
         for i in 0..all.windows() {
             prop_assert_eq!(a.ops_in(i), all.ops_in(i));
             prop_assert_eq!(a.bytes_in(i), all.bytes_in(i));
+            prop_assert_eq!(a.failed_in(i), all.failed_in(i));
         }
     }
 }

@@ -25,11 +25,21 @@
 //! 3. **Fabric, response leg.** Reads return `object_bytes` as a
 //!    scheduled flow; updates and RMWs return control-block acks.
 //!
+//! Both legs go through one step, `send_leg`: a leg that carries a
+//! payload (an update's request, a read's response) is a scheduled flow
+//! under EDM, any other leg a control block or, under CXL-oE, a frame.
+//! Whichever it is, its arrival or its failure becomes the op's next
+//! event in one place, `leg_end`: an arrived request reaches the memory
+//! controller after the NIC delay (`Service`); an arrived response, or
+//! any failed leg, reaches the tenant after the completion delay
+//! (`Done`). A flow leg gets there from `app_flow_done`, the others at
+//! once.
+//!
 //! Completion then drives the tenant's next arrival. Request→response
-//! latency lands in bounded-memory [`LogHistogram`]s, plus
-//! [`Throughput`]/[`Availability`] windows — resident state is O(active
-//! ops + active flows), never O(total ops), so million-op campaigns
-//! stream like the flow-level ones.
+//! latency lands in bounded-memory [`LogHistogram`]s, plus one
+//! [`WindowSeries`] of completions, bytes and failures — resident state
+//! is O(active ops + active flows), never O(total ops), so million-op
+//! campaigns stream like the flow-level ones.
 //!
 //! # Determinism
 //!
@@ -60,7 +70,7 @@ use crate::world::{
 use edm_core::sim::{evord, Flow, FlowKind};
 use edm_memory::{DramConfig, MemoryService, KV_SLOT_HEADER};
 use edm_sim::rng::Zipf;
-use edm_sim::{Availability, Duration, EventQueue, LogHistogram, Rng, Throughput, Time};
+use edm_sim::{Duration, EventQueue, LogHistogram, Rng, Time, WindowSeries};
 use edm_workloads::{OpKind, TenantSpec};
 use std::collections::HashMap;
 
@@ -100,7 +110,7 @@ const NIC_DELAY: Duration = Duration::from_ns(25);
 /// Compute-node delay between a response's arrival and the tenant
 /// observing completion.
 const COMPLETION_DELAY: Duration = Duration::from_ns(25);
-/// Window width of the throughput/availability time series.
+/// Window width of the completion/failure time series.
 const STATS_WINDOW: Duration = Duration::from_us(10);
 
 /// Configuration of a closed-loop application run.
@@ -158,8 +168,8 @@ impl AppConfig {
     }
 }
 
-/// The result of a closed-loop run: per-op latency/throughput/
-/// availability, memory-tier counters, and the fabric-side stream stats.
+/// The result of a closed-loop run: per-op latency, windowed completions
+/// and failures, memory-tier counters, and the fabric-side stream stats.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppReport {
     /// Ops issued (= completed + failed at the end of the run).
@@ -178,10 +188,9 @@ pub struct AppReport {
     pub lat_rmw: LogHistogram,
     /// Latency of completed local-DRAM ops.
     pub lat_local: LogHistogram,
-    /// Completed-op payload bytes over time.
-    pub throughput: Throughput,
-    /// Windowed delivery/failure availability.
-    pub availability: Availability,
+    /// Completed ops, their payload bytes, and failed ops per 10 µs
+    /// window.
+    pub series: WindowSeries,
     /// Time of the last completion.
     pub makespan: Duration,
     /// Peak concurrently-outstanding ops — the O(active) memory pin.
@@ -223,6 +232,15 @@ struct TenantRt {
     issued: u64,
     done: u64,
     outstanding: u32,
+}
+
+/// The two fabric legs of a remote op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Leg {
+    /// Compute node → memory node.
+    Request,
+    /// Memory node → compute node.
+    Response,
 }
 
 /// One in-flight op (removed at `Done`).
@@ -363,8 +381,8 @@ pub(crate) struct AppState {
     start_at: Vec<Time>,
     /// In-flight ops — O(Σ mlp), never O(total ops).
     ops: HashMap<u32, OpRt>,
-    /// Fabric flow id → op id for the op's in-flight leg.
-    flow_op: HashMap<u32, u32>,
+    /// Fabric flow id → the op and leg it carries.
+    flow_op: HashMap<u32, (u32, Leg)>,
     next_op: u32,
     /// App flow ids, allocated inside app events in canonical order (the
     /// `RtMap` increasing-id invariant).
@@ -378,8 +396,7 @@ pub(crate) struct AppState {
     lat_update: LogHistogram,
     lat_rmw: LogHistogram,
     lat_local: LogHistogram,
-    throughput: Throughput,
-    availability: Availability,
+    series: WindowSeries,
     last_done: Time,
 }
 
@@ -435,8 +452,7 @@ impl AppState {
             lat_update: LogHistogram::new(),
             lat_rmw: LogHistogram::new(),
             lat_local: LogHistogram::new(),
-            throughput: Throughput::new(STATS_WINDOW),
-            availability: Availability::new(STATS_WINDOW),
+            series: WindowSeries::new(STATS_WINDOW),
             last_done: Time::ZERO,
         }
     }
@@ -476,8 +492,7 @@ impl AppState {
             lat_update: app.lat_update,
             lat_rmw: app.lat_rmw,
             lat_local: app.lat_local,
-            throughput: app.throughput,
-            availability: app.availability,
+            series: app.series,
             makespan: app.last_done.saturating_since(Time::ZERO),
             ops_high_water: app.ops_hwm,
             dram_rows: app.mems.iter().fold((0, 0, 0), |(h, m, c), s| {
@@ -512,30 +527,10 @@ where
         let Some(app) = self.app.as_mut() else {
             return;
         };
-        let Some(op) = app.flow_op.remove(&fi) else {
+        let Some((op, leg)) = app.flow_op.remove(&fi) else {
             return;
         };
-        let rec = app.ops.get_mut(&op).expect("a leg's op is in flight");
-        if ok && rec.kind == OpKind::Update {
-            // Request payload delivered: the memory node's NIC hands it
-            // to the controller after its processing delay.
-            q.schedule_ordered(
-                t + NIC_DELAY,
-                evord::app_service(op),
-                TopoEv::App(AppEv::Service { op }),
-            );
-        } else {
-            debug_assert!(
-                !ok || rec.kind == OpKind::Read,
-                "only reads and updates have fabric legs"
-            );
-            rec.failed |= !ok;
-            q.schedule_ordered(
-                t + COMPLETION_DELAY,
-                evord::app_done(op),
-                TopoEv::App(AppEv::Done { op }),
-            );
-        }
+        leg_end(app, op, leg, if ok { Ok(t) } else { Err(t) }, q);
     }
 
     /// Fills tenant `ti`'s outstanding window with freshly sampled ops.
@@ -565,96 +560,25 @@ where
             } else {
                 sample.kind
             };
-            let mut rec = OpRt {
-                tenant: ti,
-                kind,
-                mem,
-                addr,
-                issued: now,
-                failed: false,
-            };
-            match kind {
-                OpKind::Local => {
-                    app.insert_op(op, rec);
-                    q.schedule_ordered(
-                        now + LOCAL_LATENCY,
-                        evord::app_done(op),
-                        TopoEv::App(AppEv::Done { op }),
-                    );
-                }
-                OpKind::Update if app.cxl.is_none() => {
-                    // The update payload is a real scheduled flow.
-                    let fid = app.next_flow;
-                    app.next_flow += 1;
-                    app.flow_op.insert(fid, op);
-                    app.insert_op(op, rec);
-                    admissions.push((
-                        fid,
-                        Flow {
-                            id: fid as usize,
-                            src: spec.node,
-                            dst: mem_node,
-                            size: spec.mix.ycsb.update_bytes.max(1),
-                            arrival: now,
-                            kind: FlowKind::Write,
-                        },
-                    ));
-                }
-                OpKind::Read | OpKind::Rmw if app.cxl.is_none() => {
-                    // RREQ/RMWREQ control block to the memory node.
-                    match control_flight(&self.cfg, &self.topo, spec.node, mem_node, op as u64) {
-                        Some(f) => {
-                            app.insert_op(op, rec);
-                            q.schedule_ordered(
-                                now + f + NIC_DELAY,
-                                evord::app_service(op),
-                                TopoEv::App(AppEv::Service { op }),
-                            );
-                        }
-                        None => {
-                            rec.failed = true;
-                            app.insert_op(op, rec);
-                            q.schedule_ordered(
-                                now + COMPLETION_DELAY,
-                                evord::app_done(op),
-                                TopoEv::App(AppEv::Done { op }),
-                            );
-                        }
-                    }
-                }
-                _ => {
-                    // CXL-oE: every request is a framed message.
-                    let req_bytes = match kind {
-                        OpKind::Read => 16,
-                        OpKind::Update => 16 + spec.mix.ycsb.update_bytes,
-                        OpKind::Rmw => 24,
-                        OpKind::Local => unreachable!(),
-                    };
-                    let arrive = app
-                        .cxl
-                        .as_mut()
-                        .expect("transport checked")
-                        .traverse(&self.topo, spec.node, mem_node, req_bytes, op as u64, now);
-                    match arrive {
-                        Some(t) => {
-                            app.insert_op(op, rec);
-                            q.schedule_ordered(
-                                t + NIC_DELAY,
-                                evord::app_service(op),
-                                TopoEv::App(AppEv::Service { op }),
-                            );
-                        }
-                        None => {
-                            rec.failed = true;
-                            app.insert_op(op, rec);
-                            q.schedule_ordered(
-                                now + COMPLETION_DELAY,
-                                evord::app_done(op),
-                                TopoEv::App(AppEv::Done { op }),
-                            );
-                        }
-                    }
-                }
+            app.insert_op(
+                op,
+                OpRt {
+                    tenant: ti,
+                    kind,
+                    mem,
+                    addr,
+                    issued: now,
+                    failed: false,
+                },
+            );
+            if kind == OpKind::Local {
+                q.schedule_ordered(
+                    now + LOCAL_LATENCY,
+                    evord::app_done(op),
+                    TopoEv::App(AppEv::Done { op }),
+                );
+            } else {
+                admissions.extend(self.send_leg(&mut app, op, Leg::Request, now, q));
             }
         }
         self.app = Some(app);
@@ -667,69 +591,79 @@ where
     /// launch the response leg.
     fn app_service(&mut self, now: Time, op: u32, q: &mut EventQueue<TopoEv>) {
         let mut app = self.app.take().expect("app events only fire on app runs");
-        let mut admissions: Vec<(u32, Flow)> = Vec::new();
-        let rec = *app.ops.get(&op).expect("service for a live op");
-        let spec = app.tenants[rec.tenant as usize].spec;
-        let mem_node = app.memory_nodes[rec.mem as usize];
-        match rec.kind {
-            OpKind::Read => {
-                let served = app.mems[rec.mem as usize].get(
-                    now,
-                    rec.addr,
-                    spec.mix.ycsb.object_bytes as usize,
-                );
-                if app.cxl.is_none() {
-                    // The RRES payload is a real scheduled flow.
-                    let fid = app.next_flow;
-                    app.next_flow += 1;
-                    app.flow_op.insert(fid, op);
-                    admissions.push((
-                        fid,
-                        Flow {
-                            id: fid as usize,
-                            src: mem_node,
-                            dst: spec.node,
-                            size: spec.mix.ycsb.object_bytes.max(1),
-                            arrival: served,
-                            kind: FlowKind::Write,
-                        },
-                    ));
-                } else {
-                    let resp = app.cxl.as_mut().expect("transport checked").traverse(
-                        &self.topo,
-                        mem_node,
-                        spec.node,
-                        16 + spec.mix.ycsb.object_bytes,
-                        op as u64,
-                        served,
-                    );
-                    finish_leg(&mut app, op, resp, served, q);
-                }
-            }
-            OpKind::Update => {
-                let served = app.mems[rec.mem as usize].put(
-                    now,
-                    rec.addr,
-                    spec.mix.ycsb.update_bytes as usize,
-                );
-                let resp = return_leg(
-                    &mut app, &self.cfg, &self.topo, mem_node, spec.node, op, served,
-                );
-                finish_leg(&mut app, op, resp, served, q);
-            }
-            OpKind::Rmw => {
-                let served = app.mems[rec.mem as usize].rmw(now, rec.addr);
-                let resp = return_leg(
-                    &mut app, &self.cfg, &self.topo, mem_node, spec.node, op, served,
-                );
-                finish_leg(&mut app, op, resp, served, q);
-            }
+        let rec = app.ops[&op];
+        let ycsb = app.tenants[rec.tenant as usize].spec.mix.ycsb;
+        let mem = &mut app.mems[rec.mem as usize];
+        let served = match rec.kind {
+            OpKind::Read => mem.get(now, rec.addr, ycsb.object_bytes as usize),
+            OpKind::Update => mem.put(now, rec.addr, ycsb.update_bytes as usize),
+            OpKind::Rmw => mem.rmw(now, rec.addr),
             OpKind::Local => unreachable!("local ops never reach a memory node"),
-        }
+        };
+        let admission = self.send_leg(&mut app, op, Leg::Response, served, q);
         self.app = Some(app);
-        for (fid, flow) in admissions {
+        if let Some((fid, flow)) = admission {
             self.admit(fid, flow, q);
         }
+    }
+
+    /// Sends leg `leg` of op `op`, leaving at `start`. A leg that carries
+    /// a payload (an update's request, a read's response) is a scheduled
+    /// flow under EDM, returned for admission once `self.app` is back; it
+    /// ends in `app_flow_done`. Any other leg ends here: an EDM control
+    /// block (`control_flight`) or a CXL-oE frame of a 16 B header plus
+    /// the payload (an RMWREQ's 24 B), routed with the op as salt.
+    fn send_leg(
+        &self,
+        app: &mut AppState,
+        op: u32,
+        leg: Leg,
+        start: Time,
+        q: &mut EventQueue<TopoEv>,
+    ) -> Option<(u32, Flow)> {
+        let rec = app.ops[&op];
+        let spec = app.tenants[rec.tenant as usize].spec;
+        let mem_node = app.memory_nodes[rec.mem as usize];
+        let (from, to, payload) = match leg {
+            Leg::Request => (
+                spec.node,
+                mem_node,
+                (rec.kind == OpKind::Update).then_some(spec.mix.ycsb.update_bytes),
+            ),
+            Leg::Response => (
+                mem_node,
+                spec.node,
+                (rec.kind == OpKind::Read).then_some(spec.mix.ycsb.object_bytes),
+            ),
+        };
+        let arrival = match (app.cxl.as_mut(), payload) {
+            (None, Some(bytes)) => {
+                let fid = app.next_flow;
+                app.next_flow += 1;
+                app.flow_op.insert(fid, (op, leg));
+                let flow = Flow {
+                    id: fid as usize,
+                    src: from,
+                    dst: to,
+                    size: bytes.max(1),
+                    arrival: start,
+                    kind: FlowKind::Write,
+                };
+                return Some((fid, flow));
+            }
+            (None, None) => {
+                control_flight(&self.cfg, &self.topo, from, to, op as u64).map(|f| start + f)
+            }
+            (Some(cxl), _) => {
+                let frame = match (leg, rec.kind) {
+                    (Leg::Request, OpKind::Rmw) => 24,
+                    _ => 16 + payload.unwrap_or(0),
+                };
+                cxl.traverse(&self.topo, from, to, frame, op as u64, start)
+            }
+        };
+        leg_end(app, op, leg, arrival.ok_or(start), q);
+        None
     }
 
     /// Op `op` completes (or fails) at its tenant: record stats, free
@@ -740,11 +674,10 @@ where
         let spec = app.tenants[rec.tenant as usize].spec;
         if rec.failed {
             app.failed += 1;
-            app.availability.record_failure(now);
+            app.series.record_failure(now);
         } else {
             let lat = now.saturating_since(rec.issued);
             app.completed += 1;
-            app.availability.record_delivery(now);
             app.lat.record_duration(lat);
             match rec.kind {
                 OpKind::Read => app.lat_read.record_duration(lat),
@@ -757,7 +690,7 @@ where
                 OpKind::Update => spec.mix.ycsb.update_bytes,
                 OpKind::Rmw => 8,
             };
-            app.throughput.record(now, bytes as u64);
+            app.series.record(now, bytes as u64);
         }
         app.last_done = app.last_done.max(now);
         let t = &mut app.tenants[rec.tenant as usize];
@@ -780,44 +713,39 @@ where
     }
 }
 
-/// The ack/RMWRES return leg: an EDM control flight or a 16 B CXL-oE
-/// frame, starting when DRAM service completes. `None` on partition.
-fn return_leg(
-    app: &mut AppState,
-    cfg: &TopoEdmConfig,
-    topo: &Topology,
-    from: usize,
-    to: usize,
-    op: u32,
-    start: Time,
-) -> Option<Time> {
-    match app.cxl.as_mut() {
-        None => control_flight(cfg, topo, from, to, op as u64).map(|f| start + f),
-        Some(cxl) => cxl.traverse(topo, from, to, 16, op as u64, start),
-    }
-}
-
-/// Schedules op completion at the return leg's arrival, or a failed
-/// completion at `fallback` when the leg is unroutable.
-fn finish_leg(
+/// Leg `leg` of op `op` ended: `Ok` at its arrival, `Err` at the instant
+/// it failed. An arrived request reaches its memory node's controller
+/// after the NIC delay (`Service`); an arrived response, or any failed
+/// leg, reaches the tenant after the completion delay (`Done`, marked
+/// failed).
+fn leg_end(
     app: &mut AppState,
     op: u32,
-    arrival: Option<Time>,
-    fallback: Time,
+    leg: Leg,
+    end: Result<Time, Time>,
     q: &mut EventQueue<TopoEv>,
 ) {
-    let at = match arrival {
-        Some(t) => t,
-        None => {
-            app.ops.get_mut(&op).expect("live op").failed = true;
-            fallback
+    match (leg, end) {
+        (Leg::Request, Ok(t)) => q.schedule_ordered(
+            t + NIC_DELAY,
+            evord::app_service(op),
+            TopoEv::App(AppEv::Service { op }),
+        ),
+        (_, end) => {
+            let t = end.unwrap_or_else(|t| {
+                app.ops
+                    .get_mut(&op)
+                    .expect("a leg's op is in flight")
+                    .failed = true;
+                t
+            });
+            q.schedule_ordered(
+                t + COMPLETION_DELAY,
+                evord::app_done(op),
+                TopoEv::App(AppEv::Done { op }),
+            );
         }
-    };
-    q.schedule_ordered(
-        at + COMPLETION_DELAY,
-        evord::app_done(op),
-        TopoEv::App(AppEv::Done { op }),
-    );
+    }
 }
 
 impl TopoEdm {

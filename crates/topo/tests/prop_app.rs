@@ -117,8 +117,8 @@ fn run_checked(
 }
 
 /// FNV-1a over every field of a report: each histogram at every
-/// per-mille percentile, every throughput and availability window, and
-/// every fabric counter.
+/// per-mille percentile, every window of the completion/failure series,
+/// and every fabric counter.
 fn report_digest(r: &AppReport) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |v: u64| h = (h ^ v).wrapping_mul(0x100_0000_01b3);
@@ -133,17 +133,23 @@ fn report_digest(r: &AppReport) -> u64 {
             mix(hist.percentile(f64::from(pm) / 10.0));
         }
     }
-    let t = &r.throughput;
-    mix(t.windows() as u64);
-    for i in 0..t.windows() {
-        mix(t.ops_in(i));
-        mix(t.bytes_in(i));
+    // The window series, in the order the recorded digests fold it:
+    // completions and bytes up to the last window with a completion,
+    // then completions and failures over every window.
+    let s = &r.series;
+    let done = (0..s.windows())
+        .rev()
+        .find(|&i| s.ops_in(i) > 0)
+        .map_or(0, |i| i + 1);
+    mix(done as u64);
+    for i in 0..done {
+        mix(s.ops_in(i));
+        mix(s.bytes_in(i));
     }
-    let a = &r.availability;
-    mix(a.windows() as u64);
-    for i in 0..a.windows() {
-        mix(a.delivered_in(i));
-        mix(a.failed_in(i));
+    mix(s.windows() as u64);
+    for i in 0..s.windows() {
+        mix(s.ops_in(i));
+        mix(s.failed_in(i));
     }
     mix(r.makespan.as_ps());
     mix(r.ops_high_water as u64);

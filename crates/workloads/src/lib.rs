@@ -9,8 +9,9 @@
 //!   disaggregated applications of Figure 8b (Hadoop, Spark, Spark SQL,
 //!   GraphLab, Memcached), used to synthesize traces the way the paper's
 //!   artifact does (from pre-existing CDF profiles, §A.5.2);
-//! * [`ycsb`] — YCSB key-value operation mixes A/B/F with Zipf-skewed key
-//!   popularity (Figures 6 and 7);
+//! * [`ycsb`] — the YCSB key-value workloads A/B/F (update fraction,
+//!   object and update sizes, Zipf key skew; Figures 6 and 7), sampled
+//!   by [`closed_loop`]'s [`OpMix`];
 //! * [`closed_loop`] — closed-loop tenant specifications (bounded MLP
 //!   window, think times, local:remote split) consumed by `edm-topo`'s
 //!   end-to-end application tier, where arrival times are outputs of the
@@ -35,4 +36,4 @@ pub use closed_loop::{OpKind, OpMix, TenantOp, TenantSpec};
 pub use source::{DrawDest, MergeSource};
 pub use synthetic::{RackAwareWorkload, SyntheticWorkload};
 pub use traces::AppTrace;
-pub use ycsb::{YcsbOp, YcsbWorkload};
+pub use ycsb::YcsbWorkload;

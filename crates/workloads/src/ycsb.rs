@@ -1,44 +1,13 @@
-//! YCSB key-value operation mixes (Figures 6 and 7).
+//! YCSB key-value workload definitions (Figures 6 and 7).
 //!
 //! The cloud-serving benchmark of Cooper et al. \[18\], as the paper uses
 //! it: workload A is 50% updates, B is 5%, F is read-modify-write (which
 //! the paper counts as 33% writes). Reads fetch 1 KB objects with an 8 B
 //! request; updates carry 100 B. Key popularity is Zipf-skewed, matching
 //! YCSB's default request distribution.
-
-use edm_sim::rng::Zipf;
-use edm_sim::Rng;
-
-/// One key-value operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum YcsbOp {
-    /// Read the object under `key`.
-    Read {
-        /// Key index.
-        key: u64,
-    },
-    /// Update the object under `key` with a payload of `bytes`.
-    Update {
-        /// Key index.
-        key: u64,
-        /// Update payload size.
-        bytes: u32,
-    },
-}
-
-impl YcsbOp {
-    /// The key this operation touches.
-    pub fn key(&self) -> u64 {
-        match *self {
-            YcsbOp::Read { key } | YcsbOp::Update { key, .. } => key,
-        }
-    }
-
-    /// Whether this is a write.
-    pub fn is_update(&self) -> bool {
-        matches!(self, YcsbOp::Update { .. })
-    }
-}
+//!
+//! A definition is data only: ops are sampled from it by the closed
+//! loop's [`crate::OpMix::sample`], the one YCSB sampler.
 
 /// A YCSB workload definition.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,90 +52,5 @@ impl YcsbWorkload {
     /// Workload F: read-modify-write; the paper counts it as 33% writes.
     pub fn f() -> Self {
         Self::base("F", 0.33)
-    }
-
-    /// The three workloads of Figure 6.
-    pub fn figure6() -> Vec<YcsbWorkload> {
-        vec![YcsbWorkload::a(), YcsbWorkload::b(), YcsbWorkload::f()]
-    }
-
-    /// Generates `count` operations, deterministically from `seed`.
-    pub fn generate(&self, count: usize, seed: u64) -> Vec<YcsbOp> {
-        let mut rng = Rng::seed_from(seed);
-        let zipf = Zipf::new(self.keys, self.zipf_theta);
-        (0..count)
-            .map(|_| {
-                let key = zipf.sample(&mut rng);
-                if rng.chance(self.update_fraction) {
-                    YcsbOp::Update {
-                        key,
-                        bytes: self.update_bytes,
-                    }
-                } else {
-                    YcsbOp::Read { key }
-                }
-            })
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mix_fractions_match_definitions() {
-        for (wl, want) in [
-            (YcsbWorkload::a(), 0.5),
-            (YcsbWorkload::b(), 0.05),
-            (YcsbWorkload::f(), 0.33),
-        ] {
-            let ops = wl.generate(20_000, 1);
-            let updates = ops.iter().filter(|o| o.is_update()).count();
-            let frac = updates as f64 / ops.len() as f64;
-            assert!(
-                (frac - want).abs() < 0.02,
-                "workload {}: update fraction {frac} vs {want}",
-                wl.name
-            );
-        }
-    }
-
-    #[test]
-    fn keys_are_zipf_skewed() {
-        let ops = YcsbWorkload::a().generate(50_000, 2);
-        let hot = ops.iter().filter(|o| o.key() < 100).count();
-        // Top-100 of 100k keys must receive far more than the uniform
-        // share (0.1%).
-        assert!(
-            hot as f64 / ops.len() as f64 > 0.05,
-            "hot-key share {}",
-            hot as f64 / ops.len() as f64
-        );
-    }
-
-    #[test]
-    fn deterministic_per_seed() {
-        let a = YcsbWorkload::f().generate(100, 3);
-        let b = YcsbWorkload::f().generate(100, 3);
-        assert_eq!(a, b);
-        assert_ne!(a, YcsbWorkload::f().generate(100, 4));
-    }
-
-    #[test]
-    fn keys_in_range() {
-        let wl = YcsbWorkload::b();
-        for op in wl.generate(10_000, 5) {
-            assert!(op.key() < wl.keys);
-        }
-    }
-
-    #[test]
-    fn figure6_lineup() {
-        let wls = YcsbWorkload::figure6();
-        assert_eq!(
-            wls.iter().map(|w| w.name).collect::<Vec<_>>(),
-            vec!["A", "B", "F"]
-        );
     }
 }

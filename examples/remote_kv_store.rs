@@ -10,8 +10,9 @@
 use edm_core::testbed::{Fabric, TestbedConfig};
 use edm_core::throughput::{edm_throughput, rdma_throughput, RequestMix};
 use edm_memory::KvStore;
-use edm_sim::{Bandwidth, Duration, Summary, Time};
-use edm_workloads::{YcsbOp, YcsbWorkload};
+use edm_sim::rng::Zipf;
+use edm_sim::{Bandwidth, Duration, Rng, Summary, Time};
+use edm_workloads::{OpKind, OpMix, YcsbWorkload};
 
 fn main() {
     // --- Build the store layout (a directory the client learns once) and
@@ -28,25 +29,27 @@ fn main() {
         fabric.seed_memory(1, addr, &object);
     }
 
-    // --- Issue a YCSB-A mix from the compute node (closed loop).
-    let workload = YcsbWorkload {
+    // --- Issue a YCSB-A mix from the compute node (closed loop), sampled
+    // the way the closed-loop application tier samples its tenants.
+    let mix = OpMix::remote(YcsbWorkload {
         keys: 512,
         ..YcsbWorkload::a()
-    };
-    let ops = workload.generate(200, 7);
+    });
+    let zipf = Zipf::new(mix.ycsb.keys, mix.ycsb.zipf_theta);
+    let mut rng = Rng::seed_from(7);
     let mut issued = Vec::new();
     let mut t = Time::ZERO;
-    for op in &ops {
+    for _ in 0..200 {
         t += Duration::from_us(2);
-        let addr = directory.value_addr(op.key()).expect("key present");
-        match *op {
-            YcsbOp::Read { .. } => issued.push(("read", fabric.read(t, 0, 1, addr, 1024))),
-            YcsbOp::Update { bytes, .. } => {
-                issued.push((
-                    "update",
-                    fabric.write(t, 0, 1, addr, vec![0xEE; bytes as usize]),
-                ));
-            }
+        let op = mix.sample(&zipf, &mut rng);
+        let addr = directory.value_addr(op.key).expect("key present");
+        match op.kind {
+            OpKind::Read => issued.push(("read", fabric.read(t, 0, 1, addr, 1024))),
+            OpKind::Update => issued.push((
+                "update",
+                fabric.write(t, 0, 1, addr, vec![0xEE; mix.ycsb.update_bytes as usize]),
+            )),
+            OpKind::Rmw | OpKind::Local => unreachable!("a remote mix without RMWs"),
         }
     }
     fabric.run();

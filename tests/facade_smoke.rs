@@ -39,7 +39,7 @@ fn quickstart_write_then_read() {
 fn reexported_modules_resolve() {
     // One symbol per re-export; a broken facade path fails to compile.
     let _ = edm::latency::edm_read();
-    let _ = edm::message::MemOp::Read { addr: 0, len: 8 }.to_bytes();
+    let _ = edm::message::MemOp::Read { addr: 0, len: 8 }.nominal_bytes();
     let _ = edm::stack::compute_node_read_cycles();
     let _ = edm::throughput::RequestMix::ycsb_a();
     let _ = edm::phy::scramble::Scrambler::default();
