@@ -145,24 +145,14 @@ mod tests {
 
     #[test]
     fn remote_mix_matches_ycsb_fractions() {
-        for (wl, want) in [
-            (YcsbWorkload::a(), 0.5),
-            (YcsbWorkload::b(), 0.05),
-            (YcsbWorkload::f(), 0.33),
-        ] {
-            let ops = sample_n(OpMix::remote(wl), 20_000, 1);
-            let updates = ops
-                .iter()
-                .filter(|o| o.kind == OpKind::Update || o.kind == OpKind::Rmw)
-                .count();
-            let frac = updates as f64 / ops.len() as f64;
-            assert!(
-                (frac - want).abs() < 0.02,
-                "workload {}: update fraction {frac} vs {want}",
-                wl.name
-            );
-            assert!(ops.iter().all(|o| o.kind != OpKind::Local));
-        }
+        let ops = sample_n(OpMix::remote(YcsbWorkload::a()), 20_000, 1);
+        let updates = ops
+            .iter()
+            .filter(|o| o.kind == OpKind::Update || o.kind == OpKind::Rmw)
+            .count();
+        let frac = updates as f64 / ops.len() as f64;
+        assert!((frac - 0.5).abs() < 0.02, "update fraction {frac}");
+        assert!(ops.iter().all(|o| o.kind != OpKind::Local));
     }
 
     #[test]

@@ -54,3 +54,66 @@ impl YcsbWorkload {
         Self::base("F", 0.33)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{OpKind, OpMix, TenantOp};
+    use edm_sim::rng::Zipf;
+    use edm_sim::Rng;
+
+    /// Samples `count` ops of `wl` as a fully-remote mix, from `seed`.
+    fn sample(wl: YcsbWorkload, count: usize, seed: u64) -> Vec<TenantOp> {
+        let mix = OpMix::remote(wl);
+        let zipf = Zipf::new(wl.keys, wl.zipf_theta);
+        let mut rng = Rng::seed_from(seed);
+        (0..count).map(|_| mix.sample(&zipf, &mut rng)).collect()
+    }
+
+    #[test]
+    fn mix_fractions_match_definitions() {
+        for (wl, want) in [
+            (YcsbWorkload::a(), 0.5),
+            (YcsbWorkload::b(), 0.05),
+            (YcsbWorkload::f(), 0.33),
+        ] {
+            let ops = sample(wl, 20_000, 1);
+            let updates = ops.iter().filter(|o| o.kind == OpKind::Update).count();
+            let frac = updates as f64 / ops.len() as f64;
+            assert!(
+                (frac - want).abs() < 0.02,
+                "workload {}: update fraction {frac} vs {want}",
+                wl.name
+            );
+        }
+    }
+
+    #[test]
+    fn keys_are_zipf_skewed() {
+        let ops = sample(YcsbWorkload::a(), 50_000, 2);
+        let hot = ops.iter().filter(|o| o.key < 100).count();
+        // Top-100 of 100k keys must receive far more than the uniform
+        // share (0.1%).
+        assert!(
+            hot as f64 / ops.len() as f64 > 0.05,
+            "hot-key share {}",
+            hot as f64 / ops.len() as f64
+        );
+    }
+
+    #[test]
+    fn deterministic_per_seed() {
+        let a = sample(YcsbWorkload::f(), 100, 3);
+        let b = sample(YcsbWorkload::f(), 100, 3);
+        assert_eq!(a, b);
+        assert_ne!(a, sample(YcsbWorkload::f(), 100, 4));
+    }
+
+    #[test]
+    fn keys_in_range() {
+        let wl = YcsbWorkload::b();
+        for op in sample(wl, 10_000, 5) {
+            assert!(op.key < wl.keys);
+        }
+    }
+}
