@@ -27,12 +27,19 @@
 //!    [`bucket`] uses, so a rebuilt cluster is bit-identical to what a
 //!    from-scratch bucket would produce (`delta_matches_scratch` holds
 //!    the whole path to outcome equality);
-//! 3. interns each rebuilt cluster in the shared [`SweepCache`] — one
-//!    hash per cluster, a replay only if no profile the sweep has seen
-//!    needed that cluster's representative yet — and writes, into a
-//!    flat per-crossing overlay, the excess that cluster now gives each
-//!    crossing of each member, read in member order straight off its
-//!    delays;
+//! 3. looks each rebuilt cluster up in the shared [`SweepCache`] without
+//!    interning it — one hash per cluster, merged and densified into
+//!    scratch buffers, a replay only if no profile the sweep has seen
+//!    needed that cluster's representative yet — and writes, into a flat
+//!    per-crossing overlay, the excess that cluster now gives each
+//!    crossing of each member: in member order off the entry's delays
+//!    when the cache holds the profile (a retained base cluster, say),
+//!    by arrival rank off its representative otherwise. Few rebuilt
+//!    profiles recur, and a recurrence reads the same delays off the
+//!    same never-evicted representative — a hit, as its interned repeat
+//!    was — so the cache stays the size the bases left it while
+//!    `clusters`, `hits` and `misses` read as if every rebuild had been
+//!    interned;
 //! 4. recomposes the flows with a crossing in a rebuilt cluster from
 //!    that overlay, taking each untouched crossing's excess from the
 //!    base's per-crossing excesses (a perturbed flow, all of whose
@@ -40,14 +47,14 @@
 //!    the rebuilt clusters' shapes); every other flow's outcome is its
 //!    arrival plus its base term.
 
-use std::borrow::Cow;
-
 use crate::compose::SoloProber;
 use crate::decompose::{
     bucket, dense, directed_key, resolve_all, resolve_delta, snap_links, walk_span, ClusterProfile,
     Decomposition, FlowSet, LinkFlow, ResolvedRoutes, RouteIndex,
 };
-use crate::{ApproxResult, ClusterId, Combine, SweepCache};
+use crate::fxhash::FxHashMap;
+use crate::represent::by_rank;
+use crate::{ApproxResult, ClusterId, Combine, Served, SweepCache};
 use edm_core::sim::Flow;
 use edm_sim::{Bandwidth, Duration, Time};
 use edm_topo::{FlowStatus, TopoEdmConfig, TopoOutcome, Topology};
@@ -186,7 +193,7 @@ impl SweepBase {
             .decomp
             .clusters
             .iter()
-            .map(|c| cache.intern(Cow::Borrowed(&c.profile), &self.cfg))
+            .map(|c| cache.intern(&c.profile, &self.cfg))
             .collect();
         let (interned, solo) = cache.split();
         let mut probe = SoloProber::new(&self.cfg, solo);
@@ -219,8 +226,15 @@ impl SweepBase {
     /// be the one this base was [`prime`](Self::prime)d with. The result
     /// is identical to a from-scratch [`crate::ApproxEngine::estimate`]
     /// on `what_if` in every field but `recomposed` (`delta_matches_scratch`
-    /// and `prop_approx` pin this). `Combine` has the one variant
-    /// [`Combine::Sum`], so the parameter selects nothing.
+    /// and `prop_approx` pin this). Interns no rebuilt cluster (see the
+    /// module doc). `Combine` has the one variant [`Combine::Sum`], so the
+    /// parameter selects nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the base is not primed, if `cache` is not the one it was
+    /// primed with, or if `what_if` has another link or switch count than
+    /// the base's fabric.
     pub fn estimate_delta(
         &self,
         what_if: &Topology,
@@ -235,6 +249,11 @@ impl SweepBase {
         assert!(
             self.base_ids.iter().all(|id| id.index() < cache.len()),
             "estimate against the cache the base was primed with"
+        );
+        assert!(
+            what_if.links().len() == self.topo.links().len()
+                && what_if.switch_count() == self.topo.switch_count(),
+            "estimate a what-if of the base's own fabric: same links and switches"
         );
         let routes_new = resolve_delta(what_if, &self.flows, &self.routes, &self.index);
         let snap_new = snap_links(what_if);
@@ -328,9 +347,11 @@ impl SweepBase {
 
         // Rebuild each affected key: stored unaffected members merged
         // with the additions by flow index — reproducing the bucket's
-        // flow-input member order — then densified and interned. The
-        // cache lookup is the dedup: affected links whose rebuilt
-        // profiles coincide get one id.
+        // flow-input member order — then densified into one scratch
+        // profile and served by the cache without being interned. The
+        // lookup is the dedup: affected links whose rebuilt profiles
+        // coincide with a cached one get its id, and rebuilt profiles no
+        // entry holds are counted once each through `fresh`.
         //
         // `overlay[routes_new.offset(flow) + hop]` holds the excess the
         // rebuilt cluster behind that crossing gives it; it is written
@@ -348,17 +369,21 @@ impl SweepBase {
         let mut recompose = touched.clone();
         // Per cluster id: referenced in this scenario already?
         let mut seen = vec![false; cache.len()];
-        // The scenario's clusters: first the rebuilt ones, one entry each.
-        let mut clusters: Vec<ClusterId> = Vec::new();
+        let mut fresh = FreshProfiles::default();
+        // The scenario's distinct clusters: first the rebuilt ones.
+        let mut clusters = 0usize;
         let (mut emptied, mut created) = (0usize, 0usize);
         let mut merged: Vec<KeyMember> = Vec::new();
         let (mut src_map, mut dst_map): (Vec<u16>, Vec<u16>) = (Vec::new(), Vec::new());
+        // One member buffer for every rebuilt cluster: each profile
+        // borrows it and hands it back.
+        let mut members: Vec<LinkFlow> = Vec::new();
+        let mut order: Vec<u32> = Vec::new();
         for (j, &k) in aff_keys.iter().enumerate() {
             let stored = &self.key_members[k];
             let adds = &additions[j];
             let existed = !stored.is_empty();
             merged.clear();
-            merged.reserve(stored.len() + adds.len());
             let (mut a, mut b) = (0usize, 0usize);
             loop {
                 while a < stored.len() && touched.contains(stored[a].flow) {
@@ -397,36 +422,50 @@ impl SweepBase {
             let (lat, bw, _) = snap_new[k / 3];
             src_map.clear();
             dst_map.clear();
-            let members: Vec<LinkFlow> = merged
-                .iter()
-                .map(|m| LinkFlow {
-                    arrival: m.arrival,
-                    bytes: m.bytes,
-                    src: dense(&mut src_map, m.in_port),
-                    dst: dense(&mut dst_map, m.out_port),
-                    limit: m.limit,
-                })
-                .collect();
+            members.clear();
+            members.extend(merged.iter().map(|m| LinkFlow {
+                arrival: m.arrival,
+                bytes: m.bytes,
+                src: dense(&mut src_map, m.in_port),
+                dst: dense(&mut dst_map, m.out_port),
+                limit: m.limit,
+            }));
             let profile = ClusterProfile {
                 sched_bandwidth: ref_bw_new[aff_switch[j] as usize],
                 link_bandwidth: bw,
                 latency: lat,
                 srcs: src_map.len() as u16,
                 dsts: dst_map.len() as u16,
-                members,
+                members: std::mem::take(&mut members),
             };
             // Replays only a representative the sweep has never needed;
             // a cluster is tallied once per scenario, like a
             // from-scratch estimate would tally it.
-            let (id, hit) = cache.lookup(Cow::Owned(profile), &self.cfg);
-            if first_sight(&mut seen, id) {
+            let at = |m: &KeyMember| routes_new.offset(m.flow as usize) + m.hop as usize;
+            let hash = profile.fx_hash();
+            let first = match cache.serve(hash, &profile, &self.cfg) {
+                Served::Entry(id, hit) => {
+                    let served = &cache.split().0[id.index()];
+                    aff_shape[j] = served.shape;
+                    for (m, &excess) in merged.iter().zip(&served.delays) {
+                        overlay[at(m)] = excess;
+                    }
+                    first_sight(&mut seen, id).then_some(hit)
+                }
+                Served::Rep { rep, shape, hit } => {
+                    aff_shape[j] = shape;
+                    by_rank(&profile.members, rep, &mut order, |i, excess| {
+                        overlay[at(&merged[i])] = excess;
+                    });
+                    fresh.first_sight(hash, &profile).then_some(hit)
+                }
+            };
+            if let Some(hit) = first {
                 cache.tally(hit);
-                clusters.push(id);
+                clusters += 1;
             }
-            let served = &cache.split().0[id.index()];
-            aff_shape[j] = served.shape;
-            for (m, &excess) in merged.iter().zip(&served.delays) {
-                overlay[routes_new.offset(m.flow as usize) + m.hop as usize] = excess;
+            members = profile.members;
+            for m in &merged {
                 recompose.insert(m.flow);
             }
         }
@@ -435,11 +474,11 @@ impl SweepBase {
         // directed link — by id, so a rebuilt profile equal to a retained
         // one counts once, as a from-scratch dedup would count it.
         for (k, &c) in self.key_cluster.iter().enumerate() {
-            if c != u32::MAX && aff_idx[k] == u32::MAX {
-                let id = self.base_ids[c as usize];
-                if first_sight(&mut seen, id) {
-                    clusters.push(id);
-                }
+            if c != u32::MAX
+                && aff_idx[k] == u32::MAX
+                && first_sight(&mut seen, self.base_ids[c as usize])
+            {
+                clusters += 1;
             }
         }
 
@@ -495,7 +534,7 @@ impl SweepBase {
 
         ApproxResult {
             outcomes,
-            clusters: clusters.len(),
+            clusters,
             link_instances: self.decomp.link_instances - emptied + created,
             recomposed,
         }
@@ -503,12 +542,55 @@ impl SweepBase {
 }
 
 /// Marks cluster `id` referenced in this scenario; true the first time.
-/// `seen` grows on demand: replays intern new ids mid-scenario.
+/// `seen` grows on demand: the reference path interns new ids
+/// mid-scenario.
 fn first_sight(seen: &mut Vec<bool>, id: ClusterId) -> bool {
     if id.index() >= seen.len() {
         seen.resize(id.index() + 1, false);
     }
     !std::mem::replace(&mut seen[id.index()], true)
+}
+
+/// One scenario's rebuilt profiles that no cache entry holds, kept only
+/// so each counts once in `clusters` and in the tallies — as it would
+/// had it been interned on first sight. Member lists sit back to back in
+/// one arena; dropped with the scenario.
+#[derive(Default)]
+struct FreshProfiles {
+    /// Profile hash → newest profile hashing to it.
+    heads: FxHashMap<u64, u32>,
+    /// Per profile: header, member range in `members`, and the previous
+    /// profile with the same hash (`u32::MAX` ends the chain).
+    profiles: Vec<(Header, std::ops::Range<u32>, u32)>,
+    members: Vec<LinkFlow>,
+}
+
+/// A profile's fields but its members: crossing triple and port counts.
+type Header = ((Bandwidth, Bandwidth, Duration), (u16, u16));
+
+impl FreshProfiles {
+    /// Records `profile` (hashing to `hash`); true if this scenario had
+    /// not rebuilt an equal one before.
+    fn first_sight(&mut self, hash: u64, profile: &ClusterProfile) -> bool {
+        let header = (profile.shape(), (profile.srcs, profile.dsts));
+        let head = self.heads.get(&hash).copied().unwrap_or(u32::MAX);
+        let mut at = head;
+        while at != u32::MAX {
+            let (h, range, next) = &self.profiles[at as usize];
+            if *h == header
+                && self.members[range.start as usize..range.end as usize] == profile.members[..]
+            {
+                return false;
+            }
+            at = *next;
+        }
+        let start = self.members.len() as u32;
+        self.members.extend_from_slice(&profile.members);
+        self.heads.insert(hash, self.profiles.len() as u32);
+        self.profiles
+            .push((header, start..self.members.len() as u32, head));
+        true
+    }
 }
 
 #[cfg(test)]
@@ -673,6 +755,84 @@ mod tests {
         );
         let scratch = ApproxEngine::new(cfg).estimate(&what_if, &flows);
         assert_eq!(scratch.recomposed, flows.len());
+    }
+
+    /// A delta rebuild interns nothing: after `prime`, a sequence that
+    /// revisits its own rebuilt profiles — a trunk cut, a double cut
+    /// overlapping it, the other cut alone, the first again — leaves the
+    /// cache's entry count as primed, matches from-scratch estimates, and
+    /// tallies and counts what it did when every rebuild was interned
+    /// (recorded then). The workload is symmetric (rounds of 32
+    /// simultaneous flows, node i to i + 8), so rebuilt profiles recur
+    /// both within a scenario (8, 25, 8 and 8 times, counted once each)
+    /// and across scenarios (48 times, each a hit off its representative
+    /// now, off its interned entry then).
+    #[test]
+    fn delta_rebuilds_leave_the_cache_as_primed() {
+        let spec = LeafSpine::symmetric(4, 2, 8, 2);
+        let healthy = Topology::leaf_spine(spec);
+        let cfg = TopoEdmConfig::default();
+        let flows: Vec<Flow> = (0..400usize)
+            .map(|i| Flow {
+                id: i,
+                src: i % 32,
+                dst: (i + 8) % 32,
+                size: 64,
+                arrival: Time::ZERO + Duration::from_ns((i / 32) as u64 * 100),
+                kind: if i % 2 == 0 {
+                    FlowKind::Read
+                } else {
+                    FlowKind::Write
+                },
+            })
+            .collect();
+        let trunks: Vec<u32> = (0..healthy.links().len() as u32)
+            .filter(|&l| healthy.link(l).is_trunk())
+            .collect();
+        let (a, b) = (trunks[0], trunks[trunks.len() / 2]);
+        let mut base = SweepBase::new(&healthy, &cfg, flows.clone());
+        let mut cache = SweepCache::new();
+        base.prime(&mut cache);
+        let primed = cache.len();
+        assert_eq!((primed, cache.hits(), cache.misses()), (8, 5, 3));
+        let sequence = [
+            (vec![FaultKind::LinkDown(a)], (18, 9), 24),
+            (
+                vec![FaultKind::LinkDown(a), FaultKind::LinkDown(b)],
+                (47, 9),
+                31,
+            ),
+            (vec![FaultKind::LinkDown(b)], (66, 9), 24),
+            (vec![FaultKind::LinkDown(a)], (85, 9), 24),
+        ];
+        for (faults, tallies, clusters) in sequence {
+            let mut what_if = healthy.clone();
+            apply_faults(&mut what_if, &faults);
+            let delta = base.estimate_delta(&what_if, Combine::Sum, &mut cache);
+            assert_eq!(cache.len(), primed, "{faults:?} interned a rebuilt cluster");
+            assert_eq!((cache.hits(), cache.misses()), tallies, "{faults:?}");
+            assert_eq!(delta.clusters, clusters, "{faults:?}");
+            let scratch = ApproxEngine::new(cfg.clone()).estimate(&what_if, &flows);
+            assert_eq!(delta.clusters, scratch.clusters, "{faults:?}");
+            for (i, (d, s)) in delta.outcomes.iter().zip(&scratch.outcomes).enumerate() {
+                assert_eq!(d.status, s.status, "{faults:?}, flow {i}");
+            }
+        }
+    }
+
+    /// A what-if must be the base's fabric with faults applied: another
+    /// fabric's link list used to be truncated to the shorter of the
+    /// two, and a smaller switch count indexed out of range.
+    #[test]
+    #[should_panic(expected = "estimate a what-if of the base's own fabric")]
+    fn delta_rejects_another_fabric() {
+        let cfg = TopoEdmConfig::default();
+        let healthy = Topology::leaf_spine(LeafSpine::symmetric(4, 2, 8, 2));
+        let mut base = SweepBase::new(&healthy, &cfg, workload(32));
+        let mut cache = SweepCache::new();
+        base.prime(&mut cache);
+        let other = Topology::leaf_spine(LeafSpine::symmetric(4, 2, 8, 1));
+        base.estimate_delta(&other, Combine::Sum, &mut cache);
     }
 
     /// More than 256 distinct crossing shapes — every access link

@@ -67,8 +67,6 @@ pub use decompose::{
 pub use delta::SweepBase;
 pub use linksim::{simulate_batch, simulate_cluster, ClusterDelays};
 
-use std::borrow::Cow;
-
 use crate::compose::{compose_cached, SoloCache};
 use crate::fxhash::FxHashMap;
 use crate::linksim::{DomainPool, SoloMemo};
@@ -84,8 +82,11 @@ use edm_topo::{FaultKind, TopoEdmConfig, Topology};
 /// this regime the error grows — at 4 KiB messages under load 0.7 the
 /// measured p99 gap is 7–19% across seeds (per-hop serialization
 /// couples links more strongly, and the per-link replays cannot see
-/// cross-link correlation); `error_envelope` pins one such
-/// out-of-envelope point to a band so the degradation stays visible.
+/// cross-link correlation); on fig8b's mixed 64 B–4 KiB sizes the
+/// estimate is 2.5–7.5× the exact engine's (a representative queues
+/// every member at its cluster's largest size). `error_envelope` pins
+/// both out-of-envelope points to bands so the degradation stays
+/// visible.
 pub const P99_ERROR_BOUND: f64 = 0.10;
 
 /// Applies a what-if fault set to a topology as *static* element state
@@ -133,34 +134,38 @@ pub(crate) struct Interned {
     next: ClusterId,
 }
 
-/// Sweep-level memo: every distinct cluster signature the sweep has
-/// seen, interned once with its delays, the representative replays
-/// those delays were read from, and the exact unloaded baselines
-/// (`SoloCache`). Across a what-if grid most links' flow profiles are
-/// identical from scenario to scenario (a fault only reshapes the
-/// clusters of links whose crossing flows rerouted), so consecutive
-/// scenarios hit mostly cache — the grid pays for the clusters that
-/// *changed*.
+/// Sweep-level memo: every distinct cluster signature a from-scratch
+/// decomposition or a [`SweepBase`]'s healthy base has shown it, interned
+/// once with its delays, the representative replays those delays were
+/// read from, and the exact unloaded baselines (`SoloCache`). Across a
+/// what-if grid most links' flow profiles are identical from scenario to
+/// scenario (a fault only reshapes the clusters of links whose crossing
+/// flows rerouted), so consecutive scenarios hit mostly cache — the grid
+/// pays for the clusters that *changed*.
 ///
-/// A lookup (`intern`) hashes the profile — its whole
-/// member list — exactly once. On a miss it does not replay the cluster
-/// itself: it keys the profile by quantized features (crossing triple
-/// and largest message exact; member, source-port and destination-port
-/// counts and mean arrival gap log-bucketed; trunk-limit share in
-/// quarters), replays that key's synthetic representative once
-/// per cache, and gives each member the representative's excess at its
-/// own arrival rank (the `represent` module). The mapped delays are
-/// interned under the exact profile, so an exact repeat is a plain hit.
-/// The representative is built from the key alone, so a cluster's
-/// delays depend on its own profile and never on what the cache served
-/// before: an estimate is the same through a fresh cache or a
+/// A lookup hashes the profile — its whole member list — exactly once.
+/// On a miss it does not replay the cluster itself: it keys the profile
+/// by quantized features (crossing triple and largest message exact;
+/// member, source-port and destination-port counts and mean arrival gap
+/// log-bucketed; trunk-limit share in quarters), replays that key's
+/// synthetic representative once per cache, and gives each member the
+/// representative's excess at its own arrival rank (the `represent`
+/// module). The representative is built from the key alone, so a
+/// cluster's delays depend on its own profile and never on what the cache
+/// served before: an estimate is the same through a fresh cache or a
 /// long-lived one.
 ///
-/// A miss moves an owned profile in (a borrowed one is cloned); every
-/// lookup hands back a [`ClusterId`], and composition then reads the
-/// delays in place, never copied out. Cached delays are boxed excess
-/// slices, one per member, not [`ClusterDelays`]' growable vectors: a
-/// grid's cache holds thousands of clusters and never grows one.
+/// [`prime`](SweepBase::prime) and [`ApproxEngine::estimate_cached`]
+/// intern what they look up (the profile is cloned in). A delta rebuild
+/// ([`SweepBase::estimate_delta`]) does not: few of its profiles recur,
+/// and a recurrence reads the same delays off the same representative,
+/// which is never evicted — still a hit, so the tallies do not depend on
+/// what was interned. The cache therefore grows with the sweep's bases
+/// and representatives, not with its scenario count. Composition reads
+/// the delays behind an id in place, never copied out. Cached delays are
+/// boxed excess slices, one per member, not [`ClusterDelays`]' growable
+/// vectors: a grid's cache holds thousands of clusters and never grows
+/// one.
 #[derive(Debug)]
 pub struct SweepCache {
     /// Profile hash → head of the chain of entries hashing to it.
@@ -176,6 +181,21 @@ pub struct SweepCache {
     solo: SoloCache,
     hits: u64,
     misses: u64,
+}
+
+/// What [`SweepCache::serve`] found for a profile.
+pub(crate) enum Served<'a> {
+    /// An interned entry, and whether it was served without a replay.
+    Entry(ClusterId, bool),
+    /// No entry holds the profile: its representative's excesses in
+    /// arrival-rank order (read them with [`represent::by_rank`]), the
+    /// shape id of its crossing triple, and whether the representative
+    /// had been replayed before.
+    Rep {
+        rep: &'a [Duration],
+        shape: u32,
+        hit: bool,
+    },
 }
 
 impl Default for SweepCache {
@@ -249,40 +269,53 @@ impl SweepCache {
         None
     }
 
-    /// Finds `profile`'s entry, interning it first if the sweep has not
-    /// seen it — its delays read off its representative, replayed
-    /// in-process first if no earlier profile needed it. Says whether
-    /// the lookup was served without a replay. Tallies nothing: the
-    /// delta rebuild counts a cluster once per scenario however many of
-    /// its links collapse onto it.
-    pub(crate) fn lookup(
+    /// The excesses of `profile`'s representative at resolution `r`,
+    /// replayed in-process first if no earlier profile needed it, and
+    /// whether it was served without that replay.
+    fn represent(
         &mut self,
-        profile: Cow<'_, ClusterProfile>,
+        profile: &ClusterProfile,
+        r: u32,
         cfg: &TopoEdmConfig,
-    ) -> (ClusterId, bool) {
-        let hash = profile.fx_hash();
-        if let Some(id) = Self::find(&self.index, &self.entries, hash, &profile) {
-            return (id, true);
-        }
+    ) -> (&[Duration], bool) {
         let (mini, pool) = (&mut self.mini, &mut self.pool);
         let mut served = true;
-        let delays = match self.resolution {
+        let key = RepKey::of(profile, r);
+        let rep = self.reps.entry(key).or_insert_with(|| {
+            served = false;
+            let rep = key.profile(cfg);
+            linksim::simulate_memo(&rep, cfg, mini, pool)
+                .excess
+                .into_boxed_slice()
+        });
+        (rep, served)
+    }
+
+    /// Finds `profile` (hashing to `hash`), interning a clone of it first
+    /// if the sweep has not seen it — its delays read off its
+    /// representative, or on the reference path replayed itself. Says
+    /// whether the lookup was served without a replay. Tallies nothing:
+    /// the delta rebuild counts a cluster once per scenario however many
+    /// of its links collapse onto it.
+    fn lookup(
+        &mut self,
+        hash: u64,
+        profile: &ClusterProfile,
+        cfg: &TopoEdmConfig,
+    ) -> (ClusterId, bool) {
+        if let Some(id) = Self::find(&self.index, &self.entries, hash, profile) {
+            return (id, true);
+        }
+        let (delays, served) = match self.resolution {
             None => {
-                served = false;
-                linksim::simulate_memo(&profile, cfg, mini, pool)
-                    .excess
-                    .into_boxed_slice()
+                let replayed = linksim::simulate_memo(profile, cfg, &mut self.mini, &mut self.pool);
+                (replayed.excess.into_boxed_slice(), false)
             }
             Some(r) => {
-                let key = RepKey::of(&profile, r);
-                let rep = self.reps.entry(key).or_insert_with(|| {
-                    served = false;
-                    let rep = key.profile(cfg);
-                    linksim::simulate_memo(&rep, cfg, mini, pool)
-                        .excess
-                        .into_boxed_slice()
-                });
-                represent::by_rank(&profile, rep)
+                let (rep, served) = self.represent(profile, r, cfg);
+                let mut delays = vec![Duration::ZERO; profile.members.len()].into_boxed_slice();
+                represent::by_rank(&profile.members, rep, &mut Vec::new(), |i, d| delays[i] = d);
+                (delays, served)
             }
         };
         let id = u32::try_from(self.entries.len()).map_or(ClusterId::NONE, ClusterId);
@@ -293,12 +326,35 @@ impl SweepCache {
         let next = self.index.insert(hash, id).unwrap_or(ClusterId::NONE);
         let shape = self.solo.shape_id(profile.shape());
         self.entries.push(Interned {
-            profile: profile.into_owned(),
+            profile: profile.clone(),
             delays,
             shape,
             next,
         });
         (id, served)
+    }
+
+    /// Serves `profile` (hashing to `hash`) without interning it: its
+    /// entry if the cache holds one, otherwise its representative —
+    /// replayed first if no earlier profile needed it — and its shape id.
+    /// The reference path has no representative to fall back on and
+    /// interns, as [`lookup`](Self::lookup) does. Tallies nothing.
+    pub(crate) fn serve(
+        &mut self,
+        hash: u64,
+        profile: &ClusterProfile,
+        cfg: &TopoEdmConfig,
+    ) -> Served<'_> {
+        if let Some(id) = Self::find(&self.index, &self.entries, hash, profile) {
+            return Served::Entry(id, true);
+        }
+        let Some(r) = self.resolution else {
+            let (id, hit) = self.lookup(hash, profile, cfg);
+            return Served::Entry(id, hit);
+        };
+        let shape = self.solo.shape_id(profile.shape());
+        let (rep, hit) = self.represent(profile, r, cfg);
+        Served::Rep { rep, shape, hit }
     }
 
     pub(crate) fn tally(&mut self, hit: bool) {
@@ -310,15 +366,11 @@ impl SweepCache {
     }
 
     /// Interns `profile`: one hash of the profile, an in-process replay
-    /// if the sweep has not seen it (tallied a miss; an owned profile is
-    /// moved in, a borrowed one cloned), a hit otherwise. Composition
-    /// reads the delays behind the returned id in place.
-    pub(crate) fn intern(
-        &mut self,
-        profile: Cow<'_, ClusterProfile>,
-        cfg: &TopoEdmConfig,
-    ) -> ClusterId {
-        let (id, hit) = self.lookup(profile, cfg);
+    /// if the sweep has not seen it (tallied a miss; the profile is
+    /// cloned in), a hit otherwise. Composition reads the delays behind
+    /// the returned id in place.
+    pub(crate) fn intern(&mut self, profile: &ClusterProfile, cfg: &TopoEdmConfig) -> ClusterId {
+        let (id, hit) = self.lookup(profile.fx_hash(), profile, cfg);
         self.tally(hit);
         id
     }
@@ -396,7 +448,7 @@ impl ApproxEngine {
     ) -> ApproxResult {
         let d = decompose(topo, &self.cfg, flows);
         for c in &d.clusters {
-            cache.intern(Cow::Borrowed(&c.profile), &self.cfg);
+            cache.intern(&c.profile, &self.cfg);
         }
         cache.compose(topo, &self.cfg, &d, Combine::Sum)
     }

@@ -172,18 +172,24 @@ impl RepKey {
     }
 }
 
-/// `profile`'s per-member excesses read off a representative's
-/// (`rep`, in arrival-rank order): members sorted by `(arrival, index)`,
-/// the one of rank `k` reads `rep[⌊k·m̂/m⌋]`.
-pub(crate) fn by_rank(profile: &ClusterProfile, rep: &[Duration]) -> Box<[Duration]> {
-    let m = profile.members.len();
-    let mut order: Vec<u32> = (0..m as u32).collect();
-    order.sort_unstable_by_key(|&i| (profile.members[i as usize].arrival, i));
-    let mut excess = vec![Duration::ZERO; m].into_boxed_slice();
+/// A cluster's per-member excesses read off a representative's (`rep`,
+/// in arrival-rank order), handed to `put` as (member index, excess):
+/// `members` sorted by `(arrival, index)`, the one of rank `k` reads
+/// `rep[⌊k·m̂/m⌋]`. `order` is scratch, reused across calls so a delta
+/// rebuild can write straight into its overlay without allocating.
+pub(crate) fn by_rank(
+    members: &[LinkFlow],
+    rep: &[Duration],
+    order: &mut Vec<u32>,
+    mut put: impl FnMut(usize, Duration),
+) {
+    let m = members.len();
+    order.clear();
+    order.extend(0..m as u32);
+    order.sort_unstable_by_key(|&i| (members[i as usize].arrival, i));
     for (k, &i) in order.iter().enumerate() {
-        excess[i as usize] = rep[k * rep.len() / m];
+        put(i as usize, rep[k * rep.len() / m]);
     }
-    excess
 }
 
 #[cfg(test)]
@@ -270,9 +276,9 @@ mod tests {
             member(10, 0, 0, 3),
         ]);
         let rep: Vec<Duration> = (0..2).map(Duration::from_ns).collect();
-        let got = by_rank(&p, &rep);
+        let mut ns = vec![u64::MAX; 4];
+        by_rank(&p.members, &rep, &mut Vec::new(), |i, d| ns[i] = d.as_ns());
         // Ranks: idx1 → 0, idx3 → 1, idx2 → 2, idx0 → 3; ⌊k·2/4⌋.
-        let ns: Vec<u64> = got.iter().map(|d| d.as_ns()).collect();
         assert_eq!(ns, vec![1, 0, 1, 0]);
     }
 }
