@@ -773,21 +773,31 @@ struct FlowRt {
 ///
 /// Ids are dense and admitted in increasing order, and retirement is
 /// FIFO-ish (flows complete within a bounded window of their arrival),
-/// so the store is a base-offset ring of `Option` slots rather than a
-/// hash map: O(1) direct indexing on the event hot path (a map's
-/// hashing is an order of magnitude slower in unoptimized builds, where
-/// the 2× topo-vs-single-switch cost gate runs), memory O(live
-/// id-span), and iteration is naturally in admission order — the
-/// deterministic order `bump_affected` needs, with no sort.
+/// so the store is a base-offset ring of `u32` words over a slab of
+/// entries rather than a hash map: O(1) direct indexing on the event hot
+/// path (a map's hashing is an order of magnitude slower in unoptimized
+/// builds, where the 2× topo-vs-single-switch cost gate runs), and
+/// iteration is naturally in admission order — the deterministic order
+/// `bump_affected` needs, with no sort. The ring costs 4 bytes per id in
+/// the live id-span, which one starved closed-loop op or a flow parked
+/// in retry can hold open across most of a run (`app_ycsb_288`: a
+/// 226 759-id span for at most 384 live flows); the entries themselves
+/// cost one slab slot per live flow, up to the run's live peak
+/// ([`TopoStreamStats::active_high_water`]).
 #[derive(Debug, Default)]
 struct RtMap {
-    /// Id of slot 0. Advances when the dead prefix is compacted away.
+    /// Id of ring word 0. Advances when the dead prefix is compacted away.
     base: u32,
-    slots: Vec<Option<FlowRt>>,
-    /// Occupied slots.
-    live: usize,
-    /// Leading `None` slots (already-retired ids below every live one),
-    /// compacted away once they dominate the vector.
+    /// One word per id in the span: 0 = no entry, otherwise the entry's
+    /// slab index + 1.
+    ring: Vec<u32>,
+    /// Entries; `None` only at the indices in `free`.
+    slab: Vec<Option<FlowRt>>,
+    /// Retired slab indices, reused last-in first-out (the most recently
+    /// retired slot is the one most likely still in cache).
+    free: Vec<u32>,
+    /// Leading zero words (already-retired ids below every live one),
+    /// compacted away once they dominate the ring.
     dead_prefix: usize,
     /// Routes of bumped epochs, keyed by `(flow, epoch)`. Only fault runs
     /// fill it, and only zombie grants — old-epoch offers still resident
@@ -800,47 +810,68 @@ impl RtMap {
     /// (admission order); skipped ids — flows that failed at admission —
     /// leave holes.
     fn insert(&mut self, id: u32, rt: FlowRt) {
-        let idx = (id - self.base) as usize;
-        debug_assert!(idx >= self.slots.len(), "ids admit in increasing order");
-        self.slots.resize_with(idx, || None);
-        self.slots.push(Some(rt));
-        self.live += 1;
+        // No input reaches this: the world hands out every id itself in
+        // admission order (slice positions in turn, the source's counter
+        // at each `Admit`, the app's `next_flow` inside its events). It
+        // is checked in release too because an out-of-order id would
+        // truncate the ring below, silently dropping live entries and
+        // leaking their slab slots — for one compare per admission.
+        let end = self.base as usize + self.ring.len();
+        assert!(id as usize >= end, "flow ids admit in increasing order");
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(rt);
+                slot
+            }
+            None => {
+                self.slab.push(Some(rt));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.ring.resize(id as usize - self.base as usize, 0);
+        self.ring.push(slot + 1);
+    }
+
+    /// The slab index of resident flow `id`.
+    #[inline]
+    fn slot(&self, id: u32) -> Option<usize> {
+        // `wrapping_sub` folds the `id < base` miss into the bounds
+        // check (the wrapped index is astronomically out of range).
+        match self.ring.get(id.wrapping_sub(self.base) as usize) {
+            Some(&w) if w != 0 => Some((w - 1) as usize),
+            _ => None,
+        }
     }
 
     fn get(&self, id: u32) -> Option<&FlowRt> {
-        match self.slots.get(id.wrapping_sub(self.base) as usize) {
-            Some(Some(rt)) => Some(rt),
-            _ => None,
-        }
+        self.slab[self.slot(id)?].as_ref()
     }
 
     fn get_mut(&mut self, id: u32) -> Option<&mut FlowRt> {
-        // `wrapping_sub` folds the `id < base` miss into the bounds
-        // check (the wrapped index is astronomically out of range).
-        match self.slots.get_mut(id.wrapping_sub(self.base) as usize) {
-            Some(Some(rt)) => Some(rt),
-            _ => None,
-        }
+        let slot = self.slot(id)?;
+        self.slab[slot].as_mut()
     }
 
-    /// Removes `id`. When retired ids below every live id come to
-    /// dominate the vector, the dead prefix is compacted away (amortized
-    /// O(1)), so the footprint tracks the live id-span.
+    /// Removes `id`, returning its slab slot to the free list. When
+    /// retired ids below every live id come to dominate the ring, the
+    /// dead prefix is compacted away (amortized O(1)), so the ring
+    /// tracks the live id-span.
     fn remove(&mut self, id: u32) -> Option<FlowRt> {
         let idx = id.checked_sub(self.base)? as usize;
-        let rt = self.slots.get_mut(idx)?.take()?;
-        self.live -= 1;
+        let slot = std::mem::take(self.ring.get_mut(idx)?).checked_sub(1)?;
+        let rt = self.slab[slot as usize].take().expect("ring words name occupied slots");
+        self.free.push(slot);
         for epoch in 0..rt.epoch {
             self.old_paths.remove(&(id, epoch));
         }
         if idx == self.dead_prefix {
             let mut dp = self.dead_prefix + 1;
-            while dp < self.slots.len() && self.slots[dp].is_none() {
+            while dp < self.ring.len() && self.ring[dp] == 0 {
                 dp += 1;
             }
             self.dead_prefix = dp;
-            if dp >= 64 && dp * 2 >= self.slots.len() {
-                self.slots.drain(..dp);
+            if dp >= 64 && dp * 2 >= self.ring.len() {
+                self.ring.drain(..dp);
                 self.base += dp as u32;
                 self.dead_prefix = 0;
             }
@@ -850,7 +881,7 @@ impl RtMap {
 
     /// Resident (live) entries.
     fn len(&self) -> usize {
-        self.live
+        self.slab.len() - self.free.len()
     }
 
     /// The route resident flow `id` was offered under in `epoch`.
@@ -875,10 +906,10 @@ impl RtMap {
 
     /// Live `(id, entry)` pairs in increasing (admission) order.
     fn iter(&self) -> impl Iterator<Item = (u32, &FlowRt)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, s)| s.as_ref().map(|rt| (self.base + i as u32, rt)))
+        self.ring.iter().enumerate().filter(|&(_, &w)| w != 0).map(move |(i, &w)| {
+            let rt = self.slab[(w - 1) as usize].as_ref().expect("ring words name occupied slots");
+            (self.base + i as u32, rt)
+        })
     }
 
     /// Live ids in increasing (admission) order.
@@ -890,12 +921,11 @@ impl RtMap {
 impl std::ops::Index<u32> for RtMap {
     type Output = FlowRt;
     fn index(&self, id: u32) -> &FlowRt {
-        // One subtraction plus one slice index: the materialized paths
-        // never compact (`base` stays 0), so this is as cheap as the
-        // flat `Vec<FlowRt>` it replaced — which keeps the leaf-spine
-        // cost inside the `topo_scale` gate in debug builds.
-        match self.slots[id.wrapping_sub(self.base) as usize] {
-            Some(ref rt) => rt,
+        // One subtraction and two slice indexes — close enough to the
+        // flat `Vec<FlowRt>` this replaced to keep the leaf-spine cost
+        // inside the `topo_scale` gate in debug builds.
+        match self.get(id) {
+            Some(rt) => rt,
             None => panic!("flow {id} is not resident"),
         }
     }
@@ -1980,16 +2010,64 @@ mod tests {
 
     #[test]
     fn flow_rt_slot_stays_96_bytes() {
-        // `RtMap` holds one slot per id in the live id-span, and a single
-        // long closed-loop op (`app_ycsb_288`'s p99.9 is 680 µs of a
-        // ~2 ms run) keeps a large share of a run's ids in that span:
-        // peak RSS scales with this size (a 168-byte slot measured +46 %
-        // there). The live route is inline, so it must fit here.
+        // `RtMap` keeps one slab slot per live flow, so this size
+        // multiplies the run's live peak (`active_high_water`: 384 on
+        // `app_ycsb_288`, ≈ 59 k on `chaos_288`), no longer the id-span
+        // a starved op holds open. Per-flow latency attribution will add
+        // state here; grow it only with a measured `peak_rss_mb`. The
+        // live route is inline, so it must fit.
         assert!(std::mem::size_of::<FlowRt>() <= 96);
         assert!(std::mem::size_of::<Option<FlowRt>>() <= 96);
         // The hop index rides in the token, `last` in the chunk event's
         // padding: the event queue's element size does not move.
         assert_eq!(std::mem::size_of::<TopoEv>(), 48);
+    }
+
+    #[test]
+    fn rt_map_storage_follows_live_flows() {
+        let entry = |id: u32| FlowRt {
+            flow: write_flow(id as usize, 0, 1, 64, 0),
+            path: None,
+            epoch: 0,
+            delivered: 0,
+            inject_bytes: 64,
+            refs: 0,
+            status: RtStatus::Active,
+        };
+        // Id 0 stays resident and holds the id-span open while 10 000
+        // later ids come and go, at most 8 live at a time; every fifth id
+        // fails at admission (a hole), and retirement picks a varying
+        // victim, so slots are reused out of admission order.
+        let mut map = RtMap::default();
+        map.insert(0, entry(0));
+        let (mut live, mut retired) = (vec![0u32], Vec::new());
+        let mut hwm = map.len();
+        for id in (1..=10_000u32).filter(|id| id % 5 != 3) {
+            if live.len() == 8 {
+                let victim = live.remove(1 + id as usize % 7);
+                assert_eq!(map.remove(victim).map(|rt| rt.flow.id), Some(victim as usize));
+                retired.push(victim);
+            }
+            map.insert(id, entry(id));
+            live.push(id);
+            hwm = hwm.max(map.len());
+            assert_eq!(map.len(), live.len());
+            assert!(map.slab.len() <= hwm, "slab {} past the live peak {hwm}", map.slab.len());
+        }
+        assert_eq!(hwm, 8);
+        assert_eq!(map.ids().collect::<Vec<_>>(), live, "admission order");
+        assert!(map.iter().all(|(id, rt)| rt.flow.id == id as usize));
+        for &id in retired.iter().step_by(97) {
+            assert!(map.get(id).is_none() && map.remove(id).is_none());
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| map[id].epoch))
+                .expect_err("indexing a retired id panics");
+            let msg = panic.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains("not resident"), "{msg}");
+        }
+        // Retiring id 0 releases the span: the dead prefix compacts away.
+        map.remove(0);
+        assert_eq!(map.base, live[1]);
+        assert!(map.ring.len() <= 64, "ring spans {} ids", map.ring.len());
     }
 
     #[test]
