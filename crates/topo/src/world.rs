@@ -384,7 +384,9 @@ pub struct TopoStreamStats {
     /// retirement (streamed and app runs; faults included, whose
     /// zombie references drain through per-flow counts) this is the
     /// active-flow population peak, independent of how many flows the
-    /// source emits in total. Sharded runs may report slightly more than the
+    /// source emits in total. Flow entry storage follows this peak — one
+    /// slab slot per resident entry — plus a 4-byte ring index per id in
+    /// the live id-span. Sharded runs may report slightly more than the
     /// sequential run: delivery credits retire replicas at window
     /// barriers, a beat after the sequential run retires them.
     pub active_high_water: usize,
@@ -740,10 +742,9 @@ enum RtStatus {
 /// advance through replicated fault/reroute events, delivery credits
 /// through barrier-synced broadcasts.
 ///
-/// Its size is pinned (`flow_rt_slot_stays_96_bytes`): [`RtMap`] is a ring
-/// of these over the live id-span, and one long closed-loop op can hold
-/// that span open across much of a run, so the slot size multiplies
-/// peak RSS.
+/// Its size is pinned (`flow_rt_slot_stays_96_bytes`): [`RtMap`] keeps one
+/// slab slot of these per live flow, so the slot size multiplies the
+/// run's live peak ([`TopoStreamStats::active_high_water`]).
 #[derive(Debug)]
 struct FlowRt {
     /// The admitted flow (moved in at admission; the world keeps no
@@ -859,7 +860,9 @@ impl RtMap {
     fn remove(&mut self, id: u32) -> Option<FlowRt> {
         let idx = id.checked_sub(self.base)? as usize;
         let slot = std::mem::take(self.ring.get_mut(idx)?).checked_sub(1)?;
-        let rt = self.slab[slot as usize].take().expect("ring words name occupied slots");
+        let rt = self.slab[slot as usize]
+            .take()
+            .expect("ring words name occupied slots");
         self.free.push(slot);
         for epoch in 0..rt.epoch {
             self.old_paths.remove(&(id, epoch));
@@ -906,10 +909,16 @@ impl RtMap {
 
     /// Live `(id, entry)` pairs in increasing (admission) order.
     fn iter(&self) -> impl Iterator<Item = (u32, &FlowRt)> + '_ {
-        self.ring.iter().enumerate().filter(|&(_, &w)| w != 0).map(move |(i, &w)| {
-            let rt = self.slab[(w - 1) as usize].as_ref().expect("ring words name occupied slots");
-            (self.base + i as u32, rt)
-        })
+        self.ring
+            .iter()
+            .enumerate()
+            .filter(|&(_, &w)| w != 0)
+            .map(move |(i, &w)| {
+                let rt = self.slab[(w - 1) as usize]
+                    .as_ref()
+                    .expect("ring words name occupied slots");
+                (self.base + i as u32, rt)
+            })
     }
 
     /// Live ids in increasing (admission) order.
@@ -2045,14 +2054,21 @@ mod tests {
         for id in (1..=10_000u32).filter(|id| id % 5 != 3) {
             if live.len() == 8 {
                 let victim = live.remove(1 + id as usize % 7);
-                assert_eq!(map.remove(victim).map(|rt| rt.flow.id), Some(victim as usize));
+                assert_eq!(
+                    map.remove(victim).map(|rt| rt.flow.id),
+                    Some(victim as usize)
+                );
                 retired.push(victim);
             }
             map.insert(id, entry(id));
             live.push(id);
             hwm = hwm.max(map.len());
             assert_eq!(map.len(), live.len());
-            assert!(map.slab.len() <= hwm, "slab {} past the live peak {hwm}", map.slab.len());
+            assert!(
+                map.slab.len() <= hwm,
+                "slab {} past the live peak {hwm}",
+                map.slab.len()
+            );
         }
         assert_eq!(hwm, 8);
         assert_eq!(map.ids().collect::<Vec<_>>(), live, "admission order");
@@ -2061,7 +2077,9 @@ mod tests {
             assert!(map.get(id).is_none() && map.remove(id).is_none());
             let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| map[id].epoch))
                 .expect_err("indexing a retired id panics");
-            let msg = panic.downcast_ref::<String>().expect("formatted panic message");
+            let msg = panic
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
             assert!(msg.contains("not resident"), "{msg}");
         }
         // Retiring id 0 releases the span: the dead prefix compacts away.
