@@ -931,9 +931,10 @@ impl SwitchDomain {
 
 #[derive(Debug, Clone)]
 enum EdmEv {
-    /// A flow's demand reaches the switch. Carries the flow by value:
-    /// lazily admitted worlds never hold a `Vec<Flow>`.
-    DemandArrives { idx: u32, flow: Flow },
+    /// A flow's demand reaches the switch. The flow itself waits in
+    /// the world's `arriving` slot — only one is ever pending — so no
+    /// other event pays for its 40 B.
+    DemandArrives { idx: u32 },
     /// Scheduler poll.
     Poll,
     /// A chunk's last byte reaches the flow's data destination.
@@ -993,6 +994,8 @@ struct EdmWorld<F, I> {
     /// pulls (at most) one successor, so only one pending arrival is
     /// ever queued.
     source: I,
+    /// The pulled arrival whose `DemandArrives` is pending.
+    arriving: Option<Flow>,
 }
 
 impl<F: FnMut(u32, FlowOutcome), I: Iterator<Item = (u32, Flow)>> EdmWorld<F, I> {
@@ -1027,7 +1030,8 @@ impl<F: FnMut(u32, FlowOutcome), I: Iterator<Item = (u32, Flow)>> EdmWorld<F, I>
             at >= now,
             "streamed sources must emit time-ordered arrivals"
         );
-        q.schedule_ordered(at, evord::demand(idx), EdmEv::DemandArrives { idx, flow });
+        self.arriving = Some(flow);
+        q.schedule_ordered(at, evord::demand(idx), EdmEv::DemandArrives { idx });
     }
 }
 
@@ -1036,7 +1040,11 @@ impl<F: FnMut(u32, FlowOutcome), I: Iterator<Item = (u32, Flow)>> World for EdmW
 
     fn handle(&mut self, now: Time, ev: EdmEv, q: &mut EventQueue<EdmEv>) {
         match ev {
-            EdmEv::DemandArrives { idx, flow } => {
+            EdmEv::DemandArrives { idx } => {
+                let flow = self
+                    .arriving
+                    .take()
+                    .expect("a demand's flow waits in `arriving`");
                 self.pull_next(now, q);
                 let token = self.admit(idx, flow);
                 let (s, d) = flow.data_direction();
@@ -1143,6 +1151,7 @@ impl EdmProtocol {
             completed: 0,
             sink,
             source,
+            arriving: None,
         };
         let mut q = EventQueue::new();
         world.pull_next(Time::ZERO, &mut q);
@@ -1734,6 +1743,14 @@ mod tests {
         // The slab holds one per in-flight message at every switch, so
         // the offer's token and size sit inline.
         assert_eq!(std::mem::size_of::<MsgState>(), 32);
+    }
+
+    #[test]
+    fn edm_events_carry_no_flow() {
+        // The event queue moves every event several times; the one
+        // pending arrival's flow waits in the world, so an event names
+        // a flow or a slot, never carries one.
+        assert_eq!(std::mem::size_of::<EdmEv>(), 12);
     }
 
     #[test]

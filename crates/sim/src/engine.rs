@@ -594,54 +594,56 @@ impl<E> EventQueue<E> {
     /// `[MIN_BUCKETS, MAX_BUCKETS]`), bucket width tracks the average
     /// event spacing (rounded up to a power of two so bucket indexing is
     /// a shift). Below `ENGAGE_LEN` the calendar disengages entirely.
+    ///
+    /// A rebuild holds each pending event once. The overflow heap's
+    /// buffer is the working vector: the bucketed events join it there,
+    /// the new year's events move out of it into slab nodes, and what
+    /// stays becomes the new overflow heap in place. The slab and its
+    /// free list survive a resize, so a rebuild's peak is one buffer of
+    /// entries plus the slab and the bucket arrays, and a rebuild of a
+    /// queue whose heap buffer already fits the population allocates
+    /// nothing but bucket-array growth.
     fn rebuild(&mut self) {
-        let mut all: Vec<Entry<E>> = Vec::with_capacity(self.length);
+        let mut all = std::mem::take(&mut self.overflow).into_vec();
+        // The bucketed events walk out in globally ascending order
+        // (bucket lists are sorted and bucket ranges ascend — invariant
+        // 1), and every one of them sorts before every overflow event.
+        let mut head = all.len();
+        all.reserve_exact(self.in_buckets);
         for b in 0..self.heads.len() {
             let mut i = self.heads[b];
             while i != NIL {
                 let next = self.nodes[i as usize].next;
                 let (at, ord, seq, event) = self.release(i);
-                all.push(Entry {
+                all.push(Reverse(Entry {
                     at,
                     ord,
                     seq,
                     event,
-                });
+                }));
                 i = next;
             }
         }
         self.in_buckets = 0;
         self.cur_bucket = 0;
         let old_geometry = (self.width_log2, self.heads.len());
-        // `all` now holds the bucketed events in globally ascending order
-        // (bucket lists are sorted and bucket ranges ascend — invariant
-        // 1), and every overflow event sorts after every bucketed one.
-        let ascending_prefix = all.len();
-        // Take the heap whole rather than drain it: its capacity was sized
-        // for events that may be about to move into buckets, and keeping
-        // it through the refill below stacks heap, `all` and slab at the
-        // rebuild's peak (`chaos_288`, whose outages leave 59k events
-        // pending behind a same-instant head: peak RSS 58.3 -> 54.6 MB).
-        let overflow = std::mem::take(&mut self.overflow).into_vec();
-        all.extend(overflow.into_iter().map(|Reverse(e)| e));
         if self.length < ENGAGE_LEN {
             // Disengage: back to the plain heap; slab memory released.
             self.heads = Vec::new();
             self.tails = Vec::new();
             self.nodes = Vec::new();
             self.free = NIL;
-            self.overflow = BinaryHeap::from(all.into_iter().map(Reverse).collect::<Vec<_>>());
+            self.overflow = BinaryHeap::from(all);
             return;
         }
-        let ascending_prefix = if ascending_prefix >= 2 {
-            ascending_prefix
-        } else {
+        if all.len() - head < 2 {
             // Engaging straight out of the heap (or everything had
             // marched into overflow): order the population so the head
-            // sample below exists and reinserts tail-append.
-            all.sort_unstable_by_key(|e| (e.at, e.ord, e.seq));
-            all.len()
-        };
+            // sample below exists and reinserts stay O(1).
+            all.sort_unstable_by_key(|Reverse(e)| (e.at, e.ord, e.seq));
+            head = 0;
+        }
+        // From here `all[head..]` ascends from the global minimum.
         let nbuckets = (self.length * 2)
             .next_power_of_two()
             .clamp(MIN_BUCKETS, MAX_BUCKETS);
@@ -651,16 +653,17 @@ impl<E> EventQueue<E> {
         // stragglers yields a width that dumps the whole pack into one
         // bucket. The head sample sizes buckets for the events that will
         // actually pop next; stragglers simply wait in overflow.
-        let mut m = ascending_prefix.min(HEAD_SAMPLE);
-        let mut spread = all[m - 1].at.as_ps() - all[0].at.as_ps();
+        let min_ps = all[head].0.at.as_ps();
+        let mut m = (all.len() - head).min(HEAD_SAMPLE);
+        let mut spread = all[head + m - 1].0.at.as_ps() - min_ps;
         if spread == 0 {
             // A head sample at one instant (a synchronized burst) says
             // nothing about spacing — and a same-instant run is O(1)
             // appends and pops in a bucket of any width — so size the
             // buckets for the whole population instead of at 1 ps.
             m = all.len();
-            let last = all.iter().map(|e| e.at.as_ps()).max().expect("engaged");
-            spread = last - all[0].at.as_ps();
+            let last = all.iter().map(|r| r.0.at.as_ps()).max().expect("engaged");
+            spread = last - min_ps;
         }
         // Saturate and clamp: a head sample spanning >= 2^62 ps (times
         // near `Time::MAX`) must yield a huge width, not a multiply
@@ -669,7 +672,6 @@ impl<E> EventQueue<E> {
             .saturating_mul(2)
             .clamp(1, 1 << 62)
             .next_power_of_two();
-        let min_ps = all[0].at.as_ps();
         self.width_log2 = width.trailing_zeros();
         self.year_start = (min_ps >> self.width_log2) << self.width_log2;
         // Walk-trigger cooldown: while the population's spacing is still
@@ -690,30 +692,25 @@ impl<E> EventQueue<E> {
         self.heads.resize(nbuckets, NIL);
         self.tails.clear();
         self.tails.resize(nbuckets, NIL);
-        // The ascending prefix reinserts as pure tail appends; the
-        // overflow-sourced suffix (if any) is heap-ordered, but those
-        // events spread across the fresh geometry or return to overflow,
-        // so their walks stay short.
-        for Entry {
-            at,
-            ord,
-            seq,
-            event,
-        } in all
-        {
-            let idx = (at.as_ps() - self.year_start) >> self.width_log2;
+        // Move the new year's events into slab nodes, back to front:
+        // `swap_remove` fills each hole with an event already looked at,
+        // and the ascending run reinserts descending, as O(1) head
+        // inserts. The heap-ordered overflow part spreads across the
+        // fresh geometry or stays, so its walks stay short.
+        for i in (0..all.len()).rev() {
+            let idx = (all[i].0.at.as_ps() - self.year_start) >> self.width_log2;
             if idx < nbuckets as u64 {
-                let node = self.alloc(at, ord, seq, event);
-                self.insert_bucket(idx as usize, node);
-            } else {
-                self.overflow.push(Reverse(Entry {
+                let Reverse(Entry {
                     at,
                     ord,
                     seq,
                     event,
-                }));
+                }) = all.swap_remove(i);
+                let node = self.alloc(at, ord, seq, event);
+                self.insert_bucket(idx as usize, node);
             }
         }
+        self.overflow = BinaryHeap::from(all);
     }
 }
 

@@ -649,6 +649,7 @@ impl TopoEdm {
             outbox: Vec::new(),
             sink,
             source: None,
+            arriving: None,
             retired: Vec::new(),
             admitted: 0,
             delivered_n: 0,
@@ -945,7 +946,10 @@ pub(crate) enum TopoEv {
     /// A flow's arrival instant: route it, create its runtime entry,
     /// and pull the next arrival from the streaming source (the
     /// materialized paths admit before the run and never see this).
-    Admit { id: u32, flow: Flow },
+    /// The flow itself waits in the world's `arriving` slot — at most
+    /// one `Admit` is ever pending — so no other event pays for its
+    /// 40 B.
+    Admit { id: u32 },
     /// A flow's demand reaches its hop-0 switch.
     Demand { flow: u32, epoch: u32 },
     /// One switch's scheduler poll.
@@ -1152,6 +1156,8 @@ pub(crate) struct TopoWorld<S, I> {
     /// Streaming arrival source and the next admission index; `None`
     /// once drained (or always, for slice and app input).
     source: Option<(I, u32)>,
+    /// The pulled arrival whose `Admit` is pending.
+    arriving: Option<Flow>,
     /// Whether a terminal flow leaves `rt` once its reference count
     /// drains: off for slice input (`TopoEdm::seed` records what
     /// retiring would cost).
@@ -1247,7 +1253,8 @@ where
                 );
                 let id = *next_id;
                 *next_id += 1;
-                q.schedule_ordered(flow.arrival, evord::demand(id), TopoEv::Admit { id, flow });
+                self.arriving = Some(flow);
+                q.schedule_ordered(flow.arrival, evord::demand(id), TopoEv::Admit { id });
             }
             None => self.source = None,
         }
@@ -1729,9 +1736,13 @@ where
     /// parallel [`ShardWorld`] drivers.
     fn dispatch(&mut self, now: Time, ev: TopoEv, q: &mut EventQueue<TopoEv>) {
         match ev {
-            TopoEv::Admit { id, flow } => {
+            TopoEv::Admit { id } => {
                 // Not counted in `events`: the materialized path admits
                 // before the run, and the streamed tally must match it.
+                let flow = self
+                    .arriving
+                    .take()
+                    .expect("an Admit's flow waits in `arriving`");
                 self.admit(id, flow, q);
                 self.pull_next(now, q);
             }
@@ -2027,9 +2038,11 @@ mod tests {
         // live route is inline, so it must fit.
         assert!(std::mem::size_of::<FlowRt>() <= 96);
         assert!(std::mem::size_of::<Option<FlowRt>>() <= 96);
-        // The hop index rides in the token, `last` in the chunk event's
-        // padding: the event queue's element size does not move.
-        assert_eq!(std::mem::size_of::<TopoEv>(), 48);
+        // `Admit` carries no `Flow` (the pulled arrival waits in the
+        // world), the hop index rides in the token and `last` in the
+        // chunk event's padding: an event is 24 B and the queue's
+        // element, with its time, order key and sequence number, 48 B.
+        assert_eq!(std::mem::size_of::<TopoEv>(), 24);
     }
 
     #[test]
