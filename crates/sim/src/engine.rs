@@ -600,9 +600,10 @@ impl<E> EventQueue<E> {
     /// the new year's events move out of it into slab nodes, and what
     /// stays becomes the new overflow heap in place. The slab and its
     /// free list survive a resize, so a rebuild's peak is one buffer of
-    /// entries plus the slab and the bucket arrays, and a rebuild of a
-    /// queue whose heap buffer already fits the population allocates
-    /// nothing but bucket-array growth.
+    /// entries plus the slab and the bucket arrays. It allocates only to
+    /// grow what the queue keeps: the buffer, when it cannot take the
+    /// bucketed events, the slab, when the new year outgrows it, and the
+    /// bucket arrays.
     fn rebuild(&mut self) {
         let mut all = std::mem::take(&mut self.overflow).into_vec();
         // The bucketed events walk out in globally ascending order
