@@ -76,7 +76,12 @@ struct Driven {
 /// run, and whether two `Poll`s were ever queued for one instant (a
 /// purge forgets the events queued before it; one of those does not
 /// count against a later request for the same instant).
-fn drive_domain(ops: &[(u64, DomainOp)], x: usize, exhaustive: bool) -> (Driven, u64, bool) {
+fn drive_domain(
+    ops: &[(u64, DomainOp)],
+    x: usize,
+    policy: Policy,
+    exhaustive: bool,
+) -> (Driven, u64, bool) {
     const PORTS: u16 = 6;
     const FLIGHT: Duration = Duration::from_ns(120);
     let link = Bandwidth::from_gbps(100);
@@ -84,7 +89,7 @@ fn drive_domain(ops: &[(u64, DomainOp)], x: usize, exhaustive: bool) -> (Driven,
         ports: PORTS as usize,
         chunk_bytes: 256,
         link,
-        policy: Policy::Srpt,
+        policy,
         max_active_per_pair: x,
         clock: edm_sched::ASIC_CLOCK,
     });
@@ -267,6 +272,65 @@ fn wake_up_for_an_instant_with_a_queued_event_recycles_it() {
     assert_eq!(round.grants[0].token, 1);
 }
 
+/// Under FCFS an announced message's priority is the instant it was
+/// announced — at its offer, or at the completion or withdrawal that
+/// freed an X slot for it — however long it then waits behind its pair's
+/// head. Four sources burst 2–6 same-pair offers at a time onto two hot
+/// destinations at X = 2, so most offers wait past X and most heads
+/// queue behind other pairs' older demand; one step in four withdraws an
+/// earlier offer, waiting, announced behind its head, or mid-message.
+/// `DIGEST` folds the grant stream and completions; it was recorded
+/// before the scheduler stopped keeping per-pair queues, and a message
+/// keyed at the instant it reached the scheduler's queue instead of at
+/// its announcement moves it.
+#[test]
+fn fcfs_domain_keys_announced_messages_at_their_announcement() {
+    const DIGEST: u64 = 0xc82b_f2b7_1160_d68d;
+    let mut seed: u64 = 0x2545_f491_4f6c_dd1d;
+    let mut next = |n: u64| {
+        seed = seed
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (seed >> 33) % n
+    };
+    let (mut ops, mut offered) = (Vec::new(), 0);
+    for _ in 0..160 {
+        let dt = [0, 30, 120, 400][next(4) as usize];
+        if next(3) == 0 && offered > 0 {
+            // One of the last dozen offers.
+            let nth = offered - 1 - next(12.min(offered));
+            ops.push((dt, DomainOp::Cancel { nth: nth as usize }));
+            continue;
+        }
+        let (src, dst) = (next(4) as u16, 4 + next(2) as u16);
+        let bytes = [64, 200, 300, 700, 1500][next(5) as usize];
+        for i in 0..2 + next(4) {
+            let op = DomainOp::Offer {
+                src,
+                dst,
+                bytes,
+                forwarded: next(2) == 0,
+            };
+            ops.push((if i == 0 { dt } else { 0 }, op));
+            offered += 1;
+        }
+    }
+    let (got, _, _) = drive_domain(&ops, 2, Policy::Fcfs, false);
+    let (want, _, _) = drive_domain(&ops, 2, Policy::Fcfs, true);
+    assert_eq!(got, want);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |v: u64| h = (h ^ v).wrapping_mul(0x100_0000_01b3);
+    for &(gseq, src, dst, bytes, token, at) in &got.grants {
+        let fields = [gseq, src.into(), dst.into(), bytes.into(), token];
+        fields.into_iter().chain([at.as_ps()]).for_each(&mut mix);
+    }
+    for &(token, at) in &got.completions {
+        mix(token);
+        mix(at.as_ps());
+    }
+    assert_eq!(h, DIGEST, "{h:#x}");
+}
+
 proptest! {
     /// Arbitrary remote writes followed by reads over the functional
     /// testbed return exactly the written bytes (data integrity through
@@ -427,7 +491,9 @@ proptest! {
             1..120,
         ),
         x in 1usize..4,
+        srpt in any::<bool>(),
     ) {
+        let policy = if srpt { Policy::Srpt } else { Policy::Fcfs };
         let ops: Vec<(u64, DomainOp)> = steps
             .iter()
             .map(|&(dt, src, dst, bytes, kind, nth)| {
@@ -442,8 +508,8 @@ proptest! {
                 (dt, op)
             })
             .collect();
-        let (got, rounds, duplicate_poll) = drive_domain(&ops, x, false);
-        let (want, all_rounds, _) = drive_domain(&ops, x, true);
+        let (got, rounds, duplicate_poll) = drive_domain(&ops, x, policy, false);
+        let (want, all_rounds, _) = drive_domain(&ops, x, policy, true);
         prop_assert_eq!(&got.grants, &want.grants);
         prop_assert_eq!(&got.completions, &want.completions);
         // §3.1.1: a pair's messages are granted in offer order (tokens
