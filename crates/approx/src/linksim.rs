@@ -193,8 +193,6 @@ fn replay(
             chunk_bytes: cfg.chunk_bytes,
             link: profile.sched_bandwidth,
             policy: cfg.policy,
-            // Per-offer limits override this default.
-            max_active_per_pair: cfg.max_active_per_pair,
             clock: edm_sched::ASIC_CLOCK,
         };
         (SwitchDomain::new(sched), Time::ZERO)

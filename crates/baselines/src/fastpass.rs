@@ -232,7 +232,6 @@ impl FabricProtocol for FastpassProtocol {
             chunk_bytes: CHUNK_BYTES,
             link: cluster.link,
             policy: Policy::Srpt,
-            max_active_per_pair: MAX_ACTIVE_PER_PAIR,
             // Idealized: the matching itself costs zero time.
             clock: Duration::from_ps(0),
         };

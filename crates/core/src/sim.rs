@@ -11,11 +11,16 @@
 //! by its *ideal* completion time (what it would take alone in the
 //! network), so 1.0 is optimal and "within 1.3× of unloaded" means ≤ 1.3.
 
-use edm_sched::{Notification, NotifyError, Policy, PollResult, Scheduler, SchedulerConfig};
+use edm_sched::{Notification, Policy, PollResult, Scheduler, SchedulerConfig};
 use edm_sim::{Bandwidth, Duration, Engine, EventQueue, Summary, Time, World};
 
 /// One-hop propagation delay of every [`ClusterConfig`] link.
 pub const PROP_DELAY: Duration = Duration::from_ns(10);
+
+/// Why X = 0 is refused where it enters ([`EdmProtocol`], `edm-topo`'s
+/// `TopoEdm`, [`SwitchDomain::offer`]): every offer would wait for a
+/// completion that cannot come.
+pub const ZERO_PAIR_LIMIT: &str = "max active notifications per pair (X) must be at least 1";
 
 /// Cluster-wide configuration shared by every protocol.
 #[derive(Debug, Clone, Copy)]
@@ -298,8 +303,8 @@ pub struct DomainOffer {
     pub bytes: u32,
     /// Per-pair X bound applied to this offer. Access pairs keep the
     /// paper's X; multi-switch worlds provision aggregated trunk pairs
-    /// with a larger share (via [`edm_sched::Scheduler::notify_with_limit`]).
-    /// At most 255: a waiting offer keeps it in one byte (`offer` panics).
+    /// with a larger share. From 1 to 255: a waiting offer keeps it in
+    /// one byte (`offer` panics outside that range).
     pub limit: usize,
     /// Opaque caller tag, reported by [`SwitchDomain::deliver`] when this
     /// offer's bytes have fully arrived.
@@ -356,19 +361,21 @@ pub enum DomainCancel {
     NotFound,
     /// The offer's ungranted remainder was withdrawn.
     Withdrawn {
-        /// When the caller must schedule a `Poll` event: the freed
-        /// admission slot announced the pair's oldest waiter, so the
+        /// When the caller must schedule a `Poll` event: the freed X
+        /// slot announced the pair's oldest waiter as its head, so the
         /// scheduler holds demand its last round did not see (a round
-        /// when its ports free). `None` when nothing was announced — a
-        /// waiter, or a pair with none behind it: withdrawn demand never
-        /// makes a round worth running sooner.
+        /// when its ports free). `None` otherwise — a waiter withdrawn, a
+        /// pair with none behind it, or a head replaced by the message
+        /// announced behind it, whose ports the head's wake-up already
+        /// covers: withdrawn demand never makes a round worth running
+        /// sooner.
         poll: Option<Time>,
     },
 }
 
-/// A message: one offer, announced to the scheduler or waiting in its
-/// pair's FIFO. Its size is pinned (`msg_state_stays_32_bytes`): the
-/// slab holds one per resident message at every switch.
+/// A message: one offer, announced or waiting past X in its pair's FIFO.
+/// Its size is pinned (`msg_state_stays_32_bytes`): the slab holds one
+/// per resident message at every switch.
 #[derive(Debug)]
 struct MsgState {
     /// The offer's caller tag.
@@ -387,29 +394,51 @@ struct MsgState {
     src: u16,
     dst: u16,
     limit: u8,
-    /// Scheduler msg_id this message was announced under; `None` while
-    /// it waits past its pair's X bound.
-    msg_id: Option<u8>,
     /// Whether the ungranted remainder was withdrawn ([`SwitchDomain::cancel`]).
     /// A cancelled message never completes; its slot frees once every
     /// already-granted chunk has landed.
     cancelled: bool,
 }
 
+impl MsgState {
+    /// Keeps the instant a message announced behind its pair's head was
+    /// announced — its FCFS key — until it reaches the scheduler. Until
+    /// then nothing of it is granted or delivered, so those two words
+    /// hold the instant.
+    fn hold_announce(&mut self, at: Time) {
+        let ps = at.as_ps();
+        (self.granted, self.delivered) = ((ps >> 32) as u32, ps as u32);
+    }
+
+    /// The instant [`MsgState::hold_announce`] kept, leaving the words
+    /// zero for the grants to come.
+    fn take_announce(&mut self) -> Time {
+        let ps = (self.granted as u64) << 32 | self.delivered as u64;
+        (self.granted, self.delivered) = (0, 0);
+        Time::from_ps(ps)
+    }
+}
+
 /// Per-pair FIFO endpoints, packed head (low 32) / tail (high 32) into
 /// one word (`targets` index + 1; 0 = empty): the pair's ungranted
 /// messages in offer order, announced ones before waiting ones. Grants
-/// within a pair are strictly FIFO (§3.1.1 property 5), so the head *is*
-/// the granted message. `vec![0u64]` stays a calloc: untouched pairs
-/// cost nothing at any port count.
+/// within a pair are strictly FIFO (§3.1.1 property 5): only the head
+/// is ever in the scheduler, so the head *is* the granted message.
+/// `vec![0u64]` stays a calloc: untouched pairs cost nothing at any port
+/// count.
 type PairFifo = u64;
 
+/// One in the high half of a `pair_meta` word: one announced message.
+const ANNOUNCED: u64 = 1 << 32;
+
 /// One EDM switch's scheduling state as seen by an event-driven world: a
-/// demand-sparse [`Scheduler`] plus the bookkeeping that maps its grants
-/// back to simulation-level messages — per-pair FIFOs (offers waiting
-/// past X included), msg-id allocation, and poll-event deduplication.
-/// Every offer is its own scheduled message: §3.1.2 small-message
-/// batching is not modelled.
+/// demand-sparse [`Scheduler`] plus every per-pair rule — the pair's
+/// FIFO (offers waiting past X included), its X bound (§3.1.2), each
+/// announced message's FCFS key — and poll-event deduplication. The
+/// scheduler holds one message per pair, the pair's head; the message
+/// behind it is notified, under the instant it was announced, when the
+/// head is granted in full or withdrawn. Every offer is its own
+/// scheduled message: §3.1.2 small-message batching is not modelled.
 ///
 /// The domain is event-queue agnostic and owns the poll protocol: every
 /// method that can make a grant possible returns *when the caller must
@@ -429,8 +458,9 @@ pub struct SwitchDomain {
     scheduler: Scheduler,
     /// Per-pair FIFO words, keyed by flat pair index.
     pair_fifo: Vec<PairFifo>,
-    /// Per-pair waiter count (low 32, O(1) same-pair waiter checks) and
-    /// msg-id allocator (bits 32..40, wraps at 256).
+    /// Per-pair counts: waiting past X (low 32) and announced, the X
+    /// count (high 32; [`ANNOUNCED`] each). The announced messages are
+    /// the first ones of the pair's FIFO.
     pair_meta: Vec<u64>,
     targets: Vec<MsgState>,
     /// Retired message slots awaiting reuse (LIFO). Slots return here when
@@ -538,12 +568,21 @@ impl SwitchDomain {
         src as usize * self.ports + dst as usize
     }
 
+    /// Announced messages of a pair: its X count.
+    fn announced(&self, pi: usize) -> u64 {
+        self.pair_meta[pi] >> 32
+    }
+
     /// Offers one message's demand. Returns when the caller must
     /// schedule a `Poll` event: the instant both its ports are free —
     /// `now` if they already are — unless the round already due at or
     /// before then will see it, or an event for that instant is queued;
     /// `None` if it waits past its pair's X bound or behind its pair's
     /// announced head (the completions and rounds that serve those will see it).
+    ///
+    /// # Panics
+    ///
+    /// If `offer.limit` is 0 or above 255.
     pub fn offer(&mut self, now: Time, offer: DomainOffer) -> Option<Time> {
         if self.admit(now, offer) {
             self.wake_for(now, offer.src, offer.dst)
@@ -570,26 +609,27 @@ impl SwitchDomain {
         }
     }
 
-    /// Queues one offer at the tail of its pair's FIFO: announced to the
-    /// scheduler (`true`) or waiting past X (`false`).
+    /// Queues one offer at the tail of its pair's FIFO: announced
+    /// (`true`) or waiting past X (`false`).
     fn admit(&mut self, now: Time, offer: DomainOffer) -> bool {
+        assert!(offer.limit > 0, "{ZERO_PAIR_LIMIT}");
         assert!(offer.limit < 256, "per-pair X bound {} > 255", offer.limit);
+        let pi = self.pair_idx(offer.src, offer.dst);
+        let slot = self.push_msg(pi, &offer);
         // Host message-queue FIFO: a new message may not overtake older
         // same-pair messages still waiting.
-        let pi = self.pair_idx(offer.src, offer.dst);
-        let msg_id = if self.pair_meta[pi] as u32 == 0 {
-            self.notify(now, offer.src, offer.dst, offer.bytes, offer.limit)
+        let announced = self.pair_meta[pi] as u32 == 0 && self.announced(pi) < offer.limit as u64;
+        if announced {
+            self.announce(now, pi, slot);
         } else {
-            None
-        };
-        self.push_msg(pi, msg_id, &offer);
-        msg_id.is_some()
+            self.pair_meta[pi] += 1;
+        }
+        announced
     }
 
-    /// Links a new message (a waiter when `msg_id` is `None`) at the tail
-    /// of its pair's FIFO, reusing a retired slot when one is free.
-    fn push_msg(&mut self, pi: usize, msg_id: Option<u8>, offer: &DomainOffer) {
-        self.pair_meta[pi] += msg_id.is_none() as u64;
+    /// Links a new message at the tail of its pair's FIFO, reusing a
+    /// retired slot when one is free. Returns its slot.
+    fn push_msg(&mut self, pi: usize, offer: &DomainOffer) -> usize {
         let state = MsgState {
             token: offer.token,
             bytes: offer.bytes,
@@ -599,7 +639,6 @@ impl SwitchDomain {
             src: offer.src,
             dst: offer.dst,
             limit: offer.limit as u8,
-            msg_id,
             cancelled: false,
         };
         // Slot index + 1 encoding, as in the pair FIFO words.
@@ -622,56 +661,84 @@ impl SwitchDomain {
             self.targets[(tail - 1) as usize].next_in_pair = slot;
             self.pair_fifo[pi] = head as u64 | (slot as u64) << 32;
         }
+        (slot - 1) as usize
     }
 
-    /// Announces one message to the scheduler under its pair's next
-    /// msg id. Returns that id, or `None` while the pair is at its X
-    /// bound (sender rate-limiting: the message waits).
-    fn notify(&mut self, now: Time, src: u16, dst: u16, bytes: u32, limit: usize) -> Option<u8> {
-        let pi = self.pair_idx(src, dst);
-        let meta = self.pair_meta[pi];
-        let msg_id = (meta >> 32) as u8;
-        let n = Notification::new(src, dst, msg_id, bytes);
-        match self.scheduler.notify_with_limit(now, n, limit) {
-            Ok(()) => {}
-            Err(NotifyError::PairLimitReached { .. }) => return None,
-            Err(e) => panic!("unexpected notify error: {e}"),
+    /// Announces a message: it takes one of its pair's X slots. The
+    /// pair's first announced message is its head and reaches the
+    /// scheduler at once; any other keeps `now` as its FCFS key until the
+    /// messages before it leave.
+    fn announce(&mut self, now: Time, pi: usize, slot: usize) {
+        if self.announced(pi) == 0 {
+            self.notify(now, slot);
+        } else {
+            self.targets[slot].hold_announce(now);
         }
-        self.pair_meta[pi] = (meta & !0xFF_0000_0000) | (msg_id.wrapping_add(1) as u64) << 32;
-        Some(msg_id)
+        self.pair_meta[pi] += ANNOUNCED;
+    }
+
+    /// Queues the pair head in `slot` in the scheduler, keyed at `at`.
+    fn notify(&mut self, at: Time, slot: usize) {
+        let st = &self.targets[slot];
+        // One message per pair is queued, so it needs no tag.
+        let n = Notification::new(st.src, st.dst, 0, st.bytes);
+        if let Err(e) = self.scheduler.notify(at, n) {
+            panic!("unexpected notify error: {e}");
+        }
+    }
+
+    /// After the pair's head left the FIFO (granted in full or
+    /// withdrawn) and gave up its X slot: the next announced message, if
+    /// any, is the new head and reaches the scheduler under the instant
+    /// it was announced. Returns whether there was one.
+    fn head_left(&mut self, pi: usize, next: u32) -> bool {
+        self.pair_meta[pi] -= ANNOUNCED;
+        if self.announced(pi) == 0 {
+            return false;
+        }
+        let slot = (next - 1) as usize;
+        let at = self.targets[slot].take_announce();
+        self.notify(at, slot);
+        true
     }
 
     /// Announces the pair's oldest waiter after one of the pair's
-    /// messages finished or was withdrawn. Returns whether it went into
-    /// the scheduler — `false` when nothing of the pair waits or the pair
+    /// messages finished or was withdrawn. Returns whether it was
+    /// announced — `false` when nothing of the pair waits or the pair
     /// is still at its X bound (the waiter stays put).
     fn announce_waiter(&mut self, now: Time, src: u16, dst: u16) -> bool {
         let pi = self.pair_idx(src, dst);
         if self.pair_meta[pi] as u32 == 0 {
             return false;
         }
-        // Only the oldest waiter is ever announced, so announced messages
-        // are a prefix of the FIFO: skip them.
+        // Announced messages are a prefix of the FIFO: skip them.
+        let announced = self.announced(pi);
         let mut slot = (self.pair_fifo[pi] as u32 - 1) as usize;
-        while self.targets[slot].msg_id.is_some() {
+        for _ in 0..announced {
             slot = (self.targets[slot].next_in_pair - 1) as usize;
         }
-        let (bytes, limit) = (self.targets[slot].bytes, self.targets[slot].limit);
-        self.targets[slot].msg_id = self.notify(now, src, dst, bytes, limit as usize);
-        let announced = self.targets[slot].msg_id.is_some();
-        self.pair_meta[pi] -= announced as u64;
-        announced
+        if announced >= self.targets[slot].limit as u64 {
+            return false;
+        }
+        self.pair_meta[pi] -= 1;
+        self.announce(now, pi, slot);
+        true
     }
 
-    /// Asks for a round on behalf of a message just admitted on `(src,
+    /// Asks for a round on behalf of a message just announced on `(src,
     /// dst)`: at the instant the scheduler can first grant it, not before
     /// `now` (`edm_sched::Scheduler::grantable_at`). A round between `now`
     /// and then could not grant it, and every other queued message
-    /// already has its wake-up. Returns that instant when the caller must
-    /// schedule the `Poll` event.
+    /// already has its wake-up. `None` when it was announced behind its
+    /// pair's head: the round that grants the head's last chunk asks for
+    /// it. Returns that instant when the caller must schedule the `Poll`
+    /// event.
     fn wake_for(&mut self, now: Time, src: u16, dst: u16) -> Option<Time> {
         debug_assert!(self.has_demand(), "a round without demand is a no-op");
-        let at = self.scheduler.grantable_at(src, dst)?.max(now);
+        if self.announced(self.pair_idx(src, dst)) != 1 {
+            return None;
+        }
+        let at = self.scheduler.grantable_at(src, dst).max(now);
         self.note_poll_wanted(at).then_some(at)
     }
 
@@ -743,6 +810,7 @@ impl SwitchDomain {
     pub fn poll_exhaustive(&mut self, now: Time) -> DomainRound<'_> {
         let mut result = std::mem::take(&mut self.poll_scratch);
         self.scheduler.poll_into(now, &mut result);
+        let mut next_poll = result.next_wakeup;
         self.grants_scratch.clear();
         for g in &result.grants {
             // Grants within a pair are FIFO, so the granted message is
@@ -750,9 +818,11 @@ impl SwitchDomain {
             let pi = self.pair_idx(g.src, g.dest);
             let fifo = self.pair_fifo[pi];
             let head = fifo as u32;
-            debug_assert_ne!(head, 0, "grant for unknown message");
+            debug_assert!(
+                head != 0 && self.announced(pi) > 0,
+                "grant for unknown message"
+            );
             let slot = (head - 1) as usize;
-            debug_assert_eq!(self.targets[slot].msg_id, Some(g.msg_id));
             if g.is_final() {
                 let next = self.targets[slot].next_in_pair;
                 self.pair_fifo[pi] = if next == 0 {
@@ -760,6 +830,12 @@ impl SwitchDomain {
                 } else {
                     next as u64 | (fifo & 0xFFFF_FFFF_0000_0000)
                 };
+                // The new head waits for this chunk's ports: its round
+                // is the one they free at.
+                if self.head_left(pi, next) {
+                    let at = self.scheduler.grantable_at(g.src, g.dest);
+                    next_poll = Some(next_poll.map_or(at, |t| t.min(at)));
+                }
             }
             self.targets[slot].granted += g.chunk_bytes;
             let gseq = self.grant_seq;
@@ -773,7 +849,7 @@ impl SwitchDomain {
                 gseq,
             });
         }
-        let (sched_latency, next_poll) = (result.sched_latency, result.next_wakeup);
+        let sched_latency = result.sched_latency;
         self.poll_scratch = result;
         DomainRound {
             grants: &self.grants_scratch,
@@ -785,17 +861,18 @@ impl SwitchDomain {
     /// Records a granted chunk's arrival at its next element;
     /// `on_complete(token, bytes)` fires when it completes the message.
     /// Returns when the caller must schedule a `Poll` event: when the
-    /// message finished *and* the pair slot it freed announced the
-    /// pair's oldest waiting offer — the only way a delivery changes what
-    /// a scheduling round can grant — the instant that offer's ports free
-    /// (`now` if they are), as for [`SwitchDomain::offer`].
+    /// message finished *and* the X slot it freed announced the pair's
+    /// oldest waiting offer as the pair's head — the only way a delivery
+    /// changes what a scheduling round can grant — the instant that
+    /// offer's ports free (`now` if they are), as for
+    /// [`SwitchDomain::offer`].
     ///
     /// Completion is *byte-counted*, not flagged by the final grant:
     /// background-IP jitter can land a small final chunk before its
     /// (larger) predecessor, so the finishing arrival is whichever chunk
     /// brings the delivered total to the message size. A message whose
     /// remainder was [cancelled](Self::cancel) never reaches its total
-    /// and therefore never completes or frees a second admission slot.
+    /// and therefore never completes or frees a second X slot.
     pub fn deliver(
         &mut self,
         now: Time,
@@ -831,21 +908,25 @@ impl SwitchDomain {
     /// Withdraws the ungranted remainder of an offer (by its token):
     /// sender-side demand revocation after a failure reroute.
     ///
-    /// Finds the offer in its pair's FIFO and unlinks it. A waiting offer
-    /// was never announced: it simply leaves. An announced one has its
-    /// [`edm_sched::Scheduler`] message cancelled; chunks already granted
-    /// stay in flight and their delivery bookkeeping still runs, but the
-    /// message can no longer complete, so no completion callback ever
-    /// fires for it. Freeing its admission slot announces the pair's
-    /// oldest waiter, exactly like a completion — the outcome says when
-    /// to schedule a `Poll` event: when that offer's ports free, as for
+    /// Finds the offer in its pair's FIFO and unlinks it. An offer that
+    /// never reached the scheduler — waiting past X, or announced behind
+    /// the pair's head — simply leaves. The head has its
+    /// [`edm_sched::Scheduler`] message cancelled and the message behind
+    /// it, if announced, takes its place; chunks already granted stay in
+    /// flight and their delivery bookkeeping still runs, but the message
+    /// can no longer complete, so no completion callback ever fires for
+    /// it. An announced offer's X slot announces the pair's oldest
+    /// waiter, exactly like a completion — the outcome says when to
+    /// schedule a `Poll` event: when that offer's ports free, as for
     /// [`SwitchDomain::deliver`].
     pub fn cancel(&mut self, now: Time, src: u16, dst: u16, token: u64) -> DomainCancel {
         let pi = self.pair_idx(src, dst);
         let fifo = self.pair_fifo[pi];
         let (head, tail) = (fifo as u32, (fifo >> 32) as u32);
+        let announced = self.announced(pi);
         let mut prev: u32 = 0;
         let mut cur = head;
+        let mut position = 0;
         while cur != 0 {
             let slot = (cur - 1) as usize;
             let next = self.targets[slot].next_in_pair;
@@ -860,27 +941,34 @@ impl SwitchDomain {
                 if prev != 0 {
                     self.targets[(prev - 1) as usize].next_in_pair = next;
                 }
-                let Some(msg_id) = self.targets[slot].msg_id else {
-                    // Waiting: it never held an admission slot.
+                if position >= announced {
+                    // Waiting: it never held an X slot.
                     self.pair_meta[pi] -= 1;
                     self.free_slots.push(slot as u32);
                     return DomainCancel::Withdrawn { poll: None };
-                };
-                let edm_sched::CancelOutcome::Cancelled { .. } =
-                    self.scheduler.cancel(src, dst, msg_id)
-                else {
-                    unreachable!("an announced pair-FIFO member is always queued or waiting");
-                };
-                // The message can no longer complete; retire its slot now
-                // if nothing is in flight, else when the last granted
-                // chunk lands ([`SwitchDomain::deliver`]).
-                let st = &mut self.targets[slot];
-                st.cancelled = true;
-                if st.delivered >= st.granted {
-                    self.free_slots.push(slot as u32);
                 }
-                // The admission slot freed: announce the pair's oldest
-                // waiter.
+                if position > 0 {
+                    // Announced behind the head: nothing in the scheduler
+                    // or in flight.
+                    self.pair_meta[pi] -= ANNOUNCED;
+                    self.free_slots.push(slot as u32);
+                } else {
+                    let edm_sched::CancelOutcome::Cancelled { .. } =
+                        self.scheduler.cancel(src, dst, 0)
+                    else {
+                        unreachable!("a pair's announced head is always queued");
+                    };
+                    // The message can no longer complete; retire its slot
+                    // now if nothing is in flight, else when the last
+                    // granted chunk lands ([`SwitchDomain::deliver`]).
+                    let st = &mut self.targets[slot];
+                    st.cancelled = true;
+                    if st.delivered >= st.granted {
+                        self.free_slots.push(slot as u32);
+                    }
+                    self.head_left(pi, next);
+                }
+                // The X slot freed: announce the pair's oldest waiter.
                 let poll = if self.announce_waiter(now, src, dst) {
                     self.wake_for(now, src, dst)
                 } else {
@@ -890,6 +978,7 @@ impl SwitchDomain {
             }
             prev = cur;
             cur = next;
+            position += 1;
         }
         DomainCancel::NotFound
     }
@@ -1127,7 +1216,6 @@ impl EdmProtocol {
             chunk_bytes: self.chunk_bytes,
             link: cluster.link,
             policy: self.policy,
-            max_active_per_pair: self.max_active_per_pair,
             clock: edm_sched::ASIC_CLOCK,
         }
     }
@@ -1140,6 +1228,7 @@ impl EdmProtocol {
         I: Iterator<Item = (u32, Flow)>,
         F: FnMut(u32, FlowOutcome),
     {
+        assert!(self.max_active_per_pair > 0, "{ZERO_PAIR_LIMIT}");
         let mut world = EdmWorld {
             cluster: *cluster,
             domain: SwitchDomain::new(self.scheduler_config(cluster)),
@@ -1486,7 +1575,7 @@ mod tests {
         let mut g = dom.poll(second_chunk).expect("live").grants[0];
         for (at, next) in [(200, 2), (300, 3)] {
             let poll = dom.deliver(t(at), g.slot, g.chunk_bytes, |_, _| {});
-            let grantable = dom.scheduler().grantable_at(0, 1).expect("announced");
+            let grantable = dom.scheduler().grantable_at(0, 1);
             assert!(grantable < t(at));
             assert_eq!(poll, Some(t(at)));
             g = dom.poll(t(at)).expect("live").grants[0];
@@ -1495,6 +1584,144 @@ mod tests {
         assert_eq!(dom.deliver(t(400), g.slot, g.chunk_bytes, |_, _| {}), None);
         assert_eq!(dom.msg_slots_live(), 0);
         assert_eq!(dom.msg_slab_high_water(), 4, "waiters held slab slots");
+    }
+
+    /// A pair's (announced, waiting past X) message counts.
+    fn pair_counts(dom: &SwitchDomain, src: u16, dst: u16) -> (u64, u64) {
+        let meta = dom.pair_meta[dom.pair_idx(src, dst)];
+        (meta >> 32, meta & 0xFFFF_FFFF)
+    }
+
+    /// An offer of `bytes` on (src, dst) under X = `limit`.
+    fn offer_x(src: u16, dst: u16, bytes: u32, limit: usize, token: u64) -> DomainOffer {
+        DomainOffer {
+            src,
+            dst,
+            bytes,
+            limit,
+            token,
+        }
+    }
+
+    #[test]
+    fn pair_limit_exact() {
+        // Each offer carries its pair's X: the first X offers of a pair
+        // are announced, every later one waits, and other pairs — here
+        // one with a wider X, trunk-style — keep their own count.
+        for x in 1..6 {
+            for extra in 1..5 {
+                let mut dom = domain4();
+                for i in 0..x + extra {
+                    dom.offer(Time::ZERO, offer_x(0, 1, 64, x, i as u64));
+                }
+                assert_eq!(pair_counts(&dom, 0, 1), (x as u64, extra as u64));
+                for i in 0..x + 2 {
+                    dom.offer(Time::ZERO, offer_x(2, 3, 64, x + 2, 100 + i as u64));
+                }
+                assert_eq!(pair_counts(&dom, 2, 3), (x as u64 + 2, 0));
+                assert_eq!(dom.scheduler().pending_messages(), 2, "one head per pair");
+            }
+        }
+    }
+
+    #[test]
+    fn offer_behind_its_pair_head_asks_for_nothing() {
+        // X = 2: the second offer is announced behind the head. The round
+        // that grants the head's last chunk notifies it and asks for the
+        // round its ports free at.
+        let mut dom = domain4();
+        assert_eq!(
+            dom.offer(Time::ZERO, offer_x(0, 1, 64, 2, 0)),
+            Some(Time::ZERO)
+        );
+        assert_eq!(dom.offer(Time::ZERO, offer_x(0, 1, 64, 2, 1)), None);
+        assert_eq!(pair_counts(&dom, 0, 1), (2, 0));
+        let frees = Time::ZERO + dom.scheduler().config().link.tx_time_bytes(64);
+        let round = dom.poll(Time::ZERO).expect("live");
+        assert_eq!(round.grants[0].token, 0);
+        assert_eq!(round.next_poll, Some(frees));
+        assert_eq!(pair_counts(&dom, 0, 1), (1, 0));
+        assert_eq!(dom.poll(frees).expect("live").grants[0].token, 1);
+    }
+
+    #[test]
+    fn cancelled_head_hands_its_place_to_the_message_behind_it() {
+        // FCFS, X = 2. Port 1 receives a 256 B chunk from port 3 until
+        // `frees`; meanwhile 0->1 queues a head (token 1) and a message
+        // announced behind it (token 2), and 2->1 one message (token 3)
+        // after both. Withdrawing the head puts token 2 in the scheduler
+        // under the instant it was announced, so it still goes before
+        // token 3, and asks for no round: the head's wake-up covers it.
+        let mut dom = SwitchDomain::new(SchedulerConfig {
+            policy: Policy::Fcfs,
+            ..SchedulerConfig::default_for_ports(4)
+        });
+        let t = Time::from_ns;
+        assert_eq!(dom.offer(t(0), offer_x(3, 1, 256, 2, 0)), Some(t(0)));
+        assert_eq!(dom.poll(t(0)).expect("live").grants.len(), 1);
+        let frees = t(0) + dom.scheduler().config().link.tx_time_bytes(256);
+        assert_eq!(dom.offer(t(1), offer_x(0, 1, 64, 2, 1)), Some(frees));
+        assert_eq!(dom.offer(t(2), offer_x(0, 1, 64, 2, 2)), None);
+        assert_eq!(dom.offer(t(3), offer_x(2, 1, 64, 2, 3)), None);
+        let quiet = DomainCancel::Withdrawn { poll: None };
+        assert_eq!(dom.cancel(t(4), 0, 1, 1), quiet);
+        assert_eq!(pair_counts(&dom, 0, 1), (1, 0));
+        // One destination examined per round: port 1 was skipped until
+        // it freed, and the changed row was looked at once, then.
+        let round = dom.poll(frees).expect("live");
+        let tokens: Vec<u64> = round.grants.iter().map(|g| g.token).collect();
+        assert_eq!(tokens, [2]);
+        assert_eq!(dom.rounds(), (2, 0, 2));
+    }
+
+    #[test]
+    fn cancel_unlinks_a_message_announced_behind_its_head() {
+        // X = 3, three announced: withdrawing the middle one frees its X
+        // slot and the others are granted in order, 0 then 2.
+        let mut dom = domain4();
+        for token in 0..3 {
+            dom.offer(Time::ZERO, offer_x(0, 1, 64, 3, token));
+        }
+        let quiet = DomainCancel::Withdrawn { poll: None };
+        assert_eq!(dom.cancel(Time::ZERO, 0, 1, 1), quiet);
+        assert_eq!(pair_counts(&dom, 0, 1), (2, 0));
+        let mut tokens = Vec::new();
+        let mut at = Some(Time::ZERO);
+        while let Some(now) = at {
+            let round = dom.poll(now).expect("live");
+            tokens.extend(round.grants.iter().map(|g| g.token));
+            at = round.next_poll;
+        }
+        assert_eq!(tokens, [0, 2]);
+        assert_eq!(dom.msg_slots_live(), 2, "granted, not yet delivered");
+    }
+
+    #[test]
+    fn pair_order_holds_under_srpt() {
+        // §3.1.1 property 5: SRPT ranks across pairs only. Pair 0->1 offers
+        // 512 B then 64 B; 2->1 offers 128 B. The pair's 64 B message
+        // waits for the 512 B one ahead of it, while 2->1's shorter
+        // message goes first.
+        let mut dom = domain4();
+        dom.offer(Time::ZERO, offer_x(0, 1, 512, 3, 0));
+        dom.offer(Time::ZERO, offer_x(0, 1, 64, 3, 1));
+        dom.offer(Time::ZERO, offer_x(2, 1, 128, 3, 2));
+        let mut tokens = Vec::new();
+        let mut at = Some(Time::ZERO);
+        while let Some(now) = at {
+            let round = dom.poll(now).expect("live");
+            tokens.extend(round.grants.iter().map(|g| g.token));
+            at = round.next_poll;
+        }
+        assert_eq!(tokens, [2, 0, 0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "(X) must be at least 1")]
+    fn zero_pair_limit_is_rejected_at_offer() {
+        // With X = 0 the offer would wait for a completion that cannot
+        // come.
+        domain4().offer(Time::ZERO, offer_x(0, 1, 64, 0, 1));
     }
 
     #[test]

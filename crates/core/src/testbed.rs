@@ -302,7 +302,6 @@ impl Testbed {
             chunk_bytes: config.chunk_bytes,
             link: config.link,
             policy: config.policy,
-            max_active_per_pair: MAX_ACTIVE_PER_PAIR,
             clock: edm_sched::ASIC_CLOCK,
         };
         Testbed {

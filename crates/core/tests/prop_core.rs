@@ -90,7 +90,6 @@ fn drive_domain(
         chunk_bytes: 256,
         link,
         policy,
-        max_active_per_pair: x,
         clock: edm_sched::ASIC_CLOCK,
     });
     // (time, rank, key) → event. Chunks key by gseq, polls by a counter

@@ -5,7 +5,8 @@
 //! inter-frame gap) and EDM's corresponding gains, and is the computational
 //! core of the Figure 6 reproduction (requests/second under YCSB mixes).
 
-use crate::{BLOCK_WIRE_BITS, DATA_BLOCK_BYTES};
+use crate::mem_codec::blocks_for_message;
+use crate::BLOCK_WIRE_BITS;
 use edm_sim::Bandwidth;
 
 /// Ethernet preamble + start-frame delimiter, bytes.
@@ -66,8 +67,7 @@ pub fn mac_wire_bytes(payload: u64, encap: Encapsulation) -> u64 {
 /// EDM additionally repurposes IFG slots, so no inter-message gap is
 /// charged.
 pub fn edm_wire_bits(payload: u64) -> u64 {
-    let blocks = 2 + payload / DATA_BLOCK_BYTES as u64;
-    blocks * BLOCK_WIRE_BITS
+    blocks_for_message(payload as usize) as u64 * BLOCK_WIRE_BITS
 }
 
 /// Wire bits for the MAC path (wire bytes × 8, plus the 64b/66b line-code

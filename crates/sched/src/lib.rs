@@ -19,7 +19,9 @@
 //!   cycles (queue head lookup, per-source priority resolve, mark busy),
 //!   and a maximal matching takes ~log2(N) iterations on average;
 //! * [`scheduler`] — the full grant engine: per-destination notification
-//!   queues bounded to X·N entries, chunked grants, and the timed busy
+//!   queues holding one entry per source–destination pair (the pair's
+//!   head; the pair's FIFO and its X bound live with the caller, e.g.
+//!   `edm_core`'s `SwitchDomain`), chunked grants, and the timed busy
 //!   release (a port is re-eligible `chunk/B` after its grant, §3.1.1
 //!   step 7) that keeps links saturated despite propagation delay.
 //!

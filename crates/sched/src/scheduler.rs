@@ -19,6 +19,12 @@
 //!    step (7): releasing after the chunk's transmission time (not its
 //!    arrival) keeps the pipe full despite propagation delay.
 //! 4. When a message's remaining bytes reach zero it leaves the queue.
+//!
+//! The scheduler keeps no per-pair state. Each queued message is granted
+//! by its own priority, so a caller that needs a pair's messages in
+//! order (§3.1.1, property 5) queues one at a time: the pair's head.
+//! `edm_core`'s `SwitchDomain` does that, and it owns the pair's FIFO, its
+//! X bound (§3.1.2) and each announced message's FCFS key.
 
 use crate::ordered_list::OrderedList;
 use crate::pim::{self, DemandRow, PimRunner};
@@ -38,14 +44,15 @@ pub enum Policy {
     Srpt,
 }
 
-/// A demand notification: source port, destination port, message id, size.
+/// A demand notification: source port, destination port, message tag, size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Notification {
     /// Source switch port.
     pub src: u16,
     /// Destination switch port.
     pub dest: u16,
-    /// Message id (unique within the source–destination pair).
+    /// Opaque tag, echoed in each [`Grant`] of the message and matched by
+    /// [`Scheduler::cancel`].
     pub msg_id: u8,
     /// Message size in bytes.
     pub size_bytes: u32,
@@ -71,7 +78,7 @@ pub struct Grant {
     pub src: u16,
     /// Destination port of the granted message.
     pub dest: u16,
-    /// Message id of the granted message.
+    /// Tag of the granted message's notification.
     pub msg_id: u8,
     /// Granted bytes (≤ configured chunk size).
     pub chunk_bytes: u32,
@@ -91,12 +98,6 @@ impl Grant {
 /// Why a notification was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NotifyError {
-    /// The source–destination pair already has X active notifications
-    /// (§3.1.2: senders rate-limit to X per destination).
-    PairLimitReached {
-        /// The configured X.
-        limit: usize,
-    },
     /// A port index is out of range.
     BadPort {
         /// The offending port number.
@@ -109,9 +110,6 @@ pub enum NotifyError {
 impl fmt::Display for NotifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NotifyError::PairLimitReached { limit } => {
-                write!(f, "pair already has {limit} active notifications")
-            }
             NotifyError::BadPort { port } => write!(f, "port {port} out of range"),
             NotifyError::EmptyMessage => write!(f, "zero-byte message"),
         }
@@ -123,18 +121,17 @@ impl std::error::Error for NotifyError {}
 /// Outcome of a [`Scheduler::cancel`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CancelOutcome {
-    /// The message's ungranted remainder was withdrawn (from the
-    /// notification queue or the pair's waiting FIFO) and its admission
-    /// slot freed. Removing demand never makes a round worth running
-    /// before the last [`PollResult::next_wakeup`]: PIM reads whole
-    /// queues, so nothing queued behind the withdrawn message was hidden
-    /// from it.
+    /// The message's ungranted remainder was withdrawn from its
+    /// destination's notification queue. Removing demand never makes a
+    /// round worth running before the last [`PollResult::next_wakeup`]:
+    /// PIM reads whole queues, so nothing queued behind the withdrawn
+    /// message was hidden from it.
     Cancelled {
         /// Bytes that will now never be granted.
         remaining: u32,
     },
-    /// No queued or waiting message matched — it was already fully
-    /// granted (or never notified).
+    /// No queued message matched — it was already fully granted (or never
+    /// notified).
     NotQueued,
 }
 
@@ -150,23 +147,19 @@ pub struct SchedulerConfig {
     pub link: Bandwidth,
     /// Priority policy.
     pub policy: Policy,
-    /// X — max active notifications per source–destination pair (§3.1.2;
-    /// the evaluation found X=3 works best).
-    pub max_active_per_pair: usize,
     /// Scheduler pipeline clock period (ASIC: 1/3 ns).
     pub clock: Duration,
 }
 
 impl SchedulerConfig {
     /// The evaluation-section defaults for an `n`-port switch:
-    /// 100 Gb/s links, 256 B chunks, SRPT, X=3, 3 GHz clock.
+    /// 100 Gb/s links, 256 B chunks, SRPT, 3 GHz clock.
     pub fn default_for_ports(n: usize) -> Self {
         SchedulerConfig {
             ports: n,
             chunk_bytes: 256,
             link: Bandwidth::from_gbps(100),
             policy: Policy::Srpt,
-            max_active_per_pair: 3,
             clock: crate::ASIC_CLOCK,
         }
     }
@@ -232,19 +225,6 @@ pub struct Scheduler {
     src_busy_until: Vec<Time>,
     /// Per-port RX busy-until (destination role; host downlink).
     dst_busy_until: Vec<Time>,
-    /// Per-pair admission state, packed into one word per pair: bits
-    /// 0..32 the active-notification count (X bound), bit 32 whether the
-    /// pair's head message is in a notification queue (in-order delivery,
-    /// §3.1.1 property 5). `vec![0u64]` stays a calloc, so untouched
-    /// pairs cost nothing at any port count.
-    pair_adm: Vec<u64>,
-    /// Per-pair waiting-FIFO endpoints, packed head (low 32) / tail
-    /// (high 32), both wait-slab index + 1 with 0 = empty.
-    pair_wait: Vec<u64>,
-    /// Same-pair messages waiting behind their head, linked per pair.
-    wait_slab: Vec<WaitNode>,
-    /// Free-list head into `wait_slab` (index + 1; 0 = none).
-    wait_free: u32,
     pim: PimRunner,
     /// Total grants issued (stats).
     grants_issued: u64,
@@ -297,22 +277,6 @@ pub struct Scheduler {
 /// Sentinel for "destination not in the active list".
 const NOT_ACTIVE: u32 = u32::MAX;
 
-/// X = 0 admits nothing: every notification would be refused and wait
-/// for a completion that cannot come. Rejected where it enters.
-const ZERO_PAIR_LIMIT: &str = "max active notifications per pair (X) must be at least 1";
-
-/// Bit 32 of a `pair_adm` word: the pair's head message is queued.
-const HEAD_IN_QUEUE: u64 = 1 << 32;
-
-/// A same-pair message waiting behind its pair's queued head.
-#[derive(Debug, Clone, Copy)]
-struct WaitNode {
-    msg: QueuedMsg,
-    /// Next waiter of the same pair, or next free slot when on the free
-    /// list (slab index + 1; 0 = none).
-    next: u32,
-}
-
 impl fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Scheduler")
@@ -328,20 +292,14 @@ impl Scheduler {
     ///
     /// # Panics
     ///
-    /// Panics if `config.ports`, `chunk_bytes` or `max_active_per_pair`
-    /// is zero.
+    /// Panics if `config.ports` or `chunk_bytes` is zero.
     pub fn new(config: SchedulerConfig) -> Self {
         assert!(config.ports > 0, "need at least one port");
         assert!(config.chunk_bytes > 0, "chunk size must be positive");
-        assert!(config.max_active_per_pair > 0, "{ZERO_PAIR_LIMIT}");
         Scheduler {
             queues: (0..config.ports).map(|_| OrderedList::new()).collect(),
             src_busy_until: vec![Time::ZERO; config.ports],
             dst_busy_until: vec![Time::ZERO; config.ports],
-            pair_adm: vec![0; config.ports * config.ports],
-            pair_wait: vec![0; config.ports * config.ports],
-            wait_slab: Vec::new(),
-            wait_free: 0,
             pim: PimRunner::new(config.ports),
             active_dests: Vec::new(),
             dest_active_pos: vec![NOT_ACTIVE; config.ports],
@@ -396,11 +354,6 @@ impl Scheduler {
         self.dests_examined
     }
 
-    /// Active notifications for a (src, dest) pair.
-    pub fn active_for_pair(&self, src: u16, dest: u16) -> usize {
-        (self.pair_adm[self.pair_idx(src, dest)] as u32) as usize
-    }
-
     /// Whether a port's TX (source role) is free at `now`.
     pub fn src_port_free(&self, port: u16, now: Time) -> bool {
         self.src_busy_until[port as usize] <= now
@@ -409,10 +362,6 @@ impl Scheduler {
     /// Whether a port's RX (destination role) is free at `now`.
     pub fn dst_port_free(&self, port: u16, now: Time) -> bool {
         self.dst_busy_until[port as usize] <= now
-    }
-
-    fn pair_idx(&self, src: u16, dest: u16) -> usize {
-        src as usize * self.config.ports + dest as usize
     }
 
     fn priority_key(&self, msg: &QueuedMsg) -> u64 {
@@ -444,47 +393,6 @@ impl Scheduler {
         }
     }
 
-    /// Appends a message to its pair's waiting FIFO.
-    fn push_waiting(&mut self, pair: usize, msg: QueuedMsg) {
-        let node = WaitNode { msg, next: 0 };
-        let slot = if self.wait_free != 0 {
-            let i = (self.wait_free - 1) as usize;
-            self.wait_free = self.wait_slab[i].next;
-            self.wait_slab[i] = node;
-            i as u32 + 1
-        } else {
-            self.wait_slab.push(node);
-            self.wait_slab.len() as u32
-        };
-        let w = self.pair_wait[pair];
-        let (head, tail) = (w as u32, (w >> 32) as u32);
-        if head == 0 {
-            self.pair_wait[pair] = slot as u64 | (slot as u64) << 32;
-        } else {
-            self.wait_slab[(tail - 1) as usize].next = slot;
-            self.pair_wait[pair] = head as u64 | (slot as u64) << 32;
-        }
-    }
-
-    /// Pops the oldest waiting message of a pair, if any.
-    fn pop_waiting(&mut self, pair: usize) -> Option<QueuedMsg> {
-        let w = self.pair_wait[pair];
-        let head = w as u32;
-        if head == 0 {
-            return None;
-        }
-        let i = (head - 1) as usize;
-        let node = self.wait_slab[i];
-        self.pair_wait[pair] = if node.next == 0 {
-            0
-        } else {
-            node.next as u64 | (w & 0xFFFF_FFFF_0000_0000)
-        };
-        self.wait_slab[i].next = self.wait_free;
-        self.wait_free = head;
-        Some(node.msg)
-    }
-
     /// Drops a destination from the active list once its queue drains.
     fn deactivate_if_empty(&mut self, dest: usize) {
         if !self.queues[dest].is_empty() {
@@ -500,38 +408,16 @@ impl Scheduler {
         self.dest_active_pos[dest] = NOT_ACTIVE;
     }
 
-    /// Registers demand for a message (§3.1.1, "Notification").
+    /// Registers demand for a message (§3.1.1, "Notification"), keyed
+    /// by `now` under FCFS and by its size under SRPT. Messages of one
+    /// pair are granted by their own priorities, so a caller that needs
+    /// them in order queues the next only once the last is granted in
+    /// full ([`Grant::is_final`]) or cancelled.
     ///
     /// # Errors
     ///
-    /// Rejects out-of-range ports, zero-size messages, and notifications
-    /// beyond the per-pair X bound.
+    /// Rejects out-of-range ports and zero-size messages.
     pub fn notify(&mut self, now: Time, n: Notification) -> Result<(), NotifyError> {
-        self.notify_with_limit(now, n, self.config.max_active_per_pair)
-    }
-
-    /// [`Scheduler::notify`] with an explicit per-pair X bound for *this*
-    /// pair, overriding `config.max_active_per_pair`.
-    ///
-    /// Multi-switch fabrics need this: an inter-switch trunk pair
-    /// aggregates many end-to-end flows, so it is provisioned with a
-    /// larger notification-queue share than a single host pair (the
-    /// queue bound stays X·N entries — the caller picks how X is split).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Scheduler::notify`], with `limit` as the X bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit` is zero, like [`Scheduler::new`] on a zero X.
-    pub fn notify_with_limit(
-        &mut self,
-        now: Time,
-        n: Notification,
-        limit: usize,
-    ) -> Result<(), NotifyError> {
-        assert!(limit > 0, "{ZERO_PAIR_LIMIT}");
         if n.src as usize >= self.config.ports {
             return Err(NotifyError::BadPort { port: n.src });
         }
@@ -541,48 +427,28 @@ impl Scheduler {
         if n.size_bytes == 0 {
             return Err(NotifyError::EmptyMessage);
         }
-        let idx = self.pair_idx(n.src, n.dest);
-        if (self.pair_adm[idx] as u32) as usize >= limit {
-            return Err(NotifyError::PairLimitReached { limit });
-        }
-        self.pair_adm[idx] += 1;
         let msg = QueuedMsg {
             src: n.src,
             msg_id: n.msg_id,
             remaining: n.size_bytes,
             notified_at: now,
         };
-        if self.pair_adm[idx] & HEAD_IN_QUEUE != 0 {
-            // In-order within a pair: wait behind the current head.
-            self.push_waiting(idx, msg);
-        } else {
-            self.pair_adm[idx] |= HEAD_IN_QUEUE;
-            let key = self.priority_key(&msg);
-            self.queue_insert(n.dest as usize, key, msg);
-        }
+        let key = self.priority_key(&msg);
+        self.queue_insert(n.dest as usize, key, msg);
         Ok(())
     }
 
     /// The earliest instant a message just accepted by
     /// [`Scheduler::notify`] for `(src, dest)` can be granted: when both
     /// its ports are free, `max(src_busy_until, dst_busy_until)` (at or
-    /// before the notification if they already are). `None` when it went
-    /// into the pair's waiting FIFO: the round that grants the pair's
-    /// queued head its last chunk promotes it, and that round's
-    /// [`PollResult::next_wakeup`] covers it.
+    /// before the notification if they already are).
     ///
     /// A driver that polls here after a notification, instead of at the
     /// notification's own instant, sees the same grants: the rounds in
     /// between would have found the new edge ineligible, and with it
     /// every edge the last round's wake-up does not cover.
-    pub fn grantable_at(&self, src: u16, dest: u16) -> Option<Time> {
-        let idx = self.pair_idx(src, dest);
-        debug_assert_ne!(self.pair_adm[idx] & HEAD_IN_QUEUE, 0, "nothing notified");
-        if self.pair_wait[idx] != 0 {
-            None
-        } else {
-            Some(self.src_busy_until[src as usize].max(self.dst_busy_until[dest as usize]))
-        }
+    pub fn grantable_at(&self, src: u16, dest: u16) -> Time {
+        self.src_busy_until[src as usize].max(self.dst_busy_until[dest as usize])
     }
 
     /// Withdraws a message's *ungranted* remainder (sender-side demand
@@ -592,75 +458,28 @@ impl Scheduler {
     /// flow is rerouted off a dead path, its stale notification would
     /// otherwise keep drawing grants and draining the whole remainder
     /// into the failure as blackholed bandwidth. Cancelling removes the
-    /// message from wherever it queues — the destination's notification
-    /// queue (possibly mid-message, after some chunks were granted) or
-    /// the pair's in-order waiting FIFO — frees its admission slot, and
-    /// leaves already-granted chunks untouched (they are in flight; the
-    /// caller models their fate).
+    /// message from its destination's notification queue (possibly
+    /// mid-message, after some chunks were granted) and leaves
+    /// already-granted chunks untouched (they are in flight; the caller
+    /// models their fate).
     ///
     /// Returns [`CancelOutcome::NotQueued`] when no matching message is
-    /// queued or waiting — it was fully granted or never notified.
+    /// queued — it was fully granted or never notified.
     pub fn cancel(&mut self, src: u16, dest: u16, msg_id: u8) -> CancelOutcome {
         if src as usize >= self.config.ports || dest as usize >= self.config.ports {
             return CancelOutcome::NotQueued;
         }
-        let idx = self.pair_idx(src, dest);
         let d = dest as usize;
-        // Only the pair's head message can be in the notification queue.
-        if self.pair_adm[idx] & HEAD_IN_QUEUE != 0 {
-            if let Some((_, msg)) =
-                self.queues[d].remove_first(|m| m.src == src && m.msg_id == msg_id)
-            {
-                self.pending -= 1;
-                self.pair_adm[idx] -= 1;
-                // Promote the pair's next waiter (same as a completion).
-                match self.pop_waiting(idx) {
-                    Some(next) => {
-                        let key = self.priority_key(&next);
-                        self.queues[d].insert(key, next);
-                        self.pending += 1;
-                    }
-                    None => self.pair_adm[idx] &= !HEAD_IN_QUEUE,
-                }
-                self.deactivate_if_empty(d);
-                self.row_changed(d);
-                return CancelOutcome::Cancelled {
-                    remaining: msg.remaining,
-                };
-            }
+        let Some((_, msg)) = self.queues[d].remove_first(|m| m.src == src && m.msg_id == msg_id)
+        else {
+            return CancelOutcome::NotQueued;
+        };
+        self.pending -= 1;
+        self.deactivate_if_empty(d);
+        self.row_changed(d);
+        CancelOutcome::Cancelled {
+            remaining: msg.remaining,
         }
-        // Not the head: search the pair's waiting FIFO.
-        let w = self.pair_wait[idx];
-        let (head, tail) = (w as u32, (w >> 32) as u32);
-        let mut prev: u32 = 0;
-        let mut cur = head;
-        while cur != 0 {
-            let i = (cur - 1) as usize;
-            let node = self.wait_slab[i];
-            if node.msg.src == src && node.msg.msg_id == msg_id {
-                // Unlink from the pair FIFO and recycle the slab node.
-                if prev == 0 {
-                    self.pair_wait[idx] = if node.next == 0 {
-                        0
-                    } else {
-                        node.next as u64 | (tail as u64) << 32
-                    };
-                } else {
-                    self.wait_slab[(prev - 1) as usize].next = node.next;
-                    let new_tail = if cur == tail { prev } else { tail };
-                    self.pair_wait[idx] = head as u64 | (new_tail as u64) << 32;
-                }
-                self.wait_slab[i].next = self.wait_free;
-                self.wait_free = cur;
-                self.pair_adm[idx] -= 1;
-                return CancelOutcome::Cancelled {
-                    remaining: node.msg.remaining,
-                };
-            }
-            prev = cur;
-            cur = node.next;
-        }
-        CancelOutcome::NotQueued
     }
 
     /// Runs one scheduling round at time `now` (§3.1.1, "Grant").
@@ -728,18 +547,6 @@ impl Scheduler {
                 let key = self.priority_key(&msg);
                 self.queues[d].insert(key, msg);
                 self.pending += 1;
-            } else {
-                let idx = self.pair_idx(msg.src, d as u16);
-                self.pair_adm[idx] -= 1;
-                // The head finished: promote the pair's next message.
-                match self.pop_waiting(idx) {
-                    Some(next) => {
-                        let key = self.priority_key(&next);
-                        self.queues[d].insert(key, next);
-                        self.pending += 1;
-                    }
-                    None => self.pair_adm[idx] &= !HEAD_IN_QUEUE,
-                }
             }
             self.deactivate_if_empty(d);
             // Busy for the chunk's transmission time (step 7).
@@ -844,7 +651,6 @@ mod tests {
             chunk_bytes: chunk,
             link: Bandwidth::from_gbps(100),
             policy,
-            max_active_per_pair: 3,
             clock: crate::ASIC_CLOCK,
         })
     }
@@ -961,12 +767,12 @@ mod tests {
         let mut s = sched(4, 256, Policy::Fcfs);
         s.notify(Time::ZERO, Notification::new(0, 1, 0, 256))
             .unwrap();
-        assert_eq!(s.grantable_at(0, 1), Some(Time::ZERO), "free ports");
+        assert_eq!(s.grantable_at(0, 1), Time::ZERO, "free ports");
         assert_eq!(s.poll(Time::ZERO).grants.len(), 1);
         let frees = Time::ZERO + s.config().link.tx_time_bytes(256);
         s.notify(Time::from_ns(1), Notification::new(0, 2, 0, 64))
             .unwrap();
-        assert_eq!(s.grantable_at(0, 2), Some(frees));
+        assert_eq!(s.grantable_at(0, 2), frees);
         let r = s.poll(frees);
         assert_eq!((r.grants.len(), r.grants[0].dest), (1, 2));
     }
@@ -980,7 +786,7 @@ mod tests {
         let frees = Time::ZERO + s.config().link.tx_time_bytes(256);
         s.notify(Time::from_ns(1), Notification::new(2, 1, 0, 64))
             .unwrap();
-        assert_eq!(s.grantable_at(2, 1), Some(frees));
+        assert_eq!(s.grantable_at(2, 1), frees);
         let r = s.poll(frees);
         assert_eq!((r.grants.len(), r.grants[0].src), (1, 2));
     }
@@ -999,51 +805,9 @@ mod tests {
         for (src, dst) in [(0, 3), (2, 1)] {
             s.notify(Time::from_ns(1), Notification::new(src, dst, 0, 64))
                 .unwrap();
-            assert_eq!(s.grantable_at(src, dst), Some(long), "{src}->{dst}");
+            assert_eq!(s.grantable_at(src, dst), long, "{src}->{dst}");
         }
         assert_eq!(s.poll(long).grants.len(), 2);
-    }
-
-    #[test]
-    fn notification_behind_its_pair_head_asks_for_nothing() {
-        // The round that grants the head's last chunk promotes the
-        // second message, and its wake-up covers it.
-        let mut s = sched(4, 256, Policy::Fcfs);
-        for id in 0..2 {
-            s.notify(Time::ZERO, Notification::new(0, 1, id, 64))
-                .unwrap();
-        }
-        assert_eq!(s.grantable_at(0, 1), None);
-        let r = s.poll(Time::ZERO);
-        assert_eq!(r.grants[0].msg_id, 0);
-        let next = r.next_wakeup.expect("the promoted message");
-        assert_eq!(s.poll(next).grants[0].msg_id, 1);
-    }
-
-    #[test]
-    fn cancel_that_promotes_a_waiter_reopens_its_destination() {
-        let mut s = sched(4, 256, Policy::Fcfs);
-        s.notify(Time::ZERO, Notification::new(0, 1, 0, 256))
-            .unwrap();
-        assert_eq!(s.poll(Time::ZERO).grants.len(), 1);
-        // Two messages 0->2: the head queues, the second waits behind it.
-        for id in 0..2 {
-            s.notify(Time::from_ns(1), Notification::new(0, 2, id, 64))
-                .unwrap();
-        }
-        assert!(s.poll(Time::from_ns(1)).grants.is_empty());
-        assert_eq!(s.dests_examined(), 2);
-        // The row changed: the next round looks at port 2 again, once.
-        assert!(matches!(s.cancel(0, 2, 0), CancelOutcome::Cancelled { .. }));
-        let frees = Time::ZERO + s.config().link.tx_time_bytes(256);
-        for (ns, examined) in [(2, 3), (3, 3)] {
-            let r = s.poll(Time::from_ns(ns));
-            assert!(r.grants.is_empty());
-            assert_eq!(r.next_wakeup, Some(frees));
-            assert_eq!(s.dests_examined(), examined);
-            s.audit_ready(Time::from_ns(ns)).unwrap();
-        }
-        assert_eq!(s.poll(frees).grants[0].msg_id, 1);
     }
 
     #[test]
@@ -1071,22 +835,6 @@ mod tests {
         assert_eq!(s.dests_examined(), 8, "port 9 was not looked at");
         assert_eq!(r.next_wakeup, Some(Time::ZERO + link.tx_time_bytes(256)));
         s.audit_ready(late).unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "(X) must be at least 1")]
-    fn zero_pair_limit_is_rejected_at_construction() {
-        Scheduler::new(SchedulerConfig {
-            max_active_per_pair: 0,
-            ..SchedulerConfig::default_for_ports(4)
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "(X) must be at least 1")]
-    fn zero_pair_limit_override_is_rejected() {
-        let mut s = sched(4, 256, Policy::Srpt);
-        let _ = s.notify_with_limit(Time::ZERO, Notification::new(0, 1, 0, 64), 0);
     }
 
     #[test]
@@ -1138,66 +886,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_limit_enforced() {
-        let mut s = sched(4, 256, Policy::Srpt);
-        for i in 0..3 {
-            s.notify(Time::ZERO, Notification::new(0, 1, i, 64))
-                .unwrap();
-        }
-        assert_eq!(
-            s.notify(Time::ZERO, Notification::new(0, 1, 3, 64)),
-            Err(NotifyError::PairLimitReached { limit: 3 })
-        );
-        // Other pairs unaffected.
-        s.notify(Time::ZERO, Notification::new(0, 2, 0, 64))
-            .unwrap();
-        assert_eq!(s.active_for_pair(0, 1), 3);
-        assert_eq!(s.active_for_pair(0, 2), 1);
-    }
-
-    #[test]
-    fn pair_slot_freed_on_completion() {
-        let mut s = sched(4, 256, Policy::Srpt);
-        for i in 0..3 {
-            s.notify(Time::ZERO, Notification::new(0, 1, i, 64))
-                .unwrap();
-        }
-        let mut now = Time::ZERO;
-        for _ in 0..3 {
-            let r = s.poll(now);
-            if let Some(t) = r.next_wakeup {
-                now = t;
-            }
-        }
-        assert!(s.active_for_pair(0, 1) < 3);
-        assert!(s.notify(now, Notification::new(0, 1, 9, 64)).is_ok());
-    }
-
-    #[test]
-    fn per_pair_limit_override() {
-        // A trunk pair provisioned with X=5 admits past the config's X=3;
-        // pairs using the plain entry point keep the configured bound.
-        let mut s = sched(4, 256, Policy::Srpt);
-        for i in 0..5 {
-            s.notify_with_limit(Time::ZERO, Notification::new(0, 1, i, 64), 5)
-                .unwrap();
-        }
-        assert_eq!(
-            s.notify_with_limit(Time::ZERO, Notification::new(0, 1, 5, 64), 5),
-            Err(NotifyError::PairLimitReached { limit: 5 })
-        );
-        for i in 0..3 {
-            s.notify(Time::ZERO, Notification::new(2, 3, i, 64))
-                .unwrap();
-        }
-        assert_eq!(
-            s.notify(Time::ZERO, Notification::new(2, 3, 3, 64)),
-            Err(NotifyError::PairLimitReached { limit: 3 })
-        );
-        assert_eq!(s.active_for_pair(0, 1), 5);
-    }
-
-    #[test]
     fn validation_errors() {
         let mut s = sched(4, 256, Policy::Srpt);
         assert_eq!(
@@ -1215,40 +903,6 @@ mod tests {
     }
 
     #[test]
-    fn in_order_within_pair_under_srpt() {
-        // §3.1.1 property 5: SRPT applies across pairs; within a pair the
-        // scheduler must preserve order. Model: two messages of one pair,
-        // the second smaller. Because the pair queue uses remaining bytes,
-        // a naive SRPT would reorder; EDM guards by granting the pair's
-        // messages in notification order. Our implementation achieves this
-        // because only one message per pair can be in flight per round and
-        // the smaller one is only preferred across different pairs.
-        let mut s = sched(4, 64, Policy::Srpt);
-        s.notify(Time::ZERO, Notification::new(0, 1, 0, 64))
-            .unwrap();
-        s.notify(Time::ZERO, Notification::new(0, 1, 1, 32))
-            .unwrap();
-        let r = s.poll(Time::ZERO);
-        assert_eq!(r.grants.len(), 1);
-        // Both candidates are from the same pair; grant must not starve
-        // either, and bytes must conserve overall.
-        let first = r.grants[0].msg_id;
-        let mut now = r.next_wakeup.unwrap();
-        let mut ids = vec![first];
-        loop {
-            let r = s.poll(now);
-            ids.extend(r.grants.iter().map(|g| g.msg_id));
-            match r.next_wakeup {
-                Some(t) => now = t,
-                None => break,
-            }
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids, vec![0, 1], "both messages eventually granted");
-    }
-
-    #[test]
     fn cancel_withdraws_queued_remainder() {
         let mut s = sched(4, 256, Policy::Srpt);
         s.notify(Time::ZERO, Notification::new(0, 1, 7, 1000))
@@ -1261,59 +915,8 @@ mod tests {
             CancelOutcome::Cancelled { remaining: 744 }
         );
         assert_eq!(s.pending_messages(), 0);
-        assert_eq!(s.active_for_pair(0, 1), 0);
-        // The admission slot is free again.
-        s.notify(Time::ZERO, Notification::new(0, 1, 8, 64))
-            .unwrap();
-        assert_eq!(s.active_for_pair(0, 1), 1);
         // Cancelling again finds nothing.
         assert_eq!(s.cancel(0, 1, 7), CancelOutcome::NotQueued);
-    }
-
-    #[test]
-    fn cancel_promotes_the_pair_waiter() {
-        let mut s = sched(4, 64, Policy::Fcfs);
-        s.notify(Time::from_ns(1), Notification::new(0, 1, 0, 64))
-            .unwrap();
-        s.notify(Time::from_ns(2), Notification::new(0, 1, 1, 64))
-            .unwrap();
-        // Cancel the queued head: the waiter must take its place and be
-        // granted next.
-        assert_eq!(
-            s.cancel(0, 1, 0),
-            CancelOutcome::Cancelled { remaining: 64 }
-        );
-        assert_eq!(s.pending_messages(), 1);
-        let r = s.poll(Time::from_ns(2));
-        assert_eq!(r.grants.len(), 1);
-        assert_eq!(r.grants[0].msg_id, 1);
-    }
-
-    #[test]
-    fn cancel_unlinks_a_mid_fifo_waiter() {
-        let mut s = sched(4, 64, Policy::Fcfs);
-        for i in 0..3 {
-            s.notify(Time::from_ns(i as u64), Notification::new(0, 1, i, 64))
-                .unwrap();
-        }
-        // msg 1 waits behind the head; cancel it specifically.
-        assert_eq!(
-            s.cancel(0, 1, 1),
-            CancelOutcome::Cancelled { remaining: 64 }
-        );
-        assert_eq!(s.active_for_pair(0, 1), 2);
-        // Remaining messages grant in order 0 then 2, skipping 1.
-        let mut ids = Vec::new();
-        let mut now = Time::from_ns(3);
-        for _ in 0..4 {
-            let r = s.poll(now);
-            ids.extend(r.grants.iter().map(|g| g.msg_id));
-            match r.next_wakeup {
-                Some(t) => now = t,
-                None => break,
-            }
-        }
-        assert_eq!(ids, vec![0, 2]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the scheduler: the ordered list behaves like
 //! a reference sorted model, PIM always emits valid maximal matchings,
-//! the grant engine conserves bytes and never double-books a port, pairs
-//! stay FIFO, the demand-sparse `poll` is equivalent to a dense
+//! the grant engine conserves bytes and never double-books a port, the
+//! demand-sparse `poll` is equivalent to a dense
 //! reference implementation on randomized notify/poll scripts, a driver
 //! that polls only when `next_wakeup` or a notification's `grantable_at`
 //! says so sees the grants of one that polls at every busy expiry and
@@ -13,10 +13,10 @@ use edm_sched::scheduler::{CancelOutcome, Notification, Policy, Scheduler, Sched
 use edm_sched::{OrderedList, PimRunner};
 use edm_sim::{Bandwidth, Duration, Time};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// The pre-sparse scheduler, kept as an executable specification: dense
-/// O(ports) scans per poll, per-poll allocations, `HashMap` pair state.
+/// O(ports) scans per poll, per-poll allocations.
 /// Every free destination's queue goes to PIM whole, however deep, and
 /// the wake-up is the exact one at any depth. The production scheduler
 /// must produce bit-identical `PollResult`s.
@@ -26,7 +26,6 @@ mod reference {
     };
     use edm_sched::OrderedList;
     use edm_sim::{Duration, Time};
-    use std::collections::{HashMap, VecDeque};
 
     /// A frozen copy of the pre-refactor dense priority-PIM loop. It must
     /// NOT call into the production `PimRunner` (whose dense `run` now
@@ -86,9 +85,6 @@ mod reference {
         queues: Vec<OrderedList<QueuedMsg>>,
         src_busy_until: Vec<Time>,
         dst_busy_until: Vec<Time>,
-        active_per_pair: HashMap<(u16, u16), u32>,
-        head_in_queue: HashMap<(u16, u16), bool>,
-        pair_waiting: HashMap<(u16, u16), VecDeque<QueuedMsg>>,
     }
 
     #[derive(Debug, Clone, Copy)]
@@ -105,9 +101,6 @@ mod reference {
                 queues: (0..config.ports).map(|_| OrderedList::new()).collect(),
                 src_busy_until: vec![Time::ZERO; config.ports],
                 dst_busy_until: vec![Time::ZERO; config.ports],
-                active_per_pair: HashMap::new(),
-                head_in_queue: HashMap::new(),
-                pair_waiting: HashMap::new(),
                 config,
             }
         }
@@ -133,27 +126,14 @@ mod reference {
             if n.size_bytes == 0 {
                 return Err(NotifyError::EmptyMessage);
             }
-            let pair = (n.src, n.dest);
-            let active = self.active_per_pair.entry(pair).or_insert(0);
-            if *active as usize >= self.config.max_active_per_pair {
-                return Err(NotifyError::PairLimitReached {
-                    limit: self.config.max_active_per_pair,
-                });
-            }
-            *active += 1;
             let msg = QueuedMsg {
                 src: n.src,
                 msg_id: n.msg_id,
                 remaining: n.size_bytes,
                 notified_at: now,
             };
-            if *self.head_in_queue.entry(pair).or_insert(false) {
-                self.pair_waiting.entry(pair).or_default().push_back(msg);
-            } else {
-                self.head_in_queue.insert(pair, true);
-                let key = self.priority_key(&msg);
-                self.queues[n.dest as usize].insert(key, msg);
-            }
+            let key = self.priority_key(&msg);
+            self.queues[n.dest as usize].insert(key, msg);
             Ok(())
         }
 
@@ -180,18 +160,6 @@ mod reference {
                 if msg.remaining > 0 {
                     let key = self.priority_key(&msg);
                     self.queues[d].insert(key, msg);
-                } else {
-                    let pair = (msg.src, d as u16);
-                    *self.active_per_pair.get_mut(&pair).unwrap() -= 1;
-                    match self.pair_waiting.entry(pair).or_default().pop_front() {
-                        Some(next) => {
-                            let key = self.priority_key(&next);
-                            self.queues[d].insert(key, next);
-                        }
-                        None => {
-                            self.head_in_queue.insert(pair, false);
-                        }
-                    }
                 }
                 let busy = self.config.link.tx_time_bytes(l as u64);
                 self.src_busy_until[s] = now + busy;
@@ -239,55 +207,46 @@ mod reference {
 type SeenGrant = (Time, u16, u16, u8, u32, Duration);
 
 /// Drives `sched` through `arrivals` and `cancels` (both time-sorted) the
-/// way every engine does — the offer/poll/deliver protocol of
-/// `edm_core::SwitchDomain`: a notification the pair's X bound rejects
-/// waits in a FIFO backlog, and `DELIVERY` after a message's final grant
-/// the backlog head is offered again. A cancel names a message by its
-/// notification; one that withdraws demand frees an admission slot like a
-/// completion (backlog head offered again at once) but asks for no round
-/// of its own: removing demand never makes one worth running sooner.
-/// Odd sources get a wider X,
-/// trunk-style, through `notify_with_limit`.
+/// way every engine does — the offer/poll protocol of
+/// `edm_core::SwitchDomain`: the scheduler holds one message per pair,
+/// the pair's head, and the others wait in the driver's per-pair FIFO. A
+/// head granted in full or withdrawn is replaced by the next message of
+/// its pair, keyed at that message's arrival. A cancel names a message by
+/// its notification: a queued head is withdrawn, a waiting message
+/// leaves its FIFO, and neither asks for a round: removing demand never
+/// makes one worth running sooner, and a replacement head has the
+/// withdrawn one's ports.
 ///
 /// What differs is when a round runs. The driver under test asks for one
-/// at each accepted notification's `grantable_at` (now, if that has
-/// passed) and trusts the latest round's `next_wakeup`, keeping only the
-/// earliest instant asked for. The `exhaustive` reference ignores both:
-/// it polls after every accepted notification and at every busy expiry
-/// of every grant while demand is pending, which is every instant at
-/// which a grant can become possible. Every round of either is followed
-/// by `audit_ready`. Returns the grant stream and the number of rounds
-/// run.
+/// at each notification's `grantable_at` (now, if that has passed) and
+/// trusts the latest round's `next_wakeup`, keeping only the earliest
+/// instant asked for. The `exhaustive` reference ignores both: it polls
+/// after every notification and at every busy expiry of every grant
+/// while demand is pending, which is every instant at which a grant can
+/// become possible. Every round of either is followed by `audit_ready`.
+/// Returns the grant stream and the number of rounds run.
 fn drive(
     mut sched: Scheduler,
     arrivals: &[(Time, Notification)],
     cancels: &[(Time, Notification)],
     exhaustive: bool,
 ) -> (Vec<SeenGrant>, u64) {
-    const DELIVERY: Duration = Duration::from_ns(150);
     let link = sched.config().link;
-    let x = sched.config().max_active_per_pair;
-    let notify = |sched: &mut Scheduler, now, n: Notification| {
-        sched.notify_with_limit(now, n, x + 2 * (n.src as usize % 2))
-    };
-    // After an accepted notification: whether to poll now, else fold the
+    // Notifies a pair's new head: whether to poll now, else fold the
     // instant it asks for into the wake-up.
-    let ask = |sched: &Scheduler, now, n: Notification, wake: &mut Option<Time>| {
-        if exhaustive {
-            return true;
-        }
-        match sched.grantable_at(n.src, n.dest) {
-            Some(at) if at <= now => true,
-            Some(at) => {
-                *wake = Some(wake.map_or(at, |w| w.min(at)));
-                false
+    let notify =
+        |sched: &mut Scheduler, now, (at, n): (Time, Notification), wake: &mut Option<Time>| {
+            sched.notify(at, n).expect("valid notification");
+            let ready = sched.grantable_at(n.src, n.dest);
+            if exhaustive || ready <= now {
+                return true;
             }
-            None => false,
-        }
-    };
+            *wake = Some(wake.map_or(ready, |w| w.min(ready)));
+            false
+        };
     let mut seen = Vec::new();
-    let mut backlog: VecDeque<Notification> = VecDeque::new();
-    let mut retries: BTreeSet<Time> = BTreeSet::new();
+    // Per pair: the messages not yet granted in full, head first.
+    let mut fifos: HashMap<(u16, u16), VecDeque<(Time, Notification)>> = HashMap::new();
     let mut expiries: BTreeSet<Time> = BTreeSet::new();
     let mut wake: Option<Time> = None;
     let (mut next_arrival, mut next_cancel) = (0, 0);
@@ -300,7 +259,6 @@ fn drive(
         let now = [
             arrivals.get(next_arrival).map(|a| a.0),
             cancels.get(next_cancel).map(|c| c.0),
-            retries.first().copied(),
             timer,
         ]
         .into_iter()
@@ -311,29 +269,31 @@ fn drive(
         };
         let mut poll = false;
         while arrivals.get(next_arrival).is_some_and(|a| a.0 == now) {
-            let n = arrivals[next_arrival].1;
+            let a = arrivals[next_arrival];
             next_arrival += 1;
-            // Host FIFO: never overtake a same-pair message that waits.
-            let waits = backlog.iter().any(|b| (b.src, b.dest) == (n.src, n.dest));
-            if waits || notify(&mut sched, now, n).is_err() {
-                backlog.push_back(n);
-            } else {
-                poll |= ask(&sched, now, n, &mut wake);
+            let fifo = fifos.entry((a.1.src, a.1.dest)).or_default();
+            fifo.push_back(a);
+            if fifo.len() == 1 {
+                poll |= notify(&mut sched, now, a, &mut wake);
             }
         }
         while cancels.get(next_cancel).is_some_and(|c| c.0 == now) {
             let c = cancels[next_cancel].1;
             next_cancel += 1;
-            // Still in the backlog or already granted in full: no-op.
-            if let CancelOutcome::Cancelled { .. } = sched.cancel(c.src, c.dest, c.msg_id) {
-                retries.insert(now);
-            }
-        }
-        if retries.remove(&now) {
-            if let Some(n) = backlog.pop_front() {
-                match notify(&mut sched, now, n) {
-                    Ok(()) => poll |= ask(&sched, now, n, &mut wake),
-                    Err(_) => backlog.push_back(n),
+            let fifo = fifos.entry((c.src, c.dest)).or_default();
+            // Already granted in full: no-op.
+            let Some(pos) = fifo.iter().position(|(_, n)| *n == c) else {
+                continue;
+            };
+            fifo.remove(pos);
+            if pos == 0 {
+                let outcome = sched.cancel(c.src, c.dest, c.msg_id);
+                assert!(matches!(outcome, CancelOutcome::Cancelled { .. }));
+                if let Some(&next) = fifo.front() {
+                    // The new head has the withdrawn one's ports, so the
+                    // wake-up that covered that one covers it.
+                    let mut covered = wake;
+                    poll |= notify(&mut sched, now, next, &mut covered) && exhaustive;
                 }
             }
         }
@@ -351,6 +311,7 @@ fn drive(
         if let Err(e) = sched.audit_ready(now) {
             panic!("after the round at {now}: {e}");
         }
+        wake = r.next_wakeup;
         for g in &r.grants {
             seen.push((
                 g.issued_at,
@@ -361,13 +322,21 @@ fn drive(
                 r.sched_latency,
             ));
             expiries.insert(now + link.tx_time_bytes(g.chunk_bytes as u64));
+            let fifo = fifos.get_mut(&(g.src, g.dest)).expect("granted pair");
             if g.is_final() {
-                retries.insert(now + DELIVERY);
+                fifo.pop_front();
+                if let Some(&next) = fifo.front() {
+                    // Grantable when this chunk's ports free: the
+                    // exhaustive driver polls at that expiry anyway.
+                    notify(&mut sched, now, next, &mut wake);
+                }
             }
         }
-        wake = r.next_wakeup;
     }
-    assert!(backlog.is_empty(), "backlog drained");
+    assert!(
+        fifos.values().all(VecDeque::is_empty),
+        "every message granted"
+    );
     assert_eq!(sched.pending_messages(), 0, "scheduler drained");
     (seen, sched.rounds())
 }
@@ -452,7 +421,6 @@ proptest! {
             chunk_bytes: chunk,
             link: Bandwidth::from_gbps(100),
             policy: if srpt { Policy::Srpt } else { Policy::Fcfs },
-            max_active_per_pair: usize::MAX, // admit everything
             clock: edm_sched::ASIC_CLOCK,
         });
         let mut expected = 0u64;
@@ -498,14 +466,12 @@ proptest! {
         ),
         chunk in prop::sample::select(vec![64u32, 256]),
         srpt in any::<bool>(),
-        x in 1usize..4,
     ) {
         let cfg = SchedulerConfig {
             ports,
             chunk_bytes: chunk,
             link: Bandwidth::from_gbps(100),
             policy: if srpt { Policy::Srpt } else { Policy::Fcfs },
-            max_active_per_pair: x,
             clock: edm_sched::ASIC_CLOCK,
         };
         let mut sparse = Scheduler::new(cfg);
@@ -554,9 +520,9 @@ proptest! {
     /// notification's ports free (`grantable_at`), loses nothing: the
     /// grant stream — issue time, ports, message, chunk, matching
     /// latency — is the one an exhaustive driver sees, in fewer rounds.
-    /// Schedules mix single- and multi-chunk messages, overflow the
-    /// per-pair X bound into a backlog and withdraw some messages shortly
-    /// after they were announced; the wide shape piles up to 100 sources
+    /// Schedules mix single- and multi-chunk messages, queue several
+    /// messages per pair behind its head and withdraw some messages
+    /// shortly after they arrived; the wide shape piles up to 100 sources
     /// onto one destination, most of them mid-chunk, so PIM must find an
     /// eligible source deep in the queue and the wake-up must cover every
     /// entry of it, exactly.
@@ -571,7 +537,6 @@ proptest! {
         withdrawn in proptest::collection::vec((0usize..400, 0u64..200), 0..40),
         chunk in prop::sample::select(vec![64u32, 256]),
         srpt in any::<bool>(),
-        x in 1usize..4,
     ) {
         // Narrow: 8 ports, all-to-all. Wide: 100 sources, each busy from
         // time zero sending to a private destination while queueing for
@@ -584,11 +549,10 @@ proptest! {
             chunk_bytes: chunk,
             link: Bandwidth::from_gbps(100),
             policy: if srpt { Policy::Srpt } else { Policy::Fcfs },
-            max_active_per_pair: x,
             clock: edm_sched::ASIC_CLOCK,
         };
         let mut now = Time::ZERO;
-        let mut next_id = std::collections::HashMap::new();
+        let mut next_id = HashMap::new();
         let mut arrivals: Vec<(Time, Notification)> = Vec::new();
         if wide {
             for (src, &size) in (0..SOURCES).zip(&head_start) {
@@ -617,7 +581,7 @@ proptest! {
                 (now, n)
             }));
         // Each cancel targets one arrival, a little after it was due:
-        // queued, waiting behind its pair's head, backlogged or done.
+        // queued, waiting behind its pair's head or done.
         let mut cancels: Vec<(Time, Notification)> = withdrawn
             .iter()
             .map(|&(i, after)| {
@@ -633,90 +597,5 @@ proptest! {
             prop_assert_eq!(a, b);
         }
         prop_assert!(rounds <= all_rounds, "{} rounds vs {} exhaustive", rounds, all_rounds);
-    }
-
-    /// Within one (src, dest) pair, messages are granted strictly in
-    /// notification order (§3.1.1 property 5): each pair's grant stream
-    /// starts message k only after message k-1 delivered its final chunk,
-    /// regardless of policy or message sizes.
-    #[test]
-    fn per_pair_grants_are_fifo(
-        msgs in proptest::collection::vec((0u16..6, 0u16..6, 1u32..3000), 1..60),
-        srpt in any::<bool>(),
-    ) {
-        let ports = 6;
-        let mut s = Scheduler::new(SchedulerConfig {
-            ports,
-            chunk_bytes: 256,
-            link: Bandwidth::from_gbps(100),
-            policy: if srpt { Policy::Srpt } else { Policy::Fcfs },
-            max_active_per_pair: usize::MAX,
-            clock: edm_sched::ASIC_CLOCK,
-        });
-        // Per-pair msg_id allocation in notification order.
-        let mut next_id = std::collections::HashMap::new();
-        for (i, &(src, dst, size)) in msgs.iter().enumerate() {
-            let dst = if src == dst { (dst + 1) % ports as u16 } else { dst };
-            let id = next_id.entry((src, dst)).or_insert(0u8);
-            s.notify(Time::from_ns(i as u64), Notification::new(src, dst, *id, size))
-                .expect("admitted");
-            *id = id.wrapping_add(1);
-        }
-        // Drain, checking each pair's grant stream: chunks of message k
-        // are contiguous and followed by message k+1.
-        let mut now = Time::from_ns(msgs.len() as u64);
-        let mut expect_id: std::collections::HashMap<(u16, u16), u8> =
-            std::collections::HashMap::new();
-        let mut rounds = 0;
-        loop {
-            let r = s.poll(now);
-            for g in &r.grants {
-                let cur = expect_id.entry((g.src, g.dest)).or_insert(0);
-                prop_assert_eq!(
-                    g.msg_id, *cur,
-                    "pair ({}, {}) granted message {} while {} is in flight",
-                    g.src, g.dest, g.msg_id, *cur
-                );
-                if g.is_final() {
-                    *cur = cur.wrapping_add(1);
-                }
-            }
-            match r.next_wakeup {
-                Some(t) => now = t,
-                None => break,
-            }
-            rounds += 1;
-            prop_assert!(rounds < 100_000, "scheduler failed to drain");
-        }
-        // Every notified message completed, in order.
-        for (pair, id) in next_id {
-            prop_assert_eq!(expect_id.get(&pair).copied(), Some(id));
-        }
-    }
-
-    /// The X bound is enforced exactly: the (X+1)-th concurrent
-    /// notification for one pair is rejected, all others admitted.
-    #[test]
-    fn pair_limit_exact(x in 1usize..6, extra in 1usize..5) {
-        let mut s = Scheduler::new(SchedulerConfig {
-            ports: 4,
-            chunk_bytes: 256,
-            link: Bandwidth::from_gbps(100),
-            policy: Policy::Srpt,
-            max_active_per_pair: x,
-            clock: edm_sched::ASIC_CLOCK,
-        });
-        for i in 0..x {
-            prop_assert!(s
-                .notify(Time::ZERO, Notification::new(0, 1, i as u8, 64))
-                .is_ok());
-        }
-        for i in 0..extra {
-            prop_assert!(s
-                .notify(Time::ZERO, Notification::new(0, 1, (x + i) as u8, 64))
-                .is_err());
-        }
-        // A different pair is unaffected.
-        prop_assert!(s.notify(Time::ZERO, Notification::new(2, 3, 0, 64)).is_ok());
     }
 }

@@ -25,8 +25,8 @@
 //!
 //! Trunk-facing pairs aggregate many end-to-end flows, so multi-hop
 //! routes are provisioned a larger per-pair X than single-hop access
-//! pairs ([`TRUNK_MAX_ACTIVE_PER_PAIR`], via the
-//! scheduler's `notify_with_limit` entry point).
+//! pairs ([`TRUNK_MAX_ACTIVE_PER_PAIR`], each offer's
+//! `DomainOffer::limit`).
 //!
 //! # Deterministic event ordering
 //!
@@ -138,7 +138,7 @@ use crate::shard::ShardPlan;
 use crate::topology::{Endpoint, Path, Route, Topology};
 use edm_core::sim::{
     evord, ClusterConfig, DomainCancel, DomainOffer, EdmProtocol, Flow, FlowKind, Forwarded,
-    SwitchDomain,
+    SwitchDomain, ZERO_PAIR_LIMIT,
 };
 use edm_sched::{Policy, SchedulerConfig};
 use edm_sim::sharded::{run_sharded, Envelope, Recipient, ShardWorld, ShardedConfig};
@@ -434,7 +434,12 @@ pub(crate) type Finished = (TopoStreamStats, Option<Box<AppState>>);
 
 impl TopoEdm {
     /// Creates the protocol from a configuration.
+    ///
+    /// # Panics
+    ///
+    /// If `config.max_active_per_pair` (X) is zero.
     pub fn new(config: TopoEdmConfig) -> Self {
+        assert!(config.max_active_per_pair > 0, "{ZERO_PAIR_LIMIT}");
         TopoEdm { config }
     }
 
@@ -621,7 +626,6 @@ impl TopoEdm {
                     chunk_bytes: self.config.chunk_bytes,
                     link: topo.reference_bandwidth(sw),
                     policy: self.config.policy,
-                    max_active_per_pair: self.config.max_active_per_pair,
                     clock: edm_sched::ASIC_CLOCK,
                 }))
             })
