@@ -11,7 +11,9 @@
 //! by its *ideal* completion time (what it would take alone in the
 //! network), so 1.0 is optimal and "within 1.3× of unloaded" means ≤ 1.3.
 
-use edm_sched::{Notification, Policy, PollResult, Scheduler, SchedulerConfig};
+use edm_sched::{Notification, PollResult, Scheduler};
+/// The scheduler settings [`SwitchDomain::new`] and [`EdmProtocol`] take.
+pub use edm_sched::{Policy, SchedulerConfig};
 use edm_sim::{Bandwidth, Duration, Engine, EventQueue, Summary, Time, World};
 
 /// One-hop propagation delay of every [`ClusterConfig`] link.
@@ -1604,27 +1606,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_limit_exact() {
-        // Each offer carries its pair's X: the first X offers of a pair
-        // are announced, every later one waits, and other pairs — here
-        // one with a wider X, trunk-style — keep their own count.
-        for x in 1..6 {
-            for extra in 1..5 {
-                let mut dom = domain4();
-                for i in 0..x + extra {
-                    dom.offer(Time::ZERO, offer_x(0, 1, 64, x, i as u64));
-                }
-                assert_eq!(pair_counts(&dom, 0, 1), (x as u64, extra as u64));
-                for i in 0..x + 2 {
-                    dom.offer(Time::ZERO, offer_x(2, 3, 64, x + 2, 100 + i as u64));
-                }
-                assert_eq!(pair_counts(&dom, 2, 3), (x as u64 + 2, 0));
-                assert_eq!(dom.scheduler().pending_messages(), 2, "one head per pair");
-            }
-        }
-    }
-
-    #[test]
     fn offer_behind_its_pair_head_asks_for_nothing() {
         // X = 2: the second offer is announced behind the head. The round
         // that grants the head's last chunk notifies it and asks for the
@@ -1642,36 +1623,6 @@ mod tests {
         assert_eq!(round.next_poll, Some(frees));
         assert_eq!(pair_counts(&dom, 0, 1), (1, 0));
         assert_eq!(dom.poll(frees).expect("live").grants[0].token, 1);
-    }
-
-    #[test]
-    fn cancelled_head_hands_its_place_to_the_message_behind_it() {
-        // FCFS, X = 2. Port 1 receives a 256 B chunk from port 3 until
-        // `frees`; meanwhile 0->1 queues a head (token 1) and a message
-        // announced behind it (token 2), and 2->1 one message (token 3)
-        // after both. Withdrawing the head puts token 2 in the scheduler
-        // under the instant it was announced, so it still goes before
-        // token 3, and asks for no round: the head's wake-up covers it.
-        let mut dom = SwitchDomain::new(SchedulerConfig {
-            policy: Policy::Fcfs,
-            ..SchedulerConfig::default_for_ports(4)
-        });
-        let t = Time::from_ns;
-        assert_eq!(dom.offer(t(0), offer_x(3, 1, 256, 2, 0)), Some(t(0)));
-        assert_eq!(dom.poll(t(0)).expect("live").grants.len(), 1);
-        let frees = t(0) + dom.scheduler().config().link.tx_time_bytes(256);
-        assert_eq!(dom.offer(t(1), offer_x(0, 1, 64, 2, 1)), Some(frees));
-        assert_eq!(dom.offer(t(2), offer_x(0, 1, 64, 2, 2)), None);
-        assert_eq!(dom.offer(t(3), offer_x(2, 1, 64, 2, 3)), None);
-        let quiet = DomainCancel::Withdrawn { poll: None };
-        assert_eq!(dom.cancel(t(4), 0, 1, 1), quiet);
-        assert_eq!(pair_counts(&dom, 0, 1), (1, 0));
-        // One destination examined per round: port 1 was skipped until
-        // it freed, and the changed row was looked at once, then.
-        let round = dom.poll(frees).expect("live");
-        let tokens: Vec<u64> = round.grants.iter().map(|g| g.token).collect();
-        assert_eq!(tokens, [2]);
-        assert_eq!(dom.rounds(), (2, 0, 2));
     }
 
     #[test]
@@ -1714,14 +1665,6 @@ mod tests {
             at = round.next_poll;
         }
         assert_eq!(tokens, [2, 0, 0, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "(X) must be at least 1")]
-    fn zero_pair_limit_is_rejected_at_offer() {
-        // With X = 0 the offer would wait for a completion that cannot
-        // come.
-        domain4().offer(Time::ZERO, offer_x(0, 1, 64, 0, 1));
     }
 
     #[test]

@@ -885,6 +885,177 @@ mod tests {
         assert_eq!(r.grants.len(), 2, "disjoint pairs must match in parallel");
     }
 
+    // The scheduler queues one message per pair, so a pair's order and its
+    // X bound are kept by the caller that feeds it: `edm_core`'s
+    // `SwitchDomain`. The tests below pin those rules there. `edm_core`
+    // links the library build of this crate, so the scheduler types its
+    // API takes are named through `edm_core::sim`.
+    use edm_core::sim::{DomainCancel, DomainGrant, DomainOffer, SwitchDomain};
+
+    fn domain(policy: edm_core::sim::Policy) -> SwitchDomain {
+        SwitchDomain::new(edm_core::sim::SchedulerConfig {
+            policy,
+            ..edm_core::sim::SchedulerConfig::default_for_ports(4)
+        })
+    }
+
+    fn srpt_domain() -> SwitchDomain {
+        domain(edm_core::sim::Policy::Srpt)
+    }
+
+    /// An offer of `bytes` on (src, dst) under X = `limit`.
+    fn offer(src: u16, dst: u16, bytes: u32, limit: usize, token: u64) -> DomainOffer {
+        DomainOffer {
+            src,
+            dst,
+            bytes,
+            limit,
+            token,
+        }
+    }
+
+    /// Every grant of the rounds from `at` on, following each round's
+    /// wake-up, with nothing delivered.
+    fn drain(dom: &mut SwitchDomain, at: Time) -> Vec<DomainGrant> {
+        let mut grants = Vec::new();
+        let mut next = Some(at);
+        while let Some(now) = next {
+            let round = dom.poll(now).expect("the live wake-up");
+            grants.extend_from_slice(round.grants);
+            next = round.next_poll;
+        }
+        grants
+    }
+
+    /// The tokens of the grants on (src, dst), in grant order.
+    fn pair_tokens(grants: &[DomainGrant], src: u16, dst: u16) -> Vec<u64> {
+        grants
+            .iter()
+            .filter(|g| (g.src, g.dst) == (src, dst))
+            .map(|g| g.token)
+            .collect()
+    }
+
+    #[test]
+    fn pair_limit_enforced() {
+        // X = 3: until a completion frees a slot, the fourth offer of a
+        // pair waits outside the scheduler. Other pairs keep their own
+        // count.
+        let mut dom = srpt_domain();
+        for token in 0..4 {
+            dom.offer(Time::ZERO, offer(0, 1, 64, 3, token));
+        }
+        dom.offer(Time::ZERO, offer(0, 2, 64, 3, 10));
+        let grants = drain(&mut dom, Time::ZERO);
+        assert_eq!(pair_tokens(&grants, 0, 1), [0, 1, 2]);
+        assert_eq!(pair_tokens(&grants, 0, 2), [10]);
+        assert_eq!(dom.scheduler().pending_messages(), 0, "the fourth waits");
+    }
+
+    #[test]
+    fn pair_slot_freed_on_completion() {
+        let mut dom = srpt_domain();
+        for token in 0..4 {
+            dom.offer(Time::ZERO, offer(0, 1, 64, 3, token));
+        }
+        let grants = drain(&mut dom, Time::ZERO);
+        assert_eq!(grants.len(), 3);
+        // The first message's one chunk lands: it completes, its X slot
+        // announces the waiter, and that is worth a round.
+        let (g, done) = (grants[0], Time::from_ns(100));
+        let mut completed = Vec::new();
+        let poll = dom.deliver(done, g.slot, g.chunk_bytes, |token, _| {
+            completed.push(token)
+        });
+        assert_eq!(completed, [0]);
+        assert_eq!(poll, Some(done));
+        assert_eq!(dom.poll(done).expect("live").grants[0].token, 3);
+    }
+
+    #[test]
+    fn per_pair_limit_override() {
+        // Each offer carries its pair's X: a trunk pair provisioned with
+        // X = 5 gets past the X = 3 an access pair keeps.
+        let mut dom = srpt_domain();
+        for token in 0..6 {
+            dom.offer(Time::ZERO, offer(0, 1, 64, 5, token));
+        }
+        for token in 10..14 {
+            dom.offer(Time::ZERO, offer(2, 3, 64, 3, token));
+        }
+        let grants = drain(&mut dom, Time::ZERO);
+        assert_eq!(pair_tokens(&grants, 0, 1), [0, 1, 2, 3, 4]);
+        assert_eq!(pair_tokens(&grants, 2, 3), [10, 11, 12]);
+    }
+
+    #[test]
+    #[should_panic(expected = "(X) must be at least 1")]
+    fn zero_pair_limit_is_rejected_at_construction() {
+        // X is not a scheduler setting: a run rejects X = 0 as it builds
+        // its switch, before it pulls the first flow.
+        let mut proto = edm_core::sim::EdmProtocol {
+            max_active_per_pair: 0,
+            ..Default::default()
+        };
+        let cluster = edm_core::sim::ClusterConfig {
+            nodes: 4,
+            ..Default::default()
+        };
+        proto.simulate_streamed(&cluster, std::iter::empty(), |_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "(X) must be at least 1")]
+    fn zero_pair_limit_override_is_rejected() {
+        // With X = 0 the offer would wait for a completion that cannot
+        // come.
+        srpt_domain().offer(Time::ZERO, offer(0, 1, 64, 0, 1));
+    }
+
+    #[test]
+    fn cancel_promotes_the_pair_waiter() {
+        // X = 2: the second message is announced behind the head.
+        // Withdrawing the head puts it in the scheduler, and the round
+        // the head asked for grants it.
+        let mut dom = domain(edm_core::sim::Policy::Fcfs);
+        assert_eq!(
+            dom.offer(Time::ZERO, offer(0, 1, 64, 2, 0)),
+            Some(Time::ZERO)
+        );
+        assert_eq!(dom.offer(Time::ZERO, offer(0, 1, 64, 2, 1)), None);
+        let quiet = DomainCancel::Withdrawn { poll: None };
+        assert_eq!(dom.cancel(Time::ZERO, 0, 1, 0), quiet);
+        assert_eq!(dom.scheduler().pending_messages(), 1);
+        assert_eq!(pair_tokens(&drain(&mut dom, Time::ZERO), 0, 1), [1]);
+    }
+
+    #[test]
+    fn cancel_that_promotes_a_waiter_reopens_its_destination() {
+        // FCFS, X = 2. Port 1 receives a 256 B chunk from port 3 until
+        // `frees`; meanwhile 0->1 queues a head (token 1) and a message
+        // announced behind it (token 2), and 2->1 one message (token 3)
+        // after both. Withdrawing the head puts token 2 in the scheduler
+        // under the instant it was announced, so it still goes before
+        // token 3, and asks for no round: the head's wake-up covers it.
+        let mut dom = domain(edm_core::sim::Policy::Fcfs);
+        let t = Time::from_ns;
+        assert_eq!(dom.offer(t(0), offer(3, 1, 256, 2, 0)), Some(t(0)));
+        assert_eq!(dom.poll(t(0)).expect("live").grants.len(), 1);
+        let frees = t(0) + dom.scheduler().config().link.tx_time_bytes(256);
+        assert_eq!(dom.offer(t(1), offer(0, 1, 64, 2, 1)), Some(frees));
+        assert_eq!(dom.offer(t(2), offer(0, 1, 64, 2, 2)), None);
+        assert_eq!(dom.offer(t(3), offer(2, 1, 64, 2, 3)), None);
+        let quiet = DomainCancel::Withdrawn { poll: None };
+        assert_eq!(dom.cancel(t(4), 0, 1, 1), quiet);
+        assert_eq!(dom.scheduler().pending_messages(), 2, "tokens 2 and 3");
+        // One destination examined per round: port 1 was skipped until
+        // it freed, and the changed row was looked at once, then.
+        let round = dom.poll(frees).expect("live");
+        let tokens: Vec<u64> = round.grants.iter().map(|g| g.token).collect();
+        assert_eq!(tokens, [2]);
+        assert_eq!(dom.rounds(), (2, 0, 2));
+    }
+
     #[test]
     fn validation_errors() {
         let mut s = sched(4, 256, Policy::Srpt);

@@ -7,13 +7,17 @@
 //! says so sees the grants of one that polls at every busy expiry and
 //! every notification, and after every round of either the
 //! per-destination instants the scheduler remembers are the ones a
-//! from-scratch look computes (`Scheduler::audit_ready`).
+//! from-scratch look computes (`Scheduler::audit_ready`). The pair rules
+//! the scheduler leaves to its caller — grants in offer order within a
+//! pair, at most X of a pair's messages announced — are checked on that
+//! caller, `edm_core`'s `SwitchDomain`.
 
+use edm_core::sim::{DomainGrant, DomainOffer, SwitchDomain};
 use edm_sched::scheduler::{CancelOutcome, Notification, Policy, Scheduler, SchedulerConfig};
 use edm_sched::{OrderedList, PimRunner};
 use edm_sim::{Bandwidth, Duration, Time};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 /// The pre-sparse scheduler, kept as an executable specification: dense
 /// O(ports) scans per poll, per-poll allocations.
@@ -341,6 +345,89 @@ fn drive(
     (seen, sched.rounds())
 }
 
+/// What [`drive_domain`] saw: each grant as (src, dst, token, chunk
+/// bytes), in grant order, and the tokens of the completed offers.
+type DomainRun = (Vec<(u16, u16, u64, u32)>, Vec<u64>);
+
+/// Drives a 6-port `SwitchDomain` through `offers`, one a nanosecond and
+/// each under X = `x`, as an event-driven world does: it polls only when
+/// the domain asks, and every granted chunk lands 120 ns after its round
+/// plus its own transmission time.
+fn drive_domain(offers: &[(u16, u16, u32)], x: usize, policy: Policy) -> DomainRun {
+    enum Ev {
+        Offer(usize),
+        Land { slot: u32, bytes: u32 },
+        Poll,
+    }
+    const FLIGHT: Duration = Duration::from_ns(120);
+    let cfg = SchedulerConfig {
+        policy,
+        ..SchedulerConfig::default_for_ports(6)
+    };
+    let mut dom = SwitchDomain::new(cfg);
+    // (time, rank, key): at one instant offers go first, then landings,
+    // then polls.
+    let mut queue: BTreeMap<(Time, u8, u64), Ev> = BTreeMap::new();
+    for i in 0..offers.len() {
+        queue.insert((Time::from_ns(i as u64), 0, i as u64), Ev::Offer(i));
+    }
+    let (mut grants, mut completed) = (Vec::new(), Vec::new());
+    let mut key = 0u64;
+    while let Some(((now, _, _), ev)) = queue.pop_first() {
+        let asked = match ev {
+            Ev::Offer(i) => {
+                let (src, dst, bytes) = offers[i];
+                let token = i as u64;
+                dom.offer(
+                    now,
+                    DomainOffer {
+                        src,
+                        dst,
+                        bytes,
+                        limit: x,
+                        token,
+                    },
+                )
+            }
+            Ev::Land { slot, bytes } => {
+                dom.deliver(now, slot, bytes, |token, _| completed.push(token))
+            }
+            Ev::Poll => dom.poll(now).and_then(|round| {
+                for g in round.grants {
+                    grants.push((g.src, g.dst, g.token, g.chunk_bytes));
+                    let lands = now
+                        + round.sched_latency
+                        + FLIGHT
+                        + cfg.link.tx_time_bytes(g.chunk_bytes as u64);
+                    key += 1;
+                    let land = Ev::Land {
+                        slot: g.slot,
+                        bytes: g.chunk_bytes,
+                    };
+                    queue.insert((lands, 1, key), land);
+                }
+                round.next_poll
+            }),
+        };
+        if let Some(at) = asked {
+            key += 1;
+            queue.insert((at, 2, key), Ev::Poll);
+        }
+    }
+    (grants, completed)
+}
+
+/// An offer of 64 B on (src, dst) under X = `limit`.
+fn offer64(src: u16, dst: u16, limit: usize, token: u64) -> DomainOffer {
+    DomainOffer {
+        src,
+        dst,
+        bytes: 64,
+        limit,
+        token,
+    }
+}
+
 proptest! {
     /// OrderedList pops in exactly the order of a reference stable sort.
     #[test]
@@ -597,5 +684,94 @@ proptest! {
             prop_assert_eq!(a, b);
         }
         prop_assert!(rounds <= all_rounds, "{} rounds vs {} exhaustive", rounds, all_rounds);
+    }
+
+    /// Within one (src, dest) pair, messages are granted strictly in
+    /// offer order (§3.1.1 property 5): each pair's grant stream starts
+    /// message k only after message k-1 was granted in full, whatever the
+    /// policy, the message sizes or X.
+    #[test]
+    fn per_pair_grants_are_fifo(
+        msgs in proptest::collection::vec((0u16..6, 0u16..6, 1u32..3000), 1..60),
+        srpt in any::<bool>(),
+        x in 1usize..4,
+    ) {
+        let offers: Vec<(u16, u16, u32)> = msgs
+            .iter()
+            .map(|&(src, dst, size)| (src, if src == dst { (dst + 1) % 6 } else { dst }, size))
+            .collect();
+        let policy = if srpt { Policy::Srpt } else { Policy::Fcfs };
+        let (grants, completed) = drive_domain(&offers, x, policy);
+        // Each pair's offers, with their ungranted bytes, in offer order.
+        let mut pairs: HashMap<(u16, u16), VecDeque<(u64, u32)>> = HashMap::new();
+        for (token, &(src, dst, size)) in offers.iter().enumerate() {
+            pairs.entry((src, dst)).or_default().push_back((token as u64, size));
+        }
+        for &(src, dst, token, bytes) in &grants {
+            let head = pairs.get_mut(&(src, dst)).and_then(|q| q.front_mut());
+            let Some(head) = head else {
+                return Err(TestCaseError::fail(format!("grant past the end of ({src}, {dst})")));
+            };
+            prop_assert_eq!(
+                token, head.0,
+                "pair ({}, {}) granted message {} while {} is unfinished",
+                src, dst, token, head.0
+            );
+            head.1 -= bytes;
+            if head.1 == 0 {
+                pairs.get_mut(&(src, dst)).unwrap().pop_front();
+            }
+        }
+        // Every offer was granted in full and completed.
+        prop_assert!(pairs.values().all(VecDeque::is_empty));
+        prop_assert_eq!(completed.len(), offers.len());
+    }
+
+    /// The X bound is exact: of a pair's offers, the first X are
+    /// announced and granted without a completion, every later one waits
+    /// until a completion frees a slot — one per completion, in offer
+    /// order — and a pair with another X keeps its own count.
+    #[test]
+    fn pair_limit_exact(x in 1usize..6, extra in 1usize..5) {
+        let mut dom = SwitchDomain::new(SchedulerConfig::default_for_ports(4));
+        for token in 0..x + extra {
+            dom.offer(Time::ZERO, offer64(0, 1, x, token as u64));
+        }
+        for token in 0..x + 2 {
+            dom.offer(Time::ZERO, offer64(2, 3, x + 2, 100 + token as u64));
+        }
+        prop_assert_eq!(dom.scheduler().pending_messages(), 2, "one head per pair");
+        // Rounds with nothing delivered.
+        let mut grants: Vec<DomainGrant> = Vec::new();
+        let mut next = Some(Time::ZERO);
+        while let Some(now) = next {
+            let round = dom.poll(now).expect("the live wake-up");
+            grants.extend_from_slice(round.grants);
+            next = round.next_poll;
+        }
+        let tokens = |src: u16| -> Vec<u64> {
+            grants.iter().filter(|g| g.src == src).map(|g| g.token).collect()
+        };
+        prop_assert_eq!(tokens(0), (0..x as u64).collect::<Vec<_>>());
+        prop_assert_eq!(tokens(2), (100..100 + x as u64 + 2).collect::<Vec<_>>());
+        // Each 0->1 message is one chunk: its landing completes it.
+        let mut inflight: VecDeque<DomainGrant> =
+            grants.iter().filter(|g| g.src == 0).copied().collect();
+        let (mut admitted, mut now) = (x, Time::ZERO);
+        while let Some(g) = inflight.pop_front() {
+            now += Duration::from_ns(100);
+            let poll = dom.deliver(now, g.slot, g.chunk_bytes, |_, _| {});
+            if admitted == x + extra {
+                prop_assert_eq!(poll, None, "nothing left to announce");
+                continue;
+            }
+            prop_assert_eq!(poll, Some(now));
+            let round = dom.poll(now).expect("live");
+            prop_assert_eq!(round.grants.len(), 1);
+            prop_assert_eq!(round.grants[0].token, admitted as u64);
+            inflight.push_back(round.grants[0]);
+            admitted += 1;
+        }
+        prop_assert_eq!(admitted, x + extra);
     }
 }
