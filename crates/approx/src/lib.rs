@@ -69,7 +69,7 @@ pub use linksim::{simulate_batch, simulate_cluster, ClusterDelays};
 
 use crate::compose::{compose_cached, SoloCache};
 use crate::fxhash::FxHashMap;
-use crate::linksim::{DomainPool, SoloMemo};
+use crate::linksim::{ReplayQueue, SoloMemo};
 use crate::represent::RepKey;
 use edm_core::sim::Flow;
 use edm_sim::Duration;
@@ -177,7 +177,7 @@ pub struct SweepCache {
     /// distinct cluster itself (the reference path, test-only).
     resolution: Option<u32>,
     mini: SoloMemo,
-    pool: DomainPool,
+    queue: ReplayQueue,
     solo: SoloCache,
     hits: u64,
     misses: u64,
@@ -219,7 +219,7 @@ impl SweepCache {
             reps: FxHashMap::default(),
             resolution,
             mini: SoloMemo::default(),
-            pool: DomainPool::default(),
+            queue: ReplayQueue::default(),
             solo: SoloCache::default(),
             hits: 0,
             misses: 0,
@@ -278,13 +278,13 @@ impl SweepCache {
         r: u32,
         cfg: &TopoEdmConfig,
     ) -> (&[Duration], bool) {
-        let (mini, pool) = (&mut self.mini, &mut self.pool);
+        let (mini, queue) = (&mut self.mini, &mut self.queue);
         let mut served = true;
         let key = RepKey::of(profile, r);
         let rep = self.reps.entry(key).or_insert_with(|| {
             served = false;
             let rep = key.profile(cfg);
-            linksim::simulate_memo(&rep, cfg, mini, pool)
+            linksim::simulate_memo(&rep, cfg, mini, queue)
                 .excess
                 .into_boxed_slice()
         });
@@ -308,7 +308,8 @@ impl SweepCache {
         }
         let (delays, served) = match self.resolution {
             None => {
-                let replayed = linksim::simulate_memo(profile, cfg, &mut self.mini, &mut self.pool);
+                let replayed =
+                    linksim::simulate_memo(profile, cfg, &mut self.mini, &mut self.queue);
                 (replayed.excess.into_boxed_slice(), false)
             }
             Some(r) => {

@@ -16,25 +16,15 @@
 //! turnaround, propagation, serialization) cancel in that subtraction,
 //! so what remains is pure queueing attributable to this link.
 //!
-//! Two structural shortcuts keep a sweep's per-scenario cost an order of
-//! magnitude under the exact engine's, both exact rather than
-//! approximate:
-//!
-//! * **Burst stripping** — members are partitioned into *bursts* by a
-//!   conservative work-conservation bound: a member joins the current
-//!   burst only if it arrives before the burst's accumulated
-//!   worst-case busy horizon. Members alone in their burst provably
-//!   find an idle domain and complete untouched (zero excess, no
-//!   replay); only multi-member bursts replay, and since distinct
-//!   bursts cannot overlap in time they all share one replay.
-//! * **Domain pooling** — a drained [`SwitchDomain`] is
-//!   state-equivalent to a fresh one up to absolute timestamps (every
-//!   per-pair counter and FIFO returns to empty; port busy marks are
-//!   past times). `DomainPool` reuses drained domains by shifting the
-//!   next cluster's arrivals past the pool cursor by a multiple of the
-//!   scheduler clock tick, which preserves grant timing bit-exactly,
-//!   and so skips the `ports²` zero-initialization that otherwise
-//!   dominates cold replay cost.
+//! One structural shortcut keeps a sweep's per-scenario cost an order
+//! of magnitude under the exact engine's, exact rather than
+//! approximate: *burst stripping*. Members are partitioned into bursts
+//! by a conservative work-conservation bound: a member joins the current
+//! burst only if it arrives before the burst's accumulated worst-case
+//! busy horizon. Members alone in their burst provably find an idle
+//! domain and complete untouched (zero excess, no replay); only
+//! multi-member bursts replay, and since distinct bursts cannot overlap
+//! in time they all share one replay.
 
 use crate::decompose::{ClusterProfile, LinkCluster};
 use crate::fxhash::FxHashMap;
@@ -49,18 +39,11 @@ use edm_topo::TopoEdmConfig;
 /// symmetric fabric a whole sweep needs a handful of entries.
 pub(crate) type SoloMemo = FxHashMap<(u32, Bandwidth, Bandwidth, Duration), Duration>;
 
-/// Reusable drained domains, keyed by port count and scheduler
-/// bandwidth (the only [`SchedulerConfig`] fields that vary across one
-/// sweep's clusters). The cursor is a conservative quiesce horizon: no
-/// state inside the paired domain references a time beyond it.
+/// The drained event queue replays share, so its calendar buckets and
+/// node slab are allocated once per sweep, not once per replay
+/// (thousands of replays per sweep scenario).
 #[derive(Debug, Default)]
-pub(crate) struct DomainPool {
-    doms: FxHashMap<(usize, Bandwidth), (SwitchDomain, Time)>,
-    /// Drained scratch event queue, reused across replays so the
-    /// calendar buckets and node slab are allocated once per pool, not
-    /// once per replay (thousands of replays per sweep scenario).
-    queue: Option<EventQueue<MiniEv>>,
-}
+pub(crate) struct ReplayQueue(EventQueue<MiniEv>);
 
 /// One cluster's mini-simulation output.
 #[derive(Debug, Clone)]
@@ -96,12 +79,8 @@ struct MiniWorld<'a> {
     turnaround: Duration,
     /// Source ports occupy dense indices `0..srcs`; destinations follow.
     src_ports: u16,
-    /// Pool time shift applied to every arrival (subtracted back out).
-    shift: Duration,
     /// Completion since arrival, indexed like `members`.
     done: Vec<Duration>,
-    /// Latest event instant processed (the queue is time-ordered).
-    last_now: Time,
     pending: usize,
 }
 
@@ -109,7 +88,6 @@ impl World for MiniWorld<'_> {
     type Event = MiniEv;
 
     fn handle(&mut self, now: Time, ev: MiniEv, q: &mut EventQueue<MiniEv>) {
-        self.last_now = now;
         match ev {
             MiniEv::Demand(m) => {
                 let lf = self.profile.members[self.members[m as usize] as usize];
@@ -149,14 +127,13 @@ impl World for MiniWorld<'_> {
                     profile,
                     members,
                     dom,
-                    shift,
                     done,
                     pending,
                     ..
                 } = self;
                 let poll = dom.deliver(now, slot, bytes, |token, _sub_bytes| {
                     let lf = &profile.members[members[token as usize] as usize];
-                    done[token as usize] = now.saturating_since(lf.arrival + *shift);
+                    done[token as usize] = now.saturating_since(lf.arrival);
                     *pending -= 1;
                 });
                 schedule_poll(q, poll);
@@ -173,77 +150,42 @@ fn schedule_poll(q: &mut EventQueue<MiniEv>, at: Option<Time>) {
 }
 
 /// Replays the `members` subset of `profile` (original member indices,
-/// time-then-index order) and returns each one's completion since its
-/// arrival. The domain comes from `pool` when a drained one of the right
-/// shape is available; arrivals are then shifted past the pool cursor by
-/// a multiple of the scheduler clock, which every timestamp the replay
-/// produces inherits exactly, so the shift cancels in the returned
-/// relative completions.
+/// time-then-index order) through a fresh domain and returns each one's
+/// completion since its arrival.
 fn replay(
     profile: &ClusterProfile,
     members: &[u32],
     cfg: &TopoEdmConfig,
-    pool: &mut DomainPool,
+    queue: &mut ReplayQueue,
 ) -> Vec<Duration> {
-    let ports = profile.srcs as usize + profile.dsts as usize;
-    let key = (ports, profile.sched_bandwidth);
-    let (dom, cursor) = pool.doms.remove(&key).unwrap_or_else(|| {
-        let sched = SchedulerConfig {
-            ports,
-            chunk_bytes: cfg.chunk_bytes,
-            link: profile.sched_bandwidth,
-            policy: cfg.policy,
-            clock: edm_sched::ASIC_CLOCK,
-        };
-        (SwitchDomain::new(sched), Time::ZERO)
-    });
-    let first = members
-        .iter()
-        .map(|&m| profile.members[m as usize].arrival)
-        .min()
-        .expect("replay needs members");
-    // Clock-tick multiple keeps every scheduler grid alignment
-    // bit-identical to a fresh domain at the unshifted instants.
-    let tick = edm_sched::ASIC_CLOCK.as_ps();
-    let behind = cursor.saturating_since(first).as_ps();
-    let shift = Duration::from_ps(behind.div_ceil(tick) * tick);
-    let world = MiniWorld {
+    let sched = SchedulerConfig {
+        ports: profile.srcs as usize + profile.dsts as usize,
+        chunk_bytes: cfg.chunk_bytes,
+        link: profile.sched_bandwidth,
+        policy: cfg.policy,
+        clock: edm_sched::ASIC_CLOCK,
+    };
+    let mut world = MiniWorld {
         profile,
         members,
-        dom,
+        dom: SwitchDomain::new(sched),
         turnaround: cfg.pipeline_latency / 2,
         src_ports: profile.srcs,
-        shift,
         done: vec![Duration::MAX; members.len()],
-        last_now: cursor,
         pending: members.len(),
     };
-    let mut queue = pool.queue.take().unwrap_or_default();
+    let queue = &mut queue.0;
     debug_assert!(queue.is_empty(), "scratch queue must come back drained");
-    let mut world = world;
     for (m, &orig) in members.iter().enumerate() {
-        let at = profile.members[orig as usize].arrival + shift;
+        let at = profile.members[orig as usize].arrival;
         queue.schedule_ordered(at, evord::demand(m as u32), MiniEv::Demand(m as u32));
     }
     // Manual drain instead of `Engine::run` so the queue survives the
-    // replay and returns to the pool with its allocations intact.
+    // replay with its allocations intact.
     while let Some((at, ev)) = queue.pop() {
-        world.handle(at, ev, &mut queue);
+        world.handle(at, ev, queue);
     }
-    pool.queue = Some(queue);
     assert_eq!(world.pending, 0, "mini replay drained every member");
-    debug_assert_eq!(
-        world.dom.scheduler().pending_messages(),
-        0,
-        "drained domain retains demand"
-    );
-    // Quiesce horizon: ports can stay busy past the last delivery by at
-    // most one chunk's serialization at the scheduler's rate.
-    let margin = profile
-        .sched_bandwidth
-        .tx_time_bytes(cfg.chunk_bytes as u64)
-        + edm_sched::ASIC_CLOCK;
-    pool.doms.insert(key, (world.dom, world.last_now + margin));
     world.done
 }
 
@@ -253,7 +195,7 @@ fn solo_of(
     bytes: u32,
     cfg: &TopoEdmConfig,
     solo: &mut SoloMemo,
-    pool: &mut DomainPool,
+    queue: &mut ReplayQueue,
 ) -> Duration {
     let key = (
         bytes,
@@ -276,13 +218,13 @@ fn solo_of(
         }],
         ..profile.clone()
     };
-    let d = replay(&one, &[0], cfg, pool)[0];
+    let d = replay(&one, &[0], cfg, queue)[0];
     solo.insert(key, d);
     d
 }
 
 /// Simulates one cluster, memoizing unloaded baselines through `solo`
-/// and reusing drained domains through `pool`.
+/// and replaying through `queue`.
 ///
 /// Members are partitioned into bursts by a conservative
 /// work-conservation horizon: each member's worst-case contribution to
@@ -299,13 +241,13 @@ pub(crate) fn simulate_memo(
     profile: &ClusterProfile,
     cfg: &TopoEdmConfig,
     solo: &mut SoloMemo,
-    pool: &mut DomainPool,
+    queue: &mut ReplayQueue,
 ) -> ClusterDelays {
     let m = profile.members.len();
 
     let mut service_max = Duration::ZERO;
     for lf in &profile.members {
-        let s = solo_of(profile, lf.bytes, cfg, solo, pool);
+        let s = solo_of(profile, lf.bytes, cfg, solo, queue);
         if s > service_max {
             service_max = s;
         }
@@ -352,10 +294,10 @@ pub(crate) fn simulate_memo(
         // overlap, so their members never interact, and stripping the
         // singletons between them cannot delay anyone in a
         // work-conserving domain.
-        let done = replay(profile, &contended, cfg, pool);
+        let done = replay(profile, &contended, cfg, queue);
         for (k, &i) in contended.iter().enumerate() {
             let lf = &profile.members[i as usize];
-            let unloaded = solo_of(profile, lf.bytes, cfg, solo, pool);
+            let unloaded = solo_of(profile, lf.bytes, cfg, solo, queue);
             excess[i as usize] = done[k].saturating_sub(unloaded);
         }
     }
@@ -365,22 +307,19 @@ pub(crate) fn simulate_memo(
 /// Simulates one cluster's replay and returns per-member queueing
 /// excesses. Clusters are independent of one another.
 pub fn simulate_cluster(cluster: &LinkCluster, cfg: &TopoEdmConfig) -> ClusterDelays {
-    let mut solo = SoloMemo::default();
-    let mut pool = DomainPool::default();
-    simulate_memo(&cluster.profile, cfg, &mut solo, &mut pool)
+    let (mut solo, mut queue) = (SoloMemo::default(), ReplayQueue::default());
+    simulate_memo(&cluster.profile, cfg, &mut solo, &mut queue)
 }
 
-/// Simulates a batch of clusters, sharing one solo memo and domain pool
-/// across the whole batch: per-cluster [`simulate_cluster`] would
-/// rebuild a [`edm_core::sim::SwitchDomain`] per replay, which costs
-/// more than the replays themselves. ([`crate::SweepCache`] pools the
-/// same way across a whole sweep.)
+/// Simulates a batch of clusters, sharing one solo memo and scratch
+/// event queue across the whole batch. ([`crate::SweepCache`] shares
+/// them across a whole sweep.)
 pub fn simulate_batch(clusters: &[&LinkCluster], cfg: &TopoEdmConfig) -> Vec<ClusterDelays> {
     let mut solo = SoloMemo::default();
-    let mut pool = DomainPool::default();
+    let mut queue = ReplayQueue::default();
     clusters
         .iter()
-        .map(|c| simulate_memo(&c.profile, cfg, &mut solo, &mut pool))
+        .map(|c| simulate_memo(&c.profile, cfg, &mut solo, &mut queue))
         .collect()
 }
 
@@ -449,9 +388,8 @@ mod tests {
 
     #[test]
     fn pooled_replays_match_fresh_replays() {
-        // Reusing a drained domain with a shifted clock must be
-        // bit-identical to replaying in a fresh one, including for a
-        // cluster whose arrivals start *before* the pool cursor.
+        // Replays that share one solo memo and scratch queue must be
+        // bit-identical to replays that share nothing.
         let cfg = TopoEdmConfig::default();
         let clusters: Vec<LinkCluster> = vec![
             cluster((0..10).map(|s| member(s * 7, s as u16, 0)).collect(), 10, 1),
@@ -463,19 +401,19 @@ mod tests {
                 5,
                 6,
             ),
-            // Same port-space key as the first cluster: forces reuse.
+            // The first cluster's port space again.
             cluster((0..10).map(|s| member(s / 2, s as u16, 0)).collect(), 10, 1),
         ];
         let mut solo = SoloMemo::default();
-        let mut pool = DomainPool::default();
+        let mut queue = ReplayQueue::default();
         for c in &clusters {
-            let pooled = simulate_memo(&c.profile, &cfg, &mut solo, &mut pool);
+            let pooled = simulate_memo(&c.profile, &cfg, &mut solo, &mut queue);
             let fresh = simulate_cluster(c, &cfg);
             assert_eq!(pooled.excess, fresh.excess);
         }
-        // Round two drives the cursor far past every arrival.
+        // Round two serves every baseline from the memo.
         for c in &clusters {
-            let pooled = simulate_memo(&c.profile, &cfg, &mut solo, &mut pool);
+            let pooled = simulate_memo(&c.profile, &cfg, &mut solo, &mut queue);
             assert_eq!(pooled.excess, simulate_cluster(c, &cfg).excess);
         }
     }
@@ -494,13 +432,12 @@ mod tests {
         let c = cluster(members.clone(), 7, 1);
         let stripped = simulate_cluster(&c, &cfg);
         // Reference: force a full replay through the raw path.
-        let mut pool = DomainPool::default();
+        let mut queue = ReplayQueue::default();
         let all: Vec<u32> = (0..members.len() as u32).collect();
-        let full = replay(&c.profile, &all, &cfg, &mut pool);
+        let full = replay(&c.profile, &all, &cfg, &mut queue);
         let mut solo = SoloMemo::default();
-        let mut pool2 = DomainPool::default();
         for (i, lf) in c.profile.members.iter().enumerate() {
-            let unloaded = solo_of(&c.profile, lf.bytes, &cfg, &mut solo, &mut pool2);
+            let unloaded = solo_of(&c.profile, lf.bytes, &cfg, &mut solo, &mut queue);
             assert_eq!(
                 stripped.excess[i],
                 full[i].saturating_sub(unloaded),

@@ -27,7 +27,7 @@
 
 use edm_core::sim::{
     ClusterConfig, DomainOffer, FabricProtocol, Flow, FlowKind, FlowOutcome, SimResult,
-    SwitchDomain, PROP_DELAY,
+    SwitchDomain, MAX_ACTIVE_PER_PAIR, PROP_DELAY,
 };
 use edm_sched::{Policy, SchedulerConfig};
 use edm_sim::{Bandwidth, Duration, Engine, EventQueue, Time, World};
@@ -44,9 +44,6 @@ const CONTROL_BYTES: u64 = 84;
 const BATCH_LIMIT: usize = 8;
 /// Data chunk per allocation.
 const CHUNK_BYTES: u32 = 256;
-/// X — flows of one sender–receiver pair the arbiter matches at once
-/// (§3.1.2's bound, as for EDM).
-const MAX_ACTIVE_PER_PAIR: usize = 3;
 
 /// The Fastpass protocol instance.
 #[derive(Debug, Clone, Copy, Default)]
@@ -144,6 +141,8 @@ impl World for FastpassWorld {
                             src: s as u16,
                             dst: d as u16,
                             bytes,
+                            // The arbiter matches X flows of one
+                            // sender–receiver pair at once, as for EDM.
                             limit: MAX_ACTIVE_PER_PAIR,
                             token: flow as u64,
                         };

@@ -19,6 +19,10 @@ use edm_sim::{Bandwidth, Duration, Engine, EventQueue, Summary, Time, World};
 /// One-hop propagation delay of every [`ClusterConfig`] link.
 pub const PROP_DELAY: Duration = Duration::from_ns(10);
 
+/// X, the paper's bound on a source–destination pair's active
+/// notifications (§3.1.2): the default of every access pair.
+pub const MAX_ACTIVE_PER_PAIR: usize = 3;
+
 /// Why X = 0 is refused where it enters ([`EdmProtocol`], `edm-topo`'s
 /// `TopoEdm`, [`SwitchDomain::offer`]): every offer would wait for a
 /// completion that cannot come.
@@ -206,7 +210,7 @@ impl Default for EdmProtocol {
         EdmProtocol {
             chunk_bytes: 256,
             policy: Policy::Srpt,
-            max_active_per_pair: 3,
+            max_active_per_pair: MAX_ACTIVE_PER_PAIR,
         }
     }
 }
@@ -390,7 +394,6 @@ struct MsgState {
     granted: u32,
     /// Next ungranted message of the same pair — the pair's FIFO as an
     /// intrusive list through the slab (slot index + 1; 0 = last).
-    /// The zero sentinel keeps the per-pair slabs calloc-cheap.
     next_in_pair: u32,
     /// The offer's ports and X bound, to announce it after it waited.
     src: u16,
@@ -421,17 +424,23 @@ impl MsgState {
     }
 }
 
-/// Per-pair FIFO endpoints, packed head (low 32) / tail (high 32) into
-/// one word (`targets` index + 1; 0 = empty): the pair's ungranted
-/// messages in offer order, announced ones before waiting ones. Grants
-/// within a pair are strictly FIFO (§3.1.1 property 5): only the head
-/// is ever in the scheduler, so the head *is* the granted message.
-/// `vec![0u64]` stays a calloc: untouched pairs cost nothing at any port
-/// count.
-type PairFifo = u64;
-
-/// One in the high half of a `pair_meta` word: one announced message.
-const ANNOUNCED: u64 = 1 << 32;
+/// A source port's entry for one destination it holds messages for:
+/// the pair's FIFO of ungranted messages in offer order, announced ones
+/// before waiting ones. Grants within a pair are strictly FIFO (§3.1.1
+/// property 5): only the head is ever in the scheduler, so the head *is*
+/// the granted message. The entry lives exactly as long as its FIFO
+/// holds a message.
+#[derive(Debug, Clone, Copy)]
+struct Pair {
+    dst: u16,
+    /// Slots of the FIFO's first and last messages.
+    head: u32,
+    tail: u32,
+    /// Messages waiting past X, the FIFO's last ones.
+    waiting: u32,
+    /// Announced messages, the FIFO's first ones: the pair's X count.
+    announced: u32,
+}
 
 /// One EDM switch's scheduling state as seen by an event-driven world: a
 /// demand-sparse [`Scheduler`] plus every per-pair rule — the pair's
@@ -456,14 +465,9 @@ const ANNOUNCED: u64 = 1 << 32;
 /// switch) and `edm-approx`'s link replays.
 #[derive(Debug)]
 pub struct SwitchDomain {
-    ports: usize,
     scheduler: Scheduler,
-    /// Per-pair FIFO words, keyed by flat pair index.
-    pair_fifo: Vec<PairFifo>,
-    /// Per-pair counts: waiting past X (low 32) and announced, the X
-    /// count (high 32; [`ANNOUNCED`] each). The announced messages are
-    /// the first ones of the pair's FIFO.
-    pair_meta: Vec<u64>,
+    /// Per source port, the entries of the pairs that hold messages.
+    pairs: Vec<Vec<Pair>>,
     targets: Vec<MsgState>,
     /// Retired message slots awaiting reuse (LIFO). Slots return here when
     /// a message completes, a waiter is withdrawn, or a cancelled message's
@@ -499,12 +503,9 @@ pub struct SwitchDomain {
 impl SwitchDomain {
     /// Creates a domain for one switch.
     pub fn new(config: SchedulerConfig) -> Self {
-        let pairs = config.ports * config.ports;
         SwitchDomain {
-            ports: config.ports,
             scheduler: Scheduler::new(config),
-            pair_fifo: vec![0; pairs],
-            pair_meta: vec![0; pairs],
+            pairs: vec![Vec::new(); config.ports],
             targets: Vec::new(),
             free_slots: Vec::new(),
             slab_hwm: 0,
@@ -565,14 +566,10 @@ impl SwitchDomain {
         self.targets.len() - self.free_slots.len()
     }
 
-    /// Flat index of a (src port, dst port) pair.
-    fn pair_idx(&self, src: u16, dst: u16) -> usize {
-        src as usize * self.ports + dst as usize
-    }
-
-    /// Announced messages of a pair: its X count.
-    fn announced(&self, pi: usize) -> u64 {
-        self.pair_meta[pi] >> 32
+    /// Where `(src, dst)`'s entry sits in `src`'s list, if the pair
+    /// holds messages.
+    fn find_pair(&self, src: u16, dst: u16) -> Option<usize> {
+        self.pairs[src as usize].iter().position(|p| p.dst == dst)
     }
 
     /// Offers one message's demand. Returns when the caller must
@@ -586,7 +583,7 @@ impl SwitchDomain {
     ///
     /// If `offer.limit` is 0 or above 255.
     pub fn offer(&mut self, now: Time, offer: DomainOffer) -> Option<Time> {
-        if self.admit(now, offer) {
+        if self.admit(now, offer) == Some(true) {
             self.wake_for(now, offer.src, offer.dst)
         } else {
             None
@@ -602,36 +599,58 @@ impl SwitchDomain {
     /// [`SwitchDomain::offer`]: an inline round precedes same-instant
     /// arrivals a `Poll` event would have followed.
     pub fn offer_forwarded(&mut self, now: Time, offer: DomainOffer) -> Forwarded<'_> {
-        if !self.admit(now, offer) {
-            Forwarded::Queued(None)
-        } else if self.sole_eligible_demand(now, offer.src, offer.dst) {
-            Forwarded::Granted(self.round(now))
-        } else {
-            Forwarded::Queued(self.wake_for(now, offer.src, offer.dst))
+        match self.admit(now, offer) {
+            None => Forwarded::Queued(None),
+            Some(_) if self.sole_eligible_demand(now, offer.src, offer.dst) => {
+                Forwarded::Granted(self.round(now))
+            }
+            Some(head) => Forwarded::Queued(if head {
+                self.wake_for(now, offer.src, offer.dst)
+            } else {
+                None
+            }),
         }
     }
 
-    /// Queues one offer at the tail of its pair's FIFO: announced
-    /// (`true`) or waiting past X (`false`).
-    fn admit(&mut self, now: Time, offer: DomainOffer) -> bool {
+    /// Queues one offer at the tail of its pair's FIFO. Returns `None`
+    /// when it waits past X, else whether it was announced as the pair's
+    /// head.
+    fn admit(&mut self, now: Time, offer: DomainOffer) -> Option<bool> {
         assert!(offer.limit > 0, "{ZERO_PAIR_LIMIT}");
         assert!(offer.limit < 256, "per-pair X bound {} > 255", offer.limit);
-        let pi = self.pair_idx(offer.src, offer.dst);
-        let slot = self.push_msg(pi, &offer);
+        let slot = self.push_msg(&offer);
+        let list = &mut self.pairs[offer.src as usize];
+        let pi = match list.iter().position(|p| p.dst == offer.dst) {
+            Some(pi) => {
+                self.targets[list[pi].tail as usize].next_in_pair = slot as u32 + 1;
+                list[pi].tail = slot as u32;
+                pi
+            }
+            None => {
+                list.push(Pair {
+                    dst: offer.dst,
+                    head: slot as u32,
+                    tail: slot as u32,
+                    waiting: 0,
+                    announced: 0,
+                });
+                list.len() - 1
+            }
+        };
         // Host message-queue FIFO: a new message may not overtake older
         // same-pair messages still waiting.
-        let announced = self.pair_meta[pi] as u32 == 0 && self.announced(pi) < offer.limit as u64;
-        if announced {
-            self.announce(now, pi, slot);
+        let pair = &mut list[pi];
+        if pair.waiting == 0 && pair.announced < offer.limit as u32 {
+            Some(self.announce(now, offer.src, pi, slot))
         } else {
-            self.pair_meta[pi] += 1;
+            pair.waiting += 1;
+            None
         }
-        announced
     }
 
-    /// Links a new message at the tail of its pair's FIFO, reusing a
-    /// retired slot when one is free. Returns its slot.
-    fn push_msg(&mut self, pi: usize, offer: &DomainOffer) -> usize {
+    /// Stores a new message, reusing a retired slot when one is free.
+    /// Returns its slot.
+    fn push_msg(&mut self, offer: &DomainOffer) -> usize {
         let state = MsgState {
             token: offer.token,
             bytes: offer.bytes,
@@ -643,40 +662,33 @@ impl SwitchDomain {
             limit: offer.limit as u8,
             cancelled: false,
         };
-        // Slot index + 1 encoding, as in the pair FIFO words.
-        let slot = match self.free_slots.pop() {
+        match self.free_slots.pop() {
             Some(free) => {
                 self.targets[free as usize] = state;
-                free + 1
+                free as usize
             }
             None => {
                 self.targets.push(state);
                 self.slab_hwm = self.slab_hwm.max(self.targets.len());
-                self.targets.len() as u32
+                self.targets.len() - 1
             }
-        };
-        let fifo = self.pair_fifo[pi];
-        let (head, tail) = (fifo as u32, (fifo >> 32) as u32);
-        if head == 0 {
-            self.pair_fifo[pi] = slot as u64 | (slot as u64) << 32;
-        } else {
-            self.targets[(tail - 1) as usize].next_in_pair = slot;
-            self.pair_fifo[pi] = head as u64 | (slot as u64) << 32;
         }
-        (slot - 1) as usize
     }
 
     /// Announces a message: it takes one of its pair's X slots. The
     /// pair's first announced message is its head and reaches the
     /// scheduler at once; any other keeps `now` as its FCFS key until the
-    /// messages before it leave.
-    fn announce(&mut self, now: Time, pi: usize, slot: usize) {
-        if self.announced(pi) == 0 {
+    /// messages before it leave. Returns whether it is the head.
+    fn announce(&mut self, now: Time, src: u16, pi: usize, slot: usize) -> bool {
+        let pair = &mut self.pairs[src as usize][pi];
+        pair.announced += 1;
+        let head = pair.announced == 1;
+        if head {
             self.notify(now, slot);
         } else {
             self.targets[slot].hold_announce(now);
         }
-        self.pair_meta[pi] += ANNOUNCED;
+        head
     }
 
     /// Queues the pair head in `slot` in the scheduler, keyed at `at`.
@@ -689,57 +701,75 @@ impl SwitchDomain {
         }
     }
 
-    /// After the pair's head left the FIFO (granted in full or
-    /// withdrawn) and gave up its X slot: the next announced message, if
-    /// any, is the new head and reaches the scheduler under the instant
-    /// it was announced. Returns whether there was one.
-    fn head_left(&mut self, pi: usize, next: u32) -> bool {
-        self.pair_meta[pi] -= ANNOUNCED;
-        if self.announced(pi) == 0 {
-            return false;
+    /// Unlinks `slot`, which follows `prev` (`None`: it is the head), from
+    /// the FIFO of `src`'s pair `pi`, whose counts no longer include it.
+    /// Drops the pair's entry when that empties the FIFO; otherwise, if
+    /// the head left and a message was announced behind it, that message
+    /// is the new head and reaches the scheduler under the instant it was
+    /// announced. Returns whether it did.
+    fn unlink(&mut self, src: u16, pi: usize, prev: Option<usize>, slot: usize) -> bool {
+        let next = self.targets[slot].next_in_pair;
+        let list = &mut self.pairs[src as usize];
+        let pair = &mut list[pi];
+        match prev {
+            Some(prev) => {
+                self.targets[prev].next_in_pair = next;
+                if next == 0 {
+                    pair.tail = prev as u32;
+                }
+                false
+            }
+            None if next == 0 => {
+                debug_assert!(pair.waiting == 0 && pair.announced == 0);
+                list.swap_remove(pi);
+                false
+            }
+            None => {
+                pair.head = next - 1;
+                if pair.announced == 0 {
+                    return false;
+                }
+                let head = pair.head as usize;
+                let at = self.targets[head].take_announce();
+                self.notify(at, head);
+                true
+            }
         }
-        let slot = (next - 1) as usize;
-        let at = self.targets[slot].take_announce();
-        self.notify(at, slot);
-        true
     }
 
     /// Announces the pair's oldest waiter after one of the pair's
     /// messages finished or was withdrawn. Returns whether it was
-    /// announced — `false` when nothing of the pair waits or the pair
-    /// is still at its X bound (the waiter stays put).
+    /// announced as the pair's head — `false` also when nothing of the
+    /// pair waits or the pair is still at its X bound (the waiter stays
+    /// put).
     fn announce_waiter(&mut self, now: Time, src: u16, dst: u16) -> bool {
-        let pi = self.pair_idx(src, dst);
-        if self.pair_meta[pi] as u32 == 0 {
+        let Some(pi) = self.find_pair(src, dst) else {
+            return false;
+        };
+        let pair = &mut self.pairs[src as usize][pi];
+        if pair.waiting == 0 {
             return false;
         }
         // Announced messages are a prefix of the FIFO: skip them.
-        let announced = self.announced(pi);
-        let mut slot = (self.pair_fifo[pi] as u32 - 1) as usize;
-        for _ in 0..announced {
+        let mut slot = pair.head as usize;
+        for _ in 0..pair.announced {
             slot = (self.targets[slot].next_in_pair - 1) as usize;
         }
-        if announced >= self.targets[slot].limit as u64 {
+        if pair.announced >= self.targets[slot].limit as u32 {
             return false;
         }
-        self.pair_meta[pi] -= 1;
-        self.announce(now, pi, slot);
-        true
+        pair.waiting -= 1;
+        self.announce(now, src, pi, slot)
     }
 
-    /// Asks for a round on behalf of a message just announced on `(src,
+    /// Asks for a round on behalf of a pair head just announced on `(src,
     /// dst)`: at the instant the scheduler can first grant it, not before
     /// `now` (`edm_sched::Scheduler::grantable_at`). A round between `now`
     /// and then could not grant it, and every other queued message
-    /// already has its wake-up. `None` when it was announced behind its
-    /// pair's head: the round that grants the head's last chunk asks for
-    /// it. Returns that instant when the caller must schedule the `Poll`
-    /// event.
+    /// already has its wake-up. Returns that instant when the caller must
+    /// schedule the `Poll` event.
     fn wake_for(&mut self, now: Time, src: u16, dst: u16) -> Option<Time> {
         debug_assert!(self.has_demand(), "a round without demand is a no-op");
-        if self.announced(self.pair_idx(src, dst)) != 1 {
-            return None;
-        }
         let at = self.scheduler.grantable_at(src, dst).max(now);
         self.note_poll_wanted(at).then_some(at)
     }
@@ -817,24 +847,16 @@ impl SwitchDomain {
         for g in &result.grants {
             // Grants within a pair are FIFO, so the granted message is
             // the head of the pair's list.
-            let pi = self.pair_idx(g.src, g.dest);
-            let fifo = self.pair_fifo[pi];
-            let head = fifo as u32;
-            debug_assert!(
-                head != 0 && self.announced(pi) > 0,
-                "grant for unknown message"
-            );
-            let slot = (head - 1) as usize;
+            let pi = self
+                .find_pair(g.src, g.dest)
+                .expect("grant for unknown message");
+            let pair = &mut self.pairs[g.src as usize][pi];
+            let slot = pair.head as usize;
             if g.is_final() {
-                let next = self.targets[slot].next_in_pair;
-                self.pair_fifo[pi] = if next == 0 {
-                    0
-                } else {
-                    next as u64 | (fifo & 0xFFFF_FFFF_0000_0000)
-                };
+                pair.announced -= 1;
                 // The new head waits for this chunk's ports: its round
                 // is the one they free at.
-                if self.head_left(pi, next) {
+                if self.unlink(g.src, pi, None, slot) {
                     let at = self.scheduler.grantable_at(g.src, g.dest);
                     next_poll = Some(next_poll.map_or(at, |t| t.min(at)));
                 }
@@ -922,53 +944,39 @@ impl SwitchDomain {
     /// schedule a `Poll` event: when that offer's ports free, as for
     /// [`SwitchDomain::deliver`].
     pub fn cancel(&mut self, now: Time, src: u16, dst: u16, token: u64) -> DomainCancel {
-        let pi = self.pair_idx(src, dst);
-        let fifo = self.pair_fifo[pi];
-        let (head, tail) = (fifo as u32, (fifo >> 32) as u32);
-        let announced = self.announced(pi);
-        let mut prev: u32 = 0;
-        let mut cur = head;
-        let mut position = 0;
-        while cur != 0 {
-            let slot = (cur - 1) as usize;
-            let next = self.targets[slot].next_in_pair;
+        let Some(pi) = self.find_pair(src, dst) else {
+            return DomainCancel::NotFound;
+        };
+        let mut prev = None;
+        let mut slot = self.pairs[src as usize][pi].head as usize;
+        for position in 0.. {
             if self.targets[slot].token == token {
-                let new_head = if prev == 0 { next } else { head };
-                let new_tail = if cur == tail { prev } else { tail };
-                self.pair_fifo[pi] = if new_head == 0 {
-                    0
-                } else {
-                    new_head as u64 | (new_tail as u64) << 32
-                };
-                if prev != 0 {
-                    self.targets[(prev - 1) as usize].next_in_pair = next;
-                }
-                if position >= announced {
+                let pair = &mut self.pairs[src as usize][pi];
+                if position >= pair.announced {
                     // Waiting: it never held an X slot.
-                    self.pair_meta[pi] -= 1;
+                    pair.waiting -= 1;
+                    self.unlink(src, pi, prev, slot);
                     self.free_slots.push(slot as u32);
                     return DomainCancel::Withdrawn { poll: None };
                 }
-                if position > 0 {
-                    // Announced behind the head: nothing in the scheduler
-                    // or in flight.
-                    self.pair_meta[pi] -= ANNOUNCED;
-                    self.free_slots.push(slot as u32);
-                } else {
+                pair.announced -= 1;
+                if position == 0 {
                     let edm_sched::CancelOutcome::Cancelled { .. } =
                         self.scheduler.cancel(src, dst, 0)
                     else {
                         unreachable!("a pair's announced head is always queued");
                     };
-                    // The message can no longer complete; retire its slot
-                    // now if nothing is in flight, else when the last
-                    // granted chunk lands ([`SwitchDomain::deliver`]).
-                    let st = &mut self.targets[slot];
-                    st.cancelled = true;
-                    if st.delivered >= st.granted {
-                        self.free_slots.push(slot as u32);
-                    }
-                    self.head_left(pi, next);
+                    self.targets[slot].cancelled = true;
+                }
+                self.unlink(src, pi, prev, slot);
+                // A message announced behind the head has nothing in the
+                // scheduler or in flight. The head can no longer
+                // complete; its slot retires now if nothing is in flight,
+                // else when the last granted chunk lands
+                // ([`SwitchDomain::deliver`]).
+                let st = &self.targets[slot];
+                if position > 0 || st.delivered >= st.granted {
+                    self.free_slots.push(slot as u32);
                 }
                 // The X slot freed: announce the pair's oldest waiter.
                 let poll = if self.announce_waiter(now, src, dst) {
@@ -978,9 +986,10 @@ impl SwitchDomain {
                 };
                 return DomainCancel::Withdrawn { poll };
             }
-            prev = cur;
-            cur = next;
-            position += 1;
+            match self.targets[slot].next_in_pair {
+                0 => break,
+                next => (prev, slot) = (Some(slot), (next - 1) as usize),
+            }
         }
         DomainCancel::NotFound
     }
@@ -1011,8 +1020,7 @@ impl SwitchDomain {
         }
         self.purged_rounds = self.rounds();
         self.scheduler = Scheduler::new(*self.scheduler.config());
-        self.pair_fifo.iter_mut().for_each(|w| *w = 0);
-        self.pair_meta.iter_mut().for_each(|w| *w = 0);
+        self.pairs.iter_mut().for_each(Vec::clear);
         self.targets.clear();
         self.free_slots.clear();
         self.poll_at = None;
@@ -1588,10 +1596,11 @@ mod tests {
         assert_eq!(dom.msg_slab_high_water(), 4, "waiters held slab slots");
     }
 
-    /// A pair's (announced, waiting past X) message counts.
-    fn pair_counts(dom: &SwitchDomain, src: u16, dst: u16) -> (u64, u64) {
-        let meta = dom.pair_meta[dom.pair_idx(src, dst)];
-        (meta >> 32, meta & 0xFFFF_FFFF)
+    /// A pair's (announced, waiting past X) message counts, or `None`
+    /// when it has no entry.
+    fn pair_counts(dom: &SwitchDomain, src: u16, dst: u16) -> Option<(u32, u32)> {
+        let pair = dom.pairs[src as usize][dom.find_pair(src, dst)?];
+        Some((pair.announced, pair.waiting))
     }
 
     /// An offer of `bytes` on (src, dst) under X = `limit`.
@@ -1616,12 +1625,12 @@ mod tests {
             Some(Time::ZERO)
         );
         assert_eq!(dom.offer(Time::ZERO, offer_x(0, 1, 64, 2, 1)), None);
-        assert_eq!(pair_counts(&dom, 0, 1), (2, 0));
+        assert_eq!(pair_counts(&dom, 0, 1), Some((2, 0)));
         let frees = Time::ZERO + dom.scheduler().config().link.tx_time_bytes(64);
         let round = dom.poll(Time::ZERO).expect("live");
         assert_eq!(round.grants[0].token, 0);
         assert_eq!(round.next_poll, Some(frees));
-        assert_eq!(pair_counts(&dom, 0, 1), (1, 0));
+        assert_eq!(pair_counts(&dom, 0, 1), Some((1, 0)));
         assert_eq!(dom.poll(frees).expect("live").grants[0].token, 1);
     }
 
@@ -1635,7 +1644,7 @@ mod tests {
         }
         let quiet = DomainCancel::Withdrawn { poll: None };
         assert_eq!(dom.cancel(Time::ZERO, 0, 1, 1), quiet);
-        assert_eq!(pair_counts(&dom, 0, 1), (2, 0));
+        assert_eq!(pair_counts(&dom, 0, 1), Some((2, 0)));
         let mut tokens = Vec::new();
         let mut at = Some(Time::ZERO);
         while let Some(now) = at {
@@ -1645,6 +1654,49 @@ mod tests {
         }
         assert_eq!(tokens, [0, 2]);
         assert_eq!(dom.msg_slots_live(), 2, "granted, not yet delivered");
+    }
+
+    #[test]
+    fn pair_entries_leave_with_their_last_message() {
+        let t = Time::ZERO;
+        let quiet = DomainCancel::Withdrawn { poll: None };
+        // A final grant.
+        let mut dom = domain4();
+        dom.offer(t, offer_x(0, 1, 64, 1, 0));
+        assert_eq!(pair_counts(&dom, 0, 1), Some((1, 0)));
+        assert_eq!(dom.poll(t).expect("live").grants.len(), 1);
+        assert_eq!(pair_counts(&dom, 0, 1), None, "final grant");
+        // A withdrawn head.
+        dom.offer(t, offer_x(0, 1, 64, 1, 1));
+        assert_eq!(dom.cancel(t, 0, 1, 1), quiet);
+        assert_eq!(pair_counts(&dom, 0, 1), None, "withdrawn head");
+        // A withdrawn waiter: X = 1, the head granted in full, the waiter
+        // alone in the FIFO.
+        let mut dom = domain4();
+        dom.offer(t, offer_x(0, 1, 64, 1, 0));
+        dom.offer(t, offer_x(0, 1, 64, 1, 1));
+        dom.poll(t).expect("live");
+        assert_eq!(pair_counts(&dom, 0, 1), Some((0, 1)));
+        assert_eq!(dom.cancel(t, 0, 1, 1), quiet);
+        assert_eq!(pair_counts(&dom, 0, 1), None, "withdrawn waiter");
+        // A message announced behind the head is never its pair's last:
+        // withdrawing it leaves the head's entry, which goes with the head.
+        let mut dom = domain4();
+        dom.offer(t, offer_x(0, 1, 64, 2, 0));
+        dom.offer(t, offer_x(0, 1, 64, 2, 1));
+        assert_eq!(dom.cancel(t, 0, 1, 1), quiet);
+        assert_eq!(pair_counts(&dom, 0, 1), Some((1, 0)));
+        assert_eq!(dom.cancel(t, 0, 1, 0), quiet);
+        assert_eq!(pair_counts(&dom, 0, 1), None, "announced behind");
+        // A purge, with a head, one announced behind it and a waiter on
+        // one pair and a head on another.
+        for token in 0..3 {
+            dom.offer(t, offer_x(0, 1, 64, 2, token));
+        }
+        dom.offer(t, offer_x(2, 3, 64, 2, 3));
+        assert_eq!(pair_counts(&dom, 0, 1), Some((2, 1)));
+        dom.purge(&mut Vec::new());
+        assert!(dom.pairs.iter().all(Vec::is_empty), "purge");
     }
 
     #[test]

@@ -40,7 +40,7 @@
 
 use crate::latency::physical::{PMA_PMD_PASS, PROPAGATION};
 use crate::message::MemOp;
-use crate::sim::{DomainOffer, SwitchDomain};
+use crate::sim::{DomainOffer, SwitchDomain, MAX_ACTIVE_PER_PAIR};
 use crate::stack;
 use edm_memory::rmw::RmwOp;
 use edm_memory::MemoryController;
@@ -50,9 +50,6 @@ use edm_sim::{Bandwidth, Duration, Engine, EventQueue, QueueStats, Time, World};
 
 /// Identifies a node (== its switch port).
 pub type NodeId = u16;
-
-/// X: active notifications the switch holds per (src, dst) pair (§3.1.1).
-const MAX_ACTIVE_PER_PAIR: usize = 3;
 
 /// Order keys at one instant: an op issued at an instant goes before the
 /// packets and rounds due then, so a run pops its events in the order it

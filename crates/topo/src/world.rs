@@ -138,7 +138,7 @@ use crate::shard::ShardPlan;
 use crate::topology::{Endpoint, Path, Route, Topology};
 use edm_core::sim::{
     evord, ClusterConfig, DomainCancel, DomainOffer, EdmProtocol, Flow, FlowKind, Forwarded,
-    SwitchDomain, ZERO_PAIR_LIMIT,
+    SwitchDomain, MAX_ACTIVE_PER_PAIR, ZERO_PAIR_LIMIT,
 };
 use edm_sched::{Policy, SchedulerConfig};
 use edm_sim::sharded::{run_sharded, Envelope, Recipient, ShardWorld, ShardedConfig};
@@ -234,7 +234,7 @@ impl Default for TopoEdmConfig {
             pipeline_latency: Duration::from_ns(54), // ClusterConfig's default
             chunk_bytes: 256,
             policy: Policy::Srpt,
-            max_active_per_pair: 3,
+            max_active_per_pair: MAX_ACTIVE_PER_PAIR,
             reroute_delay: Duration::from_us(10),
             max_retries: 0,
             retry_backoff: Duration::from_us(20),
