@@ -387,7 +387,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_replays_match_fresh_replays() {
+    fn replays_sharing_a_queue_match_fresh_ones() {
         // Replays that share one solo memo and scratch queue must be
         // bit-identical to replays that share nothing.
         let cfg = TopoEdmConfig::default();
@@ -401,20 +401,19 @@ mod tests {
                 5,
                 6,
             ),
-            // The first cluster's port space again.
             cluster((0..10).map(|s| member(s / 2, s as u16, 0)).collect(), 10, 1),
         ];
         let mut solo = SoloMemo::default();
         let mut queue = ReplayQueue::default();
         for c in &clusters {
-            let pooled = simulate_memo(&c.profile, &cfg, &mut solo, &mut queue);
+            let shared = simulate_memo(&c.profile, &cfg, &mut solo, &mut queue);
             let fresh = simulate_cluster(c, &cfg);
-            assert_eq!(pooled.excess, fresh.excess);
+            assert_eq!(shared.excess, fresh.excess);
         }
         // Round two serves every baseline from the memo.
         for c in &clusters {
-            let pooled = simulate_memo(&c.profile, &cfg, &mut solo, &mut queue);
-            assert_eq!(pooled.excess, simulate_cluster(c, &cfg).excess);
+            let shared = simulate_memo(&c.profile, &cfg, &mut solo, &mut queue);
+            assert_eq!(shared.excess, simulate_cluster(c, &cfg).excess);
         }
     }
 
